@@ -2,8 +2,10 @@
 
 Subcommands write one machine-readable artifact each (JSON by default,
 CSV where it makes sense) and keep the human-readable summary on stdout.
-Exit codes: 0 success, 1 the audit contradicts the expected parity
-dichotomy, 2 usage error.
+Exit codes: 0 success, 1 a tolerance violation or an audit outcome that
+contradicts the expected parity dichotomy, 2 usage error (bad arguments,
+rejected before any work is done), 3 internal error (an invariant of the
+package failed; a bug, not a mistake in the invocation).
 """
 
 import argparse
@@ -22,6 +24,7 @@ from .operators import (
 )
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
@@ -35,6 +38,8 @@ def parse_state(spec, n, seed):
     if spec == "mixed":
         return maximally_mixed(n)
     if spec == "random":
+        if seed < 0:
+            raise CliError(f"--seed must be non-negative, got {seed}")
         return random_density_matrix(n, np.random.default_rng([int(seed), tomography.STATE_STREAM_KEY]))
     if spec.startswith("basis:"):
         return basis_state_density(_state_index(spec, n), n)
@@ -99,6 +104,11 @@ def cmd_fano(args):
 
 def cmd_check(args):
     n = args.n
+    if args.audit_bound < 1:
+        raise CliError(f"--audit-bound must be a positive integer, got {args.audit_bound}")
+    if n > args.audit_bound:
+        raise CliError(f"--n {n} exceeds the audit bound {args.audit_bound}; "
+                       "raise --audit-bound to audit larger N")
     report = fano.full_report(n, tol=args.tolerance, audit_bound=args.audit_bound)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)
@@ -190,7 +200,9 @@ def cmd_tomo(args):
     n = args.n
     if n % 2 == 0 or not tomography.is_prime(n):
         raise CliError(f"tomography requires an odd prime N, got {n}")
-    rho_true = random_density_matrix(n, np.random.default_rng([int(args.seed), tomography.STATE_STREAM_KEY]))
+    if args.shots < 0:
+        raise CliError(f"--shots must be non-negative, got {args.shots}")
+    rho_true = parse_state("random", n, args.seed)
     _, fset = _solution_set(n)
     dataset = tomography.simulate_marginals(rho_true, fset, shots=args.shots, seed=args.seed)
     result = tomography.reconstruct_density(dataset, fset, rho_true=rho_true)
@@ -269,8 +281,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

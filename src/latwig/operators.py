@@ -101,18 +101,6 @@ def monomial(n_exp, m_exp, n):
     return out
 
 
-@lru_cache(maxsize=None)
-def monomial_table(n):
-    """Stack of all N^2 monomials, indexed [n_exp, m_exp, i, j]; read-only."""
-    check_dim(n)
-    stack = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            stack[a, b] = monomial(a, b, n)
-    stack.setflags(write=False)
-    return stack
-
-
 def validate_density_matrix(rho, tol=DEFAULT_TOL):
     """Raise unless rho is hermitian, unit-trace and PSD to tolerance."""
     rho = np.asarray(rho, dtype=complex)

@@ -2,13 +2,21 @@
 
 Floats are printed with 17 significant digits and dict keys keep insertion
 order, so identical runs produce byte-identical artifacts. Files are
-written atomically (temp file + rename).
+written atomically: a uniquely named temp file in the target's directory is
+renamed onto the target, so concurrent writers never share a temp file and
+readers see either the old or a complete new artifact.
 """
 
 import json
 import os
+import tempfile
 
 import numpy as np
+
+# The umask can only be read by setting it, and it is process-wide; read it
+# once at import, before any writer thread exists, rather than per write.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 def format_float(x):
@@ -77,7 +85,15 @@ def complex_matrix_dict(m):
 
 
 def write_atomic(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to path via a temp file and rename; no temp file survives a failure."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates mode 0600; give the artifact the mode open() would.
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -79,14 +79,23 @@ def test_criterion_04_uniqueness_from_two_conditions():
                  "hermiticity and orthogonality follow unimposed for N in {3,5,7}")
 
 
+EVEN_WITNESSES = {
+    2: ("covariance", [1, 1, 1, 1, 0, 1, -1, 0]),
+    4: ("hermiticity", [0, 0, 0, 1]),
+    6: ("hermiticity", [0, 0, 0, 1]),
+    8: ("hermiticity", [0, 0, 0, 1]),
+}
+
+
 def test_criterion_05_even_dimension_nonexistence():
     witnesses = {}
-    for n in (2, 4, 6):
+    for n, expected in EVEN_WITNESSES.items():
         report = fano.full_report(n, tol=TOL)
         witness = fano.infeasibility_witness(report)
         assert witness is not None, f"N={n}: no failing check recorded"
         assert witness.name in {"hermiticity", "coeff_hermiticity", "covariance", "route_consistency"}
         assert witness.witness is not None
+        assert (witness.name, witness.to_json_dict()["witness"]) == expected, n
         witnesses[n] = f"{witness.name}@{witness.witness}"
     _passline(5, f"even N infeasible with named witnesses: {witnesses}")
 

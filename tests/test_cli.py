@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from latwig import fano
 from latwig.cli import main
 from latwig.serialize import format_float
 
@@ -228,3 +229,33 @@ def test_repeated_runs_are_byte_identical(tmp_path, argv):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_check_above_audit_bound_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["check", "--n", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "audit bound 9" in err
+    assert "internal" not in err
+    assert main(["check", "--n", "3", "--audit-bound", "0", "--out", str(out)]) == 2
+    assert "--audit-bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_shots_and_seed_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert main(["tomo", "--n", "3", "--shots", "-1", "--out", str(out)]) == 2
+    assert "--shots" in capsys.readouterr().err
+    assert main(["tomo", "--n", "3", "--seed", "-1", "--out", str(out)]) == 2
+    assert main(["wigner", "--n", "3", "--state", "random", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_value_error_exits_three(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("no second lift found")
+
+    monkeypatch.setattr(fano, "full_report", broken)
+    assert main(["check", "--n", "3", "--out", str(tmp_path / "c.json")]) == 3
+    assert "internal error: no second lift found" in capsys.readouterr().err

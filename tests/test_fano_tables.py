@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,29 @@ from latwig.operators import monomial
 def _w(n, k):
     """Reference phase omega^k, written independently of the table code."""
     return np.exp(2j * np.pi * k / n)
+
+
+def _random_coefficients(n):
+    """Seeded complex table on the scale of the solution's entries (1/N^2)."""
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
+    return fano.FanoCoefficients(n, table / n**2)
+
+
+def _position_reference(c):
+    """a(q,p;n,m) = sum_st omega^(pt-qs) a~(s,t;n,m) as an explicit double sum."""
+    n = c.n
+    a = np.zeros_like(c.table)
+    for q, p, s, t in itertools.product(range(n), repeat=4):
+        a[q, p] += _w(n, p * t - q * s) * c.table[s, t]
+    return a
+
+
+def _assemble_reference(c):
+    """The dense monomial expansion D(q,p) = sum_nm a(q,p;n,m) S^n P^m, O(N^6)."""
+    n = c.n
+    stack = np.array([[monomial(nn, mm, n) for mm in range(n)] for nn in range(n)])
+    return np.einsum("qpnm,nmij->qpij", _position_reference(c), stack)
 
 
 def test_odd_table_examples():
@@ -111,19 +136,27 @@ def test_assembled_operators_sum_to_identity(n):
     assert_allclose(fset.operators.sum(axis=(0, 1)), np.eye(n), atol=1e-12)
 
 
-def test_assemble_matches_monomial_expansion_directly():
-    n = 3
-    c = fano.coefficients_odd(n)
-    a = fano.coefficients_to_position(c)
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_position_transform_matches_double_sum(n):
+    c = _random_coefficients(n)
+    assert np.abs(fano.coefficients_to_position(c) - _position_reference(c)).max() < 1e-12
+
+
+ASSEMBLE_CASES = {
+    **{f"odd{n}": (fano.coefficients_odd, n) for n in (1, 3, 5, 7)},
+    **{f"candidate{n}": (fano.coefficients_candidate, n) for n in (2, 3, 4, 6)},
+    **{f"cohendet{n}": (fano.coefficients_cohendet, n) for n in (3, 5)},
+    **{f"random{n}": (_random_coefficients, n) for n in (1, 2, 3, 4, 5, 8, 9, 11)},
+}
+
+
+@pytest.mark.parametrize("build,n", ASSEMBLE_CASES.values(), ids=ASSEMBLE_CASES.keys())
+def test_assemble_matches_monomial_expansion_directly(build, n):
+    c = build(n)
+    table = c.table.copy()
     fset = fano.assemble(c)
-    for q in range(n):
-        for p in range(n):
-            direct = sum(
-                a[q, p, nn, mm] * monomial(nn, mm, n)
-                for nn in range(n)
-                for mm in range(n)
-            )
-            assert_allclose(fset.operators[q, p], direct, atol=1e-13)
+    assert np.abs(fset.operators - _assemble_reference(c)).max() < 1e-12
+    assert np.array_equal(c.table, table)  # the input table is left untouched
 
 
 def test_dimension_one_is_the_trivial_operator():

@@ -11,7 +11,6 @@ from latwig.operators import (
     momentum_state_density,
     momentum_vector,
     monomial,
-    monomial_table,
     omega,
     omega_pow,
     random_density_matrix,
@@ -88,7 +87,7 @@ def test_monomial_traces(n):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_monomials_trace_orthogonal(n):
-    stack = monomial_table(n).reshape(n * n, n * n)
+    stack = np.array([monomial(a, b, n).ravel() for a in range(n) for b in range(n)])
     gram = stack @ stack.conj().T
     assert_allclose(gram, n * np.eye(n * n), atol=1e-12)
 
