@@ -75,14 +75,9 @@ def cmd_fano(args):
     n = args.n
     coeffs = fano.coefficients_candidate(n)
     fset = fano.assemble(coeffs)
-    entries = []
-    for s in range(n):
-        for t in range(n):
-            for a in range(n):
-                for b in range(n):
-                    v = coeffs.table[s, t, a, b]
-                    entries.append({"s": s, "t": t, "n": a, "m": b,
-                                    "re": v.real, "im": v.imag})
+    table = coeffs.table
+    columns = [*np.indices(table.shape).reshape(4, -1), table.real.ravel(), table.imag.ravel()]
+    entries = np.rec.fromarrays(columns, names="s,t,n,m,re,im")
     operators = []
     for q in range(n):
         for p in range(n):
@@ -144,8 +139,8 @@ def cmd_wigner(args):
         doc = grid.to_json_dict(tol=args.tolerance)
         doc["state"] = args.state
         doc["seed"] = args.seed
-        doc["position_marginal"] = [float(x) for x in marg_q]
-        doc["momentum_marginal"] = [float(x) for x in marg_p]
+        doc["position_marginal"] = marg_q
+        doc["momentum_marginal"] = marg_p
         serialize.write_atomic(args.out, serialize.dumps_json(doc))
     else:
         serialize.write_atomic(args.out, serialize.grid_csv(grid.values.real))

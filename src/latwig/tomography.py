@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import SL2Element, check_dim, line_label
+from .operators import validate_density_matrix
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
 
 STATE_STREAM_KEY = 0x5747  # substream tag for state generation, clear of family indices
@@ -71,11 +72,15 @@ def simulate_marginals(rho, f, shots=0, seed=0):
     """Exact (shots=0) or multinomially sampled line marginals of rho.
 
     Sampling uses one substream per family derived from the seed, so the
-    dataset is reproducible regardless of evaluation order.
+    dataset is reproducible regardless of evaluation order. rho must be a
+    density matrix (hermitian, unit trace, PSD): the marginals of anything
+    else are not probability distributions, and sampling them would clip
+    and renormalise silently.
     """
     n = f.n
     if n % 2 == 0 or not is_prime(n):
         raise ValueError(f"tomography requires an odd prime N, got {n}")
+    validate_density_matrix(rho)
     grid = wigner_from_density(rho, f)
     families = []
     for k, g in enumerate(mub_line_families(n)):

@@ -29,14 +29,8 @@ class WignerGrid:
         return float(np.abs(self.values.imag).max())
 
     def to_json_dict(self, tol=DEFAULT_TOL):
-        im = None
-        if self.max_imag() > tol:
-            im = [[float(x) for x in row] for row in self.values.imag]
-        return {
-            "n": self.n,
-            "re": [[float(x) for x in row] for row in self.values.real],
-            "im": im,
-        }
+        im = self.values.imag if self.max_imag() > tol else None
+        return {"n": self.n, "re": self.values.real, "im": im}
 
 
 @dataclass(frozen=True)
@@ -52,12 +46,17 @@ class MarginalDistribution:
             "lambda": self.element.lam,
             "mu": self.element.mu,
             "nu": self.element.nu,
-            "weights": [float(w) for w in self.weights],
+            "weights": self.weights,
         }
 
 
 def wigner_from_density(rho, f):
-    """W(q,p) = Tr[D(q,p) rho] at every lattice site."""
+    """W(q,p) = Tr[D(q,p) rho] at every lattice site.
+
+    rho is not validated as a density matrix: this is a linear map defined
+    on every N x N matrix, and callers (the round trip through
+    `density_from_wigner`, for one) feed it matrices that are not PSD.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (f.n, f.n):
         raise ValueError(f"density matrix shape {rho.shape} does not match N = {f.n}")

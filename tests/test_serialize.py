@@ -1,10 +1,175 @@
+import json
 import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-from latwig import serialize
+from latwig import cli, fano, serialize, wigner
+
+# ---------------------------------------------------------------------------
+# Reference emitter: the element-by-element serializer the template path
+# replaced. Every artifact must stay byte-identical to what it writes.
+
+
+def _reference_emit(obj, out):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(serialize.format_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(k)))
+            out.append(":")
+            _reference_emit(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_emit(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_dumps_json(obj):
+    out = []
+    _reference_emit(obj, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _plain(obj):
+    """The document as built before arrays were passed: lists, dicts and scalars."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.names is not None:
+            return [dict(zip(obj.dtype.names, rec)) for rec in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+CLI_DOCUMENTS = [
+    *[["fano", "--n", str(n)] for n in range(1, 7)],
+    ["check", "--n", "4"],
+    ["check", "--n", "5"],
+    ["wigner", "--n", "5", "--state", "random", "--seed", "3"],
+    ["wigner", "--n", "5", "--state", "momentum:2"],
+    ["marginal", "--n", "5", "--kappa", "2", "--lambda", "3", "--state", "random", "--seed", "3"],
+    ["tomo", "--n", "5", "--shots", "0", "--seed", "2"],
+    ["tomo", "--n", "5", "--shots", "1000", "--seed", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_DOCUMENTS, ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_cli_artifacts_match_the_reference_emitter(tmp_path, monkeypatch, argv):
+    docs = []
+    dumps_json = serialize.dumps_json
+
+    def capture(obj):
+        docs.append(obj)
+        return dumps_json(obj)
+
+    monkeypatch.setattr(serialize, "dumps_json", capture)
+    out = tmp_path / "artifact.json"
+    assert cli.main([*argv, "--out", str(out)]) in (0, 1)
+    assert len(docs) == 1
+    assert out.read_text() == reference_dumps_json(_plain(docs[0]))
+
+
+EDGE_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 2 / 3, 1e16, 123456.789]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_edge_floats_match_the_reference_emitter(dtype):
+    a = np.array(EDGE_VALUES, dtype=dtype)
+    for shaped in (a, a.reshape(2, 5), a.reshape(5, 2).T, a.reshape(1, 2, 5)):
+        assert serialize.dumps_json(shaped) == reference_dumps_json(shaped.tolist())
+    doc = {"values": a, "scalar": a[0], "nested": [a, {"x": a[::-1]}]}
+    assert serialize.dumps_json(doc) == reference_dumps_json(_plain(doc))
+    assert serialize.dumps_json(a).startswith("[-0,0,nan,inf,-inf,")
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0), (0, 3), (2, 0, 3), (3, 1)])
+def test_zero_dimensional_and_empty_arrays(shape):
+    a = np.full(shape, -0.0)
+    assert serialize.dumps_json(a) == reference_dumps_json(a.tolist())
+
+
+def test_structured_array_becomes_a_list_of_flat_objects():
+    a = np.zeros(4, dtype=[("s", np.intp), ("k", np.uint8), ("re", float), ("im", np.float32)])
+    a["s"] = [0, 1, -7, 2**40]
+    a["k"] = [0, 3, 255, 9]
+    a["re"] = [-0.0, np.nan, 1e-300, 2 / 3]
+    a["im"] = [np.inf, -np.inf, 0.1, 5e-45]
+    expected = [dict(zip(a.dtype.names, rec)) for rec in a.tolist()]
+    assert serialize.dumps_json({"rows": a}) == reference_dumps_json({"rows": expected})
+    assert serialize.dumps_json(a[:0]) == "[]\n"
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros(3, dtype=complex),
+    np.zeros((2, 2), dtype=bool),
+    np.array([1.0, None], dtype=object),
+    np.zeros(2, dtype=[("z", complex)]),
+    np.zeros(2, dtype=[("b", bool)]),
+    np.zeros(2, dtype=[("v", float, 3)]),
+    np.zeros((2, 2), dtype=[("x", float)]),
+], ids=["complex", "bool", "object", "complex-field", "bool-field", "subarray-field", "2d-records"])
+def test_unsupported_arrays_raise_type_error(a):
+    with pytest.raises(TypeError):
+        serialize.dumps_json({"a": a})
+
+
+def _reference_grid_csv(values):
+    lines = [",".join(serialize.format_float(x) for x in row) for row in np.asarray(values)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_marginal_csv(weights):
+    lines = ["p0,weight"]
+    lines.extend(f"{p0},{serialize.format_float(w)}" for p0, w in enumerate(weights))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writers_match_the_per_float_join():
+    a = np.array(EDGE_VALUES)
+    rng = np.random.default_rng(5)
+    for values in (a.reshape(2, 5), a.reshape(5, 2), rng.standard_normal((7, 7)), a.reshape(10, 1)):
+        assert serialize.grid_csv(values) == _reference_grid_csv(values)
+    for weights in (a, rng.random(11), list(a)):
+        assert serialize.marginal_csv(weights) == _reference_marginal_csv(weights)
+    assert serialize.grid_csv(a.reshape(2, 5)).startswith("-0,0,nan,inf,-inf\n")
+    assert serialize.marginal_csv(a).splitlines()[1] == "0,-0"
+
+
+def test_wigner_csv_companions_match_the_per_float_join(tmp_path):
+    out = tmp_path / "w.csv"
+    assert cli.main(["wigner", "--n", "5", "--state", "random", "--seed", "4",
+                     "--format", "csv", "--out", str(out)]) == 0
+    rho = cli.parse_state("random", 5, 4)
+    grid = wigner.wigner_from_density(rho, fano.assemble(fano.coefficients_odd(5)))
+    assert out.read_text() == _reference_grid_csv(grid.values.real)
+    assert (tmp_path / "w_marginal_q.csv").read_text() == _reference_marginal_csv(grid.values.real.sum(axis=1))
+    assert (tmp_path / "w_marginal_p.csv").read_text() == _reference_marginal_csv(grid.values.real.sum(axis=0))
+    assert not (tmp_path / "w_imag.csv").exists()
 
 
 def test_write_atomic_failed_replace_leaves_target_and_no_temp(tmp_path, monkeypatch):

@@ -176,3 +176,25 @@ def test_dataset_json_schema():
     for fam in doc["families"]:
         assert list(fam) == ["kappa", "lambda", "mu", "nu", "weights"]
         assert len(fam["weights"]) == n
+
+
+def _not_hermitian(n):
+    rho = maximally_mixed(n)
+    rho[0, 1] = 0.1
+    return rho
+
+
+def _negative_eigenvalue(n):
+    return np.diag([1.5, -0.5] + [0.0] * (n - 2)).astype(complex)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (_not_hermitian, "not hermitian"),
+    (lambda n: 2 * maximally_mixed(n), "trace"),
+    (_negative_eigenvalue, "negative eigenvalue"),
+], ids=["non-hermitian", "trace-2", "negative-eigenvalue"])
+@pytest.mark.parametrize("shots", [0, 100])
+def test_simulate_marginals_rejects_non_density_matrices(bad, message, shots):
+    n = 3
+    with pytest.raises(ValueError, match=message):
+        tomography.simulate_marginals(bad(n), _solution_set(n), shots=shots, seed=1)
