@@ -8,11 +8,8 @@ Library layout:
 - ``wigner``: density matrix <-> grid transforms, tilted-line marginals
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
 - ``cli``: the ``latwig`` command
-
-Set ``LATWIG_NO_NUMBA=1`` to run the audit kernels on the pure-numpy path.
 """
 
-from ._kernels import backend as kernel_backend
 from .fano import (
     ConditionReport,
     FanoCoefficients,
@@ -55,7 +52,6 @@ __all__ = [
     "density_from_wigner",
     "full_report",
     "gcd_decompose",
-    "kernel_backend",
     "line_points",
     "marginal_along_line",
     "momentum_vector",

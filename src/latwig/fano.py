@@ -12,6 +12,12 @@ Construction runs on ``numpy.fft``: the table-to-position transform and the
 monomial expansion are FFTs over single axes of the N^4 table, so
 ``assemble`` costs O(N^4 log N) time and about three N^4 complex arrays of
 memory (the table plus at most two work or output arrays at a time).
+
+The group audits share one enumeration of SL(2, Z_N) with its integer
+lifts (:func:`latwig.lattice.sl2_lifts`). The covariance audit evaluates
+each lift only where a residual can be nonzero, O(nnz) positions for a
+table with nnz nonzero entries, so it costs O(|G| nnz) rather than
+O(|G| N^4); the route audit costs O(|G| N^2).
 """
 
 from dataclasses import dataclass
@@ -19,15 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .lattice import (
     DEFAULT_AUDIT_BOUND,
     SL2Element,
     check_dim,
     gcd_decompose,
     sl2_complete,
-    sl2_enumerate,
-    sl2_second_lift,
+    sl2_lifts,
 )
 from .operators import (
     DEFAULT_TOL,
@@ -37,6 +41,11 @@ from .operators import (
 )
 
 PHASE_CONVENTION = "exp(2*pi*i*x/N)"
+
+# Candidate positions per batch of lifts in the covariance scan: each
+# temporary of a batch holds at most this many entries (or one lift's
+# candidates, if those are more).
+COVARIANCE_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -258,6 +267,14 @@ def _hermiticity_phases(n):
     return om[(-np.outer(grid, grid)) % n]  # [n, m] = omega^(-nm)
 
 
+def hermiticity_residuals(table):
+    """Residuals |a~(s,t;n,m) - omega^(-nm) conj(a~(-s,-t;-n,-m))|, indices mod N."""
+    n = table.shape[0]
+    idx = (-np.arange(n)) % n
+    flipped = table[np.ix_(idx, idx, idx, idx)].conj()
+    return np.abs(table - _hermiticity_phases(n)[np.newaxis, np.newaxis, :, :] * flipped)
+
+
 def check_hermiticity(c, f, tol=DEFAULT_TOL):
     """Hermiticity at both levels, reported separately.
 
@@ -266,7 +283,7 @@ def check_hermiticity(c, f, tol=DEFAULT_TOL):
     reduced canonically.
     """
     res_op = np.abs(f.operators - f.operators.conj().transpose(0, 1, 3, 2))
-    res_coeff = _kernels.hermiticity_residuals(c.table, _hermiticity_phases(c.n))
+    res_coeff = hermiticity_residuals(c.table)
     return {
         "hermiticity": _result("hermiticity", res_op, tol),
         "coeff_hermiticity": _result("coeff_hermiticity", res_coeff, tol),
@@ -342,20 +359,60 @@ def covariance_phase_table(g, n):
     return np.ascontiguousarray(half[_two_phi_table(g, n) % (2 * n)])
 
 
-def covariance_residuals(c, g):
-    """Residuals of the coefficient covariance identity for one group element.
+def _covariance_scan(table, lifts, tol):
+    """Covariance audit of ``table`` under every lift in ``lifts``, in order.
 
-    |a~(nu*s+lam*t, mu*s+kappa*t; n, m)
-      - omega^(phi'(n,m)) a~(s, t; nu*n-mu*m, -lam*n+kappa*m)|,
-    indexed [s, t, n, m], all index arithmetic mod N.
+    The residual at [s,t,n,m] is
+    |a~(A(s,t); n, m) - omega^(phi'(n,m)) a~(s, t; B(n,m))| with the index
+    bijections A(s,t) = (nu*s+lam*t, mu*s+kappa*t) and
+    B(n,m) = (nu*n-mu*m, -lam*n+kappa*m) mod N. It is exactly zero unless
+    one of the two entries lies in the table's support, so each lift is
+    evaluated only at the preimages of the support points under A and
+    under B, plus the origin, which stands in for every other position
+    (residual 0; it keeps an empty support and a negative tolerance exact).
+    The witness is the lexicographically first index above tol of the
+    first failing lift, as a dense scan would name it.
     """
-    phases = covariance_phase_table(g, c.n)
-    return _kernels.covariance_residuals(c.table, g.kappa, g.lam, g.mu, g.nu, phases)
+    n = table.shape[0]
+    ss, ts, ns, ms = np.nonzero(table)
+    half = _half_omega_table(n)
+    zero = np.zeros(1, dtype=np.int64)
+    batch = max(1, COVARIANCE_BATCH // (2 * ss.size + 1))
+    entries = np.array([g.as_tuple() for g in lifts], dtype=np.int64).reshape(-1, 4, 1)
+    worst = 0.0
+    first_fail = None
+    for start in range(0, len(lifts), batch):
+        chunk = lifts[start:start + batch]
+        k, l, m, v = entries[start:start + batch].transpose(1, 0, 2)
+
+        def candidates(*parts):
+            return np.concatenate(
+                [np.broadcast_to(p, (len(chunk), p.shape[-1])) for p in parts], axis=1) % n
+
+        s = candidates(zero, k * ss - l * ts, ss)
+        t = candidates(zero, v * ts - m * ss, ts)
+        a = candidates(zero, ns, k * ns + m * ms)
+        b = candidates(zero, ms, l * ns + v * ms)
+        lhs = table[(v * s + l * t) % n, (m * s + k * t) % n, a, b]
+        phases = half[(v * l * a * (n - a) + m * k * b * (n - b) + 2 * m * l * a * b) % (2 * n)]
+        res = np.abs(lhs - phases * table[s, t, (v * a - m * b) % n, (k * b - l * a) % n])
+        worst = max(worst, float(res.max()))
+        if first_fail is None:
+            failing = res > tol
+            rows = np.flatnonzero(failing.any(axis=1))
+            if rows.size:
+                r = rows[0]
+                flat = np.ravel_multi_index((s[r], t[r], a[r], b[r]), table.shape)
+                witness = np.unravel_index(flat[failing[r]].min(), table.shape)
+                first_fail = (tuple(int(i) for i in witness), chunk[r])
+    if first_fail is None:
+        return CheckResult("covariance", True, worst, None, None)
+    return CheckResult("covariance", False, worst, *first_fail)
 
 
 def check_covariance(c, g, tol=DEFAULT_TOL):
     """Audit the covariance identity for a single element."""
-    return _result("covariance", covariance_residuals(c, g), tol, element=g)
+    return _covariance_scan(c.table, [g], tol)
 
 
 def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, lifts=2,
@@ -364,26 +421,13 @@ def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, lifts=2,
 
     The phase exponent is quadratic in the integer lifts, so each residue
     class is tested with its base lift and a +N-shifted one; a genuinely
-    covariant table must pass both.
+    covariant table must pass both. ``elements`` is a list of lift tuples
+    from :func:`latwig.lattice.sl2_lifts` (then ``lifts`` and
+    ``audit_bound`` are not used); by default it is built here.
     """
-    n = c.n
     if elements is None:
-        elements = sl2_enumerate(n, audit_bound=audit_bound)
-    worst = 0.0
-    first_fail = None
-    for g in elements:
-        tested = [g]
-        if lifts >= 2:
-            tested.append(sl2_second_lift(g, n))
-        for lift in tested:
-            res = covariance_residuals(c, lift)
-            worst = max(worst, float(res.max()))
-            if first_fail is None and res.max() > tol:
-                idx = tuple(int(i) for i in np.argwhere(res > tol)[0])
-                first_fail = (idx, lift)
-    if first_fail is None:
-        return CheckResult("covariance", True, worst, None, None)
-    return CheckResult("covariance", False, worst, first_fail[0], first_fail[1])
+        elements = sl2_lifts(c.n, lifts, audit_bound)
+    return _covariance_scan(c.table, [lift for group in elements for lift in group], tol)
 
 
 def apply_covariance_transform(c, g):
@@ -463,20 +507,20 @@ def derive_via_line(n, s, t):
 
 
 def derivation_routes(n, s, t, elements=None, lifts=2, audit_bound=DEFAULT_AUDIT_BOUND):
-    """All (element, forced value) pairs for (s,t), over the group and lifts."""
+    """All (lift, forced value) pairs for (s,t), over the group and lifts.
+
+    ``elements`` is a list of lift tuples from
+    :func:`latwig.lattice.sl2_lifts`; by default it is built here.
+    """
     check_dim(n)
     if elements is None:
-        elements = sl2_enumerate(n, audit_bound=audit_bound)
-    routes = []
-    for g in elements:
-        if _route_kind(g, s, t, n) is None:
-            continue
-        tested = [g]
-        if lifts >= 2:
-            tested.append(sl2_second_lift(g, n))
-        for lift in tested:
-            routes.append((lift, _route_value(lift, s, t, n)))
-    return routes
+        elements = sl2_lifts(n, lifts, audit_bound)
+    return [
+        (lift, _route_value(lift, s, t, n))
+        for group in elements
+        if _route_kind(group[0], s, t, n) is not None
+        for lift in group
+    ]
 
 
 def derived_table(n):
@@ -495,47 +539,64 @@ def derived_table(n):
     return FanoCoefficients(n, table)
 
 
-def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=2):
+def _route_consistency(n, elements, tol):
+    """Route-consistency check: all routes agree at every (s,t) != (0,0).
+
+    The witness is the first (s,t) in lexicographic order with a conflict,
+    then its first route's lift and the first lift that disagrees. The routes, their order and their values are those of
+    :func:`derivation_routes`, computed with numpy over all lifts at once
+    for each (s,t). A value's real and imaginary parts are divided by N^2
+    separately and spreads are taken with hypot, which is what the complex
+    arithmetic of :func:`_route_value` and ``abs`` gives, to the last bit.
+    """
+    lifts = [lift for group in elements for lift in group]
+    k, l, m, v = (np.array(x, dtype=np.int64) for x in zip(*(g.as_tuple() for g in lifts)))
+    vl, mk, ml2 = v * l, m * k, 2 * m * l
+    half = _half_omega_table(n)
+    re, im = half.real / n**2, half.imag / n**2
+    worst = 0.0
+    witness = None
+    for s in range(n):
+        for t in range(n):
+            if s == 0 and t == 0:
+                continue
+            on_axis = np.flatnonzero(((k * s - l * t) % n == 0) | ((v * t - m * s) % n == 0))
+            two = (vl[on_axis] * (t * (n - t)) + mk[on_axis] * (s * (n - s))
+                   + ml2[on_axis] * (t * s)) % (2 * n)
+            spread = np.hypot(re[two[1:]] - re[two[0]], im[two[1:]] - im[two[0]])
+            if spread.size:
+                worst = max(worst, float(spread.max()))
+            conflicts = np.flatnonzero(spread > tol)
+            if witness is None and conflicts.size:
+                first, other = lifts[on_axis[0]], lifts[on_axis[conflicts[0] + 1]]
+                witness = (s, t) + first.as_tuple() + other.as_tuple()
+    return CheckResult("route_consistency", witness is None, worst, witness, None)
+
+
+def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=2, elements=None):
     """Route-consistency audit plus the two-condition sufficiency check.
 
     For every nonzero (s,t), the forced value is derived through every
     group element that maps (s,t) onto an axis slice, with two lifts each;
     all routes must agree for the table to exist. The canonically derived
     table is then checked against the closed form and against hermiticity
-    and orthogonality, which were never imposed on it.
+    and orthogonality, which were never imposed on it. ``elements`` is a
+    list of lift tuples from :func:`latwig.lattice.sl2_lifts`; by default
+    it is built here.
     """
     check_dim(n)
     if n > audit_bound:
         raise ValueError(f"n = {n} exceeds the audit bound {audit_bound}")
-    elements = sl2_enumerate(n, audit_bound=audit_bound)
-
-    worst = 0.0
-    first_conflict = None
-    first_pair = None
-    for s in range(n):
-        for t in range(n):
-            if s == 0 and t == 0:
-                continue
-            routes = derivation_routes(n, s, t, elements=elements, lifts=lifts)
-            g0, v0 = routes[0]
-            for g, v in routes[1:]:
-                spread = abs(v - v0)
-                worst = max(worst, spread)
-                if spread > tol and first_conflict is None:
-                    first_conflict = (s, t)
-                    first_pair = (g0, g)
-    if first_conflict is None:
-        route_check = CheckResult("route_consistency", True, worst, None, None)
-    else:
-        witness = first_conflict + first_pair[0].as_tuple() + first_pair[1].as_tuple()
-        route_check = CheckResult("route_consistency", False, worst, witness, None)
+    if elements is None:
+        elements = sl2_lifts(n, lifts, audit_bound)
+    route_check = _route_consistency(n, elements, tol)
 
     derived = derived_table(n)
     reference = coefficients_candidate(n)
     res_match = np.abs(derived.table - reference.table)
     match_check = _result("derived_matches_construction", res_match, tol)
 
-    herm = _kernels.hermiticity_residuals(derived.table, _hermiticity_phases(n))
+    herm = hermiticity_residuals(derived.table)
     herm_check = _result("derived_hermiticity", herm, tol)
 
     flat = derived.table.reshape(n * n, n * n)
@@ -580,9 +641,9 @@ def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=2):
     checks.update(check_coefficient_axes(coeffs, tol))
     checks.update(check_hermiticity(coeffs, fset, tol))
     checks.update(check_orthogonality(coeffs, fset, tol))
-    checks["covariance"] = check_covariance_group(coeffs, tol, lifts=lifts,
-                                                  audit_bound=audit_bound)
-    unique_checks, _ = uniqueness_audit(n, tol, audit_bound=audit_bound, lifts=lifts)
+    elements = sl2_lifts(n, lifts, audit_bound)
+    checks["covariance"] = check_covariance_group(coeffs, tol, elements=elements)
+    unique_checks, _ = uniqueness_audit(n, tol, audit_bound=audit_bound, elements=elements)
     checks.update(unique_checks)
     return ConditionReport(n=n, tolerance=tol, checks=checks)
 

@@ -197,6 +197,19 @@ def sl2_second_lift(g, n):
     raise ValueError(f"no second lift found for {g} mod {n}")
 
 
+def sl2_lifts(n, lifts=2, audit_bound=DEFAULT_AUDIT_BOUND):
+    """Every element of SL(2, Z_N) with the integer lifts the audits test.
+
+    One tuple per element in :func:`sl2_enumerate` order: ``(g,)`` for
+    ``lifts=1``, otherwise ``(g, sl2_second_lift(g, n))``. Built once, the
+    list is shared by every audit of a report.
+    """
+    elements = sl2_enumerate(n, audit_bound=audit_bound)
+    if lifts < 2:
+        return [(g,) for g in elements]
+    return [(g, sl2_second_lift(g, n)) for g in elements]
+
+
 @dataclass(frozen=True)
 class LatticeLine:
     """The N sites (q, p) with kappa*p - lam*q = p0 (mod N), ordered by r."""

@@ -7,6 +7,7 @@ can be reported instead of silently truncated.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,6 +113,20 @@ def direction_unitary(g, n):
     return scale * monomial(g.kappa % n, g.lam % n, n)
 
 
+@lru_cache(maxsize=64)
+def _direction_spectrum(g, n):
+    """direction_unitary(g, n) and its eigenvalues, read-only.
+
+    The N line labels of one direction share them, so each direction pays
+    for one eigendecomposition, not N.
+    """
+    v = direction_unitary(g, n)
+    eigvals = np.linalg.eigvals(v)
+    v.setflags(write=False)
+    eigvals.setflags(write=False)
+    return v, eigvals
+
+
 @dataclass(frozen=True)
 class LineProjectorReport:
     """Spectral verification that a line sum is the right rank-1 projector."""
@@ -162,13 +177,12 @@ def line_projector_check(f, g, p0, tol=DEFAULT_TOL):
         raise ValueError("no valid operator set exists for even N")
     p0 = p0 % n
     m = line_sum_operator(f, g, p0)
-    v = direction_unitary(g, n)
+    v, eigvals = _direction_spectrum(g, n)
     target = omega_int(-p0, n)
     res_h = np.abs(m - m.conj().T)
     res_i = np.abs(m @ m - m)
     res_t = np.abs(np.array([m.trace() - 1.0]))
     res_e = np.abs(v @ m - target * m)
-    eigvals = np.linalg.eigvals(v)
     multiplicity = int(np.sum(np.abs(eigvals - target) < 1e-6))
     return LineProjectorReport(
         hermitian=_result("projector_hermitian", res_h, tol),

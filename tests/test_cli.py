@@ -242,6 +242,15 @@ def test_check_above_audit_bound_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_beyond_the_default_bound_with_a_raised_audit_bound(tmp_path, capsys):
+    out = tmp_path / "check11.json"
+    assert main(["check", "--n", "11", "--audit-bound", "11", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["matches_prediction"] is True
+    assert all(entry["pass"] for entry in doc["checks"].values())
+    capsys.readouterr()
+
+
 def test_negative_shots_and_seed_are_usage_errors(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["tomo", "--n", "3", "--shots", "-1", "--out", str(out)]) == 2

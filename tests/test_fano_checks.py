@@ -209,6 +209,18 @@ def test_full_report_passes_for_odd_n(n):
     assert fano.matches_parity_prediction(report)
 
 
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_dichotomy_holds_beyond_the_default_audit_bound(n):
+    report = fano.full_report(n, audit_bound=n)
+    assert fano.matches_parity_prediction(report)
+    if n % 2:
+        assert report.passed, report.failed_names()
+    else:
+        witness = fano.infeasibility_witness(report)
+        assert witness.name == "hermiticity"
+        assert witness.to_json_dict()["witness"] == [0, 0, 0, 1]
+
+
 def test_full_report_respects_audit_bound():
     with pytest.raises(ValueError):
         fano.full_report(11)

@@ -1,14 +1,19 @@
-import os
-import subprocess
-import sys
+"""Audit kernels against dense and plain-loop oracles.
+
+The production covariance audit evaluates each lift only at the positions
+where a residual can be nonzero, and the route audit is vectorised over the
+lifts. The oracles here are the dense N^4 covariance scan, the plain-loop
+residuals and the per-(s,t) loop over `derivation_routes`; the fast paths
+must agree with them field by field.
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from latwig import _kernels
-from latwig.fano import covariance_phase_table, _hermiticity_phases
-from latwig.lattice import sl2_enumerate
+from latwig import fano
+from latwig.fano import CheckResult, FanoCoefficients, covariance_phase_table, _hermiticity_phases
+from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts, sl2_second_lift
 
 
 def _random_table(n, seed):
@@ -16,8 +21,17 @@ def _random_table(n, seed):
     return rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
 
 
+def _random_sparse_table(n, seed):
+    """About N^2 nonzero entries at random positions."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros(n**4, dtype=complex)
+    where = rng.choice(n**4, size=n * n, replace=False)
+    table[where] = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    return table.reshape(n, n, n, n)
+
+
 def _covariance_oracle(table, g, phases):
-    """Plain-Python reference, independent of both production paths."""
+    """Plain-Python reference, independent of the numpy paths."""
     n = table.shape[0]
     out = np.empty((n, n, n, n))
     for s in range(n):
@@ -44,61 +58,187 @@ def _hermiticity_oracle(table, phases):
     return out
 
 
+def covariance_residuals_dense(table, g):
+    """Dense residuals of the covariance identity for one lift, indexed [s, t, n, m].
+
+    |a~(nu*s+lam*t, mu*s+kappa*t; n, m)
+      - omega^(phi'(n,m)) a~(s, t; nu*n-mu*m, -lam*n+kappa*m)|, indices mod N.
+    """
+    n = table.shape[0]
+    phases = covariance_phase_table(g, n)
+    s = np.arange(n).reshape(n, 1, 1, 1)
+    t = np.arange(n).reshape(1, n, 1, 1)
+    a = np.arange(n).reshape(1, 1, n, 1)
+    b = np.arange(n).reshape(1, 1, 1, n)
+    lhs = table[(g.nu * s + g.lam * t) % n, (g.mu * s + g.kappa * t) % n, a, b]
+    rhs = phases[np.newaxis, np.newaxis, :, :] * table[s, t, (g.nu * a - g.mu * b) % n,
+                                                         (-g.lam * a + g.kappa * b) % n]
+    return np.abs(lhs - rhs)
+
+
+def covariance_group_oracle(table, elements, tol):
+    """Dense scan of every lift in order; witness from the first failing lift."""
+    worst = 0.0
+    first_fail = None
+    for group in elements:
+        for lift in group:
+            res = covariance_residuals_dense(table, lift)
+            worst = max(worst, float(res.max()))
+            if first_fail is None and res.max() > tol:
+                first_fail = (tuple(int(i) for i in np.argwhere(res > tol)[0]), lift)
+    if first_fail is None:
+        return CheckResult("covariance", True, worst, None, None)
+    return CheckResult("covariance", False, worst, *first_fail)
+
+
+def route_consistency_oracle(n, elements, tol):
+    """Loop over `derivation_routes` per (s,t), spreads by Python complex abs."""
+    worst = 0.0
+    witness = None
+    for s in range(n):
+        for t in range(n):
+            if s == 0 and t == 0:
+                continue
+            routes = fano.derivation_routes(n, s, t, elements=elements)
+            g0, v0 = routes[0]
+            for g, v in routes[1:]:
+                spread = abs(v - v0)
+                worst = max(worst, spread)
+                if spread > tol and witness is None:
+                    witness = (s, t) + g0.as_tuple() + g.as_tuple()
+    return CheckResult("route_consistency", witness is None, worst, witness, None)
+
+
+def assert_same_check(got, want):
+    assert got.name == want.name
+    assert got.passed == want.passed
+    assert got.witness == want.witness
+    assert got.element == want.element
+    assert abs(got.max_violation - want.max_violation) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_numpy_covariance_kernel_matches_oracle(n):
     table = _random_table(n, n)
     for g in sl2_enumerate(n)[:6]:
-        phases = covariance_phase_table(g, n)
-        got = _kernels.covariance_residuals_numpy(table, g.kappa, g.lam, g.mu, g.nu, phases)
-        assert_allclose(got, _covariance_oracle(table, g, phases), atol=1e-13)
+        got = covariance_residuals_dense(table, g)
+        assert_allclose(got, _covariance_oracle(table, g, covariance_phase_table(g, n)), atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_numpy_hermiticity_kernel_matches_oracle(n):
     table = _random_table(n, 10 + n)
-    phases = _hermiticity_phases(n)
-    got = _kernels.hermiticity_residuals_numpy(table, phases)
-    assert_allclose(got, _hermiticity_oracle(table, phases), atol=1e-13)
+    got = fano.hermiticity_residuals(table)
+    assert_allclose(got, _hermiticity_oracle(table, _hermiticity_phases(n)), atol=1e-13)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend disabled or unavailable")
-@pytest.mark.parametrize("n", [2, 3, 5, 7])
-def test_numba_paths_match_numpy_paths(n):
-    table = _random_table(n, 20 + n)
-    phases = _hermiticity_phases(n)
-    assert_allclose(
-        _kernels.hermiticity_residuals_numba(table, phases),
-        _kernels.hermiticity_residuals_numpy(table, phases),
-        atol=1e-14,
-    )
-    for g in sl2_enumerate(n)[:8]:
-        cov = covariance_phase_table(g, n)
-        assert_allclose(
-            _kernels.covariance_residuals_numba(table, g.kappa, g.lam, g.mu, g.nu, cov),
-            _kernels.covariance_residuals_numpy(table, g.kappa, g.lam, g.mu, g.nu, cov),
-            atol=1e-14,
-        )
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sparse_covariance_matches_dense_oracle_on_candidate_tables(n):
+    elements = sl2_lifts(n)
+    table = fano.coefficients_candidate(n).table
+    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
 
 
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, **{_kernels.ENV_FLAG: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c", "import latwig; print(latwig.kernel_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sparse_covariance_matches_dense_oracle_on_random_dense_tables(n):
+    elements = sl2_lifts(n)
+    table = _random_table(n, 100 + n)
+    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    want = covariance_group_oracle(table, elements, 1e-10)
+    assert not want.passed
+    assert_same_check(got, want)
 
 
-def test_fallback_backend_still_audits_correctly():
-    env = dict(os.environ, **{_kernels.ENV_FLAG: "1"})
-    code = (
-        "from latwig import fano;"
-        "rep = fano.full_report(3);"
-        "assert rep.passed, rep.failed_names();"
-        "print('ok')"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "ok"
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_sparse_covariance_matches_dense_oracle_on_random_sparse_tables(n):
+    elements = sl2_lifts(n)
+    table = _random_sparse_table(n, 200 + n)
+    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
+    # A solution table with a few leaked entries: most lifts pass, some fail.
+    if n % 2:
+        leaky = fano.coefficients_odd(n).table + 1e-3 * _random_sparse_table(n, 300 + n) * (
+            np.random.default_rng(n).random((n, n, n, n)) < 0.05)
+        got = fano.check_covariance_group(FanoCoefficients(n, leaky), elements=elements)
+        assert_same_check(got, covariance_group_oracle(leaky, elements, 1e-10))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0, -1.0, 0.3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sparse_covariance_matches_dense_oracle_at_any_tolerance(n, tol):
+    """Tolerance 0 fails on rounding noise; a negative one fails everywhere."""
+    elements = sl2_lifts(n)
+    for table in (fano.coefficients_candidate(n).table, _random_sparse_table(n, 400 + n),
+                  np.zeros((n, n, n, n), dtype=complex)):
+        got = fano.check_covariance_group(FanoCoefficients(n, table), tol, elements=elements)
+        assert_same_check(got, covariance_group_oracle(table, elements, tol))
+
+
+def test_single_element_check_matches_dense_oracle():
+    n = 4
+    table = _random_sparse_table(n, 7)
+    for g in sl2_enumerate(n):
+        for lift in (g, sl2_second_lift(g, n)):
+            got = fano.check_covariance(FanoCoefficients(n, table), lift)
+            assert_same_check(got, covariance_group_oracle(table, [(lift,)], 1e-10))
+
+
+def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
+    """An off-support entry at (2,1,0,0) of the N = 3 solution.
+
+    The identity passes (it maps the entry onto itself with phase 1). The
+    first element in enumeration order, (0,1,-1,0), sends (s,t) to (t,-s),
+    so the leak shows at (2,2,0,0) through the first index and at (2,1,0,0)
+    through the second; the lexicographically first is (2,1,0,0).
+    """
+    n = 3
+    table = fano.coefficients_odd(n).table.copy()
+    table[2, 1, 0, 0] = 0.05
+    elements = sl2_lifts(n)
+    assert elements[0][0] == SL2Element(0, 1, -1, 0)
+    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    assert not got.passed
+    assert got.witness == (2, 1, 0, 0)
+    assert got.element == SL2Element(0, 1, -1, 0)
+    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
+    assert fano.check_covariance(FanoCoefficients(n, table), IDENTITY).passed
+
+
+def test_planted_violation_seen_only_by_a_second_lift():
+    """N = 2: the second lift (1,2,0,1) of the identity class has phase -1 at n = 1.
+
+    Its base lift passes any table, so the witness must name the second
+    lift and the smaller of the two planted indices with n = 1; the entry
+    at n = 0 carries phase 1 and never fails.
+    """
+    n = 2
+    second = sl2_second_lift(IDENTITY, n)
+    assert second == SL2Element(1, 2, 0, 1)
+    table = np.zeros((n, n, n, n), dtype=complex)
+    table[1, 0, 1, 1] = 0.25
+    table[0, 1, 1, 0] = 0.1
+    table[0, 0, 0, 1] = 0.5
+    elements = [(IDENTITY, second)]
+    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    assert not got.passed
+    assert got.witness == (0, 1, 1, 0)
+    assert got.element == second
+    assert got.max_violation == pytest.approx(0.5)
+    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_route_consistency_matches_loop_oracle(n):
+    elements = sl2_lifts(n)
+    checks, _ = fano.uniqueness_audit(n, elements=elements)
+    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, 1e-10))
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.3])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(n, tol):
+    for lifts in (1, 2):
+        elements = sl2_lifts(n, lifts)
+        checks, _ = fano.uniqueness_audit(n, tol, elements=elements)
+        assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, tol))

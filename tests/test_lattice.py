@@ -15,6 +15,7 @@ from latwig.lattice import (
     line_points,
     sl2_complete,
     sl2_enumerate,
+    sl2_lifts,
     sl2_order,
     sl2_second_lift,
 )
@@ -184,3 +185,16 @@ def test_line_points_rejects_degenerate_direction():
     fake = SimpleNamespace(kappa=2, lam=2, mu=0, nu=0)
     with pytest.raises(ValueError):
         line_points(fake, 0, 4)
+
+
+@pytest.mark.parametrize("n", range(10, 26))
+def test_lift_searches_succeed_beyond_the_default_bound(n):
+    """The fixed-budget searches (25 shifts in the first lift, 7 in the
+    second) cover every residue class of SL(2, Z_N) up to N = 25."""
+    pairs = sl2_lifts(n, audit_bound=n)
+    assert len(pairs) == sl2_order(n)
+    assert len({g.residues(n) for g, _ in pairs}) == len(pairs)
+    for g, h in pairs:
+        assert h != g
+        assert h.residues(n) == g.residues(n)
+        assert h.kappa * h.nu - h.mu * h.lam == 1
