@@ -9,6 +9,7 @@ package failed; a bug, not a mistake in the invocation).
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -270,6 +271,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.exit(USAGE_ERROR, "error: --n must be a positive integer\n")
+    if not 0 <= args.tolerance < math.inf:
+        parser.exit(USAGE_ERROR, f"error: --tolerance must be finite and >= 0, got {args.tolerance}\n")
     try:
         return args.func(args)
     except CliError as exc:

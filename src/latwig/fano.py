@@ -138,27 +138,18 @@ def coefficients_candidate(n):
     mod 2N.
     """
     check_dim(n)
-    half = _half_omega_table(n)
+    s, t = np.indices((n, n))
     table = np.zeros((n, n, n, n), dtype=complex)
-    for s in range(n):
-        for t in range(n):
-            two_exp = -s * t * (n + 1)
-            table[s, t, t % n, s % n] = half[two_exp % (2 * n)] / n**2
+    table[s, t, t, s] = _half_omega_table(n)[(-s * t * (n + 1)) % (2 * n)] / n**2
     return FanoCoefficients(n, table)
 
 
 def coefficients_odd(n):
-    """The unique solution table for odd N: exponent -s*t*(N+1)/2 is an integer."""
+    """The unique solution table for odd N: the candidate, with integer exponent -s*t*(N+1)/2."""
     check_dim(n)
     if n % 2 == 0:
         raise ValueError(f"no solution table exists for even N = {n}; use coefficients_candidate")
-    om = _omega_table(n)
-    table = np.zeros((n, n, n, n), dtype=complex)
-    for s in range(n):
-        for t in range(n):
-            exp = (-s * t * (n + 1) // 2) % n
-            table[s, t, t, s] = om[exp] / n**2
-    return FanoCoefficients(n, table)
+    return coefficients_candidate(n)
 
 
 def coefficients_cohendet(n):
@@ -415,18 +406,17 @@ def check_covariance(c, g, tol=DEFAULT_TOL):
     return _covariance_scan(c.table, [g], tol)
 
 
-def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, lifts=2,
-                           audit_bound=DEFAULT_AUDIT_BOUND):
+def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
     """Worst covariance violation over the whole group, base and shifted lifts.
 
     The phase exponent is quadratic in the integer lifts, so each residue
     class is tested with its base lift and a +N-shifted one; a genuinely
     covariant table must pass both. ``elements`` is a list of lift tuples
-    from :func:`latwig.lattice.sl2_lifts` (then ``lifts`` and
-    ``audit_bound`` are not used); by default it is built here.
+    from :func:`latwig.lattice.sl2_lifts` (then ``audit_bound`` is not
+    used); by default it is built here.
     """
     if elements is None:
-        elements = sl2_lifts(c.n, lifts, audit_bound)
+        elements = sl2_lifts(c.n, audit_bound)
     return _covariance_scan(c.table, [lift for group in elements for lift in group], tol)
 
 
@@ -506,7 +496,7 @@ def derive_via_line(n, s, t):
     return DerivedValue(value=_route_value(g, s, t, n), support=(t, s), element=g)
 
 
-def derivation_routes(n, s, t, elements=None, lifts=2, audit_bound=DEFAULT_AUDIT_BOUND):
+def derivation_routes(n, s, t, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
     """All (lift, forced value) pairs for (s,t), over the group and lifts.
 
     ``elements`` is a list of lift tuples from
@@ -514,7 +504,7 @@ def derivation_routes(n, s, t, elements=None, lifts=2, audit_bound=DEFAULT_AUDIT
     """
     check_dim(n)
     if elements is None:
-        elements = sl2_lifts(n, lifts, audit_bound)
+        elements = sl2_lifts(n, audit_bound)
     return [
         (lift, _route_value(lift, s, t, n))
         for group in elements
@@ -573,7 +563,7 @@ def _route_consistency(n, elements, tol):
     return CheckResult("route_consistency", witness is None, worst, witness, None)
 
 
-def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=2, elements=None):
+def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, elements=None):
     """Route-consistency audit plus the two-condition sufficiency check.
 
     For every nonzero (s,t), the forced value is derived through every
@@ -588,7 +578,7 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=
     if n > audit_bound:
         raise ValueError(f"n = {n} exceeds the audit bound {audit_bound}")
     if elements is None:
-        elements = sl2_lifts(n, lifts, audit_bound)
+        elements = sl2_lifts(n, audit_bound)
     route_check = _route_consistency(n, elements, tol)
 
     derived = derived_table(n)
@@ -623,7 +613,7 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=
 INFEASIBILITY_CHECKS = ("hermiticity", "coeff_hermiticity", "covariance", "route_consistency")
 
 
-def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=2):
+def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND):
     """Run every condition family on the dimension's candidate table.
 
     For odd N the candidate is the solution and everything is expected to
@@ -641,7 +631,7 @@ def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, lifts=2):
     checks.update(check_coefficient_axes(coeffs, tol))
     checks.update(check_hermiticity(coeffs, fset, tol))
     checks.update(check_orthogonality(coeffs, fset, tol))
-    elements = sl2_lifts(n, lifts, audit_bound)
+    elements = sl2_lifts(n, audit_bound)
     checks["covariance"] = check_covariance_group(coeffs, tol, elements=elements)
     unique_checks, _ = uniqueness_audit(n, tol, audit_bound=audit_bound, elements=elements)
     checks.update(unique_checks)

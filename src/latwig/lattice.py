@@ -1,13 +1,15 @@
 """Exact modular arithmetic on the N x N lattice phase space.
 
-Everything here works with plain Python integers so that determinants,
-gcd decompositions and line parameterizations are exact; reduction mod N
-happens only where a residue is wanted.
+Group elements, determinants and gcd decompositions use plain Python
+integers, so they are exact; reduction mod N happens only where a residue
+is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
 """
 
 import math
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 DEFAULT_AUDIT_BOUND = 9
 
@@ -197,17 +199,14 @@ def sl2_second_lift(g, n):
     raise ValueError(f"no second lift found for {g} mod {n}")
 
 
-def sl2_lifts(n, lifts=2, audit_bound=DEFAULT_AUDIT_BOUND):
-    """Every element of SL(2, Z_N) with the integer lifts the audits test.
+def sl2_lifts(n, audit_bound=DEFAULT_AUDIT_BOUND):
+    """Every element of SL(2, Z_N) with the two integer lifts the audits test.
 
-    One tuple per element in :func:`sl2_enumerate` order: ``(g,)`` for
-    ``lifts=1``, otherwise ``(g, sl2_second_lift(g, n))``. Built once, the
-    list is shared by every audit of a report.
+    One tuple ``(g, sl2_second_lift(g, n))`` per element, in
+    :func:`sl2_enumerate` order. Built once, the list is shared by every
+    audit of a report.
     """
-    elements = sl2_enumerate(n, audit_bound=audit_bound)
-    if lifts < 2:
-        return [(g,) for g in elements]
-    return [(g, sl2_second_lift(g, n)) for g in elements]
+    return [(g, sl2_second_lift(g, n)) for g in sl2_enumerate(n, audit_bound=audit_bound)]
 
 
 @dataclass(frozen=True)
@@ -223,20 +222,35 @@ class LatticeLine:
         return iter(self.points)
 
 
+def line_sites(g, n):
+    """The sites of all N lines of the direction (kappa, lam), as [p0, r] arrays.
+
+    Returns ``(q, p)`` with q[p0, r] = (kappa*r + mu*p0) mod N and
+    p[p0, r] = (lam*r + nu*p0) mod N: row p0 holds the line
+    kappa*p - lam*q = p0 (mod N), in the order of r.
+    """
+    kappa, lam, mu, nu = g.residues(n)
+    p0, r = np.indices((n, n))
+    return (kappa * r + mu * p0) % n, (lam * r + nu * p0) % n
+
+
 def line_points(g, p0, n):
     """Points q = kappa*r + mu*p0, p = lam*r + nu*p0 (mod N) for r = 0..N-1."""
     check_dim(n)
     if math.gcd(g.kappa, g.lam) != 1:
         raise ValueError(f"degenerate direction ({g.kappa}, {g.lam}): not coprime")
     p0 = canonical(p0, n)
-    pts = tuple(
-        ((g.kappa * r + g.mu * p0) % n, (g.lam * r + g.nu * p0) % n) for r in range(n)
-    )
+    q, p = line_sites(g, n)
+    pts = tuple(zip(q[p0].tolist(), p[p0].tolist()))
     if len(set(pts)) != n:
         raise ValueError(f"line points not distinct for {g} mod {n}")
     return LatticeLine(kappa=g.kappa, lam=g.lam, p0=p0, points=pts)
 
 
 def line_label(g, q, p, n):
-    """Invariant p0 = kappa*p - lam*q mod N of the line through (q, p)."""
-    return (g.kappa * p - g.lam * q) % n
+    """Invariant p0 = kappa*p - lam*q mod N of the line through (q, p).
+
+    q and p may be integer arrays; kappa and lam are reduced mod N first,
+    so that no lift, however large, overflows them.
+    """
+    return ((g.kappa % n) * p - (g.lam % n) * q) % n

@@ -106,14 +106,9 @@ def reconstruct_wigner(d):
     """Invert the line marginals: W(q,p) = (sum of marginals through (q,p) - 1)/N."""
     _validate_complete(d)
     n = d.n
-    values = np.zeros((n, n), dtype=complex)
-    for q in range(n):
-        for p in range(n):
-            acc = 0.0
-            for fam in d.families:
-                acc += fam.weights[line_label(fam.element, q, p, n)]
-            values[q, p] = (acc - 1.0) / n
-    return WignerGrid(n, values)
+    q, p = np.indices((n, n))
+    acc = sum(fam.weights[line_label(fam.element, q, p, n)] for fam in d.families)
+    return WignerGrid(n, ((acc - 1.0) / n).astype(complex))
 
 
 def reconstruct_density(d, f, rho_true=None):

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fano import CheckResult, _result
-from .lattice import SL2Element, check_dim, line_points
+from .lattice import SL2Element, check_dim, line_sites
 from .operators import DEFAULT_TOL, monomial, omega_int
 
 
@@ -64,16 +64,15 @@ def wigner_from_density(rho, f):
     return WignerGrid(f.n, np.einsum("qpij,ji->qp", f.operators, rho))
 
 
-def density_from_wigner(w, f, tol=1e-8, validate=True):
+def density_from_wigner(w, f):
     """rho = N * sum_qp D(q,p)^dag W(q,p); exact inverse for orthogonal sets."""
     if w.n != f.n:
         raise ValueError(f"grid dimension {w.n} does not match operator set {f.n}")
-    if validate:
-        n = f.n
-        flat = f.operators.reshape(n * n, n * n)
-        gram = flat @ flat.conj().T
-        if np.abs(gram - np.eye(n * n) / n).max() > tol:
-            raise ValueError("operator set is not trace-orthogonal; inverse not guaranteed")
+    n = f.n
+    flat = f.operators.reshape(n * n, n * n)
+    gram = flat @ flat.conj().T
+    if np.abs(gram - np.eye(n * n) / n).max() > 1e-8:
+        raise ValueError("operator set is not trace-orthogonal; inverse not guaranteed")
     return f.n * np.einsum("qp,qpji->ij", w.values, f.operators.conj())
 
 
@@ -83,21 +82,18 @@ def marginal_along_line(w, g):
     Weights are returned as the real part; realness of the grid itself is
     a separate audited property, not silently assumed here.
     """
-    n = w.n
-    weights = np.empty(n, dtype=float)
-    for p0 in range(n):
-        line = line_points(g, p0, n)
-        weights[p0] = sum(w.values[q, p] for q, p in line.points).real
-    return MarginalDistribution(element=g, weights=weights)
+    q, p = line_sites(g, w.n)
+    # Python's sum adds the columns r = 0..N-1 in order, starting from 0, as a
+    # per-line loop does; np.sum would add pairwise and move the last bits of
+    # the weights, which the artifacts record.
+    return MarginalDistribution(element=g, weights=sum(w.values.real[q, p].T))
 
 
 def line_sum_operator(f, g, p0):
-    """M = sum over the line's sites of D(q,p)."""
-    line = line_points(g, p0, f.n)
-    m = np.zeros((f.n, f.n), dtype=complex)
-    for q, p in line.points:
-        m += f.operators[q, p]
-    return m
+    """M = sum over the line's sites of D(q,p), added in the line's r order."""
+    q, p = line_sites(g, f.n)
+    p0 = p0 % f.n
+    return f.operators[q[p0], p[p0]].sum(axis=0)
 
 
 def direction_unitary(g, n):

@@ -261,6 +261,30 @@ def test_negative_shots_and_seed_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--n", "2", "--tolerance", "nan"],
+        ["check", "--n", "3", "--tolerance", "-1"],
+        ["wigner", "--n", "3", "--tolerance", "nan"],
+        ["tomo", "--n", "3", "--tolerance", "inf"],
+        ["marginal", "--n", "3", "--kappa", "1", "--lambda", "1", "--tolerance", "-1"],
+        ["fano", "--n", "2", "--tolerance=-inf"],
+    ],
+)
+def test_non_finite_or_negative_tolerance_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    assert main(["fano", "--n", "2", "--tolerance", "0", "--out", str(tmp_path / "f.json")]) == 0
+
+
 def test_internal_value_error_exits_three(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("no second lift found")

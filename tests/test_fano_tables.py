@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano
-from latwig.operators import monomial
+from latwig.operators import _half_omega_table, _omega_table, monomial
 
 
 def _w(n, k):
@@ -77,10 +77,35 @@ def test_split_parity_form_equals_odd_solution(n):
     assert d < 1e-12
 
 
+def _candidate_loop(n):
+    """The candidate entry by entry, from the doubled exponent -s*t*(N+1)."""
+    half = _half_omega_table(n)
+    table = np.zeros((n, n, n, n), dtype=complex)
+    for s, t in itertools.product(range(n), repeat=2):
+        table[s, t, t, s] = half[(-s * t * (n + 1)) % (2 * n)] / n**2
+    return table
+
+
+def _odd_solution_loop(n):
+    """The odd-N solution entry by entry, from the integer exponent -s*t*(N+1)/2."""
+    om = _omega_table(n)
+    table = np.zeros((n, n, n, n), dtype=complex)
+    for s, t in itertools.product(range(n), repeat=2):
+        table[s, t, t, s] = om[(-s * t * (n + 1) // 2) % n] / n**2
+    return table
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_candidate_equals_odd_solution_for_odd_n(n):
-    d = np.abs(fano.coefficients_candidate(n).table - fano.coefficients_odd(n).table).max()
-    assert d < 1e-14
+    """Bit for bit: omega^(k/2) at k = 2j and omega^j are the same double."""
+    want = _odd_solution_loop(n)
+    for c in (fano.coefficients_candidate(n), fano.coefficients_odd(n)):
+        assert c.table.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_candidate_matches_the_per_entry_loop(n):
+    assert fano.coefficients_candidate(n).table.tobytes() == _candidate_loop(n).tobytes()
 
 
 def test_candidate_half_integer_phase_for_even_n():

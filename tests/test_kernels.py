@@ -238,7 +238,6 @@ def test_route_consistency_matches_loop_oracle(n):
 @pytest.mark.parametrize("tol", [0.0, 0.3])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(n, tol):
-    for lifts in (1, 2):
-        elements = sl2_lifts(n, lifts)
+    for elements in ([(g,) for g in sl2_enumerate(n)], sl2_lifts(n)):
         checks, _ = fano.uniqueness_audit(n, tol, elements=elements)
         assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, tol))

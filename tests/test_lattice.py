@@ -2,6 +2,7 @@ import math
 from itertools import product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from latwig.lattice import (
     gcd_decompose,
     line_label,
     line_points,
+    line_sites,
     sl2_complete,
     sl2_enumerate,
     sl2_lifts,
@@ -179,6 +181,39 @@ def test_lines_of_fixed_direction_partition_the_grid(n):
         for p0 in range(n):
             seen.update(line_points(g, p0, n).points)
         assert len(seen) == n * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 12])
+def test_line_sites_rows_are_the_lines_and_partition_the_grid(n):
+    """Row p0 is the line with label p0 in r order, and the N rows cover
+    the N^2 sites."""
+    for group in sl2_lifts(n, audit_bound=n):
+        for g in group:
+            q, p = line_sites(g, n)
+            assert q.shape == p.shape == (n, n)
+            assert np.array_equal(line_label(g, q, p, n), np.indices((n, n))[0])
+            assert np.unique(q * n + p).size == n * n
+            for p0 in range(n):
+                # the parametric form with Python integers, in r order
+                want = tuple(((g.kappa * r + g.mu * p0) % n, (g.lam * r + g.nu * p0) % n)
+                             for r in range(n))
+                assert tuple(zip(q[p0].tolist(), p[p0].tolist())) == want
+                assert line_points(g, p0, n).points == want
+
+
+@pytest.mark.parametrize("n", [3, 7, 11])
+def test_line_sites_depend_on_the_residue_class_only(n):
+    """A second lift has the same lines; the negated element -g runs row
+    -p0 of g backwards (r -> -r), whatever the size or sign of the entries."""
+    g = sl2_complete(2, 3)
+    h = sl2_second_lift(sl2_second_lift(g, n), n)
+    neg = SL2Element(*(-x for x in h.as_tuple()))
+    q, p = line_sites(g, n)
+    assert np.array_equal(np.stack(line_sites(h, n)), np.stack((q, p)))
+    rows, cols = np.ogrid[:n, :n]
+    q_neg, p_neg = line_sites(neg, n)
+    assert np.array_equal(q_neg, q[-rows % n, -cols % n])
+    assert np.array_equal(p_neg, p[-rows % n, -cols % n])
 
 
 def test_line_points_rejects_degenerate_direction():

@@ -3,11 +3,25 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano, tomography, wigner
+from latwig.lattice import IDENTITY, SL2Element, line_label, sl2_second_lift
 from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix, random_pure_density
 
 
 def _solution_set(n):
     return fano.assemble(fano.coefficients_odd(n))
+
+
+def reconstruct_wigner_oracle(d):
+    """The per-site, per-family loop over line labels."""
+    n = d.n
+    values = np.zeros((n, n), dtype=complex)
+    for q in range(n):
+        for p in range(n):
+            acc = 0.0
+            for fam in d.families:
+                acc += fam.weights[line_label(fam.element, q, p, n)]
+            values[q, p] = (acc - 1.0) / n
+    return values
 
 
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 4), (5, 6), (7, 8)])
@@ -83,6 +97,33 @@ def test_reconstructed_grid_matches_direct_transform_exactly():
             grid = tomography.reconstruct_wigner(ds)
             direct = wigner.wigner_from_density(rho, fset)
             assert np.abs(grid.values - direct.values).max() < 1e-10
+
+
+def _relifted(d, shift):
+    """The same dataset with every family's element replaced by another
+    integer lift of its class: its second lift, times a matrix congruent to
+    the identity whose entries are multiples of N (negative ones included)."""
+    n = d.n
+    families = [
+        wigner.MarginalDistribution(sl2_second_lift(fam.element, n).compose(shift), fam.weights)
+        for fam in d.families
+    ]
+    return tomography.MarginalDataset(n=n, shots=d.shots, seed=d.seed, families=families)
+
+
+@pytest.mark.parametrize("n", [3, 5, 11, 23])
+def test_reconstruct_wigner_matches_the_per_site_loop_bit_for_bit(n):
+    fset = _solution_set(n)
+    rho = random_density_matrix(n, np.random.default_rng(400 + n))
+    large = SL2Element(1, 0, -3 * n, 1).compose(SL2Element(1, 5 * n, 0, 1))
+    shifts = (IDENTITY, SL2Element(1, -n, 0, 1), large, SL2Element(1, n * 2**70, 0, 1))
+    for shots in (0, 1000):
+        ds = tomography.simulate_marginals(rho, fset, shots=shots, seed=n)
+        for d in (ds, *(_relifted(ds, shift) for shift in shifts)):
+            got = tomography.reconstruct_wigner(d).values
+            want = reconstruct_wigner_oracle(d)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_reconstruct_uniform_grid_from_exact_mixed_marginals():

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
 from latwig.fano import FanoOperatorSet
-from latwig.lattice import IDENTITY, SL2Element, sl2_complete
+from latwig.lattice import IDENTITY, SL2Element, line_points, sl2_complete, sl2_second_lift
 from latwig.operators import (
     basis_state_density,
     maximally_mixed,
@@ -16,6 +16,44 @@ from latwig.operators import (
 
 def _solution_set(n):
     return fano.assemble(fano.coefficients_odd(n))
+
+
+def marginal_oracle(w, g):
+    """The per-line loop: a Python sum over each line's sites, in r order."""
+    weights = np.empty(w.n, dtype=float)
+    for p0 in range(w.n):
+        weights[p0] = sum(w.values[q, p] for q, p in line_points(g, p0, w.n).points).real
+    return weights
+
+
+def line_sum_oracle(f, g, p0):
+    """The per-site loop: D(q,p) added into a zero matrix along the line."""
+    m = np.zeros((f.n, f.n), dtype=complex)
+    for q, p in line_points(g, p0, f.n).points:
+        m += f.operators[q, p]
+    return m
+
+
+def assert_bitwise_equal(got, want):
+    """Same dtype, shape and bytes: stricter than np.array_equal, which
+    takes -0.0 for 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def oracle_directions(n):
+    """Completed directions, their second lifts (large entries), the negated
+    second lifts (negative entries) and a lift beyond 64-bit integers."""
+    out = []
+    for kappa, lam in [(1, 0), (0, 1), (1, 1), (2, 3), (1, 4), (3, -2)]:
+        g = sl2_complete(kappa, lam)
+        h = sl2_second_lift(g, n)
+        out += [g, h, SL2Element(*(-x for x in h.as_tuple()))]
+    return out + [g.compose(SL2Element(1, 0, n * 2**70, 1))]
+
+
+ORACLE_DIMS = [1, 3, 5, 9, 11, 23]
 
 
 def test_maximally_mixed_state_gives_uniform_grid():
@@ -149,6 +187,34 @@ def test_tilted_marginals_are_probabilities_and_match_projectors(n):
         for p0 in range(n):
             m = wigner.line_sum_operator(fset, g, p0)
             assert marg.weights[p0] == pytest.approx((m @ rho).trace().real, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_marginal_gather_matches_the_per_line_loop_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    grids = [
+        wigner.wigner_from_density(random_density_matrix(n, rng), _solution_set(n)),
+        wigner.WignerGrid(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+        wigner.WignerGrid(n, np.full((n, n), complex(-0.0, -0.0))),
+    ]
+    for grid in grids:
+        for g in oracle_directions(n):
+            got = wigner.marginal_along_line(grid, g)
+            assert got.element == g
+            assert_bitwise_equal(got.weights, marginal_oracle(grid, g))
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    sets = [
+        _solution_set(n),
+        FanoOperatorSet(n, rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))),
+    ]
+    for fset in sets:
+        for g in oracle_directions(n):
+            for p0 in sorted({0, n - 1, n // 2, -1, n + 2}):
+                assert_bitwise_equal(wigner.line_sum_operator(fset, g, p0), line_sum_oracle(fset, g, p0))
 
 
 def test_direction_totals_equal_grid_total():
