@@ -20,8 +20,7 @@ table with nnz nonzero entries, so it costs O(|G| nnz) rather than
 O(|G| N^4); the route audit costs O(|G| N^2).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,13 +183,6 @@ def coefficients_to_position(c):
     return np.fft.ifft(a, axis=1, norm="forward")
 
 
-def position_to_coefficients(a, n):
-    """Inverse transform a~(s,t;n,m) = (1/N^2) sum_qp omega^(qs-pt) a(q,p;n,m)."""
-    check_dim(n)
-    c = np.fft.fft(a, axis=1, norm="forward")
-    return np.fft.ifft(c, axis=0)
-
-
 def assemble(c):
     """Phase-point operators D(q,p) = sum_nm a(q,p;n,m) S^n P^m.
 
@@ -289,65 +281,61 @@ def check_orthogonality(c, f, tol=DEFAULT_TOL):
     (k,l)) equal (1/N^4) times identity.
     """
     n = f.n
-    flat = f.operators.reshape(n * n, n * n)
-    gram_site = flat @ flat.conj().T
-    res_site = np.abs(gram_site - np.eye(n * n) / n)
-    site = _result("orthogonality_site", res_site, tol)
-    if site.witness is not None:
-        i, j = site.witness
-        site = CheckResult(site.name, site.passed, site.max_violation,
-                           (i // n, i % n, j // n, j % n), None)
-
-    coeffs = c.table.reshape(n * n, n * n)
-    gram_index = coeffs.conj().T @ coeffs  # [(n,m), (k,l)]
-    gram_slice = coeffs @ coeffs.conj().T  # [(s,t), (s',t')]
-    target = np.eye(n * n) / n**4
-    res_index = np.abs(gram_index - target)
-    res_slice = np.abs(gram_slice - target)
-    stacked = np.stack([res_index, res_slice])
-    index = _result("orthogonality_index", stacked, tol)
+    # Reshaped so a witness names four lattice indices; the Gram level is dropped.
+    site = _result("orthogonality_site", _site_gram_residuals(f).reshape(n, n, n, n), tol)
+    index = _result("orthogonality_index", _coefficient_gram_residuals(c.table).reshape(2, n, n, n, n), tol)
     if index.witness is not None:
-        _, i, j = index.witness
-        index = CheckResult(index.name, index.passed, index.max_violation,
-                            (i // n, i % n, j // n, j % n), None)
+        index = replace(index, witness=index.witness[1:])
     return {"orthogonality_site": site, "orthogonality_index": index}
+
+
+def _site_gram_residuals(f):
+    """|Tr[D(q,p) D(q',p')^dag] - (1/N) delta delta| on [(q,p), (q',p')]."""
+    n = f.n
+    flat = f.operators.reshape(n * n, n * n)
+    return np.abs(flat @ flat.conj().T - np.eye(n * n) / n)
+
+
+def _coefficient_gram_residuals(table):
+    """Both coefficient Gram sums minus (1/N^4) identity, stacked.
+
+    Level 0 sums over (s,t), indexed [(n,m), (k,l)]; level 1 sums over
+    (k,l), indexed [(s,t), (s',t')].
+    """
+    n = table.shape[0]
+    flat = table.reshape(n * n, n * n)
+    target = np.eye(n * n) / n**4
+    return np.stack([np.abs(flat.conj().T @ flat - target), np.abs(flat @ flat.conj().T - target)])
 
 
 # ---------------------------------------------------------------------------
 # Covariance under SL(2, Z_N)
 # ---------------------------------------------------------------------------
 
-def phase_phi(g, n_idx, m_idx, n):
-    """Covariance phase exponent phi'(n,m), an exact integer or half-integer.
+def _two_phi(entries, a, b, n):
+    """The doubled covariance phase exponent 2*phi'(a,b) mod 2N.
 
-    phi'(n,m) = (1/2) * (nu*lam*n*(N-n) + mu*kappa*m*(N-m)) + mu*lam*n*m,
-    evaluated with canonical n,m and the element's integer lifts. For odd N
-    the value is always an integer; for even N it can be half-integer,
-    which is where the parity dichotomy enters.
+    2*phi'(n,m) = nu*lam*n*(N-n) + mu*kappa*m*(N-m) + 2*mu*lam*n*m for
+    canonical (n,m) = (a,b) and the lift entries (kappa, lam, mu, nu).
+    Changing an entry by 2N changes each term by a multiple of 2N, so the
+    entries are reduced mod 2N before multiplying: the value is exact for
+    lifts of any size, and int64 arrays of entries cannot overflow. The
+    entries are Python ints or int64 arrays, broadcast against ``a`` and
+    ``b``. The exponent can be odd, so omega^(phi') a half-integer power,
+    only when N is even.
     """
-    check_dim(n)
-    a, b = n_idx % n, m_idx % n
-    return (
-        Fraction(g.nu * g.lam * a * (n - a) + g.mu * g.kappa * b * (n - b), 2)
-        + g.mu * g.lam * a * b
-    )
+    kappa, lam, mu, nu = (x % (2 * n) for x in entries)
+    return (nu * lam * (a * (n - a)) + mu * kappa * (b * (n - b)) + mu * lam * (2 * a * b)) % (2 * n)
 
 
-def _two_phi_table(g, n):
-    """Doubled exponents 2*phi'(n,m) as exact int64 on the full index grid."""
-    a = np.arange(n, dtype=np.int64)
-    quad = a * (n - a)
-    return (
-        g.nu * g.lam * quad[:, None]
-        + g.mu * g.kappa * quad[None, :]
-        + 2 * g.mu * g.lam * np.outer(a, a)
-    )
+def _lift_entries(lifts, n):
+    """int64 array [kappa|lam|mu|nu, lift] of the lifts' entries reduced mod 2N.
 
-
-def covariance_phase_table(g, n):
-    """omega^(phi'(n,m)) for all (n,m), via mod-2N reduction of doubled exponents."""
-    half = _half_omega_table(n)
-    return np.ascontiguousarray(half[_two_phi_table(g, n) % (2 * n)])
+    The reduction keeps every index map mod N and every :func:`_two_phi`
+    exponent, and bounds every product of the vectorised audits.
+    """
+    entries = np.array([[x % (2 * n) for x in g.as_tuple()] for g in lifts], dtype=np.int64)
+    return np.ascontiguousarray(entries.reshape(-1, 4).T)
 
 
 def _covariance_scan(table, lifts, tol):
@@ -369,12 +357,12 @@ def _covariance_scan(table, lifts, tol):
     half = _half_omega_table(n)
     zero = np.zeros(1, dtype=np.int64)
     batch = max(1, COVARIANCE_BATCH // (2 * ss.size + 1))
-    entries = np.array([g.as_tuple() for g in lifts], dtype=np.int64).reshape(-1, 4, 1)
+    entries = _lift_entries(lifts, n)[:, :, np.newaxis]
     worst = 0.0
     first_fail = None
     for start in range(0, len(lifts), batch):
         chunk = lifts[start:start + batch]
-        k, l, m, v = entries[start:start + batch].transpose(1, 0, 2)
+        k, l, m, v = entries[:, start:start + batch]
 
         def candidates(*parts):
             return np.concatenate(
@@ -385,7 +373,7 @@ def _covariance_scan(table, lifts, tol):
         a = candidates(zero, ns, k * ns + m * ms)
         b = candidates(zero, ms, l * ns + v * ms)
         lhs = table[(v * s + l * t) % n, (m * s + k * t) % n, a, b]
-        phases = half[(v * l * a * (n - a) + m * k * b * (n - b) + 2 * m * l * a * b) % (2 * n)]
+        phases = half[_two_phi((k, l, m, v), a, b, n)]
         res = np.abs(lhs - phases * table[s, t, (v * a - m * b) % n, (k * b - l * a) % n])
         worst = max(worst, float(res.max()))
         if first_fail is None:
@@ -401,11 +389,6 @@ def _covariance_scan(table, lifts, tol):
     return CheckResult("covariance", False, worst, *first_fail)
 
 
-def check_covariance(c, g, tol=DEFAULT_TOL):
-    """Audit the covariance identity for a single element."""
-    return _covariance_scan(c.table, [g], tol)
-
-
 def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
     """Worst covariance violation over the whole group, base and shifted lifts.
 
@@ -413,32 +396,12 @@ def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, audit_bound=DEFAUL
     class is tested with its base lift and a +N-shifted one; a genuinely
     covariant table must pass both. ``elements`` is a list of lift tuples
     from :func:`latwig.lattice.sl2_lifts` (then ``audit_bound`` is not
-    used); by default it is built here.
+    used); by default it is built here. ``elements=[(g,)]`` audits the
+    single lift g.
     """
     if elements is None:
         elements = sl2_lifts(c.n, audit_bound)
     return _covariance_scan(c.table, [lift for group in elements for lift in group], tol)
-
-
-def apply_covariance_transform(c, g):
-    """The group action on tables whose fixed points are covariant tables.
-
-    (g . A)(s,t;n,m) = omega^(phi'(n,m))
-                       * A(kappa*s-lam*t, nu*t-mu*s; nu*n-mu*m, -lam*n+kappa*m).
-    """
-    n = c.n
-    phases = covariance_phase_table(g, n)
-    s = np.arange(n).reshape(n, 1, 1, 1)
-    t = np.arange(n).reshape(1, n, 1, 1)
-    a = np.arange(n).reshape(1, 1, n, 1)
-    b = np.arange(n).reshape(1, 1, 1, n)
-    gathered = c.table[
-        (g.kappa * s - g.lam * t) % n,
-        (g.nu * t - g.mu * s) % n,
-        (g.nu * a - g.mu * b) % n,
-        (-g.lam * a + g.kappa * b) % n,
-    ]
-    return FanoCoefficients(n, phases[np.newaxis, np.newaxis, :, :] * gathered)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +433,7 @@ def _route_kind(g, s, t, n):
 
 def _route_value(g, s, t, n):
     """Forced value (1/N^2) omega^(phi'(t,s)) using the element's lifts."""
-    two = (
-        g.nu * g.lam * (t % n) * (n - t % n)
-        + g.mu * g.kappa * (s % n) * (n - s % n)
-        + 2 * g.mu * g.lam * (t % n) * (s % n)
-    )
-    return complex(_half_omega_table(n)[two % (2 * n)]) / n**2
+    return complex(_half_omega_table(n)[_two_phi(g.as_tuple(), t % n, s % n, n)]) / n**2
 
 
 def derive_via_line(n, s, t):
@@ -494,23 +452,6 @@ def derive_via_line(n, s, t):
     g = sl2_complete(dec.tau, dec.sigma)
     assert _route_kind(g, s, t, n) == "s"
     return DerivedValue(value=_route_value(g, s, t, n), support=(t, s), element=g)
-
-
-def derivation_routes(n, s, t, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
-    """All (lift, forced value) pairs for (s,t), over the group and lifts.
-
-    ``elements`` is a list of lift tuples from
-    :func:`latwig.lattice.sl2_lifts`; by default it is built here.
-    """
-    check_dim(n)
-    if elements is None:
-        elements = sl2_lifts(n, audit_bound)
-    return [
-        (lift, _route_value(lift, s, t, n))
-        for group in elements
-        if _route_kind(group[0], s, t, n) is not None
-        for lift in group
-    ]
 
 
 def derived_table(n):
@@ -533,15 +474,17 @@ def _route_consistency(n, elements, tol):
     """Route-consistency check: all routes agree at every (s,t) != (0,0).
 
     The witness is the first (s,t) in lexicographic order with a conflict,
-    then its first route's lift and the first lift that disagrees. The routes, their order and their values are those of
-    :func:`derivation_routes`, computed with numpy over all lifts at once
-    for each (s,t). A value's real and imaginary parts are divided by N^2
-    separately and spreads are taken with hypot, which is what the complex
-    arithmetic of :func:`_route_value` and ``abs`` gives, to the last bit.
+    then its first route's lift and the first lift that disagrees. The
+    routes are the lifts, in order, for which :func:`_route_kind` is not
+    None, and their values are those of :func:`_route_value`, computed with
+    numpy over all lifts at once for each (s,t). A value's real and
+    imaginary parts are divided by N^2 separately and spreads are taken
+    with hypot, which is what the complex arithmetic of
+    :func:`_route_value` and ``abs`` gives, to the last bit.
     """
     lifts = [lift for group in elements for lift in group]
-    k, l, m, v = (np.array(x, dtype=np.int64) for x in zip(*(g.as_tuple() for g in lifts)))
-    vl, mk, ml2 = v * l, m * k, 2 * m * l
+    entries = _lift_entries(lifts, n)
+    k, l, m, v = entries
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
     worst = 0.0
@@ -551,8 +494,7 @@ def _route_consistency(n, elements, tol):
             if s == 0 and t == 0:
                 continue
             on_axis = np.flatnonzero(((k * s - l * t) % n == 0) | ((v * t - m * s) % n == 0))
-            two = (vl[on_axis] * (t * (n - t)) + mk[on_axis] * (s * (n - s))
-                   + ml2[on_axis] * (t * s)) % (2 * n)
+            two = _two_phi(entries[:, on_axis], t, s, n)
             spread = np.hypot(re[two[1:]] - re[two[0]], im[two[1:]] - im[two[0]])
             if spread.size:
                 worst = max(worst, float(spread.max()))
@@ -575,8 +517,6 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, elemen
     it is built here.
     """
     check_dim(n)
-    if n > audit_bound:
-        raise ValueError(f"n = {n} exceeds the audit bound {audit_bound}")
     if elements is None:
         elements = sl2_lifts(n, audit_bound)
     route_check = _route_consistency(n, elements, tol)
@@ -589,13 +529,7 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, elemen
     herm = hermiticity_residuals(derived.table)
     herm_check = _result("derived_hermiticity", herm, tol)
 
-    flat = derived.table.reshape(n * n, n * n)
-    target = np.eye(n * n) / n**4
-    res_orth = np.stack([
-        np.abs(flat.conj().T @ flat - target),
-        np.abs(flat @ flat.conj().T - target),
-    ])
-    orth_check = _result("derived_orthogonality", res_orth, tol)
+    orth_check = _result("derived_orthogonality", _coefficient_gram_residuals(derived.table), tol)
 
     checks = {
         "route_consistency": route_check,
@@ -619,11 +553,10 @@ def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND):
     For odd N the candidate is the solution and everything is expected to
     pass; for even N at least one of hermiticity, covariance or route
     consistency is expected to fail. The report records outcomes only;
-    verdicts against that expectation belong to the caller.
+    verdicts against that expectation belong to the caller. The group is
+    enumerated first, so an N above ``audit_bound`` raises before any work.
     """
-    check_dim(n)
-    if n > audit_bound:
-        raise ValueError(f"n = {n} exceeds the audit bound {audit_bound}")
+    elements = sl2_lifts(n, audit_bound)
     coeffs = coefficients_candidate(n)
     fset = assemble(coeffs)
     checks = {}
@@ -631,9 +564,8 @@ def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND):
     checks.update(check_coefficient_axes(coeffs, tol))
     checks.update(check_hermiticity(coeffs, fset, tol))
     checks.update(check_orthogonality(coeffs, fset, tol))
-    elements = sl2_lifts(n, audit_bound)
     checks["covariance"] = check_covariance_group(coeffs, tol, elements=elements)
-    unique_checks, _ = uniqueness_audit(n, tol, audit_bound=audit_bound, elements=elements)
+    unique_checks, _ = uniqueness_audit(n, tol, elements=elements)
     checks.update(unique_checks)
     return ConditionReport(n=n, tolerance=tol, checks=checks)
 

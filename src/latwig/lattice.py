@@ -21,12 +21,6 @@ def check_dim(n):
     return n
 
 
-def canonical(x, n):
-    """Canonical representative of x mod n, in [0, n)."""
-    check_dim(n)
-    return x % n
-
-
 def egcd(a, b):
     """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -209,19 +203,6 @@ def sl2_lifts(n, audit_bound=DEFAULT_AUDIT_BOUND):
     return [(g, sl2_second_lift(g, n)) for g in sl2_enumerate(n, audit_bound=audit_bound)]
 
 
-@dataclass(frozen=True)
-class LatticeLine:
-    """The N sites (q, p) with kappa*p - lam*q = p0 (mod N), ordered by r."""
-
-    kappa: int
-    lam: int
-    p0: int
-    points: tuple
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 def line_sites(g, n):
     """The sites of all N lines of the direction (kappa, lam), as [p0, r] arrays.
 
@@ -232,19 +213,6 @@ def line_sites(g, n):
     kappa, lam, mu, nu = g.residues(n)
     p0, r = np.indices((n, n))
     return (kappa * r + mu * p0) % n, (lam * r + nu * p0) % n
-
-
-def line_points(g, p0, n):
-    """Points q = kappa*r + mu*p0, p = lam*r + nu*p0 (mod N) for r = 0..N-1."""
-    check_dim(n)
-    if math.gcd(g.kappa, g.lam) != 1:
-        raise ValueError(f"degenerate direction ({g.kappa}, {g.lam}): not coprime")
-    p0 = canonical(p0, n)
-    q, p = line_sites(g, n)
-    pts = tuple(zip(q[p0].tolist(), p[p0].tolist()))
-    if len(set(pts)) != n:
-        raise ValueError(f"line points not distinct for {g} mod {n}")
-    return LatticeLine(kappa=g.kappa, lam=g.lam, p0=p0, points=pts)
 
 
 def line_label(g, q, p, n):

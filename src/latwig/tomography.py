@@ -96,10 +96,19 @@ def simulate_marginals(rho, f, shots=0, seed=0):
 
 
 def _validate_complete(d):
-    directions = {(f.element.kappa % d.n, f.element.lam % d.n) for f in d.families}
+    """Each of the N + 1 direction families exactly once, each with N weights.
+
+    A repeated family would be counted twice in every line sum through its
+    lines, and weights beyond the N line labels would be ignored silently.
+    """
+    directions = [(f.element.kappa % d.n, f.element.lam % d.n) for f in d.families]
     expected = {(1, lam) for lam in range(d.n)} | {(0, 1)}
-    if directions != expected:
-        raise ValueError("dataset does not cover the complete set of direction families")
+    if len(directions) != len(expected) or set(directions) != expected:
+        raise ValueError("dataset must hold each of the N + 1 direction families exactly once")
+    for f in d.families:
+        if np.shape(f.weights) != (d.n,):
+            raise ValueError(f"family {f.element.as_tuple()} has weights of shape "
+                             f"{np.shape(f.weights)}, expected ({d.n},)")
 
 
 def reconstruct_wigner(d):
@@ -127,18 +136,3 @@ def reconstruct_density(d, f, rho_true=None):
         err = float(np.abs(rho - np.asarray(rho_true)).max())
     return ReconstructionResult(wigner=grid, rho=rho, fidelity_error=err)
 
-
-def incidence_ok(n):
-    """Brute-force check that each pair of distinct sites shares exactly one line."""
-    families = mub_line_families(n)
-    sites = [(q, p) for q in range(n) for p in range(n)]
-    for i, a in enumerate(sites):
-        for b in sites[i + 1:]:
-            common = sum(
-                1
-                for g in families
-                if line_label(g, a[0], a[1], n) == line_label(g, b[0], b[1], n)
-            )
-            if common != 1:
-                return False
-    return True

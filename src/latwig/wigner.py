@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fano import CheckResult, _result
+from .fano import CheckResult, _result, _site_gram_residuals
 from .lattice import SL2Element, check_dim, line_sites
 from .operators import DEFAULT_TOL, monomial, omega_int
 
@@ -68,10 +68,7 @@ def density_from_wigner(w, f):
     """rho = N * sum_qp D(q,p)^dag W(q,p); exact inverse for orthogonal sets."""
     if w.n != f.n:
         raise ValueError(f"grid dimension {w.n} does not match operator set {f.n}")
-    n = f.n
-    flat = f.operators.reshape(n * n, n * n)
-    gram = flat @ flat.conj().T
-    if np.abs(gram - np.eye(n * n) / n).max() > 1e-8:
+    if _site_gram_residuals(f).max() > 1e-8:
         raise ValueError("operator set is not trace-orthogonal; inverse not guaranteed")
     return f.n * np.einsum("qp,qpji->ij", w.values, f.operators.conj())
 

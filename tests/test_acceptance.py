@@ -59,7 +59,7 @@ def test_criterion_03_covariance_over_full_group():
         c = fano.coefficients_odd(n)
         for g in sl2_enumerate(n):
             for lift in (g, sl2_second_lift(g, n)):
-                res = fano.check_covariance(c, lift, tol=TOL)
+                res = fano.check_covariance_group(c, TOL, elements=[(lift,)])
                 assert res.passed, (n, lift.as_tuple(), res.max_violation)
                 worst = max(worst, res.max_violation)
     assert worst < TOL

@@ -9,11 +9,13 @@ must agree with them field by field.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from latwig import fano
-from latwig.fano import CheckResult, FanoCoefficients, covariance_phase_table, _hermiticity_phases
+from latwig.fano import CheckResult, FanoCoefficients, _hermiticity_phases
 from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts, sl2_second_lift
+from oracles import covariance_phase_table, derivation_routes, phase_phi
 
 
 def _random_table(n, seed):
@@ -99,7 +101,7 @@ def route_consistency_oracle(n, elements, tol):
         for t in range(n):
             if s == 0 and t == 0:
                 continue
-            routes = fano.derivation_routes(n, s, t, elements=elements)
+            routes = derivation_routes(n, s, t, elements=elements)
             g0, v0 = routes[0]
             for g, v in routes[1:]:
                 spread = abs(v - v0)
@@ -180,7 +182,7 @@ def test_single_element_check_matches_dense_oracle():
     table = _random_sparse_table(n, 7)
     for g in sl2_enumerate(n):
         for lift in (g, sl2_second_lift(g, n)):
-            got = fano.check_covariance(FanoCoefficients(n, table), lift)
+            got = fano.check_covariance_group(FanoCoefficients(n, table), elements=[(lift,)])
             assert_same_check(got, covariance_group_oracle(table, [(lift,)], 1e-10))
 
 
@@ -202,7 +204,7 @@ def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
     assert got.witness == (2, 1, 0, 0)
     assert got.element == SL2Element(0, 1, -1, 0)
     assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
-    assert fano.check_covariance(FanoCoefficients(n, table), IDENTITY).passed
+    assert fano.check_covariance_group(FanoCoefficients(n, table), elements=[(IDENTITY,)]).passed
 
 
 def test_planted_violation_seen_only_by_a_second_lift():
@@ -241,3 +243,78 @@ def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(
     for elements in ([(g,) for g in sl2_enumerate(n)], sl2_lifts(n)):
         checks, _ = fano.uniqueness_audit(n, tol, elements=elements)
         assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, tol))
+
+
+def _elementary_product(x, y, z):
+    """(1, x; 0, 1)(1, 0; y, 1)(1, z; 0, 1): determinant 1 for any integers."""
+    return SL2Element(1, x, 0, 1).compose(SL2Element(1, 0, y, 1)).compose(SL2Element(1, z, 0, 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-2**80, 2**80), st.integers(-2**80, 2**80), st.integers(-2**80, 2**80),
+       st.integers(1, 40), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_two_phi_matches_the_exact_phase_for_lifts_of_any_size(x, y, z, n, a, b):
+    """The one exponent helper, with Python ints and with the reduced int64
+    entries, against the Fraction-valued phi' of the unreduced lift."""
+    g = _elementary_product(x, y, z)
+    a, b = a % n, b % n
+    want = (2 * phase_phi(g, a, b, n)) % (2 * n)
+    assert fano._two_phi(g.as_tuple(), a, b, n) == want
+    entries = fano._lift_entries([g, IDENTITY], n)
+    assert entries.dtype == np.int64
+    assert fano._two_phi(entries, a, b, n)[0] == want
+
+
+def _huge_odd_lifts():
+    """(1, L; L, 1 + L^2) with L above 2^20 and 2^70, at N = 7."""
+    return [SL2Element(1, big, big, 1 + big * big) for big in (2**20 + 1, 2**70 + 1)]
+
+
+@pytest.mark.parametrize("lift", _huge_odd_lifts(), ids=["2^20+1", "2^70+1"])
+def test_odd_solution_passes_covariance_under_a_huge_single_lift(lift):
+    got = fano.check_covariance_group(fano.coefficients_odd(7), elements=[(lift,)])
+    assert got.passed, got
+    assert got.max_violation < 1e-15
+
+
+@pytest.mark.parametrize("k", [4096, 2**70], ids=["4096", "2^70"])
+def test_odd_audits_pass_with_huge_second_lifts(k):
+    """N = 5 with each second lift replaced by g composed with a matrix
+    congruent to the identity mod N whose entries exceed 2^20 (or 2^70)."""
+    n = 5
+    shift = SL2Element(1, n * k, n * k, 1 + n * n * k * k)
+    elements = [(g, g.compose(shift)) for g in sl2_enumerate(n)]
+    assert max(abs(x) for _, h in elements for x in h.as_tuple()) > 2**20
+    cov = fano.check_covariance_group(fano.coefficients_odd(n), elements=elements)
+    assert cov.passed, cov
+    checks, _ = fano.uniqueness_audit(n, elements=elements)
+    assert checks["route_consistency"].passed, checks["route_consistency"]
+    assert checks["route_consistency"].max_violation == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
+    """Lifts congruent mod 2N have the same phases and index maps, so the
+    audits give the same outcome, worst violation and witness indices; the
+    witness names the lift as it was passed in."""
+    k = 2**70
+    shift = SL2Element(1 + 4 * n * n * k * k, 2 * n * k, 2 * n * k, 1)  # identity mod 2N
+    small = sl2_lifts(n)
+    huge = {g: g.compose(shift) for group in small for g in group}
+    assert all(max(abs(x) for x in h.as_tuple()) > 2**70 for h in huge.values())
+    assert all(x % (2 * n) == y % (2 * n) for g, h in huge.items()
+               for x, y in zip(g.as_tuple(), h.as_tuple()))
+    big = [tuple(huge[g] for g in group) for group in small]
+    for table in (fano.coefficients_candidate(n).table, _random_sparse_table(n, 500 + n)):
+        c = FanoCoefficients(n, table)
+        want = fano.check_covariance_group(c, elements=small)
+        got = fano.check_covariance_group(c, elements=big)
+        assert not want.passed
+        assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
+        assert got.element == huge[want.element]
+    want = fano.uniqueness_audit(n, elements=small)[0]["route_consistency"]
+    got = fano.uniqueness_audit(n, elements=big)[0]["route_consistency"]
+    assert not want.passed
+    assert (got.passed, got.max_violation, got.witness[:2]) == (want.passed, want.max_violation, want.witness[:2])
+    by_tuple = {g.as_tuple(): h.as_tuple() for g, h in huge.items()}
+    assert got.witness[2:] == by_tuple[want.witness[2:6]] + by_tuple[want.witness[6:]]

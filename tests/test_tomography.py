@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from latwig import fano, tomography, wigner
 from latwig.lattice import IDENTITY, SL2Element, line_label, sl2_second_lift
 from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix, random_pure_density
+from oracles import incidence_ok
 
 
 def _solution_set(n):
@@ -37,7 +38,7 @@ def test_families_reject_composite_dimensions():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_every_point_pair_shares_exactly_one_line(n):
-    assert tomography.incidence_ok(n)
+    assert incidence_ok(n)
 
 
 def test_exact_marginals_of_maximally_mixed_state():
@@ -174,6 +175,36 @@ def test_incomplete_dataset_rejected():
     truncated = tomography.MarginalDataset(n=n, shots=0, seed=0, families=ds.families[:-1])
     with pytest.raises(ValueError):
         tomography.reconstruct_wigner(truncated)
+
+
+def test_repeated_family_rejected():
+    """N + 2 families with one direction twice cover the right set of
+    directions, but every line sum would count that family twice."""
+    n = 5
+    fset = _solution_set(n)
+    rho = random_pure_density(n, np.random.default_rng(5))
+    ds = tomography.simulate_marginals(rho, fset, shots=0)
+    for families in (ds.families + ds.families[:1], ds.families[:-1] + ds.families[:1]):
+        repeated = tomography.MarginalDataset(n=n, shots=0, seed=0, families=families)
+        with pytest.raises(ValueError, match="exactly once"):
+            tomography.reconstruct_wigner(repeated)
+        with pytest.raises(ValueError, match="exactly once"):
+            tomography.reconstruct_density(repeated, fset, rho_true=rho)
+
+
+@pytest.mark.parametrize("size", [4, 6, 10])
+def test_family_with_other_than_n_weights_rejected(size):
+    n = 5
+    fset = _solution_set(n)
+    ds = tomography.simulate_marginals(maximally_mixed(n), fset, shots=0)
+    families = list(ds.families)
+    weights = np.resize(families[2].weights, size)
+    families[2] = wigner.MarginalDistribution(element=families[2].element, weights=weights)
+    bad = tomography.MarginalDataset(n=n, shots=0, seed=0, families=families)
+    with pytest.raises(ValueError, match=rf"shape \({size},\), expected \(5,\)"):
+        tomography.reconstruct_wigner(bad)
+    with pytest.raises(ValueError, match="expected"):
+        tomography.reconstruct_density(bad, fset)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

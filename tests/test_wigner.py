@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
 from latwig.fano import FanoOperatorSet
-from latwig.lattice import IDENTITY, SL2Element, line_points, sl2_complete, sl2_second_lift
+from latwig.lattice import IDENTITY, SL2Element, sl2_complete, sl2_second_lift
 from latwig.operators import (
     basis_state_density,
     maximally_mixed,
@@ -12,6 +12,7 @@ from latwig.operators import (
     momentum_vector,
     random_density_matrix,
 )
+from oracles import line_points
 
 
 def _solution_set(n):
