@@ -17,7 +17,7 @@ The group audits share one enumeration of SL(2, Z_N) with its integer
 lifts (:func:`latwig.lattice.sl2_lifts`). The covariance audit evaluates
 each lift only where a residual can be nonzero, O(nnz) positions for a
 table with nnz nonzero entries, so it costs O(|G| nnz) rather than
-O(|G| N^4); the route audit costs O(|G| N^2).
+O(|G| N^4); the route audit sorts the 2(N - 1) routes of each lift.
 """
 
 from dataclasses import dataclass, replace
@@ -417,20 +417,6 @@ class DerivedValue:
     element: SL2Element
 
 
-def _route_kind(g, s, t, n):
-    """Which axis slice the element maps (s,t) onto, if any.
-
-    's' means kappa*s - lam*t = 0 mod N (first index mapped to 0); 't'
-    means nu*t - mu*s = 0 mod N (second index mapped to 0). At most one
-    applies, because the index map is a bijection and (s,t) != (0,0).
-    """
-    if (g.kappa * s - g.lam * t) % n == 0:
-        return "s"
-    if (g.nu * t - g.mu * s) % n == 0:
-        return "t"
-    return None
-
-
 def _route_value(g, s, t, n):
     """Forced value (1/N^2) omega^(phi'(t,s)) using the element's lifts."""
     return complex(_half_omega_table(n)[_two_phi(g.as_tuple(), t % n, s % n, n)]) / n**2
@@ -450,7 +436,7 @@ def derive_via_line(n, s, t):
         raise ValueError("(0, 0) is fixed by the axis conditions, not by a line route")
     dec = gcd_decompose(s, t, n)
     g = sl2_complete(dec.tau, dec.sigma)
-    assert _route_kind(g, s, t, n) == "s"
+    assert (g.kappa * s - g.lam * t) % n == 0
     return DerivedValue(value=_route_value(g, s, t, n), support=(t, s), element=g)
 
 
@@ -473,35 +459,37 @@ def derived_table(n):
 def _route_consistency(n, elements, tol):
     """Route-consistency check: all routes agree at every (s,t) != (0,0).
 
-    The witness is the first (s,t) in lexicographic order with a conflict,
-    then its first route's lift and the first lift that disagrees. The
-    routes are the lifts, in order, for which :func:`_route_kind` is not
-    None, and their values are those of :func:`_route_value`, computed with
-    numpy over all lifts at once for each (s,t). A value's real and
-    imaginary parts are divided by N^2 separately and spreads are taken
-    with hypot, which is what the complex arithmetic of
-    :func:`_route_value` and ``abs`` gives, to the last bit.
+    A lift maps (s,t) onto the s-slice (kappa*s - lam*t = 0 mod N) exactly
+    at the nonzero multiples of (lam, kappa), and onto the t-slice
+    (nu*t - mu*s = 0) at those of (nu, mu); a stable sort groups these
+    routes by (s,t), lifts in order. The witness is the first (s,t) in
+    lexicographic order with a conflict, then its first route's lift and
+    the first lift that disagrees. Spreads between the values of
+    :func:`_route_value` are the hypot of the differences of real and
+    imaginary parts, each divided by N^2, which is what its complex
+    arithmetic and ``abs`` give, to the last bit; they are tabulated once
+    for every pair of exponents.
     """
     lifts = [lift for group in elements for lift in group]
-    entries = _lift_entries(lifts, n)
-    k, l, m, v = entries
+    k, l, m, v = _lift_entries(lifts, n)[:, :, np.newaxis]
+    r = np.arange(1, n)
+    s = np.concatenate([l * r, v * r], axis=1) % n
+    t = np.concatenate([k * r, m * r], axis=1) % n
+    point = (s * n + t).ravel()
+    order = np.argsort(point, kind="stable")
+    point, two = point[order], _two_phi((k, l, m, v), t, s, n).ravel()[order]
+    starts = np.flatnonzero(np.diff(point, prepend=-1))
+    first = np.repeat(starts, np.diff(starts, append=point.size))
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
-    worst = 0.0
+    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])[two[first], two]
+    worst = float(spread.max()) if spread.size else 0.0
+    conflicts = np.flatnonzero((spread > tol) & (np.arange(point.size) != first))
     witness = None
-    for s in range(n):
-        for t in range(n):
-            if s == 0 and t == 0:
-                continue
-            on_axis = np.flatnonzero(((k * s - l * t) % n == 0) | ((v * t - m * s) % n == 0))
-            two = _two_phi(entries[:, on_axis], t, s, n)
-            spread = np.hypot(re[two[1:]] - re[two[0]], im[two[1:]] - im[two[0]])
-            if spread.size:
-                worst = max(worst, float(spread.max()))
-            conflicts = np.flatnonzero(spread > tol)
-            if witness is None and conflicts.size:
-                first, other = lifts[on_axis[0]], lifts[on_axis[conflicts[0] + 1]]
-                witness = (s, t) + first.as_tuple() + other.as_tuple()
+    if conflicts.size:
+        i = conflicts[0]
+        g0, g = (lifts[j] for j in order[[first[i], i]] // (2 * n - 2))
+        witness = divmod(int(point[i]), n) + g0.as_tuple() + g.as_tuple()
     return CheckResult("route_consistency", witness is None, worst, witness, None)
 
 

@@ -3,11 +3,12 @@
 Group elements, determinants and gcd decompositions use plain Python
 integers, so they are exact; reduction mod N happens only where a residue
 is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
+SL(2, Z_N) is written down row by row from closed forms (:func:`sl2_enumerate`).
 """
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -126,24 +127,19 @@ def _land_completion(kappa, lam, mu_res, nu_res, n):
     """Completion of (kappa, lam) whose (mu, nu) lie in given residue classes.
 
     The general solution of kappa*nu - mu*lam = 1 is (mu0 + j*kappa,
-    nu0 + j*lam); exactly one j mod n lands the target residues.
+    nu0 + j*lam); as kappa*nu0 - mu0*lam = 1, j = nu0*mu_res - mu0*nu_res mod N.
     """
     base = sl2_complete(kappa, lam)
-    for j in range(n):
-        mu = base.mu + j * kappa
-        nu = base.nu + j * lam
-        if mu % n == mu_res and nu % n == nu_res:
-            return SL2Element(kappa, lam, mu, nu)
-    raise ValueError(
-        f"residues (mu, nu) = ({mu_res}, {nu_res}) unreachable for ({kappa}, {lam}) mod {n}"
-    )
+    j = (base.nu * mu_res - base.mu * nu_res) % n
+    return SL2Element(kappa, lam, base.mu + j * kappa, base.nu + j * lam)
 
 
 def sl2_enumerate(n, audit_bound=DEFAULT_AUDIT_BOUND):
-    """One exact-determinant-1 integer lift per element of SL(2, Z_N).
+    """One exact-determinant-1 integer lift per element of SL(2, Z_N), O(N^3).
 
-    (kappa, lam) is lifted into [0, 2N)^2 (coprime), then (mu, nu) is
-    completed by extended Euclid and shifted to land the residue class.
+    Each primitive row (a, b) mod N is lifted to a coprime (kappa, lam) in
+    [0, 5N)^2 (reaching 3N at N = 7, 4N at N = 31); its N completions
+    (mu0 + j*kappa, nu0 + j*lam) follow in the order of their residues.
     """
     check_dim(n)
     if n > audit_bound:
@@ -151,10 +147,12 @@ def sl2_enumerate(n, audit_bound=DEFAULT_AUDIT_BOUND):
     if n == 1:
         return [IDENTITY]
     out = []
-    for a, b, c, d in product(range(n), repeat=4):
-        if (a * d - b * c) % n == 1:
+    for a, b in product(range(n), repeat=2):
+        if math.gcd(a, b, n) == 1:
             kappa, lam = _coprime_lift(a, b, n)
-            out.append(_land_completion(kappa, lam, c, d, n))
+            base = sl2_complete(kappa, lam)
+            row = [SL2Element(kappa, lam, base.mu + j * kappa, base.nu + j * lam) for j in range(n)]
+            out.extend(sorted(row, key=lambda g: (g.mu % n, g.nu % n)))
     return out
 
 
@@ -179,7 +177,9 @@ def sl2_second_lift(g, n):
     """A different integer lift of the same residue class as g.
 
     The +N shifts probe whether downstream phase functions depend on the
-    choice of lift rather than on the residue class alone.
+    choice of lift rather than on the residue class alone. If no shift
+    gives a coprime row, lam + j*N is used for the first coprime j >= 3
+    (j = 3P works, P the product of the primes dividing kappa but not N).
     """
     check_dim(n)
     _, _, mu_res, nu_res = g.residues(n)
@@ -187,10 +187,9 @@ def sl2_second_lift(g, n):
     for da, db in shifts:
         kappa, lam = g.kappa + da, g.lam + db
         if math.gcd(kappa, lam) == 1:
-            lift = _land_completion(kappa, lam, mu_res, nu_res, n)
-            if lift != g:
-                return lift
-    raise ValueError(f"no second lift found for {g} mod {n}")
+            return _land_completion(kappa, lam, mu_res, nu_res, n)
+    j = next(j for j in count(3) if math.gcd(g.kappa, g.lam + j * n) == 1)
+    return _land_completion(g.kappa, g.lam + j * n, mu_res, nu_res, n)
 
 
 def sl2_lifts(n, audit_bound=DEFAULT_AUDIT_BOUND):

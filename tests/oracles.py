@@ -3,18 +3,30 @@
 The library has one production path per computation; these are the
 independent forms it is checked against: the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on tables, the
-per-(s,t) route list, the inverse coefficient transform, lattice lines as
+per-(s,t) route list, the determinant-filter enumeration of SL(2, Z_N) with
+its searched lifts, the inverse coefficient transform, lattice lines as
 tuples of sites, and the brute-force incidence check of the line families.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from latwig.fano import FanoCoefficients, _route_kind, _route_value
-from latwig.lattice import DEFAULT_AUDIT_BOUND, check_dim, line_label, line_sites, sl2_lifts
+from latwig.fano import FanoCoefficients, _route_value
+from latwig.lattice import (
+    DEFAULT_AUDIT_BOUND,
+    IDENTITY,
+    SL2Element,
+    _coprime_lift,
+    check_dim,
+    line_label,
+    line_sites,
+    sl2_complete,
+    sl2_lifts,
+)
 from latwig.operators import _half_omega_table
 from latwig.tomography import mub_line_families
 
@@ -108,6 +120,64 @@ def apply_covariance_transform(c, g):
     return FanoCoefficients(n, phases[np.newaxis, np.newaxis, :, :] * gathered)
 
 
+def land_completion_search(kappa, lam, mu_res, nu_res, n):
+    """Completion of (kappa, lam) in given residue classes, by trying every j mod N."""
+    base = sl2_complete(kappa, lam)
+    for j in range(n):
+        mu = base.mu + j * kappa
+        nu = base.nu + j * lam
+        if mu % n == mu_res and nu % n == nu_res:
+            return SL2Element(kappa, lam, mu, nu)
+    raise ValueError(
+        f"residues (mu, nu) = ({mu_res}, {nu_res}) unreachable for ({kappa}, {lam}) mod {n}"
+    )
+
+
+def sl2_enumerate_filter(n):
+    """SL(2, Z_N) by testing the determinant of all N^4 residue tuples, in order."""
+    check_dim(n)
+    if n == 1:
+        return [IDENTITY]
+    out = []
+    for a, b, c, d in product(range(n), repeat=4):
+        if (a * d - b * c) % n == 1:
+            kappa, lam = _coprime_lift(a, b, n)
+            out.append(land_completion_search(kappa, lam, c, d, n))
+    return out
+
+
+def sl2_second_lift_search(g, n):
+    """The first of the +N shifts of (kappa, lam) that is coprime, landed by search."""
+    _, _, mu_res, nu_res = g.residues(n)
+    shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
+    for da, db in shifts:
+        kappa, lam = g.kappa + da, g.lam + db
+        if math.gcd(kappa, lam) == 1:
+            lift = land_completion_search(kappa, lam, mu_res, nu_res, n)
+            if lift != g:
+                return lift
+    raise ValueError(f"no second lift found for {g} mod {n}")
+
+
+def sl2_lifts_search(n):
+    """Every element of the filtered enumeration with its searched second lift."""
+    return [(g, sl2_second_lift_search(g, n)) for g in sl2_enumerate_filter(n)]
+
+
+def route_kind(g, s, t, n):
+    """Which axis slice the element maps (s,t) onto, if any.
+
+    's' means kappa*s - lam*t = 0 mod N (first index mapped to 0); 't'
+    means nu*t - mu*s = 0 mod N (second index mapped to 0). At most one
+    applies, because the index map is a bijection and (s,t) != (0,0).
+    """
+    if (g.kappa * s - g.lam * t) % n == 0:
+        return "s"
+    if (g.nu * t - g.mu * s) % n == 0:
+        return "t"
+    return None
+
+
 def derivation_routes(n, s, t, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
     """All (lift, forced value) pairs for (s,t), over the group and lifts.
 
@@ -120,7 +190,7 @@ def derivation_routes(n, s, t, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
     return [
         (lift, _route_value(lift, s, t, n))
         for group in elements
-        if _route_kind(group[0], s, t, n) is not None
+        if route_kind(group[0], s, t, n) is not None
         for lift in group
     ]
 

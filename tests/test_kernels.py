@@ -230,14 +230,14 @@ def test_planted_violation_seen_only_by_a_second_lift():
     assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_route_consistency_matches_loop_oracle(n):
-    elements = sl2_lifts(n)
+    elements = sl2_lifts(n, audit_bound=n)
     checks, _ = fano.uniqueness_audit(n, elements=elements)
     assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, 1e-10))
 
 
-@pytest.mark.parametrize("tol", [0.0, 0.3])
+@pytest.mark.parametrize("tol", [0.0, 0.3, -1.0])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(n, tol):
     for elements in ([(g,) for g in sl2_enumerate(n)], sl2_lifts(n)):

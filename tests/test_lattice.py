@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from latwig.lattice import (
     IDENTITY,
     SL2Element,
+    _coprime_lift,
+    _land_completion,
     egcd,
     gcd_decompose,
     line_label,
@@ -19,7 +21,7 @@ from latwig.lattice import (
     sl2_order,
     sl2_second_lift,
 )
-from oracles import canonical, line_points
+from oracles import canonical, land_completion_search, line_points, sl2_lifts_search, sl2_second_lift_search
 
 
 def test_canonical_examples():
@@ -143,6 +145,39 @@ def test_sl2_second_lift_same_class_different_integers(n):
         assert h != g
         assert h.residues(n) == g.residues(n)
         assert h.kappa * h.nu - h.mu * h.lam == 1
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_sl2_enumerate_and_lifts_equal_the_search_oracles(n):
+    """The row-by-row enumeration and the closed-form landing give the same
+    integers in the same order as the determinant filter with searched
+    landings, and the same second lifts."""
+    want = sl2_lifts_search(n)
+    assert [g.as_tuple() for g in sl2_enumerate(n, n)] == [g.as_tuple() for g, _ in want]
+    assert [tuple(h.as_tuple() for h in group) for group in sl2_lifts(n, n)] == [
+        tuple(h.as_tuple() for h in group) for group in want
+    ]
+
+
+@pytest.mark.parametrize("n,kappa,lam,j", [(233, 40, 299, 4), (253, 104, 495, 4), (293, 77, 162, 3)])
+def test_sl2_second_lift_when_every_shift_shares_a_factor(n, kappa, lam, j):
+    """Rows whose seven +N shifts all share a factor with the other entry:
+    the second lift is (kappa, lam + j*N) for the first coprime j >= 3."""
+    assert _coprime_lift(kappa % n, lam % n, n) == (kappa, lam)
+    shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
+    assert all(math.gcd(kappa + da, lam + db) > 1 for da, db in shifts)
+    base = sl2_complete(kappa, lam)
+    for i in range(n):
+        mu_res, nu_res = (base.mu + i * kappa) % n, (base.nu + i * lam) % n
+        g = _land_completion(kappa, lam, mu_res, nu_res, n)
+        assert g == land_completion_search(kappa, lam, mu_res, nu_res, n)
+        h = sl2_second_lift(g, n)
+        assert (h.kappa, h.lam) == (kappa, lam + j * n)
+        assert h != g
+        assert h.residues(n) == g.residues(n)
+        assert h.kappa * h.nu - h.mu * h.lam == 1
+    with pytest.raises(ValueError, match="no second lift"):
+        sl2_second_lift_search(g, n)
 
 
 def test_compose_is_exact_matrix_product():
