@@ -11,7 +11,8 @@ Library layout:
 
 The exact and plain-loop references the tests check these against (the
 Fraction-valued covariance phase, the group action on tables, lines as
-tuples of sites, the per-(s,t) route list, the incidence check) live in
+tuples of sites, the invariant label of the line through a site, the
+per-(s,t) route list, the incidence check) live in
 ``tests/oracles.py``, not in the package.
 """
 

@@ -213,11 +213,3 @@ def line_sites(g, n):
     p0, r = np.indices((n, n))
     return (kappa * r + mu * p0) % n, (lam * r + nu * p0) % n
 
-
-def line_label(g, q, p, n):
-    """Invariant p0 = kappa*p - lam*q mod N of the line through (q, p).
-
-    q and p may be integer arrays; kappa and lam are reduced mod N first,
-    so that no lift, however large, overflows them.
-    """
-    return ((g.kappa % n) * p - (g.lam % n) * q) % n

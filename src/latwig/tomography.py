@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SL2Element, check_dim, line_label
+from .lattice import SL2Element, check_dim, line_sites
 from .operators import validate_density_matrix
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
 
@@ -115,9 +115,16 @@ def reconstruct_wigner(d):
     """Invert the line marginals: W(q,p) = (sum of marginals through (q,p) - 1)/N."""
     _validate_complete(d)
     n = d.n
-    q, p = np.indices((n, n))
-    acc = sum(fam.weights[line_label(fam.element, q, p, n)] for fam in d.families)
+    acc = sum(_on_grid(fam, n) for fam in d.families)
     return WignerGrid(n, ((acc - 1.0) / n).astype(complex))
+
+
+def _on_grid(fam, n):
+    """The family's weight of line p0 written onto each site of that line."""
+    grid = np.empty_like(fam.weights, shape=(n, n))
+    q, p = line_sites(fam.element, n)
+    grid[q, p] = fam.weights[:, None]
+    return grid
 
 
 def reconstruct_density(d, f, rho_true=None):

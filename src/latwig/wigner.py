@@ -7,7 +7,6 @@ can be reported instead of silently truncated.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,11 +85,13 @@ def marginal_along_line(w, g):
     return MarginalDistribution(element=g, weights=sum(w.values.real[q, p].T))
 
 
-def line_sum_operator(f, g, p0):
-    """M = sum over the line's sites of D(q,p), added in the line's r order."""
+def line_sum_operators(f, g):
+    """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j].
+
+    Each sum adds the line's operators in r order.
+    """
     q, p = line_sites(g, f.n)
-    p0 = p0 % f.n
-    return f.operators[q[p0], p[p0]].sum(axis=0)
+    return f.operators[q, p].sum(axis=1)
 
 
 def direction_unitary(g, n):
@@ -106,29 +107,19 @@ def direction_unitary(g, n):
     return scale * monomial(g.kappa % n, g.lam % n, n)
 
 
-@lru_cache(maxsize=64)
-def _direction_spectrum(g, n):
-    """direction_unitary(g, n) and its eigenvalues, read-only.
-
-    The N line labels of one direction share them, so each direction pays
-    for one eigendecomposition, not N.
-    """
-    v = direction_unitary(g, n)
-    eigvals = np.linalg.eigvals(v)
-    v.setflags(write=False)
-    eigvals.setflags(write=False)
-    return v, eigvals
-
-
 @dataclass(frozen=True)
 class LineProjectorReport:
-    """Spectral verification that a line sum is the right rank-1 projector."""
+    """Spectral verification that a direction's N line sums are its rank-1 projectors.
+
+    The residuals are indexed by the line label first ([p0] for the trace,
+    [p0, i, j] for the others), so a witness names the failing line.
+    """
 
     hermitian: CheckResult
     idempotent: CheckResult
     trace: CheckResult
     eigen_relation: CheckResult
-    eigenvalue_multiplicity: int
+    eigenvalue_multiplicity: int  # the largest over the line labels
 
     @property
     def passed(self):
@@ -157,30 +148,31 @@ class LineProjectorReport:
         }
 
 
-def line_projector_check(f, g, p0, tol=DEFAULT_TOL):
-    """Verify the line sum is the spectral projector of the direction unitary.
+def line_projector_check(f, g, tol=DEFAULT_TOL):
+    """Verify each line sum of the direction is a spectral projector of its unitary.
 
-    Checks, without ever constructing the conjugating unitary: M = M^dag,
-    M^2 = M, Tr M = 1, and V M = omega^(-p0) M for V = direction_unitary(g).
-    The multiplicity of omega^(-p0) in spec(V) is reported rather than
-    assumed to be one.
+    Checks, for every label p0 and without ever constructing the
+    conjugating unitary: M = M^dag, M^2 = M, Tr M = 1, and
+    V M = omega^(-p0) M for M the line sum and V = direction_unitary(g).
+    The multiplicity of omega^(-p0) in spec(V) is counted rather than
+    assumed to be one. As V^N = 1, its N eigenvalues are N-th roots of
+    unity, so every label's multiplicity is 1 exactly when the largest is.
     """
     n = f.n
     if n % 2 == 0:
         raise ValueError("no valid operator set exists for even N")
-    p0 = p0 % n
-    m = line_sum_operator(f, g, p0)
-    v, eigvals = _direction_spectrum(g, n)
-    target = omega_int(-p0, n)
-    res_h = np.abs(m - m.conj().T)
+    m = line_sum_operators(f, g)
+    v = direction_unitary(g, n)
+    target = np.array([omega_int(-p0, n) for p0 in range(n)])
+    res_h = np.abs(m - m.conj().transpose(0, 2, 1))
     res_i = np.abs(m @ m - m)
-    res_t = np.abs(np.array([m.trace() - 1.0]))
-    res_e = np.abs(v @ m - target * m)
-    multiplicity = int(np.sum(np.abs(eigvals - target) < 1e-6))
+    res_t = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
+    res_e = np.abs(v @ m - target[:, None, None] * m)
+    multiplicity = (np.abs(np.linalg.eigvals(v) - target[:, None]) < 1e-6).sum(axis=1).max()
     return LineProjectorReport(
         hermitian=_result("projector_hermitian", res_h, tol),
         idempotent=_result("projector_idempotent", res_i, tol),
         trace=_result("projector_trace", res_t, tol),
         eigen_relation=_result("projector_eigen_relation", res_e, tol),
-        eigenvalue_multiplicity=multiplicity,
+        eigenvalue_multiplicity=int(multiplicity),
     )

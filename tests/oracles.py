@@ -5,7 +5,8 @@ independent forms it is checked against: the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on tables, the
 per-(s,t) route list, the determinant-filter enumeration of SL(2, Z_N) with
 its searched lifts, the inverse coefficient transform, lattice lines as
-tuples of sites, and the brute-force incidence check of the line families.
+tuples of sites, the invariant label of the line through a site, and the
+brute-force incidence check of the line families.
 """
 
 import math
@@ -22,7 +23,6 @@ from latwig.lattice import (
     SL2Element,
     _coprime_lift,
     check_dim,
-    line_label,
     line_sites,
     sl2_complete,
     sl2_lifts,
@@ -48,6 +48,15 @@ class LatticeLine:
 
     def __iter__(self):
         return iter(self.points)
+
+
+def line_label(g, q, p, n):
+    """Invariant p0 = kappa*p - lam*q mod N of the line through (q, p).
+
+    q and p may be integer arrays; kappa and lam are reduced mod N first,
+    so that no lift, however large, overflows them.
+    """
+    return ((g.kappa % n) * p - (g.lam % n) * q) % n
 
 
 def line_points(g, p0, n):

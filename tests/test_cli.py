@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ def test_wigner_csv_format(tmp_path):
     assert len(marg) == 4
 
 
+def test_wigner_csv_companions_stay_in_a_dotted_directory(tmp_path):
+    """The companion tag goes before the file's extension, not before the
+    last dot of the whole path."""
+    (tmp_path / "out.d").mkdir()
+    out = tmp_path / "out.d" / "grid"
+    assert main(["wigner", "--n", "3", "--format", "csv", "--out", str(out)]) == 0
+    assert sorted(os.listdir(tmp_path / "out.d")) == ["grid", "grid_marginal_p", "grid_marginal_q"]
+    assert os.listdir(tmp_path) == ["out.d"]
+
+
 def test_wigner_bad_state_spec(tmp_path, capsys):
     assert main(["wigner", "--n", "3", "--state", "nope", "--out", str(tmp_path / "x.json")]) == 2
     assert "state spec" in capsys.readouterr().err
@@ -200,6 +211,32 @@ def test_nonpositive_dimension_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["fano", "--n", "0", "--out", "zzz.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fano", "--n", "3"],
+        ["check", "--n", "3"],
+        ["wigner", "--n", "3", "--format", "csv"],
+        ["marginal", "--n", "3", "--kappa", "1", "--lambda", "1"],
+        ["tomo", "--n", "3"],
+    ],
+)
+def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    """An --out in a directory that does not exist, or naming a directory
+    (the empty path names the working directory)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(fano, "assemble", no_work)
+    monkeypatch.setattr(fano, "full_report", no_work)
+    for out in (tmp_path / "missing" / "x.json", tmp_path, ""):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--out {out} must name a file in an existing directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_float_serialization_is_17_digit_round_trip_exact(tmp_path):

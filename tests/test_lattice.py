@@ -13,7 +13,6 @@ from latwig.lattice import (
     _land_completion,
     egcd,
     gcd_decompose,
-    line_label,
     line_sites,
     sl2_complete,
     sl2_enumerate,
@@ -21,7 +20,14 @@ from latwig.lattice import (
     sl2_order,
     sl2_second_lift,
 )
-from oracles import canonical, land_completion_search, line_points, sl2_lifts_search, sl2_second_lift_search
+from oracles import (
+    canonical,
+    land_completion_search,
+    line_label,
+    line_points,
+    sl2_lifts_search,
+    sl2_second_lift_search,
+)
 
 
 def test_canonical_examples():

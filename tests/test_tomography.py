@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano, tomography, wigner
-from latwig.lattice import IDENTITY, SL2Element, line_label, sl2_second_lift
+from latwig.lattice import IDENTITY, SL2Element, sl2_second_lift
 from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix, random_pure_density
-from oracles import incidence_ok
+from oracles import incidence_ok, line_label
 
 
 def _solution_set(n):

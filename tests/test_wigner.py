@@ -3,13 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
-from latwig.fano import FanoOperatorSet
-from latwig.lattice import IDENTITY, SL2Element, sl2_complete, sl2_second_lift
+from latwig.fano import FanoOperatorSet, _result
+from latwig.lattice import IDENTITY, SL2Element, line_sites, sl2_complete, sl2_second_lift
 from latwig.operators import (
     basis_state_density,
     maximally_mixed,
     momentum_state_density,
     momentum_vector,
+    omega_int,
     random_density_matrix,
 )
 from oracles import line_points
@@ -33,6 +34,19 @@ def line_sum_oracle(f, g, p0):
     for q, p in line_points(g, p0, f.n).points:
         m += f.operators[q, p]
     return m
+
+
+def projector_check_oracle(f, g, tol):
+    """The per-label loop: each line's residuals formed on its own, then stacked."""
+    v = wigner.direction_unitary(g, f.n)
+    res = {"hermitian": [], "idempotent": [], "trace": [], "eigen_relation": []}
+    for p0 in range(f.n):
+        m = line_sum_oracle(f, g, p0)
+        res["hermitian"].append(np.abs(m - m.conj().T))
+        res["idempotent"].append(np.abs(m @ m - m))
+        res["trace"].append(np.abs(m.trace() - 1.0))
+        res["eigen_relation"].append(np.abs(v @ m - omega_int(-p0, f.n) * m))
+    return {k: _result(f"projector_{k}", np.array(r), tol) for k, r in res.items()}
 
 
 def assert_bitwise_equal(got, want):
@@ -185,8 +199,7 @@ def test_tilted_marginals_are_probabilities_and_match_projectors(n):
         marg = wigner.marginal_along_line(grid, g)
         assert marg.weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert marg.weights.min() > -1e-10
-        for p0 in range(n):
-            m = wigner.line_sum_operator(fset, g, p0)
+        for p0, m in enumerate(wigner.line_sum_operators(fset, g)):
             assert marg.weights[p0] == pytest.approx((m @ rho).trace().real, abs=1e-10)
 
 
@@ -214,8 +227,29 @@ def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
     ]
     for fset in sets:
         for g in oracle_directions(n):
-            for p0 in sorted({0, n - 1, n // 2, -1, n + 2}):
-                assert_bitwise_equal(wigner.line_sum_operator(fset, g, p0), line_sum_oracle(fset, g, p0))
+            got = wigner.line_sum_operators(fset, g)
+            assert got.shape == (n, n, n)
+            for p0 in range(n):
+                assert_bitwise_equal(got[p0], line_sum_oracle(fset, g, p0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 9, 11])
+def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
+    """Same max violations to the bit and same witnesses as checking each
+    label on its own, on the solution set (passing) and on random sets
+    (failing)."""
+    rng = np.random.default_rng(400 + n)
+    sets = [
+        _solution_set(n),
+        FanoOperatorSet(n, rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))),
+    ]
+    for fset in sets:
+        for g in oracle_directions(n):
+            rep = wigner.line_projector_check(fset, g)
+            want = projector_check_oracle(fset, g, 1e-10)
+            got = {k: getattr(rep, k) for k in want}
+            assert got == want
+            assert rep.eigenvalue_multiplicity == 1
 
 
 def test_direction_totals_equal_grid_total():
@@ -231,16 +265,16 @@ def test_direction_totals_equal_grid_total():
 def test_line_projector_identity_for_axis_direction():
     n = 3
     fset = _solution_set(n)
-    m = wigner.line_sum_operator(fset, IDENTITY, 1)
-    assert_allclose(m, momentum_state_density(1, n), atol=1e-12)
-    rep = wigner.line_projector_check(fset, IDENTITY, 1)
+    for p0, m in enumerate(wigner.line_sum_operators(fset, IDENTITY)):
+        assert_allclose(m, momentum_state_density(p0, n), atol=1e-12)
+    rep = wigner.line_projector_check(fset, IDENTITY)
     assert rep.passed
 
 
 def test_line_projector_identity_for_diagonal_direction():
     n = 3
     fset = _solution_set(n)
-    rep = wigner.line_projector_check(fset, SL2Element(1, 1, 0, 1), 0)
+    rep = wigner.line_projector_check(fset, SL2Element(1, 1, 0, 1))
     assert rep.passed
     assert rep.eigenvalue_multiplicity == 1
 
@@ -250,24 +284,40 @@ def test_line_projector_identity_full_direction_sweep(n):
     fset = _solution_set(n)
     directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
     for g in directions:
-        for p0 in range(n):
-            rep = wigner.line_projector_check(fset, g, p0)
-            assert rep.passed, (g.as_tuple(), p0, rep.max_violation)
-            assert rep.max_violation < 1e-10
+        rep = wigner.line_projector_check(fset, g)
+        assert rep.passed, (g.as_tuple(), rep.max_violation)
+        assert rep.max_violation < 1e-10
 
 
 def test_line_projector_nondegenerate_for_composite_odd_direction():
     """Dimension nine, direction (1,3): the eigenvalue is still simple."""
     fset = _solution_set(9)
-    rep = wigner.line_projector_check(fset, sl2_complete(1, 3), 2)
+    rep = wigner.line_projector_check(fset, sl2_complete(1, 3))
     assert rep.eigenvalue_multiplicity == 1
     assert rep.passed
+
+
+def test_line_projector_check_names_the_line_of_a_planted_defect():
+    """One operator on line p0 = 2 of (2, 3) at N = 5 is perturbed, on and
+    off the diagonal: every residual fails, and each witness starts with 2."""
+    n = 5
+    g = sl2_complete(2, 3)
+    ops = _solution_set(n).operators.copy()
+    q, p = line_sites(g, n)
+    ops[q[2, 3], p[2, 3], 0, :2] += 1e-6
+    rep = wigner.line_projector_check(FanoOperatorSet(n, ops), g)
+    assert not rep.passed
+    for check in (rep.hermitian, rep.idempotent, rep.trace, rep.eigen_relation):
+        assert not check.passed
+        assert check.witness[0] == 2, (check.name, check.witness)
+    assert rep.trace.witness == (2,)
+    assert rep.eigenvalue_multiplicity == 1
 
 
 def test_line_projector_rejects_even_dimensions():
     fset = fano.assemble(fano.coefficients_candidate(2))
     with pytest.raises(ValueError):
-        wigner.line_projector_check(fset, IDENTITY, 0)
+        wigner.line_projector_check(fset, IDENTITY)
 
 
 def test_grid_json_dict_tracks_imaginary_part():
