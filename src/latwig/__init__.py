@@ -10,9 +10,9 @@ Library layout:
 - ``cli``: the ``latwig`` command
 
 The exact and plain-loop references the tests check these against (the
-Fraction-valued covariance phase, the group action on tables, lines as
-tuples of sites, the invariant label of the line through a site, the
-per-(s,t) route list, the incidence check) live in
+Fraction-valued covariance phase, the group action on tables, the order
+of SL(2, Z_N), lines as tuples of sites, the invariant label of the line
+through a site, the per-(s,t) route list, the incidence check) live in
 ``tests/oracles.py``, not in the package.
 """
 

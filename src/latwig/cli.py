@@ -4,9 +4,10 @@ Subcommands write one machine-readable artifact each (JSON by default,
 CSV where it makes sense) and keep the human-readable summary on stdout.
 Exit codes: 0 success, 1 a tolerance violation or an audit outcome that
 contradicts the expected parity dichotomy, 2 usage error (bad arguments,
-or an --out that is a directory or lies in one that does not exist;
-rejected before any work is done), 3 internal error (an invariant of the
-package failed; a bug, not a mistake in the invocation).
+an --out that is a directory or lies in one that does not exist, or a CSV
+companion that is a directory; rejected before any work is done), 3
+internal error (an invariant of the package failed; a bug, not a mistake
+in the invocation).
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import fano, serialize, tomography, wigner
-from .lattice import DEFAULT_AUDIT_BOUND, sl2_complete, sl2_order
+from .lattice import sl2_complete, sl2_lifts
 from .operators import (
     DEFAULT_TOL,
     basis_state_density,
@@ -30,6 +31,9 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
+
+# Largest N that `check` audits unless --audit-bound raises it.
+DEFAULT_AUDIT_BOUND = 9
 
 
 class CliError(Exception):
@@ -106,15 +110,16 @@ def cmd_check(args):
     if n > args.audit_bound:
         raise CliError(f"--n {n} exceeds the audit bound {args.audit_bound}; "
                        "raise --audit-bound to audit larger N")
-    report = fano.full_report(n, tol=args.tolerance, audit_bound=args.audit_bound)
+    elements = sl2_lifts(n)
+    report = fano.full_report(n, tol=args.tolerance, elements=elements)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)
     doc = report.to_json_dict()
     doc["parity"] = "odd" if n % 2 else "even"
     doc["expected"] = "all_pass" if n % 2 else "infeasible"
     doc["matches_prediction"] = matches
-    doc["group_order"] = sl2_order(n)
-    doc["lifts_per_element"] = 2
+    doc["group_order"] = len(elements)
+    doc["lifts_per_element"] = len(elements[0])
     doc["infeasibility_witness"] = (
         None if witness is None else {"check": witness.name, **witness.to_json_dict()}
     )
@@ -145,11 +150,12 @@ def cmd_wigner(args):
         doc["momentum_marginal"] = marg_p
         serialize.write_atomic(args.out, serialize.dumps_json(doc))
     else:
+        imag, path_q, path_p = _companions(args)
         serialize.write_atomic(args.out, serialize.grid_csv(grid.values.real))
         if grid.max_imag() > args.tolerance:
-            serialize.write_atomic(_companion(args.out, "imag"), serialize.grid_csv(grid.values.imag))
-        serialize.write_atomic(_companion(args.out, "marginal_q"), serialize.marginal_csv(marg_q))
-        serialize.write_atomic(_companion(args.out, "marginal_p"), serialize.marginal_csv(marg_p))
+            serialize.write_atomic(imag, serialize.grid_csv(grid.values.imag))
+        serialize.write_atomic(path_q, serialize.marginal_csv(marg_q))
+        serialize.write_atomic(path_p, serialize.marginal_csv(marg_p))
     print(f"wigner grid for state {args.state}: sum={grid.total().real:.12f} -> {args.out}")
     if abs(grid.total().real - 1.0) > args.tolerance or grid.max_imag() > args.tolerance:
         print("tolerance violation: grid not normalized/real", file=sys.stderr)
@@ -157,9 +163,13 @@ def cmd_wigner(args):
     return 0
 
 
-def _companion(out, tag):
-    stem, ext = os.path.splitext(out)
-    return f"{stem}_{tag}{ext}"
+def _companions(args):
+    """The files a CSV `wigner` may write next to --out: imag (only if the
+    grid's imaginary part exceeds --tolerance), marginal_q and marginal_p."""
+    if args.command != "wigner" or args.format != "csv":
+        return []
+    stem, ext = os.path.splitext(args.out)
+    return [f"{stem}_{tag}{ext}" for tag in ("imag", "marginal_q", "marginal_p")]
 
 
 def cmd_marginal(args):
@@ -193,6 +203,8 @@ def cmd_tomo(args):
         raise CliError(f"tomography requires an odd prime N, got {n}")
     if args.shots < 0:
         raise CliError(f"--shots must be non-negative, got {args.shots}")
+    if args.shots > np.iinfo(np.int64).max:
+        raise CliError(f"--shots must be at most 2^63 - 1, got {args.shots}")
     rho_true = parse_state("random", n, args.seed)
     fset = _solution_set(n)
     dataset = tomography.simulate_marginals(rho_true, fset, shots=args.shots, seed=args.seed)
@@ -271,6 +283,9 @@ def main(argv=None):
     out = os.path.abspath(args.out)
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
         parser.exit(USAGE_ERROR, f"error: --out {args.out} must name a file in an existing directory\n")
+    for path in _companions(args):
+        if os.path.isdir(path):
+            parser.exit(USAGE_ERROR, f"error: {path}, written next to --out, is a directory\n")
     try:
         return args.func(args)
     except CliError as exc:

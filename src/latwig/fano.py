@@ -13,11 +13,11 @@ monomial expansion are FFTs over single axes of the N^4 table, so
 ``assemble`` costs O(N^4 log N) time and about three N^4 complex arrays of
 memory (the table plus at most two work or output arrays at a time).
 
-The group audits share one enumeration of SL(2, Z_N) with its integer
-lifts (:func:`latwig.lattice.sl2_lifts`). The covariance audit evaluates
-each lift only where a residual can be nonzero, O(nnz) positions for a
-table with nnz nonzero entries, so it costs O(|G| nnz) rather than
-O(|G| N^4); the route audit sorts the 2(N - 1) routes of each lift.
+The group audits share one list of SL(2, Z_N) lifts, ``elements`` from
+:func:`latwig.lattice.sl2_lifts`, and none of them bounds N. The covariance
+audit evaluates each lift only where a residual can be nonzero, O(nnz)
+positions for a table with nnz nonzero entries, so it costs O(|G| nnz)
+rather than O(|G| N^4); the route audit sorts the 2(N - 1) routes of each lift.
 """
 
 from dataclasses import dataclass, replace
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import (
-    DEFAULT_AUDIT_BOUND,
     SL2Element,
     check_dim,
     gcd_decompose,
@@ -389,18 +388,17 @@ def _covariance_scan(table, lifts, tol):
     return CheckResult("covariance", False, worst, *first_fail)
 
 
-def check_covariance_group(c, tol=DEFAULT_TOL, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
+def check_covariance_group(c, tol=DEFAULT_TOL, elements=None):
     """Worst covariance violation over the whole group, base and shifted lifts.
 
     The phase exponent is quadratic in the integer lifts, so each residue
     class is tested with its base lift and a +N-shifted one; a genuinely
     covariant table must pass both. ``elements`` is a list of lift tuples
-    from :func:`latwig.lattice.sl2_lifts` (then ``audit_bound`` is not
-    used); by default it is built here. ``elements=[(g,)]`` audits the
-    single lift g.
+    from :func:`latwig.lattice.sl2_lifts`; by default it is built here.
+    ``elements=[(g,)]`` audits the single lift g.
     """
     if elements is None:
-        elements = sl2_lifts(c.n, audit_bound)
+        elements = sl2_lifts(c.n)
     return _covariance_scan(c.table, [lift for group in elements for lift in group], tol)
 
 
@@ -493,7 +491,7 @@ def _route_consistency(n, elements, tol):
     return CheckResult("route_consistency", witness is None, worst, witness, None)
 
 
-def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, elements=None):
+def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):
     """Route-consistency audit plus the two-condition sufficiency check.
 
     For every nonzero (s,t), the forced value is derived through every
@@ -506,7 +504,7 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, elemen
     """
     check_dim(n)
     if elements is None:
-        elements = sl2_lifts(n, audit_bound)
+        elements = sl2_lifts(n)
     route_check = _route_consistency(n, elements, tol)
 
     derived = derived_table(n)
@@ -535,16 +533,18 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND, elemen
 INFEASIBILITY_CHECKS = ("hermiticity", "coeff_hermiticity", "covariance", "route_consistency")
 
 
-def full_report(n, tol=DEFAULT_TOL, audit_bound=DEFAULT_AUDIT_BOUND):
+def full_report(n, tol=DEFAULT_TOL, elements=None):
     """Run every condition family on the dimension's candidate table.
 
     For odd N the candidate is the solution and everything is expected to
     pass; for even N at least one of hermiticity, covariance or route
     consistency is expected to fail. The report records outcomes only;
-    verdicts against that expectation belong to the caller. The group is
-    enumerated first, so an N above ``audit_bound`` raises before any work.
+    verdicts against that expectation belong to the caller. ``elements``
+    is the list of lift tuples from :func:`latwig.lattice.sl2_lifts` that
+    both group audits share; by default it is built here.
     """
-    elements = sl2_lifts(n, audit_bound)
+    if elements is None:
+        elements = sl2_lifts(n)
     coeffs = coefficients_candidate(n)
     fset = assemble(coeffs)
     checks = {}

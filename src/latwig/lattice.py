@@ -3,7 +3,9 @@
 Group elements, determinants and gcd decompositions use plain Python
 integers, so they are exact; reduction mod N happens only where a residue
 is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
-SL(2, Z_N) is written down row by row from closed forms (:func:`sl2_enumerate`).
+SL(2, Z_N) is written down row by row from closed forms (:func:`sl2_enumerate`)
+for any N; how large an N is worth auditing is the caller's decision
+(``latwig check --audit-bound``).
 """
 
 import math
@@ -11,8 +13,6 @@ from dataclasses import dataclass
 from itertools import count, product
 
 import numpy as np
-
-DEFAULT_AUDIT_BOUND = 9
 
 
 def check_dim(n):
@@ -134,7 +134,7 @@ def _land_completion(kappa, lam, mu_res, nu_res, n):
     return SL2Element(kappa, lam, base.mu + j * kappa, base.nu + j * lam)
 
 
-def sl2_enumerate(n, audit_bound=DEFAULT_AUDIT_BOUND):
+def sl2_enumerate(n):
     """One exact-determinant-1 integer lift per element of SL(2, Z_N), O(N^3).
 
     Each primitive row (a, b) mod N is lifted to a coprime (kappa, lam) in
@@ -142,8 +142,6 @@ def sl2_enumerate(n, audit_bound=DEFAULT_AUDIT_BOUND):
     (mu0 + j*kappa, nu0 + j*lam) follow in the order of their residues.
     """
     check_dim(n)
-    if n > audit_bound:
-        raise ValueError(f"n = {n} exceeds the audit bound {audit_bound}")
     if n == 1:
         return [IDENTITY]
     out = []
@@ -154,23 +152,6 @@ def sl2_enumerate(n, audit_bound=DEFAULT_AUDIT_BOUND):
             row = [SL2Element(kappa, lam, base.mu + j * kappa, base.nu + j * lam) for j in range(n)]
             out.extend(sorted(row, key=lambda g: (g.mu % n, g.nu % n)))
     return out
-
-
-def sl2_order(n):
-    """Order of SL(2, Z_N): N^3 * prod over primes p | N of (1 - p^-2)."""
-    check_dim(n)
-    order = n ** 3
-    m, p = n, 2
-    seen = set()
-    while m > 1:
-        if m % p == 0:
-            if p not in seen:
-                seen.add(p)
-                order = order * (p * p - 1) // (p * p)
-            m //= p
-        else:
-            p += 1
-    return order
 
 
 def sl2_second_lift(g, n):
@@ -192,14 +173,14 @@ def sl2_second_lift(g, n):
     return _land_completion(g.kappa, g.lam + j * n, mu_res, nu_res, n)
 
 
-def sl2_lifts(n, audit_bound=DEFAULT_AUDIT_BOUND):
+def sl2_lifts(n):
     """Every element of SL(2, Z_N) with the two integer lifts the audits test.
 
     One tuple ``(g, sl2_second_lift(g, n))`` per element, in
-    :func:`sl2_enumerate` order. Built once, the list is shared by every
-    audit of a report.
+    :func:`sl2_enumerate` order. The caller builds the list once and passes
+    it to every audit of a report.
     """
-    return [(g, sl2_second_lift(g, n)) for g in sl2_enumerate(n, audit_bound=audit_bound)]
+    return [(g, sl2_second_lift(g, n)) for g in sl2_enumerate(n)]
 
 
 def line_sites(g, n):

@@ -3,10 +3,10 @@
 The library has one production path per computation; these are the
 independent forms it is checked against: the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on tables, the
-per-(s,t) route list, the determinant-filter enumeration of SL(2, Z_N) with
-its searched lifts, the inverse coefficient transform, lattice lines as
-tuples of sites, the invariant label of the line through a site, and the
-brute-force incidence check of the line families.
+per-(s,t) route list, the order of SL(2, Z_N) and its determinant-filter
+enumeration with searched lifts, the inverse coefficient transform,
+lattice lines as tuples of sites, the invariant label of the line through
+a site, and the brute-force incidence check of the line families.
 """
 
 import math
@@ -18,7 +18,6 @@ import numpy as np
 
 from latwig.fano import FanoCoefficients, _route_value
 from latwig.lattice import (
-    DEFAULT_AUDIT_BOUND,
     IDENTITY,
     SL2Element,
     _coprime_lift,
@@ -142,6 +141,23 @@ def land_completion_search(kappa, lam, mu_res, nu_res, n):
     )
 
 
+def sl2_order(n):
+    """Order of SL(2, Z_N): N^3 * prod over primes p | N of (1 - p^-2)."""
+    check_dim(n)
+    order = n ** 3
+    m, p = n, 2
+    seen = set()
+    while m > 1:
+        if m % p == 0:
+            if p not in seen:
+                seen.add(p)
+                order = order * (p * p - 1) // (p * p)
+            m //= p
+        else:
+            p += 1
+    return order
+
+
 def sl2_enumerate_filter(n):
     """SL(2, Z_N) by testing the determinant of all N^4 residue tuples, in order."""
     check_dim(n)
@@ -187,7 +203,7 @@ def route_kind(g, s, t, n):
     return None
 
 
-def derivation_routes(n, s, t, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
+def derivation_routes(n, s, t, elements=None):
     """All (lift, forced value) pairs for (s,t), over the group and lifts.
 
     ``elements`` is a list of lift tuples from
@@ -195,7 +211,7 @@ def derivation_routes(n, s, t, elements=None, audit_bound=DEFAULT_AUDIT_BOUND):
     """
     check_dim(n)
     if elements is None:
-        elements = sl2_lifts(n, audit_bound)
+        elements = sl2_lifts(n)
     return [
         (lift, _route_value(lift, s, t, n))
         for group in elements

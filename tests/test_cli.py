@@ -7,6 +7,7 @@ import pytest
 from latwig import fano
 from latwig.cli import main
 from latwig.serialize import format_float
+from oracles import sl2_order
 
 
 def run(tmp_path, *argv):
@@ -129,6 +130,20 @@ def test_wigner_csv_companions_stay_in_a_dotted_directory(tmp_path):
     assert main(["wigner", "--n", "3", "--format", "csv", "--out", str(out)]) == 0
     assert sorted(os.listdir(tmp_path / "out.d")) == ["grid", "grid_marginal_p", "grid_marginal_q"]
     assert os.listdir(tmp_path) == ["out.d"]
+
+
+@pytest.mark.parametrize("tag", ["imag", "marginal_q", "marginal_p"])
+def test_wigner_csv_companion_that_is_a_directory_is_a_usage_error(tmp_path, capsys, tag):
+    """Every companion the run may write (imag only above --tolerance) is
+    checked like --out, before any file is written."""
+    (tmp_path / f"w_{tag}.csv").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--n", "3", "--format", "csv", "--tolerance", "0",
+              "--out", str(tmp_path / "w.csv")])
+    assert exc.value.code == 2
+    assert f"w_{tag}.csv, written next to --out, is a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [f"w_{tag}.csv"]
+    assert os.listdir(tmp_path / f"w_{tag}.csv") == []
 
 
 def test_wigner_bad_state_spec(tmp_path, capsys):
@@ -279,6 +294,15 @@ def test_check_above_audit_bound_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--n", str(n)] for n in range(1, 10)] + [["--n", "10", "--audit-bound", "10"]])
+def test_check_reports_the_group_it_audited(tmp_path, argv):
+    out = tmp_path / "c.json"
+    assert main(["check", *argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["group_order"] == sl2_order(doc["n"])
+    assert doc["lifts_per_element"] == 2
+
+
 def test_check_beyond_the_default_bound_with_a_raised_audit_bound(tmp_path, capsys):
     out = tmp_path / "check11.json"
     assert main(["check", "--n", "11", "--audit-bound", "11", "--out", str(out)]) == 0
@@ -296,6 +320,15 @@ def test_negative_shots_and_seed_are_usage_errors(tmp_path, capsys):
     assert main(["wigner", "--n", "3", "--state", "random", "--seed", "-1", "--out", str(out)]) == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_shots_beyond_int64_are_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    for shots in (2**63, 99999999999999999999):
+        assert main(["tomo", "--n", "3", "--shots", str(shots), "--out", str(out)]) == 2
+        assert "--shots must be at most 2^63 - 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["tomo", "--n", "3", "--shots", str(2**63 - 1), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(

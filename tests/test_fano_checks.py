@@ -5,7 +5,7 @@ import pytest
 
 from latwig import fano
 from latwig.fano import FanoCoefficients
-from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate
+from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
 from latwig.operators import omega_pow
 from oracles import apply_covariance_transform, phase_phi
 
@@ -212,7 +212,7 @@ def test_full_report_passes_for_odd_n(n):
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
 def test_dichotomy_holds_beyond_the_default_audit_bound(n):
-    report = fano.full_report(n, audit_bound=n)
+    report = fano.full_report(n)
     assert fano.matches_parity_prediction(report)
     if n % 2:
         assert report.passed, report.failed_names()
@@ -222,9 +222,14 @@ def test_dichotomy_holds_beyond_the_default_audit_bound(n):
         assert witness.to_json_dict()["witness"] == [0, 0, 0, 1]
 
 
-def test_full_report_respects_audit_bound():
-    with pytest.raises(ValueError):
-        fano.full_report(11)
+def test_full_report_has_no_size_bound_and_shares_the_given_group():
+    """Above the CLI's default audit bound the library still audits, and a
+    group list passed in gives the same report as the one built inside."""
+    report = fano.full_report(11)
+    assert report.passed, report.failed_names()
+    assert fano.matches_parity_prediction(report)
+    given = fano.full_report(11, elements=sl2_lifts(11))
+    assert given.to_json_dict() == report.to_json_dict()
 
 
 def test_report_json_shape():

@@ -232,7 +232,7 @@ def test_planted_violation_seen_only_by_a_second_lift():
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_route_consistency_matches_loop_oracle(n):
-    elements = sl2_lifts(n, audit_bound=n)
+    elements = sl2_lifts(n)
     checks, _ = fano.uniqueness_audit(n, elements=elements)
     assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, 1e-10))
 

@@ -17,7 +17,6 @@ from latwig.lattice import (
     sl2_complete,
     sl2_enumerate,
     sl2_lifts,
-    sl2_order,
     sl2_second_lift,
 )
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     line_label,
     line_points,
     sl2_lifts_search,
+    sl2_order,
     sl2_second_lift_search,
 )
 
@@ -138,12 +138,6 @@ def test_sl2_enumerate_exact_lifts_cover_distinct_classes(n):
     assert len({g.residues(n) for g in elems}) == len(elems)
 
 
-def test_sl2_enumerate_respects_audit_bound():
-    with pytest.raises(ValueError):
-        sl2_enumerate(10)
-    assert len(sl2_enumerate(10, audit_bound=10)) == sl2_order(10)
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sl2_second_lift_same_class_different_integers(n):
     for g in sl2_enumerate(n):
@@ -159,8 +153,8 @@ def test_sl2_enumerate_and_lifts_equal_the_search_oracles(n):
     integers in the same order as the determinant filter with searched
     landings, and the same second lifts."""
     want = sl2_lifts_search(n)
-    assert [g.as_tuple() for g in sl2_enumerate(n, n)] == [g.as_tuple() for g, _ in want]
-    assert [tuple(h.as_tuple() for h in group) for group in sl2_lifts(n, n)] == [
+    assert [g.as_tuple() for g in sl2_enumerate(n)] == [g.as_tuple() for g, _ in want]
+    assert [tuple(h.as_tuple() for h in group) for group in sl2_lifts(n)] == [
         tuple(h.as_tuple() for h in group) for group in want
     ]
 
@@ -227,7 +221,7 @@ def test_lines_of_fixed_direction_partition_the_grid(n):
 def test_line_sites_rows_are_the_lines_and_partition_the_grid(n):
     """Row p0 is the line with label p0 in r order, and the N rows cover
     the N^2 sites."""
-    for group in sl2_lifts(n, audit_bound=n):
+    for group in sl2_lifts(n):
         for g in group:
             q, p = line_sites(g, n)
             assert q.shape == p.shape == (n, n)
@@ -266,7 +260,7 @@ def test_line_points_rejects_degenerate_direction():
 def test_lift_searches_succeed_beyond_the_default_bound(n):
     """The fixed-budget searches (25 shifts in the first lift, 7 in the
     second) cover every residue class of SL(2, Z_N) up to N = 25."""
-    pairs = sl2_lifts(n, audit_bound=n)
+    pairs = sl2_lifts(n)
     assert len(pairs) == sl2_order(n)
     assert len({g.residues(n) for g, _ in pairs}) == len(pairs)
     for g, h in pairs:
