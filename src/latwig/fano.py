@@ -333,8 +333,7 @@ def _lift_entries(lifts, n):
     The reduction keeps every index map mod N and every :func:`_two_phi`
     exponent, and bounds every product of the vectorised audits.
     """
-    entries = np.array([[x % (2 * n) for x in g.as_tuple()] for g in lifts], dtype=np.int64)
-    return np.ascontiguousarray(entries.reshape(-1, 4).T)
+    return np.array([x % (2 * n) for g in lifts for x in g.as_tuple()], dtype=np.int64).reshape(-1, 4).T
 
 
 def _covariance_scan(table, lifts, tol):

@@ -10,7 +10,7 @@ for any N; how large an N is worth auditing is the caller's decision
 
 import math
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count, groupby, product
 
 import numpy as np
 
@@ -123,15 +123,14 @@ def _coprime_lift(a, b, n):
     raise ValueError(f"no coprime lift found for ({a}, {b}) mod {n}")
 
 
-def _land_completion(kappa, lam, mu_res, nu_res, n):
-    """Completion of (kappa, lam) whose (mu, nu) lie in given residue classes.
+def _land_completion(base, mu_res, nu_res, n):
+    """The completion of base's row (kappa, lam) whose (mu, nu) lie in given residue classes.
 
     The general solution of kappa*nu - mu*lam = 1 is (mu0 + j*kappa,
     nu0 + j*lam); as kappa*nu0 - mu0*lam = 1, j = nu0*mu_res - mu0*nu_res mod N.
     """
-    base = sl2_complete(kappa, lam)
     j = (base.nu * mu_res - base.mu * nu_res) % n
-    return SL2Element(kappa, lam, base.mu + j * kappa, base.nu + j * lam)
+    return SL2Element(base.kappa, base.lam, base.mu + j * base.kappa, base.nu + j * base.lam)
 
 
 def sl2_enumerate(n):
@@ -154,33 +153,46 @@ def sl2_enumerate(n):
     return out
 
 
+def _second_row(kappa, lam, n):
+    """The coprime row on which every element of row (kappa, lam) has its second lift.
+
+    The first of the +N shifts of (kappa, lam) that is coprime. If none is,
+    lam + j*N for the first coprime j >= 3 (j = 3P works, P the product of
+    the primes dividing kappa but not N).
+    """
+    shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
+    for da, db in shifts:
+        if math.gcd(kappa + da, lam + db) == 1:
+            return kappa + da, lam + db
+    j = next(j for j in count(3) if math.gcd(kappa, lam + j * n) == 1)
+    return kappa, lam + j * n
+
+
 def sl2_second_lift(g, n):
     """A different integer lift of the same residue class as g.
 
     The +N shifts probe whether downstream phase functions depend on the
-    choice of lift rather than on the residue class alone. If no shift
-    gives a coprime row, lam + j*N is used for the first coprime j >= 3
-    (j = 3P works, P the product of the primes dividing kappa but not N).
+    choice of lift rather than on the residue class alone; the row is
+    chosen by :func:`_second_row`.
     """
     check_dim(n)
     _, _, mu_res, nu_res = g.residues(n)
-    shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
-    for da, db in shifts:
-        kappa, lam = g.kappa + da, g.lam + db
-        if math.gcd(kappa, lam) == 1:
-            return _land_completion(kappa, lam, mu_res, nu_res, n)
-    j = next(j for j in count(3) if math.gcd(g.kappa, g.lam + j * n) == 1)
-    return _land_completion(g.kappa, g.lam + j * n, mu_res, nu_res, n)
+    return _land_completion(sl2_complete(*_second_row(g.kappa, g.lam, n)), mu_res, nu_res, n)
 
 
 def sl2_lifts(n):
     """Every element of SL(2, Z_N) with the two integer lifts the audits test.
 
     One tuple ``(g, sl2_second_lift(g, n))`` per element, in
-    :func:`sl2_enumerate` order. The caller builds the list once and passes
-    it to every audit of a report.
+    :func:`sl2_enumerate` order. The N elements of a row share (kappa, lam),
+    so the second row and its base completion are found once per row. The
+    caller builds the list once and passes it to every audit of a report.
     """
-    return [(g, sl2_second_lift(g, n)) for g in sl2_enumerate(n)]
+    out = []
+    for (kappa, lam), row in groupby(sl2_enumerate(n), key=lambda g: (g.kappa, g.lam)):
+        second = sl2_complete(*_second_row(kappa, lam, n))
+        out.extend([(g, _land_completion(second, g.mu % n, g.nu % n, n)) for g in row])
+    return out
 
 
 def line_sites(g, n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from latwig import lattice
 from latwig.lattice import (
     IDENTITY,
     SL2Element,
@@ -147,7 +148,7 @@ def test_sl2_second_lift_same_class_different_integers(n):
         assert h.kappa * h.nu - h.mu * h.lam == 1
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", [*range(1, 21), 25])
 def test_sl2_enumerate_and_lifts_equal_the_search_oracles(n):
     """The row-by-row enumeration and the closed-form landing give the same
     integers in the same order as the determinant filter with searched
@@ -169,7 +170,7 @@ def test_sl2_second_lift_when_every_shift_shares_a_factor(n, kappa, lam, j):
     base = sl2_complete(kappa, lam)
     for i in range(n):
         mu_res, nu_res = (base.mu + i * kappa) % n, (base.nu + i * lam) % n
-        g = _land_completion(kappa, lam, mu_res, nu_res, n)
+        g = _land_completion(base, mu_res, nu_res, n)
         assert g == land_completion_search(kappa, lam, mu_res, nu_res, n)
         h = sl2_second_lift(g, n)
         assert (h.kappa, h.lam) == (kappa, lam + j * n)
@@ -178,6 +179,28 @@ def test_sl2_second_lift_when_every_shift_shares_a_factor(n, kappa, lam, j):
         assert h.kappa * h.nu - h.mu * h.lam == 1
     with pytest.raises(ValueError, match="no second lift"):
         sl2_second_lift_search(g, n)
+
+
+def _row(kappa, lam, n):
+    """The N completions of (kappa, lam), in the order sl2_enumerate lists them."""
+    base = sl2_complete(kappa, lam)
+    row = [SL2Element(kappa, lam, base.mu + i * kappa, base.nu + i * lam) for i in range(n)]
+    return sorted(row, key=lambda g: (g.mu % n, g.nu % n))
+
+
+@pytest.mark.parametrize("n,kappa,lam,j", [(233, 40, 299, 4), (253, 104, 495, 4), (293, 77, 162, 3)])
+def test_sl2_lifts_on_a_row_that_needs_the_fallback(monkeypatch, n, kappa, lam, j):
+    """sl2_lifts finds each row's second row once; on a row whose +N shifts
+    all fail it lands every element where the search lands it. The group at
+    these N is too large to build, so the enumeration is cut to two rows."""
+    identity_row, fallback_row = _row(1, 0, n), _row(kappa, lam, n)
+    monkeypatch.setattr(lattice, "sl2_enumerate", lambda _n: identity_row + fallback_row)
+    lifts = sl2_lifts(n)
+    assert lifts == [(g, sl2_second_lift(g, n)) for g in identity_row + fallback_row]
+    assert lifts[n:] == [
+        (g, land_completion_search(kappa, lam + j * n, g.mu % n, g.nu % n, n)) for g in fallback_row
+    ]
+    assert [h for _, h in lifts[:n]] == [sl2_second_lift_search(g, n) for g in identity_row]
 
 
 def test_compose_is_exact_matrix_product():

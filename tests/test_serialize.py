@@ -68,6 +68,9 @@ def _plain(obj):
 
 CLI_DOCUMENTS = [
     *[["fano", "--n", str(n)] for n in range(1, 7)],
+    # The first sizes whose operators repeat many values across arrays.
+    ["fano", "--n", "9"],
+    ["fano", "--n", "12"],
     ["check", "--n", "4"],
     ["check", "--n", "5"],
     ["wigner", "--n", "5", "--state", "random", "--seed", "3"],
@@ -136,6 +139,69 @@ def test_structured_array_becomes_a_list_of_flat_objects():
 def test_unsupported_arrays_raise_type_error(a):
     with pytest.raises(TypeError):
         serialize.dumps_json({"a": a})
+
+
+# ---------------------------------------------------------------------------
+# The per-dump text cache is keyed by bit pattern: values that compare equal
+# but print differently, and repeats across arrays, dtypes and records.
+
+
+def _matches_reference(doc):
+    return serialize.dumps_json(doc) == reference_dumps_json(_plain(doc))
+
+
+@pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
+def test_signed_zeros_in_later_arrays_keep_their_sign(first, later):
+    doc = {"a": np.full((2, 3), first), "b": np.array([later, first, later])}
+    assert _matches_reference(doc)
+    f, x = serialize.format_float(first), serialize.format_float(later)
+    assert serialize.dumps_json(doc) == f'{{"a":[[{f},{f},{f}],[{f},{f},{f}]],"b":[{x},{f},{x}]}}\n'
+
+
+def test_nans_of_every_sign_and_payload_match_the_reference_emitter():
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF0000000000001, 0x7FF8DEADBEEF0001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    nans = bits.view(np.float64)
+    assert np.isnan(nans).all()
+    doc = {"a": nans, "b": nans[::-1].reshape(2, 3), "c": np.concatenate([nans, [0.0, -0.0]])}
+    assert _matches_reference(doc)
+
+
+def test_a_value_shared_by_float32_and_float64_arrays():
+    shared = np.float32(0.1)
+    doc = {"f32": np.array([shared, 1.5], dtype=np.float32),
+           "f64": np.array([float(shared), 0.1, -0.0])}
+    assert _matches_reference(doc)
+    assert serialize.dumps_json(doc).count("0.10000000149011612") == 2
+
+
+def test_a_record_field_shares_texts_with_a_plain_array():
+    values = np.array([2 / 3, -0.0, np.nan, 1e-300])
+    rows = np.zeros(4, dtype=[("k", np.int64), ("re", float), ("im", np.float32)])
+    rows["k"] = [3, -1, 0, 2**40]
+    rows["re"] = values[::-1]
+    rows["im"] = [0.0, 0.5, -np.inf, 2 / 3]
+    assert _matches_reference({"plain": values, "rows": rows, "again": values.reshape(2, 2)})
+    assert _matches_reference({"rows": rows, "plain": values})
+
+
+def test_no_text_outlives_a_dump(monkeypatch):
+    assert serialize.dumps_json(np.array([0.0])) == "[0]\n"
+    assert serialize.dumps_json(np.array([-0.0])) == "[-0]\n"
+    assert serialize.dumps_json(np.array([0.0])) == "[0]\n"
+    seen = []
+    texts = serialize._texts
+
+    def spy(a, cache):
+        seen.append((cache, len(cache)))
+        return texts(a, cache)
+
+    monkeypatch.setattr(serialize, "_texts", spy)
+    doc = {"a": np.array([0.5, -0.0]), "b": np.array([[0.5]])}
+    assert serialize.dumps_json(doc) == serialize.dumps_json(doc) == '{"a":[0.5,-0],"b":[[0.5]]}\n'
+    # Each dump starts from an empty cache of its own and shares it across arrays.
+    assert [size for _, size in seen] == [0, 2, 0, 2]
+    assert seen[0][0] is seen[1][0] and seen[2][0] is seen[3][0] and seen[0][0] is not seen[2][0]
 
 
 def _reference_grid_csv(values):
