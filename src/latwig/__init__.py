@@ -4,7 +4,8 @@ Library layout:
 
 - ``lattice``: exact modular arithmetic, SL(2, Z_N) lifts, lines as index arrays
 - ``operators``: clock/shift pair, momentum basis, exact phase arithmetic
-- ``fano``: coefficient tables, phase-point operators, condition audits
+- ``fano``: coefficient tables, phase-point operators (dense, and the odd-N
+  closed form as phased permutations), condition audits
 - ``wigner``: density matrix <-> grid transforms, tilted-line marginals
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
 - ``cli``: the ``latwig`` command
@@ -12,12 +13,14 @@ Library layout:
 The exact and plain-loop references the tests check these against (the
 Fraction-valued covariance phase, the group action on tables, the order
 of SL(2, Z_N), lines as tuples of sites, the invariant label of the line
-through a site, the per-(s,t) route list, the incidence check) live in
-``tests/oracles.py``, not in the package.
+through a site, the per-(s,t) route list, the incidence check, the dense
+einsum transforms, the split-parity table, the clock and shift matrices)
+live in ``tests/oracles.py``, not in the package.
 """
 
 from .fano import (
     ConditionReport,
+    DisplacedParitySet,
     FanoCoefficients,
     FanoOperatorSet,
     assemble,
@@ -26,13 +29,12 @@ from .fano import (
     check_marginals,
     check_orthogonality,
     coefficients_candidate,
-    coefficients_cohendet,
     coefficients_odd,
     full_report,
     uniqueness_audit,
 )
 from .lattice import SL2Element, gcd_decompose, sl2_complete, sl2_enumerate
-from .operators import clock_matrix, momentum_vector, omega_pow, shift_matrix
+from .operators import momentum_vector
 from .tomography import mub_line_families, reconstruct_density, simulate_marginals
 from .wigner import WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
 
@@ -40,6 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionReport",
+    "DisplacedParitySet",
     "FanoCoefficients",
     "FanoOperatorSet",
     "SL2Element",
@@ -49,9 +52,7 @@ __all__ = [
     "check_hermiticity",
     "check_marginals",
     "check_orthogonality",
-    "clock_matrix",
     "coefficients_candidate",
-    "coefficients_cohendet",
     "coefficients_odd",
     "density_from_wigner",
     "full_report",
@@ -59,9 +60,7 @@ __all__ = [
     "marginal_along_line",
     "momentum_vector",
     "mub_line_families",
-    "omega_pow",
     "reconstruct_density",
-    "shift_matrix",
     "simulate_marginals",
     "sl2_complete",
     "sl2_enumerate",

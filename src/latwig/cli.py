@@ -35,6 +35,11 @@ CONTRADICTION = 1
 # Largest N that `check` audits unless --audit-bound raises it.
 DEFAULT_AUDIT_BOUND = 9
 
+# Largest N `marginal` accepts. Its projector check holds the direction's N
+# line sums, an N^3 complex stack, next to one residual: peak RSS is about
+# 51*N^3 bytes, 414 MiB at N = 201 and 768 MiB at N = 251.
+MARGINAL_MAX_N = 201
+
 
 class CliError(Exception):
     pass
@@ -74,7 +79,7 @@ def _require_odd(n):
 
 
 def _solution_set(n):
-    return fano.assemble(fano.coefficients_odd(n))
+    return fano.DisplacedParitySet(n)
 
 
 def cmd_fano(args):
@@ -175,6 +180,9 @@ def _companions(args):
 def cmd_marginal(args):
     n = args.n
     _require_odd(n)
+    if n > MARGINAL_MAX_N:
+        raise CliError(f"--n {n} exceeds {MARGINAL_MAX_N}, the largest N whose N^3 stack of "
+                       "line sums `marginal` builds for its projector check")
     try:
         g = sl2_complete(args.kappa, args.lam)
     except ValueError as exc:

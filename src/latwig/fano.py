@@ -11,7 +11,13 @@ reports, because failure is the expected outcome for even N.
 Construction runs on ``numpy.fft``: the table-to-position transform and the
 monomial expansion are FFTs over single axes of the N^4 table, so
 ``assemble`` costs O(N^4 log N) time and about three N^4 complex arrays of
-memory (the table plus at most two work or output arrays at a time).
+memory (the table plus at most two work or output arrays at a time). The
+dense operators serve the ``fano`` artifact and the operator-level audits
+of ``check``, which must also hold even-N candidates: those are not
+sparse (10 nonzeros per operator at N = 4, 36 at N = 8). The transforms,
+marginals and tomography use :class:`DisplacedParitySet`, the odd-N
+solution in closed form: each operator is a phased permutation, and the
+set holds no array at all.
 
 The group audits share one list of SL(2, Z_N) lifts, ``elements`` from
 :func:`latwig.lattice.sl2_lifts`, and none of them bounds N. The covariance
@@ -63,6 +69,54 @@ class FanoOperatorSet:
 
     n: int
     operators: np.ndarray  # complex, shape (n, n, n, n), indexed [q, p, i, j]
+
+
+@dataclass(frozen=True)
+class DisplacedParitySet:
+    """The N^2 closed-form phase-point operators, each a phased permutation.
+
+    D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)): row i of
+    D(q,p) has its one nonzero at column j = 2q - i. This is the parity
+    i -> -i displaced to (q,p) (Wootters, Ann. Phys. 176, 1 (1987); Cohendet
+    et al., J. Phys. A 21, 2875 (1988)). For odd N it is the set that
+    ``assemble(coefficients_odd(n))`` builds densely, the unique solution.
+    Every entry is a function of (q, p, i) mod N, so the set holds N alone.
+    For even N the formula still defines N^2 operators, but they are not
+    trace-orthogonal (:meth:`is_orthogonal`) and are not the candidate
+    table's operators.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        check_dim(self.n)
+
+    def nonzeros(self, q, p):
+        """Columns and values of the nonzeros of D(q,p), row by row.
+
+        q and p are integer arrays of one shape S holding canonical residues;
+        both results have shape S + (N,), entry [..., i] belonging to row i.
+        A value is omega^(p*(j - i)) / N, read from the exact integer-exponent
+        table.
+        """
+        n = self.n
+        i = np.arange(n)
+        q, p = np.asarray(q)[..., np.newaxis], np.asarray(p)[..., np.newaxis]
+        j = (2 * q - i) % n
+        return j, _omega_table(n)[(p * (j - i)) % n] / n
+
+    def is_orthogonal(self):
+        """Whether Tr[D(q,p) D(q',p')^dag] = (1/N) delta(q,q') delta(p,p') at every site pair.
+
+        Decided from the structure, with no Gram product. The supports of
+        D(q,.) and D(q',.) are disjoint unless 2q = 2q' mod N, and on one
+        support the phases omega^(p*(2q - 2i)) of the N rows i are N distinct
+        characters of p unless i -> 2i mod N repeats a value. Both maps are
+        injective, and the set is orthogonal, exactly when 2 is a unit mod N,
+        that is when N is odd. For even N, q and q + N/2 share a support, and
+        Tr[D(q,p) D(q,p + N/2)^dag] has modulus 1/N.
+        """
+        return self.n % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -148,29 +202,6 @@ def coefficients_odd(n):
     if n % 2 == 0:
         raise ValueError(f"no solution table exists for even N = {n}; use coefficients_candidate")
     return coefficients_candidate(n)
-
-
-def coefficients_cohendet(n):
-    """Equivalent odd-N form with the phase split by the parity of n.
-
-    a~ = (1/N^2) omega^(-n*m/2) delta(s,m) delta(t,n) for even n, and
-    (1/N^2) omega^(-(n+N)*m/2) delta(s,m) delta(t,n) for odd n; both
-    exponents are integers when N is odd.
-    """
-    check_dim(n)
-    if n % 2 == 0:
-        raise ValueError(f"the split-parity form requires odd N, got {n}")
-    om = _omega_table(n)
-    table = np.zeros((n, n, n, n), dtype=complex)
-    for s in range(n):
-        for t in range(n):
-            nn, mm = t, s
-            if nn % 2 == 0:
-                exp = (-(nn * mm) // 2) % n
-            else:
-                exp = (-((nn + n) * mm) // 2) % n
-            table[s, t, nn, mm] = om[exp] / n**2
-    return FanoCoefficients(n, table)
 
 
 def coefficients_to_position(c):

@@ -1,4 +1,4 @@
-"""Clock/shift matrices, the discrete momentum basis, and exact phase arithmetic.
+"""Clock/shift monomials, the discrete momentum basis, and exact phase arithmetic.
 
 All phases are unit-modulus numbers omega^x with omega = exp(2*pi*i/N).
 Exponents are kept as exact integers or half-integers and reduced mod N
@@ -6,7 +6,6 @@ Exponents are kept as exact integers or half-integers and reduced mod N
 phases are never accumulated by repeated floating multiplication.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -46,35 +45,6 @@ def omega_int(k, n):
 def omega_half(two_k, n):
     """omega^(two_k/2) for an exact integer doubled exponent two_k."""
     return complex(_half_omega_table(n)[two_k % (2 * n)])
-
-
-def omega_pow(x, n):
-    """omega^x for an exact integer or half-integer exponent x.
-
-    Accepts int or Fraction with denominator 1 or 2. The doubled exponent
-    is reduced mod 2N before exponentiation, so the result is identical
-    for all exponents in the same class.
-    """
-    check_dim(n)
-    frac = Fraction(x)
-    if frac.denominator not in (1, 2):
-        raise ValueError(f"exponent must be integer or half-integer, got {x!r}")
-    return omega_half(int(2 * frac), n)
-
-
-def clock_matrix(n):
-    """Diagonal matrix diag(1, omega, ..., omega^(N-1)); P|q> = omega^q |q>."""
-    check_dim(n)
-    return np.diag(_omega_table(n)).astype(complex)
-
-
-def shift_matrix(n):
-    """Cyclic shift with ones on the superdiagonal and lower-left corner."""
-    check_dim(n)
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        s[i, (i + 1) % n] = 1.0
-    return s
 
 
 def momentum_vector(p, n):
@@ -146,11 +116,3 @@ def random_density_matrix(n, rng):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = x @ x.conj().T
     return rho / rho.trace()
-
-
-def random_pure_density(n, rng):
-    """Projector onto a Haar-ish random pure state."""
-    check_dim(n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())

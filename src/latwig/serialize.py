@@ -2,9 +2,10 @@
 
 Floats are printed with 17 significant digits and dict keys keep insertion
 order, so identical runs produce byte-identical artifacts. Files are
-written atomically: a uniquely named temp file in the target's directory is
-renamed onto the target, so concurrent writers never share a temp file and
-readers see either the old or a complete new artifact.
+written atomically: a uniquely named temp file in the target's directory,
+filled with the UTF-8 bytes of the text one chunk at a time, is renamed
+onto the target, so concurrent writers never share a temp file and readers
+see either the old or a complete new artifact.
 
 Numeric data reaches the emitter as numpy arrays. A float array becomes
 nested JSON lists; a 1-D structured array becomes a list of flat objects,
@@ -35,6 +36,9 @@ import numpy as np
 # once at import, before any writer thread exists, rather than per write.
 _UMASK = os.umask(0)
 os.umask(_UMASK)
+
+# Characters encoded and written at a time by write_atomic.
+WRITE_CHUNK = 1 << 20
 
 
 def format_float(x):
@@ -163,14 +167,20 @@ def complex_matrix_dict(m):
 
 
 def write_atomic(path, text):
-    """Write text to path via a temp file and rename; no temp file survives a failure."""
+    """Write text to path via a temp file and rename; no temp file survives a failure.
+
+    The text is encoded to UTF-8 WRITE_CHUNK characters at a time, so the
+    write holds one chunk's bytes, not a second copy of the whole artifact.
+    A slice never splits a code point, so the bytes are the whole text's.
+    """
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "wb") as fh:
             # mkstemp creates mode 0600; give the artifact the mode open() would.
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(text)
+            for start in range(0, len(text), WRITE_CHUNK):
+                fh.write(text[start:start + WRITE_CHUNK].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -1,16 +1,28 @@
 """Density matrix <-> Wigner grid transforms and tilted-line marginals.
 
+The operators are the closed-form odd-N set, :class:`latwig.fano.DisplacedParitySet`:
+D(q,p)[i,j] = (1/N) delta(i + j = 2q) omega^(p*(j - i)), indices mod N. With
+i = q - k and j = q + k the transform pair is
+
+    W(q,p) = (1/N) sum_k rho[q+k, q-k] omega^(2pk),
+    rho[q+k, q-k] = sum_p W(q,p) omega^(-2pk),
+
+so either direction is one N x N gather or scatter of rho, one batch of N
+length-N FFTs and the column permutation p -> 2p mod N: O(N^2 log N) time
+and O(N^2) memory. The line sums of a direction are an O(N^3) scatter of
+the operators' N nonzeros per row, added in the order of the lines' sites.
+
 The grid is stored complex even though it is real for hermitian operator
-sets: the even-N candidate produces non-hermitian phase-point operators and
-its complex "Wigner" output must remain representable so that violations
-can be reported instead of silently truncated.
+sets: a grid read from elsewhere need not be, and its imaginary part must
+remain representable so that violations can be reported instead of
+silently truncated.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fano import CheckResult, _result, _site_gram_residuals
+from .fano import CheckResult, DisplacedParitySet, _result
 from .lattice import SL2Element, check_dim, line_sites
 from .operators import DEFAULT_TOL, monomial, omega_int
 
@@ -51,25 +63,50 @@ class MarginalDistribution:
 
 
 def wigner_from_density(rho, f):
-    """W(q,p) = Tr[D(q,p) rho] at every lattice site.
+    """W(q,p) = Tr[D(q,p) rho] at every lattice site, for f a DisplacedParitySet.
 
     rho is not validated as a density matrix: this is a linear map defined
     on every N x N matrix, and callers (the round trip through
     `density_from_wigner`, for one) feed it matrices that are not PSD.
     """
+    n = _closed_form_dim(f)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (f.n, f.n):
-        raise ValueError(f"density matrix shape {rho.shape} does not match N = {f.n}")
-    return WignerGrid(f.n, np.einsum("qpij,ji->qp", f.operators, rho))
+    if rho.shape != (n, n):
+        raise ValueError(f"density matrix shape {rho.shape} does not match N = {n}")
+    plus, minus, doubled = _fold(n)
+    # y[q, m] = sum_k rho[q+k, q-k] omega^(mk); W(q,p) = y[q, 2p] / N.
+    y = np.fft.ifft(rho[plus, minus], axis=1, norm="forward")
+    return WignerGrid(n, y[:, doubled] / n)
 
 
 def density_from_wigner(w, f):
     """rho = N * sum_qp D(q,p)^dag W(q,p); exact inverse for orthogonal sets."""
-    if w.n != f.n:
-        raise ValueError(f"grid dimension {w.n} does not match operator set {f.n}")
-    if _site_gram_residuals(f).max() > 1e-8:
+    n = _closed_form_dim(f)
+    if w.n != n:
+        raise ValueError(f"grid dimension {w.n} does not match operator set {n}")
+    if not f.is_orthogonal():
         raise ValueError("operator set is not trace-orthogonal; inverse not guaranteed")
-    return f.n * np.einsum("qp,qpji->ij", w.values, f.operators.conj())
+    plus, minus, doubled = _fold(n)
+    z = np.empty((n, n), dtype=complex)
+    z[:, doubled] = w.values
+    rho = np.empty((n, n), dtype=complex)
+    # fft(z)[q, k] = sum_p W(q,p) omega^(-2pk) = rho[q+k, q-k].
+    rho[plus, minus] = np.fft.fft(z, axis=1)
+    return rho
+
+
+def _fold(n):
+    """The index maps of the transform pair: (q+k, q-k) mod N as [q, k]
+    arrays, and p -> 2p mod N. For odd N each is a bijection."""
+    q, k = np.indices((n, n))
+    return (q + k) % n, (q - k) % n, (2 * np.arange(n)) % n
+
+
+def _closed_form_dim(f):
+    """N of the set; the transforms are written for the closed form alone."""
+    if not isinstance(f, DisplacedParitySet):
+        raise TypeError(f"the transforms take a DisplacedParitySet, got {type(f).__name__}")
+    return f.n
 
 
 def marginal_along_line(w, g):
@@ -88,10 +125,19 @@ def marginal_along_line(w, g):
 def line_sum_operators(f, g):
     """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j].
 
-    Each sum adds the line's operators in r order.
+    Each sum adds the line's operators in r order, one site of every line
+    at a time: site r adds the N nonzeros of its operator (one per row), so
+    an entry that several sites share collects them in r order, as adding
+    the dense operators would.
     """
-    q, p = line_sites(g, f.n)
-    return f.operators[q, p].sum(axis=1)
+    n = f.n
+    q, p = line_sites(g, n)
+    m = np.zeros((n, n, n), dtype=complex)
+    lines, rows = np.arange(n)[:, np.newaxis], np.arange(n)
+    for r in range(n):
+        cols, values = f.nonzeros(q[:, r], p[:, r])
+        m[lines, rows, cols] += values
+    return m
 
 
 def direction_unitary(g, n):
@@ -158,21 +204,23 @@ def line_projector_check(f, g, tol=DEFAULT_TOL):
     assumed to be one. As V^N = 1, its N eigenvalues are N-th roots of
     unity, so every label's multiplicity is 1 exactly when the largest is.
     """
-    n = f.n
-    if n % 2 == 0:
+    if f.n % 2 == 0:
         raise ValueError("no valid operator set exists for even N")
-    m = line_sum_operators(f, g)
+    return _projector_report(line_sum_operators(f, g), g, tol)
+
+
+def _projector_report(m, g, tol):
+    """The checks of :func:`line_projector_check` on a stack m[p0, i, j] of N line sums."""
+    n = m.shape[0]
     v = direction_unitary(g, n)
     target = np.array([omega_int(-p0, n) for p0 in range(n)])
-    res_h = np.abs(m - m.conj().transpose(0, 2, 1))
-    res_i = np.abs(m @ m - m)
-    res_t = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
-    res_e = np.abs(v @ m - target[:, None, None] * m)
     multiplicity = (np.abs(np.linalg.eigvals(v) - target[:, None]) < 1e-6).sum(axis=1).max()
+    # Each residual is reduced to its result before the next is formed, so
+    # at most one N^3 residual is alive next to m.
     return LineProjectorReport(
-        hermitian=_result("projector_hermitian", res_h, tol),
-        idempotent=_result("projector_idempotent", res_i, tol),
-        trace=_result("projector_trace", res_t, tol),
-        eigen_relation=_result("projector_eigen_relation", res_e, tol),
+        hermitian=_result("projector_hermitian", np.abs(m - m.conj().transpose(0, 2, 1)), tol),
+        idempotent=_result("projector_idempotent", np.abs(m @ m - m), tol),
+        trace=_result("projector_trace", np.abs(np.trace(m, axis1=1, axis2=2) - 1.0), tol),
+        eigen_relation=_result("projector_eigen_relation", np.abs(v @ m - target[:, None, None] * m), tol),
         eigenvalue_multiplicity=int(multiplicity),
     )

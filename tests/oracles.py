@@ -6,7 +6,10 @@ phase, the dense int64 exponent table and the group action on tables, the
 per-(s,t) route list, the order of SL(2, Z_N) and its determinant-filter
 enumeration with searched lifts, the inverse coefficient transform,
 lattice lines as tuples of sites, the invariant label of the line through
-a site, and the brute-force incidence check of the line families.
+a site, the brute-force incidence check of the line families, the dense
+N^4 expansion of the closed-form operator set with the einsum transforms
+on it, the split-parity solution table, the clock and shift matrices, the
+half-integer phase ``omega_pow`` and random pure states.
 """
 
 import math
@@ -16,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from latwig.fano import FanoCoefficients, _route_value
+from latwig.fano import FanoCoefficients, FanoOperatorSet, _route_value
 from latwig.lattice import (
     IDENTITY,
     SL2Element,
@@ -26,7 +29,7 @@ from latwig.lattice import (
     sl2_complete,
     sl2_lifts,
 )
-from latwig.operators import _half_omega_table
+from latwig.operators import _half_omega_table, _omega_table, omega_half
 from latwig.tomography import mub_line_families
 
 
@@ -241,3 +244,88 @@ def incidence_ok(n):
             if common != 1:
                 return False
     return True
+
+
+def omega_pow(x, n):
+    """omega^x for an exact integer or half-integer exponent x.
+
+    Accepts int or Fraction with denominator 1 or 2. The doubled exponent
+    is reduced mod 2N before exponentiation, so the result is identical
+    for all exponents in the same class.
+    """
+    check_dim(n)
+    frac = Fraction(x)
+    if frac.denominator not in (1, 2):
+        raise ValueError(f"exponent must be integer or half-integer, got {x!r}")
+    return omega_half(int(2 * frac), n)
+
+
+def clock_matrix(n):
+    """Diagonal matrix diag(1, omega, ..., omega^(N-1)); P|q> = omega^q |q>."""
+    check_dim(n)
+    return np.diag(_omega_table(n)).astype(complex)
+
+
+def shift_matrix(n):
+    """Cyclic shift with ones on the superdiagonal and lower-left corner."""
+    check_dim(n)
+    s = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        s[i, (i + 1) % n] = 1.0
+    return s
+
+
+def random_pure_density(n, rng):
+    """Projector onto a Haar-ish random pure state."""
+    check_dim(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def coefficients_cohendet(n):
+    """Equivalent odd-N form with the phase split by the parity of n.
+
+    a~ = (1/N^2) omega^(-n*m/2) delta(s,m) delta(t,n) for even n, and
+    (1/N^2) omega^(-(n+N)*m/2) delta(s,m) delta(t,n) for odd n; both
+    exponents are integers when N is odd.
+    """
+    check_dim(n)
+    if n % 2 == 0:
+        raise ValueError(f"the split-parity form requires odd N, got {n}")
+    om = _omega_table(n)
+    table = np.zeros((n, n, n, n), dtype=complex)
+    for s in range(n):
+        for t in range(n):
+            nn, mm = t, s
+            if nn % 2 == 0:
+                exp = (-(nn * mm) // 2) % n
+            else:
+                exp = (-((nn + n) * mm) // 2) % n
+            table[s, t, nn, mm] = om[exp] / n**2
+    return FanoCoefficients(n, table)
+
+
+def expand_operators(f):
+    """The dense N^4 operators [q, p, i, j] of a DisplacedParitySet, entry by entry.
+
+    D(q,p)[i, 2q - i] = omega^(p*(j - i)) / N with j = 2q - i mod N; every
+    other entry is 0.
+    """
+    n = f.n
+    ops = np.zeros((n, n, n, n), dtype=complex)
+    om = _omega_table(n)
+    for q, p, i in product(range(n), repeat=3):
+        j = (2 * q - i) % n
+        ops[q, p, i, j] = om[(p * (j - i)) % n] / n
+    return FanoOperatorSet(n, ops)
+
+
+def wigner_einsum(rho, ops):
+    """W(q,p) = Tr[D(q,p) rho] contracted densely over a FanoOperatorSet."""
+    return np.einsum("qpij,ji->qp", ops.operators, np.asarray(rho, dtype=complex))
+
+
+def density_einsum(values, ops):
+    """rho = N * sum_qp D(q,p)^dag W(q,p) contracted densely over a FanoOperatorSet."""
+    return ops.n * np.einsum("qp,qpji->ij", values, ops.operators.conj())

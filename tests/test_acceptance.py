@@ -11,9 +11,10 @@ import pytest
 
 from latwig import fano, tomography, wigner
 from latwig.cli import main
-from latwig.fano import FanoCoefficients
+from latwig.fano import DisplacedParitySet, FanoCoefficients
 from latwig.lattice import sl2_complete, sl2_enumerate, sl2_second_lift
 from latwig.operators import random_density_matrix
+from oracles import coefficients_cohendet
 
 TOL = 1e-10
 
@@ -47,7 +48,7 @@ def test_criterion_01_odd_dimension_existence():
 def test_criterion_02_solution_equivalence():
     worst = 0.0
     for n in (1, 3, 5, 7, 9):
-        dev = np.abs(fano.coefficients_odd(n).table - fano.coefficients_cohendet(n).table).max()
+        dev = np.abs(fano.coefficients_odd(n).table - coefficients_cohendet(n).table).max()
         worst = max(worst, dev)
     assert worst < 1e-12
     _passline(2, f"closed form equals split-parity form entrywise, worst {worst:.2e}")
@@ -103,7 +104,7 @@ def test_criterion_05_even_dimension_nonexistence():
 def test_criterion_06_tilted_line_projector_identity():
     worst = 0.0
     for n in (3, 5):
-        fset = fano.assemble(fano.coefficients_odd(n))
+        fset = DisplacedParitySet(n)
         directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
         for g in directions:
             rep = wigner.line_projector_check(fset, g, tol=TOL)
@@ -117,7 +118,7 @@ def test_criterion_06_tilted_line_projector_identity():
 def test_criterion_07_transform_round_trip():
     worst_rt = worst_sum = worst_im = 0.0
     for n in (3, 5, 7):
-        fset = fano.assemble(fano.coefficients_odd(n))
+        fset = DisplacedParitySet(n)
         rng = np.random.default_rng(1000 + n)
         for _ in range(20):
             rho = random_density_matrix(n, rng)
@@ -133,14 +134,14 @@ def test_criterion_07_transform_round_trip():
 
 def test_criterion_08_tomography():
     for n in (3, 5, 7):
-        fset = fano.assemble(fano.coefficients_odd(n))
+        fset = DisplacedParitySet(n)
         rho = random_density_matrix(n, np.random.default_rng(2000 + n))
         exact = tomography.simulate_marginals(rho, fset, shots=0, seed=11)
         res = tomography.reconstruct_density(exact, fset, rho_true=rho)
         assert res.fidelity_error < TOL, (n, res.fidelity_error)
 
     n = 3
-    fset = fano.assemble(fano.coefficients_odd(n))
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(42))
     errors = {}
     for shots in (10**4, 10**6):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from latwig import fano
+from latwig import cli, fano, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
 from oracles import sl2_order
@@ -246,6 +246,7 @@ def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(fano, "assemble", no_work)
     monkeypatch.setattr(fano, "full_report", no_work)
+    monkeypatch.setattr(wigner, "wigner_from_density", no_work)
     for out in (tmp_path / "missing" / "x.json", tmp_path, ""):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
@@ -301,6 +302,22 @@ def test_check_reports_the_group_it_audited(tmp_path, argv):
     doc = json.loads(out.read_text())
     assert doc["group_order"] == sl2_order(doc["n"])
     assert doc["lifts_per_element"] == 2
+
+
+def test_marginal_above_its_limit_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the marginal limit")
+
+    for name in ("parse_state", "_solution_set"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(wigner, "line_sum_operators", no_work)
+    out = tmp_path / "m.json"
+    n = cli.MARGINAL_MAX_N + 2
+    assert main(["marginal", "--n", str(n), "--kappa", "1", "--lambda", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--n {n} exceeds {cli.MARGINAL_MAX_N}" in err
+    assert "internal" not in err
+    assert not out.exists()
 
 
 def test_check_beyond_the_default_bound_with_a_raised_audit_bound(tmp_path, capsys):

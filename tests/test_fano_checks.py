@@ -6,8 +6,7 @@ import pytest
 from latwig import fano
 from latwig.fano import FanoCoefficients
 from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
-from latwig.operators import omega_pow
-from oracles import apply_covariance_transform, phase_phi
+from oracles import apply_covariance_transform, omega_pow, phase_phi
 
 
 def _suite(c, tol=1e-10):

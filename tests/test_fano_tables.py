@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano
 from latwig.operators import _half_omega_table, _omega_table, monomial
-from oracles import position_to_coefficients
+from oracles import coefficients_cohendet, position_to_coefficients
 
 
 def _w(n, k):
@@ -62,19 +62,19 @@ def test_odd_and_candidate_reject_or_accept_parity():
     with pytest.raises(ValueError):
         fano.coefficients_odd(4)
     with pytest.raises(ValueError):
-        fano.coefficients_cohendet(2)
+        coefficients_cohendet(2)
     fano.coefficients_candidate(4)  # any N allowed
 
 
 def test_split_parity_form_examples():
-    c = fano.coefficients_cohendet(3)
+    c = coefficients_cohendet(3)
     assert c.table[1, 1, 1, 1] == pytest.approx(_w(3, -2) / 9)
     assert c.table[2, 2, 2, 2] == pytest.approx(_w(3, -2) / 9)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_split_parity_form_equals_odd_solution(n):
-    d = np.abs(fano.coefficients_cohendet(n).table - fano.coefficients_odd(n).table).max()
+    d = np.abs(coefficients_cohendet(n).table - fano.coefficients_odd(n).table).max()
     assert d < 1e-12
 
 
@@ -171,7 +171,7 @@ def test_position_transform_matches_double_sum(n):
 ASSEMBLE_CASES = {
     **{f"odd{n}": (fano.coefficients_odd, n) for n in (1, 3, 5, 7)},
     **{f"candidate{n}": (fano.coefficients_candidate, n) for n in (2, 3, 4, 6)},
-    **{f"cohendet{n}": (fano.coefficients_cohendet, n) for n in (3, 5)},
+    **{f"cohendet{n}": (coefficients_cohendet, n) for n in (3, 5)},
     **{f"random{n}": (_random_coefficients, n) for n in (1, 2, 3, 4, 5, 8, 9, 11)},
 }
 

@@ -6,17 +6,15 @@ from numpy.testing import assert_allclose
 
 from latwig.operators import (
     basis_state_density,
-    clock_matrix,
     maximally_mixed,
     momentum_state_density,
     momentum_vector,
     monomial,
     omega,
-    omega_pow,
     random_density_matrix,
-    shift_matrix,
     validate_density_matrix,
 )
+from oracles import clock_matrix, omega_pow, shift_matrix
 
 DIMS = list(range(1, 10))
 

@@ -231,7 +231,7 @@ def test_wigner_csv_companions_match_the_per_float_join(tmp_path):
     assert cli.main(["wigner", "--n", "5", "--state", "random", "--seed", "4",
                      "--format", "csv", "--out", str(out)]) == 0
     rho = cli.parse_state("random", 5, 4)
-    grid = wigner.wigner_from_density(rho, fano.assemble(fano.coefficients_odd(5)))
+    grid = wigner.wigner_from_density(rho, fano.DisplacedParitySet(5))
     assert out.read_text() == _reference_grid_csv(grid.values.real)
     assert (tmp_path / "w_marginal_q.csv").read_text() == _reference_marginal_csv(grid.values.real.sum(axis=1))
     assert (tmp_path / "w_marginal_p.csv").read_text() == _reference_marginal_csv(grid.values.real.sum(axis=0))
@@ -250,6 +250,39 @@ def test_write_atomic_failed_replace_leaves_target_and_no_temp(tmp_path, monkeyp
         serialize.write_atomic(str(target), "new\n")
     assert target.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_atomic_writes_the_utf8_bytes_one_chunk_at_a_time(tmp_path, monkeypatch):
+    """Each write call gets the bytes of at most WRITE_CHUNK characters, and
+    the file holds exactly the UTF-8 encoding of the text."""
+    sizes = []
+
+    class Spy:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            self.fh.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def write(self, data):
+            sizes.append(len(data))
+            return self.fh.write(data)
+
+    monkeypatch.setattr(serialize, "WRITE_CHUNK", 3)
+    monkeypatch.setattr(serialize, "open", lambda *a, **k: Spy(open(*a, **k)), raising=False)
+    target = tmp_path / "a.json"
+    for text in ("", "ab", "abc", "x\u20acy\U0001f600z\n" * 5):
+        sizes.clear()
+        serialize.write_atomic(str(target), text)
+        assert target.read_bytes() == text.encode("utf-8")
+        assert len(sizes) == -(-len(text) // 3) and max(sizes, default=0) <= 3 * 4
 
 
 def _umask():

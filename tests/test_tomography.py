@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from latwig import fano, tomography, wigner
+from latwig import tomography, wigner
+from latwig.fano import DisplacedParitySet
 from latwig.lattice import IDENTITY, SL2Element, sl2_second_lift
-from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix, random_pure_density
-from oracles import incidence_ok, line_label
+from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix
+from oracles import incidence_ok, line_label, random_pure_density
 
 
 def _solution_set(n):
-    return fano.assemble(fano.coefficients_odd(n))
+    return DisplacedParitySet(n)
 
 
 def reconstruct_wigner_oracle(d):
@@ -58,7 +59,7 @@ def test_exact_position_family_of_basis_state():
 
 def test_simulation_rejects_even_or_composite_dimensions():
     with pytest.raises(ValueError):
-        tomography.simulate_marginals(maximally_mixed(2), fano.assemble(fano.coefficients_candidate(2)))
+        tomography.simulate_marginals(maximally_mixed(2), DisplacedParitySet(2))
     with pytest.raises(ValueError):
         tomography.simulate_marginals(maximally_mixed(9), _solution_set(9))
 

@@ -1,10 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
-from latwig.fano import FanoOperatorSet, _result
-from latwig.lattice import IDENTITY, SL2Element, line_sites, sl2_complete, sl2_second_lift
+from latwig.fano import DisplacedParitySet, FanoOperatorSet, _result, _site_gram_residuals
+from latwig.lattice import IDENTITY, SL2Element, sl2_complete, sl2_second_lift
 from latwig.operators import (
     basis_state_density,
     maximally_mixed,
@@ -13,11 +15,11 @@ from latwig.operators import (
     omega_int,
     random_density_matrix,
 )
-from oracles import line_points
+from oracles import density_einsum, expand_operators, line_points, wigner_einsum
 
 
 def _solution_set(n):
-    return fano.assemble(fano.coefficients_odd(n))
+    return DisplacedParitySet(n)
 
 
 def marginal_oracle(w, g):
@@ -28,24 +30,24 @@ def marginal_oracle(w, g):
     return weights
 
 
-def line_sum_oracle(f, g, p0):
-    """The per-site loop: D(q,p) added into a zero matrix along the line."""
-    m = np.zeros((f.n, f.n), dtype=complex)
-    for q, p in line_points(g, p0, f.n).points:
-        m += f.operators[q, p]
+def line_sum_oracle(ops, g, p0):
+    """The per-site loop: dense D(q,p) added into a zero matrix along the line."""
+    m = np.zeros((ops.n, ops.n), dtype=complex)
+    for q, p in line_points(g, p0, ops.n).points:
+        m += ops.operators[q, p]
     return m
 
 
-def projector_check_oracle(f, g, tol):
+def projector_check_oracle(stack, g, tol):
     """The per-label loop: each line's residuals formed on its own, then stacked."""
-    v = wigner.direction_unitary(g, f.n)
+    n = len(stack)
+    v = wigner.direction_unitary(g, n)
     res = {"hermitian": [], "idempotent": [], "trace": [], "eigen_relation": []}
-    for p0 in range(f.n):
-        m = line_sum_oracle(f, g, p0)
+    for p0, m in enumerate(stack):
         res["hermitian"].append(np.abs(m - m.conj().T))
         res["idempotent"].append(np.abs(m @ m - m))
         res["trace"].append(np.abs(m.trace() - 1.0))
-        res["eigen_relation"].append(np.abs(v @ m - omega_int(-p0, f.n) * m))
+        res["eigen_relation"].append(np.abs(v @ m - omega_int(-p0, n) * m))
     return {k: _result(f"projector_{k}", np.array(r), tol) for k, r in res.items()}
 
 
@@ -118,6 +120,16 @@ def test_dimension_mismatch_rejected():
         wigner.wigner_from_density(maximally_mixed(4), _solution_set(3))
 
 
+def test_transforms_reject_a_dense_operator_set():
+    """The FFT transforms are the closed form's: a dense set must not be
+    taken for it silently."""
+    dense = fano.assemble(fano.coefficients_odd(3))
+    with pytest.raises(TypeError, match="DisplacedParitySet"):
+        wigner.wigner_from_density(maximally_mixed(3), dense)
+    with pytest.raises(TypeError, match="DisplacedParitySet"):
+        wigner.density_from_wigner(wigner.WignerGrid(3, np.full((3, 3), 1 / 9, dtype=complex)), dense)
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_round_trip_density_to_grid_to_density(n):
     fset = _solution_set(n)
@@ -150,12 +162,43 @@ def test_uniform_grid_inverts_to_maximally_mixed():
 
 
 def test_inverse_rejects_non_orthogonal_operator_sets():
-    n = 3
-    rng = np.random.default_rng(3)
-    bad = FanoOperatorSet(n, rng.standard_normal((n, n, n, n)) + 0j)
-    grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
-    with pytest.raises(ValueError):
-        wigner.density_from_wigner(grid, bad)
+    """The closed form at even N: its dense site Gram misses (1/N) I by 1/N."""
+    for n in (2, 4, 6):
+        bad = DisplacedParitySet(n)
+        assert _site_gram_residuals(expand_operators(bad)).max() == pytest.approx(1 / n)
+        grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
+        with pytest.raises(ValueError, match="not trace-orthogonal"):
+            wigner.density_from_wigner(grid, bad)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_structural_orthogonality_guard_matches_the_dense_site_gram(n):
+    f = DisplacedParitySet(n)
+    assert vars(f) == {"n": n}  # no operator array is stored
+    gram = _site_gram_residuals(expand_operators(f)).max()
+    assert f.is_orthogonal() == (gram < 1e-8)
+    assert gram < 1e-15 if n % 2 else gram == pytest.approx(1 / n)
+
+
+@pytest.mark.parametrize("n", range(1, 32, 2))
+def test_closed_form_expands_to_the_assembled_solution(n):
+    closed = expand_operators(DisplacedParitySet(n)).operators
+    assembled = fano.assemble(fano.coefficients_odd(n)).operators
+    assert np.abs(closed - assembled).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 32, 2))
+def test_fft_transforms_match_the_einsum_oracles(n):
+    """Forward on a density matrix and on a non-hermitian matrix, inverse on a
+    random complex grid; entries are O(1/N), so 1e-14 is ~100 ulp."""
+    f = DisplacedParitySet(n)
+    ops = expand_operators(f)
+    rng = np.random.default_rng(500 + n)
+    for rho in (random_density_matrix(n, rng), (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n):
+        assert_allclose(wigner.wigner_from_density(rho, f).values, wigner_einsum(rho, ops), rtol=0, atol=1e-14)
+    values = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n**2
+    got = wigner.density_from_wigner(wigner.WignerGrid(n, values), f)
+    assert_allclose(got, density_einsum(values, ops), rtol=0, atol=1e-14)
 
 
 def test_axis_marginals_match_basis_expectations():
@@ -218,38 +261,63 @@ def test_marginal_gather_matches_the_per_line_loop_bit_for_bit(n):
             assert_bitwise_equal(got.weights, marginal_oracle(grid, g))
 
 
+@dataclass(frozen=True)
+class RandomPhasedPermutations:
+    """A stand-in operator set: one random complex value per row of each
+    D(q,p), at a random column. It has the one method `line_sum_operators`
+    reads, so supports that collide on a line and arbitrary values reach it."""
+
+    n: int
+    cols: np.ndarray  # [q, p, i]
+    values: np.ndarray  # [q, p, i]
+
+    @classmethod
+    def draw(cls, n, rng):
+        shape = (n, n, n)
+        return cls(n, rng.integers(0, n, shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def nonzeros(self, q, p):
+        return self.cols[q, p], self.values[q, p]
+
+    def dense(self):
+        q, p, i = np.indices(self.cols.shape)
+        ops = np.zeros((self.n,) * 4, dtype=complex)
+        ops[q, p, i, self.cols] = self.values
+        return FanoOperatorSet(self.n, ops)
+
+
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
     rng = np.random.default_rng(300 + n)
-    sets = [
-        _solution_set(n),
-        FanoOperatorSet(n, rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))),
-    ]
-    for fset in sets:
+    fake = RandomPhasedPermutations.draw(n, rng)
+    for fset, ops in [(_solution_set(n), expand_operators(_solution_set(n))), (fake, fake.dense())]:
         for g in oracle_directions(n):
             got = wigner.line_sum_operators(fset, g)
             assert got.shape == (n, n, n)
             for p0 in range(n):
-                assert_bitwise_equal(got[p0], line_sum_oracle(fset, g, p0))
+                assert_bitwise_equal(got[p0], line_sum_oracle(ops, g, p0))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9, 11])
 def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
     """Same max violations to the bit and same witnesses as checking each
-    label on its own, on the solution set (passing) and on random sets
-    (failing)."""
+    label on its own, on the solution set (passing) and on random line-sum
+    stacks (failing)."""
     rng = np.random.default_rng(400 + n)
-    sets = [
-        _solution_set(n),
-        FanoOperatorSet(n, rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))),
-    ]
-    for fset in sets:
-        for g in oracle_directions(n):
-            rep = wigner.line_projector_check(fset, g)
-            want = projector_check_oracle(fset, g, 1e-10)
+    fset = _solution_set(n)
+    ops = expand_operators(fset)
+    for g in oracle_directions(n):
+        stack = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))  # fails
+        reports = [
+            (wigner.line_projector_check(fset, g), [line_sum_oracle(ops, g, p0) for p0 in range(n)]),
+            (wigner._projector_report(stack, g, 1e-10), list(stack)),
+        ]
+        for rep, sums in reports:
+            want = projector_check_oracle(sums, g, 1e-10)
             got = {k: getattr(rep, k) for k in want}
             assert got == want
             assert rep.eigenvalue_multiplicity == 1
+        assert reports[0][0].passed and not reports[1][0].passed
 
 
 def test_direction_totals_equal_grid_total():
@@ -298,14 +366,13 @@ def test_line_projector_nondegenerate_for_composite_odd_direction():
 
 
 def test_line_projector_check_names_the_line_of_a_planted_defect():
-    """One operator on line p0 = 2 of (2, 3) at N = 5 is perturbed, on and
-    off the diagonal: every residual fails, and each witness starts with 2."""
+    """Line p0 = 2 of (2, 3) at N = 5 is perturbed in row 0, on and off the
+    diagonal: every residual fails, and each witness starts with 2."""
     n = 5
     g = sl2_complete(2, 3)
-    ops = _solution_set(n).operators.copy()
-    q, p = line_sites(g, n)
-    ops[q[2, 3], p[2, 3], 0, :2] += 1e-6
-    rep = wigner.line_projector_check(FanoOperatorSet(n, ops), g)
+    stack = wigner.line_sum_operators(_solution_set(n), g)
+    stack[2, 0, :2] += 1e-6  # as if one operator on line 2 were perturbed there
+    rep = wigner._projector_report(stack, g, 1e-10)
     assert not rep.passed
     for check in (rep.hermitian, rep.idempotent, rep.trace, rep.eigen_relation):
         assert not check.passed
@@ -315,9 +382,9 @@ def test_line_projector_check_names_the_line_of_a_planted_defect():
 
 
 def test_line_projector_rejects_even_dimensions():
-    fset = fano.assemble(fano.coefficients_candidate(2))
-    with pytest.raises(ValueError):
-        wigner.line_projector_check(fset, IDENTITY)
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            wigner.line_projector_check(DisplacedParitySet(n), IDENTITY)
 
 
 def test_grid_json_dict_tracks_imaginary_part():
