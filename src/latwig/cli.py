@@ -4,10 +4,11 @@ Subcommands write one machine-readable artifact each (JSON by default,
 CSV where it makes sense) and keep the human-readable summary on stdout.
 Exit codes: 0 success, 1 a tolerance violation or an audit outcome that
 contradicts the expected parity dichotomy, 2 usage error (bad arguments,
-an --out that is a directory or lies in one that does not exist, or a CSV
-companion that is a directory; rejected before any work is done), 3
-internal error (an invariant of the package failed; a bug, not a mistake
-in the invocation).
+an --n above the subcommand's limit (FANO_MAX_N, WIGNER_MAX_N,
+MARGINAL_MAX_N, TOMO_MAX_N; `check` has its --audit-bound), an --out that
+is a directory or lies in one that does not exist, or a CSV companion that
+is a directory; rejected before any work is done), 3 internal error (an
+invariant of the package failed; a bug, not a mistake in the invocation).
 """
 
 import argparse
@@ -39,6 +40,20 @@ DEFAULT_AUDIT_BOUND = 9
 # line sums, an N^3 complex stack, next to one residual: peak RSS is about
 # 51*N^3 bytes, 414 MiB at N = 201 and 768 MiB at N = 251.
 MARGINAL_MAX_N = 201
+
+# Largest N `fano` accepts. It holds the dense N^4 coefficient table and
+# operator tensor and their record arrays, about 125*N^4 bytes: peak RSS
+# 141 MiB at N = 31 and 373 MiB at N = 41, for a 249 MB artifact.
+FANO_MAX_N = 41
+
+# Largest N `wigner` accepts. It holds a few N x N complex matrices and the
+# grid's texts: peak RSS 287 MiB at N = 1001 and 457 MiB at N = 1201.
+WIGNER_MAX_N = 1001
+
+# Largest N `tomo` accepts. It holds the N + 1 line families' N x N site
+# arrays next to the state and grids: peak RSS 205 MiB at N = 401 and
+# 375 MiB at N = 601.
+TOMO_MAX_N = 601
 
 
 class CliError(Exception):
@@ -82,19 +97,23 @@ def _solution_set(n):
     return fano.DisplacedParitySet(n)
 
 
+def _require_at_most(n, limit, what):
+    if n > limit:
+        raise CliError(f"--n {n} exceeds {limit}, the largest N {what}")
+
+
 def cmd_fano(args):
     n = args.n
+    _require_at_most(n, FANO_MAX_N, "whose dense N^4 table and operators `fano` builds")
     coeffs = fano.coefficients_candidate(n)
     fset = fano.assemble(coeffs)
     table = coeffs.table
-    columns = [*np.indices(table.shape).reshape(4, -1), table.real.ravel(), table.imag.ravel()]
-    entries = np.rec.fromarrays(columns, names="s,t,n,m,re,im")
-    operators = []
-    for q in range(n):
-        for p in range(n):
-            entry = {"q": q, "p": p}
-            entry.update(serialize.complex_matrix_dict(fset.operators[q, p]))
-            operators.append(entry)
+    entries = np.rec.fromarrays([*np.indices(table.shape).reshape(4, -1), table.real.ravel(), table.imag.ravel()],
+                                names="s,t,n,m,re,im")
+    operators = np.empty(n * n, dtype=[("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))])
+    operators["q"], operators["p"] = np.indices((n, n)).reshape(2, -1)
+    operators["re"] = fset.operators.real.reshape(n * n, n, n)
+    operators["im"] = fset.operators.imag.reshape(n * n, n, n)
     doc = {
         "n": n,
         "candidate": n % 2 == 0,
@@ -102,7 +121,7 @@ def cmd_fano(args):
         "coefficients": entries,
         "operators": operators,
     }
-    serialize.write_atomic(args.out, serialize.dumps_json(doc))
+    serialize.write_json(args.out, doc)
     tag = "candidate (even N)" if n % 2 == 0 else "solution"
     print(f"wrote {len(entries)} coefficients and {n * n} operators ({tag}) to {args.out}")
     return 0
@@ -128,7 +147,7 @@ def cmd_check(args):
     doc["infeasibility_witness"] = (
         None if witness is None else {"check": witness.name, **witness.to_json_dict()}
     )
-    serialize.write_atomic(args.out, serialize.dumps_json(doc))
+    serialize.write_json(args.out, doc)
     for name, c in report.checks.items():
         print(f"{'PASS' if c.passed else 'FAIL'} {name:30s} max_violation={c.max_violation:.3e}")
     if matches:
@@ -142,6 +161,7 @@ def cmd_check(args):
 def cmd_wigner(args):
     n = args.n
     _require_odd(n)
+    _require_at_most(n, WIGNER_MAX_N, "whose N x N grid `wigner` builds and writes")
     rho = parse_state(args.state, n, args.seed)
     fset = _solution_set(n)
     grid = wigner.wigner_from_density(rho, fset)
@@ -153,7 +173,7 @@ def cmd_wigner(args):
         doc["seed"] = args.seed
         doc["position_marginal"] = marg_q
         doc["momentum_marginal"] = marg_p
-        serialize.write_atomic(args.out, serialize.dumps_json(doc))
+        serialize.write_json(args.out, doc)
     else:
         imag, path_q, path_p = _companions(args)
         serialize.write_atomic(args.out, serialize.grid_csv(grid.values.real))
@@ -180,9 +200,7 @@ def _companions(args):
 def cmd_marginal(args):
     n = args.n
     _require_odd(n)
-    if n > MARGINAL_MAX_N:
-        raise CliError(f"--n {n} exceeds {MARGINAL_MAX_N}, the largest N whose N^3 stack of "
-                       "line sums `marginal` builds for its projector check")
+    _require_at_most(n, MARGINAL_MAX_N, "whose N^3 stack of line sums `marginal` builds for its projector check")
     try:
         g = sl2_complete(args.kappa, args.lam)
     except ValueError as exc:
@@ -196,7 +214,7 @@ def cmd_marginal(args):
         doc = marg.to_json_dict()
         doc = {"n": n, **doc, "state": args.state, "seed": args.seed,
                "projector_check": rep.to_json_dict()}
-        serialize.write_atomic(args.out, serialize.dumps_json(doc))
+        serialize.write_json(args.out, doc)
     else:
         serialize.write_atomic(args.out, serialize.marginal_csv(marg.weights))
     status = "ok" if rep.passed else "FAILED"
@@ -207,6 +225,8 @@ def cmd_marginal(args):
 
 def cmd_tomo(args):
     n = args.n
+    # Before the primality test, whose trial division grows as sqrt(N).
+    _require_at_most(n, TOMO_MAX_N, "whose N + 1 line families `tomo` simulates and inverts")
     if n % 2 == 0 or not tomography.is_prime(n):
         raise CliError(f"tomography requires an odd prime N, got {n}")
     if args.shots < 0:
@@ -227,7 +247,7 @@ def cmd_tomo(args):
         "rho_true": serialize.complex_matrix_dict(rho_true),
         "rho_reconstructed": serialize.complex_matrix_dict(result.rho),
     }
-    serialize.write_atomic(args.out, serialize.dumps_json(doc))
+    serialize.write_json(args.out, doc)
     print(f"tomography n={n} shots={args.shots}: fidelity_error={result.fidelity_error:.3e} -> {args.out}")
     if args.shots == 0 and result.fidelity_error > args.tolerance:
         print("tolerance violation: exact reconstruction did not recover the state", file=sys.stderr)

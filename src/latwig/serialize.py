@@ -9,22 +9,39 @@ see either the old or a complete new artifact.
 
 Numeric data reaches the emitter as numpy arrays. A float array becomes
 nested JSON lists; a 1-D structured array becomes a list of flat objects,
-one ``%`` of a record template per row (``%d`` for int fields, ``%s`` for
-float fields). Every float of an array, CSV grids and marginals included,
-is written by :func:`_texts`, the one place ``%.17g`` is applied to array
-data; ``"%.17g" % x`` writes exactly what ``format_float(x)`` writes for
-every double (``-0``, ``nan``, ``inf``, subnormals).
+one per record, whose fields are ints, floats or fixed-shape float
+subarrays (nested lists; the ``fano`` operators are one record array
+``q, p, re (N, N), im (N, N)``). Either is a list of rows along its first
+axis, rendered as a numpy object array of text pieces with one row of
+pieces per row: the value texts interleaved with a row template of
+precomputed keys, separators and brackets, joined once per block with
+``"".join(pieces.ravel().tolist())``, with no Python loop per value, row
+or record. The separator after an element of a nested list depends only
+on the shape: ``"]" * t + "," + "[" * t``, t the number of trailing axes
+at their last index. Int texts are a lookup of ``str(k)`` over the
+distinct values of a block.
 
-A document repeats few distinct floats (the ``fano`` artifact at N = 17
-holds 334,084 floats but only 4,773 distinct bit patterns), so
-each :func:`dumps_json` call keeps a private cache from a float's 64-bit
-pattern to its text and formats each pattern once. The key is the bit
-pattern, not the value: ``0.0 == -0.0`` as a dict key, so a value-keyed
-cache would write ``0`` where ``-0`` belongs, and NaNs, never equal to
-themselves, would each miss. The cache dies with the call; no formatted
-text is kept between dumps.
+Every float of an array, CSV grids and marginals included, is written by
+:func:`_texts`, the one place ``%.17g`` is applied to array data; ``"%.17g"
+% x`` writes exactly what ``format_float(x)`` writes for every double
+(``-0``, ``nan``, ``inf``, subnormals). A document repeats few distinct
+floats (the ``fano`` artifact at N = 17 holds 334,084 floats but only 4,773
+distinct bit patterns), so each document keeps a private cache from a
+float's 64-bit pattern to its text and formats each pattern once. The key
+is the bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
+value-keyed cache would write ``0`` where ``-0`` belongs, and NaNs, never
+equal to themselves, would each miss. The cache dies with the document; no
+formatted text is kept between dumps.
+
+Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
+row), and one emitter yields the text block by block: :func:`write_json`
+streams the blocks to the file, so the whole text never exists at once,
+and :func:`dumps_json` joins the same blocks. Every JSON artifact of the
+command line is written by :func:`write_json`.
 """
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -37,8 +54,14 @@ import numpy as np
 _UMASK = os.umask(0)
 os.umask(_UMASK)
 
-# Characters encoded and written at a time by write_atomic.
+# Characters encoded and written at a time by the writers.
 WRITE_CHUNK = 1 << 20
+
+# Text pieces joined into one block of an array's text.
+BLOCK = 1 << 16
+
+# Largest array whose float texts _texts looks up element by element.
+_SMALL = 1024
 
 
 def format_float(x):
@@ -46,68 +69,128 @@ def format_float(x):
 
 
 def _texts(a, cache):
-    """The ``%.17g`` text of every element of a real array, in C order.
+    """The ``%.17g`` texts of a real array's elements, in C order, as a 1-D object array.
 
     ``cache`` maps a float64 bit pattern to its text; only the patterns it
-    does not hold yet are formatted, and are added to it.
+    does not hold yet are formatted, and are added to it. A small array
+    looks each element up in the cache; a large one looks up its distinct
+    patterns and indexes them, since a dict lookup per element costs more
+    than ``np.unique``'s sort there and less on a few elements.
     """
-    keys = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel().tolist()
-    new = list(set(keys).difference(cache))
-    values = np.array(new, dtype=np.uint64).view(np.float64).tolist()
-    cache.update(zip(new, ["%.17g" % x for x in values]))
-    return [cache[k] for k in keys]
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel()
+    large = bits.size > _SMALL
+    if large:
+        keys, inverse = np.unique(bits, return_inverse=True)
+        keys = keys.tolist()
+    else:
+        keys = bits.tolist()
+    new = list(set(itertools.filterfalse(cache.__contains__, keys)))
+    if new:
+        values = np.array(new, dtype=np.uint64).view(np.float64).tolist()
+        cache.update(zip(new, ["%.17g" % x for x in values]))
+    texts = np.fromiter(map(cache.__getitem__, keys), dtype=object, count=len(keys))
+    return texts[inverse] if large else texts
 
 
-def _rows(a, cache):
-    """One comma-joined text per innermost row of a real array with ndim >= 1."""
-    texts = _texts(a, cache)
-    k = a.shape[-1]
-    return [",".join(texts[i * k:(i + 1) * k]) for i in range(math.prod(a.shape[:-1]))]
+def _int_texts(a):
+    """The decimal texts of an int array's elements, in C order, as a 1-D object array."""
+    keys, inverse = np.unique(np.ravel(a), return_inverse=True)
+    return np.array([str(k) for k in keys.tolist()], dtype=object)[inverse]
 
 
-def _emit_array(a, out, cache):
-    """Nested lists of a real float array, or objects of a 1-D structured array."""
-    if a.dtype.names is not None:
-        _emit_records(a, out, cache)
-        return
-    if a.dtype.kind != "f":
-        raise TypeError(f"cannot serialize an array of dtype {a.dtype}")
-    if a.ndim == 0:
-        out.extend(_texts(a, cache))
-        return
-    rows = ["[" + row + "]" for row in _rows(a, cache)]
-    # Group the rendered rows into lists, innermost axis first; math.prod
-    # rather than len(rows) // d keeps zero-length axes right.
-    shape = a.shape
-    for axis in range(a.ndim - 2, -1, -1):
-        d = shape[axis]
-        rows = ["[" + ",".join(rows[i * d:(i + 1) * d]) + "]" for i in range(math.prod(shape[:axis]))]
-    out.append(rows[0])
+def _separators(shape):
+    """The text after each element, in C order, of nested lists of a shape.
+
+    It is ``"]" * t + "," + "[" * t``, t the number of trailing axes at
+    their last index, and ``"]" * len(shape)`` after the last element.
+    """
+    seps = np.full(shape, ",", dtype=object)
+    for t in range(1, len(shape) + 1):
+        seps[(...,) + (-1,) * t] = "]" * t + "," + "[" * t
+    seps[(-1,) * len(shape)] = "]" * len(shape)
+    return seps.ravel().tolist()
 
 
-def _emit_records(a, out, cache):
-    """One flat object per record: keys in dtype order, %d ints, cached float texts."""
-    if a.ndim != 1:
+def _empty(shape):
+    """Nested lists of a shape with no elements."""
+    if shape[0] == 0:
+        return "[]"
+    return "[" + ",".join([_empty(shape[1:])] * shape[0]) + "]"
+
+
+@functools.lru_cache(maxsize=16)
+def _row(dtype, shape):
+    """The pieces of one row of an array whose rows have this dtype and shape,
+    and its value slots: (field name or None, column of the first text, shape).
+
+    A row's pieces are its fields' texts, each followed by its separator as
+    an element of the field's shape (a scalar's is empty); a float array's
+    row is one field with no key and the row's shape. The row's opening
+    (``{`` for a record), each field's key and opening brackets join the
+    piece before the field's first text, and the row's closing and a ``,``
+    join its last piece. The array is shared between callers and read-only.
+    """
+    if dtype.names is None:
+        if dtype.kind != "f":
+            raise TypeError(f"cannot serialize an array of dtype {dtype}")
+        fields, opening, closing = [(None, "", shape)], "", ""
+    else:
+        fields, opening, closing = [], "{", "}"
+        for i, name in enumerate(dtype.names):
+            field = dtype.fields[name][0]
+            if field.base.kind not in "iuf" or (field.shape and field.base.kind != "f"):
+                raise TypeError(f"cannot serialize field {name!r} of dtype {field}")
+            fields.append((name, ("," if i else "") + json.dumps(name) + ":", field.shape))
+    slots = []
+    row = [opening]
+    for name, key, field_shape in fields:
+        if math.prod(field_shape) == 0:
+            row[-1] += key + _empty(field_shape)
+            continue
+        row[-1] += key + "[" * len(field_shape)
+        slots.append((name, len(row), field_shape))
+        for sep in _separators(field_shape):
+            row.extend((None, sep))
+    row[-1] += closing + ","
+    row = np.array(row, dtype=object)
+    row.flags.writeable = False
+    return row, tuple(slots)
+
+
+def _array_chunks(a, cache):
+    """Nested lists of a real float array, or objects of a 1-D structured array.
+
+    Both are lists of rows along the first axis (see :func:`_row`),
+    rendered a block of rows at a time; the last row has no ``,``.
+    """
+    if a.dtype.names is not None and a.ndim != 1:
         raise TypeError(f"cannot serialize a {a.ndim}-d structured array")
-    fields = []
-    columns = []
-    for name in a.dtype.names:
-        field = a.dtype.fields[name][0]
-        if field.kind in "iu":
-            spec = "%d"
-            columns.append(a[name].tolist())
-        elif field.kind == "f":
-            spec = "%s"
-            columns.append(_texts(a[name], cache))
-        else:
-            raise TypeError(f"cannot serialize field {name!r} of dtype {field}")
-        fields.append(json.dumps(name).replace("%", "%%") + ":" + spec)
-    template = "{" + ",".join(fields) + "}"
-    # Three pieces rather than "[" + ... + "]": no second copy of the longest text.
-    out.extend(("[", ",".join([template % rec for rec in zip(*columns)]), "]"))
+    if a.ndim == 0 and a.dtype.kind == "f":
+        yield _texts(a, cache)[0]
+        return
+    row, slots = _row(a.dtype, a.shape[1:])
+    if len(a) == 0:
+        yield "[]"
+        return
+    yield "["
+    step = max(1, BLOCK // len(row))
+    for start in range(0, len(a), step):
+        block = a[start:start + step]
+        pieces = np.empty((len(block), len(row)), dtype=object)
+        pieces[:] = row
+        for name, col, shape in slots:
+            values = block if name is None else block[name]
+            texts = _texts(values, cache) if values.dtype.kind == "f" else _int_texts(values)
+            pieces[:, col:col + 2 * math.prod(shape):2] = texts.reshape(len(block), -1)
+        if start + step >= len(a):
+            pieces[-1, -1] = pieces[-1, -1][:-1]
+        yield "".join(pieces.ravel().tolist())
+    yield "]"
 
 
 def _emit(obj, out, cache):
+    """Append the JSON text of obj to out: strings, and for each array the
+    generator of its blocks, which the consumer runs in document order."""
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -123,14 +206,11 @@ def _emit(obj, out, cache):
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
+            out.append(("," if i else "") + json.dumps(str(k)) + ":")
             _emit(v, out, cache)
         out.append("}")
     elif isinstance(obj, np.ndarray):
-        _emit_array(obj, out, cache)
+        out.append(_array_chunks(obj, cache))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -142,23 +222,49 @@ def _emit(obj, out, cache):
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps_json(obj):
+def _json_chunks(obj):
+    """The JSON text of obj and a newline, in chunks, with a text cache of its own:
+    each run of scalars, keys and brackets joined, then each block of an array."""
     out = []
     _emit(obj, out, {})
     out.append("\n")
-    return "".join(out)
+    start = 0
+    for i, piece in enumerate(out):
+        if not isinstance(piece, str):
+            yield "".join(out[start:i])
+            yield from piece
+            start = i + 1
+    yield "".join(out[start:])
+
+
+def dumps_json(obj):
+    return "".join(_json_chunks(obj))
+
+
+def write_json(path, obj):
+    """Write the JSON text of obj to path atomically, streamed block by block."""
+    _write(path, _json_chunks(obj))
 
 
 def grid_csv(values):
     """Row-major comma-separated grid, no header."""
-    return "\n".join(_rows(np.asarray(values), {})) + "\n"
+    texts = _texts(values, {}).reshape(np.shape(values))
+    pieces = np.empty(texts.shape + (2,), dtype=object)
+    pieces[..., 0] = texts
+    pieces[..., 1] = ","
+    pieces[:, -1, 1] = "\n"
+    return "".join(pieces.ravel().tolist())
 
 
 def marginal_csv(weights):
     """Two-column table with a `p0,weight` header."""
-    lines = ["p0,weight"]
-    lines.extend([f"{p0},{text}" for p0, text in enumerate(_texts(weights, {}))])
-    return "\n".join(lines) + "\n"
+    texts = _texts(weights, {})
+    pieces = np.empty((len(texts), 4), dtype=object)
+    pieces[:, 0] = _int_texts(np.arange(len(texts)))
+    pieces[:, 1] = ","
+    pieces[:, 2] = texts
+    pieces[:, 3] = "\n"
+    return "p0,weight\n" + "".join(pieces.ravel().tolist())
 
 
 def complex_matrix_dict(m):
@@ -167,9 +273,14 @@ def complex_matrix_dict(m):
 
 
 def write_atomic(path, text):
-    """Write text to path via a temp file and rename; no temp file survives a failure.
+    """Write text to path via a temp file and rename; no temp file survives a failure."""
+    _write(path, (text,))
 
-    The text is encoded to UTF-8 WRITE_CHUNK characters at a time, so the
+
+def _write(path, chunks):
+    """Write the texts of chunks to path atomically, in order.
+
+    Each text is encoded to UTF-8 WRITE_CHUNK characters at a time, so the
     write holds one chunk's bytes, not a second copy of the whole artifact.
     A slice never splits a code point, so the bytes are the whole text's.
     """
@@ -179,8 +290,9 @@ def write_atomic(path, text):
         with open(fd, "wb") as fh:
             # mkstemp creates mode 0600; give the artifact the mode open() would.
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            for start in range(0, len(text), WRITE_CHUNK):
-                fh.write(text[start:start + WRITE_CHUNK].encode("utf-8"))
+            for text in chunks:
+                for start in range(0, len(text), WRITE_CHUNK):
+                    fh.write(text[start:start + WRITE_CHUNK].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from latwig import cli, fano, wigner
+from latwig import cli, fano, tomography, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
 from oracles import sl2_order
@@ -317,6 +317,35 @@ def test_marginal_above_its_limit_is_a_usage_error_before_any_work(tmp_path, mon
     err = capsys.readouterr().err
     assert f"--n {n} exceeds {cli.MARGINAL_MAX_N}" in err
     assert "internal" not in err
+    assert not out.exists()
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, limit", [("fano", "FANO_MAX_N"), ("wigner", "WIGNER_MAX_N"),
+                                            ("tomo", "TOMO_MAX_N")])
+def test_size_limits_admit_their_n_and_refuse_larger_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                      command, limit):
+    """The first step of each subcommand's work is stubbed to raise: at the
+    limit it is reached, above it the run exits 2 first (tomo also before
+    its primality test), so nothing large is allocated."""
+    def work(*args, **kwargs):
+        raise _WorkStarted
+
+    for module, name in ((fano, "coefficients_candidate"), (cli, "parse_state"),
+                         (cli, "_solution_set"), (tomography, "is_prime")):
+        monkeypatch.setattr(module, name, work)
+    out = tmp_path / "a.json"
+    n = getattr(cli, limit)
+    with pytest.raises(_WorkStarted):
+        main([command, "--n", str(n), "--out", str(out)])
+    for above in (n + 2, 10**30 + 1):
+        assert main([command, "--n", str(above), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--n {above} exceeds {n}" in err
+        assert "internal" not in err
     assert not out.exists()
 
 

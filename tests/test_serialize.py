@@ -57,7 +57,8 @@ def _plain(obj):
     """The document as built before arrays were passed: lists, dicts and scalars."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.names is not None:
-            return [dict(zip(obj.dtype.names, rec)) for rec in obj.tolist()]
+            # A subarray field's value comes back from tolist() as an ndarray.
+            return [{k: _plain(v) for k, v in zip(obj.dtype.names, rec)} for rec in obj.tolist()]
         return obj.tolist()
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
@@ -84,13 +85,13 @@ CLI_DOCUMENTS = [
 @pytest.mark.parametrize("argv", CLI_DOCUMENTS, ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_cli_artifacts_match_the_reference_emitter(tmp_path, monkeypatch, argv):
     docs = []
-    dumps_json = serialize.dumps_json
+    write_json = serialize.write_json
 
-    def capture(obj):
+    def capture(path, obj):
         docs.append(obj)
-        return dumps_json(obj)
+        return write_json(path, obj)
 
-    monkeypatch.setattr(serialize, "dumps_json", capture)
+    monkeypatch.setattr(serialize, "write_json", capture)
     out = tmp_path / "artifact.json"
     assert cli.main([*argv, "--out", str(out)]) in (0, 1)
     assert len(docs) == 1
@@ -127,15 +128,117 @@ def test_structured_array_becomes_a_list_of_flat_objects():
     assert serialize.dumps_json(a[:0]) == "[]\n"
 
 
+# ---------------------------------------------------------------------------
+# Subarray record fields, blocks and streaming: every block size and write
+# chunk gives the reference emitter's text.
+
+# Per float dtype: -0, NaNs of both signs with payloads (quiet ones for float32,
+# whose cast to float64 warns on a signalling one), the smallest and
+# largest subnormals.
+SPECIAL_BITS = {
+    np.float64: np.array([0x8000000000000000, 0x7FF8DEADBEEF0001, 0xFFF0000000000001,
+                          0x0000000000000001, 0x000FFFFFFFFFFFFF], dtype=np.uint64),
+    np.float32: np.array([0x80000000, 0x7FC0BEEF, 0xFFC00001, 0x00000001, 0x007FFFFF], dtype=np.uint32),
+}
+
+
+def _subarray_records(k, shape, dtype, seed=0):
+    """k records with int, float and subarray fields, special floats planted in the subarrays."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(k, dtype=[("q", np.intp), ("re", dtype, shape), ("w", float), ("im", dtype, shape)])
+    a["q"] = rng.integers(-3, 2**40, k)
+    a["w"] = rng.choice([0.5, -0.0, 2 / 3], k)
+    a["re"] = rng.choice([0.0, 1 / 3, -2.5, 1e-300], (k, *shape))
+    a["im"] = rng.standard_normal((k, *shape))
+    special = SPECIAL_BITS[dtype].view(dtype)
+    flat = a["re"].reshape(-1)
+    flat[:len(special)] = special[:flat.size]
+    a["re"] = flat.reshape(a["re"].shape)
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(1,), (4,), (1, 1), (3, 3), (2, 3, 2)])
+def test_subarray_fields_match_the_reference_emitter(dtype, shape):
+    a = _subarray_records(6, shape, dtype)
+    assert np.isnan(a["re"]).any() and (np.signbit(a["re"]) & (a["re"] == 0)).any()
+    assert _matches_reference({"rows": a, "again": a["re"][1], "none": a[:0]})
+    assert serialize.dumps_json(a[:0]) == "[]\n"
+
+
+def test_subarray_field_of_zero_size_is_an_empty_nested_list():
+    a = np.zeros(2, dtype=[("e", float, (2, 0)), ("q", np.intp), ("z", float, (0,))])
+    assert _matches_reference({"rows": a})
+    assert serialize.dumps_json(a) == '[{"e":[[],[]],"q":0,"z":[]},{"e":[[],[]],"q":0,"z":[]}]\n'
+
+
+def _block_document():
+    rng = np.random.default_rng(2)
+    scalar_records = np.zeros(11, dtype=[("s", np.intp), ("re", float), ("im", np.float32)])
+    scalar_records["s"] = np.arange(11)
+    scalar_records["re"] = rng.choice([-0.0, 0.25, np.nan], 11)
+    return {"ops": _subarray_records(5, (3, 3), np.float64, seed=3), "rows": scalar_records,
+            "vec": rng.standard_normal(9), "grid": rng.standard_normal((4, 3)),
+            "cube": rng.choice([1.0, -0.0], (3, 2, 4)), "one": np.ones((1, 1)), "empty": np.zeros((2, 0)),
+            "scalar": np.array(0.5), "list": [np.arange(3.0), {"x": np.zeros((2, 2))}]}
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_any_block_size_gives_the_reference_text(tmp_path, monkeypatch, block):
+    doc = _block_document()
+    expected = reference_dumps_json(_plain(doc))
+    monkeypatch.setattr(serialize, "BLOCK", block)
+    assert serialize.dumps_json(doc) == expected
+    serialize.write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_text() == expected
+    out = tmp_path / "fano.json"
+    assert cli.main(["fano", "--n", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (len(doc["coefficients"]), len(doc["operators"])) == (4**4, 4**2)
+
+
+def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monkeypatch):
+    """The file equals dumps_json; no write holds more than WRITE_CHUNK
+    characters, the writer is handed one block, or one record, at a time,
+    and the file is written while the text is still being produced."""
+    doc = _block_document()
+    doc["rows"] = np.zeros(3000, dtype=[("s", np.intp), ("re", float)])
+    monkeypatch.setattr(serialize, "BLOCK", 7)
+    monkeypatch.setattr(serialize, "WRITE_CHUNK", 5)
+    events = _spy_on_writes(monkeypatch)  # the size of each write, and each chunk produced
+    chunks = []
+
+    def produced(texts):
+        for text in texts:
+            chunks.append(text)
+            events.append("chunk")
+            yield text
+
+    write = serialize._write
+    monkeypatch.setattr(serialize, "_write", lambda path, texts: write(path, produced(texts)))
+    target = tmp_path / "doc.json"
+    serialize.write_json(str(target), doc)
+    text = serialize.dumps_json(doc)
+    assert target.read_bytes() == text.encode("utf-8")
+    sizes = [e for e in events if e != "chunk"]
+    assert max(sizes) <= 5 and sum(sizes) == len(text)
+    assert events.index(sizes[0]) < len(events) - 1 - events[::-1].index("chunk")
+    assert "".join(chunks) == text
+    # The longest is one record of "ops", two 3 x 3 subarrays of 17-digit floats.
+    assert max(map(len, chunks)) < 400 and len(chunks) > 3000 // 3
+
+
 @pytest.mark.parametrize("a", [
     np.zeros(3, dtype=complex),
     np.zeros((2, 2), dtype=bool),
     np.array([1.0, None], dtype=object),
     np.zeros(2, dtype=[("z", complex)]),
     np.zeros(2, dtype=[("b", bool)]),
-    np.zeros(2, dtype=[("v", float, 3)]),
+    np.zeros(2, dtype=[("v", np.int64, 3)]),
+    np.zeros(2, dtype=[("v", complex, (2, 2))]),
     np.zeros((2, 2), dtype=[("x", float)]),
-], ids=["complex", "bool", "object", "complex-field", "bool-field", "subarray-field", "2d-records"])
+], ids=["complex", "bool", "object", "complex-field", "bool-field", "int-subarray-field",
+        "complex-subarray-field", "2d-records"])
 def test_unsupported_arrays_raise_type_error(a):
     with pytest.raises(TypeError):
         serialize.dumps_json({"a": a})
@@ -185,7 +288,7 @@ def test_a_record_field_shares_texts_with_a_plain_array():
     assert _matches_reference({"rows": rows, "plain": values})
 
 
-def test_no_text_outlives_a_dump(monkeypatch):
+def test_no_text_outlives_a_dump(tmp_path, monkeypatch):
     assert serialize.dumps_json(np.array([0.0])) == "[0]\n"
     assert serialize.dumps_json(np.array([-0.0])) == "[-0]\n"
     assert serialize.dumps_json(np.array([0.0])) == "[0]\n"
@@ -199,9 +302,13 @@ def test_no_text_outlives_a_dump(monkeypatch):
     monkeypatch.setattr(serialize, "_texts", spy)
     doc = {"a": np.array([0.5, -0.0]), "b": np.array([[0.5]])}
     assert serialize.dumps_json(doc) == serialize.dumps_json(doc) == '{"a":[0.5,-0],"b":[[0.5]]}\n'
-    # Each dump starts from an empty cache of its own and shares it across arrays.
-    assert [size for _, size in seen] == [0, 2, 0, 2]
-    assert seen[0][0] is seen[1][0] and seen[2][0] is seen[3][0] and seen[0][0] is not seen[2][0]
+    serialize.write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_text() == '{"a":[0.5,-0],"b":[[0.5]]}\n'
+    # Each artifact starts from an empty cache of its own and shares it across arrays.
+    assert [size for _, size in seen] == [0, 2, 0, 2, 0, 2]
+    caches = [cache for cache, _ in seen]
+    assert caches[0] is caches[1] and caches[2] is caches[3] and caches[4] is caches[5]
+    assert len({id(caches[0]), id(caches[2]), id(caches[4])}) == 3
 
 
 def _reference_grid_csv(values):
@@ -252,31 +359,49 @@ def test_write_atomic_failed_replace_leaves_target_and_no_temp(tmp_path, monkeyp
     assert os.listdir(tmp_path) == ["out.json"]
 
 
+def test_write_json_failing_mid_document_leaves_target_and_no_temp(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    doc = {"rows": np.zeros(5000, dtype=[("s", np.intp), ("re", float)]), "bad": np.zeros(2, dtype=complex)}
+    with pytest.raises(TypeError):
+        serialize.write_json(str(target), doc)
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+class _WriteSpy:
+    """A binary file whose write calls record the size of their data."""
+
+    def __init__(self, fh, sizes):
+        self.fh = fh
+        self.sizes = sizes
+
+    def __enter__(self):
+        self.fh.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return self.fh.write(data)
+
+
+def _spy_on_writes(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(serialize, "open", lambda *a, **k: _WriteSpy(open(*a, **k), sizes), raising=False)
+    return sizes
+
+
 def test_write_atomic_writes_the_utf8_bytes_one_chunk_at_a_time(tmp_path, monkeypatch):
     """Each write call gets the bytes of at most WRITE_CHUNK characters, and
     the file holds exactly the UTF-8 encoding of the text."""
-    sizes = []
-
-    class Spy:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            self.fh.__enter__()
-            return self
-
-        def __exit__(self, *exc):
-            return self.fh.__exit__(*exc)
-
-        def fileno(self):
-            return self.fh.fileno()
-
-        def write(self, data):
-            sizes.append(len(data))
-            return self.fh.write(data)
-
     monkeypatch.setattr(serialize, "WRITE_CHUNK", 3)
-    monkeypatch.setattr(serialize, "open", lambda *a, **k: Spy(open(*a, **k)), raising=False)
+    sizes = _spy_on_writes(monkeypatch)
     target = tmp_path / "a.json"
     for text in ("", "ab", "abc", "x\u20acy\U0001f600z\n" * 5):
         sizes.clear()
