@@ -93,10 +93,6 @@ def _require_odd(n):
         )
 
 
-def _solution_set(n):
-    return fano.DisplacedParitySet(n)
-
-
 def _require_at_most(n, limit, what):
     if n > limit:
         raise CliError(f"--n {n} exceeds {limit}, the largest N {what}")
@@ -163,7 +159,7 @@ def cmd_wigner(args):
     _require_odd(n)
     _require_at_most(n, WIGNER_MAX_N, "whose N x N grid `wigner` builds and writes")
     rho = parse_state(args.state, n, args.seed)
-    fset = _solution_set(n)
+    fset = fano.DisplacedParitySet(n)
     grid = wigner.wigner_from_density(rho, fset)
     marg_q = grid.values.real.sum(axis=1)  # position marginal, sums over p
     marg_p = grid.values.real.sum(axis=0)  # momentum marginal, sums over q
@@ -206,7 +202,7 @@ def cmd_marginal(args):
     except ValueError as exc:
         raise CliError(str(exc)) from None
     rho = parse_state(args.state, n, args.seed)
-    fset = _solution_set(n)
+    fset = fano.DisplacedParitySet(n)
     grid = wigner.wigner_from_density(rho, fset)
     marg = wigner.marginal_along_line(grid, g)
     rep = wigner.line_projector_check(fset, g, tol=args.tolerance)
@@ -234,7 +230,7 @@ def cmd_tomo(args):
     if args.shots > np.iinfo(np.int64).max:
         raise CliError(f"--shots must be at most 2^63 - 1, got {args.shots}")
     rho_true = parse_state("random", n, args.seed)
-    fset = _solution_set(n)
+    fset = fano.DisplacedParitySet(n)
     dataset = tomography.simulate_marginals(rho_true, fset, shots=args.shots, seed=args.seed)
     result = tomography.reconstruct_density(dataset, fset, rho_true=rho_true)
     doc = {

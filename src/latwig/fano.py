@@ -19,11 +19,14 @@ marginals and tomography use :class:`DisplacedParitySet`, the odd-N
 solution in closed form: each operator is a phased permutation, and the
 set holds no array at all.
 
-The group audits share one list of SL(2, Z_N) lifts, ``elements`` from
-:func:`latwig.lattice.sl2_lifts`, and none of them bounds N. The covariance
-audit evaluates each lift only where a residual can be nonzero, O(nnz)
-positions for a table with nnz nonzero entries, so it costs O(|G| nnz)
-rather than O(|G| N^4); the route audit sorts the 2(N - 1) routes of each lift.
+Neither group audit bounds N. Covariance is an action of SL(2, Z) on
+tables, so it is decided on the two generators S and T, each evaluated only
+where a residual can be nonzero: O(nnz) positions for a table with nnz
+nonzero entries. For the candidate tables its float verdict is the exact
+one at any tolerance between their residuals: round-off below 1e-16 for
+odd N, where the table is covariant, and 2/N^2 for even N. The route audit
+takes the list ``elements`` of every element's two lifts from
+:func:`latwig.lattice.sl2_lifts` and sorts the 2(N - 1) routes of each lift.
 """
 
 from dataclasses import dataclass, replace
@@ -31,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import (
+    GENERATORS,
     SL2Element,
     check_dim,
     gcd_decompose,
@@ -45,11 +49,6 @@ from .operators import (
 )
 
 PHASE_CONVENTION = "exp(2*pi*i*x/N)"
-
-# Candidate positions per batch of lifts in the covariance scan: each
-# temporary of a batch holds at most this many entries (or one lift's
-# candidates, if those are more).
-COVARIANCE_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -375,61 +374,47 @@ def _covariance_scan(table, lifts, tol):
     bijections A(s,t) = (nu*s+lam*t, mu*s+kappa*t) and
     B(n,m) = (nu*n-mu*m, -lam*n+kappa*m) mod N. It is exactly zero unless
     one of the two entries lies in the table's support, so each lift is
-    evaluated only at the preimages of the support points under A and
-    under B, plus the origin, which stands in for every other position
+    evaluated only at the preimages under A and under B of the support
+    points and of the origin, which stands in for every other position
     (residual 0; it keeps an empty support and a negative tolerance exact).
-    The witness is the lexicographically first index above tol of the
-    first failing lift, as a dense scan would name it.
+    All lifts are evaluated in one pass. The witness is the
+    lexicographically first index above tol of the first failing lift, as
+    a dense scan would name it.
     """
     n = table.shape[0]
-    ss, ts, ns, ms = np.nonzero(table)
-    half = _half_omega_table(n)
-    zero = np.zeros(1, dtype=np.int64)
-    batch = max(1, COVARIANCE_BATCH // (2 * ss.size + 1))
-    entries = _lift_entries(lifts, n)[:, :, np.newaxis]
-    worst = 0.0
-    first_fail = None
-    for start in range(0, len(lifts), batch):
-        chunk = lifts[start:start + batch]
-        k, l, m, v = entries[:, start:start + batch]
-
-        def candidates(*parts):
-            return np.concatenate(
-                [np.broadcast_to(p, (len(chunk), p.shape[-1])) for p in parts], axis=1) % n
-
-        s = candidates(zero, k * ss - l * ts, ss)
-        t = candidates(zero, v * ts - m * ss, ts)
-        a = candidates(zero, ns, k * ns + m * ms)
-        b = candidates(zero, ms, l * ns + v * ms)
-        lhs = table[(v * s + l * t) % n, (m * s + k * t) % n, a, b]
-        phases = half[_two_phi((k, l, m, v), a, b, n)]
-        res = np.abs(lhs - phases * table[s, t, (v * a - m * b) % n, (k * b - l * a) % n])
-        worst = max(worst, float(res.max()))
-        if first_fail is None:
-            failing = res > tol
-            rows = np.flatnonzero(failing.any(axis=1))
-            if rows.size:
-                r = rows[0]
-                flat = np.ravel_multi_index((s[r], t[r], a[r], b[r]), table.shape)
-                witness = np.unravel_index(flat[failing[r]].min(), table.shape)
-                first_fail = (tuple(int(i) for i in witness), chunk[r])
-    if first_fail is None:
+    ss, ts, ns, ms = (np.concatenate([[0], x]) for x in np.nonzero(table))
+    k, l, m, v = _lift_entries(lifts, n)[:, :, np.newaxis]
+    shape = (len(lifts), ss.size)
+    s = np.hstack([k * ss - l * ts, np.broadcast_to(ss, shape)]) % n
+    t = np.hstack([v * ts - m * ss, np.broadcast_to(ts, shape)]) % n
+    a = np.hstack([np.broadcast_to(ns, shape), k * ns + m * ms]) % n
+    b = np.hstack([np.broadcast_to(ms, shape), l * ns + v * ms]) % n
+    lhs = table[(v * s + l * t) % n, (m * s + k * t) % n, a, b]
+    phases = _half_omega_table(n)[_two_phi((k, l, m, v), a, b, n)]
+    res = np.abs(lhs - phases * table[s, t, (v * a - m * b) % n, (k * b - l * a) % n])
+    worst = float(res.max())
+    failing = res > tol
+    rows = np.flatnonzero(failing.any(axis=1))
+    if not rows.size:
         return CheckResult("covariance", True, worst, None, None)
-    return CheckResult("covariance", False, worst, *first_fail)
+    r = rows[0]
+    flat = np.ravel_multi_index((s[r], t[r], a[r], b[r]), table.shape)
+    witness = np.unravel_index(flat[failing[r]].min(), table.shape)
+    return CheckResult("covariance", False, worst, tuple(int(i) for i in witness), lifts[r])
 
 
-def check_covariance_group(c, tol=DEFAULT_TOL, elements=None):
-    """Worst covariance violation over the whole group, base and shifted lifts.
+def check_covariance_group(c, tol=DEFAULT_TOL):
+    """Covariance under every integer lift of every element of SL(2, Z_N).
 
-    The phase exponent is quadratic in the integer lifts, so each residue
-    class is tested with its base lift and a +N-shifted one; a genuinely
-    covariant table must pass both. ``elements`` is a list of lift tuples
-    from :func:`latwig.lattice.sl2_lifts`; by default it is built here.
-    ``elements=[(g,)]`` audits the single lift g.
+    Decided on the two :data:`~latwig.lattice.GENERATORS`. A table passes
+    the residual of :func:`_covariance_scan` at lift g exactly when it is
+    fixed by (T_g a)(s,t; n,m) = omega^(phi'(n,m)) a(A^-1(s,t); B(n,m)).
+    These maps form a right action of SL(2, Z), T_g1 T_g2 = T_(g2 g1), and
+    T_g depends on g only mod 2N. A table fixed by S and T is therefore
+    fixed by every integer matrix of determinant 1, and one that is not
+    fails at S or T. The witness is S's when S fails.
     """
-    if elements is None:
-        elements = sl2_lifts(c.n)
-    return _covariance_scan(c.table, [lift for group in elements for lift in group], tol)
+    return _covariance_scan(c.table, GENERATORS, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +556,8 @@ def full_report(n, tol=DEFAULT_TOL, elements=None):
     consistency is expected to fail. The report records outcomes only;
     verdicts against that expectation belong to the caller. ``elements``
     is the list of lift tuples from :func:`latwig.lattice.sl2_lifts` that
-    both group audits share; by default it is built here.
+    the route audit takes; by default it is built here.
     """
-    if elements is None:
-        elements = sl2_lifts(n)
     coeffs = coefficients_candidate(n)
     fset = assemble(coeffs)
     checks = {}
@@ -582,7 +565,7 @@ def full_report(n, tol=DEFAULT_TOL, elements=None):
     checks.update(check_coefficient_axes(coeffs, tol))
     checks.update(check_hermiticity(coeffs, fset, tol))
     checks.update(check_orthogonality(coeffs, fset, tol))
-    checks["covariance"] = check_covariance_group(coeffs, tol, elements=elements)
+    checks["covariance"] = check_covariance_group(coeffs, tol)
     unique_checks, _ = uniqueness_audit(n, tol, elements=elements)
     checks.update(unique_checks)
     return ConditionReport(n=n, tolerance=tol, checks=checks)

@@ -4,8 +4,11 @@ Group elements, determinants and gcd decompositions use plain Python
 integers, so they are exact; reduction mod N happens only where a residue
 is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
 SL(2, Z_N) is written down row by row from closed forms (:func:`sl2_enumerate`)
-for any N; how large an N is worth auditing is the caller's decision
-(``latwig check --audit-bound``).
+for any N, with a second integer lift per element (:func:`sl2_lifts`) for
+the route audit; how large an N is worth auditing is the caller's decision
+(``latwig check --audit-bound``). The covariance audit needs only
+:data:`GENERATORS`: S and T generate SL(2, Z), which maps onto every
+SL(2, Z_M).
 """
 
 import math
@@ -95,6 +98,9 @@ class SL2Element:
 
 IDENTITY = SL2Element(1, 0, 0, 1)
 
+# S and T, which generate SL(2, Z); their residues generate SL(2, Z_M) for every M.
+GENERATORS = (SL2Element(0, 1, -1, 0), SL2Element(1, 1, 0, 1))
+
 
 def sl2_complete(kappa, lam):
     """Complete coprime (kappa, lam) to an SL2Element with kappa*nu - mu*lam = 1.
@@ -168,25 +174,13 @@ def _second_row(kappa, lam, n):
     return kappa, lam + j * n
 
 
-def sl2_second_lift(g, n):
-    """A different integer lift of the same residue class as g.
-
-    The +N shifts probe whether downstream phase functions depend on the
-    choice of lift rather than on the residue class alone; the row is
-    chosen by :func:`_second_row`.
-    """
-    check_dim(n)
-    _, _, mu_res, nu_res = g.residues(n)
-    return _land_completion(sl2_complete(*_second_row(g.kappa, g.lam, n)), mu_res, nu_res, n)
-
-
 def sl2_lifts(n):
-    """Every element of SL(2, Z_N) with the two integer lifts the audits test.
+    """Every element of SL(2, Z_N) with the two integer lifts the route audit tests.
 
-    One tuple ``(g, sl2_second_lift(g, n))`` per element, in
-    :func:`sl2_enumerate` order. The N elements of a row share (kappa, lam),
-    so the second row and its base completion are found once per row. The
-    caller builds the list once and passes it to every audit of a report.
+    One tuple ``(g, h)`` per element, in :func:`sl2_enumerate` order: h is
+    the lift of g's residue class on the row :func:`_second_row`. The N
+    elements of a row share (kappa, lam), so the second row and its base
+    completion are found once per row.
     """
     out = []
     for (kappa, lam), row in groupby(sl2_enumerate(n), key=lambda g: (g.kappa, g.lam)):

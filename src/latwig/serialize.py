@@ -77,7 +77,9 @@ def _texts(a, cache):
     patterns and indexes them, since a dict lookup per element costs more
     than ``np.unique``'s sort there and less on a few elements.
     """
-    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel()
+    # A signalling float32 NaN warns when cast; its text is ``nan`` like any NaN's.
+    with np.errstate(invalid="ignore"):
+        bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel()
     large = bits.size > _SMALL
     if large:
         keys, inverse = np.unique(bits, return_inverse=True)

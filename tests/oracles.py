@@ -3,7 +3,8 @@
 The library has one production path per computation; these are the
 independent forms it is checked against: the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on tables, the
-per-(s,t) route list, the order of SL(2, Z_N) and its determinant-filter
+covariance scan over every lift class of SL(2, Z_2N), the per-(s,t)
+route list, the order of SL(2, Z_N) and its determinant-filter
 enumeration with searched lifts, the inverse coefficient transform,
 lattice lines as tuples of sites, the invariant label of the line through
 a site, the brute-force incidence check of the line families, the dense
@@ -19,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from latwig.fano import FanoCoefficients, FanoOperatorSet, _route_value
+from latwig.fano import CheckResult, FanoCoefficients, FanoOperatorSet, _covariance_scan, _route_value
 from latwig.lattice import (
     IDENTITY,
     SL2Element,
@@ -27,6 +28,7 @@ from latwig.lattice import (
     check_dim,
     line_sites,
     sl2_complete,
+    sl2_enumerate,
     sl2_lifts,
 )
 from latwig.operators import _half_omega_table, _omega_table, omega_half
@@ -129,6 +131,28 @@ def apply_covariance_transform(c, g):
         (-g.lam * a + g.kappa * b) % n,
     ]
     return FanoCoefficients(n, phases[np.newaxis, np.newaxis, :, :] * gathered)
+
+
+def covariance_every_class(table, tol):
+    """Covariance of ``table`` under one lift of every element of SL(2, Z_2N).
+
+    The table maps depend on a lift only mod 2N, so this covers every
+    integer lift of every element of SL(2, Z_N). The lifts are scanned 256
+    at a time, so memory stays flat as the group grows; the witness is that
+    of the first failing lift in :func:`latwig.lattice.sl2_enumerate` order.
+    """
+    n = table.shape[0]
+    lifts = sl2_enumerate(2 * n)
+    worst = 0.0
+    first_fail = None
+    for start in range(0, len(lifts), 256):
+        got = _covariance_scan(table, lifts[start:start + 256], tol)
+        worst = max(worst, got.max_violation)
+        if first_fail is None and not got.passed:
+            first_fail = got
+    if first_fail is None:
+        return CheckResult("covariance", True, worst, None, None)
+    return CheckResult("covariance", False, worst, first_fail.witness, first_fail.element)
 
 
 def land_completion_search(kappa, lam, mu_res, nu_res, n):

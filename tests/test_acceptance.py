@@ -12,7 +12,7 @@ import pytest
 from latwig import fano, tomography, wigner
 from latwig.cli import main
 from latwig.fano import DisplacedParitySet, FanoCoefficients
-from latwig.lattice import sl2_complete, sl2_enumerate, sl2_second_lift
+from latwig.lattice import sl2_complete, sl2_lifts
 from latwig.operators import random_density_matrix
 from oracles import coefficients_cohendet
 
@@ -58,9 +58,9 @@ def test_criterion_03_covariance_over_full_group():
     worst = 0.0
     for n in (3, 5):
         c = fano.coefficients_odd(n)
-        for g in sl2_enumerate(n):
-            for lift in (g, sl2_second_lift(g, n)):
-                res = fano.check_covariance_group(c, TOL, elements=[(lift,)])
+        for g, second in sl2_lifts(n):
+            for lift in (g, second):
+                res = fano._covariance_scan(c.table, [lift], TOL)
                 assert res.passed, (n, lift.as_tuple(), res.max_violation)
                 worst = max(worst, res.max_violation)
     assert worst < TOL

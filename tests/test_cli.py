@@ -304,12 +304,27 @@ def test_check_reports_the_group_it_audited(tmp_path, argv):
     assert doc["lifts_per_element"] == 2
 
 
+def test_check_covariance_is_decided_on_the_generators_and_reports_the_whole_group(tmp_path):
+    """At N = 4 covariance fails first at S = (0, 1, -1, 0), whose entries
+    end the witness; at N = 9 the group fields still count the route audit's
+    SL(2, Z_9) and its two lifts per element."""
+    out = tmp_path / "c.json"
+    assert main(["check", "--n", "4", "--out", str(out)]) == 0
+    cov = json.loads(out.read_text())["checks"]["covariance"]
+    assert not cov["pass"]
+    assert cov["witness"][4:] == [0, 1, -1, 0]
+    assert main(["check", "--n", "9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["checks"]["covariance"]["pass"]
+    assert (doc["group_order"], doc["lifts_per_element"]) == (648, 2)
+
+
 def test_marginal_above_its_limit_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work started above the marginal limit")
 
-    for name in ("parse_state", "_solution_set"):
-        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli, "parse_state", no_work)
+    monkeypatch.setattr(fano, "DisplacedParitySet", no_work)
     monkeypatch.setattr(wigner, "line_sum_operators", no_work)
     out = tmp_path / "m.json"
     n = cli.MARGINAL_MAX_N + 2
@@ -335,7 +350,7 @@ def test_size_limits_admit_their_n_and_refuse_larger_before_any_work(tmp_path, m
         raise _WorkStarted
 
     for module, name in ((fano, "coefficients_candidate"), (cli, "parse_state"),
-                         (cli, "_solution_set"), (tomography, "is_prime")):
+                         (fano, "DisplacedParitySet"), (tomography, "is_prime")):
         monkeypatch.setattr(module, name, work)
     out = tmp_path / "a.json"
     n = getattr(cli, limit)

@@ -1,12 +1,15 @@
 """Audit behavior on solution tables, corrupted tables, and even dimensions."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from latwig import fano
-from latwig.fano import FanoCoefficients
-from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
-from oracles import apply_covariance_transform, omega_pow, phase_phi
+from latwig.fano import FanoCoefficients, _covariance_scan
+from latwig.lattice import GENERATORS, IDENTITY, SL2Element, sl2_lifts
+from latwig.operators import DEFAULT_TOL
+from oracles import apply_covariance_transform, covariance_every_class, omega_pow, phase_phi
 
 
 def _suite(c, tol=1e-10):
@@ -61,16 +64,18 @@ def test_identity_element_covariance_holds_for_any_table():
     n = 4
     rng = np.random.default_rng(2)
     c = FanoCoefficients(n, rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n)))
-    res = fano.check_covariance_group(c, elements=[(IDENTITY,)])
+    res = _covariance_scan(c.table, [IDENTITY], DEFAULT_TOL)
     assert res.passed
     assert res.max_violation < 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_covariance_over_full_group_with_two_lifts(n):
-    res = fano.check_covariance_group(fano.coefficients_odd(n))
+    c = fano.coefficients_odd(n)
+    res = _covariance_scan(c.table, [lift for group in sl2_lifts(n) for lift in group], DEFAULT_TOL)
     assert res.passed
     assert res.max_violation < 1e-10
+    assert fano.check_covariance_group(c).passed
 
 
 def test_covariance_fails_on_corrupted_table():
@@ -150,8 +155,8 @@ def test_lift_shift_exposes_the_even_failure():
     base = SL2Element(1, 0, 0, 1)
     shifted = SL2Element(1, 2, 0, 1)
     assert base.residues(2) == shifted.residues(2)
-    assert fano.check_covariance_group(c2, elements=[(base,)]).passed
-    assert not fano.check_covariance_group(c2, elements=[(shifted,)]).passed
+    assert _covariance_scan(c2.table, [base], DEFAULT_TOL).passed
+    assert not _covariance_scan(c2.table, [shifted], DEFAULT_TOL).passed
 
 
 def test_route_values_conflict_between_lifts_for_even_n():
@@ -167,17 +172,84 @@ def test_route_values_conflict_between_lifts_for_even_n():
 
 
 def test_group_action_composition_is_consistent():
-    n = 3
-    sol = fano.coefficients_odd(n)
-    elems = sl2_enumerate(n)
+    """g . (h . a) = (h g) . a on random tables, at both parities; the odd
+    solution is a fixed point."""
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        g = elems[rng.integers(len(elems))]
-        h = elems[rng.integers(len(elems))]
-        via_two = apply_covariance_transform(apply_covariance_transform(sol, h), g)
-        via_product = apply_covariance_transform(sol, g.compose(h))
-        assert np.abs(via_two.table - via_product.table).max() < 1e-12
-        assert np.abs(via_two.table - sol.table).max() < 1e-12
+    for n in (3, 4):
+        a = FanoCoefficients(n, rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
+        lifts = [lift for group in sl2_lifts(n) for lift in group]
+        for _ in range(20):
+            g, h = (lifts[i] for i in rng.integers(len(lifts), size=2))
+            via_two = apply_covariance_transform(apply_covariance_transform(a, h), g)
+            via_product = apply_covariance_transform(a, h.compose(g))
+            assert np.abs(via_two.table - via_product.table).max() < 1e-12
+    sol = fano.coefficients_odd(3)
+    for g in (lift for group in sl2_lifts(3) for lift in group):
+        assert np.abs(apply_covariance_transform(sol, g).table - sol.table).max() < 1e-12
+
+
+def _action(g, n):
+    """Index maps and doubled phase exponent of the table map of ``apply_covariance_transform``.
+
+    (g . a)[x; y] = omega^(two[y] / 2) a[src(x); dst(y)] on grid points x, y;
+    each map is a pair of N x N residue arrays.
+    """
+    s, t = np.indices((n, n))
+    src = ((g.kappa * s - g.lam * t) % n, (g.nu * t - g.mu * s) % n)
+    dst = ((g.nu * s - g.mu * t) % n, (g.kappa * t - g.lam * s) % n)
+    return src, dst, fano._two_phi(g.as_tuple(), s, t, n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_covariance_action_law_holds_exactly_on_integer_exponents(n):
+    """g1 . (g2 . a) = (g2 g1) . a, with no float tolerance.
+
+    Both index maps of g2 g1 are those of g2 after those of g1, and its
+    doubled exponent is two_g1(y) + two_g2(dst_g1(y)) mod 2N. So a table
+    fixed by the generators is fixed by every integer lift of every element.
+    Every pair of generators and 200 random pairs of lifts are tested.
+    """
+    rng = np.random.default_rng(n)
+    lifts = [lift for group in sl2_lifts(n) for lift in group]
+    random_pairs = [(lifts[i], lifts[j]) for i, j in rng.integers(len(lifts), size=(200, 2))]
+    for g1, g2 in [*product(GENERATORS, repeat=2), *random_pairs]:
+        src1, dst1, two1 = _action(g1, n)
+        src2, dst2, two2 = _action(g2, n)
+        src, dst, two = _action(g2.compose(g1), n)
+        for got, want in zip(src + dst, [x[src1] for x in src2] + [x[dst1] for x in dst2]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(two, (two1 + two2[dst1]) % (2 * n))
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_generators_decide_covariance_as_every_lift_class_does(n):
+    """The production audit on S and T against a scan of every class of
+    SL(2, Z_2N): the same verdict, and for even N the same witness (S)."""
+    got = fano.check_covariance_group(fano.coefficients_candidate(n))
+    want = covariance_every_class(fano.coefficients_candidate(n).table, DEFAULT_TOL)
+    assert got.passed == want.passed == (n % 2 == 1)
+    assert (got.witness, got.element) == (want.witness, want.element)
+    if n % 2 == 0:
+        assert got.element == GENERATORS[0]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_covariance_under_s_alone_is_not_enough(n):
+    """A random sparse table summed over the orbit of S (S^4 = 1) is fixed
+    by S; T and the scan of every class of SL(2, Z_2N) both fail it."""
+    s, t = GENERATORS
+    rng = np.random.default_rng(n)
+    table = np.zeros(n**4, dtype=complex)
+    table[rng.choice(n**4, size=n, replace=False)] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = FanoCoefficients(n, table.reshape((n,) * 4))
+    orbit = [a]
+    for _ in range(3):
+        orbit.append(apply_covariance_transform(orbit[-1], s))
+    sym = FanoCoefficients(n, sum(x.table for x in orbit))
+    assert _covariance_scan(sym.table, [s], DEFAULT_TOL).passed
+    got = fano.check_covariance_group(sym)
+    assert not got.passed and got.element == t
+    assert not covariance_every_class(sym.table, DEFAULT_TOL).passed
 
 
 @pytest.mark.parametrize("n,expected_witness", [(2, "covariance"), (4, "hermiticity"), (6, "hermiticity")])

@@ -1,10 +1,10 @@
 """Audit kernels against dense and plain-loop oracles.
 
-The production covariance audit evaluates each lift only at the positions
-where a residual can be nonzero, and the route audit is vectorised over the
-lifts. The oracles here are the dense N^4 covariance scan, the plain-loop
+The covariance scan evaluates each lift only at the positions where a
+residual can be nonzero, and the route audit is vectorised over the lifts.
+The oracles here are the dense N^4 covariance scan, the plain-loop
 residuals and the per-(s,t) loop over `derivation_routes`; the fast paths
-must agree with them field by field.
+must agree with them field by field, on lift lists chosen here.
 """
 
 import numpy as np
@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from latwig import fano
-from latwig.fano import CheckResult, FanoCoefficients, _hermiticity_phases
-from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts, sl2_second_lift
-from oracles import covariance_phase_table, derivation_routes, phase_phi
+from latwig.fano import CheckResult, _covariance_scan, _hermiticity_phases
+from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
+from oracles import covariance_phase_table, derivation_routes, phase_phi, sl2_second_lift_search
 
 
 def _random_table(n, seed):
@@ -78,16 +78,20 @@ def covariance_residuals_dense(table, g):
     return np.abs(lhs - rhs)
 
 
-def covariance_group_oracle(table, elements, tol):
+def _flat(elements):
+    """The lifts of a list of lift tuples, in order."""
+    return [lift for group in elements for lift in group]
+
+
+def covariance_group_oracle(table, lifts, tol):
     """Dense scan of every lift in order; witness from the first failing lift."""
     worst = 0.0
     first_fail = None
-    for group in elements:
-        for lift in group:
-            res = covariance_residuals_dense(table, lift)
-            worst = max(worst, float(res.max()))
-            if first_fail is None and res.max() > tol:
-                first_fail = (tuple(int(i) for i in np.argwhere(res > tol)[0]), lift)
+    for lift in lifts:
+        res = covariance_residuals_dense(table, lift)
+        worst = max(worst, float(res.max()))
+        if first_fail is None and res.max() > tol:
+            first_fail = (tuple(int(i) for i in np.argwhere(res > tol)[0]), lift)
     if first_fail is None:
         return CheckResult("covariance", True, worst, None, None)
     return CheckResult("covariance", False, worst, *first_fail)
@@ -136,54 +140,49 @@ def test_numpy_hermiticity_kernel_matches_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sparse_covariance_matches_dense_oracle_on_candidate_tables(n):
-    elements = sl2_lifts(n)
+    lifts = _flat(sl2_lifts(n))
     table = fano.coefficients_candidate(n).table
-    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
-    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
+    assert_same_check(_covariance_scan(table, lifts, 1e-10), covariance_group_oracle(table, lifts, 1e-10))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sparse_covariance_matches_dense_oracle_on_random_dense_tables(n):
-    elements = sl2_lifts(n)
+    lifts = _flat(sl2_lifts(n))
     table = _random_table(n, 100 + n)
-    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
-    want = covariance_group_oracle(table, elements, 1e-10)
+    got = _covariance_scan(table, lifts, 1e-10)
+    want = covariance_group_oracle(table, lifts, 1e-10)
     assert not want.passed
     assert_same_check(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_sparse_covariance_matches_dense_oracle_on_random_sparse_tables(n):
-    elements = sl2_lifts(n)
+    lifts = _flat(sl2_lifts(n))
     table = _random_sparse_table(n, 200 + n)
-    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
-    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
+    assert_same_check(_covariance_scan(table, lifts, 1e-10), covariance_group_oracle(table, lifts, 1e-10))
     # The solution table with one leaked entry at a seeded position.
     if n % 2:
         leaky = fano.coefficients_odd(n).table.copy()
         leaky[tuple(np.random.default_rng(300 + n).integers(n, size=4))] += 1e-3
-        got = fano.check_covariance_group(FanoCoefficients(n, leaky), elements=elements)
-        assert_same_check(got, covariance_group_oracle(leaky, elements, 1e-10))
+        assert_same_check(_covariance_scan(leaky, lifts, 1e-10), covariance_group_oracle(leaky, lifts, 1e-10))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 0.0, -1.0, 0.3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sparse_covariance_matches_dense_oracle_at_any_tolerance(n, tol):
     """Tolerance 0 fails on rounding noise; a negative one fails everywhere."""
-    elements = sl2_lifts(n)
+    lifts = _flat(sl2_lifts(n))
     for table in (fano.coefficients_candidate(n).table, _random_sparse_table(n, 400 + n),
                   np.zeros((n, n, n, n), dtype=complex)):
-        got = fano.check_covariance_group(FanoCoefficients(n, table), tol, elements=elements)
-        assert_same_check(got, covariance_group_oracle(table, elements, tol))
+        assert_same_check(_covariance_scan(table, lifts, tol), covariance_group_oracle(table, lifts, tol))
 
 
 def test_single_element_check_matches_dense_oracle():
     n = 4
     table = _random_sparse_table(n, 7)
-    for g in sl2_enumerate(n):
-        for lift in (g, sl2_second_lift(g, n)):
-            got = fano.check_covariance_group(FanoCoefficients(n, table), elements=[(lift,)])
-            assert_same_check(got, covariance_group_oracle(table, [(lift,)], 1e-10))
+    for group in sl2_lifts(n):
+        for lift in group:
+            assert_same_check(_covariance_scan(table, [lift], 1e-10), covariance_group_oracle(table, [lift], 1e-10))
 
 
 def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
@@ -197,14 +196,14 @@ def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
     n = 3
     table = fano.coefficients_odd(n).table.copy()
     table[2, 1, 0, 0] = 0.05
-    elements = sl2_lifts(n)
-    assert elements[0][0] == SL2Element(0, 1, -1, 0)
-    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    lifts = _flat(sl2_lifts(n))
+    assert lifts[0] == SL2Element(0, 1, -1, 0)
+    got = _covariance_scan(table, lifts, 1e-10)
     assert not got.passed
     assert got.witness == (2, 1, 0, 0)
     assert got.element == SL2Element(0, 1, -1, 0)
-    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
-    assert fano.check_covariance_group(FanoCoefficients(n, table), elements=[(IDENTITY,)]).passed
+    assert_same_check(got, covariance_group_oracle(table, lifts, 1e-10))
+    assert _covariance_scan(table, [IDENTITY], 1e-10).passed
 
 
 def test_planted_violation_seen_only_by_a_second_lift():
@@ -215,19 +214,19 @@ def test_planted_violation_seen_only_by_a_second_lift():
     at n = 0 carries phase 1 and never fails.
     """
     n = 2
-    second = sl2_second_lift(IDENTITY, n)
+    second = sl2_second_lift_search(IDENTITY, n)
     assert second == SL2Element(1, 2, 0, 1)
     table = np.zeros((n, n, n, n), dtype=complex)
     table[1, 0, 1, 1] = 0.25
     table[0, 1, 1, 0] = 0.1
     table[0, 0, 0, 1] = 0.5
-    elements = [(IDENTITY, second)]
-    got = fano.check_covariance_group(FanoCoefficients(n, table), elements=elements)
+    lifts = [IDENTITY, second]
+    got = _covariance_scan(table, lifts, 1e-10)
     assert not got.passed
     assert got.witness == (0, 1, 1, 0)
     assert got.element == second
     assert got.max_violation == pytest.approx(0.5)
-    assert_same_check(got, covariance_group_oracle(table, elements, 1e-10))
+    assert_same_check(got, covariance_group_oracle(table, lifts, 1e-10))
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -272,7 +271,7 @@ def _huge_odd_lifts():
 
 @pytest.mark.parametrize("lift", _huge_odd_lifts(), ids=["2^20+1", "2^70+1"])
 def test_odd_solution_passes_covariance_under_a_huge_single_lift(lift):
-    got = fano.check_covariance_group(fano.coefficients_odd(7), elements=[(lift,)])
+    got = _covariance_scan(fano.coefficients_odd(7).table, [lift], 1e-10)
     assert got.passed, got
     assert got.max_violation < 1e-15
 
@@ -285,7 +284,7 @@ def test_odd_audits_pass_with_huge_second_lifts(k):
     shift = SL2Element(1, n * k, n * k, 1 + n * n * k * k)
     elements = [(g, g.compose(shift)) for g in sl2_enumerate(n)]
     assert max(abs(x) for _, h in elements for x in h.as_tuple()) > 2**20
-    cov = fano.check_covariance_group(fano.coefficients_odd(n), elements=elements)
+    cov = _covariance_scan(fano.coefficients_odd(n).table, _flat(elements), 1e-10)
     assert cov.passed, cov
     checks, _ = fano.uniqueness_audit(n, elements=elements)
     assert checks["route_consistency"].passed, checks["route_consistency"]
@@ -306,9 +305,8 @@ def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
                for x, y in zip(g.as_tuple(), h.as_tuple()))
     big = [tuple(huge[g] for g in group) for group in small]
     for table in (fano.coefficients_candidate(n).table, _random_sparse_table(n, 500 + n)):
-        c = FanoCoefficients(n, table)
-        want = fano.check_covariance_group(c, elements=small)
-        got = fano.check_covariance_group(c, elements=big)
+        want = _covariance_scan(table, _flat(small), 1e-10)
+        got = _covariance_scan(table, _flat(big), 1e-10)
         assert not want.passed
         assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
         assert got.element == huge[want.element]

@@ -12,13 +12,13 @@ from latwig.lattice import (
     SL2Element,
     _coprime_lift,
     _land_completion,
+    _second_row,
     egcd,
     gcd_decompose,
     line_sites,
     sl2_complete,
     sl2_enumerate,
     sl2_lifts,
-    sl2_second_lift,
 )
 from oracles import (
     canonical,
@@ -141,8 +141,7 @@ def test_sl2_enumerate_exact_lifts_cover_distinct_classes(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sl2_second_lift_same_class_different_integers(n):
-    for g in sl2_enumerate(n):
-        h = sl2_second_lift(g, n)
+    for g, h in sl2_lifts(n):
         assert h != g
         assert h.residues(n) == g.residues(n)
         assert h.kappa * h.nu - h.mu * h.lam == 1
@@ -163,17 +162,18 @@ def test_sl2_enumerate_and_lifts_equal_the_search_oracles(n):
 @pytest.mark.parametrize("n,kappa,lam,j", [(233, 40, 299, 4), (253, 104, 495, 4), (293, 77, 162, 3)])
 def test_sl2_second_lift_when_every_shift_shares_a_factor(n, kappa, lam, j):
     """Rows whose seven +N shifts all share a factor with the other entry:
-    the second lift is (kappa, lam + j*N) for the first coprime j >= 3."""
+    the second row is (kappa, lam + j*N) for the first coprime j >= 3, and
+    every element of the row lands on it in its own class."""
     assert _coprime_lift(kappa % n, lam % n, n) == (kappa, lam)
     shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
     assert all(math.gcd(kappa + da, lam + db) > 1 for da, db in shifts)
-    base = sl2_complete(kappa, lam)
+    assert _second_row(kappa, lam, n) == (kappa, lam + j * n)
+    base, second = sl2_complete(kappa, lam), sl2_complete(kappa, lam + j * n)
     for i in range(n):
         mu_res, nu_res = (base.mu + i * kappa) % n, (base.nu + i * lam) % n
         g = _land_completion(base, mu_res, nu_res, n)
         assert g == land_completion_search(kappa, lam, mu_res, nu_res, n)
-        h = sl2_second_lift(g, n)
-        assert (h.kappa, h.lam) == (kappa, lam + j * n)
+        h = _land_completion(second, mu_res, nu_res, n)
         assert h != g
         assert h.residues(n) == g.residues(n)
         assert h.kappa * h.nu - h.mu * h.lam == 1
@@ -196,7 +196,7 @@ def test_sl2_lifts_on_a_row_that_needs_the_fallback(monkeypatch, n, kappa, lam, 
     identity_row, fallback_row = _row(1, 0, n), _row(kappa, lam, n)
     monkeypatch.setattr(lattice, "sl2_enumerate", lambda _n: identity_row + fallback_row)
     lifts = sl2_lifts(n)
-    assert lifts == [(g, sl2_second_lift(g, n)) for g in identity_row + fallback_row]
+    assert [g for g, _ in lifts] == identity_row + fallback_row
     assert lifts[n:] == [
         (g, land_completion_search(kappa, lam + j * n, g.mu % n, g.nu % n, n)) for g in fallback_row
     ]
@@ -263,7 +263,7 @@ def test_line_sites_depend_on_the_residue_class_only(n):
     """A second lift has the same lines; the negated element -g runs row
     -p0 of g backwards (r -> -r), whatever the size or sign of the entries."""
     g = sl2_complete(2, 3)
-    h = sl2_second_lift(sl2_second_lift(g, n), n)
+    h = sl2_second_lift_search(sl2_second_lift_search(g, n), n)
     neg = SL2Element(*(-x for x in h.as_tuple()))
     q, p = line_sites(g, n)
     assert np.array_equal(np.stack(line_sites(h, n)), np.stack((q, p)))

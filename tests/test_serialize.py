@@ -132,13 +132,13 @@ def test_structured_array_becomes_a_list_of_flat_objects():
 # Subarray record fields, blocks and streaming: every block size and write
 # chunk gives the reference emitter's text.
 
-# Per float dtype: -0, NaNs of both signs with payloads (quiet ones for float32,
-# whose cast to float64 warns on a signalling one), the smallest and
-# largest subnormals.
+# Per float dtype: -0, quiet and signalling NaNs of both signs with payloads,
+# the smallest and largest subnormals.
 SPECIAL_BITS = {
     np.float64: np.array([0x8000000000000000, 0x7FF8DEADBEEF0001, 0xFFF0000000000001,
                           0x0000000000000001, 0x000FFFFFFFFFFFFF], dtype=np.uint64),
-    np.float32: np.array([0x80000000, 0x7FC0BEEF, 0xFFC00001, 0x00000001, 0x007FFFFF], dtype=np.uint32),
+    np.float32: np.array([0x80000000, 0x7FC0BEEF, 0xFFC00001, 0xFF800001, 0x7F800001,
+                          0x00000001, 0x007FFFFF], dtype=np.uint32),
 }
 
 

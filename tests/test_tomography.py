@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from latwig import tomography, wigner
 from latwig.fano import DisplacedParitySet
-from latwig.lattice import IDENTITY, SL2Element, sl2_second_lift
+from latwig.lattice import IDENTITY, SL2Element
 from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix
-from oracles import incidence_ok, line_label, random_pure_density
+from oracles import incidence_ok, line_label, random_pure_density, sl2_second_lift_search
 
 
 def _solution_set(n):
@@ -107,7 +107,7 @@ def _relifted(d, shift):
     the identity whose entries are multiples of N (negative ones included)."""
     n = d.n
     families = [
-        wigner.MarginalDistribution(sl2_second_lift(fam.element, n).compose(shift), fam.weights)
+        wigner.MarginalDistribution(sl2_second_lift_search(fam.element, n).compose(shift), fam.weights)
         for fam in d.families
     ]
     return tomography.MarginalDataset(n=n, shots=d.shots, seed=d.seed, families=families)
