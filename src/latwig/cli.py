@@ -41,18 +41,22 @@ DEFAULT_AUDIT_BOUND = 9
 # 51*N^3 bytes, 414 MiB at N = 201 and 768 MiB at N = 251.
 MARGINAL_MAX_N = 201
 
-# Largest N `fano` accepts. It holds the dense N^4 coefficient table and
-# operator tensor and their record arrays, about 125*N^4 bytes: peak RSS
-# 141 MiB at N = 31 and 373 MiB at N = 41, for a 249 MB artifact.
-FANO_MAX_N = 41
+# Largest N `fano` accepts. It holds the dense N^4 coefficient table for
+# `assemble`, the operator tensor and its record array, and assemble's work
+# arrays, about 56*N^4 bytes (the coefficients are rendered from the
+# table's N^2 nonzeros): peak RSS 171 MiB at N = 41, 152 MiB at the
+# composite N = 39, 361 MiB at N = 51 (a 582 MB artifact) and 385 MiB at
+# N = 52.
+FANO_MAX_N = 51
 
 # Largest N `wigner` accepts. It holds a few N x N complex matrices and the
-# grid's texts: peak RSS 287 MiB at N = 1001 and 457 MiB at N = 1201.
+# grid's texts: peak RSS 134 MiB at N = 1001 and 133 MiB at the prime
+# N = 997.
 WIGNER_MAX_N = 1001
 
 # Largest N `tomo` accepts. It holds the N + 1 line families' N x N site
-# arrays next to the state and grids: peak RSS 205 MiB at N = 401 and
-# 375 MiB at N = 601.
+# arrays next to the state and grids: peak RSS 70 MiB at N = 401 and
+# 83 MiB at N = 601 (both prime; `tomo` refuses composite N).
 TOMO_MAX_N = 601
 
 
@@ -99,13 +103,21 @@ def _require_at_most(n, limit, what):
 
 
 def cmd_fano(args):
+    """Write the candidate table's N^4 coefficients and its N^2 dense operators.
+
+    The coefficients are rendered from the table's N^2 support values
+    table[s, t, t, s] (:class:`serialize.SupportRecords`); a nonzero off
+    that support is an internal error. The dense table is still built,
+    for ``assemble``.
+    """
     n = args.n
     _require_at_most(n, FANO_MAX_N, "whose dense N^4 table and operators `fano` builds")
     coeffs = fano.coefficients_candidate(n)
     fset = fano.assemble(coeffs)
-    table = coeffs.table
-    entries = np.rec.fromarrays([*np.indices(table.shape).reshape(4, -1), table.real.ravel(), table.imag.ravel()],
-                                names="s,t,n,m,re,im")
+    s, t = np.indices((n, n))
+    support = coeffs.table[s, t, t, s]
+    if np.count_nonzero(coeffs.table) > np.count_nonzero(support):
+        raise ValueError("the candidate coefficient table has a nonzero off its support (n, m) = (t, s)")
     operators = np.empty(n * n, dtype=[("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))])
     operators["q"], operators["p"] = np.indices((n, n)).reshape(2, -1)
     operators["re"] = fset.operators.real.reshape(n * n, n, n)
@@ -114,12 +126,12 @@ def cmd_fano(args):
         "n": n,
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
-        "coefficients": entries,
+        "coefficients": serialize.SupportRecords(support.real, support.imag),
         "operators": operators,
     }
     serialize.write_json(args.out, doc)
     tag = "candidate (even N)" if n % 2 == 0 else "solution"
-    print(f"wrote {len(entries)} coefficients and {n * n} operators ({tag}) to {args.out}")
+    print(f"wrote {n**4} coefficients and {n * n} operators ({tag}) to {args.out}")
     return 0
 
 

@@ -12,12 +12,14 @@ Construction runs on ``numpy.fft``: the table-to-position transform and the
 monomial expansion are FFTs over single axes of the N^4 table, so
 ``assemble`` costs O(N^4 log N) time and about three N^4 complex arrays of
 memory (the table plus at most two work or output arrays at a time). The
-dense operators serve the ``fano`` artifact and the operator-level audits
-of ``check``, which must also hold even-N candidates: those are not
-sparse (10 nonzeros per operator at N = 4, 36 at N = 8). The transforms,
-marginals and tomography use :class:`DisplacedParitySet`, the odd-N
-solution in closed form: each operator is a phased permutation, and the
-set holds no array at all.
+``fano`` artifact writes its N^4 coefficients from the table's N^2 nonzeros
+``table[s, t, t, s]``, not from the dense table, which it builds for
+``assemble`` alone. The dense operators serve the ``fano`` artifact and
+the operator-level audits of ``check``, which must also hold even-N
+candidates: those are not sparse (10 nonzeros per operator at N = 4, 36 at
+N = 8). The transforms, marginals and tomography use
+:class:`DisplacedParitySet`, the odd-N solution in closed form: each
+operator is a phased permutation, and the set holds no array at all.
 
 Neither group audit bounds N. Covariance is an action of SL(2, Z) on
 tables, so it is decided on the two generators S and T, each evaluated only

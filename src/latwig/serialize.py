@@ -11,10 +11,14 @@ Numeric data reaches the emitter as numpy arrays. A float array becomes
 nested JSON lists; a 1-D structured array becomes a list of flat objects,
 one per record, whose fields are ints, floats or fixed-shape float
 subarrays (nested lists; the ``fano`` operators are one record array
-``q, p, re (N, N), im (N, N)``). Either is a list of rows along its first
-axis, rendered as a numpy object array of text pieces with one row of
-pieces per row: the value texts interleaved with a row template of
-precomputed keys, separators and brackets, joined once per block with
+``q, p, re (N, N), im (N, N)``). The ``fano`` coefficients are N^4 records
+of which only N^2 can be nonzero; they reach the emitter as those N^2
+values, a :class:`SupportRecords`, and each record's text is one of N^2
+precomputed zero tails or a support record's, joined after an (s, t)
+head. Any other array is a list of rows along its first axis, rendered
+as a numpy object array of text pieces with one row of pieces per row:
+the value texts interleaved with a row template of precomputed keys,
+separators and brackets, joined once per block with
 ``"".join(pieces.ravel().tolist())``, with no Python loop per value, row
 or record. The separator after an element of a nested list depends only
 on the shape: ``"]" * t + "," + "[" * t``, t the number of trailing axes
@@ -24,19 +28,24 @@ distinct values of a block.
 Every float of an array, CSV grids and marginals included, is written by
 :func:`_texts`, the one place ``%.17g`` is applied to array data; ``"%.17g"
 % x`` writes exactly what ``format_float(x)`` writes for every double
-(``-0``, ``nan``, ``inf``, subnormals). A document repeats few distinct
-floats (the ``fano`` artifact at N = 17 holds 334,084 floats but only 4,773
-distinct bit patterns), so each document keeps a private cache from a
+(``-0``, ``nan``, ``inf``, subnormals). A document often repeats few distinct
+floats (the ``fano`` operators at N = 17 hold 167,042 floats but only
+4,742 distinct bit patterns), so each document keeps a private cache from a
 float's 64-bit pattern to its text and formats each pattern once. The key
 is the bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
 value-keyed cache would write ``0`` where ``-0`` belongs, and NaNs, never
-equal to themselves, would each miss. The cache dies with the document; no
+equal to themselves, would each miss. The cache is bounded: it is cleared
+when the new patterns of one call would take it past ``BLOCK`` entries,
+since a document can also hold millions of distinct floats (FFT round-off
+makes about half of the ``fano`` operator floats distinct at composite N,
+2,564,960 of 4,626,882 at N = 39). The cache dies with the document; no
 formatted text is kept between dumps.
 
 Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
-row), and one emitter yields the text block by block: :func:`write_json`
-streams the blocks to the file, so the whole text never exists at once,
-and :func:`dumps_json` joins the same blocks. Every JSON artifact of the
+row), support records one s-slab of N^3 records per block, and one
+emitter yields the text block by block: :func:`write_json` streams the
+blocks to the file, so the whole text never exists at once, and
+:func:`dumps_json` joins the same blocks. Every JSON artifact of the
 command line is written by :func:`write_json`.
 """
 
@@ -46,6 +55,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +82,9 @@ def _texts(a, cache):
     """The ``%.17g`` texts of a real array's elements, in C order, as a 1-D object array.
 
     ``cache`` maps a float64 bit pattern to its text; only the patterns it
-    does not hold yet are formatted, and are added to it. A small array
+    does not hold yet are formatted, and are added to it. If that would
+    take it past ``BLOCK`` entries it is cleared first, so it never holds
+    more than ``BLOCK`` patterns or those of one call. A small array
     looks each element up in the cache; a large one looks up its distinct
     patterns and indexes them, since a dict lookup per element costs more
     than ``np.unique``'s sort there and less on a few elements.
@@ -87,6 +99,9 @@ def _texts(a, cache):
     else:
         keys = bits.tolist()
     new = list(set(itertools.filterfalse(cache.__contains__, keys)))
+    if cache and len(cache) + len(new) > BLOCK:
+        cache.clear()
+        new = list(set(keys))
     if new:
         values = np.array(new, dtype=np.uint64).view(np.float64).tolist()
         cache.update(zip(new, ["%.17g" % x for x in values]))
@@ -190,6 +205,48 @@ def _array_chunks(a, cache):
     yield "]"
 
 
+@dataclass(frozen=True)
+class SupportRecords:
+    """The N^4 records ``{"s","t","n","m","re","im"}`` of a table over [0, N)^4.
+
+    Records run over (s, t, n, m) in C order, and every one is zero except
+    at (n, m) = (t, s), where it is ``re[s, t]``, ``im[s, t]``: the layout
+    of the ``fano`` coefficients, given by their N^2 support values.
+    """
+
+    re: np.ndarray  # float, shape (N, N), indexed [s, t]
+    im: np.ndarray  # float, shape (N, N), indexed [s, t]
+
+
+def _support_chunks(grid, cache):
+    """The records of a :class:`SupportRecords`, one s-slab of N^3 records per block.
+
+    The N^2 zero tails ``"n":a,"m":b,"re":0,"im":0}`` are built once; an
+    (s, t) slab joins them after the head ``{"s":S,"t":T,``, with the tail
+    at (a, b) = (t, s) swapped for the support record's.
+    """
+    n = len(grid.re)
+    if np.shape(grid.re) != (n, n) or np.shape(grid.im) != (n, n):
+        raise TypeError(f"support values must be two N x N arrays, got {np.shape(grid.re)}, {np.shape(grid.im)}")
+    ints = [str(k) for k in range(n)]
+    zero = _texts(np.zeros(1), cache)[0]
+    re = _texts(grid.re, cache).reshape(n, n).tolist()
+    im = _texts(grid.im, cache).reshape(n, n).tolist()
+    tails = [f'"n":{a},"m":{b},"re":{zero},"im":{zero}}}' for a in ints for b in ints]
+    yield "["
+    for s in range(n):
+        slabs = [""] if s else []  # the "," after the previous block
+        for t in range(n):
+            head = f'{{"s":{ints[s]},"t":{ints[t]},'
+            k = t * n + s
+            zero_tail = tails[k]
+            tails[k] = f'"n":{ints[t]},"m":{ints[s]},"re":{re[s][t]},"im":{im[s][t]}}}'
+            slabs.append(head + ("," + head).join(tails))
+            tails[k] = zero_tail
+        yield ",".join(slabs)
+    yield "]"
+
+
 def _emit(obj, out, cache):
     """Append the JSON text of obj to out: strings, and for each array the
     generator of its blocks, which the consumer runs in document order."""
@@ -213,6 +270,8 @@ def _emit(obj, out, cache):
         out.append("}")
     elif isinstance(obj, np.ndarray):
         out.append(_array_chunks(obj, cache))
+    elif isinstance(obj, SupportRecords):
+        out.append(_support_chunks(obj, cache))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):

@@ -53,8 +53,21 @@ def reference_dumps_json(obj):
     return "".join(out)
 
 
+def _dense_records(table):
+    """The record array s, t, n, m, re, im of every entry of a dense N^4 table."""
+    return np.rec.fromarrays([*np.indices(table.shape).reshape(4, -1), table.real.ravel(), table.imag.ravel()],
+                             names="s,t,n,m,re,im")
+
+
 def _plain(obj):
-    """The document as built before arrays were passed: lists, dicts and scalars."""
+    """The document as built before arrays were passed: lists, dicts and scalars.
+
+    The ``fano`` coefficients become the records of every entry of the dense
+    candidate table, as the command line built them before it rendered
+    them from the table's support.
+    """
+    if isinstance(obj, serialize.SupportRecords):
+        return _plain(_dense_records(fano.coefficients_candidate(len(obj.re)).table))
     if isinstance(obj, np.ndarray):
         if obj.dtype.names is not None:
             # A subarray field's value comes back from tolist() as an ndarray.
@@ -68,9 +81,8 @@ def _plain(obj):
 
 
 CLI_DOCUMENTS = [
-    *[["fano", "--n", str(n)] for n in range(1, 7)],
-    # The first sizes whose operators repeat many values across arrays.
-    ["fano", "--n", "9"],
+    *[["fano", "--n", str(n)] for n in range(1, 10)],
+    # N = 9 and 12 are the first sizes whose operators repeat many values across arrays.
     ["fano", "--n", "12"],
     ["check", "--n", "4"],
     ["check", "--n", "5"],
@@ -226,6 +238,88 @@ def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monk
     assert "".join(chunks) == text
     # The longest is one record of "ops", two 3 x 3 subarrays of 17-digit floats.
     assert max(map(len, chunks)) < 400 and len(chunks) > 3000 // 3
+
+
+# ---------------------------------------------------------------------------
+# Support records: the fano coefficients rendered from the N^2 values of a
+# table that is zero off (n, m) = (t, s), checked against its dense records.
+
+
+def _support_values(n, seed):
+    """Random N x N support values with -0, NaNs and repeats planted, and the dense table they fill."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([0.25, -0.0, 0.0, 1 / 3], (n, n)) + 1j * rng.standard_normal((n, n))
+    flat = values.reshape(-1)
+    flat[:3] = [complex(-0.0, np.nan), complex(np.nan, -0.0), complex(5e-324, -np.inf)][:flat.size]
+    s, t = np.indices((n, n))
+    table = np.zeros((n, n, n, n), dtype=complex)
+    table[s, t, t, s] = values
+    return values, table
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_support_records_match_the_dense_records(monkeypatch, n):
+    values, table = _support_values(n, seed=n)
+    grid = serialize.SupportRecords(values.real, values.imag)
+    records = _dense_records(table)
+    expected = reference_dumps_json({"c": _plain(records), "after": 0.25})
+    # The generic record path gives the same text.
+    assert serialize.dumps_json({"c": records, "after": 0.25}) == expected
+    for block in (1, 5, 64, serialize.BLOCK):
+        monkeypatch.setattr(serialize, "BLOCK", block)
+        assert serialize.dumps_json({"c": grid, "after": 0.25}) == expected
+
+
+def test_support_records_stream_one_s_slab_per_block():
+    n = 5
+    values = np.random.default_rng(1).standard_normal((n, n, 2)) @ [1, 1j]
+    chunks = list(serialize._support_chunks(serialize.SupportRecords(values.real, values.imag), {}))
+    assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == n + 2
+    for s, chunk in enumerate(chunks[1:-1]):
+        records = json.loads("[" + chunk.removeprefix(",") + "]")
+        assert len(records) == n**3 and {r["s"] for r in records} == {s}
+    assert serialize.dumps_json(serialize.SupportRecords(np.zeros((0, 0)), np.zeros((0, 0)))) == "[]\n"
+    with pytest.raises(TypeError):
+        serialize.dumps_json(serialize.SupportRecords(np.zeros((2, 2)), np.zeros((2, 3))))
+
+
+# ---------------------------------------------------------------------------
+# The text cache is bounded: it is cleared when a call's new patterns would
+# take it past BLOCK entries, and the texts stay the reference emitter's.
+
+
+def test_text_cache_is_cleared_past_block_entries_and_keeps_the_text(monkeypatch):
+    rng = np.random.default_rng(7)
+    specials = np.concatenate([[0.0, -0.0], SPECIAL_BITS[np.float64].view(np.float64),
+                               np.array([0x7FF8000000000000, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)])
+
+    def planted(k):
+        a = rng.standard_normal(k)
+        a[rng.choice(k, len(specials), replace=False)] = specials
+        return a
+
+    records = np.zeros(300, dtype=[("s", np.intp), ("re", float), ("im", float, (2,))])
+    records["re"] = planted(300)
+    records["im"] = planted(600).reshape(300, 2)
+    values, table = _support_values(6, seed=9)
+    doc = {"a": planted(400), "rows": records, "grid": planted(300).reshape(20, 15),
+           "support": serialize.SupportRecords(values.real, values.imag),
+           "again": records["re"][::-1].copy(), "small": specials[::-1].copy()}
+    expected = reference_dumps_json(_plain({**doc, "support": _dense_records(table)}))
+    monkeypatch.setattr(serialize, "BLOCK", 16)
+    sizes = []
+    texts = serialize._texts
+
+    def spy(a, cache):
+        result = texts(a, cache)
+        distinct = len(np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)))
+        sizes.append(len(cache))
+        assert len(cache) <= max(16, distinct)
+        return result
+
+    monkeypatch.setattr(serialize, "_texts", spy)
+    assert serialize.dumps_json(doc) == expected
+    assert sum(later < earlier for earlier, later in zip(sizes, sizes[1:])) > 10  # cleared many times
 
 
 @pytest.mark.parametrize("a", [

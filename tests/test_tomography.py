@@ -9,10 +9,6 @@ from latwig.operators import basis_state_density, maximally_mixed, random_densit
 from oracles import incidence_ok, line_label, random_pure_density, sl2_second_lift_search
 
 
-def _solution_set(n):
-    return DisplacedParitySet(n)
-
-
 def reconstruct_wigner_oracle(d):
     """The per-site, per-family loop over line labels."""
     n = d.n
@@ -44,14 +40,14 @@ def test_every_point_pair_shares_exactly_one_line(n):
 
 def test_exact_marginals_of_maximally_mixed_state():
     n = 3
-    ds = tomography.simulate_marginals(maximally_mixed(n), _solution_set(n), shots=0)
+    ds = tomography.simulate_marginals(maximally_mixed(n), DisplacedParitySet(n), shots=0)
     for fam in ds.families:
         assert_allclose(fam.weights, np.full(n, 1 / n), atol=1e-12)
 
 
 def test_exact_position_family_of_basis_state():
     n = 3
-    ds = tomography.simulate_marginals(basis_state_density(0, n), _solution_set(n), shots=0)
+    ds = tomography.simulate_marginals(basis_state_density(0, n), DisplacedParitySet(n), shots=0)
     vertical = ds.families[-1]  # direction (0, 1): lines q = -p0
     assert vertical.element.as_tuple() == (0, 1, -1, 0)
     assert_allclose(vertical.weights, [1.0, 0.0, 0.0], atol=1e-12)
@@ -61,12 +57,12 @@ def test_simulation_rejects_even_or_composite_dimensions():
     with pytest.raises(ValueError):
         tomography.simulate_marginals(maximally_mixed(2), DisplacedParitySet(2))
     with pytest.raises(ValueError):
-        tomography.simulate_marginals(maximally_mixed(9), _solution_set(9))
+        tomography.simulate_marginals(maximally_mixed(9), DisplacedParitySet(9))
 
 
 def test_sampled_weights_close_to_exact_at_one_million_shots():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(42))
     exact = tomography.simulate_marginals(rho, fset, shots=0, seed=11)
     sampled = tomography.simulate_marginals(rho, fset, shots=10**6, seed=11)
@@ -76,7 +72,7 @@ def test_sampled_weights_close_to_exact_at_one_million_shots():
 
 def test_sampling_is_deterministic_per_seed():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(1))
     a = tomography.simulate_marginals(rho, fset, shots=1000, seed=5)
     b = tomography.simulate_marginals(rho, fset, shots=1000, seed=5)
@@ -91,7 +87,7 @@ def test_sampling_is_deterministic_per_seed():
 def test_reconstructed_grid_matches_direct_transform_exactly():
     """Brute-force validation of the affine inversion formula."""
     for n in (3, 5):
-        fset = _solution_set(n)
+        fset = DisplacedParitySet(n)
         rng = np.random.default_rng(50 + n)
         for _ in range(5):
             rho = random_density_matrix(n, rng)
@@ -115,7 +111,7 @@ def _relifted(d, shift):
 
 @pytest.mark.parametrize("n", [3, 5, 11, 23])
 def test_reconstruct_wigner_matches_the_per_site_loop_bit_for_bit(n):
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(400 + n))
     large = SL2Element(1, 0, -3 * n, 1).compose(SL2Element(1, 5 * n, 0, 1))
     shifts = (IDENTITY, SL2Element(1, -n, 0, 1), large, SL2Element(1, n * 2**70, 0, 1))
@@ -130,14 +126,14 @@ def test_reconstruct_wigner_matches_the_per_site_loop_bit_for_bit(n):
 
 def test_reconstruct_uniform_grid_from_exact_mixed_marginals():
     n = 3
-    ds = tomography.simulate_marginals(maximally_mixed(n), _solution_set(n), shots=0)
+    ds = tomography.simulate_marginals(maximally_mixed(n), DisplacedParitySet(n), shots=0)
     grid = tomography.reconstruct_wigner(ds)
     assert_allclose(grid.values.real, np.full((n, n), 1 / 9), atol=1e-12)
 
 
 def test_reconstructed_grid_normalization_follows_weights():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(9))
     ds = tomography.simulate_marginals(rho, fset, shots=2000, seed=3)
     grid = tomography.reconstruct_wigner(ds)
@@ -146,7 +142,7 @@ def test_reconstructed_grid_normalization_follows_weights():
 
 def test_sampled_grid_close_to_exact_at_one_million_shots():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(42))
     exact = wigner.wigner_from_density(rho, fset)
     ds = tomography.simulate_marginals(rho, fset, shots=10**6, seed=11)
@@ -156,7 +152,7 @@ def test_sampled_grid_close_to_exact_at_one_million_shots():
 
 def test_reconstruction_is_linear_in_the_dataset():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(17)
     a = tomography.simulate_marginals(random_density_matrix(n, rng), fset, shots=0)
     b = tomography.simulate_marginals(random_density_matrix(n, rng), fset, shots=0)
@@ -172,7 +168,7 @@ def test_reconstruction_is_linear_in_the_dataset():
 
 def test_incomplete_dataset_rejected():
     n = 3
-    ds = tomography.simulate_marginals(maximally_mixed(n), _solution_set(n), shots=0)
+    ds = tomography.simulate_marginals(maximally_mixed(n), DisplacedParitySet(n), shots=0)
     truncated = tomography.MarginalDataset(n=n, shots=0, seed=0, families=ds.families[:-1])
     with pytest.raises(ValueError):
         tomography.reconstruct_wigner(truncated)
@@ -182,7 +178,7 @@ def test_repeated_family_rejected():
     """N + 2 families with one direction twice cover the right set of
     directions, but every line sum would count that family twice."""
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_pure_density(n, np.random.default_rng(5))
     ds = tomography.simulate_marginals(rho, fset, shots=0)
     for families in (ds.families + ds.families[:1], ds.families[:-1] + ds.families[:1]):
@@ -196,7 +192,7 @@ def test_repeated_family_rejected():
 @pytest.mark.parametrize("size", [4, 6, 10])
 def test_family_with_other_than_n_weights_rejected(size):
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     ds = tomography.simulate_marginals(maximally_mixed(n), fset, shots=0)
     families = list(ds.families)
     weights = np.resize(families[2].weights, size)
@@ -210,7 +206,7 @@ def test_family_with_other_than_n_weights_rejected(size):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_exact_round_trip_recovers_the_state(n):
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(60 + n)
     for _ in range(10):
         rho = random_pure_density(n, rng)
@@ -222,7 +218,7 @@ def test_exact_round_trip_recovers_the_state(n):
 
 def test_maximally_mixed_round_trip_is_exact():
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     ds = tomography.simulate_marginals(maximally_mixed(n), fset, shots=0)
     res = tomography.reconstruct_density(ds, fset, rho_true=maximally_mixed(n))
     assert res.fidelity_error < 1e-12
@@ -230,7 +226,7 @@ def test_maximally_mixed_round_trip_is_exact():
 
 def test_sampled_round_trip_error_bound_and_shot_monotonicity():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(42))
     errors = {}
     for shots in (10**4, 10**6):
@@ -242,7 +238,7 @@ def test_sampled_round_trip_error_bound_and_shot_monotonicity():
 
 def test_dataset_json_schema():
     n = 3
-    ds = tomography.simulate_marginals(maximally_mixed(n), _solution_set(n), shots=100, seed=4)
+    ds = tomography.simulate_marginals(maximally_mixed(n), DisplacedParitySet(n), shots=100, seed=4)
     doc = ds.to_json_dict()
     assert list(doc) == ["n", "shots", "seed", "families"]
     assert len(doc["families"]) == n + 1
@@ -270,4 +266,4 @@ def _negative_eigenvalue(n):
 def test_simulate_marginals_rejects_non_density_matrices(bad, message, shots):
     n = 3
     with pytest.raises(ValueError, match=message):
-        tomography.simulate_marginals(bad(n), _solution_set(n), shots=shots, seed=1)
+        tomography.simulate_marginals(bad(n), DisplacedParitySet(n), shots=shots, seed=1)

@@ -18,10 +18,6 @@ from latwig.operators import (
 from oracles import density_einsum, expand_operators, line_points, sl2_second_lift_search, wigner_einsum
 
 
-def _solution_set(n):
-    return DisplacedParitySet(n)
-
-
 def marginal_oracle(w, g):
     """The per-line loop: a Python sum over each line's sites, in r order."""
     weights = np.empty(w.n, dtype=float)
@@ -75,14 +71,14 @@ ORACLE_DIMS = [1, 3, 5, 9, 11, 23]
 
 def test_maximally_mixed_state_gives_uniform_grid():
     for n in (3, 5):
-        grid = wigner.wigner_from_density(maximally_mixed(n), _solution_set(n))
+        grid = wigner.wigner_from_density(maximally_mixed(n), DisplacedParitySet(n))
         assert_allclose(grid.values, np.full((n, n), 1 / n**2), atol=1e-13)
         assert grid.total() == pytest.approx(1.0)
 
 
 def test_position_eigenstate_grid():
     n = 3
-    grid = wigner.wigner_from_density(basis_state_density(0, n), _solution_set(n))
+    grid = wigner.wigner_from_density(basis_state_density(0, n), DisplacedParitySet(n))
     expected = np.zeros((n, n))
     expected[0, :] = 1 / 3
     assert_allclose(grid.values.real, expected, atol=1e-13)
@@ -91,7 +87,7 @@ def test_position_eigenstate_grid():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_grid_is_real_and_normalized_for_random_states(n):
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(n)
     for _ in range(5):
         rho = random_density_matrix(n, rng)
@@ -102,7 +98,7 @@ def test_grid_is_real_and_normalized_for_random_states(n):
 
 def test_transform_is_linear_in_the_state():
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(0)
     a, b = random_density_matrix(n, rng), random_density_matrix(n, rng)
     lam = 0.3
@@ -117,7 +113,7 @@ def test_transform_is_linear_in_the_state():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        wigner.wigner_from_density(maximally_mixed(4), _solution_set(3))
+        wigner.wigner_from_density(maximally_mixed(4), DisplacedParitySet(3))
 
 
 def test_transforms_reject_a_dense_operator_set():
@@ -132,7 +128,7 @@ def test_transforms_reject_a_dense_operator_set():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_round_trip_density_to_grid_to_density(n):
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(100 + n)
     worst = 0.0
     for _ in range(20):
@@ -144,7 +140,7 @@ def test_round_trip_density_to_grid_to_density(n):
 
 def test_round_trip_grid_to_density_to_grid():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(8)
     values = rng.standard_normal((n, n))
     values = values / values.sum()
@@ -156,7 +152,7 @@ def test_round_trip_grid_to_density_to_grid():
 
 def test_uniform_grid_inverts_to_maximally_mixed():
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
     assert_allclose(wigner.density_from_wigner(grid, fset), np.eye(n) / n, atol=1e-12)
 
@@ -203,7 +199,7 @@ def test_fft_transforms_match_the_einsum_oracles(n):
 
 def test_axis_marginals_match_basis_expectations():
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(4)
     rho = random_density_matrix(n, rng)
     grid = wigner.wigner_from_density(rho, fset)
@@ -221,7 +217,7 @@ def test_axis_marginals_match_basis_expectations():
 
 def test_uniform_state_has_uniform_marginal_in_every_direction():
     n = 5
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     grid = wigner.wigner_from_density(maximally_mixed(n), fset)
     for kappa, lam in [(1, 0), (0, 1), (1, 1), (1, 4), (2, 3)]:
         marg = wigner.marginal_along_line(grid, sl2_complete(kappa, lam))
@@ -230,7 +226,7 @@ def test_uniform_state_has_uniform_marginal_in_every_direction():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_tilted_marginals_are_probabilities_and_match_projectors(n):
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(30 + n)
     rho = random_density_matrix(n, rng)
     grid = wigner.wigner_from_density(rho, fset)
@@ -250,7 +246,7 @@ def test_tilted_marginals_are_probabilities_and_match_projectors(n):
 def test_marginal_gather_matches_the_per_line_loop_bit_for_bit(n):
     rng = np.random.default_rng(200 + n)
     grids = [
-        wigner.wigner_from_density(random_density_matrix(n, rng), _solution_set(n)),
+        wigner.wigner_from_density(random_density_matrix(n, rng), DisplacedParitySet(n)),
         wigner.WignerGrid(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
         wigner.WignerGrid(n, np.full((n, n), complex(-0.0, -0.0))),
     ]
@@ -290,7 +286,7 @@ class RandomPhasedPermutations:
 def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
     rng = np.random.default_rng(300 + n)
     fake = RandomPhasedPermutations.draw(n, rng)
-    for fset, ops in [(_solution_set(n), expand_operators(_solution_set(n))), (fake, fake.dense())]:
+    for fset, ops in [(DisplacedParitySet(n), expand_operators(DisplacedParitySet(n))), (fake, fake.dense())]:
         for g in oracle_directions(n):
             got = wigner.line_sum_operators(fset, g)
             assert got.shape == (n, n, n)
@@ -304,7 +300,7 @@ def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
     label on its own, on the solution set (passing) and on random line-sum
     stacks (failing)."""
     rng = np.random.default_rng(400 + n)
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     ops = expand_operators(fset)
     for g in oracle_directions(n):
         stack = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))  # fails
@@ -322,7 +318,7 @@ def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
 
 def test_direction_totals_equal_grid_total():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(12))
     grid = wigner.wigner_from_density(rho, fset)
     for kappa, lam in [(1, 0), (0, 1), (1, 2)]:
@@ -332,7 +328,7 @@ def test_direction_totals_equal_grid_total():
 
 def test_line_projector_identity_for_axis_direction():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     for p0, m in enumerate(wigner.line_sum_operators(fset, IDENTITY)):
         assert_allclose(m, momentum_state_density(p0, n), atol=1e-12)
     rep = wigner.line_projector_check(fset, IDENTITY)
@@ -341,7 +337,7 @@ def test_line_projector_identity_for_axis_direction():
 
 def test_line_projector_identity_for_diagonal_direction():
     n = 3
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     rep = wigner.line_projector_check(fset, SL2Element(1, 1, 0, 1))
     assert rep.passed
     assert rep.eigenvalue_multiplicity == 1
@@ -349,7 +345,7 @@ def test_line_projector_identity_for_diagonal_direction():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_line_projector_identity_full_direction_sweep(n):
-    fset = _solution_set(n)
+    fset = DisplacedParitySet(n)
     directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
     for g in directions:
         rep = wigner.line_projector_check(fset, g)
@@ -359,7 +355,7 @@ def test_line_projector_identity_full_direction_sweep(n):
 
 def test_line_projector_nondegenerate_for_composite_odd_direction():
     """Dimension nine, direction (1,3): the eigenvalue is still simple."""
-    fset = _solution_set(9)
+    fset = DisplacedParitySet(9)
     rep = wigner.line_projector_check(fset, sl2_complete(1, 3))
     assert rep.eigenvalue_multiplicity == 1
     assert rep.passed
@@ -370,7 +366,7 @@ def test_line_projector_check_names_the_line_of_a_planted_defect():
     diagonal: every residual fails, and each witness starts with 2."""
     n = 5
     g = sl2_complete(2, 3)
-    stack = wigner.line_sum_operators(_solution_set(n), g)
+    stack = wigner.line_sum_operators(DisplacedParitySet(n), g)
     stack[2, 0, :2] += 1e-6  # as if one operator on line 2 were perturbed there
     rep = wigner._projector_report(stack, g, 1e-10)
     assert not rep.passed
