@@ -41,12 +41,11 @@ DEFAULT_AUDIT_BOUND = 9
 # 51*N^3 bytes, 414 MiB at N = 201 and 768 MiB at N = 251.
 MARGINAL_MAX_N = 201
 
-# Largest N `fano` accepts. It holds the dense N^4 coefficient table for
-# `assemble`, the operator tensor and its record array, and assemble's work
-# arrays, about 56*N^4 bytes (the coefficients are rendered from the
-# table's N^2 nonzeros): peak RSS 171 MiB at N = 41, 152 MiB at the
-# composite N = 39, 361 MiB at N = 51 (a 582 MB artifact) and 385 MiB at
-# N = 52.
+# Largest N `fano` accepts. It holds the operator tensor and its record
+# array next to `assemble`'s dense N^4 table and work arrays, about 52*N^4
+# bytes (the coefficients are the table's N^2 support values): peak RSS
+# 158 MiB at N = 41, 135 MiB at the composite N = 39, 337 MiB at N = 51
+# (a 582 MB artifact) and 363 MiB at N = 52.
 FANO_MAX_N = 51
 
 # Largest N `wigner` accepts. It holds a few N x N complex matrices and the
@@ -106,18 +105,14 @@ def cmd_fano(args):
     """Write the candidate table's N^4 coefficients and its N^2 dense operators.
 
     The coefficients are rendered from the table's N^2 support values
-    table[s, t, t, s] (:class:`serialize.SupportRecords`); a nonzero off
-    that support is an internal error. The dense table is still built,
-    for ``assemble``.
+    (:class:`serialize.SupportRecords`), which is all a
+    :class:`fano.FanoCoefficients` holds. ``assemble`` builds the dense
+    N^4 table for its FFTs, and the operators are its dense output.
     """
     n = args.n
     _require_at_most(n, FANO_MAX_N, "whose dense N^4 table and operators `fano` builds")
     coeffs = fano.coefficients_candidate(n)
     fset = fano.assemble(coeffs)
-    s, t = np.indices((n, n))
-    support = coeffs.table[s, t, t, s]
-    if np.count_nonzero(coeffs.table) > np.count_nonzero(support):
-        raise ValueError("the candidate coefficient table has a nonzero off its support (n, m) = (t, s)")
     operators = np.empty(n * n, dtype=[("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))])
     operators["q"], operators["p"] = np.indices((n, n)).reshape(2, -1)
     operators["re"] = fset.operators.real.reshape(n * n, n, n)
@@ -126,7 +121,7 @@ def cmd_fano(args):
         "n": n,
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
-        "coefficients": serialize.SupportRecords(support.real, support.imag),
+        "coefficients": serialize.SupportRecords(coeffs.values.real, coeffs.values.imag),
         "operators": operators,
     }
     serialize.write_json(args.out, doc)

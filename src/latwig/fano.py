@@ -8,30 +8,31 @@ symplectic covariance) plus the line-by-line derivation that forces the
 table uniquely. Audits never raise on mathematical failure; they return
 reports, because failure is the expected outcome for even N.
 
-Construction runs on ``numpy.fft``: the table-to-position transform and the
-monomial expansion are FFTs over single axes of the N^4 table, so
-``assemble`` costs O(N^4 log N) time and about three N^4 complex arrays of
-memory (the table plus at most two work or output arrays at a time). The
-``fano`` artifact writes its N^4 coefficients from the table's N^2 nonzeros
-``table[s, t, t, s]``, not from the dense table, which it builds for
-``assemble`` alone. The dense operators serve the ``fano`` artifact and
-the operator-level audits of ``check``, which must also hold even-N
-candidates: those are not sparse (10 nonzeros per operator at N = 4, 36 at
-N = 8). The transforms, marginals and tomography use
+Every table the construction admits is zero off the support (n,m) = (t,s),
+so :class:`FanoCoefficients` holds only the N^2 support values
+a~(s,t;t,s), and every coefficient-level audit is an O(N^2) formula on
+them: each condition's dense residual vanishes off that support, and its
+witness is the index that a scan of the dense N^4 residuals would name
+first. The dense table is built in one place, :func:`coefficients_to_position`,
+whose FFTs over single axes make ``assemble`` cost O(N^4 log N) time and
+about three N^4 complex arrays of memory. The dense operators serve the
+``fano`` artifact and the operator-level audits of ``check``, which must
+also hold even-N candidates: those are not sparse (10 nonzeros per operator
+at N = 4, 36 at N = 8). The transforms, marginals and tomography use
 :class:`DisplacedParitySet`, the odd-N solution in closed form: each
 operator is a phased permutation, and the set holds no array at all.
 
 Neither group audit bounds N. Covariance is an action of SL(2, Z) on
-tables, so it is decided on the two generators S and T, each evaluated only
-where a residual can be nonzero: O(nnz) positions for a table with nnz
-nonzero entries. For the candidate tables its float verdict is the exact
-one at any tolerance between their residuals: round-off below 1e-16 for
-odd N, where the table is covariant, and 2/N^2 for even N. The route audit
-takes the list ``elements`` of every element's two lifts from
+tables, so it is decided on the two generators S and T. Each lift with
+determinant 1 maps the support onto itself, so it is one residual per
+support point. For the candidate tables the float verdict is the exact one
+at any tolerance between their residuals: round-off below 1e-16 for odd N,
+where the table is covariant, and 2/N^2 for even N. The route audit takes
+the list ``elements`` of every element's two lifts from
 :func:`latwig.lattice.sl2_lifts` and sorts the 2(N - 1) routes of each lift.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +56,19 @@ PHASE_CONVENTION = "exp(2*pi*i*x/N)"
 
 @dataclass(frozen=True)
 class FanoCoefficients:
-    """Coefficient table a~(s,t;n,m) stored on canonical residues [0,N)^4."""
+    """Coefficient table a~(s,t;n,m) on canonical residues [0,N)^4, held as its support.
+
+    values[s, t] = a~(s,t;t,s); every entry with (n,m) != (t,s) is zero.
+    """
 
     n: int
-    table: np.ndarray  # complex, shape (n, n, n, n), indexed [s, t, n, m]
+    values: np.ndarray  # complex, shape (n, n), indexed [s, t]
 
-    def copy(self):
-        return FanoCoefficients(self.n, self.table.copy())
+    def __post_init__(self):
+        check_dim(self.n)
+        if self.values.shape != (self.n, self.n):
+            raise ValueError(f"support values of an N = {self.n} table must have shape "
+                             f"({self.n}, {self.n}), got {self.values.shape}")
 
 
 @dataclass(frozen=True)
@@ -163,19 +170,25 @@ class ConditionReport:
         }
 
 
-def _result(name, residuals, tol, element=None):
+def _result(name, residuals, tol, witness_at=lambda *i: i):
     """Build a CheckResult from a residual-magnitude array.
 
     The witness is the lexicographically first index whose violation
     exceeds tolerance, so parallel audit workers merging reports in index
-    order agree on it.
+    order agree on it. ``witness_at`` maps it to the index of the dense
+    array that ``residuals`` stands for, which a scan of that array would
+    name first.
     """
     res = np.asarray(residuals)
     max_violation = float(res.max()) if res.size else 0.0
     if max_violation <= tol:
         return CheckResult(name, True, max_violation, None, None)
-    witness = tuple(int(i) for i in np.argwhere(res > tol)[0])
-    return CheckResult(name, False, max_violation, witness, element)
+    return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.argwhere(res > tol)[0])))
+
+
+def _on_support(s, t):
+    """The index [s, t, t, s] of the dense table that support value [s, t] stands for."""
+    return s, t, t, s
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +205,7 @@ def coefficients_candidate(n):
     """
     check_dim(n)
     s, t = np.indices((n, n))
-    table = np.zeros((n, n, n, n), dtype=complex)
-    table[s, t, t, s] = _half_omega_table(n)[(-s * t * (n + 1)) % (2 * n)] / n**2
-    return FanoCoefficients(n, table)
+    return FanoCoefficients(n, _half_omega_table(n)[(-s * t * (n + 1)) % (2 * n)] / n**2)
 
 
 def coefficients_odd(n):
@@ -208,9 +219,14 @@ def coefficients_odd(n):
 def coefficients_to_position(c):
     """Position-space coefficients a(q,p;n,m) = sum_st omega^(pt-qs) a~(s,t;n,m).
 
-    A forward FFT over s and an unnormalised inverse FFT over t.
+    A forward FFT over s and an unnormalised inverse FFT over t of the
+    dense N^4 table, which is built here and nowhere else.
     """
-    a = np.fft.fft(c.table, axis=0)
+    n = c.n
+    s, t = np.indices((n, n))
+    table = np.zeros((n, n, n, n), dtype=complex)
+    table[s, t, t, s] = c.values
+    a = np.fft.fft(table, axis=0)
     return np.fft.ifft(a, axis=1, norm="forward")
 
 
@@ -259,19 +275,14 @@ def check_coefficient_axes(c, tol=DEFAULT_TOL):
     """Coefficient-level axis conditions on the t=0 and s=0 slices.
 
     a~(s,0;n,m) = (1/N^2) delta(n,0) delta(m,s) and
-    a~(0,t;n,m) = (1/N^2) delta(m,0) delta(n,t).
+    a~(0,t;n,m) = (1/N^2) delta(m,0) delta(n,t). Both sides vanish off the
+    support, so the residuals are those of values[k, 0] and values[0, k],
+    at [s, n, m] = (k, 0, k) and [t, n, m] = (k, k, 0).
     """
-    n = c.n
-    target_s = np.zeros((n, n, n), dtype=complex)
-    target_t = np.zeros((n, n, n), dtype=complex)
-    for k in range(n):
-        target_s[k, 0, k] = 1.0 / n**2
-        target_t[k, k, 0] = 1.0 / n**2
-    res_s = np.abs(c.table[:, 0, :, :] - target_s)
-    res_t = np.abs(c.table[0, :, :, :] - target_t)
+    target = 1.0 / c.n**2
     return {
-        "coeff_axis_s": _result("coeff_axis_s", res_s, tol),
-        "coeff_axis_t": _result("coeff_axis_t", res_t, tol),
+        "coeff_axis_s": _result("coeff_axis_s", np.abs(c.values[:, 0] - target), tol, lambda k: (k, 0, k)),
+        "coeff_axis_t": _result("coeff_axis_t", np.abs(c.values[0, :] - target), tol, lambda k: (k, k, 0)),
     }
 
 
@@ -281,12 +292,15 @@ def _hermiticity_phases(n):
     return om[(-np.outer(grid, grid)) % n]  # [n, m] = omega^(-nm)
 
 
-def hermiticity_residuals(table):
-    """Residuals |a~(s,t;n,m) - omega^(-nm) conj(a~(-s,-t;-n,-m))|, indices mod N."""
-    n = table.shape[0]
+def hermiticity_residuals(values):
+    """Residuals |a~(s,t;n,m) - omega^(-nm) conj(a~(-s,-t;-n,-m))| on the support, indexed [s, t].
+
+    Off the support both terms vanish, and on it (n,m) = (t,s), so the
+    residual is |v[s,t] - omega^(-ts) conj(v[-s,-t])|, indices mod N.
+    """
+    n = values.shape[0]
     idx = (-np.arange(n)) % n
-    flipped = table[np.ix_(idx, idx, idx, idx)].conj()
-    return np.abs(table - _hermiticity_phases(n)[np.newaxis, np.newaxis, :, :] * flipped)
+    return np.abs(values - _hermiticity_phases(n) * values[np.ix_(idx, idx)].conj())
 
 
 def check_hermiticity(c, f, tol=DEFAULT_TOL):
@@ -297,10 +311,9 @@ def check_hermiticity(c, f, tol=DEFAULT_TOL):
     reduced canonically.
     """
     res_op = np.abs(f.operators - f.operators.conj().transpose(0, 1, 3, 2))
-    res_coeff = hermiticity_residuals(c.table)
     return {
         "hermiticity": _result("hermiticity", res_op, tol),
-        "coeff_hermiticity": _result("coeff_hermiticity", res_coeff, tol),
+        "coeff_hermiticity": _result("coeff_hermiticity", hermiticity_residuals(c.values), tol, _on_support),
     }
 
 
@@ -312,11 +325,9 @@ def check_orthogonality(c, f, tol=DEFAULT_TOL):
     (k,l)) equal (1/N^4) times identity.
     """
     n = f.n
-    # Reshaped so a witness names four lattice indices; the Gram level is dropped.
+    # Reshaped so a witness names four lattice indices.
     site = _result("orthogonality_site", _site_gram_residuals(f).reshape(n, n, n, n), tol)
-    index = _result("orthogonality_index", _coefficient_gram_residuals(c.table).reshape(2, n, n, n, n), tol)
-    if index.witness is not None:
-        index = replace(index, witness=index.witness[1:])
+    index = _result("orthogonality_index", _coefficient_gram_residuals(c.values), tol, lambda a, b: (a, b, a, b))
     return {"orthogonality_site": site, "orthogonality_index": index}
 
 
@@ -327,16 +338,18 @@ def _site_gram_residuals(f):
     return np.abs(flat @ flat.conj().T - np.eye(n * n) / n)
 
 
-def _coefficient_gram_residuals(table):
-    """Both coefficient Gram sums minus (1/N^4) identity, stacked.
+def _coefficient_gram_residuals(values):
+    """The coefficient Gram sums minus (1/N^4) identity, by their level-0 diagonal [n, m].
 
     Level 0 sums over (s,t), indexed [(n,m), (k,l)]; level 1 sums over
-    (k,l), indexed [(s,t), (s',t')].
+    (k,l), indexed [(s,t), (s',t')]. One support point meets each row, so
+    both are diagonal, every other entry exactly zero: level 0 holds
+    |v[s,t]|^2 at (n,m) = (t,s) and level 1 the same at (s,t). Level 1
+    therefore fails exactly where level 0 does, after it, and never names
+    the witness.
     """
-    n = table.shape[0]
-    flat = table.reshape(n * n, n * n)
-    target = np.eye(n * n) / n**4
-    return np.stack([np.abs(flat.conj().T @ flat - target), np.abs(flat @ flat.conj().T - target)])
+    n = values.shape[0]
+    return np.abs(values.real.T**2 + values.imag.T**2 - 1.0 / n**4)
 
 
 # ---------------------------------------------------------------------------
@@ -368,41 +381,37 @@ def _lift_entries(lifts, n):
     return np.array([x % (2 * n) for g in lifts for x in g.as_tuple()], dtype=np.int64).reshape(-1, 4).T
 
 
-def _covariance_scan(table, lifts, tol):
-    """Covariance audit of ``table`` under every lift in ``lifts``, in order.
+def _covariance_scan(values, lifts, tol):
+    """Covariance audit of the table with support ``values`` under every lift in ``lifts``, in order.
 
     The residual at [s,t,n,m] is
     |a~(A(s,t); n, m) - omega^(phi'(n,m)) a~(s, t; B(n,m))| with the index
     bijections A(s,t) = (nu*s+lam*t, mu*s+kappa*t) and
-    B(n,m) = (nu*n-mu*m, -lam*n+kappa*m) mod N. It is exactly zero unless
-    one of the two entries lies in the table's support, so each lift is
-    evaluated only at the preimages under A and under B of the support
-    points and of the origin, which stands in for every other position
-    (residual 0; it keeps an empty support and a negative tolerance exact).
-    All lifts are evaluated in one pass. The witness is the
-    lexicographically first index above tol of the first failing lift, as
-    a dense scan would name it.
+    B(n,m) = (nu*n-mu*m, -lam*n+kappa*m) mod N. The first entry lies on the
+    support only at (n,m) = (a,b) = (mu*s+kappa*t, nu*s+lam*t), the swap of
+    A(s,t), and since the determinant is 1, B(a,b) = (t,s): the second
+    entry lies on it there too. So the residual is zero except at
+    (s,t,a,b), where it is |v[b,a] - omega^(phi'(a,b)) v[s,t]|, and the
+    witness is (s,t,a,b) at the first failing (s,t) of the first failing
+    lift, as a dense scan would name it. The product is written in real
+    arithmetic: numpy's complex multiply rounds differently by array
+    layout, and this way the residuals are those of a scalar loop.
     """
-    n = table.shape[0]
-    ss, ts, ns, ms = (np.concatenate([[0], x]) for x in np.nonzero(table))
+    n = values.shape[0]
     k, l, m, v = _lift_entries(lifts, n)[:, :, np.newaxis]
-    shape = (len(lifts), ss.size)
-    s = np.hstack([k * ss - l * ts, np.broadcast_to(ss, shape)]) % n
-    t = np.hstack([v * ts - m * ss, np.broadcast_to(ts, shape)]) % n
-    a = np.hstack([np.broadcast_to(ns, shape), k * ns + m * ms]) % n
-    b = np.hstack([np.broadcast_to(ms, shape), l * ns + v * ms]) % n
-    lhs = table[(v * s + l * t) % n, (m * s + k * t) % n, a, b]
-    phases = _half_omega_table(n)[_two_phi((k, l, m, v), a, b, n)]
-    res = np.abs(lhs - phases * table[s, t, (v * a - m * b) % n, (k * b - l * a) % n])
+    s, t = np.indices((n, n)).reshape(2, -1)
+    a, b = (m * s + k * t) % n, (v * s + l * t) % n
+    phase = _half_omega_table(n)[_two_phi((k, l, m, v), a, b, n)]
+    lhs, rhs = values[b, a], values.ravel()
+    re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
+    im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
+    res = np.hypot(re, im)
     worst = float(res.max())
-    failing = res > tol
-    rows = np.flatnonzero(failing.any(axis=1))
-    if not rows.size:
+    failing = np.argwhere(res > tol)
+    if not failing.size:
         return CheckResult("covariance", True, worst, None, None)
-    r = rows[0]
-    flat = np.ravel_multi_index((s[r], t[r], a[r], b[r]), table.shape)
-    witness = np.unravel_index(flat[failing[r]].min(), table.shape)
-    return CheckResult("covariance", False, worst, tuple(int(i) for i in witness), lifts[r])
+    r, i = failing[0]
+    return CheckResult("covariance", False, worst, (int(s[i]), int(t[i]), int(a[r, i]), int(b[r, i])), lifts[r])
 
 
 def check_covariance_group(c, tol=DEFAULT_TOL):
@@ -416,7 +425,7 @@ def check_covariance_group(c, tol=DEFAULT_TOL):
     fixed by every integer matrix of determinant 1, and one that is not
     fails at S or T. The witness is S's when S fails.
     """
-    return _covariance_scan(c.table, GENERATORS, tol)
+    return _covariance_scan(c.values, GENERATORS, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +467,12 @@ def derive_via_line(n, s, t):
 def derived_table(n):
     """Table built from the axis conditions plus canonical line routes only."""
     check_dim(n)
-    table = np.zeros((n, n, n, n), dtype=complex)
-    for k in range(n):
-        table[k, 0, 0, k] = 1.0 / n**2  # t = 0 slice
-        table[0, k, k, 0] = 1.0 / n**2  # s = 0 slice
-    for s in range(n):
-        for t in range(n):
-            if s == 0 or t == 0:
-                continue
-            d = derive_via_line(n, s, t)
-            table[s, t, d.support[0], d.support[1]] = d.value
-    return FanoCoefficients(n, table)
+    values = np.zeros((n, n), dtype=complex)
+    values[:, 0] = values[0, :] = 1.0 / n**2  # the t = 0 and s = 0 slices
+    for s in range(1, n):
+        for t in range(1, n):
+            values[s, t] = derive_via_line(n, s, t).value
+    return FanoCoefficients(n, values)
 
 
 def _route_consistency(n, elements, tol):
@@ -525,20 +529,15 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):
     route_check = _route_consistency(n, elements, tol)
 
     derived = derived_table(n)
-    reference = coefficients_candidate(n)
-    res_match = np.abs(derived.table - reference.table)
-    match_check = _result("derived_matches_construction", res_match, tol)
-
-    herm = hermiticity_residuals(derived.table)
-    herm_check = _result("derived_hermiticity", herm, tol)
-
-    orth_check = _result("derived_orthogonality", _coefficient_gram_residuals(derived.table), tol)
-
+    match = np.abs(derived.values - coefficients_candidate(n).values)
+    herm = hermiticity_residuals(derived.values)
     checks = {
         "route_consistency": route_check,
-        "derived_matches_construction": match_check,
-        "derived_hermiticity": herm_check,
-        "derived_orthogonality": orth_check,
+        "derived_matches_construction": _result("derived_matches_construction", match, tol, _on_support),
+        "derived_hermiticity": _result("derived_hermiticity", herm, tol, _on_support),
+        # The witness indexes the stacked Gram residuals [level, (n,m), (k,l)].
+        "derived_orthogonality": _result("derived_orthogonality", _coefficient_gram_residuals(derived.values), tol,
+                                         lambda a, b: (0, a * n + b, a * n + b)),
     }
     return checks, derived
 

@@ -1,8 +1,9 @@
 """Exact and plain-loop references that only the tests use.
 
 The library has one production path per computation; these are the
-independent forms it is checked against: the Fraction-valued covariance
-phase, the dense int64 exponent table and the group action on tables, the
+independent forms it is checked against: the dense N^4 coefficient table
+of the support values, the Fraction-valued covariance phase, the dense
+int64 exponent table and the group action on dense tables, the
 covariance scan over every lift class of SL(2, Z_2N), the per-(s,t)
 route list, the order of SL(2, Z_N) and its determinant-filter
 enumeration with searched lifts, the inverse coefficient transform,
@@ -112,11 +113,30 @@ def covariance_phase_table(g, n):
     return np.ascontiguousarray(half[two_phi_table(g, n) % (2 * n)])
 
 
+def dense_table(c):
+    """The dense N^4 table a~[s, t, n, m] of a FanoCoefficients, entry by entry."""
+    n = c.n
+    table = np.zeros((n, n, n, n), dtype=complex)
+    for s, t in product(range(n), repeat=2):
+        table[s, t, t, s] = c.values[s, t]
+    return table
+
+
+def support_values(table):
+    """The support values table[s, t, t, s] of a dense table that is zero everywhere else."""
+    n = table.shape[0]
+    s, t = np.indices((n, n))
+    values = table[s, t, t, s]
+    assert np.array_equal(dense_table(FanoCoefficients(n, values)), table), "a nonzero off the support (n, m) = (t, s)"
+    return values
+
+
 def apply_covariance_transform(c, g):
     """The group action on tables whose fixed points are covariant tables.
 
     (g . A)(s,t;n,m) = omega^(phi'(n,m))
-                       * A(kappa*s-lam*t, nu*t-mu*s; nu*n-mu*m, -lam*n+kappa*m).
+                       * A(kappa*s-lam*t, nu*t-mu*s; nu*n-mu*m, -lam*n+kappa*m),
+    gathered on the dense table; the image is again zero off the support.
     """
     n = c.n
     phases = covariance_phase_table(g, n)
@@ -124,29 +144,29 @@ def apply_covariance_transform(c, g):
     t = np.arange(n).reshape(1, n, 1, 1)
     a = np.arange(n).reshape(1, 1, n, 1)
     b = np.arange(n).reshape(1, 1, 1, n)
-    gathered = c.table[
+    gathered = dense_table(c)[
         (g.kappa * s - g.lam * t) % n,
         (g.nu * t - g.mu * s) % n,
         (g.nu * a - g.mu * b) % n,
         (-g.lam * a + g.kappa * b) % n,
     ]
-    return FanoCoefficients(n, phases[np.newaxis, np.newaxis, :, :] * gathered)
+    return FanoCoefficients(n, support_values(phases[np.newaxis, np.newaxis, :, :] * gathered))
 
 
-def covariance_every_class(table, tol):
-    """Covariance of ``table`` under one lift of every element of SL(2, Z_2N).
+def covariance_every_class(values, tol):
+    """Covariance of the table with support ``values`` under one lift of every element of SL(2, Z_2N).
 
     The table maps depend on a lift only mod 2N, so this covers every
     integer lift of every element of SL(2, Z_N). The lifts are scanned 256
     at a time, so memory stays flat as the group grows; the witness is that
     of the first failing lift in :func:`latwig.lattice.sl2_enumerate` order.
     """
-    n = table.shape[0]
+    n = values.shape[0]
     lifts = sl2_enumerate(2 * n)
     worst = 0.0
     first_fail = None
     for start in range(0, len(lifts), 256):
-        got = _covariance_scan(table, lifts[start:start + 256], tol)
+        got = _covariance_scan(values, lifts[start:start + 256], tol)
         worst = max(worst, got.max_violation)
         if first_fail is None and not got.passed:
             first_fail = got
@@ -318,7 +338,7 @@ def coefficients_cohendet(n):
     if n % 2 == 0:
         raise ValueError(f"the split-parity form requires odd N, got {n}")
     om = _omega_table(n)
-    table = np.zeros((n, n, n, n), dtype=complex)
+    values = np.zeros((n, n), dtype=complex)
     for s in range(n):
         for t in range(n):
             nn, mm = t, s
@@ -326,8 +346,8 @@ def coefficients_cohendet(n):
                 exp = (-(nn * mm) // 2) % n
             else:
                 exp = (-((nn + n) * mm) // 2) % n
-            table[s, t, nn, mm] = om[exp] / n**2
-    return FanoCoefficients(n, table)
+            values[s, t] = om[exp] / n**2
+    return FanoCoefficients(n, values)
 
 
 def expand_operators(f):

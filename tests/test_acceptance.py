@@ -48,7 +48,7 @@ def test_criterion_01_odd_dimension_existence():
 def test_criterion_02_solution_equivalence():
     worst = 0.0
     for n in (1, 3, 5, 7, 9):
-        dev = np.abs(fano.coefficients_odd(n).table - coefficients_cohendet(n).table).max()
+        dev = np.abs(fano.coefficients_odd(n).values - coefficients_cohendet(n).values).max()
         worst = max(worst, dev)
     assert worst < 1e-12
     _passline(2, f"closed form equals split-parity form entrywise, worst {worst:.2e}")
@@ -60,7 +60,7 @@ def test_criterion_03_covariance_over_full_group():
         c = fano.coefficients_odd(n)
         for g, second in sl2_lifts(n):
             for lift in (g, second):
-                res = fano._covariance_scan(c.table, [lift], TOL)
+                res = fano._covariance_scan(c.values, [lift], TOL)
                 assert res.passed, (n, lift.as_tuple(), res.max_violation)
                 worst = max(worst, res.max_violation)
     assert worst < TOL
@@ -71,7 +71,7 @@ def test_criterion_04_uniqueness_from_two_conditions():
     for n in (3, 5, 7):
         checks, derived = fano.uniqueness_audit(n, tol=TOL)
         assert checks["route_consistency"].passed, checks["route_consistency"].max_violation
-        dev = np.abs(derived.table - fano.coefficients_odd(n).table).max()
+        dev = np.abs(derived.values - fano.coefficients_odd(n).values).max()
         assert dev < TOL, (n, dev)
         # hermiticity and orthogonality were never imposed on the derived table
         assert checks["derived_hermiticity"].passed, (n, checks["derived_hermiticity"].max_violation)
@@ -176,17 +176,17 @@ def test_criterion_09_oracle_cross_validation():
         _assert_paths_agree(_static_checks(fano.coefficients_odd(n)), f"solution N={n}")
 
     n = 3
-    base = fano.coefficients_odd(n).table
+    base = fano.coefficients_odd(n).values
     corruptions = {
-        "zeroed axis entry": lambda t: t.__setitem__((1, 0, 0, 1), 0.0),
-        "phase error on support": lambda t: t.__setitem__((1, 1, 1, 1), t[1, 1, 1, 1] * np.exp(1j * np.pi / 5)),
-        "off-support leakage": lambda t: t.__setitem__((1, 1, 0, 0), t[1, 1, 0, 0] + 0.003),
+        "zeroed axis entry": lambda v: v.__setitem__((1, 0), 0.0),
+        "phase error on support": lambda v: v.__setitem__((1, 1), v[1, 1] * np.exp(1j * np.pi / 5)),
+        "modulus error on support": lambda v: v.__setitem__((1, 1), v[1, 1] * 1.003),
     }
     failing = 0
     for label, corrupt in corruptions.items():
-        t = base.copy()
-        corrupt(t)
-        checks = _static_checks(FanoCoefficients(n, t))
+        v = base.copy()
+        corrupt(v)
+        checks = _static_checks(FanoCoefficients(n, v))
         _assert_paths_agree(checks, label)
         failing += sum(1 for c in checks.values() if not c.passed)
     assert failing > 0

@@ -12,6 +12,17 @@ from latwig.operators import DEFAULT_TOL
 from oracles import apply_covariance_transform, covariance_every_class, omega_pow, phase_phi
 
 
+def test_coefficients_hold_an_n_by_n_array_of_support_values():
+    values = np.zeros((3, 3), dtype=complex)
+    assert FanoCoefficients(3, values).n == 3
+    for bad in (np.zeros((3, 3, 3, 3), dtype=complex), np.zeros((3, 4), dtype=complex), np.zeros(9, dtype=complex)):
+        with pytest.raises(ValueError, match="shape"):
+            FanoCoefficients(3, bad)
+    for n in (0, -1, 2.0):
+        with pytest.raises(ValueError):
+            FanoCoefficients(n, values)
+
+
 def _suite(c, tol=1e-10):
     f = fano.assemble(c)
     checks = {}
@@ -32,21 +43,21 @@ def test_solution_passes_every_static_condition(n):
 
 def test_zeroing_an_axis_entry_breaks_the_matching_marginal():
     n = 3
-    t = fano.coefficients_odd(n).table.copy()
-    t[1, 0, 0, 1] = 0.0  # axis support entry of the t=0 slice
-    checks = _suite(FanoCoefficients(n, t))
+    v = fano.coefficients_odd(n).values.copy()
+    v[1, 0] = 0.0  # axis support entry of the t=0 slice
+    checks = _suite(FanoCoefficients(n, v))
     assert not checks["marginal_q"].passed
     assert not checks["coeff_axis_s"].passed
-    assert checks["coeff_axis_s"].witness[0] == 1  # corrupted frequency s = 1
+    assert checks["coeff_axis_s"].witness == (1, 0, 1)  # corrupted frequency s = 1, at [s, n, m]
     assert checks["marginal_p"].passed
     assert checks["coeff_axis_t"].passed
 
 
 def test_imaginary_perturbation_flips_operator_hermiticity():
     n = 3
-    t = fano.coefficients_odd(n).table.copy()
-    t[1, 1, 1, 1] += 1e-6j
-    checks = _suite(FanoCoefficients(n, t))
+    v = fano.coefficients_odd(n).values.copy()
+    v[1, 1] += 1e-6j
+    checks = _suite(FanoCoefficients(n, v))
     assert not checks["hermiticity"].passed
     assert not checks["coeff_hermiticity"].passed
 
@@ -54,7 +65,7 @@ def test_imaginary_perturbation_flips_operator_hermiticity():
 def test_random_table_fails_orthogonality():
     n = 3
     rng = np.random.default_rng(5)
-    c = FanoCoefficients(n, rng.standard_normal((n, n, n, n)) + 0j)
+    c = FanoCoefficients(n, rng.standard_normal((n, n)) + 0j)
     checks = _suite(c)
     assert not checks["orthogonality_site"].passed
     assert not checks["orthogonality_index"].passed
@@ -63,8 +74,8 @@ def test_random_table_fails_orthogonality():
 def test_identity_element_covariance_holds_for_any_table():
     n = 4
     rng = np.random.default_rng(2)
-    c = FanoCoefficients(n, rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n)))
-    res = _covariance_scan(c.table, [IDENTITY], DEFAULT_TOL)
+    c = FanoCoefficients(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    res = _covariance_scan(c.values, [IDENTITY], DEFAULT_TOL)
     assert res.passed
     assert res.max_violation < 1e-15
 
@@ -72,7 +83,7 @@ def test_identity_element_covariance_holds_for_any_table():
 @pytest.mark.parametrize("n", [3, 5])
 def test_covariance_over_full_group_with_two_lifts(n):
     c = fano.coefficients_odd(n)
-    res = _covariance_scan(c.table, [lift for group in sl2_lifts(n) for lift in group], DEFAULT_TOL)
+    res = _covariance_scan(c.values, [lift for group in sl2_lifts(n) for lift in group], DEFAULT_TOL)
     assert res.passed
     assert res.max_violation < 1e-10
     assert fano.check_covariance_group(c).passed
@@ -80,9 +91,9 @@ def test_covariance_over_full_group_with_two_lifts(n):
 
 def test_covariance_fails_on_corrupted_table():
     n = 3
-    t = fano.coefficients_odd(n).table.copy()
-    t[1, 1, 1, 1] *= np.exp(0.1j)
-    res = fano.check_covariance_group(FanoCoefficients(n, t))
+    v = fano.coefficients_odd(n).values.copy()
+    v[1, 1] *= np.exp(0.1j)
+    res = fano.check_covariance_group(FanoCoefficients(n, v))
     assert not res.passed
     assert res.element is not None
     assert len(res.witness) == 4
@@ -123,7 +134,8 @@ def test_derive_via_line_reproduces_the_solution(n):
             if (s, t) == (0, 0):
                 continue
             d = fano.derive_via_line(n, s, t)
-            assert abs(d.value - sol.table[s, t, d.support[0], d.support[1]]) < 1e-12
+            assert d.support == (t, s)
+            assert abs(d.value - sol.values[s, t]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -131,7 +143,7 @@ def test_uniqueness_audit_consistent_for_odd_n(n):
     checks, derived = fano.uniqueness_audit(n)
     for name, c in checks.items():
         assert c.passed, (name, c.max_violation)
-    assert np.abs(derived.table - fano.coefficients_odd(n).table).max() < 1e-12
+    assert np.abs(derived.values - fano.coefficients_odd(n).values).max() < 1e-12
 
 
 def test_uniqueness_audit_conflicts_for_even_n():
@@ -155,8 +167,8 @@ def test_lift_shift_exposes_the_even_failure():
     base = SL2Element(1, 0, 0, 1)
     shifted = SL2Element(1, 2, 0, 1)
     assert base.residues(2) == shifted.residues(2)
-    assert _covariance_scan(c2.table, [base], DEFAULT_TOL).passed
-    assert not _covariance_scan(c2.table, [shifted], DEFAULT_TOL).passed
+    assert _covariance_scan(c2.values, [base], DEFAULT_TOL).passed
+    assert not _covariance_scan(c2.values, [shifted], DEFAULT_TOL).passed
 
 
 def test_route_values_conflict_between_lifts_for_even_n():
@@ -173,19 +185,19 @@ def test_route_values_conflict_between_lifts_for_even_n():
 
 def test_group_action_composition_is_consistent():
     """g . (h . a) = (h g) . a on random tables, at both parities; the odd
-    solution is a fixed point."""
+    solution is a fixed point. Each image is again zero off the support."""
     rng = np.random.default_rng(1)
     for n in (3, 4):
-        a = FanoCoefficients(n, rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
+        a = FanoCoefficients(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         lifts = [lift for group in sl2_lifts(n) for lift in group]
         for _ in range(20):
             g, h = (lifts[i] for i in rng.integers(len(lifts), size=2))
             via_two = apply_covariance_transform(apply_covariance_transform(a, h), g)
             via_product = apply_covariance_transform(a, h.compose(g))
-            assert np.abs(via_two.table - via_product.table).max() < 1e-12
+            assert np.abs(via_two.values - via_product.values).max() < 1e-12
     sol = fano.coefficients_odd(3)
     for g in (lift for group in sl2_lifts(3) for lift in group):
-        assert np.abs(apply_covariance_transform(sol, g).table - sol.table).max() < 1e-12
+        assert np.abs(apply_covariance_transform(sol, g).values - sol.values).max() < 1e-12
 
 
 def _action(g, n):
@@ -226,7 +238,7 @@ def test_generators_decide_covariance_as_every_lift_class_does(n):
     """The production audit on S and T against a scan of every class of
     SL(2, Z_2N): the same verdict, and for even N the same witness (S)."""
     got = fano.check_covariance_group(fano.coefficients_candidate(n))
-    want = covariance_every_class(fano.coefficients_candidate(n).table, DEFAULT_TOL)
+    want = covariance_every_class(fano.coefficients_candidate(n).values, DEFAULT_TOL)
     assert got.passed == want.passed == (n % 2 == 1)
     assert (got.witness, got.element) == (want.witness, want.element)
     if n % 2 == 0:
@@ -235,21 +247,22 @@ def test_generators_decide_covariance_as_every_lift_class_does(n):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_covariance_under_s_alone_is_not_enough(n):
-    """A random sparse table summed over the orbit of S (S^4 = 1) is fixed
-    by S; T and the scan of every class of SL(2, Z_2N) both fail it."""
+    """A table with N random support values, summed over the orbit of S
+    (S^4 = 1), is fixed by S; T and the scan of every class of SL(2, Z_2N)
+    both fail it."""
     s, t = GENERATORS
     rng = np.random.default_rng(n)
-    table = np.zeros(n**4, dtype=complex)
-    table[rng.choice(n**4, size=n, replace=False)] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a = FanoCoefficients(n, table.reshape((n,) * 4))
+    values = np.zeros(n * n, dtype=complex)
+    values[rng.choice(n * n, size=n, replace=False)] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = FanoCoefficients(n, values.reshape(n, n))
     orbit = [a]
     for _ in range(3):
         orbit.append(apply_covariance_transform(orbit[-1], s))
-    sym = FanoCoefficients(n, sum(x.table for x in orbit))
-    assert _covariance_scan(sym.table, [s], DEFAULT_TOL).passed
+    sym = FanoCoefficients(n, sum(x.values for x in orbit))
+    assert _covariance_scan(sym.values, [s], DEFAULT_TOL).passed
     got = fano.check_covariance_group(sym)
     assert not got.passed and got.element == t
-    assert not covariance_every_class(sym.table, DEFAULT_TOL).passed
+    assert not covariance_every_class(sym.values, DEFAULT_TOL).passed
 
 
 @pytest.mark.parametrize("n,expected_witness", [(2, "covariance"), (4, "hermiticity"), (6, "hermiticity")])

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano
 from latwig.operators import _half_omega_table, _omega_table, monomial
-from oracles import coefficients_cohendet, position_to_coefficients
+from oracles import coefficients_cohendet, dense_table, position_to_coefficients
 
 
 def _w(n, k):
@@ -15,18 +15,19 @@ def _w(n, k):
 
 
 def _random_coefficients(n):
-    """Seeded complex table on the scale of the solution's entries (1/N^2)."""
+    """Seeded complex support values on the scale of the solution's entries (1/N^2)."""
     rng = np.random.default_rng(n)
-    table = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
-    return fano.FanoCoefficients(n, table / n**2)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return fano.FanoCoefficients(n, values / n**2)
 
 
 def _position_reference(c):
     """a(q,p;n,m) = sum_st omega^(pt-qs) a~(s,t;n,m) as an explicit double sum."""
     n = c.n
-    a = np.zeros_like(c.table)
+    table = dense_table(c)
+    a = np.zeros_like(table)
     for q, p, s, t in itertools.product(range(n), repeat=4):
-        a[q, p] += _w(n, p * t - q * s) * c.table[s, t]
+        a[q, p] += _w(n, p * t - q * s) * table[s, t]
     return a
 
 
@@ -39,19 +40,20 @@ def _assemble_reference(c):
 
 def test_odd_table_examples():
     c3 = fano.coefficients_odd(3)
-    assert c3.table[1, 1, 1, 1] == pytest.approx(_w(3, -2) / 9)
-    assert c3.table[1, 0, 0, 1] == pytest.approx(1 / 9)
+    assert c3.values[1, 1] == pytest.approx(_w(3, -2) / 9)  # a~(1,1;1,1)
+    assert c3.values[1, 0] == pytest.approx(1 / 9)  # a~(1,0;0,1)
     c5 = fano.coefficients_odd(5)
-    assert c5.table[2, 3, 3, 2] == pytest.approx(_w(5, -18) / 25)
-    assert c5.table[2, 3, 3, 2] == pytest.approx(_w(5, 2) / 25)
+    assert c5.values[2, 3] == pytest.approx(_w(5, -18) / 25)  # a~(2,3;3,2)
+    assert c5.values[2, 3] == pytest.approx(_w(5, 2) / 25)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_odd_table_support_is_diagonal(n):
-    c = fano.coefficients_odd(n)
+    """Each (s,t) slice of the dense table has its one nonzero, of modulus 1/N^2, at (n,m) = (t,s)."""
+    table = dense_table(fano.coefficients_odd(n))
     for s in range(n):
         for t in range(n):
-            slice_ = c.table[s, t]
+            slice_ = table[s, t]
             mask = np.abs(slice_) > 0
             assert mask.sum() == 1
             assert mask[t, s]
@@ -68,32 +70,32 @@ def test_odd_and_candidate_reject_or_accept_parity():
 
 def test_split_parity_form_examples():
     c = coefficients_cohendet(3)
-    assert c.table[1, 1, 1, 1] == pytest.approx(_w(3, -2) / 9)
-    assert c.table[2, 2, 2, 2] == pytest.approx(_w(3, -2) / 9)
+    assert c.values[1, 1] == pytest.approx(_w(3, -2) / 9)
+    assert c.values[2, 2] == pytest.approx(_w(3, -2) / 9)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_split_parity_form_equals_odd_solution(n):
-    d = np.abs(coefficients_cohendet(n).table - fano.coefficients_odd(n).table).max()
+    d = np.abs(coefficients_cohendet(n).values - fano.coefficients_odd(n).values).max()
     assert d < 1e-12
 
 
 def _candidate_loop(n):
-    """The candidate entry by entry, from the doubled exponent -s*t*(N+1)."""
+    """The candidate's support values one by one, from the doubled exponent -s*t*(N+1)."""
     half = _half_omega_table(n)
-    table = np.zeros((n, n, n, n), dtype=complex)
+    values = np.zeros((n, n), dtype=complex)
     for s, t in itertools.product(range(n), repeat=2):
-        table[s, t, t, s] = half[(-s * t * (n + 1)) % (2 * n)] / n**2
-    return table
+        values[s, t] = half[(-s * t * (n + 1)) % (2 * n)] / n**2
+    return values
 
 
 def _odd_solution_loop(n):
-    """The odd-N solution entry by entry, from the integer exponent -s*t*(N+1)/2."""
+    """The odd-N solution's support values one by one, from the integer exponent -s*t*(N+1)/2."""
     om = _omega_table(n)
-    table = np.zeros((n, n, n, n), dtype=complex)
+    values = np.zeros((n, n), dtype=complex)
     for s, t in itertools.product(range(n), repeat=2):
-        table[s, t, t, s] = om[(-s * t * (n + 1) // 2) % n] / n**2
-    return table
+        values[s, t] = om[(-s * t * (n + 1) // 2) % n] / n**2
+    return values
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
@@ -101,25 +103,26 @@ def test_candidate_equals_odd_solution_for_odd_n(n):
     """Bit for bit: omega^(k/2) at k = 2j and omega^j are the same double."""
     want = _odd_solution_loop(n)
     for c in (fano.coefficients_candidate(n), fano.coefficients_odd(n)):
-        assert c.table.tobytes() == want.tobytes()
+        assert c.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_candidate_matches_the_per_entry_loop(n):
-    assert fano.coefficients_candidate(n).table.tobytes() == _candidate_loop(n).tobytes()
+    assert fano.coefficients_candidate(n).values.tobytes() == _candidate_loop(n).tobytes()
 
 
 def test_candidate_half_integer_phase_for_even_n():
     c2 = fano.coefficients_candidate(2)
-    assert c2.table[1, 1, 1, 1] == pytest.approx(0.25j)
+    assert c2.values[1, 1] == pytest.approx(0.25j)
 
 
 def test_candidate_axis_slices_for_even_n():
     c4 = fano.coefficients_candidate(4)
+    table = dense_table(c4)
     for k in range(4):
         expected = np.zeros((4, 4))
         expected[k, 0] = 1 / 16
-        assert_allclose(c4.table[0, k], expected, atol=1e-15)
+        assert_allclose(table[0, k], expected, atol=1e-15)
 
 
 def test_position_table_closed_form_for_solution():
@@ -143,10 +146,9 @@ def test_position_table_uniform_component():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_fourier_round_trip_on_random_tables(n):
     rng = np.random.default_rng(n)
-    table = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
-    c = fano.FanoCoefficients(n, table)
+    c = fano.FanoCoefficients(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     back = position_to_coefficients(fano.coefficients_to_position(c), n)
-    assert np.abs(back - table).max() < 1e-12
+    assert np.abs(back - dense_table(c)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -179,10 +181,10 @@ ASSEMBLE_CASES = {
 @pytest.mark.parametrize("build,n", ASSEMBLE_CASES.values(), ids=ASSEMBLE_CASES.keys())
 def test_assemble_matches_monomial_expansion_directly(build, n):
     c = build(n)
-    table = c.table.copy()
+    values = c.values.copy()
     fset = fano.assemble(c)
     assert np.abs(fset.operators - _assemble_reference(c)).max() < 1e-12
-    assert np.array_equal(c.table, table)  # the input table is left untouched
+    assert np.array_equal(c.values, values)  # the input table is left untouched
 
 
 def test_dimension_one_is_the_trivial_operator():

@@ -1,10 +1,11 @@
 """Audit kernels against dense and plain-loop oracles.
 
-The covariance scan evaluates each lift only at the positions where a
-residual can be nonzero, and the route audit is vectorised over the lifts.
-The oracles here are the dense N^4 covariance scan, the plain-loop
-residuals and the per-(s,t) loop over `derivation_routes`; the fast paths
-must agree with them field by field, on lift lists chosen here.
+The coefficient audits evaluate each condition only on the table's N^2
+support values, and the route audit is vectorised over the lifts. The
+oracles here run on the dense N^4 table of ``oracles.dense_table``: the
+dense covariance scan, the plain-loop residuals, the term-by-term Gram sums
+and the per-(s,t) loop over `derivation_routes`; the fast paths must agree
+with them field by field, on lift lists chosen here.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from latwig import fano
-from latwig.fano import CheckResult, _covariance_scan, _hermiticity_phases
-from latwig.lattice import IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
-from oracles import covariance_phase_table, derivation_routes, phase_phi, sl2_second_lift_search
+from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _hermiticity_phases, _result
+from latwig.lattice import GENERATORS, IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
+from oracles import covariance_phase_table, dense_table, derivation_routes, phase_phi, sl2_second_lift_search
 
 
 def _random_table(n, seed):
@@ -23,40 +24,81 @@ def _random_table(n, seed):
     return rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
 
 
-def _random_sparse_table(n, seed):
-    """About N^2 nonzero entries at random positions."""
+def _random_values(n, seed):
+    """Support values with every entry random."""
     rng = np.random.default_rng(seed)
-    table = np.zeros(n**4, dtype=complex)
-    where = rng.choice(n**4, size=n * n, replace=False)
-    table[where] = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-    return table.reshape(n, n, n, n)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _random_sparse_values(n, seed):
+    """Support values with about half the entries random and the rest zero."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((n, n)) < 0.5, _random_values(n, seed + 1), 0)
 
 
 def _covariance_oracle(table, g, phases):
-    """Plain-Python reference, independent of the numpy paths."""
+    """Plain-Python reference on Python complex numbers, independent of the numpy paths."""
     n = table.shape[0]
+    table, phases = table.tolist(), phases.tolist()
     out = np.empty((n, n, n, n))
     for s in range(n):
         for t in range(n):
             for a in range(n):
                 for b in range(n):
-                    lhs = table[(g.nu * s + g.lam * t) % n, (g.mu * s + g.kappa * t) % n, a, b]
-                    rhs = phases[a, b] * table[s, t, (g.nu * a - g.mu * b) % n, (-g.lam * a + g.kappa * b) % n]
+                    lhs = table[(g.nu * s + g.lam * t) % n][(g.mu * s + g.kappa * t) % n][a][b]
+                    rhs = phases[a][b] * table[s][t][(g.nu * a - g.mu * b) % n][(-g.lam * a + g.kappa * b) % n]
                     out[s, t, a, b] = abs(lhs - rhs)
     return out
 
 
 def _hermiticity_oracle(table, phases):
+    """Plain-Python reference on Python complex numbers."""
     n = table.shape[0]
+    table, phases = table.tolist(), phases.tolist()
     out = np.empty((n, n, n, n))
     for s in range(n):
         for t in range(n):
             for a in range(n):
                 for b in range(n):
                     out[s, t, a, b] = abs(
-                        table[s, t, a, b]
-                        - phases[a, b] * np.conj(table[(-s) % n, (-t) % n, (-a) % n, (-b) % n])
+                        table[s][t][a][b]
+                        - phases[a][b] * table[(-s) % n][(-t) % n][(-a) % n][(-b) % n].conjugate()
                     )
+    return out
+
+
+def hermiticity_residuals_dense(table):
+    """|a~(s,t;n,m) - omega^(-nm) conj(a~(-s,-t;-n,-m))| on the dense table, vectorised.
+
+    numpy's complex multiply over a contiguous inner axis, as in the support
+    formula: on hardware with fused multiply-add it rounds differently from
+    the plain loop, and the ``check`` artifact carries this rounding.
+    """
+    n = table.shape[0]
+    idx = (-np.arange(n)) % n
+    flipped = table[np.ix_(idx, idx, idx, idx)].conj()
+    return np.abs(table - _hermiticity_phases(n)[np.newaxis, np.newaxis, :, :] * flipped)
+
+
+def coefficient_gram_oracle(table):
+    """Both coefficient Gram sums of a dense table minus (1/N^4) identity, stacked.
+
+    Level 0 sums over (s,t), indexed [(n,m), (k,l)]; level 1 sums over
+    (k,l), indexed [(s,t), (s',t')]. Each term conj(x) y is formed in real
+    arithmetic, as Python's complex product forms it, and the terms are
+    summed one row at a time. (Level 1's terms x conj(y) are the conjugates,
+    whose modulus is the same.)
+    """
+    n = table.shape[0]
+    flat = table.reshape(n * n, n * n)
+    out = np.empty((2, n * n, n * n))
+    target = np.eye(n * n) / n**4
+    for level, rows in enumerate((flat.T, flat)):
+        xr, xi = rows.real, rows.imag
+        for i in range(n * n):
+            re = (xr[i] * xr + xi[i] * xi).sum(axis=1)
+            im = (xr[i] * xi - xi[i] * xr).sum(axis=1)
+            out[level, i] = np.hypot(re - target[i], im)
     return out
 
 
@@ -115,12 +157,15 @@ def route_consistency_oracle(n, elements, tol):
     return CheckResult("route_consistency", witness is None, worst, witness, None)
 
 
-def assert_same_check(got, want):
+def assert_same_check(got, want, exact=False):
     assert got.name == want.name
     assert got.passed == want.passed
     assert got.witness == want.witness
     assert got.element == want.element
-    assert abs(got.max_violation - want.max_violation) <= 1e-15
+    if exact:
+        assert got.max_violation == want.max_violation
+    else:
+        assert abs(got.max_violation - want.max_violation) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -133,24 +178,29 @@ def test_numpy_covariance_kernel_matches_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_numpy_hermiticity_kernel_matches_oracle(n):
-    table = _random_table(n, 10 + n)
-    got = fano.hermiticity_residuals(table)
-    assert_allclose(got, _hermiticity_oracle(table, _hermiticity_phases(n)), atol=1e-13)
+    """The support residuals against the plain loop on the dense table, which is zero off the support."""
+    c = FanoCoefficients(n, _random_values(n, 10 + n))
+    want = _hermiticity_oracle(dense_table(c), _hermiticity_phases(n))
+    s, t = np.indices((n, n))
+    assert_allclose(fano.hermiticity_residuals(c.values), want[s, t, t, s], atol=1e-13)
+    want[s, t, t, s] = 0
+    assert not want.any()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sparse_covariance_matches_dense_oracle_on_candidate_tables(n):
     lifts = _flat(sl2_lifts(n))
-    table = fano.coefficients_candidate(n).table
-    assert_same_check(_covariance_scan(table, lifts, 1e-10), covariance_group_oracle(table, lifts, 1e-10))
+    c = fano.coefficients_candidate(n)
+    assert_same_check(_covariance_scan(c.values, lifts, 1e-10), covariance_group_oracle(dense_table(c), lifts, 1e-10))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sparse_covariance_matches_dense_oracle_on_random_dense_tables(n):
+    """Every support value random: the densest table the type can hold."""
     lifts = _flat(sl2_lifts(n))
-    table = _random_table(n, 100 + n)
-    got = _covariance_scan(table, lifts, 1e-10)
-    want = covariance_group_oracle(table, lifts, 1e-10)
+    values = _random_values(n, 100 + n)
+    got = _covariance_scan(values, lifts, 1e-10)
+    want = covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10)
     assert not want.passed
     assert_same_check(got, want)
 
@@ -158,13 +208,16 @@ def test_sparse_covariance_matches_dense_oracle_on_random_dense_tables(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_sparse_covariance_matches_dense_oracle_on_random_sparse_tables(n):
     lifts = _flat(sl2_lifts(n))
-    table = _random_sparse_table(n, 200 + n)
-    assert_same_check(_covariance_scan(table, lifts, 1e-10), covariance_group_oracle(table, lifts, 1e-10))
-    # The solution table with one leaked entry at a seeded position.
+    values = _random_sparse_values(n, 200 + n)
+    want = covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10)
+    assert_same_check(_covariance_scan(values, lifts, 1e-10), want)
+    # The solution table with one support value moved at a seeded position.
     if n % 2:
-        leaky = fano.coefficients_odd(n).table.copy()
-        leaky[tuple(np.random.default_rng(300 + n).integers(n, size=4))] += 1e-3
-        assert_same_check(_covariance_scan(leaky, lifts, 1e-10), covariance_group_oracle(leaky, lifts, 1e-10))
+        moved = fano.coefficients_odd(n).values.copy()
+        moved[tuple(np.random.default_rng(300 + n).integers(n, size=2))] += 1e-3
+        want = covariance_group_oracle(dense_table(FanoCoefficients(n, moved)), lifts, 1e-10)
+        assert not want.passed
+        assert_same_check(_covariance_scan(moved, lifts, 1e-10), want)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 0.0, -1.0, 0.3])
@@ -172,61 +225,65 @@ def test_sparse_covariance_matches_dense_oracle_on_random_sparse_tables(n):
 def test_sparse_covariance_matches_dense_oracle_at_any_tolerance(n, tol):
     """Tolerance 0 fails on rounding noise; a negative one fails everywhere."""
     lifts = _flat(sl2_lifts(n))
-    for table in (fano.coefficients_candidate(n).table, _random_sparse_table(n, 400 + n),
-                  np.zeros((n, n, n, n), dtype=complex)):
-        assert_same_check(_covariance_scan(table, lifts, tol), covariance_group_oracle(table, lifts, tol))
+    for values in (fano.coefficients_candidate(n).values, _random_sparse_values(n, 400 + n),
+                   np.zeros((n, n), dtype=complex)):
+        want = covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, tol)
+        assert_same_check(_covariance_scan(values, lifts, tol), want)
 
 
 def test_single_element_check_matches_dense_oracle():
     n = 4
-    table = _random_sparse_table(n, 7)
+    values = _random_sparse_values(n, 7)
+    table = dense_table(FanoCoefficients(n, values))
     for group in sl2_lifts(n):
         for lift in group:
-            assert_same_check(_covariance_scan(table, [lift], 1e-10), covariance_group_oracle(table, [lift], 1e-10))
+            assert_same_check(_covariance_scan(values, [lift], 1e-10), covariance_group_oracle(table, [lift], 1e-10))
 
 
 def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
-    """An off-support entry at (2,1,0,0) of the N = 3 solution.
+    """A moved support value at (s,t) = (2,1) of the N = 3 solution.
 
-    The identity passes (it maps the entry onto itself with phase 1). The
-    first element in enumeration order, (0,1,-1,0), sends (s,t) to (t,-s),
-    so the leak shows at (2,2,0,0) through the first index and at (2,1,0,0)
-    through the second; the lexicographically first is (2,1,0,0).
+    The identity passes (it maps each support point onto itself with phase
+    1). The first element in enumeration order, (0,1,-1,0), compares
+    v[t,-s] with v[s,t] at (s,t,-s,t), so the error shows at (s,t) = (2,1)
+    and at (2,2); the lexicographically first is (2,1,1,1).
     """
     n = 3
-    table = fano.coefficients_odd(n).table.copy()
-    table[2, 1, 0, 0] = 0.05
+    values = fano.coefficients_odd(n).values.copy()
+    values[2, 1] += 0.05
     lifts = _flat(sl2_lifts(n))
     assert lifts[0] == SL2Element(0, 1, -1, 0)
-    got = _covariance_scan(table, lifts, 1e-10)
+    got = _covariance_scan(values, lifts, 1e-10)
     assert not got.passed
-    assert got.witness == (2, 1, 0, 0)
+    assert got.witness == (2, 1, 1, 1)
     assert got.element == SL2Element(0, 1, -1, 0)
-    assert_same_check(got, covariance_group_oracle(table, lifts, 1e-10))
-    assert _covariance_scan(table, [IDENTITY], 1e-10).passed
+    assert_same_check(got, covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10))
+    assert _covariance_scan(values, [IDENTITY], 1e-10).passed
 
 
 def test_planted_violation_seen_only_by_a_second_lift():
     """N = 2: the second lift (1,2,0,1) of the identity class has phase -1 at n = 1.
 
-    Its base lift passes any table, so the witness must name the second
-    lift and the smaller of the two planted indices with n = 1; the entry
-    at n = 0 carries phase 1 and never fails.
+    Both lifts map each support point (s,t,t,s) onto itself. The base lift
+    passes any table; the second fails wherever n = t = 1 holds a nonzero,
+    with residual 2|v[s,1]|. So the witness must name the second lift and
+    the smaller of the two planted points with t = 1; the value at t = 0
+    carries phase 1 and never fails.
     """
     n = 2
     second = sl2_second_lift_search(IDENTITY, n)
     assert second == SL2Element(1, 2, 0, 1)
-    table = np.zeros((n, n, n, n), dtype=complex)
-    table[1, 0, 1, 1] = 0.25
-    table[0, 1, 1, 0] = 0.1
-    table[0, 0, 0, 1] = 0.5
+    values = np.zeros((n, n), dtype=complex)
+    values[1, 1] = 0.25
+    values[0, 1] = 0.1
+    values[1, 0] = 0.5
     lifts = [IDENTITY, second]
-    got = _covariance_scan(table, lifts, 1e-10)
+    got = _covariance_scan(values, lifts, 1e-10)
     assert not got.passed
     assert got.witness == (0, 1, 1, 0)
     assert got.element == second
     assert got.max_violation == pytest.approx(0.5)
-    assert_same_check(got, covariance_group_oracle(table, lifts, 1e-10))
+    assert_same_check(got, covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10))
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -271,7 +328,7 @@ def _huge_odd_lifts():
 
 @pytest.mark.parametrize("lift", _huge_odd_lifts(), ids=["2^20+1", "2^70+1"])
 def test_odd_solution_passes_covariance_under_a_huge_single_lift(lift):
-    got = _covariance_scan(fano.coefficients_odd(7).table, [lift], 1e-10)
+    got = _covariance_scan(fano.coefficients_odd(7).values, [lift], 1e-10)
     assert got.passed, got
     assert got.max_violation < 1e-15
 
@@ -284,7 +341,7 @@ def test_odd_audits_pass_with_huge_second_lifts(k):
     shift = SL2Element(1, n * k, n * k, 1 + n * n * k * k)
     elements = [(g, g.compose(shift)) for g in sl2_enumerate(n)]
     assert max(abs(x) for _, h in elements for x in h.as_tuple()) > 2**20
-    cov = _covariance_scan(fano.coefficients_odd(n).table, _flat(elements), 1e-10)
+    cov = _covariance_scan(fano.coefficients_odd(n).values, _flat(elements), 1e-10)
     assert cov.passed, cov
     checks, _ = fano.uniqueness_audit(n, elements=elements)
     assert checks["route_consistency"].passed, checks["route_consistency"]
@@ -304,9 +361,9 @@ def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
     assert all(x % (2 * n) == y % (2 * n) for g, h in huge.items()
                for x, y in zip(g.as_tuple(), h.as_tuple()))
     big = [tuple(huge[g] for g in group) for group in small]
-    for table in (fano.coefficients_candidate(n).table, _random_sparse_table(n, 500 + n)):
-        want = _covariance_scan(table, _flat(small), 1e-10)
-        got = _covariance_scan(table, _flat(big), 1e-10)
+    for values in (fano.coefficients_candidate(n).values, _random_sparse_values(n, 500 + n)):
+        want = _covariance_scan(values, _flat(small), 1e-10)
+        got = _covariance_scan(values, _flat(big), 1e-10)
         assert not want.passed
         assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
         assert got.element == huge[want.element]
@@ -316,3 +373,113 @@ def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
     assert (got.passed, got.max_violation, got.witness[:2]) == (want.passed, want.max_violation, want.witness[:2])
     by_tuple = {g.as_tuple(): h.as_tuple() for g, h in huge.items()}
     assert got.witness[2:] == by_tuple[want.witness[2:6]] + by_tuple[want.witness[6:]]
+
+
+
+def _support_cases(n):
+    """Support values of the candidate and derived tables, random values, and
+    the candidate with a planted phase error and with a zeroed entry."""
+    candidate = fano.coefficients_candidate(n).values
+    phase_error, zeroed = candidate.copy(), candidate.copy()
+    phase_error[n // 2, n - 1] *= np.exp(0.1j)
+    zeroed[n - 1, n // 2] = 0
+    return {"candidate": candidate, "derived": fano.derived_table(n).values,
+            "random": _random_values(n, 600 + n), "phase error": phase_error, "zeroed": zeroed}
+
+
+def _lift_sets(n):
+    """The generators, the identity, and the generators with four seeded lifts of the group."""
+    lifts = _flat(sl2_lifts(n))
+    sample = [lifts[i] for i in np.random.default_rng(n).integers(len(lifts), size=4)]
+    return [list(GENERATORS), [IDENTITY], [*GENERATORS, *sample]]
+
+
+def _scan_oracle(residuals, lifts, tol):
+    """covariance_group_oracle on dense residual arrays computed beforehand, one per lift."""
+    worst = max(float(res.max()) for res in residuals)
+    for res, lift in zip(residuals, lifts):
+        if res.max() > tol:
+            return CheckResult("covariance", False, worst, tuple(int(i) for i in np.argwhere(res > tol)[0]), lift)
+    return CheckResult("covariance", True, worst, None, None)
+
+
+def _dense_residuals(table):
+    """The residuals of each coefficient-level check of a dense table, as the dense audits indexed them."""
+    n = table.shape[0]
+    target_s = np.zeros((n, n, n), dtype=complex)
+    target_t = np.zeros((n, n, n), dtype=complex)
+    for k in range(n):
+        target_s[k, 0, k] = target_t[k, k, 0] = 1.0 / n**2
+    return {
+        "coeff_axis_s": np.abs(table[:, 0, :, :] - target_s),
+        "coeff_axis_t": np.abs(table[0, :, :, :] - target_t),
+        "coeff_hermiticity": hermiticity_residuals_dense(table),
+        "orthogonality_index": coefficient_gram_oracle(table).reshape(2, n, n, n, n),
+    }
+
+
+def _dense_result(name, residuals, tol):
+    """_result on dense residuals; the Gram level is dropped from an orthogonality_index witness."""
+    check = _result(name, residuals, tol)
+    if name == "orthogonality_index" and not check.passed:
+        return CheckResult(name, False, check.max_violation, check.witness[1:])
+    return check
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_support_formulas_match_the_dense_oracles(n):
+    """Every coefficient-level audit on the support values against its oracle on
+    the dense N^4 table: the same verdict, witness and element, and the same
+    max_violation to the bit, at tolerances that pass, fail on round-off,
+    pass a 2/N^2 violation and fail everywhere.
+
+    Covariance and the Gram sums are compared with the plain loops, whose
+    products are rounded as in the support formulas. Hermiticity is compared
+    with the vectorised dense residuals: like the support formula, and the
+    ``check`` artifact, they use numpy's complex multiply, which may fuse a
+    multiply-add that the plain loop rounds twice, so the plain loop is only
+    close (test_numpy_hermiticity_kernel_matches_oracle).
+    """
+    lift_sets = _lift_sets(n)
+    reference = dense_table(fano.coefficients_candidate(n))
+    for label, values in _support_cases(n).items():
+        c = FanoCoefficients(n, values)
+        f = fano.assemble(c)
+        table = dense_table(c)
+        dense = _dense_residuals(table)
+        covariance = {lift: _covariance_oracle(table, lift, covariance_phase_table(lift, n))
+                      for lifts in lift_sets for lift in lifts}
+        derived = {
+            "derived_matches_construction": np.abs(table - reference),
+            "derived_hermiticity": dense["coeff_hermiticity"],
+            "derived_orthogonality": dense["orthogonality_index"].reshape(2, n * n, n * n),
+        }
+        for tol in (1e-10, 0.0, 0.3, -1.0):
+            got = {**fano.check_coefficient_axes(c, tol), **fano.check_hermiticity(c, f, tol),
+                   **fano.check_orthogonality(c, f, tol)}
+            for name, residuals in dense.items():
+                assert_same_check(got[name], _dense_result(name, residuals, tol), exact=True)
+            for lifts in lift_sets:
+                want = _scan_oracle([covariance[lift] for lift in lifts], lifts, tol)
+                assert_same_check(_covariance_scan(values, lifts, tol), want, exact=True)
+            if label == "derived":
+                checks, _ = fano.uniqueness_audit(n, tol)
+                for name, residuals in derived.items():
+                    assert_same_check(checks[name], _result(name, residuals, tol), exact=True)
+
+
+def test_covariance_scan_does_not_depend_on_how_the_lifts_are_batched():
+    """All lifts of SL(2, Z_7) in one pass, one at a time and 256 at a time
+    give the same worst residual to the bit, that of the plain loop at the
+    worst lift. numpy's complex multiply rounded the first differently
+    (6.3138436112372006e-18 against 6.938893903907228e-18)."""
+    n = 7
+    values = fano.coefficients_candidate(n).values
+    lifts = _flat(sl2_lifts(n))
+    whole = _covariance_scan(values, lifts, 1e-10).max_violation
+    single = [_covariance_scan(values, [lift], 1e-10).max_violation for lift in lifts]
+    batched = max(_covariance_scan(values, lifts[i:i + 256], 1e-10).max_violation for i in range(0, len(lifts), 256))
+    assert whole == max(single) == batched
+    worst = lifts[int(np.argmax(single))]
+    table = dense_table(fano.coefficients_candidate(n))
+    assert _covariance_oracle(table, worst, covariance_phase_table(worst, n)).max() == whole

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latwig import cli, fano, serialize, wigner
+from oracles import dense_table
 
 # ---------------------------------------------------------------------------
 # Reference emitter: the element-by-element serializer the template path
@@ -67,7 +68,7 @@ def _plain(obj):
     them from the table's support.
     """
     if isinstance(obj, serialize.SupportRecords):
-        return _plain(_dense_records(fano.coefficients_candidate(len(obj.re)).table))
+        return _plain(_dense_records(dense_table(fano.coefficients_candidate(len(obj.re)))))
     if isinstance(obj, np.ndarray):
         if obj.dtype.names is not None:
             # A subarray field's value comes back from tolist() as an ndarray.
