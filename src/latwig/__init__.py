@@ -2,7 +2,8 @@
 
 Library layout:
 
-- ``lattice``: exact modular arithmetic, SL(2, Z_N) lifts, lines as index arrays
+- ``lattice``: exact modular arithmetic, SL(2, Z_M) as residue arrays and
+  the route audit's lift classes, lines as index arrays
 - ``operators``: clock/shift pair, momentum basis, exact phase arithmetic
 - ``fano``: coefficient tables, phase-point operators (dense, and the odd-N
   closed form as phased permutations), condition audits
@@ -12,10 +13,11 @@ Library layout:
 
 The exact and plain-loop references the tests check these against (the
 Fraction-valued covariance phase, the group action on tables, the order
-of SL(2, Z_N), lines as tuples of sites, the invariant label of the line
-through a site, the per-(s,t) route list, the incidence check, the dense
-einsum transforms, the split-parity table, the clock and shift matrices)
-live in ``tests/oracles.py``, not in the package.
+of SL(2, Z_N) and its determinant filter, integer lifts found by search
+and their exact product, lines as tuples of sites, the invariant label of
+the line through a site, the per-(s,t) route list, the incidence check,
+the dense einsum transforms, the split-parity table, the clock and shift
+matrices) live in ``tests/oracles.py``, not in the package.
 """
 
 from .fano import (

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fano, serialize, tomography, wigner
-from .lattice import sl2_complete, sl2_lifts
+from .lattice import lift_classes, sl2_complete
 from .operators import (
     DEFAULT_TOL,
     basis_state_density,
@@ -131,13 +131,22 @@ def cmd_fano(args):
 
 
 def cmd_check(args):
+    """Audit every condition family on the candidate table and write the report.
+
+    The route audit runs on :func:`lift_classes`, every class of integer
+    lifts of SL(2, Z_N) that a route value can tell apart. ``group_order``
+    counts their distinct residues mod N, |SL(2, Z_N)|, and
+    ``lifts_per_element`` the classes above each: 1 for odd N, 8 for even N.
+    """
     n = args.n
     if args.audit_bound < 1:
         raise CliError(f"--audit-bound must be a positive integer, got {args.audit_bound}")
     if n > args.audit_bound:
         raise CliError(f"--n {n} exceeds the audit bound {args.audit_bound}; "
                        "raise --audit-bound to audit larger N")
-    elements = sl2_lifts(n)
+    elements = lift_classes(n)
+    # |SL(2, Z_N)|: the distinct residues mod N of the classes, each coded as one integer.
+    group_order = len(set(((elements % n) @ n ** np.arange(3, -1, -1)).tolist()))
     report = fano.full_report(n, tol=args.tolerance, elements=elements)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)
@@ -145,8 +154,8 @@ def cmd_check(args):
     doc["parity"] = "odd" if n % 2 else "even"
     doc["expected"] = "all_pass" if n % 2 else "infeasible"
     doc["matches_prediction"] = matches
-    doc["group_order"] = len(elements)
-    doc["lifts_per_element"] = len(elements[0])
+    doc["group_order"] = group_order
+    doc["lifts_per_element"] = len(elements) // group_order
     doc["infeasibility_witness"] = (
         None if witness is None else {"check": witness.name, **witness.to_json_dict()}
     )

@@ -27,9 +27,11 @@ tables, so it is decided on the two generators S and T. Each lift with
 determinant 1 maps the support onto itself, so it is one residual per
 support point. For the candidate tables the float verdict is the exact one
 at any tolerance between their residuals: round-off below 1e-16 for odd N,
-where the table is covariant, and 2/N^2 for even N. The route audit takes
-the list ``elements`` of every element's two lifts from
-:func:`latwig.lattice.sl2_lifts` and sorts the 2(N - 1) routes of each lift.
+where the table is covariant, and 2/N^2 for even N. A route value depends
+on a lift only mod 2N, so the route audit takes the array ``elements`` of
+every lift class from :func:`latwig.lattice.lift_classes` (one per element
+for odd N, eight for even N) and sorts the 2(N - 1) routes of each class:
+it is exhaustive over every integer lift.
 """
 
 from dataclasses import dataclass
@@ -41,8 +43,8 @@ from .lattice import (
     SL2Element,
     check_dim,
     gcd_decompose,
+    lift_classes,
     sl2_complete,
-    sl2_lifts,
 )
 from .operators import (
     DEFAULT_TOL,
@@ -296,11 +298,17 @@ def hermiticity_residuals(values):
     """Residuals |a~(s,t;n,m) - omega^(-nm) conj(a~(-s,-t;-n,-m))| on the support, indexed [s, t].
 
     Off the support both terms vanish, and on it (n,m) = (t,s), so the
-    residual is |v[s,t] - omega^(-ts) conj(v[-s,-t])|, indices mod N.
+    residual is |v[s,t] - omega^(-ts) conj(v[-s,-t])|, indices mod N. The
+    product is written in real arithmetic, as in :func:`_covariance_scan`:
+    numpy's complex multiply fuses a multiply-add where the CPU has FMA, and
+    this way the residuals are those of a scalar loop on any machine.
     """
     n = values.shape[0]
     idx = (-np.arange(n)) % n
-    return np.abs(values - _hermiticity_phases(n) * values[np.ix_(idx, idx)].conj())
+    phase, mirror = _hermiticity_phases(n), values[np.ix_(idx, idx)]
+    re = values.real - (phase.real * mirror.real + phase.imag * mirror.imag)
+    im = values.imag - (phase.imag * mirror.real - phase.real * mirror.imag)
+    return np.hypot(re, im)
 
 
 def check_hermiticity(c, f, tol=DEFAULT_TOL):
@@ -376,7 +384,7 @@ def _lift_entries(lifts, n):
     """int64 array [kappa|lam|mu|nu, lift] of the lifts' entries reduced mod 2N.
 
     The reduction keeps every index map mod N and every :func:`_two_phi`
-    exponent, and bounds every product of the vectorised audits.
+    exponent, and bounds every product of the covariance scan.
     """
     return np.array([x % (2 * n) for g in lifts for x in g.as_tuple()], dtype=np.int64).reshape(-1, 4).T
 
@@ -478,19 +486,19 @@ def derived_table(n):
 def _route_consistency(n, elements, tol):
     """Route-consistency check: all routes agree at every (s,t) != (0,0).
 
-    A lift maps (s,t) onto the s-slice (kappa*s - lam*t = 0 mod N) exactly
-    at the nonzero multiples of (lam, kappa), and onto the t-slice
-    (nu*t - mu*s = 0) at those of (nu, mu); a stable sort groups these
-    routes by (s,t), lifts in order. The witness is the first (s,t) in
-    lexicographic order with a conflict, then its first route's lift and
-    the first lift that disagrees. Spreads between the values of
-    :func:`_route_value` are the hypot of the differences of real and
-    imaginary parts, each divided by N^2, which is what its complex
-    arithmetic and ``abs`` give, to the last bit; they are tabulated once
-    for every pair of exponents.
+    ``elements`` is an int64 array [lift, (kappa, lam, mu, nu)], such as
+    :func:`latwig.lattice.lift_classes`. A lift maps (s,t) onto the s-slice
+    (kappa*s - lam*t = 0 mod N) exactly at the nonzero multiples of
+    (lam, kappa), and onto the t-slice (nu*t - mu*s = 0) at those of
+    (nu, mu); a stable sort groups these routes by (s,t), lifts in order.
+    The witness is the first (s,t) in lexicographic order with a conflict,
+    then its first route's lift and the first lift that disagrees. Spreads
+    between the values of :func:`_route_value` are the hypot of the
+    differences of real and imaginary parts, each divided by N^2, which is
+    what its complex arithmetic and ``abs`` give, to the last bit; they are
+    tabulated once for every pair of exponents.
     """
-    lifts = [lift for group in elements for lift in group]
-    k, l, m, v = _lift_entries(lifts, n)[:, :, np.newaxis]
+    k, l, m, v = elements.T[:, :, np.newaxis]
     r = np.arange(1, n)
     s = np.concatenate([l * r, v * r], axis=1) % n
     t = np.concatenate([k * r, m * r], axis=1) % n
@@ -507,8 +515,8 @@ def _route_consistency(n, elements, tol):
     witness = None
     if conflicts.size:
         i = conflicts[0]
-        g0, g = (lifts[j] for j in order[[first[i], i]] // (2 * n - 2))
-        witness = divmod(int(point[i]), n) + g0.as_tuple() + g.as_tuple()
+        lifts = elements[order[[first[i], i]] // (2 * n - 2)]
+        witness = divmod(int(point[i]), n) + tuple(int(x) for x in lifts.ravel())
     return CheckResult("route_consistency", witness is None, worst, witness, None)
 
 
@@ -516,16 +524,16 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):
     """Route-consistency audit plus the two-condition sufficiency check.
 
     For every nonzero (s,t), the forced value is derived through every
-    group element that maps (s,t) onto an axis slice, with two lifts each;
-    all routes must agree for the table to exist. The canonically derived
-    table is then checked against the closed form and against hermiticity
-    and orthogonality, which were never imposed on it. ``elements`` is a
-    list of lift tuples from :func:`latwig.lattice.sl2_lifts`; by default
-    it is built here.
+    group element that maps (s,t) onto an axis slice, under every class of
+    its integer lifts; all routes must agree for the table to exist. The
+    canonically derived table is then checked against the closed form and
+    against hermiticity and orthogonality, which were never imposed on it.
+    ``elements`` is the array :func:`latwig.lattice.lift_classes` (n); by
+    default it is built here.
     """
     check_dim(n)
     if elements is None:
-        elements = sl2_lifts(n)
+        elements = lift_classes(n)
     route_check = _route_consistency(n, elements, tol)
 
     derived = derived_table(n)
@@ -556,8 +564,8 @@ def full_report(n, tol=DEFAULT_TOL, elements=None):
     pass; for even N at least one of hermiticity, covariance or route
     consistency is expected to fail. The report records outcomes only;
     verdicts against that expectation belong to the caller. ``elements``
-    is the list of lift tuples from :func:`latwig.lattice.sl2_lifts` that
-    the route audit takes; by default it is built here.
+    is the array :func:`latwig.lattice.lift_classes` (n) that the route
+    audit takes; by default it is built here.
     """
     coeffs = coefficients_candidate(n)
     fset = assemble(coeffs)

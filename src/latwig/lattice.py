@@ -1,11 +1,12 @@
 """Exact modular arithmetic on the N x N lattice phase space.
 
-Group elements, determinants and gcd decompositions use plain Python
+Integer lifts, determinants and gcd decompositions use plain Python
 integers, so they are exact; reduction mod N happens only where a residue
 is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
-SL(2, Z_N) is written down row by row from closed forms (:func:`sl2_enumerate`)
-for any N, with a second integer lift per element (:func:`sl2_lifts`) for
-the route audit; how large an N is worth auditing is the caller's decision
+SL(2, Z_M) is an int64 array of residues, written down row by row from
+closed forms (:func:`sl2_enumerate`), with no search. The route audit runs
+on :func:`lift_classes`, every class of integer lifts that its values can
+tell apart; how large an N is worth auditing is the caller's decision
 (``latwig check --audit-bound``). The covariance audit needs only
 :data:`GENERATORS`: S and T generate SL(2, Z), which maps onto every
 SL(2, Z_M).
@@ -13,7 +14,7 @@ SL(2, Z_M).
 
 import math
 from dataclasses import dataclass
-from itertools import count, groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -83,20 +84,9 @@ class SL2Element:
         check_dim(n)
         return (self.kappa % n, self.lam % n, self.mu % n, self.nu % n)
 
-    def compose(self, other):
-        """Exact integer 2x2 matrix product, rows (kappa, lam) / (mu, nu)."""
-        return SL2Element(
-            kappa=self.kappa * other.kappa + self.lam * other.mu,
-            lam=self.kappa * other.lam + self.lam * other.nu,
-            mu=self.mu * other.kappa + self.nu * other.mu,
-            nu=self.mu * other.lam + self.nu * other.nu,
-        )
-
     def as_tuple(self):
         return (self.kappa, self.lam, self.mu, self.nu)
 
-
-IDENTITY = SL2Element(1, 0, 0, 1)
 
 # S and T, which generate SL(2, Z); their residues generate SL(2, Z_M) for every M.
 GENERATORS = (SL2Element(0, 1, -1, 0), SL2Element(1, 1, 0, 1))
@@ -121,72 +111,44 @@ def sl2_complete(kappa, lam):
     return SL2Element(kappa, lam, mu, nu)
 
 
-def _coprime_lift(a, b, n):
-    """Lift residues (a, b) with gcd(a, b, n) = 1 to a coprime integer pair."""
-    for i, j in product(range(5), range(5)):
-        if math.gcd(a + i * n, b + j * n) == 1:
-            return a + i * n, b + j * n
-    raise ValueError(f"no coprime lift found for ({a}, {b}) mod {n}")
+def sl2_enumerate(m):
+    """Every element of SL(2, Z_m) as an int64 array [element, (kappa, lam, mu, nu)] of residues in [0, m).
 
-
-def _land_completion(base, mu_res, nu_res, n):
-    """The completion of base's row (kappa, lam) whose (mu, nu) lie in given residue classes.
-
-    The general solution of kappa*nu - mu*lam = 1 is (mu0 + j*kappa,
-    nu0 + j*lam); as kappa*nu0 - mu0*lam = 1, j = nu0*mu_res - mu0*nu_res mod N.
+    Rows are in lexicographic order, the order a determinant filter of all
+    m^4 residue tuples gives. For each primitive row (a, b), g = gcd(a, b)
+    is a unit mod m; Euclid on (a/g, b/g) gives one completion (c0, d0) with
+    a*d0 - b*c0 = 1 mod m, and the m completions are (c0 + j*a, d0 + j*b).
     """
-    j = (base.nu * mu_res - base.mu * nu_res) % n
-    return SL2Element(base.kappa, base.lam, base.mu + j * base.kappa, base.nu + j * base.lam)
+    check_dim(m)
+    if m == 1:
+        return np.zeros((1, 4), dtype=np.int64)
+    rows = [(a, b) for a, b in product(range(m), repeat=2) if math.gcd(a, b, m) == 1]
+    first = np.empty((len(rows), 2), dtype=np.int64)
+    for i, (a, b) in enumerate(rows):
+        g = math.gcd(a, b)
+        _, x, y = egcd(a // g, b // g)  # (a/g)*x + (b/g)*y = 1
+        unit = pow(g, -1, m)
+        first[i] = (-y * unit) % m, (x * unit) % m
+    ab = np.array(rows, dtype=np.int64)
+    c, d = ((first[:, [i]] + np.arange(m) * ab[:, [i]]) % m for i in (0, 1))
+    cd = np.sort(c * m + d, axis=1).ravel()  # each row's completions in (c, d) order
+    return np.column_stack([np.repeat(ab, m, axis=0), cd // m, cd % m])
 
 
-def sl2_enumerate(n):
-    """One exact-determinant-1 integer lift per element of SL(2, Z_N), O(N^3).
+def lift_classes(n):
+    """The classes of integer lifts of SL(2, Z_N) that the route audit must tell apart.
 
-    Each primitive row (a, b) mod N is lifted to a coprime (kappa, lam) in
-    [0, 5N)^2 (reaching 3N at N = 7, 4N at N = 31); its N completions
-    (mu0 + j*kappa, nu0 + j*lam) follow in the order of their residues.
+    A route value omega^(phi'(t,s)) depends on a lift only through
+    2*phi' mod 2N, a polynomial in its entries mod 2N. For odd N every term
+    of 2*phi' is even and 2*phi' mod N depends only on the residues mod N,
+    so by the CRT 2*phi' mod 2N depends only on the class mod N: one class
+    per element, :func:`sl2_enumerate` (N). For even N it is
+    :func:`sl2_enumerate` (2N), the 8 classes mod 2N above each element.
+    SL(2, Z) maps onto SL(2, Z_2N), so every integer lift with determinant 1
+    lies in one of these classes.
     """
     check_dim(n)
-    if n == 1:
-        return [IDENTITY]
-    out = []
-    for a, b in product(range(n), repeat=2):
-        if math.gcd(a, b, n) == 1:
-            kappa, lam = _coprime_lift(a, b, n)
-            base = sl2_complete(kappa, lam)
-            row = [SL2Element(kappa, lam, base.mu + j * kappa, base.nu + j * lam) for j in range(n)]
-            out.extend(sorted(row, key=lambda g: (g.mu % n, g.nu % n)))
-    return out
-
-
-def _second_row(kappa, lam, n):
-    """The coprime row on which every element of row (kappa, lam) has its second lift.
-
-    The first of the +N shifts of (kappa, lam) that is coprime. If none is,
-    lam + j*N for the first coprime j >= 3 (j = 3P works, P the product of
-    the primes dividing kappa but not N).
-    """
-    shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
-    for da, db in shifts:
-        if math.gcd(kappa + da, lam + db) == 1:
-            return kappa + da, lam + db
-    j = next(j for j in count(3) if math.gcd(kappa, lam + j * n) == 1)
-    return kappa, lam + j * n
-
-
-def sl2_lifts(n):
-    """Every element of SL(2, Z_N) with the two integer lifts the route audit tests.
-
-    One tuple ``(g, h)`` per element, in :func:`sl2_enumerate` order: h is
-    the lift of g's residue class on the row :func:`_second_row`. The N
-    elements of a row share (kappa, lam), so the second row and its base
-    completion are found once per row.
-    """
-    out = []
-    for (kappa, lam), row in groupby(sl2_enumerate(n), key=lambda g: (g.kappa, g.lam)):
-        second = sl2_complete(*_second_row(kappa, lam, n))
-        out.extend([(g, _land_completion(second, g.mu % n, g.nu % n, n)) for g in row])
-    return out
+    return sl2_enumerate(n if n % 2 else 2 * n)
 
 
 def line_sites(g, n):

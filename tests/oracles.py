@@ -5,8 +5,9 @@ independent forms it is checked against: the dense N^4 coefficient table
 of the support values, the Fraction-valued covariance phase, the dense
 int64 exponent table and the group action on dense tables, the
 covariance scan over every lift class of SL(2, Z_2N), the per-(s,t)
-route list, the order of SL(2, Z_N) and its determinant-filter
-enumeration with searched lifts, the inverse coefficient transform,
+route list, the identity and the exact product of integer lifts, the
+order of SL(2, Z_N) and its determinant-filter enumeration, integer lifts
+with determinant exactly 1 found by search, the inverse coefficient transform,
 lattice lines as tuples of sites, the invariant label of the line through
 a site, the brute-force incidence check of the line families, the dense
 N^4 expansion of the closed-form operator set with the einsum transforms
@@ -21,19 +22,23 @@ from itertools import product
 
 import numpy as np
 
-from latwig.fano import CheckResult, FanoCoefficients, FanoOperatorSet, _covariance_scan, _route_value
-from latwig.lattice import (
-    IDENTITY,
-    SL2Element,
-    _coprime_lift,
-    check_dim,
-    line_sites,
-    sl2_complete,
-    sl2_enumerate,
-    sl2_lifts,
-)
+from latwig.fano import CheckResult, FanoCoefficients, FanoOperatorSet, _covariance_scan, _two_phi
+from latwig.lattice import SL2Element, check_dim, line_sites, sl2_complete, sl2_enumerate
 from latwig.operators import _half_omega_table, _omega_table, omega_half
 from latwig.tomography import mub_line_families
+
+
+IDENTITY = SL2Element(1, 0, 0, 1)
+
+
+def compose(g, h):
+    """Exact integer 2x2 matrix product g h, rows (kappa, lam) / (mu, nu)."""
+    return SL2Element(
+        kappa=g.kappa * h.kappa + g.lam * h.mu,
+        lam=g.kappa * h.lam + g.lam * h.nu,
+        mu=g.mu * h.kappa + g.nu * h.mu,
+        nu=g.mu * h.lam + g.nu * h.nu,
+    )
 
 
 def canonical(x, n):
@@ -157,22 +162,31 @@ def covariance_every_class(values, tol):
     """Covariance of the table with support ``values`` under one lift of every element of SL(2, Z_2N).
 
     The table maps depend on a lift only mod 2N, so this covers every
-    integer lift of every element of SL(2, Z_N). The lifts are scanned 256
-    at a time, so memory stays flat as the group grows; the witness is that
-    of the first failing lift in :func:`latwig.lattice.sl2_enumerate` order.
+    integer lift of every element of SL(2, Z_N). Each class is lifted by
+    :func:`exact_lift`, in :func:`latwig.lattice.sl2_enumerate` order, and
+    the lifts are scanned 256 at a time, so memory stays flat as the group
+    grows; the witness is that of the first failing lift.
     """
     n = values.shape[0]
-    lifts = sl2_enumerate(2 * n)
+    classes = sl2_enumerate(2 * n).tolist()
     worst = 0.0
     first_fail = None
-    for start in range(0, len(lifts), 256):
-        got = _covariance_scan(values, lifts[start:start + 256], tol)
+    for start in range(0, len(classes), 256):
+        got = _covariance_scan(values, [exact_lift(row, 2 * n) for row in classes[start:start + 256]], tol)
         worst = max(worst, got.max_violation)
         if first_fail is None and not got.passed:
             first_fail = got
     if first_fail is None:
         return CheckResult("covariance", True, worst, None, None)
     return CheckResult("covariance", False, worst, first_fail.witness, first_fail.element)
+
+
+def coprime_lift(a, b, n):
+    """Lift residues (a, b) with gcd(a, b, n) = 1 to a coprime integer pair, by search in [0, 5N)^2."""
+    for i, j in product(range(5), range(5)):
+        if math.gcd(a + i * n, b + j * n) == 1:
+            return a + i * n, b + j * n
+    raise ValueError(f"no coprime lift found for ({a}, {b}) mod {n}")
 
 
 def land_completion_search(kappa, lam, mu_res, nu_res, n):
@@ -208,14 +222,19 @@ def sl2_order(n):
 def sl2_enumerate_filter(n):
     """SL(2, Z_N) by testing the determinant of all N^4 residue tuples, in order."""
     check_dim(n)
+    return [x for x in product(range(n), repeat=4) if (x[0] * x[3] - x[1] * x[2]) % n == 1 % n]
+
+
+def exact_lift(row, n):
+    """An integer lift with determinant exactly 1 of the residues ``row`` = (kappa, lam, mu, nu) mod N.
+
+    The searched coprime lift of (kappa, lam), completed by search; the
+    identity for N = 1.
+    """
     if n == 1:
-        return [IDENTITY]
-    out = []
-    for a, b, c, d in product(range(n), repeat=4):
-        if (a * d - b * c) % n == 1:
-            kappa, lam = _coprime_lift(a, b, n)
-            out.append(land_completion_search(kappa, lam, c, d, n))
-    return out
+        return IDENTITY
+    kappa, lam, mu, nu = (int(x) for x in row)
+    return land_completion_search(*coprime_lift(kappa, lam, n), mu, nu, n)
 
 
 def sl2_second_lift_search(g, n):
@@ -232,38 +251,42 @@ def sl2_second_lift_search(g, n):
 
 
 def sl2_lifts_search(n):
-    """Every element of the filtered enumeration with its searched second lift."""
-    return [(g, sl2_second_lift_search(g, n)) for g in sl2_enumerate_filter(n)]
+    """Two integer lifts with determinant exactly 1 of each element of SL(2, Z_N), by search.
+
+    One tuple ``(g, h)`` per element of :func:`sl2_enumerate_filter`: g is
+    its :func:`exact_lift`, h the :func:`sl2_second_lift_search` of g.
+    """
+    return [(g, sl2_second_lift_search(g, n)) for g in (exact_lift(row, n) for row in sl2_enumerate_filter(n))]
 
 
 def route_kind(g, s, t, n):
-    """Which axis slice the element maps (s,t) onto, if any.
+    """Which axis slice the lift (kappa, lam, mu, nu) maps (s,t) onto, if any.
 
     's' means kappa*s - lam*t = 0 mod N (first index mapped to 0); 't'
     means nu*t - mu*s = 0 mod N (second index mapped to 0). At most one
     applies, because the index map is a bijection and (s,t) != (0,0).
     """
-    if (g.kappa * s - g.lam * t) % n == 0:
+    kappa, lam, mu, nu = g
+    if (kappa * s - lam * t) % n == 0:
         return "s"
-    if (g.nu * t - g.mu * s) % n == 0:
+    if (nu * t - mu * s) % n == 0:
         return "t"
     return None
 
 
-def derivation_routes(n, s, t, elements=None):
-    """All (lift, forced value) pairs for (s,t), over the group and lifts.
+def derivation_routes(n, s, t, elements):
+    """All (lift, forced value) pairs for (s,t), over ``elements`` in order.
 
-    ``elements`` is a list of lift tuples from
-    :func:`latwig.lattice.sl2_lifts`; by default it is built here.
+    ``elements`` holds lifts (kappa, lam, mu, nu), such as the rows of
+    :func:`latwig.lattice.lift_classes`; the forced value of a route is
+    (1/N^2) omega^(phi'(t,s)), one scalar at a time.
     """
     check_dim(n)
-    if elements is None:
-        elements = sl2_lifts(n)
+    half = _half_omega_table(n)
     return [
-        (lift, _route_value(lift, s, t, n))
-        for group in elements
-        if route_kind(group[0], s, t, n) is not None
-        for lift in group
+        (tuple(g), complex(half[_two_phi(g, t % n, s % n, n)]) / n**2)
+        for g in elements
+        if route_kind(g, s, t, n) is not None
     ]
 
 

@@ -12,9 +12,9 @@ import pytest
 from latwig import fano, tomography, wigner
 from latwig.cli import main
 from latwig.fano import DisplacedParitySet, FanoCoefficients
-from latwig.lattice import sl2_complete, sl2_lifts
+from latwig.lattice import sl2_complete
 from latwig.operators import random_density_matrix
-from oracles import coefficients_cohendet
+from oracles import coefficients_cohendet, sl2_lifts_search
 
 TOL = 1e-10
 
@@ -58,7 +58,7 @@ def test_criterion_03_covariance_over_full_group():
     worst = 0.0
     for n in (3, 5):
         c = fano.coefficients_odd(n)
-        for g, second in sl2_lifts(n):
+        for g, second in sl2_lifts_search(n):
             for lift in (g, second):
                 res = fano._covariance_scan(c.values, [lift], TOL)
                 assert res.passed, (n, lift.as_tuple(), res.max_violation)

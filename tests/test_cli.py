@@ -301,13 +301,14 @@ def test_check_reports_the_group_it_audited(tmp_path, argv):
     assert main(["check", *argv, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["group_order"] == sl2_order(doc["n"])
-    assert doc["lifts_per_element"] == 2
+    assert doc["lifts_per_element"] == (1 if doc["n"] % 2 else 8)
 
 
 def test_check_covariance_is_decided_on_the_generators_and_reports_the_whole_group(tmp_path):
     """At N = 4 covariance fails first at S = (0, 1, -1, 0), whose entries
     end the witness; at N = 9 the group fields still count the route audit's
-    SL(2, Z_9) and its two lifts per element."""
+    SL(2, Z_9), one lift class per element, and at N = 8 the eight classes
+    mod 16 above each element of SL(2, Z_8)."""
     out = tmp_path / "c.json"
     assert main(["check", "--n", "4", "--out", str(out)]) == 0
     cov = json.loads(out.read_text())["checks"]["covariance"]
@@ -316,7 +317,10 @@ def test_check_covariance_is_decided_on_the_generators_and_reports_the_whole_gro
     assert main(["check", "--n", "9", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["checks"]["covariance"]["pass"]
-    assert (doc["group_order"], doc["lifts_per_element"]) == (648, 2)
+    assert (doc["group_order"], doc["lifts_per_element"]) == (648, 1)
+    assert main(["check", "--n", "8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["group_order"], doc["lifts_per_element"]) == (384, 8)
 
 
 def test_marginal_above_its_limit_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):

@@ -7,9 +7,17 @@ import pytest
 
 from latwig import fano
 from latwig.fano import FanoCoefficients, _covariance_scan
-from latwig.lattice import GENERATORS, IDENTITY, SL2Element, sl2_lifts
+from latwig.lattice import GENERATORS, SL2Element, lift_classes, sl2_enumerate
 from latwig.operators import DEFAULT_TOL
-from oracles import apply_covariance_transform, covariance_every_class, omega_pow, phase_phi
+from oracles import (
+    IDENTITY,
+    apply_covariance_transform,
+    compose,
+    covariance_every_class,
+    omega_pow,
+    phase_phi,
+    sl2_lifts_search,
+)
 
 
 def test_coefficients_hold_an_n_by_n_array_of_support_values():
@@ -83,7 +91,7 @@ def test_identity_element_covariance_holds_for_any_table():
 @pytest.mark.parametrize("n", [3, 5])
 def test_covariance_over_full_group_with_two_lifts(n):
     c = fano.coefficients_odd(n)
-    res = _covariance_scan(c.values, [lift for group in sl2_lifts(n) for lift in group], DEFAULT_TOL)
+    res = _covariance_scan(c.values, [lift for group in sl2_lifts_search(n) for lift in group], DEFAULT_TOL)
     assert res.passed
     assert res.max_violation < 1e-10
     assert fano.check_covariance_group(c).passed
@@ -161,7 +169,8 @@ def test_lift_shift_exposes_the_even_failure():
 
     At N = 2 even the identity class is lift-sensitive: the base lift
     passes trivially while its +N-shifted representative violates the
-    covariance identity, which is why the audit always tests two lifts.
+    covariance identity, which is why the audits see lifts mod 2N, not
+    elements mod N.
     """
     c2 = fano.coefficients_candidate(2)
     base = SL2Element(1, 0, 0, 1)
@@ -183,20 +192,31 @@ def test_route_values_conflict_between_lifts_for_even_n():
     assert vb == pytest.approx(-0.25j)
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_route_audit_on_the_lift_classes_equals_the_audit_on_every_class_mod_2n(n):
+    """For odd N a route value depends only on the class mod N, so the
+    audit on SL(2, Z_N) has the verdict and worst spread of the audit on
+    all of SL(2, Z_2N); for even N the lift classes are SL(2, Z_2N)."""
+    got = fano._route_consistency(n, lift_classes(n), DEFAULT_TOL)
+    want = fano._route_consistency(n, sl2_enumerate(2 * n), DEFAULT_TOL)
+    assert (got.passed, got.max_violation) == (want.passed, want.max_violation)
+    assert got.passed == (n % 2 == 1)
+
+
 def test_group_action_composition_is_consistent():
     """g . (h . a) = (h g) . a on random tables, at both parities; the odd
     solution is a fixed point. Each image is again zero off the support."""
     rng = np.random.default_rng(1)
     for n in (3, 4):
         a = FanoCoefficients(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        lifts = [lift for group in sl2_lifts(n) for lift in group]
+        lifts = [lift for group in sl2_lifts_search(n) for lift in group]
         for _ in range(20):
             g, h = (lifts[i] for i in rng.integers(len(lifts), size=2))
             via_two = apply_covariance_transform(apply_covariance_transform(a, h), g)
-            via_product = apply_covariance_transform(a, h.compose(g))
+            via_product = apply_covariance_transform(a, compose(h, g))
             assert np.abs(via_two.values - via_product.values).max() < 1e-12
     sol = fano.coefficients_odd(3)
-    for g in (lift for group in sl2_lifts(3) for lift in group):
+    for g in (lift for group in sl2_lifts_search(3) for lift in group):
         assert np.abs(apply_covariance_transform(sol, g).values - sol.values).max() < 1e-12
 
 
@@ -222,12 +242,12 @@ def test_covariance_action_law_holds_exactly_on_integer_exponents(n):
     Every pair of generators and 200 random pairs of lifts are tested.
     """
     rng = np.random.default_rng(n)
-    lifts = [lift for group in sl2_lifts(n) for lift in group]
+    lifts = [lift for group in sl2_lifts_search(n) for lift in group]
     random_pairs = [(lifts[i], lifts[j]) for i, j in rng.integers(len(lifts), size=(200, 2))]
     for g1, g2 in [*product(GENERATORS, repeat=2), *random_pairs]:
         src1, dst1, two1 = _action(g1, n)
         src2, dst2, two2 = _action(g2, n)
-        src, dst, two = _action(g2.compose(g1), n)
+        src, dst, two = _action(compose(g2, g1), n)
         for got, want in zip(src + dst, [x[src1] for x in src2] + [x[dst1] for x in dst2]):
             assert np.array_equal(got, want)
         assert np.array_equal(two, (two1 + two2[dst1]) % (2 * n))
@@ -312,7 +332,7 @@ def test_full_report_has_no_size_bound_and_shares_the_given_group():
     report = fano.full_report(11)
     assert report.passed, report.failed_names()
     assert fano.matches_parity_prediction(report)
-    given = fano.full_report(11, elements=sl2_lifts(11))
+    given = fano.full_report(11, elements=lift_classes(11))
     assert given.to_json_dict() == report.to_json_dict()
 
 

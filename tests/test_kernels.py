@@ -15,8 +15,18 @@ from numpy.testing import assert_allclose
 
 from latwig import fano
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _hermiticity_phases, _result
-from latwig.lattice import GENERATORS, IDENTITY, SL2Element, sl2_enumerate, sl2_lifts
-from oracles import covariance_phase_table, dense_table, derivation_routes, phase_phi, sl2_second_lift_search
+from latwig.lattice import GENERATORS, SL2Element, lift_classes, sl2_enumerate
+from oracles import (
+    IDENTITY,
+    compose,
+    covariance_phase_table,
+    dense_table,
+    derivation_routes,
+    exact_lift,
+    phase_phi,
+    sl2_lifts_search,
+    sl2_second_lift_search,
+)
 
 
 def _random_table(n, seed):
@@ -65,19 +75,6 @@ def _hermiticity_oracle(table, phases):
                         - phases[a][b] * table[(-s) % n][(-t) % n][(-a) % n][(-b) % n].conjugate()
                     )
     return out
-
-
-def hermiticity_residuals_dense(table):
-    """|a~(s,t;n,m) - omega^(-nm) conj(a~(-s,-t;-n,-m))| on the dense table, vectorised.
-
-    numpy's complex multiply over a contiguous inner axis, as in the support
-    formula: on hardware with fused multiply-add it rounds differently from
-    the plain loop, and the ``check`` artifact carries this rounding.
-    """
-    n = table.shape[0]
-    idx = (-np.arange(n)) % n
-    flipped = table[np.ix_(idx, idx, idx, idx)].conj()
-    return np.abs(table - _hermiticity_phases(n)[np.newaxis, np.newaxis, :, :] * flipped)
 
 
 def coefficient_gram_oracle(table):
@@ -140,20 +137,25 @@ def covariance_group_oracle(table, lifts, tol):
 
 
 def route_consistency_oracle(n, elements, tol):
-    """Loop over `derivation_routes` per (s,t), spreads by Python complex abs."""
+    """Loop over `derivation_routes` per (s,t), spreads by Python complex abs.
+
+    ``elements`` is an array of lifts, one route per row that maps (s,t)
+    onto an axis slice.
+    """
     worst = 0.0
     witness = None
+    lifts = elements.tolist()
     for s in range(n):
         for t in range(n):
             if s == 0 and t == 0:
                 continue
-            routes = derivation_routes(n, s, t, elements=elements)
+            routes = derivation_routes(n, s, t, lifts)
             g0, v0 = routes[0]
             for g, v in routes[1:]:
                 spread = abs(v - v0)
                 worst = max(worst, spread)
                 if spread > tol and witness is None:
-                    witness = (s, t) + g0.as_tuple() + g.as_tuple()
+                    witness = (s, t) + g0 + g
     return CheckResult("route_consistency", witness is None, worst, witness, None)
 
 
@@ -171,25 +173,40 @@ def assert_same_check(got, want, exact=False):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_numpy_covariance_kernel_matches_oracle(n):
     table = _random_table(n, n)
-    for g in sl2_enumerate(n)[:6]:
+    for g in (exact_lift(row, n) for row in sl2_enumerate(n)[:6]):
         got = covariance_residuals_dense(table, g)
         assert_allclose(got, _covariance_oracle(table, g, covariance_phase_table(g, n)), atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_numpy_hermiticity_kernel_matches_oracle(n):
-    """The support residuals against the plain loop on the dense table, which is zero off the support."""
+    """The support residuals equal, to the bit, the plain loop on the dense
+    table, which is zero off the support."""
     c = FanoCoefficients(n, _random_values(n, 10 + n))
     want = _hermiticity_oracle(dense_table(c), _hermiticity_phases(n))
     s, t = np.indices((n, n))
-    assert_allclose(fano.hermiticity_residuals(c.values), want[s, t, t, s], atol=1e-13)
+    assert np.array_equal(fano.hermiticity_residuals(c.values), want[s, t, t, s])
     want[s, t, t, s] = 0
     assert not want.any()
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_hermiticity_residuals_equal_the_scalar_loop_to_the_bit(n):
+    """The candidate and derived tables' support residuals against a loop on
+    Python complex numbers, which rounds each product of the complex
+    multiply once: numpy's complex multiply fuses a multiply-add where the
+    CPU has FMA, and then the check artifact's max_violation would depend
+    on the machine."""
+    phases = _hermiticity_phases(n).tolist()
+    for values in (fano.coefficients_candidate(n).values, fano.derived_table(n).values):
+        v = values.tolist()
+        want = [[abs(v[s][t] - phases[s][t] * v[-s % n][-t % n].conjugate()) for t in range(n)] for s in range(n)]
+        assert np.array_equal(fano.hermiticity_residuals(values), np.array(want))
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sparse_covariance_matches_dense_oracle_on_candidate_tables(n):
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     c = fano.coefficients_candidate(n)
     assert_same_check(_covariance_scan(c.values, lifts, 1e-10), covariance_group_oracle(dense_table(c), lifts, 1e-10))
 
@@ -197,7 +214,7 @@ def test_sparse_covariance_matches_dense_oracle_on_candidate_tables(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sparse_covariance_matches_dense_oracle_on_random_dense_tables(n):
     """Every support value random: the densest table the type can hold."""
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     values = _random_values(n, 100 + n)
     got = _covariance_scan(values, lifts, 1e-10)
     want = covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10)
@@ -207,7 +224,7 @@ def test_sparse_covariance_matches_dense_oracle_on_random_dense_tables(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_sparse_covariance_matches_dense_oracle_on_random_sparse_tables(n):
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     values = _random_sparse_values(n, 200 + n)
     want = covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10)
     assert_same_check(_covariance_scan(values, lifts, 1e-10), want)
@@ -224,7 +241,7 @@ def test_sparse_covariance_matches_dense_oracle_on_random_sparse_tables(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sparse_covariance_matches_dense_oracle_at_any_tolerance(n, tol):
     """Tolerance 0 fails on rounding noise; a negative one fails everywhere."""
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     for values in (fano.coefficients_candidate(n).values, _random_sparse_values(n, 400 + n),
                    np.zeros((n, n), dtype=complex)):
         want = covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, tol)
@@ -235,7 +252,7 @@ def test_single_element_check_matches_dense_oracle():
     n = 4
     values = _random_sparse_values(n, 7)
     table = dense_table(FanoCoefficients(n, values))
-    for group in sl2_lifts(n):
+    for group in sl2_lifts_search(n):
         for lift in group:
             assert_same_check(_covariance_scan(values, [lift], 1e-10), covariance_group_oracle(table, [lift], 1e-10))
 
@@ -251,7 +268,7 @@ def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
     n = 3
     values = fano.coefficients_odd(n).values.copy()
     values[2, 1] += 0.05
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     assert lifts[0] == SL2Element(0, 1, -1, 0)
     got = _covariance_scan(values, lifts, 1e-10)
     assert not got.passed
@@ -288,7 +305,7 @@ def test_planted_violation_seen_only_by_a_second_lift():
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_route_consistency_matches_loop_oracle(n):
-    elements = sl2_lifts(n)
+    elements = lift_classes(n)
     checks, _ = fano.uniqueness_audit(n, elements=elements)
     assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, 1e-10))
 
@@ -296,14 +313,14 @@ def test_route_consistency_matches_loop_oracle(n):
 @pytest.mark.parametrize("tol", [0.0, 0.3, -1.0])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(n, tol):
-    for elements in ([(g,) for g in sl2_enumerate(n)], sl2_lifts(n)):
+    for elements in (sl2_enumerate(n), lift_classes(n)):
         checks, _ = fano.uniqueness_audit(n, tol, elements=elements)
         assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, tol))
 
 
 def _elementary_product(x, y, z):
     """(1, x; 0, 1)(1, 0; y, 1)(1, z; 0, 1): determinant 1 for any integers."""
-    return SL2Element(1, x, 0, 1).compose(SL2Element(1, 0, y, 1)).compose(SL2Element(1, z, 0, 1))
+    return compose(compose(SL2Element(1, x, 0, 1), SL2Element(1, 0, y, 1)), SL2Element(1, z, 0, 1))
 
 
 @settings(max_examples=500, deadline=None)
@@ -336,14 +353,16 @@ def test_odd_solution_passes_covariance_under_a_huge_single_lift(lift):
 @pytest.mark.parametrize("k", [4096, 2**70], ids=["4096", "2^70"])
 def test_odd_audits_pass_with_huge_second_lifts(k):
     """N = 5 with each second lift replaced by g composed with a matrix
-    congruent to the identity mod N whose entries exceed 2^20 (or 2^70)."""
+    congruent to the identity mod N whose entries exceed 2^20 (or 2^70).
+    The route audit takes every lift as its class mod 2N."""
     n = 5
     shift = SL2Element(1, n * k, n * k, 1 + n * n * k * k)
-    elements = [(g, g.compose(shift)) for g in sl2_enumerate(n)]
+    elements = [(g, compose(g, shift)) for g in (exact_lift(row, n) for row in sl2_enumerate(n))]
     assert max(abs(x) for _, h in elements for x in h.as_tuple()) > 2**20
     cov = _covariance_scan(fano.coefficients_odd(n).values, _flat(elements), 1e-10)
     assert cov.passed, cov
-    checks, _ = fano.uniqueness_audit(n, elements=elements)
+    classes = np.array([[x % (2 * n) for x in g.as_tuple()] for g in _flat(elements)], dtype=np.int64)
+    checks, _ = fano.uniqueness_audit(n, elements=classes)
     assert checks["route_consistency"].passed, checks["route_consistency"]
     assert checks["route_consistency"].max_violation == 0.0
 
@@ -351,12 +370,13 @@ def test_odd_audits_pass_with_huge_second_lifts(k):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
     """Lifts congruent mod 2N have the same phases and index maps, so the
-    audits give the same outcome, worst violation and witness indices; the
-    witness names the lift as it was passed in."""
+    covariance audit gives the same outcome, worst violation and witness
+    indices; the witness names the lift as it was passed in. The route
+    audit runs on the classes mod 2N, which hold both."""
     k = 2**70
     shift = SL2Element(1 + 4 * n * n * k * k, 2 * n * k, 2 * n * k, 1)  # identity mod 2N
-    small = sl2_lifts(n)
-    huge = {g: g.compose(shift) for group in small for g in group}
+    small = sl2_lifts_search(n)
+    huge = {g: compose(g, shift) for group in small for g in group}
     assert all(max(abs(x) for x in h.as_tuple()) > 2**70 for h in huge.values())
     assert all(x % (2 * n) == y % (2 * n) for g, h in huge.items()
                for x, y in zip(g.as_tuple(), h.as_tuple()))
@@ -367,13 +387,8 @@ def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
         assert not want.passed
         assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
         assert got.element == huge[want.element]
-    want = fano.uniqueness_audit(n, elements=small)[0]["route_consistency"]
-    got = fano.uniqueness_audit(n, elements=big)[0]["route_consistency"]
-    assert not want.passed
-    assert (got.passed, got.max_violation, got.witness[:2]) == (want.passed, want.max_violation, want.witness[:2])
-    by_tuple = {g.as_tuple(): h.as_tuple() for g, h in huge.items()}
-    assert got.witness[2:] == by_tuple[want.witness[2:6]] + by_tuple[want.witness[6:]]
-
+    classes = {tuple(row) for row in lift_classes(n).tolist()}
+    assert all(tuple(x % (2 * n) for x in h.as_tuple()) in classes for h in huge.values())
 
 
 def _support_cases(n):
@@ -389,7 +404,7 @@ def _support_cases(n):
 
 def _lift_sets(n):
     """The generators, the identity, and the generators with four seeded lifts of the group."""
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     sample = [lifts[i] for i in np.random.default_rng(n).integers(len(lifts), size=4)]
     return [list(GENERATORS), [IDENTITY], [*GENERATORS, *sample]]
 
@@ -413,7 +428,7 @@ def _dense_residuals(table):
     return {
         "coeff_axis_s": np.abs(table[:, 0, :, :] - target_s),
         "coeff_axis_t": np.abs(table[0, :, :, :] - target_t),
-        "coeff_hermiticity": hermiticity_residuals_dense(table),
+        "coeff_hermiticity": _hermiticity_oracle(table, _hermiticity_phases(n)),
         "orthogonality_index": coefficient_gram_oracle(table).reshape(2, n, n, n, n),
     }
 
@@ -433,12 +448,8 @@ def test_support_formulas_match_the_dense_oracles(n):
     max_violation to the bit, at tolerances that pass, fail on round-off,
     pass a 2/N^2 violation and fail everywhere.
 
-    Covariance and the Gram sums are compared with the plain loops, whose
-    products are rounded as in the support formulas. Hermiticity is compared
-    with the vectorised dense residuals: like the support formula, and the
-    ``check`` artifact, they use numpy's complex multiply, which may fuse a
-    multiply-add that the plain loop rounds twice, so the plain loop is only
-    close (test_numpy_hermiticity_kernel_matches_oracle).
+    Covariance, hermiticity and the Gram sums are compared with the plain
+    loops, whose products are rounded as in the support formulas.
     """
     lift_sets = _lift_sets(n)
     reference = dense_table(fano.coefficients_candidate(n))
@@ -475,7 +486,7 @@ def test_covariance_scan_does_not_depend_on_how_the_lifts_are_batched():
     (6.3138436112372006e-18 against 6.938893903907228e-18)."""
     n = 7
     values = fano.coefficients_candidate(n).values
-    lifts = _flat(sl2_lifts(n))
+    lifts = _flat(sl2_lifts_search(n))
     whole = _covariance_scan(values, lifts, 1e-10).max_violation
     single = [_covariance_scan(values, [lift], 1e-10).max_violation for lift in lifts]
     batched = max(_covariance_scan(values, lifts[i:i + 256], 1e-10).max_violation for i in range(0, len(lifts), 256))

@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latwig import lattice
 from latwig.lattice import (
-    IDENTITY,
     SL2Element,
-    _coprime_lift,
-    _land_completion,
-    _second_row,
     egcd,
     gcd_decompose,
+    lift_classes,
     line_sites,
     sl2_complete,
     sl2_enumerate,
-    sl2_lifts,
 )
 from oracles import (
+    IDENTITY,
     canonical,
-    land_completion_search,
+    compose,
+    exact_lift,
     line_label,
     line_points,
+    sl2_enumerate_filter,
     sl2_lifts_search,
     sl2_order,
     sl2_second_lift_search,
@@ -133,80 +131,85 @@ def test_sl2_enumerate_matches_brute_force_and_formula(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sl2_enumerate_exact_lifts_cover_distinct_classes(n):
+    """The rows are distinct residues with determinant 1 mod N, and each
+    has an integer lift with determinant exactly 1."""
     elems = sl2_enumerate(n)
-    for g in elems:
-        assert g.kappa * g.nu - g.mu * g.lam == 1
-    assert len({g.residues(n) for g in elems}) == len(elems)
+    assert elems.dtype == np.int64 and elems.shape == (sl2_order(n), 4)
+    assert elems.min() >= 0 and elems.max() < n
+    kappa, lam, mu, nu = elems.T
+    assert np.all((kappa * nu - mu * lam) % n == 1 % n)
+    assert len(np.unique(elems, axis=0)) == len(elems)
+    for row in elems.tolist():
+        assert exact_lift(row, n).residues(n) == tuple(row)
+
+
+def _classes_mod(rows, m):
+    return {tuple(x) for x in (np.asarray(rows, dtype=object) % m).tolist()}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sl2_second_lift_same_class_different_integers(n):
-    for g, h in sl2_lifts(n):
+    """Two searched integer lifts of each element differ as integers, lie in
+    the element's class mod N, and both lie in a class of ``lift_classes``,
+    which therefore covers them: its classes are mod N for odd N and
+    mod 2N for even N."""
+    m = n if n % 2 else 2 * n
+    classes = _classes_mod(lift_classes(n), m)
+    for g, h in sl2_lifts_search(n):
         assert h != g
         assert h.residues(n) == g.residues(n)
         assert h.kappa * h.nu - h.mu * h.lam == 1
+        assert _classes_mod([g.as_tuple(), h.as_tuple()], m) <= classes
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 25])
 def test_sl2_enumerate_and_lifts_equal_the_search_oracles(n):
-    """The row-by-row enumeration and the closed-form landing give the same
-    integers in the same order as the determinant filter with searched
-    landings, and the same second lifts."""
-    want = sl2_lifts_search(n)
-    assert [g.as_tuple() for g in sl2_enumerate(n)] == [g.as_tuple() for g, _ in want]
-    assert [tuple(h.as_tuple() for h in group) for group in sl2_lifts(n)] == [
-        tuple(h.as_tuple() for h in group) for group in want
-    ]
+    """The row-by-row enumeration gives the residues of the determinant
+    filter, in its order, and the search oracle lifts every row to an
+    integer matrix with determinant exactly 1."""
+    rows = sl2_enumerate(n).tolist()
+    assert rows == [list(x) for x in sl2_enumerate_filter(n)]
+    for row in rows:
+        assert exact_lift(row, n).residues(n) == tuple(row)
 
 
-@pytest.mark.parametrize("n,kappa,lam,j", [(233, 40, 299, 4), (253, 104, 495, 4), (293, 77, 162, 3)])
-def test_sl2_second_lift_when_every_shift_shares_a_factor(n, kappa, lam, j):
-    """Rows whose seven +N shifts all share a factor with the other entry:
-    the second row is (kappa, lam + j*N) for the first coprime j >= 3, and
-    every element of the row lands on it in its own class."""
-    assert _coprime_lift(kappa % n, lam % n, n) == (kappa, lam)
-    shifts = ((n, 0), (0, n), (n, n), (2 * n, 0), (0, 2 * n), (2 * n, n), (n, 2 * n))
-    assert all(math.gcd(kappa + da, lam + db) > 1 for da, db in shifts)
-    assert _second_row(kappa, lam, n) == (kappa, lam + j * n)
-    base, second = sl2_complete(kappa, lam), sl2_complete(kappa, lam + j * n)
-    for i in range(n):
-        mu_res, nu_res = (base.mu + i * kappa) % n, (base.nu + i * lam) % n
-        g = _land_completion(base, mu_res, nu_res, n)
-        assert g == land_completion_search(kappa, lam, mu_res, nu_res, n)
-        h = _land_completion(second, mu_res, nu_res, n)
-        assert h != g
-        assert h.residues(n) == g.residues(n)
-        assert h.kappa * h.nu - h.mu * h.lam == 1
-    with pytest.raises(ValueError, match="no second lift"):
-        sl2_second_lift_search(g, n)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lift_classes_are_every_class_that_a_route_value_tells_apart(n):
+    """Odd N: one class per element, SL(2, Z_N) itself. Even N: 8 |SL(2, Z_N)|
+    distinct rows mod 2N with determinant 1 mod 2N, eight above each element."""
+    classes = lift_classes(n)
+    if n % 2:
+        assert np.array_equal(classes, sl2_enumerate(n))
+        return
+    assert classes.shape == (8 * sl2_order(n), 4)
+    assert len(np.unique(classes, axis=0)) == len(classes)
+    assert classes.min() >= 0 and classes.max() < 2 * n
+    kappa, lam, mu, nu = classes.T
+    assert np.all((kappa * nu - mu * lam) % (2 * n) == 1)
+    elements, counts = np.unique(classes % n, axis=0, return_counts=True)
+    assert np.array_equal(elements, sl2_enumerate(n))
+    assert np.all(counts == 8)
 
 
-def _row(kappa, lam, n):
-    """The N completions of (kappa, lam), in the order sl2_enumerate lists them."""
-    base = sl2_complete(kappa, lam)
-    row = [SL2Element(kappa, lam, base.mu + i * kappa, base.nu + i * lam) for i in range(n)]
-    return sorted(row, key=lambda g: (g.mu % n, g.nu % n))
-
-
-@pytest.mark.parametrize("n,kappa,lam,j", [(233, 40, 299, 4), (253, 104, 495, 4), (293, 77, 162, 3)])
-def test_sl2_lifts_on_a_row_that_needs_the_fallback(monkeypatch, n, kappa, lam, j):
-    """sl2_lifts finds each row's second row once; on a row whose +N shifts
-    all fail it lands every element where the search lands it. The group at
-    these N is too large to build, so the enumeration is cut to two rows."""
-    identity_row, fallback_row = _row(1, 0, n), _row(kappa, lam, n)
-    monkeypatch.setattr(lattice, "sl2_enumerate", lambda _n: identity_row + fallback_row)
-    lifts = sl2_lifts(n)
-    assert [g for g, _ in lifts] == identity_row + fallback_row
-    assert lifts[n:] == [
-        (g, land_completion_search(kappa, lam + j * n, g.mu % n, g.nu % n, n)) for g in fallback_row
-    ]
-    assert [h for _, h in lifts[:n]] == [sl2_second_lift_search(g, n) for g in identity_row]
+@pytest.mark.parametrize("n", range(1, 16, 2))
+def test_odd_n_route_exponent_depends_only_on_the_class_mod_n(n):
+    """For odd N, 2*phi'(a, b) mod 2N, in exact integers, is the same for the
+    6 classes mod 2N above each element of SL(2, Z_N) at every (a, b)."""
+    above = sl2_enumerate(2 * n)
+    kappa, lam, mu, nu = (x[:, np.newaxis] for x in above.T)
+    _, first, element, counts = np.unique(above % n, axis=0, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    assert np.all(counts == 6)
+    b = np.arange(n)
+    for a in range(n):
+        two = (nu * lam * (a * (n - a)) + mu * kappa * (b * (n - b)) + 2 * mu * lam * a * b) % (2 * n)
+        assert np.array_equal(two, two[first[element.ravel()]])
 
 
 def test_compose_is_exact_matrix_product():
     g = SL2Element(2, 1, 1, 1)
     h = SL2Element(0, 1, -1, 0)
-    gh = g.compose(h)
+    gh = compose(g, h)
     assert gh.as_tuple() == (2 * 0 + 1 * (-1), 2 * 1 + 1 * 0, 1 * 0 + 1 * (-1), 1 * 1 + 1 * 0)
     assert gh.kappa * gh.nu - gh.mu * gh.lam == 1
 
@@ -222,7 +225,8 @@ def test_line_points_examples():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_line_points_satisfy_line_equation(n):
-    for g in sl2_enumerate(min(n, 5))[:40]:
+    m = min(n, 5)
+    for g in (exact_lift(row, m) for row in sl2_enumerate(m)[:40]):
         for p0 in range(n):
             line = line_points(g, p0, n)
             assert len(line.points) == n
@@ -244,7 +248,7 @@ def test_lines_of_fixed_direction_partition_the_grid(n):
 def test_line_sites_rows_are_the_lines_and_partition_the_grid(n):
     """Row p0 is the line with label p0 in r order, and the N rows cover
     the N^2 sites."""
-    for group in sl2_lifts(n):
+    for group in sl2_lifts_search(n):
         for g in group:
             q, p = line_sites(g, n)
             assert q.shape == p.shape == (n, n)
@@ -281,12 +285,15 @@ def test_line_points_rejects_degenerate_direction():
 
 @pytest.mark.parametrize("n", range(10, 26))
 def test_lift_searches_succeed_beyond_the_default_bound(n):
-    """The fixed-budget searches (25 shifts in the first lift, 7 in the
-    second) cover every residue class of SL(2, Z_N) up to N = 25."""
-    pairs = sl2_lifts(n)
-    assert len(pairs) == sl2_order(n)
-    assert len({g.residues(n) for g, _ in pairs}) == len(pairs)
-    for g, h in pairs:
+    """The search oracle's fixed budgets (25 shifts in the first lift, 7 in
+    the second) lift every element of SL(2, Z_N) up to N = 25 twice, and
+    ``lift_classes`` holds the class of both lifts."""
+    m = n if n % 2 else 2 * n
+    classes = _classes_mod(lift_classes(n), m)
+    for row in sl2_enumerate(n).tolist():
+        g = exact_lift(row, n)
+        h = sl2_second_lift_search(g, n)
         assert h != g
-        assert h.residues(n) == g.residues(n)
+        assert h.residues(n) == g.residues(n) == tuple(row)
         assert h.kappa * h.nu - h.mu * h.lam == 1
+        assert _classes_mod([g.as_tuple(), h.as_tuple()], m) <= classes

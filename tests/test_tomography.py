@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from latwig import tomography, wigner
 from latwig.fano import DisplacedParitySet
-from latwig.lattice import IDENTITY, SL2Element
+from latwig.lattice import SL2Element
 from latwig.operators import basis_state_density, maximally_mixed, random_density_matrix
-from oracles import incidence_ok, line_label, random_pure_density, sl2_second_lift_search
+from oracles import IDENTITY, compose, incidence_ok, line_label, random_pure_density, sl2_second_lift_search
 
 
 def reconstruct_wigner_oracle(d):
@@ -103,7 +103,7 @@ def _relifted(d, shift):
     the identity whose entries are multiples of N (negative ones included)."""
     n = d.n
     families = [
-        wigner.MarginalDistribution(sl2_second_lift_search(fam.element, n).compose(shift), fam.weights)
+        wigner.MarginalDistribution(compose(sl2_second_lift_search(fam.element, n), shift), fam.weights)
         for fam in d.families
     ]
     return tomography.MarginalDataset(n=n, shots=d.shots, seed=d.seed, families=families)
@@ -113,7 +113,7 @@ def _relifted(d, shift):
 def test_reconstruct_wigner_matches_the_per_site_loop_bit_for_bit(n):
     fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(400 + n))
-    large = SL2Element(1, 0, -3 * n, 1).compose(SL2Element(1, 5 * n, 0, 1))
+    large = compose(SL2Element(1, 0, -3 * n, 1), SL2Element(1, 5 * n, 0, 1))
     shifts = (IDENTITY, SL2Element(1, -n, 0, 1), large, SL2Element(1, n * 2**70, 0, 1))
     for shots in (0, 1000):
         ds = tomography.simulate_marginals(rho, fset, shots=shots, seed=n)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
 from latwig.fano import DisplacedParitySet, FanoOperatorSet, _result, _site_gram_residuals
-from latwig.lattice import IDENTITY, SL2Element, sl2_complete
+from latwig.lattice import SL2Element, sl2_complete
 from latwig.operators import (
     basis_state_density,
     maximally_mixed,
@@ -15,7 +15,15 @@ from latwig.operators import (
     omega_int,
     random_density_matrix,
 )
-from oracles import density_einsum, expand_operators, line_points, sl2_second_lift_search, wigner_einsum
+from oracles import (
+    IDENTITY,
+    compose,
+    density_einsum,
+    expand_operators,
+    line_points,
+    sl2_second_lift_search,
+    wigner_einsum,
+)
 
 
 def marginal_oracle(w, g):
@@ -63,7 +71,7 @@ def oracle_directions(n):
         g = sl2_complete(kappa, lam)
         h = sl2_second_lift_search(g, n)
         out += [g, h, SL2Element(*(-x for x in h.as_tuple()))]
-    return out + [g.compose(SL2Element(1, 0, n * 2**70, 1))]
+    return out + [compose(g, SL2Element(1, 0, n * 2**70, 1))]
 
 
 ORACLE_DIMS = [1, 3, 5, 9, 11, 23]
