@@ -12,12 +12,14 @@ Library layout:
 - ``cli``: the ``latwig`` command
 
 The exact and plain-loop references the tests check these against (the
-Fraction-valued covariance phase, the group action on tables, the order
-of SL(2, Z_N) and its determinant filter, integer lifts found by search
-and their exact product, lines as tuples of sites, the invariant label of
-the line through a site, the per-(s,t) route list, the incidence check,
-the dense einsum transforms, the split-parity table, the clock and shift
-matrices) live in ``tests/oracles.py``, not in the package.
+dense N^4 table with the position transform and operator assembly run on
+the whole of it, the Fraction-valued covariance phase, the group action
+on tables, the order of SL(2, Z_N) and its determinant filter, integer
+lifts found by search and their exact product, lines as tuples of sites,
+the invariant label of the line through a site, the per-(s,t) route
+list, the incidence check, the dense einsum transforms, the split-parity
+table, the clock and shift matrices) live in ``tests/oracles.py``, not
+in the package.
 """
 
 from .fano import (

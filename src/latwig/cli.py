@@ -41,11 +41,13 @@ DEFAULT_AUDIT_BOUND = 9
 # 51*N^3 bytes, 414 MiB at N = 201 and 768 MiB at N = 251.
 MARGINAL_MAX_N = 201
 
-# Largest N `fano` accepts. It holds the operator tensor and its record
-# array next to `assemble`'s dense N^4 table and work arrays, about 52*N^4
-# bytes (the coefficients are the table's N^2 support values): peak RSS
-# 158 MiB at N = 41, 135 MiB at the composite N = 39, 337 MiB at N = 51
-# (a 582 MB artifact) and 363 MiB at N = 52.
+# Largest N `fano` accepts. It holds the 16*N^4-byte operator tensor, which
+# `assemble` builds one N^3 slab at a time and the writer renders directly,
+# next to the interpreter and a bounded text cache: peak RSS 51 MiB at
+# N = 31, 80 MiB at N = 39, 85 MiB at N = 41 and 156 MiB at N = 51. Wall
+# time binds, not memory: the artifact grows as 85*N^4 bytes (582 MB at
+# N = 51), and at composite N most operator floats are distinct round-off
+# to format, so N = 39 takes 7 s and N = 51 about 17 s (N = 41: 1.9 s).
 FANO_MAX_N = 51
 
 # Largest N `wigner` accepts. It holds a few N x N complex matrices and the
@@ -106,28 +108,28 @@ def cmd_fano(args):
 
     The coefficients are rendered from the table's N^2 support values
     (:class:`serialize.SupportRecords`), which is all a
-    :class:`fano.FanoCoefficients` holds. ``assemble`` builds the dense
-    N^4 table for its FFTs, and the operators are its dense output.
+    :class:`fano.FanoCoefficients` holds, and the operators straight from
+    the N^4 complex tensor that ``assemble`` builds one N^3 slab at a time
+    (:class:`serialize.OperatorRecords`), with no record array.
     """
     n = args.n
-    _require_at_most(n, FANO_MAX_N, "whose dense N^4 table and operators `fano` builds")
+    _require_at_most(n, FANO_MAX_N, "whose N^4 operator tensor `fano` builds and writes")
+    serialize.write_json(args.out, _fano_document(n))
+    tag = "candidate (even N)" if n % 2 == 0 else "solution"
+    print(f"wrote {n**4} coefficients and {n * n} operators ({tag}) to {args.out}")
+    return 0
+
+
+def _fano_document(n):
+    """The ``fano`` artifact's document: the candidate table and its operators."""
     coeffs = fano.coefficients_candidate(n)
-    fset = fano.assemble(coeffs)
-    operators = np.empty(n * n, dtype=[("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))])
-    operators["q"], operators["p"] = np.indices((n, n)).reshape(2, -1)
-    operators["re"] = fset.operators.real.reshape(n * n, n, n)
-    operators["im"] = fset.operators.imag.reshape(n * n, n, n)
-    doc = {
+    return {
         "n": n,
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
         "coefficients": serialize.SupportRecords(coeffs.values.real, coeffs.values.imag),
-        "operators": operators,
+        "operators": serialize.OperatorRecords(fano.assemble(coeffs).operators),
     }
-    serialize.write_json(args.out, doc)
-    tag = "candidate (even N)" if n % 2 == 0 else "solution"
-    print(f"wrote {n**4} coefficients and {n * n} operators ({tag}) to {args.out}")
-    return 0
 
 
 def cmd_check(args):

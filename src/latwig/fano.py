@@ -9,13 +9,13 @@ table uniquely. Audits never raise on mathematical failure; they return
 reports, because failure is the expected outcome for even N.
 
 Every table the construction admits is zero off the support (n,m) = (t,s),
-so :class:`FanoCoefficients` holds only the N^2 support values
-a~(s,t;t,s), and every coefficient-level audit is an O(N^2) formula on
-them: each condition's dense residual vanishes off that support, and its
-witness is the index that a scan of the dense N^4 residuals would name
-first. The dense table is built in one place, :func:`coefficients_to_position`,
-whose FFTs over single axes make ``assemble`` cost O(N^4 log N) time and
-about three N^4 complex arrays of memory. The dense operators serve the
+so :class:`FanoCoefficients` holds only the N^2 support values a~(s,t;t,s),
+and every coefficient-level audit is an O(N^2) formula on them: each
+condition's dense residual vanishes off that support, and its witness is the
+index that a scan of the dense N^4 residuals would name first. No dense
+table is built: ``assemble`` runs its FFTs over single axes on one N^3 slab
+of the table at a time, in O(N^4 log N) time, and holds only the N^4 complex
+operator tensor and a few N^3 work arrays. The dense operators serve the
 ``fano`` artifact and the operator-level audits of ``check``, which must
 also hold even-N candidates: those are not sparse (10 nonzeros per operator
 at N = 4, 36 at N = 8). The transforms, marginals and tomography use
@@ -218,33 +218,28 @@ def coefficients_odd(n):
     return coefficients_candidate(n)
 
 
-def coefficients_to_position(c):
-    """Position-space coefficients a(q,p;n,m) = sum_st omega^(pt-qs) a~(s,t;n,m).
-
-    A forward FFT over s and an unnormalised inverse FFT over t of the
-    dense N^4 table, which is built here and nowhere else.
-    """
-    n = c.n
-    s, t = np.indices((n, n))
-    table = np.zeros((n, n, n, n), dtype=complex)
-    table[s, t, t, s] = c.values
-    a = np.fft.fft(table, axis=0)
-    return np.fft.ifft(a, axis=1, norm="forward")
-
-
 def assemble(c):
-    """Phase-point operators D(q,p) = sum_nm a(q,p;n,m) S^n P^m.
+    """Phase-point operators D(q,p) = sum_stnm omega^(pt-qs) a~(s,t;n,m) S^n P^m.
 
-    (S^n P^m)[i,j] = delta(j, i+n) omega^(m*j), so an unnormalised inverse
-    FFT over m gives b(q,p;n,j) = sum_m a(q,p;n,m) omega^(m*j), and
-    D(q,p)[i,j] = b(q,p; j-i mod N, j) is a gather.
+    (S^n P^m)[i,j] = delta(j, i+n) omega^(m*j), so D(q,p)[i,j] = b(q,p; j-i, j)
+    with b(q,p;n,j) = sum_stm omega^(pt-qs+mj) a~(s,t;n,m): a forward FFT
+    over s and unnormalised inverse FFTs over t and m of the table. None of
+    them runs along n, so the operators are built one n-slab [s, t, m] of
+    the table at a time, whose only nonzeros are a~(s,n;n,s) at t = n,
+    m = s, and each slab's b(.,.;n,.) is scattered onto the diagonal
+    j - i = n of every operator. Each line of an FFT is transformed on its
+    own, so the operators are those of the dense N^4 table to the bit.
     """
     n = c.n
-    b = coefficients_to_position(c)
-    b = np.fft.ifft(b, axis=3, norm="forward")
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    ops = np.take(b.reshape(n, n, n * n), ((j - i) % n) * n + j, axis=2)
+    ops = np.empty((n, n, n, n), dtype=complex)
+    k = np.arange(n)
+    slab = np.zeros((n, n, n), dtype=complex)
+    for diagonal in range(n):
+        slab[k, diagonal, k] = c.values[:, diagonal]
+        b = np.fft.fft(slab, axis=0)
+        b = np.fft.ifft(b, axis=1, norm="forward")
+        ops[:, :, (k - diagonal) % n, k] = np.fft.ifft(b, axis=2, norm="forward")
+        slab[k, diagonal, k] = 0
     return FanoOperatorSet(n, ops)
 
 

@@ -42,11 +42,6 @@ def omega_int(k, n):
     return complex(_omega_table(n)[k % n])
 
 
-def omega_half(two_k, n):
-    """omega^(two_k/2) for an exact integer doubled exponent two_k."""
-    return complex(_half_omega_table(n)[two_k % (2 * n)])
-
-
 def momentum_vector(p, n):
     """Momentum eigenstate with components omega^(-q*p)/sqrt(N)."""
     check_dim(n)

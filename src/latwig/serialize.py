@@ -10,20 +10,22 @@ see either the old or a complete new artifact.
 Numeric data reaches the emitter as numpy arrays. A float array becomes
 nested JSON lists; a 1-D structured array becomes a list of flat objects,
 one per record, whose fields are ints, floats or fixed-shape float
-subarrays (nested lists; the ``fano`` operators are one record array
-``q, p, re (N, N), im (N, N)``). The ``fano`` coefficients are N^4 records
-of which only N^2 can be nonzero; they reach the emitter as those N^2
-values, a :class:`SupportRecords`, and each record's text is one of N^2
-precomputed zero tails or a support record's, joined after an (s, t)
-head. Any other array is a list of rows along its first axis, rendered
-as a numpy object array of text pieces with one row of pieces per row:
-the value texts interleaved with a row template of precomputed keys,
-separators and brackets, joined once per block with
-``"".join(pieces.ravel().tolist())``, with no Python loop per value, row
-or record. The separator after an element of a nested list depends only
-on the shape: ``"]" * t + "," + "[" * t``, t the number of trailing axes
-at their last index. Int texts are a lookup of ``str(k)`` over the
-distinct values of a block.
+subarrays (nested lists). The ``fano`` artifact passes no record array.
+Its N^4 coefficients, of which only N^2 can be nonzero, reach the emitter
+as those N^2 values, a :class:`SupportRecords`, and each record's text is
+one of N^2 precomputed zero tails or a support record's, joined after an
+(s, t) head. Its N^2 operators reach it as their complex N^4 tensor, an
+:class:`OperatorRecords`, and are rendered as the records
+``{"q","p","re","im"}`` with the real and imaginary N x N parts taken from
+the tensor a block at a time. Those records and any other array are lists
+of rows along the first axis, rendered as a numpy object array of text
+pieces with one row of pieces per row: the value texts interleaved with a
+row template of precomputed keys, separators and brackets, joined once per
+block with ``"".join(pieces.ravel().tolist())``, with no Python loop per
+value, row or record. The separator after an element of a nested list
+depends only on the shape: ``"]" * t + "," + "[" * t``, t the number of
+trailing axes at their last index. Int texts are a lookup of ``str(k)``
+over the distinct values of a block.
 
 Every float of an array, CSV grids and marginals included, is written by
 :func:`_texts`, the one place ``%.17g`` is applied to array data; ``"%.17g"
@@ -42,11 +44,11 @@ makes about half of the ``fano`` operator floats distinct at composite N,
 formatted text is kept between dumps.
 
 Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
-row), support records one s-slab of N^3 records per block, and one
-emitter yields the text block by block: :func:`write_json` streams the
-blocks to the file, so the whole text never exists at once, and
-:func:`dumps_json` joins the same blocks. Every JSON artifact of the
-command line is written by :func:`write_json`.
+row), operator records in blocks of about ``OPERATOR_BLOCK`` pieces,
+support records one s-slab of N^3 records per block, and one emitter
+yields the text block by block: every JSON artifact of the command line
+is written by :func:`write_json`, which streams the blocks to the file,
+so the whole text never exists at once.
 """
 
 import functools
@@ -69,6 +71,13 @@ WRITE_CHUNK = 1 << 20
 
 # Text pieces joined into one block of an array's text.
 BLOCK = 1 << 16
+
+# Text pieces in one block of operator records. A block's float patterns,
+# texts, pieces and joined text are the writer's transient, which sets most
+# of `fano`'s peak RSS above the operator tensor at small N: at N = 17,
+# 33.1 MiB with this block, 34.0 MiB with 1 << 15 and 35.8 MiB with BLOCK,
+# 28.9 MiB of it the imported package. Smaller blocks cost time per block.
+OPERATOR_BLOCK = 1 << 14
 
 # Largest array whose float texts _texts looks up element by element.
 _SMALL = 1024
@@ -177,8 +186,8 @@ def _row(dtype, shape):
 def _array_chunks(a, cache):
     """Nested lists of a real float array, or objects of a 1-D structured array.
 
-    Both are lists of rows along the first axis (see :func:`_row`),
-    rendered a block of rows at a time; the last row has no ``,``.
+    Both are lists of rows along the first axis (see :func:`_row`), rendered
+    a block of about ``BLOCK`` pieces at a time.
     """
     if a.dtype.names is not None and a.ndim != 1:
         raise TypeError(f"cannot serialize a {a.ndim}-d structured array")
@@ -186,23 +195,67 @@ def _array_chunks(a, cache):
         yield _texts(a, cache)[0]
         return
     row, slots = _row(a.dtype, a.shape[1:])
-    if len(a) == 0:
+
+    def texts(rows):
+        for name, _, _ in slots:
+            values = a[rows] if name is None else a[rows][name]
+            yield _texts(values, cache) if values.dtype.kind == "f" else _int_texts(values)
+
+    yield from _row_chunks(row, slots, len(a), max(1, BLOCK // len(row)), texts)
+
+
+def _row_chunks(row, slots, count, step, texts):
+    """A list of ``count`` rows of the template ``row``, rendered ``step`` rows per block.
+
+    ``texts(rows)`` yields the texts of each slot (see :func:`_row`) in the
+    slice ``rows`` of rows, in C order. The last row has no ``,``.
+    """
+    if count == 0:
         yield "[]"
         return
     yield "["
-    step = max(1, BLOCK // len(row))
-    for start in range(0, len(a), step):
-        block = a[start:start + step]
-        pieces = np.empty((len(block), len(row)), dtype=object)
+    for start in range(0, count, step):
+        rows = slice(start, min(start + step, count))
+        pieces = np.empty((rows.stop - start, len(row)), dtype=object)
         pieces[:] = row
-        for name, col, shape in slots:
-            values = block if name is None else block[name]
-            texts = _texts(values, cache) if values.dtype.kind == "f" else _int_texts(values)
-            pieces[:, col:col + 2 * math.prod(shape):2] = texts.reshape(len(block), -1)
-        if start + step >= len(a):
+        for (_, col, shape), slot in zip(slots, texts(rows)):
+            pieces[:, col:col + 2 * math.prod(shape):2] = slot.reshape(len(pieces), -1)
+        if rows.stop == count:
             pieces[-1, -1] = pieces[-1, -1][:-1]
         yield "".join(pieces.ravel().tolist())
     yield "]"
+
+
+@dataclass(frozen=True)
+class OperatorRecords:
+    """The N^2 records ``{"q","p","re","im"}`` of N^2 complex N x N matrices.
+
+    Records run over (q, p) in C order, and ``re`` and ``im`` are the real
+    and imaginary parts of ops[q, p] as nested lists: the layout of the
+    ``fano`` operators, rendered from their tensor with no record array.
+    """
+
+    ops: np.ndarray  # complex, shape (N, N, N, N), indexed [q, p, i, j]
+
+
+def _operator_chunks(records, cache):
+    """The records of an :class:`OperatorRecords`, about ``OPERATOR_BLOCK`` pieces per block.
+
+    The real and imaginary parts of a block share one :func:`_texts` call.
+    """
+    n = len(records.ops)
+    if np.shape(records.ops) != (n,) * 4:
+        raise TypeError(f"operators must be an N x N x N x N array, got shape {np.shape(records.ops)}")
+    parts = np.ascontiguousarray(records.ops, dtype=complex).reshape(n * n, n, n).view(float)
+    ints = np.array([str(k) for k in range(n)], dtype=object)
+    row, slots = _row(np.dtype([("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))]), ())
+
+    def texts(rows):
+        q, p = divmod(np.arange(rows.start, rows.stop), n)
+        values = _texts(parts[rows], cache).reshape(-1, 2)
+        return ints[q], ints[p], values[:, 0], values[:, 1]
+
+    yield from _row_chunks(row, slots, n * n, max(1, OPERATOR_BLOCK // len(row)), texts)
 
 
 @dataclass(frozen=True)
@@ -272,6 +325,8 @@ def _emit(obj, out, cache):
         out.append(_array_chunks(obj, cache))
     elif isinstance(obj, SupportRecords):
         out.append(_support_chunks(obj, cache))
+    elif isinstance(obj, OperatorRecords):
+        out.append(_operator_chunks(obj, cache))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -296,10 +351,6 @@ def _json_chunks(obj):
             yield from piece
             start = i + 1
     yield "".join(out[start:])
-
-
-def dumps_json(obj):
-    return "".join(_json_chunks(obj))
 
 
 def write_json(path, obj):

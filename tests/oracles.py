@@ -2,17 +2,19 @@
 
 The library has one production path per computation; these are the
 independent forms it is checked against: the dense N^4 coefficient table
-of the support values, the Fraction-valued covariance phase, the dense
-int64 exponent table and the group action on dense tables, the
-covariance scan over every lift class of SL(2, Z_2N), the per-(s,t)
-route list, the identity and the exact product of integer lifts, the
-order of SL(2, Z_N) and its determinant-filter enumeration, integer lifts
-with determinant exactly 1 found by search, the inverse coefficient transform,
-lattice lines as tuples of sites, the invariant label of the line through
-a site, the brute-force incidence check of the line families, the dense
-N^4 expansion of the closed-form operator set with the einsum transforms
-on it, the split-parity solution table, the clock and shift matrices, the
-half-integer phase ``omega_pow`` and random pure states.
+of the support values with the position transform and operator assembly
+run on the whole of it, the joined text of a JSON document, the
+Fraction-valued covariance phase, the dense int64 exponent table and the
+group action on dense tables, the covariance scan over every lift class of
+SL(2, Z_2N), the per-(s,t) route list, the identity and the exact product
+of integer lifts, the order of SL(2, Z_N) and its determinant-filter
+enumeration, integer lifts with determinant exactly 1 found by search, the
+inverse coefficient transform, lattice lines as tuples of sites, the
+invariant label of the line through a site, the brute-force incidence
+check of the line families, the dense N^4 expansion of the closed-form
+operator set with the einsum transforms on it, the split-parity solution
+table, the clock and shift matrices, the half-integer phase ``omega_pow``
+and random pure states.
 """
 
 import math
@@ -22,9 +24,10 @@ from itertools import product
 
 import numpy as np
 
+from latwig import serialize
 from latwig.fano import CheckResult, FanoCoefficients, FanoOperatorSet, _covariance_scan, _two_phi
 from latwig.lattice import SL2Element, check_dim, line_sites, sl2_complete, sl2_enumerate
-from latwig.operators import _half_omega_table, _omega_table, omega_half
+from latwig.operators import _half_omega_table, _omega_table
 from latwig.tomography import mub_line_families
 
 
@@ -125,6 +128,34 @@ def dense_table(c):
     for s, t in product(range(n), repeat=2):
         table[s, t, t, s] = c.values[s, t]
     return table
+
+
+def coefficients_to_position(c):
+    """Position-space coefficients a(q,p;n,m) = sum_st omega^(pt-qs) a~(s,t;n,m) of the dense table.
+
+    A forward FFT over s and an unnormalised inverse FFT over t of the
+    whole N^4 table, the calls that ``fano.assemble`` makes on each n-slab.
+    """
+    a = np.fft.fft(dense_table(c), axis=0)
+    return np.fft.ifft(a, axis=1, norm="forward")
+
+
+def assemble_dense(c):
+    """The operators D(q,p) of the dense N^4 table, the path ``fano.assemble`` slices into n-slabs.
+
+    An unnormalised inverse FFT over m of the position-space coefficients
+    gives b(q,p;n,j), and D(q,p)[i,j] = b(q,p; j-i mod N, j) is a gather.
+    """
+    n = c.n
+    b = np.fft.ifft(coefficients_to_position(c), axis=3, norm="forward")
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    return FanoOperatorSet(n, np.take(b.reshape(n, n, n * n), ((j - i) % n) * n + j, axis=2))
+
+
+def dumps_json(obj):
+    """The whole JSON text that ``serialize.write_json`` writes for obj, joined."""
+    return "".join(serialize._json_chunks(obj))
 
 
 def support_values(table):
@@ -324,7 +355,7 @@ def omega_pow(x, n):
     frac = Fraction(x)
     if frac.denominator not in (1, 2):
         raise ValueError(f"exponent must be integer or half-integer, got {x!r}")
-    return omega_half(int(2 * frac), n)
+    return complex(_half_omega_table(n)[int(2 * frac) % (2 * n)])
 
 
 def clock_matrix(n):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano
 from latwig.operators import _half_omega_table, _omega_table, monomial
-from oracles import coefficients_cohendet, dense_table, position_to_coefficients
+from oracles import assemble_dense, coefficients_cohendet, coefficients_to_position, dense_table, position_to_coefficients
 
 
 def _w(n, k):
@@ -128,7 +129,7 @@ def test_candidate_axis_slices_for_even_n():
 def test_position_table_closed_form_for_solution():
     n = 5
     c = fano.coefficients_odd(n)
-    a = fano.coefficients_to_position(c)
+    a = coefficients_to_position(c)
     for q in range(n):
         for p in range(n):
             for nn in range(n):
@@ -139,7 +140,7 @@ def test_position_table_closed_form_for_solution():
 
 def test_position_table_uniform_component():
     for n in (3, 5):
-        a = fano.coefficients_to_position(fano.coefficients_odd(n))
+        a = coefficients_to_position(fano.coefficients_odd(n))
         assert_allclose(a[:, :, 0, 0], np.full((n, n), 1 / n**2), atol=1e-13)
 
 
@@ -147,7 +148,7 @@ def test_position_table_uniform_component():
 def test_fourier_round_trip_on_random_tables(n):
     rng = np.random.default_rng(n)
     c = fano.FanoCoefficients(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    back = position_to_coefficients(fano.coefficients_to_position(c), n)
+    back = position_to_coefficients(coefficients_to_position(c), n)
     assert np.abs(back - dense_table(c)).max() < 1e-12
 
 
@@ -167,7 +168,7 @@ def test_assembled_operators_sum_to_identity(n):
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
 def test_position_transform_matches_double_sum(n):
     c = _random_coefficients(n)
-    assert np.abs(fano.coefficients_to_position(c) - _position_reference(c)).max() < 1e-12
+    assert np.abs(coefficients_to_position(c) - _position_reference(c)).max() < 1e-12
 
 
 ASSEMBLE_CASES = {
@@ -190,3 +191,25 @@ def test_assemble_matches_monomial_expansion_directly(build, n):
 def test_dimension_one_is_the_trivial_operator():
     fset = fano.assemble(fano.coefficients_candidate(1))
     assert_allclose(fset.operators[0, 0], [[1.0]], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [*range(1, 26), 31])
+def test_slab_assemble_is_bit_identical_to_the_dense_path(n):
+    """Each slab runs the dense path's FFTs on the same lines, so every bit agrees, signed zeros included."""
+    for c in (fano.coefficients_candidate(n), _random_coefficients(n)):
+        slab, dense = fano.assemble(c).operators, assemble_dense(c).operators
+        assert np.array_equal(slab.view(np.uint64), dense.view(np.uint64))
+
+
+def test_assemble_holds_little_more_than_the_operator_tensor():
+    """The traced peak of the slab path stays within 1.25 times the 16 N^4 bytes of the operator
+    tensor; the dense path held the table and its work arrays, about three times as much."""
+    n = 21
+    c = fano.coefficients_candidate(n)
+    tracemalloc.start()
+    try:
+        fano.assemble(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * n**4

@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latwig import cli, fano, serialize, wigner
-from oracles import dense_table
+from oracles import dense_table, dumps_json
 
 # ---------------------------------------------------------------------------
 # Reference emitter: the element-by-element serializer the template path
@@ -60,15 +62,28 @@ def _dense_records(table):
                              names="s,t,n,m,re,im")
 
 
+def _operator_record_array(ops):
+    """The record array q, p, re (N, N), im (N, N) of an N^4 operator tensor, as the command line built it."""
+    n = len(ops)
+    records = np.empty(n * n, dtype=[("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))])
+    records["q"], records["p"] = np.indices((n, n)).reshape(2, -1)
+    records["re"] = ops.real.reshape(n * n, n, n)
+    records["im"] = ops.imag.reshape(n * n, n, n)
+    return records
+
+
 def _plain(obj):
     """The document as built before arrays were passed: lists, dicts and scalars.
 
     The ``fano`` coefficients become the records of every entry of the dense
     candidate table, as the command line built them before it rendered
-    them from the table's support.
+    them from the table's support, and the operators the records of their
+    record array, as it built them before it rendered them from the tensor.
     """
     if isinstance(obj, serialize.SupportRecords):
         return _plain(_dense_records(dense_table(fano.coefficients_candidate(len(obj.re)))))
+    if isinstance(obj, serialize.OperatorRecords):
+        return _plain(_operator_record_array(obj.ops))
     if isinstance(obj, np.ndarray):
         if obj.dtype.names is not None:
             # A subarray field's value comes back from tolist() as an ndarray.
@@ -118,16 +133,16 @@ EDGE_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 2 / 3, 1e16, 
 def test_edge_floats_match_the_reference_emitter(dtype):
     a = np.array(EDGE_VALUES, dtype=dtype)
     for shaped in (a, a.reshape(2, 5), a.reshape(5, 2).T, a.reshape(1, 2, 5)):
-        assert serialize.dumps_json(shaped) == reference_dumps_json(shaped.tolist())
+        assert dumps_json(shaped) == reference_dumps_json(shaped.tolist())
     doc = {"values": a, "scalar": a[0], "nested": [a, {"x": a[::-1]}]}
-    assert serialize.dumps_json(doc) == reference_dumps_json(_plain(doc))
-    assert serialize.dumps_json(a).startswith("[-0,0,nan,inf,-inf,")
+    assert dumps_json(doc) == reference_dumps_json(_plain(doc))
+    assert dumps_json(a).startswith("[-0,0,nan,inf,-inf,")
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (0, 3), (2, 0, 3), (3, 1)])
 def test_zero_dimensional_and_empty_arrays(shape):
     a = np.full(shape, -0.0)
-    assert serialize.dumps_json(a) == reference_dumps_json(a.tolist())
+    assert dumps_json(a) == reference_dumps_json(a.tolist())
 
 
 def test_structured_array_becomes_a_list_of_flat_objects():
@@ -137,8 +152,8 @@ def test_structured_array_becomes_a_list_of_flat_objects():
     a["re"] = [-0.0, np.nan, 1e-300, 2 / 3]
     a["im"] = [np.inf, -np.inf, 0.1, 5e-45]
     expected = [dict(zip(a.dtype.names, rec)) for rec in a.tolist()]
-    assert serialize.dumps_json({"rows": a}) == reference_dumps_json({"rows": expected})
-    assert serialize.dumps_json(a[:0]) == "[]\n"
+    assert dumps_json({"rows": a}) == reference_dumps_json({"rows": expected})
+    assert dumps_json(a[:0]) == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +191,13 @@ def test_subarray_fields_match_the_reference_emitter(dtype, shape):
     a = _subarray_records(6, shape, dtype)
     assert np.isnan(a["re"]).any() and (np.signbit(a["re"]) & (a["re"] == 0)).any()
     assert _matches_reference({"rows": a, "again": a["re"][1], "none": a[:0]})
-    assert serialize.dumps_json(a[:0]) == "[]\n"
+    assert dumps_json(a[:0]) == "[]\n"
 
 
 def test_subarray_field_of_zero_size_is_an_empty_nested_list():
     a = np.zeros(2, dtype=[("e", float, (2, 0)), ("q", np.intp), ("z", float, (0,))])
     assert _matches_reference({"rows": a})
-    assert serialize.dumps_json(a) == '[{"e":[[],[]],"q":0,"z":[]},{"e":[[],[]],"q":0,"z":[]}]\n'
+    assert dumps_json(a) == '[{"e":[[],[]],"q":0,"z":[]},{"e":[[],[]],"q":0,"z":[]}]\n'
 
 
 def _block_document():
@@ -201,7 +216,7 @@ def test_any_block_size_gives_the_reference_text(tmp_path, monkeypatch, block):
     doc = _block_document()
     expected = reference_dumps_json(_plain(doc))
     monkeypatch.setattr(serialize, "BLOCK", block)
-    assert serialize.dumps_json(doc) == expected
+    assert dumps_json(doc) == expected
     serialize.write_json(str(tmp_path / "doc.json"), doc)
     assert (tmp_path / "doc.json").read_text() == expected
     out = tmp_path / "fano.json"
@@ -231,7 +246,7 @@ def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monk
     monkeypatch.setattr(serialize, "_write", lambda path, texts: write(path, produced(texts)))
     target = tmp_path / "doc.json"
     serialize.write_json(str(target), doc)
-    text = serialize.dumps_json(doc)
+    text = dumps_json(doc)
     assert target.read_bytes() == text.encode("utf-8")
     sizes = [e for e in events if e != "chunk"]
     assert max(sizes) <= 5 and sum(sizes) == len(text)
@@ -265,10 +280,10 @@ def test_support_records_match_the_dense_records(monkeypatch, n):
     records = _dense_records(table)
     expected = reference_dumps_json({"c": _plain(records), "after": 0.25})
     # The generic record path gives the same text.
-    assert serialize.dumps_json({"c": records, "after": 0.25}) == expected
+    assert dumps_json({"c": records, "after": 0.25}) == expected
     for block in (1, 5, 64, serialize.BLOCK):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        assert serialize.dumps_json({"c": grid, "after": 0.25}) == expected
+        assert dumps_json({"c": grid, "after": 0.25}) == expected
 
 
 def test_support_records_stream_one_s_slab_per_block():
@@ -279,9 +294,67 @@ def test_support_records_stream_one_s_slab_per_block():
     for s, chunk in enumerate(chunks[1:-1]):
         records = json.loads("[" + chunk.removeprefix(",") + "]")
         assert len(records) == n**3 and {r["s"] for r in records} == {s}
-    assert serialize.dumps_json(serialize.SupportRecords(np.zeros((0, 0)), np.zeros((0, 0)))) == "[]\n"
+    assert dumps_json(serialize.SupportRecords(np.zeros((0, 0)), np.zeros((0, 0)))) == "[]\n"
     with pytest.raises(TypeError):
-        serialize.dumps_json(serialize.SupportRecords(np.zeros((2, 2)), np.zeros((2, 3))))
+        dumps_json(serialize.SupportRecords(np.zeros((2, 2)), np.zeros((2, 3))))
+
+
+# ---------------------------------------------------------------------------
+# Operator records: the fano operators rendered from their complex tensor,
+# checked against the record array the command line built before.
+
+
+def _operator_tensor(n, seed):
+    """A random complex N^4 tensor with -0, NaNs, an infinity and repeats planted."""
+    rng = np.random.default_rng(seed)
+    ops = rng.choice([0.25, -0.0, 0.0, 1 / 3], (n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+    flat = ops.reshape(-1)
+    flat[:3] = [complex(-0.0, np.nan), complex(np.nan, -0.0), complex(5e-324, -np.inf)][:flat.size]
+    return ops
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_operator_records_match_the_record_array(monkeypatch, n):
+    ops = _operator_tensor(n, seed=n)
+    records = _operator_record_array(ops)
+    expected = reference_dumps_json({"o": _plain(records), "after": 0.25})
+    assert dumps_json({"o": records, "after": 0.25}) == expected
+    for block in (1, 4 * n * n + 5, 100, serialize.OPERATOR_BLOCK):
+        monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
+        assert dumps_json({"o": serialize.OperatorRecords(ops), "after": 0.25}) == expected
+    real = ops.real.copy()
+    assert dumps_json(serialize.OperatorRecords(real)) == dumps_json(_operator_record_array(real.astype(complex)))
+
+
+def test_operator_records_stream_blocks_of_operator_block_pieces(monkeypatch):
+    """A record is 4 N^2 + 5 pieces: its opening, then q, p and the 2 N^2 floats, each
+    a text and the separator after it. A block holds as many whole records as fit in
+    OPERATOR_BLOCK pieces, at least one."""
+    n = 5
+    ops = np.random.default_rng(1).standard_normal((n, n, n, n, 2)) @ [1, 1j]
+    for block, per_block in ((1, 1), (4 * n * n + 5, 1), (3 * (4 * n * n + 5) + 2, 3)):
+        monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
+        chunks = list(serialize._operator_chunks(serialize.OperatorRecords(ops), {}))
+        assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == math.ceil(n * n / per_block) + 2
+        records = [r for chunk in chunks[1:-1] for r in json.loads("[" + chunk.rstrip(",") + "]")]
+        assert [(r["q"], r["p"]) for r in records] == [divmod(k, n) for k in range(n * n)]
+    assert dumps_json(serialize.OperatorRecords(np.zeros((0, 0, 0, 0), dtype=complex))) == "[]\n"
+    with pytest.raises(TypeError):
+        dumps_json(serialize.OperatorRecords(np.zeros((2, 2, 2, 3), dtype=complex)))
+
+
+def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
+    """The traced peak of writing the N = 21 artifact does not grow with N^4. It is the text
+    cache, at most BLOCK texts (about 10 MiB, which N = 21 fills), and one block of records;
+    the operator tensor alone is 3 MiB, and the document holds no copy of it."""
+    doc = cli._fano_document(21)
+    tracemalloc.start()
+    try:
+        serialize.write_json(str(tmp_path / "fano.json"), doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +392,7 @@ def test_text_cache_is_cleared_past_block_entries_and_keeps_the_text(monkeypatch
         return result
 
     monkeypatch.setattr(serialize, "_texts", spy)
-    assert serialize.dumps_json(doc) == expected
+    assert dumps_json(doc) == expected
     assert sum(later < earlier for earlier, later in zip(sizes, sizes[1:])) > 10  # cleared many times
 
 
@@ -336,7 +409,7 @@ def test_text_cache_is_cleared_past_block_entries_and_keeps_the_text(monkeypatch
         "complex-subarray-field", "2d-records"])
 def test_unsupported_arrays_raise_type_error(a):
     with pytest.raises(TypeError):
-        serialize.dumps_json({"a": a})
+        dumps_json({"a": a})
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +418,7 @@ def test_unsupported_arrays_raise_type_error(a):
 
 
 def _matches_reference(doc):
-    return serialize.dumps_json(doc) == reference_dumps_json(_plain(doc))
+    return dumps_json(doc) == reference_dumps_json(_plain(doc))
 
 
 @pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
@@ -353,7 +426,7 @@ def test_signed_zeros_in_later_arrays_keep_their_sign(first, later):
     doc = {"a": np.full((2, 3), first), "b": np.array([later, first, later])}
     assert _matches_reference(doc)
     f, x = serialize.format_float(first), serialize.format_float(later)
-    assert serialize.dumps_json(doc) == f'{{"a":[[{f},{f},{f}],[{f},{f},{f}]],"b":[{x},{f},{x}]}}\n'
+    assert dumps_json(doc) == f'{{"a":[[{f},{f},{f}],[{f},{f},{f}]],"b":[{x},{f},{x}]}}\n'
 
 
 def test_nans_of_every_sign_and_payload_match_the_reference_emitter():
@@ -370,7 +443,7 @@ def test_a_value_shared_by_float32_and_float64_arrays():
     doc = {"f32": np.array([shared, 1.5], dtype=np.float32),
            "f64": np.array([float(shared), 0.1, -0.0])}
     assert _matches_reference(doc)
-    assert serialize.dumps_json(doc).count("0.10000000149011612") == 2
+    assert dumps_json(doc).count("0.10000000149011612") == 2
 
 
 def test_a_record_field_shares_texts_with_a_plain_array():
@@ -384,9 +457,9 @@ def test_a_record_field_shares_texts_with_a_plain_array():
 
 
 def test_no_text_outlives_a_dump(tmp_path, monkeypatch):
-    assert serialize.dumps_json(np.array([0.0])) == "[0]\n"
-    assert serialize.dumps_json(np.array([-0.0])) == "[-0]\n"
-    assert serialize.dumps_json(np.array([0.0])) == "[0]\n"
+    assert dumps_json(np.array([0.0])) == "[0]\n"
+    assert dumps_json(np.array([-0.0])) == "[-0]\n"
+    assert dumps_json(np.array([0.0])) == "[0]\n"
     seen = []
     texts = serialize._texts
 
@@ -396,7 +469,7 @@ def test_no_text_outlives_a_dump(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "_texts", spy)
     doc = {"a": np.array([0.5, -0.0]), "b": np.array([[0.5]])}
-    assert serialize.dumps_json(doc) == serialize.dumps_json(doc) == '{"a":[0.5,-0],"b":[[0.5]]}\n'
+    assert dumps_json(doc) == dumps_json(doc) == '{"a":[0.5,-0],"b":[[0.5]]}\n'
     serialize.write_json(str(tmp_path / "doc.json"), doc)
     assert (tmp_path / "doc.json").read_text() == '{"a":[0.5,-0],"b":[[0.5]]}\n'
     # Each artifact starts from an empty cache of its own and shares it across arrays.
