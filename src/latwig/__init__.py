@@ -5,15 +5,16 @@ Library layout:
 - ``lattice``: exact modular arithmetic, SL(2, Z_M) as residue arrays and
   the route audit's lift classes, lines as index arrays
 - ``operators``: clock/shift pair, momentum basis, exact phase arithmetic
-- ``fano``: coefficient tables, phase-point operators (dense, and the odd-N
-  closed form as phased permutations), condition audits
+- ``fano``: coefficient tables, phase-point operators (the N x N twist
+  table, the dense tensor, the odd-N closed form), condition audits
 - ``wigner``: density matrix <-> grid transforms, tilted-line marginals
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
 - ``cli``: the ``latwig`` command
 
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
-the whole of it, the Fraction-valued covariance phase, the group action
+the whole of it, the dense operator checks, the Fraction-valued
+covariance phase, the group action
 on tables, the order of SL(2, Z_N) and its determinant filter, integer
 lifts found by search and their exact product, lines as tuples of sites,
 the invariant label of the line through a site, the per-(s,t) route
@@ -26,7 +27,6 @@ from .fano import (
     ConditionReport,
     DisplacedParitySet,
     FanoCoefficients,
-    FanoOperatorSet,
     assemble,
     check_covariance_group,
     check_hermiticity,
@@ -48,7 +48,6 @@ __all__ = [
     "ConditionReport",
     "DisplacedParitySet",
     "FanoCoefficients",
-    "FanoOperatorSet",
     "SL2Element",
     "WignerGrid",
     "assemble",

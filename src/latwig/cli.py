@@ -128,7 +128,7 @@ def _fano_document(n):
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
         "coefficients": serialize.SupportRecords(coeffs.values.real, coeffs.values.imag),
-        "operators": serialize.OperatorRecords(fano.assemble(coeffs).operators),
+        "operators": serialize.OperatorRecords(fano.assemble(coeffs)),
     }
 
 

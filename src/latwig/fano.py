@@ -12,15 +12,15 @@ Every table the construction admits is zero off the support (n,m) = (t,s),
 so :class:`FanoCoefficients` holds only the N^2 support values a~(s,t;t,s),
 and every coefficient-level audit is an O(N^2) formula on them: each
 condition's dense residual vanishes off that support, and its witness is the
-index that a scan of the dense N^4 residuals would name first. No dense
-table is built: ``assemble`` runs its FFTs over single axes on one N^3 slab
-of the table at a time, in O(N^4 log N) time, and holds only the N^4 complex
-operator tensor and a few N^3 work arrays. The dense operators serve the
-``fano`` artifact and the operator-level audits of ``check``, which must
-also hold even-N candidates: those are not sparse (10 nonzeros per operator
-at N = 4, 36 at N = 8). The transforms, marginals and tomography use
-:class:`DisplacedParitySet`, the odd-N solution in closed form: each
-operator is a phased permutation, and the set holds no array at all.
+index that a scan of the dense N^4 residuals would name first. The support
+fixes the operators through the N x N :func:`twist_table` F:
+D(q,p)[i,j] = omega^(p*(j-i)) F[j-i, j-q]. The operator-level audits are
+O(N^2 log N) formulas on F with the dense witnesses too, so no audit builds
+an N^4 array; ``assemble`` builds the operator tensor for the ``fano``
+artifact only, one N^3 slab of the table at a time. For odd N, F has N
+nonzeros and is :class:`DisplacedParitySet`, the closed form on which the
+transforms, marginals and tomography run: each operator is a phased
+permutation, and the set holds no array at all.
 
 Neither group audit bounds N. Covariance is an action of SL(2, Z) on
 tables, so it is decided on the two generators S and T. Each lift with
@@ -50,7 +50,6 @@ from .operators import (
     DEFAULT_TOL,
     _half_omega_table,
     _omega_table,
-    momentum_vector,
 )
 
 PHASE_CONVENTION = "exp(2*pi*i*x/N)"
@@ -74,23 +73,16 @@ class FanoCoefficients:
 
 
 @dataclass(frozen=True)
-class FanoOperatorSet:
-    """The N^2 phase-point operators, operators[q, p] an N x N matrix."""
-
-    n: int
-    operators: np.ndarray  # complex, shape (n, n, n, n), indexed [q, p, i, j]
-
-
-@dataclass(frozen=True)
 class DisplacedParitySet:
     """The N^2 closed-form phase-point operators, each a phased permutation.
 
     D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)): row i of
     D(q,p) has its one nonzero at column j = 2q - i. This is the parity
     i -> -i displaced to (q,p) (Wootters, Ann. Phys. 176, 1 (1987); Cohendet
-    et al., J. Phys. A 21, 2875 (1988)). For odd N it is the set that
-    ``assemble(coefficients_odd(n))`` builds densely, the unique solution.
-    Every entry is a function of (q, p, i) mod N, so the set holds N alone.
+    et al., J. Phys. A 21, 2875 (1988)). For odd N it is the unique
+    solution, the odd-N case of :func:`twist_table`, F[k,x] =
+    delta(2x = k mod N) / N. Every entry is a function of (q, p, i) mod N,
+    so the set holds N alone.
     For even N the formula still defines N^2 operators, but they are not
     trace-orthogonal (:meth:`is_orthogonal`) and are not the candidate
     table's operators.
@@ -219,7 +211,7 @@ def coefficients_odd(n):
 
 
 def assemble(c):
-    """Phase-point operators D(q,p) = sum_stnm omega^(pt-qs) a~(s,t;n,m) S^n P^m.
+    """The tensor [q, p, i, j] of the operators D(q,p) = sum_stnm omega^(pt-qs) a~(s,t;n,m) S^n P^m.
 
     (S^n P^m)[i,j] = delta(j, i+n) omega^(m*j), so D(q,p)[i,j] = b(q,p; j-i, j)
     with b(q,p;n,j) = sum_stm omega^(pt-qs+mj) a~(s,t;n,m): a forward FFT
@@ -240,31 +232,35 @@ def assemble(c):
         b = np.fft.ifft(b, axis=1, norm="forward")
         ops[:, :, (k - diagonal) % n, k] = np.fft.ifft(b, axis=2, norm="forward")
         slab[k, diagonal, k] = 0
-    return FanoOperatorSet(n, ops)
+    return ops
+
+
+def twist_table(c):
+    """F[k,x] = sum_s omega^(s*x) a~(s,k;k,s), so that D(q,p)[i,j] = omega^(p*(j-i)) F[j-i, j-q].
+
+    On the support, D(q,p)[i,j] = sum_s omega^(p*k - q*s + s*j) v[s,k] at k = j - i.
+    """
+    return np.fft.ifft(c.values, axis=0, norm="forward").T
 
 
 # ---------------------------------------------------------------------------
 # Condition checks: operator level and coefficient level
 # ---------------------------------------------------------------------------
 
-def check_marginals(f, tol=DEFAULT_TOL):
-    """Operator-level axis marginals: sum_p D(q,p) = |q><q|, sum_q D(q,p) = |p><p|."""
-    n = f.n
-    sum_p = f.operators.sum(axis=1)  # [q, i, j]
-    target_q = np.zeros((n, n, n), dtype=complex)
-    for q in range(n):
-        target_q[q, q, q] = 1.0
-    res_q = np.abs(sum_p - target_q)
+def check_marginals(c, tol=DEFAULT_TOL):
+    """Operator-level axis marginals: sum_p D(q,p) = |q><q|, sum_q D(q,p) = |p><p|.
 
-    sum_q = f.operators.sum(axis=0)  # [p, i, j]
-    target_p = np.empty((n, n, n), dtype=complex)
-    for p in range(n):
-        v = momentum_vector(p, n)
-        target_p[p] = np.outer(v, v.conj())
-    res_p = np.abs(sum_q - target_p)
+    On the twist table F, sum_p D(q,p)[i,j] = N delta(i,j) F[0, i-q], read
+    at [q, i]; sum_q D(q,p)[i,j] = omega^(p*(j-i)) sum_x F[j-i, x] and
+    <i|p><p|j> = omega^(p*(j-i)) / N, so that residual is the same at every p.
+    """
+    n = c.n
+    f, diff = twist_table(c), (np.arange(n) - np.arange(n)[:, np.newaxis]) % n  # [i, j] = j - i
+    res_q = np.abs(n * f[0] - (np.arange(n) == 0))[diff]  # [q, i]
+    res_p = np.abs(f.sum(axis=1) - 1.0 / n)[diff]  # [i, j]
     return {
-        "marginal_q": _result("marginal_q", res_q, tol),
-        "marginal_p": _result("marginal_p", res_p, tol),
+        "marginal_q": _result("marginal_q", res_q, tol, lambda q, i: (q, i, i)),
+        "marginal_p": _result("marginal_p", res_p, tol, lambda i, j: (0, i, j)),
     }
 
 
@@ -306,39 +302,42 @@ def hermiticity_residuals(values):
     return np.hypot(re, im)
 
 
-def check_hermiticity(c, f, tol=DEFAULT_TOL):
+def check_hermiticity(c, tol=DEFAULT_TOL):
     """Hermiticity at both levels, reported separately.
 
-    Operator level: D(q,p)^dag = D(q,p) sitewise. Coefficient level:
-    a~(s,t;n,m) = omega^(-nm) conj(a~(N-s,N-t;N-n,N-m)) with all indices
-    reduced canonically.
+    Operator level: D(q,p)^dag = D(q,p) sitewise, that is
+    F[k,x] = conj F[-k, x-k] at k = j - i, x = j - q, alike at every (q, p).
+    Coefficient level: a~(s,t;n,m) = omega^(-nm) conj(a~(N-s,N-t;N-n,N-m))
+    with all indices reduced canonically.
     """
-    res_op = np.abs(f.operators - f.operators.conj().transpose(0, 1, 3, 2))
+    f = twist_table(c)
+    k, x = np.indices(f.shape)
+    res_op = np.abs(f - f[-k, x - k].conj())[(x - k) % c.n, x]  # [i, j] at q = 0
     return {
-        "hermiticity": _result("hermiticity", res_op, tol),
+        "hermiticity": _result("hermiticity", res_op, tol, lambda i, j: (0, 0, i, j)),
         "coeff_hermiticity": _result("coeff_hermiticity", hermiticity_residuals(c.values), tol, _on_support),
     }
 
 
-def check_orthogonality(c, f, tol=DEFAULT_TOL):
+def check_orthogonality(c, tol=DEFAULT_TOL):
     """Orthogonality/completeness: site-pair traces and coefficient sum rules.
 
     Operator level: Tr[D(q,p) D(q',p')^dag] = (1/N) delta delta over all
-    site pairs. Coefficient level: both Gram sums (over (s,t) and over
-    (k,l)) equal (1/N^4) times identity.
+    site pairs. It is sum_k omega^((p-p')k) C[k, q'-q], C the circular
+    autocorrelation of the twist table along x, so the row (q, p) = (0, 0)
+    holds every value. Coefficient level: both Gram sums (over (s,t) and
+    over (k,l)) equal (1/N^4) times identity.
     """
-    n = f.n
-    # Reshaped so a witness names four lattice indices.
-    site = _result("orthogonality_site", _site_gram_residuals(f).reshape(n, n, n, n), tol)
-    index = _result("orthogonality_index", _coefficient_gram_residuals(c.values), tol, lambda a, b: (a, b, a, b))
-    return {"orthogonality_site": site, "orthogonality_index": index}
-
-
-def _site_gram_residuals(f):
-    """|Tr[D(q,p) D(q',p')^dag] - (1/N) delta delta| on [(q,p), (q',p')]."""
-    n = f.n
-    flat = f.operators.reshape(n * n, n * n)
-    return np.abs(flat @ flat.conj().T - np.eye(n * n) / n)
+    spectrum = np.fft.fft(twist_table(c), axis=1)
+    autocorrelation = np.fft.ifft(spectrum.real**2 + spectrum.imag**2, axis=1)  # [k, d]
+    gram = np.fft.ifft(autocorrelation, axis=0, norm="forward")  # [e, d]
+    row = gram.T[:, -np.arange(c.n) % c.n]  # [q', p'], e = -p'
+    row[0, 0] -= 1.0 / c.n
+    return {
+        "orthogonality_site": _result("orthogonality_site", np.abs(row), tol, lambda q, p: (0, 0, q, p)),
+        "orthogonality_index": _result("orthogonality_index", _coefficient_gram_residuals(c.values), tol,
+                                       lambda a, b: (a, b, a, b)),
+    }
 
 
 def _coefficient_gram_residuals(values):
@@ -563,12 +562,11 @@ def full_report(n, tol=DEFAULT_TOL, elements=None):
     audit takes; by default it is built here.
     """
     coeffs = coefficients_candidate(n)
-    fset = assemble(coeffs)
     checks = {}
-    checks.update(check_marginals(fset, tol))
+    checks.update(check_marginals(coeffs, tol))
     checks.update(check_coefficient_axes(coeffs, tol))
-    checks.update(check_hermiticity(coeffs, fset, tol))
-    checks.update(check_orthogonality(coeffs, fset, tol))
+    checks.update(check_hermiticity(coeffs, tol))
+    checks.update(check_orthogonality(coeffs, tol))
     checks["covariance"] = check_covariance_group(coeffs, tol)
     unique_checks, _ = uniqueness_audit(n, tol, elements=elements)
     checks.update(unique_checks)

@@ -45,10 +45,10 @@ formatted text is kept between dumps.
 
 Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
 row), operator records in blocks of about ``OPERATOR_BLOCK`` pieces,
-support records one s-slab of N^3 records per block, and one emitter
-yields the text block by block: every JSON artifact of the command line
-is written by :func:`write_json`, which streams the blocks to the file,
-so the whole text never exists at once.
+support records in blocks of about ``BLOCK`` records of one s, and one
+emitter yields the text block by block: every JSON artifact of the
+command line is written by :func:`write_json`, which streams the blocks
+to the file, so the whole text never exists at once.
 """
 
 import functools
@@ -272,7 +272,7 @@ class SupportRecords:
 
 
 def _support_chunks(grid, cache):
-    """The records of a :class:`SupportRecords`, one s-slab of N^3 records per block.
+    """The records of a :class:`SupportRecords`, max(1, ``BLOCK`` // N^2) (s, t) slabs of one s per block.
 
     The N^2 zero tails ``"n":a,"m":b,"re":0,"im":0}`` are built once; an
     (s, t) slab joins them after the head ``{"s":S,"t":T,``, with the tail
@@ -286,10 +286,11 @@ def _support_chunks(grid, cache):
     re = _texts(grid.re, cache).reshape(n, n).tolist()
     im = _texts(grid.im, cache).reshape(n, n).tolist()
     tails = [f'"n":{a},"m":{b},"re":{zero},"im":{zero}}}' for a in ints for b in ints]
+    step = max(1, BLOCK // max(n * n, 1))
     yield "["
-    for s in range(n):
-        slabs = [""] if s else []  # the "," after the previous block
-        for t in range(n):
+    for s, start in itertools.product(range(n), range(0, n, step)):
+        slabs = [""] if s or start else []  # the "," after the previous block
+        for t in range(start, min(start + step, n)):
             head = f'{{"s":{ints[s]},"t":{ints[t]},'
             k = t * n + s
             zero_tail = tails[k]

@@ -3,12 +3,13 @@
 The library has one production path per computation; these are the
 independent forms it is checked against: the dense N^4 coefficient table
 of the support values with the position transform and operator assembly
-run on the whole of it, the joined text of a JSON document, the
-Fraction-valued covariance phase, the dense int64 exponent table and the
-group action on dense tables, the covariance scan over every lift class of
-SL(2, Z_2N), the per-(s,t) route list, the identity and the exact product
-of integer lifts, the order of SL(2, Z_N) and its determinant-filter
-enumeration, integer lifts with determinant exactly 1 found by search, the
+run on the whole of it, the dense operator tensor and the operator-level
+checks on it (marginal sums, hermiticity scan and site Gram product), the
+joined text of a JSON document, the Fraction-valued covariance phase, the
+dense int64 exponent table and the group action on dense tables, the
+covariance scan over every lift class of SL(2, Z_2N), the per-(s,t) route
+list, the identity and the exact product of integer lifts, the order of
+SL(2, Z_N) and its determinant-filter enumeration, integer lifts with determinant exactly 1 found by search, the
 inverse coefficient transform, lattice lines as tuples of sites, the
 invariant label of the line through a site, the brute-force incidence
 check of the line families, the dense N^4 expansion of the closed-form
@@ -25,9 +26,9 @@ from itertools import product
 import numpy as np
 
 from latwig import serialize
-from latwig.fano import CheckResult, FanoCoefficients, FanoOperatorSet, _covariance_scan, _two_phi
+from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _two_phi
 from latwig.lattice import SL2Element, check_dim, line_sites, sl2_complete, sl2_enumerate
-from latwig.operators import _half_omega_table, _omega_table
+from latwig.operators import _half_omega_table, _omega_table, momentum_vector
 from latwig.tomography import mub_line_families
 
 
@@ -140,6 +141,14 @@ def coefficients_to_position(c):
     return np.fft.ifft(a, axis=1, norm="forward")
 
 
+@dataclass(frozen=True)
+class FanoOperatorSet:
+    """The N^2 phase-point operators as a dense tensor, operators[q, p] an N x N matrix."""
+
+    n: int
+    operators: np.ndarray  # complex, shape (n, n, n, n), indexed [q, p, i, j]
+
+
 def assemble_dense(c):
     """The operators D(q,p) of the dense N^4 table, the path ``fano.assemble`` slices into n-slabs.
 
@@ -151,6 +160,37 @@ def assemble_dense(c):
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     return FanoOperatorSet(n, np.take(b.reshape(n, n, n * n), ((j - i) % n) * n + j, axis=2))
+
+
+def operator_residuals_dense(f):
+    """The residuals of each operator-level check of ``fano`` on a dense FanoOperatorSet, entry by entry.
+
+    sum_p D(q,p) against |q><q| at [q, i, j], sum_q D(q,p) against |p><p|
+    at [p, i, j], D(q,p) against its adjoint at [q, p, i, j], and the site
+    Gram product against (1/N) I at [q, p, q', p']: the arrays whose scan
+    names the checks' witnesses.
+    """
+    n = f.n
+    target_q = np.zeros((n, n, n), dtype=complex)
+    target_p = np.empty((n, n, n), dtype=complex)
+    for k in range(n):
+        target_q[k, k, k] = 1.0
+        v = momentum_vector(k, n)
+        target_p[k] = np.outer(v, v.conj())
+    ops = f.operators
+    return {
+        "marginal_q": np.abs(ops.sum(axis=1) - target_q),
+        "marginal_p": np.abs(ops.sum(axis=0) - target_p),
+        "hermiticity": np.abs(ops - ops.conj().transpose(0, 1, 3, 2)),
+        "orthogonality_site": site_gram_residuals(f).reshape(n, n, n, n),
+    }
+
+
+def site_gram_residuals(f):
+    """|Tr[D(q,p) D(q',p')^dag] - (1/N) delta delta| on [(q,p), (q',p')], by one N^2 x N^2 product."""
+    n = f.n
+    flat = f.operators.reshape(n * n, n * n)
+    return np.abs(flat @ flat.conj().T - np.eye(n * n) / n)
 
 
 def dumps_json(obj):

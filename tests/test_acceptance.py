@@ -24,12 +24,11 @@ def _passline(k, text):
 
 
 def _static_checks(c, tol=TOL):
-    f = fano.assemble(c)
     checks = {}
-    checks.update(fano.check_marginals(f, tol))
+    checks.update(fano.check_marginals(c, tol))
     checks.update(fano.check_coefficient_axes(c, tol))
-    checks.update(fano.check_hermiticity(c, f, tol))
-    checks.update(fano.check_orthogonality(c, f, tol))
+    checks.update(fano.check_hermiticity(c, tol))
+    checks.update(fano.check_orthogonality(c, tol))
     return checks
 
 

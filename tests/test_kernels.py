@@ -1,10 +1,12 @@
 """Audit kernels against dense and plain-loop oracles.
 
 The coefficient audits evaluate each condition only on the table's N^2
-support values, and the route audit is vectorised over the lifts. The
+support values, the operator audits on its N x N twist table, and the
+route audit is vectorised over the lifts. The
 oracles here run on the dense N^4 table of ``oracles.dense_table``: the
 dense covariance scan, the plain-loop residuals, the term-by-term Gram sums
-and the per-(s,t) loop over `derivation_routes`; the fast paths must agree
+the per-(s,t) loop over `derivation_routes`, and the scans of the dense
+operator tensor that the dense table assembles; the fast paths must agree
 with them field by field, on lift lists chosen here.
 """
 
@@ -16,13 +18,16 @@ from numpy.testing import assert_allclose
 from latwig import fano
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _hermiticity_phases, _result
 from latwig.lattice import GENERATORS, SL2Element, lift_classes, sl2_enumerate
+from latwig.operators import _omega_table
 from oracles import (
     IDENTITY,
+    assemble_dense,
     compose,
     covariance_phase_table,
     dense_table,
     derivation_routes,
     exact_lift,
+    operator_residuals_dense,
     phase_phi,
     sl2_lifts_search,
     sl2_second_lift_search,
@@ -455,7 +460,6 @@ def test_support_formulas_match_the_dense_oracles(n):
     reference = dense_table(fano.coefficients_candidate(n))
     for label, values in _support_cases(n).items():
         c = FanoCoefficients(n, values)
-        f = fano.assemble(c)
         table = dense_table(c)
         dense = _dense_residuals(table)
         covariance = {lift: _covariance_oracle(table, lift, covariance_phase_table(lift, n))
@@ -466,8 +470,8 @@ def test_support_formulas_match_the_dense_oracles(n):
             "derived_orthogonality": dense["orthogonality_index"].reshape(2, n * n, n * n),
         }
         for tol in (1e-10, 0.0, 0.3, -1.0):
-            got = {**fano.check_coefficient_axes(c, tol), **fano.check_hermiticity(c, f, tol),
-                   **fano.check_orthogonality(c, f, tol)}
+            got = {**fano.check_coefficient_axes(c, tol), **fano.check_hermiticity(c, tol),
+                   **fano.check_orthogonality(c, tol)}
             for name, residuals in dense.items():
                 assert_same_check(got[name], _dense_result(name, residuals, tol), exact=True)
             for lifts in lift_sets:
@@ -477,6 +481,48 @@ def test_support_formulas_match_the_dense_oracles(n):
                 checks, _ = fano.uniqueness_audit(n, tol)
                 for name, residuals in derived.items():
                     assert_same_check(checks[name], _result(name, residuals, tol), exact=True)
+
+
+@pytest.mark.parametrize("n", range(1, 32))
+def test_twist_table_checks_match_the_dense_operator_oracles(n):
+    """The operator-level checks on the twist table F against the scans of
+    the dense operators that the dense table assembles: the same verdict
+    and witness, and the same max_violation to 1e-13 relative to its size
+    (the random table's residuals reach 6e4).
+
+    The tolerances pass, fail only the planted errors, and fail everywhere.
+    None equals a residual to round-off: at such a tie the verdict is the
+    rounding's, and the F formulas round apart from the dense sums. That
+    rules out 0 (round-off left by one path and not the other), 0.1 at
+    N = 10 (the even candidate's hermiticity residual 1/N) and 1e-3 at
+    N = 10 (the zeroed entry's Gram residual 1/N^3).
+
+    F itself: omega^(p(j-i)) F[j-i, j-q] rebuilds the assembled operators,
+    to 1e-15 on the scale of the solution's entries 1/N^2, and for odd N
+    it is delta(2x = k mod N) / N, the closed-form operators.
+    """
+    for values in _support_cases(n).values():
+        c = FanoCoefficients(n, values)
+        dense = assemble_dense(c)
+        residuals = operator_residuals_dense(dense)
+        for tol in (1e-10, 0.3, -1.0):
+            got = {**fano.check_marginals(c, tol), **fano.check_hermiticity(c, tol),
+                   **fano.check_orthogonality(c, tol)}
+            for name, res in residuals.items():
+                want = _result(name, res, tol)
+                assert (got[name].passed, got[name].witness) == (want.passed, want.witness), (name, tol)
+                assert abs(got[name].max_violation - want.max_violation) <= 1e-13 * max(1.0, want.max_violation)
+        if n <= 17:
+            q, p, i, j = np.indices((n,) * 4)
+            rebuilt = _omega_table(n)[p * (j - i) % n] * fano.twist_table(c)[(j - i) % n, (j - q) % n]
+            scale = max(1.0, n**2 * np.abs(values).max())
+            assert np.abs(rebuilt - dense.operators).max() <= 1e-15 * scale
+    if n % 2:
+        f = fano.twist_table(fano.coefficients_odd(n))
+        k, x = np.indices((n, n))
+        on = (2 * x - k) % n == 0
+        assert np.abs(f[~on]).max(initial=0.0) <= 1e-15
+        assert np.abs(f[on] - 1 / n).max() <= 1e-15
 
 
 def test_covariance_scan_does_not_depend_on_how_the_lifts_are_batched():

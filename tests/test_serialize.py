@@ -299,6 +299,38 @@ def test_support_records_stream_one_s_slab_per_block():
         dumps_json(serialize.SupportRecords(np.zeros((2, 2)), np.zeros((2, 3))))
 
 
+def test_support_records_stream_at_most_block_records_per_block(monkeypatch):
+    """Below N^3 records in BLOCK, a block holds BLOCK // N^2 (s, t) slabs of one s, at least one."""
+    n = 5
+    values = np.random.default_rng(1).standard_normal((n, n, 2)) @ [1, 1j]
+    for block, per_block in ((1, 1), (2 * n * n + 1, 2)):
+        monkeypatch.setattr(serialize, "BLOCK", block)
+        chunks = list(serialize._support_chunks(serialize.SupportRecords(values.real, values.imag), {}))
+        assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == n * math.ceil(n / per_block) + 2
+        heads = [(s, t) for s in range(n) for t in range(0, n, per_block)]
+        for (s, t), chunk in zip(heads, chunks[1:-1]):
+            records = json.loads("[" + chunk.removeprefix(",") + "]")
+            stop = min(t + per_block, n)
+            assert [(r["s"], r["t"]) for r in records[::n * n]] == [(s, k) for k in range(t, stop)]
+            assert len(records) == (stop - t) * n * n
+
+
+def test_support_records_hold_a_bounded_block():
+    """The traced peak of streaming the N = 51 coefficients is one block of about BLOCK
+    records, 8.4 MiB; one s-slab of N^3 records per block traced 16.8 MiB."""
+    n = 51
+    values = np.random.default_rng(2).standard_normal((n, n, 2)) @ [1, 1j]
+    grid = serialize.SupportRecords(values.real, values.imag)
+    tracemalloc.start()
+    try:
+        for _ in serialize._support_chunks(grid, {}):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Operator records: the fano operators rendered from their complex tensor,
 # checked against the record array the command line built before.

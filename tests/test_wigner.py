@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
-from latwig.fano import DisplacedParitySet, FanoOperatorSet, _result, _site_gram_residuals
+from latwig.fano import DisplacedParitySet, _result
 from latwig.lattice import SL2Element, sl2_complete
 from latwig.operators import (
     basis_state_density,
@@ -17,10 +17,13 @@ from latwig.operators import (
 )
 from oracles import (
     IDENTITY,
+    FanoOperatorSet,
+    assemble_dense,
     compose,
     density_einsum,
     expand_operators,
     line_points,
+    site_gram_residuals,
     sl2_second_lift_search,
     wigner_einsum,
 )
@@ -127,7 +130,7 @@ def test_dimension_mismatch_rejected():
 def test_transforms_reject_a_dense_operator_set():
     """The FFT transforms are the closed form's: a dense set must not be
     taken for it silently."""
-    dense = fano.assemble(fano.coefficients_odd(3))
+    dense = assemble_dense(fano.coefficients_odd(3))
     with pytest.raises(TypeError, match="DisplacedParitySet"):
         wigner.wigner_from_density(maximally_mixed(3), dense)
     with pytest.raises(TypeError, match="DisplacedParitySet"):
@@ -169,7 +172,7 @@ def test_inverse_rejects_non_orthogonal_operator_sets():
     """The closed form at even N: its dense site Gram misses (1/N) I by 1/N."""
     for n in (2, 4, 6):
         bad = DisplacedParitySet(n)
-        assert _site_gram_residuals(expand_operators(bad)).max() == pytest.approx(1 / n)
+        assert site_gram_residuals(expand_operators(bad)).max() == pytest.approx(1 / n)
         grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
         with pytest.raises(ValueError, match="not trace-orthogonal"):
             wigner.density_from_wigner(grid, bad)
@@ -179,7 +182,7 @@ def test_inverse_rejects_non_orthogonal_operator_sets():
 def test_structural_orthogonality_guard_matches_the_dense_site_gram(n):
     f = DisplacedParitySet(n)
     assert vars(f) == {"n": n}  # no operator array is stored
-    gram = _site_gram_residuals(expand_operators(f)).max()
+    gram = site_gram_residuals(expand_operators(f)).max()
     assert f.is_orthogonal() == (gram < 1e-8)
     assert gram < 1e-15 if n % 2 else gram == pytest.approx(1 / n)
 
@@ -187,7 +190,7 @@ def test_structural_orthogonality_guard_matches_the_dense_site_gram(n):
 @pytest.mark.parametrize("n", range(1, 32, 2))
 def test_closed_form_expands_to_the_assembled_solution(n):
     closed = expand_operators(DisplacedParitySet(n)).operators
-    assembled = fano.assemble(fano.coefficients_odd(n)).operators
+    assembled = fano.assemble(fano.coefficients_odd(n))
     assert np.abs(closed - assembled).max() < 1e-15
 
 
