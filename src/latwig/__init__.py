@@ -6,8 +6,9 @@ Library layout:
   the route audit's lift classes, lines as index arrays
 - ``operators``: clock/shift pair, momentum basis, exact phase arithmetic
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
-  table, the dense tensor, the odd-N closed form), condition audits
-- ``wigner``: density matrix <-> grid transforms, tilted-line marginals
+  table, the dense tensor), condition audits
+- ``wigner``: density matrix <-> grid transforms and tilted-line marginals
+  on the odd-N closed-form operators
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
 - ``cli``: the ``latwig`` command
 
@@ -25,7 +26,6 @@ in the package.
 
 from .fano import (
     ConditionReport,
-    DisplacedParitySet,
     FanoCoefficients,
     assemble,
     check_covariance_group,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionReport",
-    "DisplacedParitySet",
     "FanoCoefficients",
     "SL2Element",
     "WignerGrid",

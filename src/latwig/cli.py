@@ -139,6 +139,12 @@ def cmd_check(args):
     lifts of SL(2, Z_N) that a route value can tell apart. ``group_order``
     counts their distinct residues mod N, |SL(2, Z_N)|, and
     ``lifts_per_element`` the classes above each: 1 for odd N, 8 for even N.
+
+    An even N's structural residuals are 1/N for operator hermiticity and
+    2/N^2 for covariance and the route spreads. A --tolerance above all of
+    them leaves no check to witness infeasibility, so the run reports
+    CONTRADICTS and exits 1; at a tolerance equal to one of them the
+    verdict depends on round-off.
     """
     n = args.n
     if args.audit_bound < 1:
@@ -177,8 +183,7 @@ def cmd_wigner(args):
     _require_odd(n)
     _require_at_most(n, WIGNER_MAX_N, "whose N x N grid `wigner` builds and writes")
     rho = parse_state(args.state, n, args.seed)
-    fset = fano.DisplacedParitySet(n)
-    grid = wigner.wigner_from_density(rho, fset)
+    grid = wigner.wigner_from_density(rho)
     marg_q = grid.values.real.sum(axis=1)  # position marginal, sums over p
     marg_p = grid.values.real.sum(axis=0)  # momentum marginal, sums over q
     if args.format == "json":
@@ -220,10 +225,9 @@ def cmd_marginal(args):
     except ValueError as exc:
         raise CliError(str(exc)) from None
     rho = parse_state(args.state, n, args.seed)
-    fset = fano.DisplacedParitySet(n)
-    grid = wigner.wigner_from_density(rho, fset)
+    grid = wigner.wigner_from_density(rho)
     marg = wigner.marginal_along_line(grid, g)
-    rep = wigner.line_projector_check(fset, g, tol=args.tolerance)
+    rep = wigner.line_projector_check(n, g, tol=args.tolerance)
     if args.format == "json":
         doc = marg.to_json_dict()
         doc = {"n": n, **doc, "state": args.state, "seed": args.seed,
@@ -248,9 +252,8 @@ def cmd_tomo(args):
     if args.shots > np.iinfo(np.int64).max:
         raise CliError(f"--shots must be at most 2^63 - 1, got {args.shots}")
     rho_true = parse_state("random", n, args.seed)
-    fset = fano.DisplacedParitySet(n)
-    dataset = tomography.simulate_marginals(rho_true, fset, shots=args.shots, seed=args.seed)
-    result = tomography.reconstruct_density(dataset, fset, rho_true=rho_true)
+    dataset = tomography.simulate_marginals(rho_true, shots=args.shots, seed=args.seed)
+    result = tomography.reconstruct_density(dataset, rho_true=rho_true)
     doc = {
         "n": n,
         "shots": args.shots,

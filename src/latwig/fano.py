@@ -18,9 +18,10 @@ D(q,p)[i,j] = omega^(p*(j-i)) F[j-i, j-q]. The operator-level audits are
 O(N^2 log N) formulas on F with the dense witnesses too, so no audit builds
 an N^4 array; ``assemble`` builds the operator tensor for the ``fano``
 artifact only, one N^3 slab of the table at a time. For odd N, F has N
-nonzeros and is :class:`DisplacedParitySet`, the closed form on which the
-transforms, marginals and tomography run: each operator is a phased
-permutation, and the set holds no array at all.
+nonzeros, F[k,x] = delta(2x = k mod N) / N: each operator is the phased
+permutation D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)),
+the closed form on which :mod:`latwig.wigner` and :mod:`latwig.tomography`
+run.
 
 Neither group audit bounds N. Covariance is an action of SL(2, Z) on
 tables, so it is decided on the two generators S and T. Each lift with
@@ -73,70 +74,20 @@ class FanoCoefficients:
 
 
 @dataclass(frozen=True)
-class DisplacedParitySet:
-    """The N^2 closed-form phase-point operators, each a phased permutation.
-
-    D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)): row i of
-    D(q,p) has its one nonzero at column j = 2q - i. This is the parity
-    i -> -i displaced to (q,p) (Wootters, Ann. Phys. 176, 1 (1987); Cohendet
-    et al., J. Phys. A 21, 2875 (1988)). For odd N it is the unique
-    solution, the odd-N case of :func:`twist_table`, F[k,x] =
-    delta(2x = k mod N) / N. Every entry is a function of (q, p, i) mod N,
-    so the set holds N alone.
-    For even N the formula still defines N^2 operators, but they are not
-    trace-orthogonal (:meth:`is_orthogonal`) and are not the candidate
-    table's operators.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        check_dim(self.n)
-
-    def nonzeros(self, q, p):
-        """Columns and values of the nonzeros of D(q,p), row by row.
-
-        q and p are integer arrays of one shape S holding canonical residues;
-        both results have shape S + (N,), entry [..., i] belonging to row i.
-        A value is omega^(p*(j - i)) / N, read from the exact integer-exponent
-        table.
-        """
-        n = self.n
-        i = np.arange(n)
-        q, p = np.asarray(q)[..., np.newaxis], np.asarray(p)[..., np.newaxis]
-        j = (2 * q - i) % n
-        return j, _omega_table(n)[(p * (j - i)) % n] / n
-
-    def is_orthogonal(self):
-        """Whether Tr[D(q,p) D(q',p')^dag] = (1/N) delta(q,q') delta(p,p') at every site pair.
-
-        Decided from the structure, with no Gram product. The supports of
-        D(q,.) and D(q',.) are disjoint unless 2q = 2q' mod N, and on one
-        support the phases omega^(p*(2q - 2i)) of the N rows i are N distinct
-        characters of p unless i -> 2i mod N repeats a value. Both maps are
-        injective, and the set is orthogonal, exactly when 2 is a unit mod N,
-        that is when N is odd. For even N, q and q + N/2 share a support, and
-        Tr[D(q,p) D(q,p + N/2)^dag] has modulus 1/N.
-        """
-        return self.n % 2 == 1
-
-
-@dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one audited condition; max violation kept even on pass."""
+    """Outcome of one audited condition; max violation kept even on pass.
+
+    The witness is the failing index, followed by the entries of the lift
+    or lifts it failed under where the check runs over group elements.
+    """
 
     name: str
     passed: bool
     max_violation: float
     witness: tuple | None = None
-    element: SL2Element | None = None
 
     def to_json_dict(self):
-        witness = None
-        if self.witness is not None:
-            witness = [int(x) for x in self.witness]
-            if self.element is not None:
-                witness.extend(int(x) for x in self.element.as_tuple())
+        witness = None if self.witness is None else [int(x) for x in self.witness]
         return {"pass": self.passed, "max_violation": float(self.max_violation), "witness": witness}
 
 
@@ -176,7 +127,7 @@ def _result(name, residuals, tol, witness_at=lambda *i: i):
     res = np.asarray(residuals)
     max_violation = float(res.max()) if res.size else 0.0
     if max_violation <= tol:
-        return CheckResult(name, True, max_violation, None, None)
+        return CheckResult(name, True, max_violation)
     return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.argwhere(res > tol)[0])))
 
 
@@ -395,7 +346,8 @@ def _covariance_scan(values, lifts, tol):
     entry lies on it there too. So the residual is zero except at
     (s,t,a,b), where it is |v[b,a] - omega^(phi'(a,b)) v[s,t]|, and the
     witness is (s,t,a,b) at the first failing (s,t) of the first failing
-    lift, as a dense scan would name it. The product is written in real
+    lift, as a dense scan would name it, followed by that lift's entries
+    (kappa, lam, mu, nu) as passed in. The product is written in real
     arithmetic: numpy's complex multiply rounds differently by array
     layout, and this way the residuals are those of a scalar loop.
     """
@@ -411,9 +363,10 @@ def _covariance_scan(values, lifts, tol):
     worst = float(res.max())
     failing = np.argwhere(res > tol)
     if not failing.size:
-        return CheckResult("covariance", True, worst, None, None)
+        return CheckResult("covariance", True, worst)
     r, i = failing[0]
-    return CheckResult("covariance", False, worst, (int(s[i]), int(t[i]), int(a[r, i]), int(b[r, i])), lifts[r])
+    return CheckResult("covariance", False, worst,
+                       (int(s[i]), int(t[i]), int(a[r, i]), int(b[r, i])) + lifts[r].as_tuple())
 
 
 def check_covariance_group(c, tol=DEFAULT_TOL):
@@ -511,7 +464,7 @@ def _route_consistency(n, elements, tol):
         i = conflicts[0]
         lifts = elements[order[[first[i], i]] // (2 * n - 2)]
         witness = divmod(int(point[i]), n) + tuple(int(x) for x in lifts.ravel())
-    return CheckResult("route_consistency", witness is None, worst, witness, None)
+    return CheckResult("route_consistency", witness is None, worst, witness)
 
 
 def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):

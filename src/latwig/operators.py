@@ -66,11 +66,17 @@ def monomial(n_exp, m_exp, n):
     return out
 
 
+def square_dim(rho):
+    """N of an N x N array rho, N >= 1; any other shape is refused."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    return check_dim(rho.shape[0])
+
+
 def validate_density_matrix(rho, tol=DEFAULT_TOL):
     """Raise unless rho is hermitian, unit-trace and PSD to tolerance."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    square_dim(rho)
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > tol:
         raise ValueError(f"density matrix not hermitian: max deviation {herm:.3e}")

@@ -4,6 +4,8 @@ For prime N the N+1 direction classes (1, lam) for lam = 0..N-1 plus
 (0, 1) have the incidence property that every pair of distinct lattice
 sites shares exactly one line, which makes the affine inversion
 W(q,p) = (sum of the N+1 line marginals through (q,p) - 1)/N exact.
+The grids are those of the closed-form operators of :mod:`latwig.wigner`,
+and N is read from the state or the dataset.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import SL2Element, check_dim, line_sites
-from .operators import validate_density_matrix
+from .operators import square_dim, validate_density_matrix
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
 
 STATE_STREAM_KEY = 0x5747  # substream tag for state generation, clear of family indices
@@ -68,7 +70,7 @@ class ReconstructionResult:
     fidelity_error: float | None
 
 
-def simulate_marginals(rho, f, shots=0, seed=0):
+def simulate_marginals(rho, shots=0, seed=0):
     """Exact (shots=0) or multinomially sampled line marginals of rho.
 
     Sampling uses one substream per family derived from the seed, so the
@@ -77,11 +79,11 @@ def simulate_marginals(rho, f, shots=0, seed=0):
     else are not probability distributions, and sampling them would clip
     and renormalise silently.
     """
-    n = f.n
+    n = square_dim(np.asarray(rho))
     if n % 2 == 0 or not is_prime(n):
         raise ValueError(f"tomography requires an odd prime N, got {n}")
     validate_density_matrix(rho)
-    grid = wigner_from_density(rho, f)
+    grid = wigner_from_density(rho)
     families = []
     for k, g in enumerate(mub_line_families(n)):
         exact = marginal_along_line(grid, g).weights
@@ -127,7 +129,7 @@ def _on_grid(fam, n):
     return grid
 
 
-def reconstruct_density(d, f, rho_true=None):
+def reconstruct_density(d, rho_true=None):
     """Recover the density matrix from a marginal dataset.
 
     The linear inverse is hermitized and trace-renormalized; it is NOT
@@ -135,7 +137,7 @@ def reconstruct_density(d, f, rho_true=None):
     and auditable.
     """
     grid = reconstruct_wigner(d)
-    rho = density_from_wigner(grid, f)
+    rho = density_from_wigner(grid)
     rho = (rho + rho.conj().T) / 2
     rho = rho / rho.trace().real
     err = None

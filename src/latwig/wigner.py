@@ -1,7 +1,9 @@
 """Density matrix <-> Wigner grid transforms and tilted-line marginals.
 
-The operators are the closed-form odd-N set, :class:`latwig.fano.DisplacedParitySet`:
-D(q,p)[i,j] = (1/N) delta(i + j = 2q) omega^(p*(j - i)), indices mod N. With
+The operators are the unique odd-N solution, the displaced parity
+D(q,p)[i,j] = (1/N) delta(i + j = 2q) omega^(p*(j - i)), indices mod N
+(Wootters, Ann. Phys. 176, 1 (1987)): every entry is a function of
+(q, p, i) and N, so each function here takes N from its data. With
 i = q - k and j = q + k the transform pair is
 
     W(q,p) = (1/N) sum_k rho[q+k, q-k] omega^(2pk),
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fano import CheckResult, DisplacedParitySet, _result
+from .fano import CheckResult, _result
 from .lattice import SL2Element, check_dim, line_sites
-from .operators import DEFAULT_TOL, monomial, omega_int
+from .operators import DEFAULT_TOL, _omega_table, monomial, omega_int, square_dim
 
 
 @dataclass(frozen=True)
@@ -62,29 +64,35 @@ class MarginalDistribution:
         }
 
 
-def wigner_from_density(rho, f):
-    """W(q,p) = Tr[D(q,p) rho] at every lattice site, for f a DisplacedParitySet.
+def wigner_from_density(rho):
+    """W(q,p) = Tr[D(q,p) rho] at every lattice site; N is rho's dimension.
 
     rho is not validated as a density matrix: this is a linear map defined
     on every N x N matrix, and callers (the round trip through
     `density_from_wigner`, for one) feed it matrices that are not PSD.
     """
-    n = _closed_form_dim(f)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise ValueError(f"density matrix shape {rho.shape} does not match N = {n}")
+    n = square_dim(rho)
     plus, minus, doubled = _fold(n)
     # y[q, m] = sum_k rho[q+k, q-k] omega^(mk); W(q,p) = y[q, 2p] / N.
     y = np.fft.ifft(rho[plus, minus], axis=1, norm="forward")
     return WignerGrid(n, y[:, doubled] / n)
 
 
-def density_from_wigner(w, f):
-    """rho = N * sum_qp D(q,p)^dag W(q,p); exact inverse for orthogonal sets."""
-    n = _closed_form_dim(f)
-    if w.n != n:
-        raise ValueError(f"grid dimension {w.n} does not match operator set {n}")
-    if not f.is_orthogonal():
+def density_from_wigner(w):
+    """rho = N * sum_qp D(q,p)^dag W(q,p), the exact inverse for odd N = w.n.
+
+    An even N raises ValueError: the operators are trace-orthogonal,
+    Tr[D(q,p) D(q',p')^dag] = (1/N) delta(q,q') delta(p,p'), exactly when N
+    is odd. This is decided from their structure, with no Gram product. The
+    supports of D(q,.) and D(q',.) are disjoint unless 2q = 2q' mod N, and
+    on one support the phases omega^(p*(2q - 2i)) of the N rows i are N
+    distinct characters of p unless i -> 2i mod N repeats a value. Both maps
+    are injective exactly when 2 is a unit mod N. For even N, q and q + N/2
+    share a support, and Tr[D(q,p) D(q,p + N/2)^dag] has modulus 1/N.
+    """
+    n = w.n
+    if n % 2 == 0:
         raise ValueError("operator set is not trace-orthogonal; inverse not guaranteed")
     plus, minus, doubled = _fold(n)
     z = np.empty((n, n), dtype=complex)
@@ -102,13 +110,6 @@ def _fold(n):
     return (q + k) % n, (q - k) % n, (2 * np.arange(n)) % n
 
 
-def _closed_form_dim(f):
-    """N of the set; the transforms are written for the closed form alone."""
-    if not isinstance(f, DisplacedParitySet):
-        raise TypeError(f"the transforms take a DisplacedParitySet, got {type(f).__name__}")
-    return f.n
-
-
 def marginal_along_line(w, g):
     """Sum W over each line of the direction (kappa, lam), labelled by p0.
 
@@ -122,21 +123,22 @@ def marginal_along_line(w, g):
     return MarginalDistribution(element=g, weights=sum(w.values.real[q, p].T))
 
 
-def line_sum_operators(f, g):
+def line_sum_operators(n, g):
     """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j].
 
     Each sum adds the line's operators in r order, one site of every line
-    at a time: site r adds the N nonzeros of its operator (one per row), so
-    an entry that several sites share collects them in r order, as adding
-    the dense operators would.
+    at a time: site r adds the N nonzeros of its operator, row i's at
+    column (2q - i) mod N with value omega^(p*(j - i)) / N read from the
+    exact integer-exponent table. An entry that several sites share
+    collects them in r order, as adding the dense operators would.
     """
-    n = f.n
+    check_dim(n)
     q, p = line_sites(g, n)
     m = np.zeros((n, n, n), dtype=complex)
-    lines, rows = np.arange(n)[:, np.newaxis], np.arange(n)
+    lines, rows, om = np.arange(n)[:, np.newaxis], np.arange(n), _omega_table(n)
     for r in range(n):
-        cols, values = f.nonzeros(q[:, r], p[:, r])
-        m[lines, rows, cols] += values
+        cols = (2 * q[:, r, np.newaxis] - rows) % n
+        m[lines, rows, cols] += om[(p[:, r, np.newaxis] * (cols - rows)) % n] / n
     return m
 
 
@@ -194,7 +196,7 @@ class LineProjectorReport:
         }
 
 
-def line_projector_check(f, g, tol=DEFAULT_TOL):
+def line_projector_check(n, g, tol=DEFAULT_TOL):
     """Verify each line sum of the direction is a spectral projector of its unitary.
 
     Checks, for every label p0 and without ever constructing the
@@ -204,9 +206,9 @@ def line_projector_check(f, g, tol=DEFAULT_TOL):
     assumed to be one. As V^N = 1, its N eigenvalues are N-th roots of
     unity, so every label's multiplicity is 1 exactly when the largest is.
     """
-    if f.n % 2 == 0:
+    if n % 2 == 0:
         raise ValueError("no valid operator set exists for even N")
-    return _projector_report(line_sum_operators(f, g), g, tol)
+    return _projector_report(line_sum_operators(n, g), g, tol)
 
 
 def _projector_report(m, g, tol):

@@ -248,8 +248,8 @@ def covariance_every_class(values, tol):
         if first_fail is None and not got.passed:
             first_fail = got
     if first_fail is None:
-        return CheckResult("covariance", True, worst, None, None)
-    return CheckResult("covariance", False, worst, first_fail.witness, first_fail.element)
+        return CheckResult("covariance", True, worst)
+    return CheckResult("covariance", False, worst, first_fail.witness)
 
 
 def coprime_lift(a, b, n):
@@ -444,13 +444,12 @@ def coefficients_cohendet(n):
     return FanoCoefficients(n, values)
 
 
-def expand_operators(f):
-    """The dense N^4 operators [q, p, i, j] of a DisplacedParitySet, entry by entry.
+def expand_operators(n):
+    """The dense N^4 closed-form operators [q, p, i, j], entry by entry.
 
     D(q,p)[i, 2q - i] = omega^(p*(j - i)) / N with j = 2q - i mod N; every
     other entry is 0.
     """
-    n = f.n
     ops = np.zeros((n, n, n, n), dtype=complex)
     om = _omega_table(n)
     for q, p, i in product(range(n), repeat=3):

@@ -11,7 +11,7 @@ import pytest
 
 from latwig import fano, tomography, wigner
 from latwig.cli import main
-from latwig.fano import DisplacedParitySet, FanoCoefficients
+from latwig.fano import FanoCoefficients
 from latwig.lattice import sl2_complete
 from latwig.operators import random_density_matrix
 from oracles import coefficients_cohendet, sl2_lifts_search
@@ -103,10 +103,9 @@ def test_criterion_05_even_dimension_nonexistence():
 def test_criterion_06_tilted_line_projector_identity():
     worst = 0.0
     for n in (3, 5):
-        fset = DisplacedParitySet(n)
         directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
         for g in directions:
-            rep = wigner.line_projector_check(fset, g, tol=TOL)
+            rep = wigner.line_projector_check(n, g, tol=TOL)
             assert rep.passed, (n, g.as_tuple(), rep.max_violation)
             assert rep.eigenvalue_multiplicity == 1
             worst = max(worst, rep.max_violation)
@@ -117,12 +116,11 @@ def test_criterion_06_tilted_line_projector_identity():
 def test_criterion_07_transform_round_trip():
     worst_rt = worst_sum = worst_im = 0.0
     for n in (3, 5, 7):
-        fset = DisplacedParitySet(n)
         rng = np.random.default_rng(1000 + n)
         for _ in range(20):
             rho = random_density_matrix(n, rng)
-            grid = wigner.wigner_from_density(rho, fset)
-            back = wigner.density_from_wigner(grid, fset)
+            grid = wigner.wigner_from_density(rho)
+            back = wigner.density_from_wigner(grid)
             worst_rt = max(worst_rt, np.abs(back - rho).max())
             worst_sum = max(worst_sum, abs(grid.total().real - 1.0))
             worst_im = max(worst_im, grid.max_imag())
@@ -133,19 +131,17 @@ def test_criterion_07_transform_round_trip():
 
 def test_criterion_08_tomography():
     for n in (3, 5, 7):
-        fset = DisplacedParitySet(n)
         rho = random_density_matrix(n, np.random.default_rng(2000 + n))
-        exact = tomography.simulate_marginals(rho, fset, shots=0, seed=11)
-        res = tomography.reconstruct_density(exact, fset, rho_true=rho)
+        exact = tomography.simulate_marginals(rho, shots=0, seed=11)
+        res = tomography.reconstruct_density(exact, rho_true=rho)
         assert res.fidelity_error < TOL, (n, res.fidelity_error)
 
     n = 3
-    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(42))
     errors = {}
     for shots in (10**4, 10**6):
-        ds = tomography.simulate_marginals(rho, fset, shots=shots, seed=11)
-        errors[shots] = tomography.reconstruct_density(ds, fset, rho_true=rho).fidelity_error
+        ds = tomography.simulate_marginals(rho, shots=shots, seed=11)
+        errors[shots] = tomography.reconstruct_density(ds, rho_true=rho).fidelity_error
     assert errors[10**6] < 5e-2
     assert errors[10**6] < errors[10**4]
     _passline(8, f"exact reconstruction exact to {TOL:g}; sampled errors "

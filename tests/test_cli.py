@@ -328,7 +328,6 @@ def test_marginal_above_its_limit_is_a_usage_error_before_any_work(tmp_path, mon
         raise AssertionError("work started above the marginal limit")
 
     monkeypatch.setattr(cli, "parse_state", no_work)
-    monkeypatch.setattr(fano, "DisplacedParitySet", no_work)
     monkeypatch.setattr(wigner, "line_sum_operators", no_work)
     out = tmp_path / "m.json"
     n = cli.MARGINAL_MAX_N + 2
@@ -353,8 +352,7 @@ def test_size_limits_admit_their_n_and_refuse_larger_before_any_work(tmp_path, m
     def work(*args, **kwargs):
         raise _WorkStarted
 
-    for module, name in ((fano, "coefficients_candidate"), (cli, "parse_state"),
-                         (fano, "DisplacedParitySet"), (tomography, "is_prime")):
+    for module, name in ((fano, "coefficients_candidate"), (cli, "parse_state"), (tomography, "is_prime")):
         monkeypatch.setattr(module, name, work)
     out = tmp_path / "a.json"
     n = getattr(cli, limit)
@@ -375,6 +373,19 @@ def test_check_beyond_the_default_bound_with_a_raised_audit_bound(tmp_path, caps
     assert doc["matches_prediction"] is True
     assert all(entry["pass"] for entry in doc["checks"].values())
     capsys.readouterr()
+
+
+def test_check_tolerance_above_the_even_residuals_contradicts_the_dichotomy(tmp_path, capsys):
+    """At N = 10 the structural residuals are 1/N (operator hermiticity) and
+    2/N^2 (covariance, route spreads). A tolerance above all of them passes
+    every check, so none can witness infeasibility and the run exits 1."""
+    out = tmp_path / "c.json"
+    assert main(["check", "--n", "10", "--audit-bound", "10", "--tolerance", "0.5", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["matches_prediction"] is False
+    assert doc["infeasibility_witness"] is None
+    assert all(c["pass"] for c in doc["checks"].values())
+    assert "CONTRADICTS" in capsys.readouterr().out
 
 
 def test_negative_shots_and_seed_are_usage_errors(tmp_path, capsys):

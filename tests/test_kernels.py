@@ -135,10 +135,10 @@ def covariance_group_oracle(table, lifts, tol):
         res = covariance_residuals_dense(table, lift)
         worst = max(worst, float(res.max()))
         if first_fail is None and res.max() > tol:
-            first_fail = (tuple(int(i) for i in np.argwhere(res > tol)[0]), lift)
+            first_fail = tuple(int(i) for i in np.argwhere(res > tol)[0]) + lift.as_tuple()
     if first_fail is None:
-        return CheckResult("covariance", True, worst, None, None)
-    return CheckResult("covariance", False, worst, *first_fail)
+        return CheckResult("covariance", True, worst)
+    return CheckResult("covariance", False, worst, first_fail)
 
 
 def route_consistency_oracle(n, elements, tol):
@@ -161,14 +161,13 @@ def route_consistency_oracle(n, elements, tol):
                 worst = max(worst, spread)
                 if spread > tol and witness is None:
                     witness = (s, t) + g0 + g
-    return CheckResult("route_consistency", witness is None, worst, witness, None)
+    return CheckResult("route_consistency", witness is None, worst, witness)
 
 
 def assert_same_check(got, want, exact=False):
     assert got.name == want.name
     assert got.passed == want.passed
     assert got.witness == want.witness
-    assert got.element == want.element
     if exact:
         assert got.max_violation == want.max_violation
     else:
@@ -277,8 +276,7 @@ def test_planted_violation_names_the_first_index_of_the_first_failing_lift():
     assert lifts[0] == SL2Element(0, 1, -1, 0)
     got = _covariance_scan(values, lifts, 1e-10)
     assert not got.passed
-    assert got.witness == (2, 1, 1, 1)
-    assert got.element == SL2Element(0, 1, -1, 0)
+    assert got.witness == (2, 1, 1, 1, 0, 1, -1, 0)
     assert_same_check(got, covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10))
     assert _covariance_scan(values, [IDENTITY], 1e-10).passed
 
@@ -302,8 +300,7 @@ def test_planted_violation_seen_only_by_a_second_lift():
     lifts = [IDENTITY, second]
     got = _covariance_scan(values, lifts, 1e-10)
     assert not got.passed
-    assert got.witness == (0, 1, 1, 0)
-    assert got.element == second
+    assert got.witness == (0, 1, 1, 0) + second.as_tuple()
     assert got.max_violation == pytest.approx(0.5)
     assert_same_check(got, covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10))
 
@@ -390,8 +387,8 @@ def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
         want = _covariance_scan(values, _flat(small), 1e-10)
         got = _covariance_scan(values, _flat(big), 1e-10)
         assert not want.passed
-        assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
-        assert got.element == huge[want.element]
+        assert (got.passed, got.max_violation, got.witness[:4]) == (want.passed, want.max_violation, want.witness[:4])
+        assert got.witness[4:] == huge[SL2Element(*want.witness[4:])].as_tuple()
     classes = {tuple(row) for row in lift_classes(n).tolist()}
     assert all(tuple(x % (2 * n) for x in h.as_tuple()) in classes for h in huge.values())
 
@@ -419,8 +416,9 @@ def _scan_oracle(residuals, lifts, tol):
     worst = max(float(res.max()) for res in residuals)
     for res, lift in zip(residuals, lifts):
         if res.max() > tol:
-            return CheckResult("covariance", False, worst, tuple(int(i) for i in np.argwhere(res > tol)[0]), lift)
-    return CheckResult("covariance", True, worst, None, None)
+            return CheckResult("covariance", False, worst,
+                               tuple(int(i) for i in np.argwhere(res > tol)[0]) + lift.as_tuple())
+    return CheckResult("covariance", True, worst)
 
 
 def _dense_residuals(table):
@@ -449,7 +447,7 @@ def _dense_result(name, residuals, tol):
 @pytest.mark.parametrize("n", range(1, 14))
 def test_support_formulas_match_the_dense_oracles(n):
     """Every coefficient-level audit on the support values against its oracle on
-    the dense N^4 table: the same verdict, witness and element, and the same
+    the dense N^4 table: the same verdict and witness, and the same
     max_violation to the bit, at tolerances that pass, fail on round-off,
     pass a 2/N^2 violation and fail everywhere.
 

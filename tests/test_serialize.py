@@ -538,7 +538,7 @@ def test_wigner_csv_companions_match_the_per_float_join(tmp_path):
     assert cli.main(["wigner", "--n", "5", "--state", "random", "--seed", "4",
                      "--format", "csv", "--out", str(out)]) == 0
     rho = cli.parse_state("random", 5, 4)
-    grid = wigner.wigner_from_density(rho, fano.DisplacedParitySet(5))
+    grid = wigner.wigner_from_density(rho)
     assert out.read_text() == _reference_grid_csv(grid.values.real)
     assert (tmp_path / "w_marginal_q.csv").read_text() == _reference_marginal_csv(grid.values.real.sum(axis=1))
     assert (tmp_path / "w_marginal_p.csv").read_text() == _reference_marginal_csv(grid.values.real.sum(axis=0))

@@ -1,11 +1,9 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
-from latwig.fano import DisplacedParitySet, _result
+from latwig.fano import _result
 from latwig.lattice import SL2Element, sl2_complete
 from latwig.operators import (
     basis_state_density,
@@ -17,8 +15,6 @@ from latwig.operators import (
 )
 from oracles import (
     IDENTITY,
-    FanoOperatorSet,
-    assemble_dense,
     compose,
     density_einsum,
     expand_operators,
@@ -82,14 +78,14 @@ ORACLE_DIMS = [1, 3, 5, 9, 11, 23]
 
 def test_maximally_mixed_state_gives_uniform_grid():
     for n in (3, 5):
-        grid = wigner.wigner_from_density(maximally_mixed(n), DisplacedParitySet(n))
+        grid = wigner.wigner_from_density(maximally_mixed(n))
         assert_allclose(grid.values, np.full((n, n), 1 / n**2), atol=1e-13)
         assert grid.total() == pytest.approx(1.0)
 
 
 def test_position_eigenstate_grid():
     n = 3
-    grid = wigner.wigner_from_density(basis_state_density(0, n), DisplacedParitySet(n))
+    grid = wigner.wigner_from_density(basis_state_density(0, n))
     expected = np.zeros((n, n))
     expected[0, :] = 1 / 3
     assert_allclose(grid.values.real, expected, atol=1e-13)
@@ -98,98 +94,88 @@ def test_position_eigenstate_grid():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_grid_is_real_and_normalized_for_random_states(n):
-    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(n)
     for _ in range(5):
         rho = random_density_matrix(n, rng)
-        grid = wigner.wigner_from_density(rho, fset)
+        grid = wigner.wigner_from_density(rho)
         assert grid.max_imag() < 1e-10
         assert grid.total().real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_transform_is_linear_in_the_state():
     n = 5
-    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(0)
     a, b = random_density_matrix(n, rng), random_density_matrix(n, rng)
     lam = 0.3
     mixed = lam * a + (1 - lam) * b
-    direct = wigner.wigner_from_density(mixed, fset).values
+    direct = wigner.wigner_from_density(mixed).values
     combo = (
-        lam * wigner.wigner_from_density(a, fset).values
-        + (1 - lam) * wigner.wigner_from_density(b, fset).values
+        lam * wigner.wigner_from_density(a).values
+        + (1 - lam) * wigner.wigner_from_density(b).values
     )
     assert_allclose(direct, combo, atol=1e-13)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        wigner.wigner_from_density(maximally_mixed(4), DisplacedParitySet(3))
-
-
-def test_transforms_reject_a_dense_operator_set():
-    """The FFT transforms are the closed form's: a dense set must not be
-    taken for it silently."""
-    dense = assemble_dense(fano.coefficients_odd(3))
-    with pytest.raises(TypeError, match="DisplacedParitySet"):
-        wigner.wigner_from_density(maximally_mixed(3), dense)
-    with pytest.raises(TypeError, match="DisplacedParitySet"):
-        wigner.density_from_wigner(wigner.WignerGrid(3, np.full((3, 3), 1 / 9, dtype=complex)), dense)
+    """N is read from rho, so a rho that is not N x N has none."""
+    for rho in (np.eye(3, 4), np.ones(3), np.ones((3, 3, 3)), np.ones((0, 0))):
+        with pytest.raises(ValueError):
+            wigner.wigner_from_density(rho)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_round_trip_density_to_grid_to_density(n):
-    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(100 + n)
     worst = 0.0
     for _ in range(20):
         rho = random_density_matrix(n, rng)
-        grid = wigner.wigner_from_density(rho, fset)
-        worst = max(worst, np.abs(wigner.density_from_wigner(grid, fset) - rho).max())
+        grid = wigner.wigner_from_density(rho)
+        worst = max(worst, np.abs(wigner.density_from_wigner(grid) - rho).max())
     assert worst < 1e-10
 
 
 def test_round_trip_grid_to_density_to_grid():
     n = 3
-    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(8)
     values = rng.standard_normal((n, n))
     values = values / values.sum()
     grid = wigner.WignerGrid(n, values.astype(complex))
-    rho = wigner.density_from_wigner(grid, fset)
-    back = wigner.wigner_from_density(rho, fset)
+    rho = wigner.density_from_wigner(grid)
+    back = wigner.wigner_from_density(rho)
     assert_allclose(back.values, grid.values, atol=1e-12)
 
 
 def test_uniform_grid_inverts_to_maximally_mixed():
     n = 5
-    fset = DisplacedParitySet(n)
     grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
-    assert_allclose(wigner.density_from_wigner(grid, fset), np.eye(n) / n, atol=1e-12)
+    assert_allclose(wigner.density_from_wigner(grid), np.eye(n) / n, atol=1e-12)
 
 
 def test_inverse_rejects_non_orthogonal_operator_sets():
     """The closed form at even N: its dense site Gram misses (1/N) I by 1/N."""
     for n in (2, 4, 6):
-        bad = DisplacedParitySet(n)
-        assert site_gram_residuals(expand_operators(bad)).max() == pytest.approx(1 / n)
+        assert site_gram_residuals(expand_operators(n)).max() == pytest.approx(1 / n)
         grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
         with pytest.raises(ValueError, match="not trace-orthogonal"):
-            wigner.density_from_wigner(grid, bad)
+            wigner.density_from_wigner(grid)
 
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_structural_orthogonality_guard_matches_the_dense_site_gram(n):
-    f = DisplacedParitySet(n)
-    assert vars(f) == {"n": n}  # no operator array is stored
-    gram = site_gram_residuals(expand_operators(f)).max()
-    assert f.is_orthogonal() == (gram < 1e-8)
+    """The inverse refuses exactly the N whose expanded operators fail the dense site Gram."""
+    gram = site_gram_residuals(expand_operators(n)).max()
     assert gram < 1e-15 if n % 2 else gram == pytest.approx(1 / n)
+    grid = wigner.WignerGrid(n, np.full((n, n), 1 / n**2, dtype=complex))
+    if gram < 1e-8:
+        assert_allclose(wigner.density_from_wigner(grid), np.eye(n) / n, atol=1e-12)
+    else:
+        with pytest.raises(ValueError, match="not trace-orthogonal"):
+            wigner.density_from_wigner(grid)
 
 
 @pytest.mark.parametrize("n", range(1, 32, 2))
 def test_closed_form_expands_to_the_assembled_solution(n):
-    closed = expand_operators(DisplacedParitySet(n)).operators
+    closed = expand_operators(n).operators
     assembled = fano.assemble(fano.coefficients_odd(n))
     assert np.abs(closed - assembled).max() < 1e-15
 
@@ -198,22 +184,20 @@ def test_closed_form_expands_to_the_assembled_solution(n):
 def test_fft_transforms_match_the_einsum_oracles(n):
     """Forward on a density matrix and on a non-hermitian matrix, inverse on a
     random complex grid; entries are O(1/N), so 1e-14 is ~100 ulp."""
-    f = DisplacedParitySet(n)
-    ops = expand_operators(f)
+    ops = expand_operators(n)
     rng = np.random.default_rng(500 + n)
     for rho in (random_density_matrix(n, rng), (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n):
-        assert_allclose(wigner.wigner_from_density(rho, f).values, wigner_einsum(rho, ops), rtol=0, atol=1e-14)
+        assert_allclose(wigner.wigner_from_density(rho).values, wigner_einsum(rho, ops), rtol=0, atol=1e-14)
     values = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n**2
-    got = wigner.density_from_wigner(wigner.WignerGrid(n, values), f)
+    got = wigner.density_from_wigner(wigner.WignerGrid(n, values))
     assert_allclose(got, density_einsum(values, ops), rtol=0, atol=1e-14)
 
 
 def test_axis_marginals_match_basis_expectations():
     n = 5
-    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(4)
     rho = random_density_matrix(n, rng)
-    grid = wigner.wigner_from_density(rho, fset)
+    grid = wigner.wigner_from_density(rho)
 
     momentum = wigner.marginal_along_line(grid, IDENTITY)  # lines p = p0
     for p0 in range(n):
@@ -228,8 +212,7 @@ def test_axis_marginals_match_basis_expectations():
 
 def test_uniform_state_has_uniform_marginal_in_every_direction():
     n = 5
-    fset = DisplacedParitySet(n)
-    grid = wigner.wigner_from_density(maximally_mixed(n), fset)
+    grid = wigner.wigner_from_density(maximally_mixed(n))
     for kappa, lam in [(1, 0), (0, 1), (1, 1), (1, 4), (2, 3)]:
         marg = wigner.marginal_along_line(grid, sl2_complete(kappa, lam))
         assert_allclose(marg.weights, np.full(n, 1 / n), atol=1e-12)
@@ -237,10 +220,9 @@ def test_uniform_state_has_uniform_marginal_in_every_direction():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_tilted_marginals_are_probabilities_and_match_projectors(n):
-    fset = DisplacedParitySet(n)
     rng = np.random.default_rng(30 + n)
     rho = random_density_matrix(n, rng)
-    grid = wigner.wigner_from_density(rho, fset)
+    grid = wigner.wigner_from_density(rho)
     directions = [(1, lam) for lam in range(n)] + [(0, 1), (2, 1), (3, 1)]
     for kappa, lam in directions:
         if np.gcd(kappa, lam) != 1:
@@ -249,7 +231,7 @@ def test_tilted_marginals_are_probabilities_and_match_projectors(n):
         marg = wigner.marginal_along_line(grid, g)
         assert marg.weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert marg.weights.min() > -1e-10
-        for p0, m in enumerate(wigner.line_sum_operators(fset, g)):
+        for p0, m in enumerate(wigner.line_sum_operators(n, g)):
             assert marg.weights[p0] == pytest.approx((m @ rho).trace().real, abs=1e-10)
 
 
@@ -257,7 +239,7 @@ def test_tilted_marginals_are_probabilities_and_match_projectors(n):
 def test_marginal_gather_matches_the_per_line_loop_bit_for_bit(n):
     rng = np.random.default_rng(200 + n)
     grids = [
-        wigner.wigner_from_density(random_density_matrix(n, rng), DisplacedParitySet(n)),
+        wigner.wigner_from_density(random_density_matrix(n, rng)),
         wigner.WignerGrid(n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
         wigner.WignerGrid(n, np.full((n, n), complex(-0.0, -0.0))),
     ]
@@ -268,41 +250,15 @@ def test_marginal_gather_matches_the_per_line_loop_bit_for_bit(n):
             assert_bitwise_equal(got.weights, marginal_oracle(grid, g))
 
 
-@dataclass(frozen=True)
-class RandomPhasedPermutations:
-    """A stand-in operator set: one random complex value per row of each
-    D(q,p), at a random column. It has the one method `line_sum_operators`
-    reads, so supports that collide on a line and arbitrary values reach it."""
-
-    n: int
-    cols: np.ndarray  # [q, p, i]
-    values: np.ndarray  # [q, p, i]
-
-    @classmethod
-    def draw(cls, n, rng):
-        shape = (n, n, n)
-        return cls(n, rng.integers(0, n, shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    def nonzeros(self, q, p):
-        return self.cols[q, p], self.values[q, p]
-
-    def dense(self):
-        q, p, i = np.indices(self.cols.shape)
-        ops = np.zeros((self.n,) * 4, dtype=complex)
-        ops[q, p, i, self.cols] = self.values
-        return FanoOperatorSet(self.n, ops)
-
-
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
-    rng = np.random.default_rng(300 + n)
-    fake = RandomPhasedPermutations.draw(n, rng)
-    for fset, ops in [(DisplacedParitySet(n), expand_operators(DisplacedParitySet(n))), (fake, fake.dense())]:
-        for g in oracle_directions(n):
-            got = wigner.line_sum_operators(fset, g)
-            assert got.shape == (n, n, n)
-            for p0 in range(n):
-                assert_bitwise_equal(got[p0], line_sum_oracle(ops, g, p0))
+    """The oracle directions include (0, 1), whose lines' sites all share one support."""
+    ops = expand_operators(n)
+    for g in oracle_directions(n):
+        got = wigner.line_sum_operators(n, g)
+        assert got.shape == (n, n, n)
+        for p0 in range(n):
+            assert_bitwise_equal(got[p0], line_sum_oracle(ops, g, p0))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9, 11])
@@ -311,12 +267,11 @@ def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
     label on its own, on the solution set (passing) and on random line-sum
     stacks (failing)."""
     rng = np.random.default_rng(400 + n)
-    fset = DisplacedParitySet(n)
-    ops = expand_operators(fset)
+    ops = expand_operators(n)
     for g in oracle_directions(n):
         stack = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))  # fails
         reports = [
-            (wigner.line_projector_check(fset, g), [line_sum_oracle(ops, g, p0) for p0 in range(n)]),
+            (wigner.line_projector_check(n, g), [line_sum_oracle(ops, g, p0) for p0 in range(n)]),
             (wigner._projector_report(stack, g, 1e-10), list(stack)),
         ]
         for rep, sums in reports:
@@ -329,9 +284,8 @@ def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
 
 def test_direction_totals_equal_grid_total():
     n = 3
-    fset = DisplacedParitySet(n)
     rho = random_density_matrix(n, np.random.default_rng(12))
-    grid = wigner.wigner_from_density(rho, fset)
+    grid = wigner.wigner_from_density(rho)
     for kappa, lam in [(1, 0), (0, 1), (1, 2)]:
         marg = wigner.marginal_along_line(grid, sl2_complete(kappa, lam))
         assert marg.weights.sum() == pytest.approx(grid.total().real, abs=1e-12)
@@ -339,35 +293,31 @@ def test_direction_totals_equal_grid_total():
 
 def test_line_projector_identity_for_axis_direction():
     n = 3
-    fset = DisplacedParitySet(n)
-    for p0, m in enumerate(wigner.line_sum_operators(fset, IDENTITY)):
+    for p0, m in enumerate(wigner.line_sum_operators(n, IDENTITY)):
         assert_allclose(m, momentum_state_density(p0, n), atol=1e-12)
-    rep = wigner.line_projector_check(fset, IDENTITY)
+    rep = wigner.line_projector_check(n, IDENTITY)
     assert rep.passed
 
 
 def test_line_projector_identity_for_diagonal_direction():
     n = 3
-    fset = DisplacedParitySet(n)
-    rep = wigner.line_projector_check(fset, SL2Element(1, 1, 0, 1))
+    rep = wigner.line_projector_check(n, SL2Element(1, 1, 0, 1))
     assert rep.passed
     assert rep.eigenvalue_multiplicity == 1
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_line_projector_identity_full_direction_sweep(n):
-    fset = DisplacedParitySet(n)
     directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
     for g in directions:
-        rep = wigner.line_projector_check(fset, g)
+        rep = wigner.line_projector_check(n, g)
         assert rep.passed, (g.as_tuple(), rep.max_violation)
         assert rep.max_violation < 1e-10
 
 
 def test_line_projector_nondegenerate_for_composite_odd_direction():
     """Dimension nine, direction (1,3): the eigenvalue is still simple."""
-    fset = DisplacedParitySet(9)
-    rep = wigner.line_projector_check(fset, sl2_complete(1, 3))
+    rep = wigner.line_projector_check(9, sl2_complete(1, 3))
     assert rep.eigenvalue_multiplicity == 1
     assert rep.passed
 
@@ -377,7 +327,7 @@ def test_line_projector_check_names_the_line_of_a_planted_defect():
     diagonal: every residual fails, and each witness starts with 2."""
     n = 5
     g = sl2_complete(2, 3)
-    stack = wigner.line_sum_operators(DisplacedParitySet(n), g)
+    stack = wigner.line_sum_operators(n, g)
     stack[2, 0, :2] += 1e-6  # as if one operator on line 2 were perturbed there
     rep = wigner._projector_report(stack, g, 1e-10)
     assert not rep.passed
@@ -391,7 +341,7 @@ def test_line_projector_check_names_the_line_of_a_planted_defect():
 def test_line_projector_rejects_even_dimensions():
     for n in (2, 4):
         with pytest.raises(ValueError):
-            wigner.line_projector_check(DisplacedParitySet(n), IDENTITY)
+            wigner.line_projector_check(n, IDENTITY)
 
 
 def test_grid_json_dict_tracks_imaginary_part():
