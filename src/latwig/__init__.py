@@ -22,25 +22,41 @@ the invariant label of the line through a site, the per-(s,t) route
 list, the incidence check, the dense einsum transforms, the split-parity
 table, the clock and shift matrices) live in ``tests/oracles.py``, not
 in the package.
+
+The names in ``__all__`` are re-exported lazily (PEP 562): ``latwig.X``
+imports the submodule that defines X on first access, so ``import
+latwig`` loads no numpy and ``latwig.cli`` can set its one-thread BLAS
+default before numpy starts.
 """
 
-from .fano import (
-    ConditionReport,
-    FanoCoefficients,
-    assemble,
-    check_covariance_group,
-    check_hermiticity,
-    check_marginals,
-    check_orthogonality,
-    coefficients_candidate,
-    coefficients_odd,
-    full_report,
-    uniqueness_audit,
-)
-from .lattice import SL2Element, gcd_decompose, sl2_complete, sl2_enumerate
-from .operators import momentum_vector
-from .tomography import mub_line_families, reconstruct_density, simulate_marginals
-from .wigner import WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
+import importlib
+
+# Each re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "ConditionReport": "fano",
+    "FanoCoefficients": "fano",
+    "assemble": "fano",
+    "check_covariance_group": "fano",
+    "check_hermiticity": "fano",
+    "check_marginals": "fano",
+    "check_orthogonality": "fano",
+    "coefficients_candidate": "fano",
+    "coefficients_odd": "fano",
+    "full_report": "fano",
+    "uniqueness_audit": "fano",
+    "SL2Element": "lattice",
+    "gcd_decompose": "lattice",
+    "sl2_complete": "lattice",
+    "sl2_enumerate": "lattice",
+    "momentum_vector": "operators",
+    "mub_line_families": "tomography",
+    "reconstruct_density": "tomography",
+    "simulate_marginals": "tomography",
+    "WignerGrid": "wigner",
+    "density_from_wigner": "wigner",
+    "marginal_along_line": "wigner",
+    "wigner_from_density": "wigner",
+}
 
 __version__ = "0.1.0"
 
@@ -69,3 +85,14 @@ __all__ = [
     "uniqueness_audit",
     "wigner_from_density",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,6 +16,25 @@ import math
 import os
 import sys
 
+# Thread-count variables of the BLAS libraries numpy may be built on. A
+# pthreads OpenBLAS starts its worker threads when numpy loads, about 70 ms
+# of a run on a 2-CPU machine, more than most runs' products gain from
+# them. With one thread a product's bits do not depend on how many CPUs
+# the machine has; with one per CPU they do, from N = 201 on. A value the
+# caller exported wins. The defaults are set only before numpy loads:
+# afterwards they would change nothing in this process and only reach its
+# children.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+if "numpy" not in sys.modules:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import fano, serialize, tomography, wigner

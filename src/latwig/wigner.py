@@ -36,6 +36,10 @@ class WignerGrid:
     n: int
     values: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.values) != (self.n, self.n):
+            raise ValueError(f"WignerGrid values must have shape {(self.n, self.n)}, got {np.shape(self.values)}")
+
     def total(self):
         return complex(self.values.sum())
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -121,6 +123,13 @@ def test_dimension_mismatch_rejected():
     for rho in (np.eye(3, 4), np.ones(3), np.ones((3, 3, 3)), np.ones((0, 0))):
         with pytest.raises(ValueError):
             wigner.wigner_from_density(rho)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 5)])
+def test_grid_values_must_be_n_by_n(shape):
+    """Values that would broadcast into the N x N scatter are refused, not inverted."""
+    with pytest.raises(ValueError, match=rf"\(3, 3\).*{re.escape(str(shape))}"):
+        wigner.WignerGrid(3, np.ones(shape) / 9)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
