@@ -4,13 +4,18 @@ Library layout:
 
 - ``lattice``: exact modular arithmetic, SL(2, Z_M) as residue arrays and
   the route audit's lift classes, lines as index arrays
-- ``operators``: clock/shift pair, momentum basis, exact phase arithmetic
+- ``operators``: clock/shift pair, momentum basis, exact phase arithmetic,
+  and ``CheckResult``/``_result``, the outcome of an audit, which both
+  ``fano`` and ``wigner`` return (``fano`` re-exports them)
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
   table, the dense tensor), condition audits
 - ``wigner``: density matrix <-> grid transforms and tilted-line marginals
   on the odd-N closed-form operators
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
-- ``cli``: the ``latwig`` command
+- ``cli``: the ``latwig`` command, which imports only the layers its
+  subcommand runs
+- ``_record``: the ``record`` decorator that gives the package's record
+  classes their constructor, equality, repr and hash without generated code
 
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on

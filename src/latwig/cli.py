@@ -7,8 +7,15 @@ contradicts the expected parity dichotomy, 2 usage error (bad arguments,
 an --n above the subcommand's limit (FANO_MAX_N, WIGNER_MAX_N,
 MARGINAL_MAX_N, TOMO_MAX_N; `check` has its --audit-bound), an --out that
 is a directory or lies in one that does not exist, or a CSV companion that
-is a directory; rejected before any work is done), 3 internal error (an
-invariant of the package failed; a bug, not a mistake in the invocation).
+is a directory; rejected before any work is done; or an artifact that
+cannot be written, reported as ``error: cannot write PATH: REASON``), 3
+internal error (an invariant of the package failed; a bug, not a mistake
+in the invocation).
+
+A run imports only the layers its subcommand executes: ``fano`` and
+``check`` load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
+:mod:`~latwig.wigner`, ``tomo`` loads :mod:`~latwig.tomography` and
+``wigner``, and each loads :mod:`~latwig.serialize` to write its artifact.
 """
 
 import argparse
@@ -37,10 +44,10 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from . import fano, serialize, tomography, wigner
 from .lattice import lift_classes, sl2_complete
 from .operators import (
     DEFAULT_TOL,
+    STATE_STREAM_KEY,
     basis_state_density,
     maximally_mixed,
     momentum_state_density,
@@ -91,7 +98,7 @@ def parse_state(spec, n, seed):
     if spec == "random":
         if seed < 0:
             raise CliError(f"--seed must be non-negative, got {seed}")
-        return random_density_matrix(n, np.random.default_rng([int(seed), tomography.STATE_STREAM_KEY]))
+        return random_density_matrix(n, np.random.default_rng([int(seed), STATE_STREAM_KEY]))
     if spec.startswith("basis:"):
         return basis_state_density(_state_index(spec, n), n)
     if spec.startswith("momentum:"):
@@ -131,6 +138,8 @@ def cmd_fano(args):
     the N^4 complex tensor that ``assemble`` builds one N^3 slab at a time
     (:class:`serialize.OperatorRecords`), with no record array.
     """
+    from . import serialize
+
     n = args.n
     _require_at_most(n, FANO_MAX_N, "whose N^4 operator tensor `fano` builds and writes")
     serialize.write_json(args.out, _fano_document(n))
@@ -141,6 +150,8 @@ def cmd_fano(args):
 
 def _fano_document(n):
     """The ``fano`` artifact's document: the candidate table and its operators."""
+    from . import fano, serialize
+
     coeffs = fano.coefficients_candidate(n)
     return {
         "n": n,
@@ -165,6 +176,8 @@ def cmd_check(args):
     CONTRADICTS and exits 1; at a tolerance equal to one of them the
     verdict depends on round-off.
     """
+    from . import fano, serialize
+
     n = args.n
     if args.audit_bound < 1:
         raise CliError(f"--audit-bound must be a positive integer, got {args.audit_bound}")
@@ -198,6 +211,8 @@ def cmd_check(args):
 
 
 def cmd_wigner(args):
+    from . import serialize, wigner
+
     n = args.n
     _require_odd(n)
     _require_at_most(n, WIGNER_MAX_N, "whose N x N grid `wigner` builds and writes")
@@ -236,6 +251,8 @@ def _companions(args):
 
 
 def cmd_marginal(args):
+    from . import serialize, wigner
+
     n = args.n
     _require_odd(n)
     _require_at_most(n, MARGINAL_MAX_N, "whose N^3 stack of line sums `marginal` builds for its projector check")
@@ -261,6 +278,8 @@ def cmd_marginal(args):
 
 
 def cmd_tomo(args):
+    from . import serialize, tomography
+
     n = args.n
     # Before the primality test, whose trial division grows as sqrt(N).
     _require_at_most(n, TOMO_MAX_N, "whose N + 1 line families `tomo` simulates and inverts")
@@ -358,6 +377,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except OSError as exc:
+        # Raised by serialize, naming the artifact; its temp file is gone.
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -35,10 +35,9 @@ for odd N, eight for even N) and sorts the 2(N - 1) routes of each class:
 it is exhaustive over every integer lift.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .lattice import (
     GENERATORS,
     SL2Element,
@@ -49,14 +48,16 @@ from .lattice import (
 )
 from .operators import (
     DEFAULT_TOL,
+    CheckResult,
     _half_omega_table,
     _omega_table,
+    _result,
 )
 
 PHASE_CONVENTION = "exp(2*pi*i*x/N)"
 
 
-@dataclass(frozen=True)
+@record
 class FanoCoefficients:
     """Coefficient table a~(s,t;n,m) on canonical residues [0,N)^4, held as its support.
 
@@ -73,25 +74,7 @@ class FanoCoefficients:
                              f"({self.n}, {self.n}), got {self.values.shape}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one audited condition; max violation kept even on pass.
-
-    The witness is the failing index, followed by the entries of the lift
-    or lifts it failed under where the check runs over group elements.
-    """
-
-    name: str
-    passed: bool
-    max_violation: float
-    witness: tuple | None = None
-
-    def to_json_dict(self):
-        witness = None if self.witness is None else [int(x) for x in self.witness]
-        return {"pass": self.passed, "max_violation": float(self.max_violation), "witness": witness}
-
-
-@dataclass
+@record(frozen=False)
 class ConditionReport:
     """Named check results for one dimension, with the verdict left to callers."""
 
@@ -113,22 +96,6 @@ class ConditionReport:
             "phase_convention": PHASE_CONVENTION,
             "checks": {name: c.to_json_dict() for name, c in self.checks.items()},
         }
-
-
-def _result(name, residuals, tol, witness_at=lambda *i: i):
-    """Build a CheckResult from a residual-magnitude array.
-
-    The witness is the lexicographically first index whose violation
-    exceeds tolerance, so parallel audit workers merging reports in index
-    order agree on it. ``witness_at`` maps it to the index of the dense
-    array that ``residuals`` stands for, which a scan of that array would
-    name first.
-    """
-    res = np.asarray(residuals)
-    max_violation = float(res.max()) if res.size else 0.0
-    if max_violation <= tol:
-        return CheckResult(name, True, max_violation)
-    return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.argwhere(res > tol)[0])))
 
 
 def _on_support(s, t):
@@ -387,7 +354,7 @@ def check_covariance_group(c, tol=DEFAULT_TOL):
 # Line-by-line derivation and the uniqueness audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DerivedValue:
     """Value forced at the support point (n,m) = (t,s) by one derivation route."""
 

@@ -13,10 +13,11 @@ SL(2, Z_M).
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+
+from ._record import record
 
 
 def check_dim(n):
@@ -41,7 +42,7 @@ def egcd(a, b):
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
+@record
 class GcdDecomposition:
     """s = xi*sigma, t = xi*tau with gcd(sigma, tau) = 1 and xi = gcd(s, t)."""
 
@@ -61,7 +62,7 @@ def gcd_decompose(s, t, n):
     return GcdDecomposition(xi=xi, sigma=s // xi, tau=t // xi)
 
 
-@dataclass(frozen=True)
+@record
 class SL2Element:
     """Integer lift of an SL(2, Z_N) element, with exact determinant 1.
 

@@ -1,18 +1,57 @@
-"""Clock/shift monomials, the discrete momentum basis, and exact phase arithmetic.
+"""Clock/shift monomials, the discrete momentum basis, exact phase arithmetic, check results.
 
 All phases are unit-modulus numbers omega^x with omega = exp(2*pi*i/N).
 Exponents are kept as exact integers or half-integers and reduced mod N
 (mod 2N in doubled units) before a single complex exponential is taken;
 phases are never accumulated by repeated floating multiplication.
+
+:class:`CheckResult` and :func:`_result` are the outcome of an audit,
+shared by the table audits of :mod:`latwig.fano` and the line checks of
+:mod:`latwig.wigner`, so that neither module imports the other.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import record
 from .lattice import check_dim
 
 DEFAULT_TOL = 1e-10
+
+
+@record
+class CheckResult:
+    """Outcome of one audited condition; max violation kept even on pass.
+
+    The witness is the failing index, followed by the entries of the lift
+    or lifts it failed under where the check runs over group elements.
+    """
+
+    name: str
+    passed: bool
+    max_violation: float
+    witness: tuple | None = None
+
+    def to_json_dict(self):
+        witness = None if self.witness is None else [int(x) for x in self.witness]
+        return {"pass": self.passed, "max_violation": float(self.max_violation), "witness": witness}
+
+
+def _result(name, residuals, tol, witness_at=lambda *i: i):
+    """Build a CheckResult from a residual-magnitude array.
+
+    The witness is the lexicographically first index whose violation
+    exceeds tolerance, so parallel audit workers merging reports in index
+    order agree on it. ``witness_at`` maps it to the index of the dense
+    array that ``residuals`` stands for, which a scan of that array would
+    name first.
+    """
+    res = np.asarray(residuals)
+    max_violation = float(res.max()) if res.size else 0.0
+    if max_violation <= tol:
+        return CheckResult(name, True, max_violation)
+    return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.argwhere(res > tol)[0])))
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +148,11 @@ def maximally_mixed(n):
     """I/N."""
     check_dim(n)
     return np.eye(n, dtype=complex) / n
+
+
+# Substream tag of the generator the command line draws a random state
+# from, rng([seed, STATE_STREAM_KEY]); clear of the tomography family indices.
+STATE_STREAM_KEY = 0x5747
 
 
 def random_density_matrix(n, rng):

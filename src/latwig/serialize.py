@@ -57,9 +57,10 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import record
 
 # The umask can only be read by setting it, and it is process-wide; read it
 # once at import, before any writer thread exists, rather than per write.
@@ -68,6 +69,11 @@ os.umask(_UMASK)
 
 # Characters encoded and written at a time by the writers.
 WRITE_CHUNK = 1 << 20
+
+# Bytes of the target's name kept in a temp file's name: NAME_MAX (255 on
+# Linux and macOS) less the ".", "." and ".tmp" around it and mkstemp's 8
+# random characters.
+_TEMP_NAME_ROOM = 255 - 2 - 8 - 4
 
 # Text pieces joined into one block of an array's text.
 BLOCK = 1 << 16
@@ -226,7 +232,7 @@ def _row_chunks(row, slots, count, step, texts):
     yield "]"
 
 
-@dataclass(frozen=True)
+@record
 class OperatorRecords:
     """The N^2 records ``{"q","p","re","im"}`` of N^2 complex N x N matrices.
 
@@ -258,7 +264,7 @@ def _operator_chunks(records, cache):
     yield from _row_chunks(row, slots, n * n, max(1, OPERATOR_BLOCK // len(row)), texts)
 
 
-@dataclass(frozen=True)
+@record
 class SupportRecords:
     """The N^4 records ``{"s","t","n","m","re","im"}`` of a table over [0, N)^4.
 
@@ -396,17 +402,33 @@ def _write(path, chunks):
     Each text is encoded to UTF-8 WRITE_CHUNK characters at a time, so the
     write holds one chunk's bytes, not a second copy of the whole artifact.
     A slice never splits a code point, so the bytes are the whole text's.
+    An OSError (a name too long, a full disk, a directory that cannot be
+    written) is raised again with ``filename`` set to path, after the temp
+    file is removed.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
-        with open(fd, "wb") as fh:
-            # mkstemp creates mode 0600; give the artifact the mode open() would.
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            for text in chunks:
-                for start in range(0, len(text), WRITE_CHUNK):
-                    fh.write(text[start:start + WRITE_CHUNK].encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=_temp_prefix(name), suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "wb") as fh:
+                # mkstemp creates mode 0600; give the artifact the mode open() would.
+                os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+                for text in chunks:
+                    for start in range(0, len(text), WRITE_CHUNK):
+                        fh.write(text[start:start + WRITE_CHUNK].encode("utf-8"))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
+
+
+def _temp_prefix(name):
+    """``.{name}.``, with name cut to at most ``_TEMP_NAME_ROOM`` bytes.
+
+    mkstemp appends 8 random characters and the suffix ``.tmp`` to the
+    prefix, so the temp file's name fits in NAME_MAX bytes whenever a
+    target's name does; it stays unique and in the target's directory.
+    """
+    return f".{os.fsdecode(os.fsencode(name)[:_TEMP_NAME_ROOM])}."

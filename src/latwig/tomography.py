@@ -8,15 +8,12 @@ The grids are those of the closed-form operators of :mod:`latwig.wigner`,
 and N is read from the state or the dataset.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .lattice import SL2Element, check_dim, line_sites
-from .operators import square_dim, validate_density_matrix
+from .operators import STATE_STREAM_KEY, square_dim, validate_density_matrix  # noqa: F401 (the key is re-exported)
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
-
-STATE_STREAM_KEY = 0x5747  # substream tag for state generation, clear of family indices
 
 
 def is_prime(n):
@@ -45,7 +42,7 @@ def mub_line_families(n):
     return families
 
 
-@dataclass(frozen=True)
+@record
 class MarginalDataset:
     """Measured (or exact) marginals of every direction family."""
 
@@ -63,7 +60,7 @@ class MarginalDataset:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ReconstructionResult:
     wigner: WignerGrid
     rho: np.ndarray

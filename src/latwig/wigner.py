@@ -20,16 +20,14 @@ remain representable so that violations can be reported instead of
 silently truncated.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fano import CheckResult, _result
+from ._record import record
 from .lattice import SL2Element, check_dim, line_sites
-from .operators import DEFAULT_TOL, _omega_table, monomial, omega_int, square_dim
+from .operators import DEFAULT_TOL, CheckResult, _omega_table, _result, monomial, omega_int, square_dim
 
 
-@dataclass(frozen=True)
+@record
 class WignerGrid:
     """Quasi-probability values on the N x N lattice, indexed [q, p]."""
 
@@ -51,7 +49,7 @@ class WignerGrid:
         return {"n": self.n, "re": self.values.real, "im": im}
 
 
-@dataclass(frozen=True)
+@record
 class MarginalDistribution:
     """Line-sum weights of one direction, indexed by the line label p0."""
 
@@ -159,7 +157,7 @@ def direction_unitary(g, n):
     return scale * monomial(g.kappa % n, g.lam % n, n)
 
 
-@dataclass(frozen=True)
+@record
 class LineProjectorReport:
     """Spectral verification that a direction's N line sums are its rank-1 projectors.
 

@@ -439,3 +439,23 @@ def test_internal_value_error_exits_three(tmp_path, monkeypatch, capsys):
     assert main(["check", "--n", "3", "--out", str(tmp_path / "c.json")]) == 3
     assert "internal error: no second lift found" in capsys.readouterr().err
 
+
+
+def test_an_out_name_of_250_characters_is_written(tmp_path, capsys):
+    """The temp file's name is bounded: mkstemp's 8 characters and `.tmp`
+    around a 250-byte name would pass NAME_MAX (255) if it were not."""
+    name = "b" * 245 + ".json"
+    assert main(["check", "--n", "3", "--out", str(tmp_path / name)]) == 0
+    assert os.listdir(tmp_path) == [name]
+    assert json.loads((tmp_path / name).read_text())["n"] == 3
+    capsys.readouterr()
+
+
+def test_an_artifact_that_cannot_be_written_exits_two_and_leaves_no_temp_file(tmp_path, capsys):
+    """A 300-character name passes NAME_MAX even for root; exit 1 would read as a verdict."""
+    out = tmp_path / ("c" * 295 + ".json")
+    assert main(["check", "--n", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []

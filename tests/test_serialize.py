@@ -559,6 +559,15 @@ def test_write_atomic_failed_replace_leaves_target_and_no_temp(tmp_path, monkeyp
     assert os.listdir(tmp_path) == ["out.json"]
 
 
+def test_write_atomic_bounds_the_temp_name_in_bytes(tmp_path):
+    """A 252-byte name of 2-byte characters: the temp name is cut by bytes,
+    not characters, so it fits in NAME_MAX (255) like the target."""
+    name = "\u00e9" * 125 + ".j"
+    serialize.write_atomic(str(tmp_path / name), "new\n")
+    assert os.listdir(tmp_path) == [name]
+    assert (tmp_path / name).read_text() == "new\n"
+
+
 def test_write_json_failing_mid_document_leaves_target_and_no_temp(tmp_path):
     target = tmp_path / "out.json"
     target.write_text("old\n")

@@ -1,9 +1,12 @@
-"""Start-up: the lazy package and the CLI's one-thread BLAS default.
+"""Start-up: the lazy package, the CLI's one-thread BLAS default, the
+modules each subcommand loads, and the record classes that replace
+dataclasses.
 
 Each check of what an import does runs in a fresh interpreter, since this
 one has numpy and the package loaded already.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import latwig
-from latwig import cli
+from latwig import cli, fano, lattice, operators, serialize, tomography, wigner
+from latwig._record import FrozenInstanceError, record
 
 SRC = Path(latwig.__file__).resolve().parents[1]
 
@@ -102,3 +106,156 @@ def test_artifact_does_not_depend_on_the_default_thread_count(tmp_path):
                        capture_output=True, timeout=120, check=True)
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+
+
+# The latwig modules every subcommand loads: the package, the record
+# helper, lattice and operators (imported at the top of cli) and the writer.
+# `python -m latwig.cli` runs cli as __main__, so latwig.cli is not among them.
+COMMON_MODULES = {"latwig", "latwig._record", "latwig.lattice", "latwig.operators", "latwig.serialize"}
+
+SUBCOMMAND_MODULES = [
+    (["fano", "--n", "3"], {"latwig.fano"}),
+    (["check", "--n", "3"], {"latwig.fano"}),
+    (["wigner", "--n", "5"], {"latwig.wigner"}),
+    (["marginal", "--n", "5", "--kappa", "1", "--lambda", "2"], {"latwig.wigner"}),
+    (["tomo", "--n", "5"], {"latwig.wigner", "latwig.tomography"}),
+]
+
+RUN_CLI = """
+import json, runpy, sys
+sys.argv = ["latwig", *sys.argv[1:]]
+try:
+    runpy.run_module("latwig.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "latwig")}))
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_dataclasses():
+    """Whether a bare `import numpy` loads dataclasses (numpy 1.24 may)."""
+    return run_python("import sys, numpy; print('dataclasses' in sys.modules)").split() == ["True"]
+
+
+@pytest.mark.parametrize("argv, layers", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_its_layers(tmp_path, numpy_loads_dataclasses, argv, layers):
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--out", str(tmp_path / "a.json")],
+                          env=child_env(), capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert set(report["modules"]) == COMMON_MODULES | layers
+    assert report["dataclasses"] == numpy_loads_dataclasses
+
+
+def test_wigner_does_not_import_fano():
+    run_python("import sys, latwig.wigner; assert 'latwig.fano' not in sys.modules, sorted(sys.modules)")
+
+
+def test_moved_names_stay_importable_from_their_old_modules():
+    assert fano.CheckResult is wigner.CheckResult is operators.CheckResult
+    assert fano._result is wigner._result is operators._result
+    assert tomography.STATE_STREAM_KEY is operators.STATE_STREAM_KEY
+
+
+PACKAGE_RECORDS = [
+    lattice.GcdDecomposition, lattice.SL2Element,
+    fano.FanoCoefficients, fano.CheckResult, fano.ConditionReport, fano.DerivedValue,
+    serialize.OperatorRecords, serialize.SupportRecords,
+    wigner.WignerGrid, wigner.MarginalDistribution, wigner.LineProjectorReport,
+    tomography.MarginalDataset, tomography.ReconstructionResult,
+]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_RECORDS, ids=lambda cls: cls.__name__)
+def test_package_records_are_frozen_and_hashable_except_the_condition_report(cls):
+    assert not hasattr(cls, "__dataclass_fields__")
+    if cls is fano.ConditionReport:
+        assert cls.__hash__ is None
+        assert cls.__setattr__ is object.__setattr__
+    else:
+        assert cls.__hash__ is not object.__hash__
+        assert cls.__setattr__ is not object.__setattr__
+
+
+def test_package_records_keep_their_validation_and_defaults():
+    with pytest.raises(ValueError, match="determinant must be exactly 1"):
+        lattice.SL2Element(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="must have shape"):
+        wigner.WignerGrid(3, operators.maximally_mixed(2))
+    with pytest.raises(ValueError, match="must have shape"):
+        fano.FanoCoefficients(2, operators.maximally_mixed(3))
+    assert fano.CheckResult("c", True, 0.0) == fano.CheckResult(name="c", passed=True, max_violation=0.0, witness=None)
+    g = lattice.SL2Element(1, 2, 0, 1)
+    assert repr(g) == "SL2Element(kappa=1, lam=2, mu=0, nu=1)"
+    with pytest.raises(FrozenInstanceError):
+        g.kappa = 3
+
+
+@record
+class Point:
+    x: int
+    y: int = 0
+
+    def __post_init__(self):
+        if self.x < 0:
+            raise ValueError("x must be non-negative")
+
+
+@record(frozen=False)
+class Box:
+    items: list
+
+
+def test_record_constructor_takes_positions_keywords_and_defaults():
+    assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
+    assert Point(1) == Point(x=1) == Point(1, 0)
+    assert (Point(1).x, Point(1).y) == (1, 0)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "missing required argument 'x'"),
+    ((1, 2, 3), {}, "takes 2 arguments but 3 were given"),
+    ((1,), {"z": 2}, "unexpected keyword argument 'z'"),
+    ((1,), {"x": 2}, "multiple values for argument 'x'"),
+])
+def test_record_constructor_refuses_missing_or_extra_arguments(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Point(*args, **kwargs)
+
+
+def test_record_runs_post_init():
+    with pytest.raises(ValueError, match="non-negative"):
+        Point(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Point(x=-1, y=2)
+
+
+def test_frozen_record_refuses_assignment_and_deletion():
+    p = Point(1, 2)
+    for mutate in (lambda: setattr(p, "x", 3), lambda: setattr(p, "z", 3), lambda: delattr(p, "y")):
+        with pytest.raises(FrozenInstanceError) as exc:
+            mutate()
+        assert isinstance(exc.value, AttributeError)
+    assert p == Point(1, 2)
+
+
+def test_record_equality_hash_and_repr_are_field_wise():
+    assert Point(1, 2) != Point(2, 1)
+    assert Point(1, 2) != (1, 2)
+    assert Point(1, 2).__eq__((1, 2)) is NotImplemented
+    assert hash(Point(1, 2)) == hash(Point(1, 2)) == hash((1, 2))
+    assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
+    assert repr(Point(1, "a")) == "Point(x=1, y='a')"
+    assert Point.__init__.__qualname__ == "Point.__init__"
+
+
+def test_record_that_is_not_frozen_is_mutable_and_unhashable():
+    box = Box([1])
+    box.items = [2]
+    assert box == Box([2])
+    assert repr(box) == "Box(items=[2])"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(box)
