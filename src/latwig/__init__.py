@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``lattice``: exact modular arithmetic, SL(2, Z_M) as residue arrays and
-  the route audit's lift classes, lines as index arrays
+- ``lattice``: exact modular arithmetic, primitive rows mod M, SL(2, Z_M)
+  as residue arrays, lines as index arrays
 - ``operators``: clock/shift pair, momentum basis, exact phase arithmetic,
   and ``CheckResult``/``_result``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
@@ -21,7 +21,7 @@ The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
 the whole of it, the dense operator checks, the Fraction-valued
 covariance phase, the group action
-on tables, the order of SL(2, Z_N) and its determinant filter, integer
+on tables, the route scan of every lift class, the determinant filter, integer
 lifts found by search and their exact product, lines as tuples of sites,
 the invariant label of the line through a site, the per-(s,t) route
 list, the incidence check, the dense einsum transforms, the split-parity

@@ -7,10 +7,10 @@ contradicts the expected parity dichotomy, 2 usage error (bad arguments,
 an --n above the subcommand's limit (FANO_MAX_N, WIGNER_MAX_N,
 MARGINAL_MAX_N, TOMO_MAX_N; `check` has its --audit-bound), an --out that
 is a directory or lies in one that does not exist, or a CSV companion that
-is a directory; rejected before any work is done; or an artifact that
-cannot be written, reported as ``error: cannot write PATH: REASON``), 3
-internal error (an invariant of the package failed; a bug, not a mistake
-in the invocation).
+is a directory or whose name exceeds its directory's NAME_MAX; rejected
+before any work is done; or an artifact that cannot be written, reported
+as ``error: cannot write PATH: REASON``), 3 internal error (an invariant
+of the package failed; a bug, not a mistake in the invocation).
 
 A run imports only the layers its subcommand executes: ``fano`` and
 ``check`` load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
@@ -44,7 +44,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .lattice import lift_classes, sl2_complete
+from .lattice import sl2_complete, sl2_order
 from .operators import (
     DEFAULT_TOL,
     STATE_STREAM_KEY,
@@ -165,10 +165,11 @@ def _fano_document(n):
 def cmd_check(args):
     """Audit every condition family on the candidate table and write the report.
 
-    The route audit runs on :func:`lift_classes`, every class of integer
-    lifts of SL(2, Z_N) that a route value can tell apart. ``group_order``
-    counts their distinct residues mod N, |SL(2, Z_N)|, and
-    ``lifts_per_element`` the classes above each: 1 for odd N, 8 for even N.
+    The route audit runs one route per primitive row mod M, slice and r
+    (M = N for odd N, 2N for even N), which covers every integer lift of
+    SL(2, Z_N). ``group_order`` is |SL(2, Z_N)| by its closed form, and
+    ``lifts_per_element`` the classes of lifts mod M above each element
+    that a route value can tell apart: 1 for odd N, 8 for even N.
 
     An even N's structural residuals are 1/N for operator hermiticity and
     2/N^2 for covariance and the route spreads. A --tolerance above all of
@@ -184,18 +185,15 @@ def cmd_check(args):
     if n > args.audit_bound:
         raise CliError(f"--n {n} exceeds the audit bound {args.audit_bound}; "
                        "raise --audit-bound to audit larger N")
-    elements = lift_classes(n)
-    # |SL(2, Z_N)|: the distinct residues mod N of the classes, each coded as one integer.
-    group_order = len(set(((elements % n) @ n ** np.arange(3, -1, -1)).tolist()))
-    report = fano.full_report(n, tol=args.tolerance, elements=elements)
+    report = fano.full_report(n, tol=args.tolerance)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)
     doc = report.to_json_dict()
     doc["parity"] = "odd" if n % 2 else "even"
     doc["expected"] = "all_pass" if n % 2 else "infeasible"
     doc["matches_prediction"] = matches
-    doc["group_order"] = group_order
-    doc["lifts_per_element"] = len(elements) // group_order
+    doc["group_order"] = sl2_order(n)
+    doc["lifts_per_element"] = 1 if n % 2 else 8
     doc["infeasibility_witness"] = (
         None if witness is None else {"check": witness.name, **witness.to_json_dict()}
     )
@@ -248,6 +246,14 @@ def _companions(args):
         return []
     stem, ext = os.path.splitext(args.out)
     return [f"{stem}_{tag}{ext}" for tag in ("imag", "marginal_q", "marginal_p")]
+
+
+def _name_max(directory):
+    """The longest file name in bytes that ``directory`` takes: its NAME_MAX, or 255 where that is unknown."""
+    try:
+        return os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        return 255
 
 
 def cmd_marginal(args):
@@ -369,6 +375,8 @@ def main(argv=None):
     for path in _companions(args):
         if os.path.isdir(path):
             parser.exit(USAGE_ERROR, f"error: {path}, written next to --out, is a directory\n")
+        if len(os.fsencode(os.path.basename(path))) > _name_max(os.path.dirname(out)):
+            parser.exit(USAGE_ERROR, f"error: {path}, written next to --out, has too long a name\n")
     try:
         return args.func(args)
     except CliError as exc:

@@ -29,10 +29,9 @@ determinant 1 maps the support onto itself, so it is one residual per
 support point. For the candidate tables the float verdict is the exact one
 at any tolerance between their residuals: round-off below 1e-16 for odd N,
 where the table is covariant, and 2/N^2 for even N. A route value depends
-on a lift only mod 2N, so the route audit takes the array ``elements`` of
-every lift class from :func:`latwig.lattice.lift_classes` (one per element
-for odd N, eight for even N) and sorts the 2(N - 1) routes of each class:
-it is exhaustive over every integer lift.
+on a lift only mod M (M = N for odd N, 2N for even N), and only through
+the row it runs along, so the route audit, exhaustive over every integer
+lift, takes O(N^3) routes: one per primitive row mod M, slice and r.
 """
 
 import numpy as np
@@ -42,8 +41,9 @@ from .lattice import (
     GENERATORS,
     SL2Element,
     check_dim,
+    first_completions,
     gcd_decompose,
-    lift_classes,
+    primitive_rows,
     sl2_complete,
 )
 from .operators import (
@@ -397,44 +397,49 @@ def derived_table(n):
     return FanoCoefficients(n, values)
 
 
-def _route_consistency(n, elements, tol):
+def _route_consistency(n, tol):
     """Route-consistency check: all routes agree at every (s,t) != (0,0).
 
-    ``elements`` is an int64 array [lift, (kappa, lam, mu, nu)], such as
-    :func:`latwig.lattice.lift_classes`. A lift maps (s,t) onto the s-slice
-    (kappa*s - lam*t = 0 mod N) exactly at the nonzero multiples of
-    (lam, kappa), and onto the t-slice (nu*t - mu*s = 0) at those of
-    (nu, mu); a stable sort groups these routes by (s,t), lifts in order.
-    The witness is the first (s,t) in lexicographic order with a conflict,
-    then its first route's lift and the first lift that disagrees. Spreads
-    between the values of :func:`_route_value` are the hypot of the
-    differences of real and imaginary parts, each divided by N^2, which is
-    what its complex arithmetic and ``abs`` give, to the last bit; they are
-    tabulated once for every pair of exponents.
+    A lift (kappa, lam, mu, nu) maps (s,t) onto the s-slice at r(lam, kappa)
+    and onto the t-slice at r(nu, mu), r = 1..N-1. Another completion
+    (mu + j*kappa, nu + j*lam) moves an s-slice exponent by
+    j*(N*(lam^2*t + kappa^2*s) - (lam*t - kappa*s)^2) = 0 mod 2N; alike for
+    t-slice routes. So one route per primitive row mod M, slice and r,
+    through the row's lexicographically first lift, ordered by (point,
+    lift), gives the verdict, worst spread and witness of a scan of every
+    lift class in lexicographic order: the first (s,t) with a conflict, its
+    first route's lift and the first that disagrees. Routes stream over r
+    into the first lift code per point and exponent. Spreads, the hypot of
+    the real and imaginary differences of two values of :func:`_route_value`
+    (its complex ``abs`` to the last bit), are tabulated once per pair of
+    exponents. Routes of equal value never conflict: a negative ``tol``
+    acts as 0.
     """
-    k, l, m, v = elements.T[:, :, np.newaxis]
-    r = np.arange(1, n)
-    s = np.concatenate([l * r, v * r], axis=1) % n
-    t = np.concatenate([k * r, m * r], axis=1) % n
-    point = (s * n + t).ravel()
-    order = np.argsort(point, kind="stable")
-    point, two = point[order], _two_phi((k, l, m, v), t, s, n).ravel()[order]
-    starts = np.flatnonzero(np.diff(point, prepend=-1))
-    first = np.repeat(starts, np.diff(starts, append=point.size))
+    m = n if n % 2 else 2 * n
+    rows = primitive_rows(m)
+    lifts = np.concatenate([np.column_stack([rows, first_completions(rows, m)]),
+                            np.column_stack([first_completions(-rows % m, m), rows])]).T
+    codes = np.ravel_multi_index(tuple(lifts), (m,) * 4)
+    a, b = np.tile(rows.T, 2)  # both slices' routes through row (a, b) run along r(b, a)
+    unset = np.iinfo(np.int64).max
+    lead = np.full((n * n, 2 * n), unset)  # [point, exponent]: first route's lift code
+    for r in range(1, n):
+        s, t = r * b % n, r * a % n
+        np.minimum.at(lead, (s * n + t, _two_phi(lifts, t, s, n)), codes)
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
-    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])[two[first], two]
-    worst = float(spread.max()) if spread.size else 0.0
-    conflicts = np.flatnonzero((spread > tol) & (np.arange(point.size) != first))
+    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])[lead.argmin(axis=1)]
+    spread[lead == unset] = 0.0
+    conflicts = spread > max(tol, 0.0)
     witness = None
-    if conflicts.size:
-        i = conflicts[0]
-        lifts = elements[order[[first[i], i]] // (2 * n - 2)]
-        witness = divmod(int(point[i]), n) + tuple(int(x) for x in lifts.ravel())
-    return CheckResult("route_consistency", witness is None, worst, witness)
+    if conflicts.any():
+        point = int(conflicts.any(axis=1).argmax())
+        pair = lead[point].min(), lead[point][conflicts[point]].min()
+        witness = divmod(point, n) + tuple(int(x) for code in pair for x in np.unravel_index(code, (m,) * 4))
+    return CheckResult("route_consistency", witness is None, float(spread.max()), witness)
 
 
-def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):
+def uniqueness_audit(n, tol=DEFAULT_TOL):
     """Route-consistency audit plus the two-condition sufficiency check.
 
     For every nonzero (s,t), the forced value is derived through every
@@ -442,13 +447,9 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):
     its integer lifts; all routes must agree for the table to exist. The
     canonically derived table is then checked against the closed form and
     against hermiticity and orthogonality, which were never imposed on it.
-    ``elements`` is the array :func:`latwig.lattice.lift_classes` (n); by
-    default it is built here.
     """
     check_dim(n)
-    if elements is None:
-        elements = lift_classes(n)
-    route_check = _route_consistency(n, elements, tol)
+    route_check = _route_consistency(n, tol)
 
     derived = derived_table(n)
     match = np.abs(derived.values - coefficients_candidate(n).values)
@@ -471,15 +472,13 @@ def uniqueness_audit(n, tol=DEFAULT_TOL, elements=None):
 INFEASIBILITY_CHECKS = ("hermiticity", "coeff_hermiticity", "covariance", "route_consistency")
 
 
-def full_report(n, tol=DEFAULT_TOL, elements=None):
+def full_report(n, tol=DEFAULT_TOL):
     """Run every condition family on the dimension's candidate table.
 
     For odd N the candidate is the solution and everything is expected to
     pass; for even N at least one of hermiticity, covariance or route
     consistency is expected to fail. The report records outcomes only;
-    verdicts against that expectation belong to the caller. ``elements``
-    is the array :func:`latwig.lattice.lift_classes` (n) that the route
-    audit takes; by default it is built here.
+    verdicts against that expectation belong to the caller.
     """
     coeffs = coefficients_candidate(n)
     checks = {}
@@ -488,7 +487,7 @@ def full_report(n, tol=DEFAULT_TOL, elements=None):
     checks.update(check_hermiticity(coeffs, tol))
     checks.update(check_orthogonality(coeffs, tol))
     checks["covariance"] = check_covariance_group(coeffs, tol)
-    unique_checks, _ = uniqueness_audit(n, tol, elements=elements)
+    unique_checks, _ = uniqueness_audit(n, tol)
     checks.update(unique_checks)
     return ConditionReport(n=n, tolerance=tol, checks=checks)
 

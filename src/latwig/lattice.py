@@ -3,17 +3,16 @@
 Integer lifts, determinants and gcd decompositions use plain Python
 integers, so they are exact; reduction mod N happens only where a residue
 is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
-SL(2, Z_M) is an int64 array of residues, written down row by row from
-closed forms (:func:`sl2_enumerate`), with no search. The route audit runs
-on :func:`lift_classes`, every class of integer lifts that its values can
-tell apart; how large an N is worth auditing is the caller's decision
-(``latwig check --audit-bound``). The covariance audit needs only
-:data:`GENERATORS`: S and T generate SL(2, Z), which maps onto every
+The primitive rows mod M and the lexicographically first completion of
+each have closed forms (:func:`primitive_rows`, :func:`first_completions`);
+the route audit runs on them, and SL(2, Z_M) as an int64 array of residues
+(:func:`sl2_enumerate`) is written down from them, with no search. Its
+order is a closed form too (:func:`sl2_order`). The covariance audit needs
+only :data:`GENERATORS`: S and T generate SL(2, Z), which maps onto every
 SL(2, Z_M).
 """
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -112,44 +111,54 @@ def sl2_complete(kappa, lam):
     return SL2Element(kappa, lam, mu, nu)
 
 
+def sl2_order(n):
+    """|SL(2, Z_N)| = N^3 prod over the primes p | N of (1 - 1/p^2), in integers."""
+    check_dim(n)
+    order, rest = n**3, n
+    for p in range(2, n + 1):
+        if rest % p == 0:
+            order = order // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+    return order
+
+
+def primitive_rows(m):
+    """The rows (a, b) mod m with gcd(a, b, m) = 1, in lexicographic order, as an int64 array [row, (a, b)]."""
+    check_dim(m)
+    a, b = np.indices((m, m)).reshape(2, -1)
+    keep = np.gcd(np.gcd(a, b), m) == 1
+    return np.column_stack([a[keep], b[keep]])
+
+
+def first_completions(rows, m):
+    """For each primitive row (x, y) mod m, the lexicographically first (u, w) in [0, m)^2 with x*w - y*u = 1 mod m.
+
+    With g = gcd(x, m), y is a unit mod g and x/g one mod m/g. Reducing
+    x*w - y*u = 1 mod g forces u = -y^-1 mod g, and every such u has the
+    completions w = ((1 + y*u)/g) (x/g)^-1 mod m/g, so the first is u
+    reduced mod g and then w reduced mod m/g.
+    """
+    out = np.empty_like(rows)
+    for i, (x, y) in enumerate(rows.tolist()):
+        g = math.gcd(x, m)
+        u = -pow(y, -1, g) % g
+        out[i] = u, (1 + y * u) // g * pow(x // g, -1, m // g) % (m // g)
+    return out
+
+
 def sl2_enumerate(m):
     """Every element of SL(2, Z_m) as an int64 array [element, (kappa, lam, mu, nu)] of residues in [0, m).
 
     Rows are in lexicographic order, the order a determinant filter of all
-    m^4 residue tuples gives. For each primitive row (a, b), g = gcd(a, b)
-    is a unit mod m; Euclid on (a/g, b/g) gives one completion (c0, d0) with
-    a*d0 - b*c0 = 1 mod m, and the m completions are (c0 + j*a, d0 + j*b).
+    m^4 residue tuples gives. Each primitive row (a, b) has the m
+    completions (c0 + j*a, d0 + j*b), (c0, d0) its first completion.
     """
-    check_dim(m)
-    if m == 1:
-        return np.zeros((1, 4), dtype=np.int64)
-    rows = [(a, b) for a, b in product(range(m), repeat=2) if math.gcd(a, b, m) == 1]
-    first = np.empty((len(rows), 2), dtype=np.int64)
-    for i, (a, b) in enumerate(rows):
-        g = math.gcd(a, b)
-        _, x, y = egcd(a // g, b // g)  # (a/g)*x + (b/g)*y = 1
-        unit = pow(g, -1, m)
-        first[i] = (-y * unit) % m, (x * unit) % m
-    ab = np.array(rows, dtype=np.int64)
+    ab = primitive_rows(m)
+    first = first_completions(ab, m)
     c, d = ((first[:, [i]] + np.arange(m) * ab[:, [i]]) % m for i in (0, 1))
     cd = np.sort(c * m + d, axis=1).ravel()  # each row's completions in (c, d) order
     return np.column_stack([np.repeat(ab, m, axis=0), cd // m, cd % m])
-
-
-def lift_classes(n):
-    """The classes of integer lifts of SL(2, Z_N) that the route audit must tell apart.
-
-    A route value omega^(phi'(t,s)) depends on a lift only through
-    2*phi' mod 2N, a polynomial in its entries mod 2N. For odd N every term
-    of 2*phi' is even and 2*phi' mod N depends only on the residues mod N,
-    so by the CRT 2*phi' mod 2N depends only on the class mod N: one class
-    per element, :func:`sl2_enumerate` (N). For even N it is
-    :func:`sl2_enumerate` (2N), the 8 classes mod 2N above each element.
-    SL(2, Z) maps onto SL(2, Z_2N), so every integer lift with determinant 1
-    lies in one of these classes.
-    """
-    check_dim(n)
-    return sl2_enumerate(n if n % 2 else 2 * n)
 
 
 def line_sites(g, n):

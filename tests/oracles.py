@@ -7,10 +7,12 @@ run on the whole of it, the dense operator tensor and the operator-level
 checks on it (marginal sums, hermiticity scan and site Gram product), the
 joined text of a JSON document, the Fraction-valued covariance phase, the
 dense int64 exponent table and the group action on dense tables, the
-covariance scan over every lift class of SL(2, Z_2N), the per-(s,t) route
-list, the identity and the exact product of integer lifts, the order of
-SL(2, Z_N) and its determinant-filter enumeration, integer lifts with determinant exactly 1 found by search, the
-inverse coefficient transform, lattice lines as tuples of sites, the
+covariance scan over every lift class of SL(2, Z_2N), the lift classes
+and the route audit as a scan of every route of every class, the
+per-(s,t) route list, the identity and the exact product of integer
+lifts, the determinant-filter enumeration of SL(2, Z_N), integer lifts
+with determinant exactly 1 found by search, the inverse coefficient
+transform, lattice lines as tuples of sites, the
 invariant label of the line through a site, the brute-force incidence
 check of the line families, the dense N^4 expansion of the closed-form
 operator set with the einsum transforms on it, the split-parity solution
@@ -273,23 +275,6 @@ def land_completion_search(kappa, lam, mu_res, nu_res, n):
     )
 
 
-def sl2_order(n):
-    """Order of SL(2, Z_N): N^3 * prod over primes p | N of (1 - p^-2)."""
-    check_dim(n)
-    order = n ** 3
-    m, p = n, 2
-    seen = set()
-    while m > 1:
-        if m % p == 0:
-            if p not in seen:
-                seen.add(p)
-                order = order * (p * p - 1) // (p * p)
-            m //= p
-        else:
-            p += 1
-    return order
-
-
 def sl2_enumerate_filter(n):
     """SL(2, Z_N) by testing the determinant of all N^4 residue tuples, in order."""
     check_dim(n)
@@ -349,7 +334,7 @@ def derivation_routes(n, s, t, elements):
     """All (lift, forced value) pairs for (s,t), over ``elements`` in order.
 
     ``elements`` holds lifts (kappa, lam, mu, nu), such as the rows of
-    :func:`latwig.lattice.lift_classes`; the forced value of a route is
+    :func:`lift_classes`; the forced value of a route is
     (1/N^2) omega^(phi'(t,s)), one scalar at a time.
     """
     check_dim(n)
@@ -359,6 +344,58 @@ def derivation_routes(n, s, t, elements):
         for g in elements
         if route_kind(g, s, t, n) is not None
     ]
+
+
+def lift_classes(n):
+    """The classes of integer lifts of SL(2, Z_N) that a route value can tell apart.
+
+    A route value omega^(phi'(t,s)) depends on a lift only through
+    2*phi' mod 2N, a polynomial in its entries mod 2N. For odd N every term
+    of 2*phi' is even and 2*phi' mod N depends only on the residues mod N,
+    so by the CRT 2*phi' mod 2N depends only on the class mod N: one class
+    per element, :func:`latwig.lattice.sl2_enumerate` (N). For even N it is
+    :func:`latwig.lattice.sl2_enumerate` (2N), the 8 classes mod 2N above
+    each element. SL(2, Z) maps onto SL(2, Z_2N), so every integer lift with
+    determinant 1 lies in one of these classes.
+    """
+    check_dim(n)
+    return sl2_enumerate(n if n % 2 else 2 * n)
+
+
+def route_consistency_scan(n, elements, tol):
+    """The route audit as a scan of every route of every lift in ``elements``, in order.
+
+    ``elements`` is an int64 array [lift, (kappa, lam, mu, nu)], such as
+    :func:`lift_classes`. A lift maps (s,t) onto the s-slice
+    (kappa*s - lam*t = 0 mod N) exactly at the nonzero multiples of
+    (lam, kappa), and onto the t-slice (nu*t - mu*s = 0) at those of
+    (nu, mu); a stable sort groups these routes by (s,t), lifts in order.
+    The witness is the first (s,t) in lexicographic order with a conflict,
+    then its first route's lift and the first lift that disagrees. Spreads
+    are tabulated once for every pair of exponents, as in
+    ``fano._route_consistency``. Every route is held at once: 8 |SL(2, Z_N)|
+    2(N - 1) of them at even N.
+    """
+    k, l, m, v = elements.T[:, :, np.newaxis]
+    r = np.arange(1, n)
+    s = np.concatenate([l * r, v * r], axis=1) % n
+    t = np.concatenate([k * r, m * r], axis=1) % n
+    point = (s * n + t).ravel()
+    order = np.argsort(point, kind="stable")
+    point, two = point[order], _two_phi((k, l, m, v), t, s, n).ravel()[order]
+    starts = np.flatnonzero(np.diff(point, prepend=-1))
+    first = np.repeat(starts, np.diff(starts, append=point.size))
+    half = _half_omega_table(n)
+    re, im = half.real / n**2, half.imag / n**2
+    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])[two[first], two]
+    worst = float(spread.max()) if spread.size else 0.0
+    conflicts = np.flatnonzero((spread > tol) & (np.arange(point.size) != first))
+    witness = None
+    if conflicts.size:
+        i = conflicts[0]
+        lifts = elements[order[[first[i], i]] // (2 * n - 2)]
+        witness = divmod(int(point[i]), n) + tuple(int(x) for x in lifts.ravel())
+    return CheckResult("route_consistency", witness is None, worst, witness)
 
 
 def position_to_coefficients(a, n):

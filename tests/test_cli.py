@@ -7,7 +7,7 @@ import pytest
 from latwig import cli, fano, tomography, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
-from oracles import sl2_order
+from latwig.lattice import sl2_enumerate
 
 
 def run(tmp_path, *argv):
@@ -144,6 +144,24 @@ def test_wigner_csv_companion_that_is_a_directory_is_a_usage_error(tmp_path, cap
     assert f"w_{tag}.csv, written next to --out, is a directory" in capsys.readouterr().err
     assert os.listdir(tmp_path) == [f"w_{tag}.csv"]
     assert os.listdir(tmp_path / f"w_{tag}.csv") == []
+
+
+def test_wigner_csv_companion_name_too_long_is_a_usage_error_before_any_work(tmp_path, capsys):
+    """A 250-byte --out is a legal name, but its `_marginal_q` companion
+    (261 bytes) is not: the run exits 2 before it writes the grid."""
+    out = tmp_path / ("g" * 250)
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--n", "5", "--format", "csv", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{out}_marginal_q, written next to --out, has too long a name" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_wigner_csv_companion_names_up_to_name_max_are_written(tmp_path):
+    """`_marginal_q` and `_marginal_p` after a 244-byte --out end at 255 bytes."""
+    out = tmp_path / ("g" * 244)
+    assert main(["wigner", "--n", "3", "--format", "csv", "--out", str(out)]) == 0
+    assert sorted(os.listdir(tmp_path)) == [out.name, out.name + "_marginal_p", out.name + "_marginal_q"]
 
 
 def test_wigner_bad_state_spec(tmp_path, capsys):
@@ -300,7 +318,7 @@ def test_check_reports_the_group_it_audited(tmp_path, argv):
     out = tmp_path / "c.json"
     assert main(["check", *argv, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["group_order"] == sl2_order(doc["n"])
+    assert doc["group_order"] == len(sl2_enumerate(doc["n"]))
     assert doc["lifts_per_element"] == (1 if doc["n"] % 2 else 8)
 
 

@@ -8,15 +8,17 @@ import pytest
 
 from latwig import fano
 from latwig.fano import FanoCoefficients, _covariance_scan
-from latwig.lattice import GENERATORS, SL2Element, lift_classes, sl2_enumerate
+from latwig.lattice import GENERATORS, SL2Element, sl2_enumerate
 from latwig.operators import DEFAULT_TOL
 from oracles import (
     IDENTITY,
     apply_covariance_transform,
     compose,
     covariance_every_class,
+    lift_classes,
     omega_pow,
     phase_phi,
+    route_consistency_scan,
     sl2_lifts_search,
 )
 
@@ -194,12 +196,34 @@ def test_route_values_conflict_between_lifts_for_even_n():
 @pytest.mark.parametrize("n", range(1, 16))
 def test_route_audit_on_the_lift_classes_equals_the_audit_on_every_class_mod_2n(n):
     """For odd N a route value depends only on the class mod N, so the
-    audit on SL(2, Z_N) has the verdict and worst spread of the audit on
+    scan over SL(2, Z_N) has the verdict and worst spread of the scan over
     all of SL(2, Z_2N); for even N the lift classes are SL(2, Z_2N)."""
-    got = fano._route_consistency(n, lift_classes(n), DEFAULT_TOL)
-    want = fano._route_consistency(n, sl2_enumerate(2 * n), DEFAULT_TOL)
+    got = route_consistency_scan(n, lift_classes(n), DEFAULT_TOL)
+    want = route_consistency_scan(n, sl2_enumerate(2 * n), DEFAULT_TOL)
     assert (got.passed, got.max_violation) == (want.passed, want.max_violation)
     assert got.passed == (n % 2 == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_route_audit_on_primitive_rows_equals_the_scan_of_every_lift_class(n):
+    """One route per primitive row, slice and r gives the verdict, the
+    worst spread to the bit and the witness of the scan of every route of
+    every lift class, at the tolerances 0, the default, 2/N^2 (the even-N
+    spread) and 1."""
+    for tol in (0.0, DEFAULT_TOL, 2 / n**2, 1.0):
+        got = fano._route_consistency(n, tol)
+        want = route_consistency_scan(n, lift_classes(n), tol)
+        assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 100])
+def test_even_route_witness_names_the_first_row_lifts(n):
+    """At even N the first conflict is at (s, t) = (0, 1), between the
+    identity's lift (0, 1, 2N-1, 0) and (0, 1, 2N-1, N) on the t-slice."""
+    rc = fano._route_consistency(n, DEFAULT_TOL)
+    assert not rc.passed
+    assert rc.max_violation == pytest.approx(2 / n**2)
+    assert rc.witness == (0, 1, 0, 1, 2 * n - 1, 0, 0, 1, 2 * n - 1, n)
 
 
 def test_group_action_composition_is_consistent():
@@ -325,14 +349,11 @@ def test_dichotomy_holds_beyond_the_default_audit_bound(n):
         assert witness.to_json_dict()["witness"] == [0, 0, 0, 1]
 
 
-def test_full_report_has_no_size_bound_and_shares_the_given_group():
-    """Above the CLI's default audit bound the library still audits, and a
-    group list passed in gives the same report as the one built inside."""
+def test_full_report_has_no_size_bound():
+    """Above the CLI's default audit bound the library still audits."""
     report = fano.full_report(11)
     assert report.passed, report.failed_names()
     assert fano.matches_parity_prediction(report)
-    given = fano.full_report(11, elements=lift_classes(11))
-    assert given.to_json_dict() == report.to_json_dict()
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -2,12 +2,12 @@
 
 The coefficient audits evaluate each condition only on the table's N^2
 support values, the operator audits on its N x N twist table, and the
-route audit is vectorised over the lifts. The
-oracles here run on the dense N^4 table of ``oracles.dense_table``: the
-dense covariance scan, the plain-loop residuals, the term-by-term Gram sums
-the per-(s,t) loop over `derivation_routes`, and the scans of the dense
-operator tensor that the dense table assembles; the fast paths must agree
-with them field by field, on lift lists chosen here.
+route audit on one route per primitive row, slice and r. The oracles here
+run on the dense N^4 table of ``oracles.dense_table``: the dense
+covariance scan, the plain-loop residuals, the term-by-term Gram sums, the
+per-(s,t) loop over `derivation_routes` of every lift class, and the scans
+of the dense operator tensor that the dense table assembles; the fast
+paths must agree with them field by field, on lift lists chosen here.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _hermiticity_phases, _result
-from latwig.lattice import GENERATORS, SL2Element, lift_classes, sl2_enumerate
+from latwig.lattice import GENERATORS, SL2Element, sl2_enumerate
 from latwig.operators import _omega_table
 from oracles import (
     IDENTITY,
@@ -27,8 +27,10 @@ from oracles import (
     dense_table,
     derivation_routes,
     exact_lift,
+    lift_classes,
     operator_residuals_dense,
     phase_phi,
+    route_consistency_scan,
     sl2_lifts_search,
     sl2_second_lift_search,
 )
@@ -307,17 +309,20 @@ def test_planted_violation_seen_only_by_a_second_lift():
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_route_consistency_matches_loop_oracle(n):
-    elements = lift_classes(n)
-    checks, _ = fano.uniqueness_audit(n, elements=elements)
-    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, 1e-10))
+    checks, _ = fano.uniqueness_audit(n)
+    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, lift_classes(n), 1e-10))
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.3, -1.0])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(n, tol):
+    """The scan on one lift per element and on every lift class, at any
+    tolerance; the audit on primitive rows at the non-negative ones, where
+    a negative one acts as 0, since routes of equal value never conflict."""
     for elements in (sl2_enumerate(n), lift_classes(n)):
-        checks, _ = fano.uniqueness_audit(n, tol, elements=elements)
-        assert_same_check(checks["route_consistency"], route_consistency_oracle(n, elements, tol))
+        assert_same_check(route_consistency_scan(n, elements, tol), route_consistency_oracle(n, elements, tol))
+    checks, _ = fano.uniqueness_audit(n, tol)
+    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, lift_classes(n), max(tol, 0.0)))
 
 
 def _elementary_product(x, y, z):
@@ -356,7 +361,7 @@ def test_odd_solution_passes_covariance_under_a_huge_single_lift(lift):
 def test_odd_audits_pass_with_huge_second_lifts(k):
     """N = 5 with each second lift replaced by g composed with a matrix
     congruent to the identity mod N whose entries exceed 2^20 (or 2^70).
-    The route audit takes every lift as its class mod 2N."""
+    The route scan takes every lift as its class mod 2N."""
     n = 5
     shift = SL2Element(1, n * k, n * k, 1 + n * n * k * k)
     elements = [(g, compose(g, shift)) for g in (exact_lift(row, n) for row in sl2_enumerate(n))]
@@ -364,9 +369,9 @@ def test_odd_audits_pass_with_huge_second_lifts(k):
     cov = _covariance_scan(fano.coefficients_odd(n).values, _flat(elements), 1e-10)
     assert cov.passed, cov
     classes = np.array([[x % (2 * n) for x in g.as_tuple()] for g in _flat(elements)], dtype=np.int64)
-    checks, _ = fano.uniqueness_audit(n, elements=classes)
-    assert checks["route_consistency"].passed, checks["route_consistency"]
-    assert checks["route_consistency"].max_violation == 0.0
+    scan = route_consistency_scan(n, classes, 1e-10)
+    assert scan.passed, scan
+    assert scan.max_violation == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -9,22 +9,24 @@ from hypothesis import given, strategies as st
 from latwig.lattice import (
     SL2Element,
     egcd,
+    first_completions,
     gcd_decompose,
-    lift_classes,
     line_sites,
+    primitive_rows,
     sl2_complete,
     sl2_enumerate,
+    sl2_order,
 )
 from oracles import (
     IDENTITY,
     canonical,
     compose,
     exact_lift,
+    lift_classes,
     line_label,
     line_points,
     sl2_enumerate_filter,
     sl2_lifts_search,
-    sl2_order,
     sl2_second_lift_search,
 )
 
@@ -127,6 +129,32 @@ def test_sl2_enumerate_matches_brute_force_and_formula(n):
     elems = sl2_enumerate(n)
     assert len(elems) == _brute_force_order(n) if n > 1 else 1
     assert len(elems) == sl2_order(n)
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_sl2_order_is_the_size_of_the_enumeration(n):
+    """The closed form that `check` writes as `group_order`, and the lift
+    classes that `lifts_per_element` counts: one above each element for odd
+    N, eight for even N."""
+    assert sl2_order(n) == len(sl2_enumerate(n))
+    if n <= 30:
+        assert len(lift_classes(n)) == (1 if n % 2 else 8) * sl2_order(n)
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_first_completions_are_the_first_rows_of_the_enumeration(m):
+    """The first completion of a row is that of the first element with the
+    row as its first row; negated, it gives the first first row of the first
+    element with the row as its second row."""
+    rows = primitive_rows(m)
+    assert rows.tolist() == [list(x) for x in sorted({(a, b) for a, b, _, _ in sl2_enumerate_filter(m)})]
+    elements = sl2_enumerate(m)
+    _, first = np.unique(elements[:, :2], axis=0, return_index=True)
+    assert np.array_equal(first_completions(rows, m), elements[first, 2:])
+    by_second = np.lexsort((elements[:, 1], elements[:, 0], elements[:, 3], elements[:, 2]))
+    seconds, first = np.unique(elements[by_second, 2:], axis=0, return_index=True)
+    assert np.array_equal(seconds, rows)
+    assert np.array_equal(first_completions(-rows % m, m), elements[by_second[first], :2])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
