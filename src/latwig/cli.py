@@ -7,10 +7,10 @@ contradicts the expected parity dichotomy, 2 usage error (bad arguments,
 an --n above the subcommand's limit (FANO_MAX_N, WIGNER_MAX_N,
 MARGINAL_MAX_N, TOMO_MAX_N; `check` has its --audit-bound), an --out that
 is a directory or lies in one that does not exist, or a CSV companion that
-is a directory or whose name exceeds its directory's NAME_MAX; rejected
-before any work is done; or an artifact that cannot be written, reported
-as ``error: cannot write PATH: REASON``), 3 internal error (an invariant
-of the package failed; a bug, not a mistake in the invocation).
+is a directory or whose name exceeds NAME_MAX; rejected before any work
+is done; or an artifact that cannot be written, reported as
+``error: cannot write PATH: REASON``), 3 internal error (an invariant of
+the package failed; a bug, not a mistake in the invocation).
 
 A run imports only the layers its subcommand executes: ``fano`` and
 ``check`` load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
@@ -165,11 +165,11 @@ def _fano_document(n):
 def cmd_check(args):
     """Audit every condition family on the candidate table and write the report.
 
-    The route audit runs one route per primitive row mod M, slice and r
-    (M = N for odd N, 2N for even N), which covers every integer lift of
-    SL(2, Z_N). ``group_order`` is |SL(2, Z_N)| by its closed form, and
-    ``lifts_per_element`` the classes of lifts mod M above each element
-    that a route value can tell apart: 1 for odd N, 8 for even N.
+    The route audit covers every integer lift of SL(2, Z_N) with one route
+    per primitive row mod M (N or 2N), slice and r. ``group_order`` is
+    |SL(2, Z_N)|, and ``lifts_per_element`` the classes of lifts mod M
+    above each element that a route value tells apart: 1 for odd N, 8 for
+    even N.
 
     An even N's structural residuals are 1/N for operator hermiticity and
     2/N^2 for covariance and the route spreads. A --tolerance above all of
@@ -249,7 +249,7 @@ def _companions(args):
 
 
 def _name_max(directory):
-    """The longest file name in bytes that ``directory`` takes: its NAME_MAX, or 255 where that is unknown."""
+    """The NAME_MAX of ``directory`` in bytes, 255 if unknown."""
     try:
         return os.pathconf(directory, "PC_NAME_MAX")
     except (AttributeError, OSError, ValueError):

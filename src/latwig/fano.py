@@ -398,22 +398,20 @@ def derived_table(n):
 
 
 def _route_consistency(n, tol):
-    """Route-consistency check: all routes agree at every (s,t) != (0,0).
+    """Route consistency: all routes agree at every (s,t) != (0,0).
 
     A lift (kappa, lam, mu, nu) maps (s,t) onto the s-slice at r(lam, kappa)
     and onto the t-slice at r(nu, mu), r = 1..N-1. Another completion
     (mu + j*kappa, nu + j*lam) moves an s-slice exponent by
     j*(N*(lam^2*t + kappa^2*s) - (lam*t - kappa*s)^2) = 0 mod 2N; alike for
     t-slice routes. So one route per primitive row mod M, slice and r,
-    through the row's lexicographically first lift, ordered by (point,
-    lift), gives the verdict, worst spread and witness of a scan of every
-    lift class in lexicographic order: the first (s,t) with a conflict, its
-    first route's lift and the first that disagrees. Routes stream over r
-    into the first lift code per point and exponent. Spreads, the hypot of
-    the real and imaginary differences of two values of :func:`_route_value`
-    (its complex ``abs`` to the last bit), are tabulated once per pair of
-    exponents. Routes of equal value never conflict: a negative ``tol``
-    acts as 0.
+    through the row's first lift, ordered by (point, lift), gives the
+    verdict, worst spread and witness of a scan of every lift class in
+    order: the first (s,t) with a conflict, its first route's lift and the
+    first that disagrees. Spreads, the complex ``abs`` of the difference of
+    two :func:`_route_value`, are tabulated per pair of exponents. At a
+    negative ``tol`` each route after a point's first conflicts: the
+    witness is (0, 1) and the two least lifts onto it.
     """
     m = n if n % 2 else 2 * n
     rows = primitive_rows(m)
@@ -422,7 +420,7 @@ def _route_consistency(n, tol):
     codes = np.ravel_multi_index(tuple(lifts), (m,) * 4)
     a, b = np.tile(rows.T, 2)  # both slices' routes through row (a, b) run along r(b, a)
     unset = np.iinfo(np.int64).max
-    lead = np.full((n * n, 2 * n), unset)  # [point, exponent]: first route's lift code
+    lead = np.full((n * n, 2 * n), unset)  # [point, exponent]: first lift code
     for r in range(1, n):
         s, t = r * b % n, r * a % n
         np.minimum.at(lead, (s * n + t, _two_phi(lifts, t, s, n)), codes)
@@ -430,9 +428,11 @@ def _route_consistency(n, tol):
     re, im = half.real / n**2, half.imag / n**2
     spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])[lead.argmin(axis=1)]
     spread[lead == unset] = 0.0
-    conflicts = spread > max(tol, 0.0)
+    conflicts = (spread > tol) & (lead != unset)
     witness = None
-    if conflicts.any():
+    if tol < 0 and n > 1:
+        witness = (0, 1, 0, 1, m - 1, 0) + ((0, 2, n // 2, 0) if n % 2 else (0, 1, m - 1, n))
+    elif conflicts.any():
         point = int(conflicts.any(axis=1).argmax())
         pair = lead[point].min(), lead[point][conflicts[point]].min()
         witness = divmod(point, n) + tuple(int(x) for code in pair for x in np.unravel_index(code, (m,) * 4))

@@ -3,13 +3,13 @@
 Integer lifts, determinants and gcd decompositions use plain Python
 integers, so they are exact; reduction mod N happens only where a residue
 is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
-The primitive rows mod M and the lexicographically first completion of
-each have closed forms (:func:`primitive_rows`, :func:`first_completions`);
-the route audit runs on them, and SL(2, Z_M) as an int64 array of residues
-(:func:`sl2_enumerate`) is written down from them, with no search. Its
-order is a closed form too (:func:`sl2_order`). The covariance audit needs
-only :data:`GENERATORS`: S and T generate SL(2, Z), which maps onto every
-SL(2, Z_M).
+The primitive rows mod M and the first completion of each have closed
+forms (:func:`primitive_rows`, :func:`first_completions`); the route
+audit runs on them, and SL(2, Z_M) as an int64 array of residues
+(:func:`sl2_enumerate`) is written down from them; its order
+(:func:`sl2_order`) is M times the number of rows. The covariance
+audit needs only :data:`GENERATORS`: S and T generate SL(2, Z), which maps
+onto every SL(2, Z_M).
 """
 
 import math
@@ -112,15 +112,8 @@ def sl2_complete(kappa, lam):
 
 
 def sl2_order(n):
-    """|SL(2, Z_N)| = N^3 prod over the primes p | N of (1 - 1/p^2), in integers."""
-    check_dim(n)
-    order, rest = n**3, n
-    for p in range(2, n + 1):
-        if rest % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while rest % p == 0:
-                rest //= p
-    return order
+    """|SL(2, Z_N)|: each primitive row mod N has N completions."""
+    return n * len(primitive_rows(n))
 
 
 def primitive_rows(m):
@@ -132,7 +125,7 @@ def primitive_rows(m):
 
 
 def first_completions(rows, m):
-    """For each primitive row (x, y) mod m, the lexicographically first (u, w) in [0, m)^2 with x*w - y*u = 1 mod m.
+    """For each primitive row (x, y) mod m, the first (u, w) in [0, m)^2 with x*w - y*u = 1 mod m.
 
     With g = gcd(x, m), y is a unit mod g and x/g one mod m/g. Reducing
     x*w - y*u = 1 mod g forces u = -y^-1 mod g, and every such u has the

@@ -209,8 +209,8 @@ def test_route_audit_on_primitive_rows_equals_the_scan_of_every_lift_class(n):
     """One route per primitive row, slice and r gives the verdict, the
     worst spread to the bit and the witness of the scan of every route of
     every lift class, at the tolerances 0, the default, 2/N^2 (the even-N
-    spread) and 1."""
-    for tol in (0.0, DEFAULT_TOL, 2 / n**2, 1.0):
+    spread) and 1, and at -1, where every second route conflicts."""
+    for tol in (0.0, DEFAULT_TOL, 2 / n**2, 1.0, -1.0):
         got = fano._route_consistency(n, tol)
         want = route_consistency_scan(n, lift_classes(n), tol)
         assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)

@@ -316,13 +316,10 @@ def test_route_consistency_matches_loop_oracle(n):
 @pytest.mark.parametrize("tol", [0.0, 0.3, -1.0])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(n, tol):
-    """The scan on one lift per element and on every lift class, at any
-    tolerance; the audit on primitive rows at the non-negative ones, where
-    a negative one acts as 0, since routes of equal value never conflict."""
     for elements in (sl2_enumerate(n), lift_classes(n)):
         assert_same_check(route_consistency_scan(n, elements, tol), route_consistency_oracle(n, elements, tol))
     checks, _ = fano.uniqueness_audit(n, tol)
-    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, lift_classes(n), max(tol, 0.0)))
+    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, lift_classes(n), tol))
 
 
 def _elementary_product(x, y, z):
