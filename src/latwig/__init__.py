@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``lattice``: exact modular arithmetic, primitive rows mod M, SL(2, Z_M)
-  as residue arrays, lines as index arrays
+- ``lattice``: exact modular arithmetic, primitive rows mod M and their
+  first completions, lines as index arrays
 - ``operators``: clock/shift pair, momentum basis, exact phase arithmetic,
   and ``CheckResult``/``_result``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
@@ -20,13 +20,13 @@ Library layout:
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
 the whole of it, the dense operator checks, the Fraction-valued
-covariance phase, the group action
-on tables, the route scan of every lift class, the determinant filter, integer
-lifts found by search and their exact product, lines as tuples of sites,
-the invariant label of the line through a site, the per-(s,t) route
-list, the incidence check, the dense einsum transforms, the split-parity
-table, the clock and shift matrices) live in ``tests/oracles.py``, not
-in the package.
+covariance phase, the group action on tables, the route scan of every
+lift class, SL(2, Z_M) as residue arrays and the determinant filter,
+integer lifts found by search and their exact product, lines as tuples of
+sites, the invariant label of the line through a site, the per-(s,t)
+route list, the incidence check, the dense einsum transforms, the
+split-parity table, the clock and shift matrices) live in
+``tests/oracles.py``, not in the package.
 
 The names in ``__all__`` are re-exported lazily (PEP 562): ``latwig.X``
 imports the submodule that defines X on first access, so ``import
@@ -50,9 +50,7 @@ _EXPORTS = {
     "full_report": "fano",
     "uniqueness_audit": "fano",
     "SL2Element": "lattice",
-    "gcd_decompose": "lattice",
     "sl2_complete": "lattice",
-    "sl2_enumerate": "lattice",
     "momentum_vector": "operators",
     "mub_line_families": "tomography",
     "reconstruct_density": "tomography",
@@ -65,31 +63,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionReport",
-    "FanoCoefficients",
-    "SL2Element",
-    "WignerGrid",
-    "assemble",
-    "check_covariance_group",
-    "check_hermiticity",
-    "check_marginals",
-    "check_orthogonality",
-    "coefficients_candidate",
-    "coefficients_odd",
-    "density_from_wigner",
-    "full_report",
-    "gcd_decompose",
-    "marginal_along_line",
-    "momentum_vector",
-    "mub_line_families",
-    "reconstruct_density",
-    "simulate_marginals",
-    "sl2_complete",
-    "sl2_enumerate",
-    "uniqueness_audit",
-    "wigner_from_density",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

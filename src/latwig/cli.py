@@ -4,11 +4,11 @@ Subcommands write one machine-readable artifact each (JSON by default,
 CSV where it makes sense) and keep the human-readable summary on stdout.
 Exit codes: 0 success, 1 a tolerance violation or an audit outcome that
 contradicts the expected parity dichotomy, 2 usage error (bad arguments,
-an --n above the subcommand's limit (FANO_MAX_N, WIGNER_MAX_N,
-MARGINAL_MAX_N, TOMO_MAX_N; `check` has its --audit-bound), an --out that
-is a directory or lies in one that does not exist, or a CSV companion that
-is a directory or whose name exceeds NAME_MAX; rejected before any work
-is done; or an artifact that cannot be written, reported as
+an --n above the subcommand's limit (FANO_MAX_N, CHECK_MAX_N,
+WIGNER_MAX_N, MARGINAL_MAX_N, TOMO_MAX_N), an --out that is a directory
+or lies in one that does not exist, or a CSV companion that is a
+directory or whose name exceeds NAME_MAX; rejected before any work is
+done; or an artifact that cannot be written, reported as
 ``error: cannot write PATH: REASON``), 3 internal error (an invariant of
 the package failed; a bug, not a mistake in the invocation).
 
@@ -59,8 +59,11 @@ INTERNAL_ERROR = 3
 TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
-# Largest N that `check` audits unless --audit-bound raises it.
-DEFAULT_AUDIT_BOUND = 9
+# Largest N `check` accepts. The route audit holds an N^2 x 2N table of
+# first lift codes next to one of spreads, about 33*N^3 bytes: peak RSS
+# 320 MiB at N = 201 (1.4 s) and 327 MiB at N = 200 (5.2 s, an even N
+# having about three times the primitive rows), 157 MiB at N = 151.
+CHECK_MAX_N = 201
 
 # Largest N `marginal` accepts. Its projector check holds the direction's N
 # line sums, an N^3 complex stack, next to one residual: peak RSS is about
@@ -166,10 +169,12 @@ def cmd_check(args):
     """Audit every condition family on the candidate table and write the report.
 
     The route audit covers every integer lift of SL(2, Z_N) with one route
-    per primitive row mod M (N or 2N), slice and r. ``group_order`` is
+    per primitive row mod M (N or 2N), slice and r, and the derived table
+    reads its canonical routes off the same rows. ``group_order`` is
     |SL(2, Z_N)|, and ``lifts_per_element`` the classes of lifts mod M
     above each element that a route value tells apart: 1 for odd N, 8 for
-    even N.
+    even N. N is limited to :data:`CHECK_MAX_N` by the route audit's
+    N^2 x 2N tables, before any work.
 
     An even N's structural residuals are 1/N for operator hermiticity and
     2/N^2 for covariance and the route spreads. A --tolerance above all of
@@ -180,11 +185,7 @@ def cmd_check(args):
     from . import fano, serialize
 
     n = args.n
-    if args.audit_bound < 1:
-        raise CliError(f"--audit-bound must be a positive integer, got {args.audit_bound}")
-    if n > args.audit_bound:
-        raise CliError(f"--n {n} exceeds the audit bound {args.audit_bound}; "
-                       "raise --audit-bound to audit larger N")
+    _require_at_most(n, CHECK_MAX_N, "whose N^2 x 2N table of route lift codes `check` builds")
     report = fano.full_report(n, tol=args.tolerance)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)
@@ -337,7 +338,6 @@ def build_parser():
 
     p = sub.add_parser("check", help="audit all condition families")
     common(p, "check.json")
-    p.add_argument("--audit-bound", type=int, default=DEFAULT_AUDIT_BOUND)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("wigner", help="Wigner grid of a state (odd N)")

@@ -32,20 +32,13 @@ where the table is covariant, and 2/N^2 for even N. A route value depends
 on a lift only mod M (M = N for odd N, 2N for even N), and only through
 the row it runs along, so the route audit, exhaustive over every integer
 lift, takes O(N^3) routes: one per primitive row mod M, slice and r.
+The derived table reads its N^2 canonical routes off the same rows.
 """
 
 import numpy as np
 
 from ._record import record
-from .lattice import (
-    GENERATORS,
-    SL2Element,
-    check_dim,
-    first_completions,
-    gcd_decompose,
-    primitive_rows,
-    sl2_complete,
-)
+from .lattice import GENERATORS, check_dim, first_completions, primitive_rows
 from .operators import (
     DEFAULT_TOL,
     CheckResult,
@@ -280,15 +273,15 @@ def _two_phi(entries, a, b, n):
     """The doubled covariance phase exponent 2*phi'(a,b) mod 2N.
 
     2*phi'(n,m) = nu*lam*n*(N-n) + mu*kappa*m*(N-m) + 2*mu*lam*n*m for
-    canonical (n,m) = (a,b) and the lift entries (kappa, lam, mu, nu).
-    Changing an entry by 2N changes each term by a multiple of 2N, so the
-    entries are reduced mod 2N before multiplying: the value is exact for
-    lifts of any size, and int64 arrays of entries cannot overflow. The
-    entries are Python ints or int64 arrays, broadcast against ``a`` and
-    ``b``. The exponent can be odd, so omega^(phi') a half-integer power,
-    only when N is even.
+    canonical (n,m) = (a,b) and the lift entries (kappa, lam, mu, nu),
+    Python ints or int64 arrays broadcast against ``a`` and ``b``. On
+    Python ints the value is exact for lifts of any size. Where an int64
+    array enters, the entries must lie below 2N in absolute value, as the
+    residues of :func:`_lift_entries` and of the route rows do, so that no
+    product overflows for N below 30,000. The exponent can be odd, so
+    omega^(phi') a half-integer power, only when N is even.
     """
-    kappa, lam, mu, nu = (x % (2 * n) for x in entries)
+    kappa, lam, mu, nu = entries
     return (nu * lam * (a * (n - a)) + mu * kappa * (b * (n - b)) + mu * lam * (2 * a * b)) % (2 * n)
 
 
@@ -354,46 +347,37 @@ def check_covariance_group(c, tol=DEFAULT_TOL):
 # Line-by-line derivation and the uniqueness audit
 # ---------------------------------------------------------------------------
 
-@record
-class DerivedValue:
-    """Value forced at the support point (n,m) = (t,s) by one derivation route."""
+def _route_rows(n):
+    """M (N for odd N, 2N for even N), the primitive rows mod M and their first completions.
 
-    value: complex
-    support: tuple
-    element: SL2Element
-
-
-def _route_value(g, s, t, n):
-    """Forced value (1/N^2) omega^(phi'(t,s)) using the element's lifts."""
-    return complex(_half_omega_table(n)[_two_phi(g.as_tuple(), t % n, s % n, n)]) / n**2
-
-
-def derive_via_line(n, s, t):
-    """Force a~(s,t;.,.) through the canonical line route.
-
-    Decompose (s,t) = xi*(sigma,tau), take the direction (kappa,lam) =
-    (tau,sigma) so the first transformed index vanishes exactly, complete
-    deterministically, and read the value off the axis condition. The
-    support sits at (n,m) = (t,s).
+    A route's exponent depends on a lift only mod M, and only through the
+    row it runs along, so the first lift of each row stands for them all.
     """
-    check_dim(n)
-    s, t = s % n, t % n
-    if s == 0 and t == 0:
-        raise ValueError("(0, 0) is fixed by the axis conditions, not by a line route")
-    dec = gcd_decompose(s, t, n)
-    g = sl2_complete(dec.tau, dec.sigma)
-    assert (g.kappa * s - g.lam * t) % n == 0
-    return DerivedValue(value=_route_value(g, s, t, n), support=(t, s), element=g)
+    m = n if n % 2 else 2 * n
+    rows = primitive_rows(m)
+    return m, rows, first_completions(rows, m)
 
 
 def derived_table(n):
-    """Table built from the axis conditions plus canonical line routes only."""
+    """Table built from the axis conditions plus canonical line routes only.
+
+    The canonical route of (s,t) = g*(sigma, tau), g = gcd(s,t), is the
+    s-slice route at r = g through the primitive row (kappa, lam) =
+    (tau, sigma), which maps (s,t) onto the s-slice; the value,
+    (1/N^2) omega^(phi'(t,s)), is read off the axis condition there and
+    takes its exponent from the row's first lift. It is divided by N^2
+    componentwise, as Python's ``complex / int`` divides.
+    """
     check_dim(n)
-    values = np.zeros((n, n), dtype=complex)
-    values[:, 0] = values[0, :] = 1.0 / n**2  # the t = 0 and s = 0 slices
-    for s in range(1, n):
-        for t in range(1, n):
-            values[s, t] = derive_via_line(n, s, t).value
+    m, rows, first = _route_rows(n)
+    s, t = np.indices((n - 1, n - 1)) + 1
+    g = np.gcd(s, t)
+    kappa, lam = t // g, s // g
+    i = np.searchsorted(rows[:, 0] * m + rows[:, 1], kappa * m + lam)  # the rows are in lexicographic order
+    half = _half_omega_table(n)[_two_phi((kappa, lam, first[i, 0], first[i, 1]), t, s, n)]
+    values = np.full((n, n), 1.0 / n**2, dtype=complex)  # the t = 0 and s = 0 slices
+    values.real[1:, 1:] = half.real / n**2
+    values.imag[1:, 1:] = half.imag / n**2
     return FanoCoefficients(n, values)
 
 
@@ -409,13 +393,12 @@ def _route_consistency(n, tol):
     verdict, worst spread and witness of a scan of every lift class in
     order: the first (s,t) with a conflict, its first route's lift and the
     first that disagrees. Spreads, the complex ``abs`` of the difference of
-    two :func:`_route_value`, are tabulated per pair of exponents. At a
-    negative ``tol`` each route after a point's first conflicts: the
-    witness is (0, 1) and the two least lifts onto it.
+    two route values (1/N^2) omega^(phi'), are tabulated per pair of
+    exponents. At a negative ``tol`` each route after a point's first
+    conflicts: the witness is (0, 1) and the two least lifts onto it.
     """
-    m = n if n % 2 else 2 * n
-    rows = primitive_rows(m)
-    lifts = np.concatenate([np.column_stack([rows, first_completions(rows, m)]),
+    m, rows, first = _route_rows(n)
+    lifts = np.concatenate([np.column_stack([rows, first]),
                             np.column_stack([first_completions(-rows % m, m), rows])]).T
     codes = np.ravel_multi_index(tuple(lifts), (m,) * 4)
     a, b = np.tile(rows.T, 2)  # both slices' routes through row (a, b) run along r(b, a)
@@ -443,10 +426,11 @@ def uniqueness_audit(n, tol=DEFAULT_TOL):
     """Route-consistency audit plus the two-condition sufficiency check.
 
     For every nonzero (s,t), the forced value is derived through every
-    group element that maps (s,t) onto an axis slice, under every class of
-    its integer lifts; all routes must agree for the table to exist. The
-    canonically derived table is then checked against the closed form and
-    against hermiticity and orthogonality, which were never imposed on it.
+    integer lift with determinant 1 that maps (s,t) onto an axis slice, as
+    one route per primitive row mod M, slice and r; all routes must agree
+    for the table to exist. The table derived through the canonical routes
+    of the same rows is then checked against the closed form and against
+    hermiticity and orthogonality, which were never imposed on it.
     """
     check_dim(n)
     route_check = _route_consistency(n, tol)

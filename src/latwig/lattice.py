@@ -1,15 +1,14 @@
 """Exact modular arithmetic on the N x N lattice phase space.
 
-Integer lifts, determinants and gcd decompositions use plain Python
-integers, so they are exact; reduction mod N happens only where a residue
-is wanted. The lines of a direction are numpy index arrays (:func:`line_sites`).
-The primitive rows mod M and the first completion of each have closed
-forms (:func:`primitive_rows`, :func:`first_completions`); the route
-audit runs on them, and SL(2, Z_M) as an int64 array of residues
-(:func:`sl2_enumerate`) is written down from them; its order
-(:func:`sl2_order`) is M times the number of rows. The covariance
-audit needs only :data:`GENERATORS`: S and T generate SL(2, Z), which maps
-onto every SL(2, Z_M).
+Integer lifts and determinants use plain Python integers, so they are
+exact; reduction mod N happens only where a residue is wanted. The lines
+of a direction are numpy index arrays (:func:`line_sites`). The primitive
+rows mod M and the first completion of each have closed forms
+(:func:`primitive_rows`, :func:`first_completions`); the route audit and
+the derived table run on them, and the order of SL(2, Z_M)
+(:func:`sl2_order`) is M times the number of rows. The covariance audit
+needs only :data:`GENERATORS`: S and T generate SL(2, Z), which maps onto
+every SL(2, Z_M).
 """
 
 import math
@@ -39,26 +38,6 @@ def egcd(a, b):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-@record
-class GcdDecomposition:
-    """s = xi*sigma, t = xi*tau with gcd(sigma, tau) = 1 and xi = gcd(s, t)."""
-
-    xi: int
-    sigma: int
-    tau: int
-
-
-def gcd_decompose(s, t, n):
-    """Split canonical residues (s, t) != (0, 0) into gcd and coprime direction."""
-    check_dim(n)
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"(s, t) = ({s}, {t}) not canonical in [0, {n})")
-    if s == 0 and t == 0:
-        raise ValueError("(0, 0) has no gcd decomposition; handled by the axis slice directly")
-    xi = math.gcd(s, t)
-    return GcdDecomposition(xi=xi, sigma=s // xi, tau=t // xi)
 
 
 @record
@@ -138,20 +117,6 @@ def first_completions(rows, m):
         u = -pow(y, -1, g) % g
         out[i] = u, (1 + y * u) // g * pow(x // g, -1, m // g) % (m // g)
     return out
-
-
-def sl2_enumerate(m):
-    """Every element of SL(2, Z_m) as an int64 array [element, (kappa, lam, mu, nu)] of residues in [0, m).
-
-    Rows are in lexicographic order, the order a determinant filter of all
-    m^4 residue tuples gives. Each primitive row (a, b) has the m
-    completions (c0 + j*a, d0 + j*b), (c0, d0) its first completion.
-    """
-    ab = primitive_rows(m)
-    first = first_completions(ab, m)
-    c, d = ((first[:, [i]] + np.arange(m) * ab[:, [i]]) % m for i in (0, 1))
-    cd = np.sort(c * m + d, axis=1).ravel()  # each row's completions in (c, d) order
-    return np.column_stack([np.repeat(ab, m, axis=0), cd // m, cd % m])
 
 
 def line_sites(g, n):

@@ -10,7 +10,8 @@ dense int64 exponent table and the group action on dense tables, the
 covariance scan over every lift class of SL(2, Z_2N), the lift classes
 and the route audit as a scan of every route of every class, the
 per-(s,t) route list, the identity and the exact product of integer
-lifts, the determinant-filter enumeration of SL(2, Z_N), integer lifts
+lifts, SL(2, Z_m) as residues written down from its rows and the
+determinant-filter enumeration it is checked against, integer lifts
 with determinant exactly 1 found by search, the inverse coefficient
 transform, lattice lines as tuples of sites, the
 invariant label of the line through a site, the brute-force incidence
@@ -29,7 +30,7 @@ import numpy as np
 
 from latwig import serialize
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _two_phi
-from latwig.lattice import SL2Element, check_dim, line_sites, sl2_complete, sl2_enumerate
+from latwig.lattice import SL2Element, check_dim, first_completions, line_sites, primitive_rows, sl2_complete
 from latwig.operators import _half_omega_table, _omega_table, momentum_vector
 from latwig.tomography import mub_line_families
 
@@ -236,7 +237,7 @@ def covariance_every_class(values, tol):
 
     The table maps depend on a lift only mod 2N, so this covers every
     integer lift of every element of SL(2, Z_N). Each class is lifted by
-    :func:`exact_lift`, in :func:`latwig.lattice.sl2_enumerate` order, and
+    :func:`exact_lift`, in :func:`sl2_enumerate` order, and
     the lifts are scanned 256 at a time, so memory stays flat as the group
     grows; the witness is that of the first failing lift.
     """
@@ -273,6 +274,20 @@ def land_completion_search(kappa, lam, mu_res, nu_res, n):
     raise ValueError(
         f"residues (mu, nu) = ({mu_res}, {nu_res}) unreachable for ({kappa}, {lam}) mod {n}"
     )
+
+
+def sl2_enumerate(m):
+    """Every element of SL(2, Z_m) as an int64 array [element, (kappa, lam, mu, nu)] of residues in [0, m).
+
+    Rows are in lexicographic order, the order a determinant filter of all
+    m^4 residue tuples gives. Each primitive row (a, b) has the m
+    completions (c0 + j*a, d0 + j*b), (c0, d0) its first completion.
+    """
+    ab = primitive_rows(m)
+    first = first_completions(ab, m)
+    c, d = ((first[:, [i]] + np.arange(m) * ab[:, [i]]) % m for i in (0, 1))
+    cd = np.sort(c * m + d, axis=1).ravel()  # each row's completions in (c, d) order
+    return np.column_stack([np.repeat(ab, m, axis=0), cd // m, cd % m])
 
 
 def sl2_enumerate_filter(n):
@@ -353,8 +368,8 @@ def lift_classes(n):
     2*phi' mod 2N, a polynomial in its entries mod 2N. For odd N every term
     of 2*phi' is even and 2*phi' mod N depends only on the residues mod N,
     so by the CRT 2*phi' mod 2N depends only on the class mod N: one class
-    per element, :func:`latwig.lattice.sl2_enumerate` (N). For even N it is
-    :func:`latwig.lattice.sl2_enumerate` (2N), the 8 classes mod 2N above
+    per element, :func:`sl2_enumerate` (N). For even N it is
+    :func:`sl2_enumerate` (2N), the 8 classes mod 2N above
     each element. SL(2, Z) maps onto SL(2, Z_2N), so every integer lift with
     determinant 1 lies in one of these classes.
     """

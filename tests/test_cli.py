@@ -7,7 +7,7 @@ import pytest
 from latwig import cli, fano, tomography, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
-from latwig.lattice import sl2_enumerate
+from oracles import sl2_enumerate
 
 
 def run(tmp_path, *argv):
@@ -302,18 +302,27 @@ def test_repeated_runs_are_byte_identical(tmp_path, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_check_above_audit_bound_is_a_usage_error(tmp_path, capsys):
+def test_check_above_audit_bound_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Above CHECK_MAX_N the run exits 2 before the audit starts, and no
+    option raises the limit: `--audit-bound` is an unknown argument."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the check limit")
+
+    monkeypatch.setattr(fano, "full_report", no_work)
     out = tmp_path / "c.json"
-    assert main(["check", "--n", "10", "--out", str(out)]) == 2
+    n = cli.CHECK_MAX_N + 1
+    assert main(["check", "--n", str(n), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "audit bound 9" in err
+    assert f"--n {n} exceeds {cli.CHECK_MAX_N}" in err
     assert "internal" not in err
-    assert main(["check", "--n", "3", "--audit-bound", "0", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--n", "3", "--audit-bound", "3", "--out", str(out)])
+    assert exc.value.code == 2
     assert "--audit-bound" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--n", str(n)] for n in range(1, 10)] + [["--n", "10", "--audit-bound", "10"]])
+@pytest.mark.parametrize("argv", [["--n", str(n)] for n in range(1, 11)])
 def test_check_reports_the_group_it_audited(tmp_path, argv):
     out = tmp_path / "c.json"
     assert main(["check", *argv, "--out", str(out)]) == 0
@@ -360,8 +369,8 @@ class _WorkStarted(Exception):
     pass
 
 
-@pytest.mark.parametrize("command, limit", [("fano", "FANO_MAX_N"), ("wigner", "WIGNER_MAX_N"),
-                                            ("tomo", "TOMO_MAX_N")])
+@pytest.mark.parametrize("command, limit", [("fano", "FANO_MAX_N"), ("check", "CHECK_MAX_N"),
+                                            ("wigner", "WIGNER_MAX_N"), ("tomo", "TOMO_MAX_N")])
 def test_size_limits_admit_their_n_and_refuse_larger_before_any_work(tmp_path, monkeypatch, capsys,
                                                                       command, limit):
     """The first step of each subcommand's work is stubbed to raise: at the
@@ -384,9 +393,9 @@ def test_size_limits_admit_their_n_and_refuse_larger_before_any_work(tmp_path, m
     assert not out.exists()
 
 
-def test_check_beyond_the_default_bound_with_a_raised_audit_bound(tmp_path, capsys):
+def test_check_at_n_eleven_passes_every_check(tmp_path, capsys):
     out = tmp_path / "check11.json"
-    assert main(["check", "--n", "11", "--audit-bound", "11", "--out", str(out)]) == 0
+    assert main(["check", "--n", "11", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["matches_prediction"] is True
     assert all(entry["pass"] for entry in doc["checks"].values())
@@ -398,7 +407,7 @@ def test_check_tolerance_above_the_even_residuals_contradicts_the_dichotomy(tmp_
     2/N^2 (covariance, route spreads). A tolerance above all of them passes
     every check, so none can witness infeasibility and the run exits 1."""
     out = tmp_path / "c.json"
-    assert main(["check", "--n", "10", "--audit-bound", "10", "--tolerance", "0.5", "--out", str(out)]) == 1
+    assert main(["check", "--n", "10", "--tolerance", "0.5", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["matches_prediction"] is False
     assert doc["infeasibility_witness"] is None

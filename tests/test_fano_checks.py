@@ -1,5 +1,6 @@
 """Audit behavior on solution tables, corrupted tables, and even dimensions."""
 
+import math
 import tracemalloc
 from itertools import product
 
@@ -8,17 +9,19 @@ import pytest
 
 from latwig import fano
 from latwig.fano import FanoCoefficients, _covariance_scan
-from latwig.lattice import GENERATORS, SL2Element, sl2_enumerate
-from latwig.operators import DEFAULT_TOL
+from latwig.lattice import GENERATORS, SL2Element
+from latwig.operators import DEFAULT_TOL, _half_omega_table
 from oracles import (
     IDENTITY,
     apply_covariance_transform,
     compose,
     covariance_every_class,
+    derivation_routes,
     lift_classes,
     omega_pow,
     phase_phi,
     route_consistency_scan,
+    sl2_enumerate,
     sl2_lifts_search,
 )
 
@@ -124,27 +127,25 @@ def test_phase_example_and_periodicity():
             assert lhs == pytest.approx(omega_pow(phase_phi(g, 1, 2, n), n))
 
 
-def test_derive_via_line_examples():
-    d = fano.derive_via_line(5, 2, 4)
-    assert d.element == SL2Element(2, 1, 1, 1)
-    assert d.support == (4, 2)
-    d = fano.derive_via_line(3, 0, 2)
-    assert d.element == SL2Element(1, 0, 0, 1)
-    assert d.value == pytest.approx(1 / 9)
-    with pytest.raises(ValueError):
-        fano.derive_via_line(5, 0, 0)
-
-
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_derive_via_line_reproduces_the_solution(n):
-    sol = fano.coefficients_odd(n)
-    for s in range(n):
-        for t in range(n):
-            if (s, t) == (0, 0):
-                continue
-            d = fano.derive_via_line(n, s, t)
-            assert d.support == (t, s)
-            assert abs(d.value - sol.values[s, t]) < 1e-12
+@pytest.mark.parametrize("n", range(1, 41))
+def test_derived_table_is_the_canonical_route_of_every_lift_class_to_the_bit(n):
+    """Off the axes, the derived value at (s,t) = g*(sigma, tau), g = gcd(s,t),
+    is bit for bit the value that the oracle forces through each lift class
+    whose first row is (tau, sigma) mod M, on its s-slice route; the axes
+    hold 1/N^2."""
+    by_row = {}
+    for lift in lift_classes(n).tolist():
+        by_row.setdefault(tuple(lift[:2]), []).append(lift)
+    got = fano.derived_table(n).values
+    for s, t in product(range(1, n), repeat=2):
+        g = math.gcd(s, t)
+        lifts = by_row[t // g, s // g]
+        routes = derivation_routes(n, s, t, lifts)
+        assert [lift for lift, _ in routes] == [tuple(lift) for lift in lifts]
+        want = np.array([value for _, value in routes])
+        assert np.array_equal(np.full(len(want), got[s, t]).view(np.uint64), want.view(np.uint64)), (s, t)
+    axes = np.concatenate([got[0], got[:, 0]])
+    assert np.array_equal(axes.view(np.uint64), np.full(2 * n, 1 / n**2 + 0j).view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -187,8 +188,8 @@ def test_route_values_conflict_between_lifts_for_even_n():
     lift_a = SL2Element(1, 1, 0, 1)
     lift_b = SL2Element(3, 1, 2, 1)
     assert lift_a.residues(2) == lift_b.residues(2)
-    va = fano._route_value(lift_a, 1, 1, 2)
-    vb = fano._route_value(lift_b, 1, 1, 2)
+    half = _half_omega_table(2)
+    va, vb = (complex(half[fano._two_phi(g.as_tuple(), 1, 1, 2)]) / 4 for g in (lift_a, lift_b))
     assert va == pytest.approx(0.25j)
     assert vb == pytest.approx(-0.25j)
 
@@ -350,7 +351,7 @@ def test_dichotomy_holds_beyond_the_default_audit_bound(n):
 
 
 def test_full_report_has_no_size_bound():
-    """Above the CLI's default audit bound the library still audits."""
+    """The library takes no size limit; only the CLI's CHECK_MAX_N bounds `check`."""
     report = fano.full_report(11)
     assert report.passed, report.failed_names()
     assert fano.matches_parity_prediction(report)

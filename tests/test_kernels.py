@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _hermiticity_phases, _result
-from latwig.lattice import GENERATORS, SL2Element, sl2_enumerate
+from latwig.lattice import GENERATORS, SL2Element
 from latwig.operators import _omega_table
 from oracles import (
     IDENTITY,
@@ -31,6 +31,7 @@ from oracles import (
     operator_residuals_dense,
     phase_phi,
     route_consistency_scan,
+    sl2_enumerate,
     sl2_lifts_search,
     sl2_second_lift_search,
 )

@@ -10,11 +10,9 @@ from latwig.lattice import (
     SL2Element,
     egcd,
     first_completions,
-    gcd_decompose,
     line_sites,
     primitive_rows,
     sl2_complete,
-    sl2_enumerate,
     sl2_order,
 )
 from oracles import (
@@ -25,6 +23,7 @@ from oracles import (
     lift_classes,
     line_label,
     line_points,
+    sl2_enumerate,
     sl2_enumerate_filter,
     sl2_lifts_search,
     sl2_second_lift_search,
@@ -54,33 +53,6 @@ def test_egcd_bezout(a, b):
     g, x, y = egcd(a, b)
     assert g == math.gcd(a, b)
     assert a * x + b * y == g
-
-
-def test_gcd_decompose_examples():
-    d = gcd_decompose(2, 4, 5)
-    assert (d.xi, d.sigma, d.tau) == (2, 1, 2)
-    d = gcd_decompose(0, 3, 5)
-    assert (d.xi, d.sigma, d.tau) == (3, 0, 1)
-    d = gcd_decompose(3, 3, 7)
-    assert (d.xi, d.sigma, d.tau) == (3, 1, 1)
-
-
-def test_gcd_decompose_rejects_origin_and_noncanonical():
-    with pytest.raises(ValueError):
-        gcd_decompose(0, 0, 5)
-    with pytest.raises(ValueError):
-        gcd_decompose(5, 1, 5)
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_gcd_decompose_round_trip(n):
-    for s, t in product(range(n), repeat=2):
-        if (s, t) == (0, 0):
-            continue
-        d = gcd_decompose(s, t, n)
-        assert d.xi * d.sigma == s
-        assert d.xi * d.tau == t
-        assert math.gcd(d.sigma, d.tau) == 1
 
 
 def test_sl2_element_requires_unit_determinant():

@@ -161,8 +161,8 @@ def test_moved_names_stay_importable_from_their_old_modules():
 
 
 PACKAGE_RECORDS = [
-    lattice.GcdDecomposition, lattice.SL2Element,
-    fano.FanoCoefficients, fano.CheckResult, fano.ConditionReport, fano.DerivedValue,
+    lattice.SL2Element,
+    fano.FanoCoefficients, fano.CheckResult, fano.ConditionReport,
     serialize.OperatorRecords, serialize.SupportRecords,
     wigner.WignerGrid, wigner.MarginalDistribution, wigner.LineProjectorReport,
     tomography.MarginalDataset, tomography.ReconstructionResult,
