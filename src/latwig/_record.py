@@ -12,19 +12,17 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, an attribute of a frozen record."""
 
 
-def record(cls=None, *, frozen=True):
-    """Make ``cls`` a record of the fields it annotates, in order of annotation.
+def record(cls):
+    """Make ``cls`` a frozen record of the fields it annotates, in order of annotation.
 
     The class gets an ``__init__`` that takes the fields by position or by
     keyword, a class attribute named like a field being that field's
     default, and then calls ``__post_init__`` if the class has one;
-    field-wise ``__eq__`` and ``__repr__`` as a dataclass writes them; and,
-    if ``frozen``, an ``__setattr__`` and ``__delattr__`` that raise
-    :class:`FrozenInstanceError` and a ``__hash__`` of the fields. A record
-    that is not frozen is unhashable, since its fields can change.
+    field-wise ``__eq__`` and ``__repr__`` as a dataclass writes them; an
+    ``__setattr__`` and ``__delattr__`` that raise
+    :class:`FrozenInstanceError`; and a ``__hash__`` of the fields, which
+    raises :class:`TypeError` if a field is unhashable.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = hasattr(cls, "__post_init__")
@@ -74,11 +72,7 @@ def record(cls=None, *, frozen=True):
     def __hash__(self):
         return hash(fields(self))
 
-    methods = [__init__, __eq__, __repr__]
-    methods += [__setattr__, __delattr__, __hash__] if frozen else []
-    for method in methods:
+    for method in (__init__, __eq__, __repr__, __setattr__, __delattr__, __hash__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
     return cls

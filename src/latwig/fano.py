@@ -35,6 +35,8 @@ lift, takes O(N^3) routes: one per primitive row mod M, slice and r.
 The derived table reads its N^2 canonical routes off the same rows.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ._record import record
@@ -67,7 +69,7 @@ class FanoCoefficients:
                              f"({self.n}, {self.n}), got {self.values.shape}")
 
 
-@record(frozen=False)
+@record
 class ConditionReport:
     """Named check results for one dimension, with the verdict left to callers."""
 
@@ -347,15 +349,20 @@ def check_covariance_group(c, tol=DEFAULT_TOL):
 # Line-by-line derivation and the uniqueness audit
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _route_rows(n):
-    """M (N for odd N, 2N for even N), the primitive rows mod M and their first completions.
+    """M (N for odd N, 2N for even N), the primitive rows mod M and their first completions, read-only.
 
     A route's exponent depends on a lift only mod M, and only through the
     row it runs along, so the first lift of each row stands for them all.
+    The route audit and the derived table of one N share them.
     """
     m = n if n % 2 else 2 * n
     rows = primitive_rows(m)
-    return m, rows, first_completions(rows, m)
+    first = first_completions(rows, m)
+    rows.setflags(write=False)
+    first.setflags(write=False)
+    return m, rows, first
 
 
 def derived_table(n):

@@ -25,21 +25,6 @@ def check_dim(n):
     return n
 
 
-def egcd(a, b):
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @record
 class SL2Element:
     """Integer lift of an SL(2, Z_N) element, with exact determinant 1.
@@ -74,20 +59,16 @@ GENERATORS = (SL2Element(0, 1, -1, 0), SL2Element(1, 1, 0, 1))
 def sl2_complete(kappa, lam):
     """Complete coprime (kappa, lam) to an SL2Element with kappa*nu - mu*lam = 1.
 
-    Deterministic choice: the extended-Euclid completion reduced so that
-    0 <= mu < |kappa| when kappa != 0; for kappa == 0 (so lam = +-1) the
+    Deterministic choice: the one completion with 0 <= mu < |kappa| when
+    kappa != 0, mu = -lam^-1 mod |kappa|; for kappa == 0 (so lam = +-1) the
     completion is (0, lam, -lam, 0).
     """
     if math.gcd(kappa, lam) != 1:
         raise ValueError(f"({kappa}, {lam}) must be coprime to span a lattice line")
     if kappa == 0:
         return SL2Element(0, lam, -lam, 0)
-    g, x, y = egcd(kappa, lam)
-    nu0, mu0 = x, -y  # kappa*x + lam*y = 1  =>  kappa*nu0 - mu0*lam = 1
-    mu = mu0 % abs(kappa)
-    j = (mu - mu0) // kappa
-    nu = nu0 + j * lam
-    return SL2Element(kappa, lam, mu, nu)
+    mu = -pow(lam, -1, abs(kappa)) % abs(kappa)
+    return SL2Element(kappa, lam, mu, (1 + mu * lam) // kappa)
 
 
 def sl2_order(n):

@@ -7,25 +7,24 @@ filled with the UTF-8 bytes of the text one chunk at a time, is renamed
 onto the target, so concurrent writers never share a temp file and readers
 see either the old or a complete new artifact.
 
-Numeric data reaches the emitter as numpy arrays. A float array becomes
-nested JSON lists; a 1-D structured array becomes a list of flat objects,
-one per record, whose fields are ints, floats or fixed-shape float
-subarrays (nested lists). The ``fano`` artifact passes no record array.
-Its N^4 coefficients, of which only N^2 can be nonzero, reach the emitter
+Numeric data reaches the emitter as real float arrays of any shape, which
+become nested JSON lists, and as the two record kinds of the ``fano``
+artifact. Its N^4 coefficients, of which only N^2 can be nonzero, arrive
 as those N^2 values, a :class:`SupportRecords`, and each record's text is
 one of N^2 precomputed zero tails or a support record's, joined after an
-(s, t) head. Its N^2 operators reach it as their complex N^4 tensor, an
+(s, t) head. Its N^2 operators arrive as their complex N^4 tensor, an
 :class:`OperatorRecords`, and are rendered as the records
 ``{"q","p","re","im"}`` with the real and imaginary N x N parts taken from
-the tensor a block at a time. Those records and any other array are lists
+the tensor a block at a time. An array and the operator records are lists
 of rows along the first axis, rendered as a numpy object array of text
-pieces with one row of pieces per row: the value texts interleaved with a
-row template of precomputed keys, separators and brackets, joined once per
-block with ``"".join(pieces.ravel().tolist())``, with no Python loop per
-value, row or record. The separator after an element of a nested list
-depends only on the shape: ``"]" * t + "," + "[" * t``, t the number of
-trailing axes at their last index. Int texts are a lookup of ``str(k)``
-over the distinct values of a block.
+pieces with one row of pieces per row: the value texts at the odd columns
+of a row template of precomputed brackets and separators (and an operator
+record's head and keys), joined once per block with
+``"".join(pieces.ravel().tolist())``, with no Python loop per value, row
+or record. The separator after an element of a nested list depends only
+on the shape: ``"]" * t + "," + "[" * t``, t the number of trailing axes
+at their last index. Any other array, complex, integer, boolean, object or
+structured, raises :class:`TypeError`.
 
 Every float of an array, CSV grids and marginals included, is written by
 :func:`_texts`, the one place ``%.17g`` is applied to array data; ``"%.17g"
@@ -124,12 +123,6 @@ def _texts(a, cache):
     return texts[inverse] if large else texts
 
 
-def _int_texts(a):
-    """The decimal texts of an int array's elements, in C order, as a 1-D object array."""
-    keys, inverse = np.unique(np.ravel(a), return_inverse=True)
-    return np.array([str(k) for k in keys.tolist()], dtype=object)[inverse]
-
-
 def _separators(shape):
     """The text after each element, in C order, of nested lists of a shape.
 
@@ -151,70 +144,47 @@ def _empty(shape):
 
 
 @functools.lru_cache(maxsize=16)
-def _row(dtype, shape):
-    """The pieces of one row of an array whose rows have this dtype and shape,
-    and its value slots: (field name or None, column of the first text, shape).
+def _row(shape):
+    """The pieces of one row of nested lists of a shape, None at each value slot.
 
-    A row's pieces are its fields' texts, each followed by its separator as
-    an element of the field's shape (a scalar's is empty); a float array's
-    row is one field with no key and the row's shape. The row's opening
-    (``{`` for a record), each field's key and opening brackets join the
-    piece before the field's first text, and the row's closing and a ``,``
-    join its last piece. The array is shared between callers and read-only.
+    The value slots are the odd columns, each followed by its separator as
+    an element of the shape; the opening brackets are the first piece, and
+    a ``,`` ends the last. A shape of no elements gives the one piece of
+    its empty lists. The array is shared between callers and read-only.
     """
-    if dtype.names is None:
-        if dtype.kind != "f":
-            raise TypeError(f"cannot serialize an array of dtype {dtype}")
-        fields, opening, closing = [(None, "", shape)], "", ""
+    if math.prod(shape) == 0:
+        row = [_empty(shape)]
     else:
-        fields, opening, closing = [], "{", "}"
-        for i, name in enumerate(dtype.names):
-            field = dtype.fields[name][0]
-            if field.base.kind not in "iuf" or (field.shape and field.base.kind != "f"):
-                raise TypeError(f"cannot serialize field {name!r} of dtype {field}")
-            fields.append((name, ("," if i else "") + json.dumps(name) + ":", field.shape))
-    slots = []
-    row = [opening]
-    for name, key, field_shape in fields:
-        if math.prod(field_shape) == 0:
-            row[-1] += key + _empty(field_shape)
-            continue
-        row[-1] += key + "[" * len(field_shape)
-        slots.append((name, len(row), field_shape))
-        for sep in _separators(field_shape):
+        row = ["[" * len(shape)]
+        for sep in _separators(shape):
             row.extend((None, sep))
-    row[-1] += closing + ","
+    row[-1] += ","
     row = np.array(row, dtype=object)
     row.flags.writeable = False
-    return row, tuple(slots)
+    return row
 
 
 def _array_chunks(a, cache):
-    """Nested lists of a real float array, or objects of a 1-D structured array.
-
-    Both are lists of rows along the first axis (see :func:`_row`), rendered
-    a block of about ``BLOCK`` pieces at a time.
-    """
-    if a.dtype.names is not None and a.ndim != 1:
-        raise TypeError(f"cannot serialize a {a.ndim}-d structured array")
-    if a.ndim == 0 and a.dtype.kind == "f":
+    """Nested lists of a real float array, a list of rows along the first axis
+    (see :func:`_row`), rendered a block of about ``BLOCK`` pieces at a time."""
+    if a.dtype.kind != "f":
+        raise TypeError(f"cannot serialize an array of dtype {a.dtype}")
+    if a.ndim == 0:
         yield _texts(a, cache)[0]
         return
-    row, slots = _row(a.dtype, a.shape[1:])
+    row = _row(a.shape[1:])
 
-    def texts(rows):
-        for name, _, _ in slots:
-            values = a[rows] if name is None else a[rows][name]
-            yield _texts(values, cache) if values.dtype.kind == "f" else _int_texts(values)
+    def fill(pieces, rows):
+        pieces[:, 1::2] = _texts(a[rows], cache).reshape(len(pieces), -1)
 
-    yield from _row_chunks(row, slots, len(a), max(1, BLOCK // len(row)), texts)
+    yield from _row_chunks(row, len(a), max(1, BLOCK // len(row)), fill)
 
 
-def _row_chunks(row, slots, count, step, texts):
+def _row_chunks(row, count, step, fill):
     """A list of ``count`` rows of the template ``row``, rendered ``step`` rows per block.
 
-    ``texts(rows)`` yields the texts of each slot (see :func:`_row`) in the
-    slice ``rows`` of rows, in C order. The last row has no ``,``.
+    ``fill(pieces, rows)`` writes the texts of the slice ``rows`` of rows
+    into ``pieces``, a copy of the template per row. The last row has no ``,``.
     """
     if count == 0:
         yield "[]"
@@ -224,8 +194,7 @@ def _row_chunks(row, slots, count, step, texts):
         rows = slice(start, min(start + step, count))
         pieces = np.empty((rows.stop - start, len(row)), dtype=object)
         pieces[:] = row
-        for (_, col, shape), slot in zip(slots, texts(rows)):
-            pieces[:, col:col + 2 * math.prod(shape):2] = slot.reshape(len(pieces), -1)
+        fill(pieces, rows)
         if rows.stop == count:
             pieces[-1, -1] = pieces[-1, -1][:-1]
         yield "".join(pieces.ravel().tolist())
@@ -247,21 +216,26 @@ class OperatorRecords:
 def _operator_chunks(records, cache):
     """The records of an :class:`OperatorRecords`, about ``OPERATOR_BLOCK`` pieces per block.
 
-    The real and imaginary parts of a block share one :func:`_texts` call.
+    A record is the row of nested lists of shape (2, N, N) holding its real
+    and then its imaginary part, opened by one of N^2 heads
+    ``{"q":Q,"p":P,"re":[[`` built once, with ``]],"im":[[`` between the
+    parts and ``}`` after them. A block's parts share one :func:`_texts` call.
     """
     n = len(records.ops)
     if np.shape(records.ops) != (n,) * 4:
         raise TypeError(f"operators must be an N x N x N x N array, got shape {np.shape(records.ops)}")
-    parts = np.ascontiguousarray(records.ops, dtype=complex).reshape(n * n, n, n).view(float)
-    ints = np.array([str(k) for k in range(n)], dtype=object)
-    row, slots = _row(np.dtype([("q", np.intp), ("p", np.intp), ("re", float, (n, n)), ("im", float, (n, n))]), ())
+    parts = np.ascontiguousarray(records.ops, dtype=complex).reshape(n * n, n * n).view(float)
+    heads = np.array([f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)], dtype=object)
+    row = _row((2, n, n)).copy()
+    row[2 * n * n] = ']],"im":[['
+    row[-1] = "]]},"
 
-    def texts(rows):
-        q, p = divmod(np.arange(rows.start, rows.stop), n)
-        values = _texts(parts[rows], cache).reshape(-1, 2)
-        return ints[q], ints[p], values[:, 0], values[:, 1]
+    def fill(pieces, rows):
+        pieces[:, 0] = heads[rows]
+        real_then_imag = parts[rows].reshape(len(pieces), n * n, 2).transpose(0, 2, 1)
+        pieces[:, 1::2] = _texts(real_then_imag, cache).reshape(len(pieces), -1)
 
-    yield from _row_chunks(row, slots, n * n, max(1, OPERATOR_BLOCK // len(row)), texts)
+    yield from _row_chunks(row, n * n, max(1, OPERATOR_BLOCK // len(row)), fill)
 
 
 @record
@@ -379,7 +353,7 @@ def marginal_csv(weights):
     """Two-column table with a `p0,weight` header."""
     texts = _texts(weights, {})
     pieces = np.empty((len(texts), 4), dtype=object)
-    pieces[:, 0] = _int_texts(np.arange(len(texts)))
+    pieces[:, 0] = [str(k) for k in range(len(texts))]
     pieces[:, 1] = ","
     pieces[:, 2] = texts
     pieces[:, 3] = "\n"

@@ -227,6 +227,16 @@ def test_even_route_witness_names_the_first_row_lifts(n):
     assert rc.witness == (0, 1, 0, 1, 2 * n - 1, 0, 0, 1, 2 * n - 1, n)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_one_audit_builds_the_route_rows_once(n):
+    fano._route_rows.cache_clear()
+    fano.uniqueness_audit(n)
+    info = fano._route_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _, rows, first = fano._route_rows(n)
+    assert not rows.flags.writeable and not first.flags.writeable
+
+
 def test_group_action_composition_is_consistent():
     """g . (h . a) = (h g) . a on random tables, at both parities; the odd
     solution is a fixed point. Each image is again zero off the support."""

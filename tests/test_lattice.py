@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from latwig.lattice import (
     SL2Element,
-    egcd,
     first_completions,
     line_sites,
     primitive_rows,
@@ -48,13 +47,6 @@ def test_canonical_rejects_bad_dim():
         canonical(3, 0)
 
 
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_egcd_bezout(a, b):
-    g, x, y = egcd(a, b)
-    assert g == math.gcd(a, b)
-    assert a * x + b * y == g
-
-
 def test_sl2_element_requires_unit_determinant():
     with pytest.raises(ValueError):
         SL2Element(1, 0, 0, 2)
@@ -73,7 +65,11 @@ def test_sl2_complete_rejects_noncoprime():
         sl2_complete(2, 4)
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50))
+# `marginal --kappa/--lambda` take any int.
+ENTRIES = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))
+
+
+@given(ENTRIES, ENTRIES)
 def test_sl2_complete_determinant_and_tiebreak(kappa, lam):
     if math.gcd(kappa, lam) != 1:
         return

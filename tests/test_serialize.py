@@ -145,20 +145,9 @@ def test_zero_dimensional_and_empty_arrays(shape):
     assert dumps_json(a) == reference_dumps_json(a.tolist())
 
 
-def test_structured_array_becomes_a_list_of_flat_objects():
-    a = np.zeros(4, dtype=[("s", np.intp), ("k", np.uint8), ("re", float), ("im", np.float32)])
-    a["s"] = [0, 1, -7, 2**40]
-    a["k"] = [0, 3, 255, 9]
-    a["re"] = [-0.0, np.nan, 1e-300, 2 / 3]
-    a["im"] = [np.inf, -np.inf, 0.1, 5e-45]
-    expected = [dict(zip(a.dtype.names, rec)) for rec in a.tolist()]
-    assert dumps_json({"rows": a}) == reference_dumps_json({"rows": expected})
-    assert dumps_json(a[:0]) == "[]\n"
-
-
 # ---------------------------------------------------------------------------
-# Subarray record fields, blocks and streaming: every block size and write
-# chunk gives the reference emitter's text.
+# Rows of any shape, blocks and streaming: every block size and write chunk
+# gives the reference emitter's text.
 
 # Per float dtype: -0, quiet and signalling NaNs of both signs with payloads,
 # the smallest and largest subnormals.
@@ -170,42 +159,27 @@ SPECIAL_BITS = {
 }
 
 
-def _subarray_records(k, shape, dtype, seed=0):
-    """k records with int, float and subarray fields, special floats planted in the subarrays."""
-    rng = np.random.default_rng(seed)
-    a = np.zeros(k, dtype=[("q", np.intp), ("re", dtype, shape), ("w", float), ("im", dtype, shape)])
-    a["q"] = rng.integers(-3, 2**40, k)
-    a["w"] = rng.choice([0.5, -0.0, 2 / 3], k)
-    a["re"] = rng.choice([0.0, 1 / 3, -2.5, 1e-300], (k, *shape))
-    a["im"] = rng.standard_normal((k, *shape))
+def _special_rows(k, shape, dtype, seed=0):
+    """k rows of a shape, special floats planted at the front."""
+    a = np.random.default_rng(seed).choice([0.0, 1 / 3, -2.5, 1e-300], (k, *shape)).astype(dtype)
     special = SPECIAL_BITS[dtype].view(dtype)
-    flat = a["re"].reshape(-1)
-    flat[:len(special)] = special[:flat.size]
-    a["re"] = flat.reshape(a["re"].shape)
+    a.reshape(-1)[:len(special)] = special[:a.size]
     return a
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("shape", [(1,), (4,), (1, 1), (3, 3), (2, 3, 2)])
-def test_subarray_fields_match_the_reference_emitter(dtype, shape):
-    a = _subarray_records(6, shape, dtype)
-    assert np.isnan(a["re"]).any() and (np.signbit(a["re"]) & (a["re"] == 0)).any()
-    assert _matches_reference({"rows": a, "again": a["re"][1], "none": a[:0]})
+def test_rows_of_special_floats_match_the_reference_emitter(dtype, shape):
+    a = _special_rows(6, shape, dtype)
+    assert np.isnan(a).any() and (np.signbit(a) & (a == 0)).any()
+    assert _matches_reference({"rows": a, "again": a[1], "none": a[:0]})
     assert dumps_json(a[:0]) == "[]\n"
-
-
-def test_subarray_field_of_zero_size_is_an_empty_nested_list():
-    a = np.zeros(2, dtype=[("e", float, (2, 0)), ("q", np.intp), ("z", float, (0,))])
-    assert _matches_reference({"rows": a})
-    assert dumps_json(a) == '[{"e":[[],[]],"q":0,"z":[]},{"e":[[],[]],"q":0,"z":[]}]\n'
 
 
 def _block_document():
     rng = np.random.default_rng(2)
-    scalar_records = np.zeros(11, dtype=[("s", np.intp), ("re", float), ("im", np.float32)])
-    scalar_records["s"] = np.arange(11)
-    scalar_records["re"] = rng.choice([-0.0, 0.25, np.nan], 11)
-    return {"ops": _subarray_records(5, (3, 3), np.float64, seed=3), "rows": scalar_records,
+    return {"ops": serialize.OperatorRecords(_operator_tensor(3, seed=3)),
+            "rows": rng.choice([-0.0, 0.25, np.nan], (11, 2)), "f32": rng.standard_normal(11).astype(np.float32),
             "vec": rng.standard_normal(9), "grid": rng.standard_normal((4, 3)),
             "cube": rng.choice([1.0, -0.0], (3, 2, 4)), "one": np.ones((1, 1)), "empty": np.zeros((2, 0)),
             "scalar": np.array(0.5), "list": [np.arange(3.0), {"x": np.zeros((2, 2))}]}
@@ -216,6 +190,7 @@ def test_any_block_size_gives_the_reference_text(tmp_path, monkeypatch, block):
     doc = _block_document()
     expected = reference_dumps_json(_plain(doc))
     monkeypatch.setattr(serialize, "BLOCK", block)
+    monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
     assert dumps_json(doc) == expected
     serialize.write_json(str(tmp_path / "doc.json"), doc)
     assert (tmp_path / "doc.json").read_text() == expected
@@ -230,8 +205,9 @@ def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monk
     characters, the writer is handed one block, or one record, at a time,
     and the file is written while the text is still being produced."""
     doc = _block_document()
-    doc["rows"] = np.zeros(3000, dtype=[("s", np.intp), ("re", float)])
+    doc["rows"] = np.zeros((3000, 2))
     monkeypatch.setattr(serialize, "BLOCK", 7)
+    monkeypatch.setattr(serialize, "OPERATOR_BLOCK", 7)
     monkeypatch.setattr(serialize, "WRITE_CHUNK", 5)
     events = _spy_on_writes(monkeypatch)  # the size of each write, and each chunk produced
     chunks = []
@@ -252,8 +228,8 @@ def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monk
     assert max(sizes) <= 5 and sum(sizes) == len(text)
     assert events.index(sizes[0]) < len(events) - 1 - events[::-1].index("chunk")
     assert "".join(chunks) == text
-    # The longest is one record of "ops", two 3 x 3 subarrays of 17-digit floats.
-    assert max(map(len, chunks)) < 400 and len(chunks) > 3000 // 3
+    # The longest is one record of "ops", its two 3 x 3 parts of 17-digit floats.
+    assert max(map(len, chunks)) < 500 and len(chunks) > 3000 // 3
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +255,6 @@ def test_support_records_match_the_dense_records(monkeypatch, n):
     grid = serialize.SupportRecords(values.real, values.imag)
     records = _dense_records(table)
     expected = reference_dumps_json({"c": _plain(records), "after": 0.25})
-    # The generic record path gives the same text.
-    assert dumps_json({"c": records, "after": 0.25}) == expected
     for block in (1, 5, 64, serialize.BLOCK):
         monkeypatch.setattr(serialize, "BLOCK", block)
         assert dumps_json({"c": grid, "after": 0.25}) == expected
@@ -350,21 +324,21 @@ def test_operator_records_match_the_record_array(monkeypatch, n):
     ops = _operator_tensor(n, seed=n)
     records = _operator_record_array(ops)
     expected = reference_dumps_json({"o": _plain(records), "after": 0.25})
-    assert dumps_json({"o": records, "after": 0.25}) == expected
-    for block in (1, 4 * n * n + 5, 100, serialize.OPERATOR_BLOCK):
+    for block in (1, 4 * n * n + 1, 100, serialize.OPERATOR_BLOCK):
         monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
         assert dumps_json({"o": serialize.OperatorRecords(ops), "after": 0.25}) == expected
     real = ops.real.copy()
-    assert dumps_json(serialize.OperatorRecords(real)) == dumps_json(_operator_record_array(real.astype(complex)))
+    expected = reference_dumps_json(_plain(_operator_record_array(real.astype(complex))))
+    assert dumps_json(serialize.OperatorRecords(real)) == expected
 
 
 def test_operator_records_stream_blocks_of_operator_block_pieces(monkeypatch):
-    """A record is 4 N^2 + 5 pieces: its opening, then q, p and the 2 N^2 floats, each
-    a text and the separator after it. A block holds as many whole records as fit in
+    """A record is 4 N^2 + 1 pieces: its head, then the 2 N^2 floats, each a text and
+    the separator after it. A block holds as many whole records as fit in
     OPERATOR_BLOCK pieces, at least one."""
     n = 5
     ops = np.random.default_rng(1).standard_normal((n, n, n, n, 2)) @ [1, 1j]
-    for block, per_block in ((1, 1), (4 * n * n + 5, 1), (3 * (4 * n * n + 5) + 2, 3)):
+    for block, per_block in ((1, 1), (4 * n * n + 1, 1), (3 * (4 * n * n + 1) + 2, 3)):
         monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
         chunks = list(serialize._operator_chunks(serialize.OperatorRecords(ops), {}))
         assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == math.ceil(n * n / per_block) + 2
@@ -404,13 +378,13 @@ def test_text_cache_is_cleared_past_block_entries_and_keeps_the_text(monkeypatch
         a[rng.choice(k, len(specials), replace=False)] = specials
         return a
 
-    records = np.zeros(300, dtype=[("s", np.intp), ("re", float), ("im", float, (2,))])
-    records["re"] = planted(300)
-    records["im"] = planted(600).reshape(300, 2)
+    ops = np.empty((4,) * 4, dtype=complex)
+    ops.real = planted(256).reshape(ops.shape)
+    ops.imag = planted(256).reshape(ops.shape)
     values, table = _support_values(6, seed=9)
-    doc = {"a": planted(400), "rows": records, "grid": planted(300).reshape(20, 15),
+    doc = {"a": planted(400), "ops": serialize.OperatorRecords(ops), "grid": planted(300).reshape(20, 15),
            "support": serialize.SupportRecords(values.real, values.imag),
-           "again": records["re"][::-1].copy(), "small": specials[::-1].copy()}
+           "again": ops.real.ravel()[::-1].copy(), "small": specials[::-1].copy()}
     expected = reference_dumps_json(_plain({**doc, "support": _dense_records(table)}))
     monkeypatch.setattr(serialize, "BLOCK", 16)
     sizes = []
@@ -437,8 +411,13 @@ def test_text_cache_is_cleared_past_block_entries_and_keeps_the_text(monkeypatch
     np.zeros(2, dtype=[("v", np.int64, 3)]),
     np.zeros(2, dtype=[("v", complex, (2, 2))]),
     np.zeros((2, 2), dtype=[("x", float)]),
+    np.zeros(2, dtype=[("s", np.intp), ("re", float)]),
+    np.zeros(2, dtype=[("re", float, (2, 2))]),
+    np.zeros(2, dtype=[("e", float, (2, 0))]),
+    np.zeros(2, dtype=np.intp),
 ], ids=["complex", "bool", "object", "complex-field", "bool-field", "int-subarray-field",
-        "complex-subarray-field", "2d-records"])
+        "complex-subarray-field", "2d-records", "int-and-float-fields", "float-subarray-field",
+        "empty-subarray-field", "int"])
 def test_unsupported_arrays_raise_type_error(a):
     with pytest.raises(TypeError):
         dumps_json({"a": a})
@@ -480,12 +459,12 @@ def test_a_value_shared_by_float32_and_float64_arrays():
 
 def test_a_record_field_shares_texts_with_a_plain_array():
     values = np.array([2 / 3, -0.0, np.nan, 1e-300])
-    rows = np.zeros(4, dtype=[("k", np.int64), ("re", float), ("im", np.float32)])
-    rows["k"] = [3, -1, 0, 2**40]
-    rows["re"] = values[::-1]
-    rows["im"] = [0.0, 0.5, -np.inf, 2 / 3]
-    assert _matches_reference({"plain": values, "rows": rows, "again": values.reshape(2, 2)})
-    assert _matches_reference({"rows": rows, "plain": values})
+    ops = np.empty((2,) * 4, dtype=complex)
+    ops.real = np.resize(values[::-1], ops.shape)
+    ops.imag = np.resize([0.0, 0.5, -np.inf, 2 / 3], ops.shape)
+    records = serialize.OperatorRecords(ops)
+    assert _matches_reference({"plain": values, "ops": records, "again": values.reshape(2, 2)})
+    assert _matches_reference({"ops": records, "plain": values})
 
 
 def test_no_text_outlives_a_dump(tmp_path, monkeypatch):
@@ -571,7 +550,7 @@ def test_write_atomic_bounds_the_temp_name_in_bytes(tmp_path):
 def test_write_json_failing_mid_document_leaves_target_and_no_temp(tmp_path):
     target = tmp_path / "out.json"
     target.write_text("old\n")
-    doc = {"rows": np.zeros(5000, dtype=[("s", np.intp), ("re", float)]), "bad": np.zeros(2, dtype=complex)}
+    doc = {"rows": np.zeros((5000, 2)), "bad": np.zeros(2, dtype=complex)}
     with pytest.raises(TypeError):
         serialize.write_json(str(target), doc)
     assert target.read_text() == "old\n"
