@@ -59,10 +59,10 @@ INTERNAL_ERROR = 3
 TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
-# Largest N `check` accepts. The route audit holds an N^2 x 2N table of
-# first lift codes next to one of spreads, about 33*N^3 bytes: peak RSS
-# 320 MiB at N = 201 (1.4 s) and 327 MiB at N = 200 (5.2 s, an even N
-# having about three times the primitive rows), 157 MiB at N = 151.
+# Largest N `check` accepts. The route audit holds O(N^2) state (peak RSS
+# 69 MiB at N = 200), so the wall time of even N, with about three times the
+# primitive rows, binds: 2.9-3.7 s at N = 200, 0.9-1.2 s at N = 201. The int64
+# lift codes, below (2N)^4, fit up to N = 27,554, `fano._two_phi` to 30,000.
 CHECK_MAX_N = 201
 
 # Largest N `marginal` accepts. Its projector check holds the direction's N
@@ -173,8 +173,7 @@ def cmd_check(args):
     reads its canonical routes off the same rows. ``group_order`` is
     |SL(2, Z_N)|, and ``lifts_per_element`` the classes of lifts mod M
     above each element that a route value tells apart: 1 for odd N, 8 for
-    even N. N is limited to :data:`CHECK_MAX_N` by the route audit's
-    N^2 x 2N tables, before any work.
+    even N. N is limited to :data:`CHECK_MAX_N` before any work.
 
     An even N's structural residuals are 1/N for operator hermiticity and
     2/N^2 for covariance and the route spreads. A --tolerance above all of
@@ -185,7 +184,7 @@ def cmd_check(args):
     from . import fano, serialize
 
     n = args.n
-    _require_at_most(n, CHECK_MAX_N, "whose N^2 x 2N table of route lift codes `check` builds")
+    _require_at_most(n, CHECK_MAX_N, "whose O(N^3) tilted-line routes `check` audits")
     report = fano.full_report(n, tol=args.tolerance)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)

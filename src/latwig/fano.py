@@ -29,10 +29,11 @@ determinant 1 maps the support onto itself, so it is one residual per
 support point. For the candidate tables the float verdict is the exact one
 at any tolerance between their residuals: round-off below 1e-16 for odd N,
 where the table is covariant, and 2/N^2 for even N. A route value depends
-on a lift only mod M (M = N for odd N, 2N for even N), and only through
-the row it runs along, so the route audit, exhaustive over every integer
-lift, takes O(N^3) routes: one per primitive row mod M, slice and r.
-The derived table reads its N^2 canonical routes off the same rows.
+on a lift only through the row it runs along, mod M (N for odd N, 2N for
+even N), so the route audit, exhaustive over every integer lift, takes one
+route per primitive row mod M, slice and r: O(N^3) routes in two passes
+that hold O(N^2) state. The derived table reads its canonical routes off
+the same rows.
 """
 
 from functools import lru_cache
@@ -351,18 +352,18 @@ def check_covariance_group(c, tol=DEFAULT_TOL):
 
 @lru_cache(maxsize=1)
 def _route_rows(n):
-    """M (N for odd N, 2N for even N), the primitive rows mod M and their first completions, read-only.
-
-    A route's exponent depends on a lift only mod M, and only through the
-    row it runs along, so the first lift of each row stands for them all.
-    The route audit and the derived table of one N share them.
-    """
+    """M (N odd, 2N even), the primitive rows mod M and their first completions: read-only, shared by routes."""
     m = n if n % 2 else 2 * n
     rows = primitive_rows(m)
     first = first_completions(rows, m)
     rows.setflags(write=False)
     first.setflags(write=False)
     return m, rows, first
+
+
+def _row_index(rows, m, a, b):
+    """Where the primitive rows (a, b) mod m stand in ``rows``, which are in lexicographic order."""
+    return np.searchsorted(rows[:, 0] * m + rows[:, 1], a * m + b)
 
 
 def derived_table(n):
@@ -380,7 +381,7 @@ def derived_table(n):
     s, t = np.indices((n - 1, n - 1)) + 1
     g = np.gcd(s, t)
     kappa, lam = t // g, s // g
-    i = np.searchsorted(rows[:, 0] * m + rows[:, 1], kappa * m + lam)  # the rows are in lexicographic order
+    i = _row_index(rows, m, kappa, lam)
     half = _half_omega_table(n)[_two_phi((kappa, lam, first[i, 0], first[i, 1]), t, s, n)]
     values = np.full((n, n), 1.0 / n**2, dtype=complex)  # the t = 0 and s = 0 slices
     values.real[1:, 1:] = half.real / n**2
@@ -395,38 +396,37 @@ def _route_consistency(n, tol):
     and onto the t-slice at r(nu, mu), r = 1..N-1. Another completion
     (mu + j*kappa, nu + j*lam) moves an s-slice exponent by
     j*(N*(lam^2*t + kappa^2*s) - (lam*t - kappa*s)^2) = 0 mod 2N; alike for
-    t-slice routes. So one route per primitive row mod M, slice and r,
-    through the row's first lift, ordered by (point, lift), gives the
-    verdict, worst spread and witness of a scan of every lift class in
-    order: the first (s,t) with a conflict, its first route's lift and the
-    first that disagrees. Spreads, the complex ``abs`` of the difference of
-    two route values (1/N^2) omega^(phi'), are tabulated per pair of
-    exponents. At a negative ``tol`` each route after a point's first
-    conflicts: the witness is (0, 1) and the two least lifts onto it.
+    t-slice routes. So each primitive row mod M runs one route per slice and
+    r, through its first lift. Pass one takes each point's least lift code,
+    its lead; pass two each route's spread from the lead's exponent and the
+    least other code beyond ``tol``, its rival. The witness, as a scan of
+    every lift class names it: the first point with a rival, then both lifts.
     """
     m, rows, first = _route_rows(n)
     lifts = np.concatenate([np.column_stack([rows, first]),
-                            np.column_stack([first_completions(-rows % m, m), rows])]).T
-    codes = np.ravel_multi_index(tuple(lifts), (m,) * 4)
+                            np.column_stack([first[_row_index(rows, m, *(-rows % m).T)], rows])]).T
+    codes, unset = np.ravel_multi_index(tuple(lifts), (m,) * 4), m**4
     a, b = np.tile(rows.T, 2)  # both slices' routes through row (a, b) run along r(b, a)
-    unset = np.iinfo(np.int64).max
-    lead = np.full((n * n, 2 * n), unset)  # [point, exponent]: first lift code
+    lead, rival = np.full(n * n, unset - 1), np.full(n * n, unset)  # [s*N + t]; unreached (0, 0) stays decodable
     for r in range(1, n):
-        s, t = r * b % n, r * a % n
-        np.minimum.at(lead, (s * n + t, _two_phi(lifts, t, s, n)), codes)
+        np.minimum.at(lead, r * b % n * n + r * a % n, codes)
+    lead_phi = _two_phi(np.unravel_index(lead, (m,) * 4), np.arange(n * n) % n, np.arange(n * n) // n, n)
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
-    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])[lead.argmin(axis=1)]
-    spread[lead == unset] = 0.0
-    conflicts = (spread > tol) & (lead != unset)
-    witness = None
-    if tol < 0 and n > 1:
-        witness = (0, 1, 0, 1, m - 1, 0) + ((0, 2, n // 2, 0) if n % 2 else (0, 1, m - 1, n))
-    elif conflicts.any():
-        point = int(conflicts.any(axis=1).argmax())
-        pair = lead[point].min(), lead[point][conflicts[point]].min()
-        witness = divmod(point, n) + tuple(int(x) for code in pair for x in np.unravel_index(code, (m,) * 4))
-    return CheckResult("route_consistency", witness is None, float(spread.max()), witness)
+    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])  # [lead exponent, exponent]
+    worst = 0.0
+    for r in range(1, n):
+        s, t = r * b % n, r * a % n
+        point = s * n + t
+        d = spread[lead_phi[point], _two_phi(lifts, t, s, n)]
+        worst = max(worst, float(d.max()))
+        conflicts = (d > tol) & (codes != lead[point])
+        np.minimum.at(rival, point[conflicts], codes[conflicts])
+    point = int((rival < unset).argmax())
+    if rival[point] == unset:
+        return CheckResult("route_consistency", True, worst)
+    pair = np.unravel_index([lead[point], rival[point]], (m,) * 4)  # [entry, lead | rival]
+    return CheckResult("route_consistency", False, worst, divmod(point, n) + tuple(np.ravel(pair, "F").tolist()))
 
 
 def uniqueness_audit(n, tol=DEFAULT_TOL):

@@ -227,6 +227,30 @@ def test_even_route_witness_names_the_first_row_lifts(n):
     assert rc.witness == (0, 1, 0, 1, 2 * n - 1, 0, 0, 1, 2 * n - 1, n)
 
 
+@pytest.mark.parametrize("n", [*range(2, 61), 100, 101])
+def test_negative_tolerance_witness_is_the_two_least_lifts_onto_zero_one(n):
+    """At a negative tolerance every route after a point's first conflicts,
+    so the witness is (0, 1) with its two least lifts: (0, 1, M-1, 0), then
+    (0, 2, N//2, 0) for odd N and (0, 1, M-1, N) for even N."""
+    m = n if n % 2 else 2 * n
+    rc = fano._route_consistency(n, -1.0)
+    assert not rc.passed
+    assert rc.witness == (0, 1, 0, 1, m - 1, 0) + ((0, 2, n // 2, 0) if n % 2 else (0, 1, m - 1, n))
+
+
+def test_route_audit_holds_no_table_per_point_and_exponent():
+    """With the rows cached, the route audit at N = 100 traces under 12 MiB;
+    its N^2 x 2N tables of lift codes and spreads traced 38 MiB."""
+    fano._route_rows(100)
+    tracemalloc.start()
+    try:
+        fano._route_consistency(100, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_one_audit_builds_the_route_rows_once(n):
     fano._route_rows.cache_clear()
