@@ -60,9 +60,9 @@ TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
 # Largest N `check` accepts. The route audit holds O(N^2) state (peak RSS
-# 69 MiB at N = 200), so the wall time of even N, with about three times the
-# primitive rows, binds: 2.9-3.7 s at N = 200, 0.9-1.2 s at N = 201. The int64
-# lift codes, below (2N)^4, fit up to N = 27,554, `fano._two_phi` to 30,000.
+# 42 MiB at N = 200), so the wall time of even N, with about three times the
+# primitive rows, binds: 1.2-1.8 s at N = 200, 0.6-0.7 s at N = 201. The int64
+# products of `fano._route_phi` fit up to N = 55,000, `fano._two_phi`'s to 30,000.
 CHECK_MAX_N = 201
 
 # Largest N `marginal` accepts. Its projector check holds the direction's N
@@ -169,11 +169,12 @@ def cmd_check(args):
     """Audit every condition family on the candidate table and write the report.
 
     The route audit covers every integer lift of SL(2, Z_N) with one route
-    per primitive row mod M (N or 2N), slice and r, and the derived table
-    reads its canonical routes off the same rows. ``group_order`` is
-    |SL(2, Z_N)|, and ``lifts_per_element`` the classes of lifts mod M
-    above each element that a route value tells apart: 1 for odd N, 8 for
-    even N. N is limited to :data:`CHECK_MAX_N` before any work.
+    per primitive row mod M (N or 2N) and r, and the derived table takes
+    one of those routes per point. ``group_order`` is |SL(2, Z_N)|, and
+    ``lifts_per_element`` the classes of lifts mod M above each element
+    that a route value tells apart, those the reference scan of every
+    class in ``tests/oracles.py`` runs: 1 for odd N, 8 for even N. N is
+    limited to :data:`CHECK_MAX_N` before any work.
 
     An even N's structural residuals are 1/N for operator hermiticity and
     2/N^2 for covariance and the route spreads. A --tolerance above all of

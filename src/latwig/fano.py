@@ -30,13 +30,11 @@ support point. For the candidate tables the float verdict is the exact one
 at any tolerance between their residuals: round-off below 1e-16 for odd N,
 where the table is covariant, and 2/N^2 for even N. A route value depends
 on a lift only through the row it runs along, mod M (N for odd N, 2N for
-even N), so the route audit, exhaustive over every integer lift, takes one
-route per primitive row mod M, slice and r: O(N^3) routes in two passes
-that hold O(N^2) state. The derived table reads its canonical routes off
-the same rows.
+even N), and r, by one closed form (:func:`_route_phi`), so the route
+audit, exhaustive over every integer lift, takes one route per primitive
+row mod M and r: O(N^3) routes in two passes that hold O(N^2) state. The
+derived table takes one canonical route per point by the same formula.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -280,9 +278,9 @@ def _two_phi(entries, a, b, n):
     Python ints or int64 arrays broadcast against ``a`` and ``b``. On
     Python ints the value is exact for lifts of any size. Where an int64
     array enters, the entries must lie below 2N in absolute value, as the
-    residues of :func:`_lift_entries` and of the route rows do, so that no
-    product overflows for N below 30,000. The exponent can be odd, so
-    omega^(phi') a half-integer power, only when N is even.
+    residues of :func:`_lift_entries` do, so that no product overflows for
+    N below 30,000. The exponent can be odd, so omega^(phi') a half-integer
+    power, only when N is even.
     """
     kappa, lam, mu, nu = entries
     return (nu * lam * (a * (n - a)) + mu * kappa * (b * (n - b)) + mu * lam * (2 * a * b)) % (2 * n)
@@ -350,39 +348,33 @@ def check_covariance_group(c, tol=DEFAULT_TOL):
 # Line-by-line derivation and the uniqueness audit
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _route_rows(n):
-    """M (N odd, 2N even), the primitive rows mod M and their first completions: read-only, shared by routes."""
-    m = n if n % 2 else 2 * n
-    rows = primitive_rows(m)
-    first = first_completions(rows, m)
-    rows.setflags(write=False)
-    first.setflags(write=False)
-    return m, rows, first
+def _route_phi(a, b, r, n):
+    """The doubled exponent mod 2N of the route along the row (a, b) mod M at r.
 
-
-def _row_index(rows, m, a, b):
-    """Where the primitive rows (a, b) mod m stand in ``rows``, which are in lexicographic order."""
-    return np.searchsorted(rows[:, 0] * m + rows[:, 1], a * m + b)
+    The row's direction unitary V = omega^((N-1)ab/2) S^a P^b has
+    V^r = omega^(a*b*r*(N-r)/2) S^(ra) P^(rb), so the route maps
+    (s,t) = (rb, ra) onto the s-slice with value (1/N^2) omega^(phi'(t,s)),
+    2*phi' = a*b*r*(N-r) mod 2N, whichever lift completes the row. Python
+    ints or int64 arrays with a, b < 2N: no product overflows for N below
+    55,000.
+    """
+    return a * b * r * (n - r) % (2 * n)
 
 
 def derived_table(n):
     """Table built from the axis conditions plus canonical line routes only.
 
     The canonical route of (s,t) = g*(sigma, tau), g = gcd(s,t), is the
-    s-slice route at r = g through the primitive row (kappa, lam) =
-    (tau, sigma), which maps (s,t) onto the s-slice; the value,
-    (1/N^2) omega^(phi'(t,s)), is read off the axis condition there and
-    takes its exponent from the row's first lift. It is divided by N^2
-    componentwise, as Python's ``complex / int`` divides.
+    s-slice route at r = g through the primitive row (tau, sigma), which
+    maps (s,t) onto the s-slice; the value, (1/N^2) omega^(phi'(t,s)), is
+    read off the axis condition there with the exponent of
+    :func:`_route_phi`. It is divided by N^2 componentwise, as Python's
+    ``complex / int`` divides.
     """
     check_dim(n)
-    m, rows, first = _route_rows(n)
     s, t = np.indices((n - 1, n - 1)) + 1
     g = np.gcd(s, t)
-    kappa, lam = t // g, s // g
-    i = _row_index(rows, m, kappa, lam)
-    half = _half_omega_table(n)[_two_phi((kappa, lam, first[i, 0], first[i, 1]), t, s, n)]
+    half = _half_omega_table(n)[_route_phi(t // g, s // g, g, n)]
     values = np.full((n, n), 1.0 / n**2, dtype=complex)  # the t = 0 and s = 0 slices
     values.real[1:, 1:] = half.real / n**2
     values.imag[1:, 1:] = half.imag / n**2
@@ -392,41 +384,41 @@ def derived_table(n):
 def _route_consistency(n, tol):
     """Route consistency: all routes agree at every (s,t) != (0,0).
 
-    A lift (kappa, lam, mu, nu) maps (s,t) onto the s-slice at r(lam, kappa)
-    and onto the t-slice at r(nu, mu), r = 1..N-1. Another completion
-    (mu + j*kappa, nu + j*lam) moves an s-slice exponent by
-    j*(N*(lam^2*t + kappa^2*s) - (lam*t - kappa*s)^2) = 0 mod 2N; alike for
-    t-slice routes. So each primitive row mod M runs one route per slice and
-    r, through its first lift. Pass one takes each point's least lift code,
-    its lead; pass two each route's spread from the lead's exponent and the
-    least other code beyond ``tol``, its rival. The witness, as a scan of
-    every lift class names it: the first point with a rival, then both lifts.
+    A lift with first row (a, b) maps the multiples (s,t) = (rb, ra),
+    r = 1..N-1, onto the s-slice, and its route value depends only on
+    (a, b) mod M and r (:func:`_route_phi`); a lift with second row (a, b)
+    maps the same points onto the t-slice with the same values. So each
+    primitive row mod M runs one route per r, coded row index * N + r.
+    Pass one takes each point's least code, its lead; pass two each route's
+    spread from the lead's exponent and the least other code beyond
+    ``tol``, its rival. The witness is the first point with a rival, then
+    the lead's and the rival's rows, each with its first completion.
     """
-    m, rows, first = _route_rows(n)
-    lifts = np.concatenate([np.column_stack([rows, first]),
-                            np.column_stack([first[_row_index(rows, m, *(-rows % m).T)], rows])]).T
-    codes, unset = np.ravel_multi_index(tuple(lifts), (m,) * 4), m**4
-    a, b = np.tile(rows.T, 2)  # both slices' routes through row (a, b) run along r(b, a)
+    m = n if n % 2 else 2 * n
+    rows = primitive_rows(m)
+    a, b = rows.T
+    codes, unset = np.arange(len(rows)) * n, len(rows) * n
     lead, rival = np.full(n * n, unset - 1), np.full(n * n, unset)  # [s*N + t]; unreached (0, 0) stays decodable
     for r in range(1, n):
-        np.minimum.at(lead, r * b % n * n + r * a % n, codes)
-    lead_phi = _two_phi(np.unravel_index(lead, (m,) * 4), np.arange(n * n) % n, np.arange(n * n) // n, n)
+        np.minimum.at(lead, r * b % n * n + r * a % n, codes + r)
+    lead_row, lead_r = np.divmod(lead, n)
+    lead_phi = _route_phi(a[lead_row], b[lead_row], lead_r, n)
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
     spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])  # [lead exponent, exponent]
     worst = 0.0
     for r in range(1, n):
-        s, t = r * b % n, r * a % n
-        point = s * n + t
-        d = spread[lead_phi[point], _two_phi(lifts, t, s, n)]
+        point = r * b % n * n + r * a % n
+        d = spread[lead_phi[point], _route_phi(a, b, r, n)]
         worst = max(worst, float(d.max()))
-        conflicts = (d > tol) & (codes != lead[point])
-        np.minimum.at(rival, point[conflicts], codes[conflicts])
+        conflicts = (d > tol) & (codes + r != lead[point])
+        np.minimum.at(rival, point[conflicts], codes[conflicts] + r)
     point = int((rival < unset).argmax())
     if rival[point] == unset:
         return CheckResult("route_consistency", True, worst)
-    pair = np.unravel_index([lead[point], rival[point]], (m,) * 4)  # [entry, lead | rival]
-    return CheckResult("route_consistency", False, worst, divmod(point, n) + tuple(np.ravel(pair, "F").tolist()))
+    pair = rows[[lead[point] // n, rival[point] // n]]
+    lifts = np.column_stack([pair, first_completions(pair, m)])  # [lead | rival, entry]
+    return CheckResult("route_consistency", False, worst, divmod(point, n) + tuple(lifts.ravel().tolist()))
 
 
 def uniqueness_audit(n, tol=DEFAULT_TOL):
@@ -434,10 +426,10 @@ def uniqueness_audit(n, tol=DEFAULT_TOL):
 
     For every nonzero (s,t), the forced value is derived through every
     integer lift with determinant 1 that maps (s,t) onto an axis slice, as
-    one route per primitive row mod M, slice and r; all routes must agree
-    for the table to exist. The table derived through the canonical routes
-    of the same rows is then checked against the closed form and against
-    hermiticity and orthogonality, which were never imposed on it.
+    one route per primitive row mod M and r; all routes must agree for the
+    table to exist. The table derived through one canonical route per point
+    is then checked against the closed form and against hermiticity and
+    orthogonality, which were never imposed on it.
     """
     check_dim(n)
     route_check = _route_consistency(n, tol)

@@ -2,13 +2,13 @@
 
 Integer lifts and determinants use plain Python integers, so they are
 exact; reduction mod N happens only where a residue is wanted. The lines
-of a direction are numpy index arrays (:func:`line_sites`). The primitive
-rows mod M and the first completion of each have closed forms
-(:func:`primitive_rows`, :func:`first_completions`); the route audit and
-the derived table run on them, and the order of SL(2, Z_M)
-(:func:`sl2_order`) is M times the number of rows. The covariance audit
-needs only :data:`GENERATORS`: S and T generate SL(2, Z), which maps onto
-every SL(2, Z_M).
+of a direction are numpy index arrays (:func:`line_sites`). The route
+audit runs one route per primitive row mod M (:func:`primitive_rows`), and
+the order of SL(2, Z_M) (:func:`sl2_order`) is M times the number of
+rows. :func:`first_completions` completes rows to group elements by a
+closed form; the route audit completes only the two rows of its witness.
+The covariance audit needs only :data:`GENERATORS`: S and T generate
+SL(2, Z), which maps onto every SL(2, Z_M).
 """
 
 import math

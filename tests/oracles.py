@@ -8,7 +8,8 @@ checks on it (marginal sums, hermiticity scan and site Gram product), the
 joined text of a JSON document, the Fraction-valued covariance phase, the
 dense int64 exponent table and the group action on dense tables, the
 covariance scan over every lift class of SL(2, Z_2N), the lift classes
-and the route audit as a scan of every route of every class, the
+and the route audit as a scan of every route of every class, the route
+audit as a plain loop over the first lift of every primitive row, the
 per-(s,t) route list, the identity and the exact product of integer
 lifts, SL(2, Z_m) as residues written down from its rows and the
 determinant-filter enumeration it is checked against, integer lifts
@@ -410,6 +411,37 @@ def route_consistency_scan(n, elements, tol):
         i = conflicts[0]
         lifts = elements[order[[first[i], i]] // (2 * n - 2)]
         witness = divmod(int(point[i]), n) + tuple(int(x) for x in lifts.ravel())
+    return CheckResult("route_consistency", witness is None, worst, witness)
+
+
+def route_consistency_loop(n, tol):
+    """The route audit as a plain loop: points, then primitive rows mod M in lexicographic order, then r.
+
+    Each row (a, b) mod M (N for odd N, 2N for even N) runs through its
+    first lift, completed by ``first_completions``, and maps (rb, ra) onto
+    the s-slice at r = 1..N-1 with the value (1/N^2) omega^(phi'(t,s)) of
+    ``_two_phi``. A point's first route is its lead, and the first route
+    whose value lies more than ``tol`` from the lead's is its rival. The
+    witness is the first point with a rival, then the lead's lift and the
+    rival's.
+    """
+    check_dim(n)
+    m = n if n % 2 else 2 * n
+    rows = primitive_rows(m)
+    lifts = [tuple(g) for g in np.column_stack([rows, first_completions(rows, m)]).tolist()]
+    half = _half_omega_table(n)
+    routes = {point: [] for point in product(range(n), repeat=2)}
+    for g in lifts:
+        for r in range(1, n):
+            s, t = r * g[1] % n, r * g[0] % n
+            routes[s, t].append((g, complex(half[_two_phi(g, t, s, n)]) / n**2))
+    worst, witness = 0.0, None
+    for point, found in routes.items():
+        for g, v in found[1:]:
+            spread = abs(v - found[0][1])
+            worst = max(worst, spread)
+            if spread > tol and witness is None:
+                witness = point + found[0][0] + g
     return CheckResult("route_consistency", witness is None, worst, witness)
 
 

@@ -333,9 +333,9 @@ def test_check_reports_the_group_it_audited(tmp_path, argv):
 
 def test_check_covariance_is_decided_on_the_generators_and_reports_the_whole_group(tmp_path):
     """At N = 4 covariance fails first at S = (0, 1, -1, 0), whose entries
-    end the witness; at N = 9 the group fields still count the route audit's
-    SL(2, Z_9), one lift class per element, and at N = 8 the eight classes
-    mod 16 above each element of SL(2, Z_8)."""
+    end the witness; at N = 9 the group fields count SL(2, Z_9) with one
+    lift class per element, the classes the reference route scan runs, and
+    at N = 8 the eight classes mod 16 above each element of SL(2, Z_8)."""
     out = tmp_path / "c.json"
     assert main(["check", "--n", "4", "--out", str(out)]) == 0
     cov = json.loads(out.read_text())["checks"]["covariance"]

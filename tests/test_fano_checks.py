@@ -9,18 +9,21 @@ import pytest
 
 from latwig import fano
 from latwig.fano import FanoCoefficients, _covariance_scan
-from latwig.lattice import GENERATORS, SL2Element
+from latwig.lattice import GENERATORS, SL2Element, first_completions, primitive_rows
 from latwig.operators import DEFAULT_TOL, _half_omega_table
 from oracles import (
     IDENTITY,
     apply_covariance_transform,
+    clock_matrix,
     compose,
     covariance_every_class,
     derivation_routes,
     lift_classes,
     omega_pow,
     phase_phi,
+    route_consistency_loop,
     route_consistency_scan,
+    shift_matrix,
     sl2_enumerate,
     sl2_lifts_search,
 )
@@ -205,60 +208,106 @@ def test_route_audit_on_the_lift_classes_equals_the_audit_on_every_class_mod_2n(
     assert got.passed == (n % 2 == 1)
 
 
+def _verdict(c):
+    """Verdict, worst violation and witness point of a route audit: what every order of its routes agrees on."""
+    return c.passed, c.max_violation, c.witness and c.witness[:2]
+
+
 @pytest.mark.parametrize("n", range(1, 25))
 def test_route_audit_on_primitive_rows_equals_the_scan_of_every_lift_class(n):
-    """One route per primitive row, slice and r gives the verdict, the
-    worst spread to the bit and the witness of the scan of every route of
+    """One route per primitive row and r gives the verdict, the worst
+    spread to the bit and the witness point of the scan of every route of
     every lift class, at the tolerances 0, the default, 2/N^2 (the even-N
-    spread) and 1, and at -1, where every second route conflicts."""
+    spread) and 1, and at -1, where every second route conflicts; the whole
+    report is that of the plain loop over the rows' first lifts."""
     for tol in (0.0, DEFAULT_TOL, 2 / n**2, 1.0, -1.0):
         got = fano._route_consistency(n, tol)
         want = route_consistency_scan(n, lift_classes(n), tol)
-        assert (got.passed, got.max_violation, got.witness) == (want.passed, want.max_violation, want.witness)
+        assert _verdict(got) == _verdict(want)
+        assert got == route_consistency_loop(n, tol)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 100])
 def test_even_route_witness_names_the_first_row_lifts(n):
-    """At even N the first conflict is at (s, t) = (0, 1), between the
-    identity's lift (0, 1, 2N-1, 0) and (0, 1, 2N-1, N) on the t-slice."""
+    """At even N the first conflict is at (s, t) = (0, 1), between the rows
+    (1, 0) and (1, N) mod 2N, that is S and -S, each completed by (0, 1):
+    they label the lines of one direction in opposite ways."""
     rc = fano._route_consistency(n, DEFAULT_TOL)
     assert not rc.passed
     assert rc.max_violation == pytest.approx(2 / n**2)
-    assert rc.witness == (0, 1, 0, 1, 2 * n - 1, 0, 0, 1, 2 * n - 1, n)
+    assert rc.witness == (0, 1, 1, 0, 0, 1, 1, n, 0, 1)
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 100, 101])
 def test_negative_tolerance_witness_is_the_two_least_lifts_onto_zero_one(n):
     """At a negative tolerance every route after a point's first conflicts,
-    so the witness is (0, 1) with its two least lifts: (0, 1, M-1, 0), then
-    (0, 2, N//2, 0) for odd N and (0, 1, M-1, N) for even N."""
-    m = n if n % 2 else 2 * n
+    so the witness is (0, 1) with its two least routes: the row (1, 0) at
+    r = 1, lifted to (1, 0, 0, 1), then (1, N, 0, 1) for even N and the row
+    (2, 0) at r = (N+1)/2, lifted to (2, 0, 0, (N+1)/2), for odd N."""
     rc = fano._route_consistency(n, -1.0)
     assert not rc.passed
-    assert rc.witness == (0, 1, 0, 1, m - 1, 0) + ((0, 2, n // 2, 0) if n % 2 else (0, 1, m - 1, n))
+    assert rc.witness == (0, 1, 1, 0, 0, 1) + ((2, 0, 0, (n + 1) // 2) if n % 2 else (1, n, 0, 1))
 
 
 def test_route_audit_holds_no_table_per_point_and_exponent():
-    """With the rows cached, the route audit at N = 100 traces under 12 MiB;
-    its N^2 x 2N tables of lift codes and spreads traced 38 MiB."""
-    fano._route_rows(100)
+    """The route audit at N = 100, its primitive rows included, traces under
+    4 MiB (2.5 MiB measured): O(N^2) state, no N^2 x 2N table per point and
+    exponent and no completion of every row."""
     tracemalloc.start()
     try:
         fano._route_consistency(100, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_one_audit_builds_the_route_rows_once(n):
-    fano._route_rows.cache_clear()
-    fano.uniqueness_audit(n)
-    info = fano._route_rows.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    _, rows, first = fano._route_rows(n)
-    assert not rows.flags.writeable and not first.flags.writeable
+def _routes(n):
+    """The rows (a, b) mod M, r and the route points (s, t) = (rb, ra), as flat arrays per r = 1..N-1."""
+    rows = primitive_rows(n if n % 2 else 2 * n)
+    for r in range(1, n):
+        a, b = rows.T
+        yield a, b, r, r * b % n, r * a % n
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_route_exponent_is_that_of_the_first_lift(n):
+    """The closed form a*b*r*(N-r) mod 2N is the exponent ``_two_phi`` gives
+    each route through its row's first lift."""
+    m = n if n % 2 else 2 * n
+    first = first_completions(primitive_rows(m), m).T
+    for a, b, r, s, t in _routes(n):
+        assert np.array_equal(fano._route_phi(a, b, r, n), fano._two_phi((a, b, *first), t, s, n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_route_exponent_is_the_phase_of_the_direction_unitary_power(n):
+    """With V = omega^((N-1)ab/2) S^a P^b, the direction unitary of the row
+    (a, b) mod M, V^r = omega^(a*b*r*(N-r)/2) S^(ra) P^(rb) for every
+    primitive row and r = 1..N-1, as matrix powers of the shift and clock."""
+    half, power = _half_omega_table(n), np.linalg.matrix_power
+    shift, clock = shift_matrix(n), clock_matrix(n)
+    for a, b, r, _, _ in _routes(n):
+        for x, y in zip(a.tolist(), b.tolist()):
+            v = half[(n - 1) * x * y % (2 * n)] * power(shift, x) @ power(clock, y)
+            want = half[fano._route_phi(x, y, r, n)] * power(shift, r * x) @ power(clock, r * y)
+            assert np.abs(power(v, r) - want).max() < 1e-9, (x, y, r)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_route_exponents_are_minus_st_mod_n_with_two_per_point_only_at_even_n(n):
+    """Every route exponent at (s,t) is -st mod N. Odd N have one exponent
+    per point; even N have two at exactly 3N^2/4 points and three at none."""
+    seen = np.zeros((n * n, 2 * n), dtype=bool)  # [s*N + t, exponent]
+    for a, b, r, s, t in _routes(n):
+        phi = fano._route_phi(a, b, r, n)
+        assert not ((phi + s * t) % n).any()
+        seen[s * n + t, phi] = True
+    count = seen.sum(axis=1)[1:]  # (0, 0) has no route
+    if n % 2:
+        assert (count == 1).all()
+    else:
+        assert (count >= 1).all() and count.max() == 2 and (count == 2).sum() == 3 * n * n // 4
 
 
 def test_group_action_composition_is_consistent():

@@ -2,12 +2,13 @@
 
 The coefficient audits evaluate each condition only on the table's N^2
 support values, the operator audits on its N x N twist table, and the
-route audit on one route per primitive row, slice and r. The oracles here
-run on the dense N^4 table of ``oracles.dense_table``: the dense
-covariance scan, the plain-loop residuals, the term-by-term Gram sums, the
-per-(s,t) loop over `derivation_routes` of every lift class, and the scans
-of the dense operator tensor that the dense table assembles; the fast
-paths must agree with them field by field, on lift lists chosen here.
+route audit on one route per primitive row and r. The oracles here run on
+the dense N^4 table of ``oracles.dense_table``: the dense covariance scan,
+the plain-loop residuals, the term-by-term Gram sums, the per-(s,t) loop
+over `derivation_routes` of every lift class, the loop over the first lift
+of every primitive row, and the scans of the dense operator tensor that
+the dense table assembles; the fast paths must agree with them field by
+field, on lift lists chosen here.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     lift_classes,
     operator_residuals_dense,
     phase_phi,
+    route_consistency_loop,
     route_consistency_scan,
     sl2_enumerate,
     sl2_lifts_search,
@@ -308,10 +310,21 @@ def test_planted_violation_seen_only_by_a_second_lift():
     assert_same_check(got, covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10))
 
 
+def assert_same_route_audit(got, n, tol):
+    """The route audit against the plain loop over the first lift of each
+    primitive row, whole and exactly, and against the loop over every lift
+    class in verdict, worst spread and witness point: the classes run their
+    routes in another order, so they name other lifts."""
+    assert_same_check(got, route_consistency_loop(n, tol), exact=True)
+    want = route_consistency_oracle(n, lift_classes(n), tol)
+    assert (got.passed, got.witness and got.witness[:2]) == (want.passed, want.witness and want.witness[:2])
+    assert abs(got.max_violation - want.max_violation) <= 1e-15
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_route_consistency_matches_loop_oracle(n):
     checks, _ = fano.uniqueness_audit(n)
-    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, lift_classes(n), 1e-10))
+    assert_same_route_audit(checks["route_consistency"], n, 1e-10)
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.3, -1.0])
@@ -320,7 +333,7 @@ def test_route_consistency_matches_loop_oracle_at_other_tolerances_and_one_lift(
     for elements in (sl2_enumerate(n), lift_classes(n)):
         assert_same_check(route_consistency_scan(n, elements, tol), route_consistency_oracle(n, elements, tol))
     checks, _ = fano.uniqueness_audit(n, tol)
-    assert_same_check(checks["route_consistency"], route_consistency_oracle(n, lift_classes(n), tol))
+    assert_same_route_audit(checks["route_consistency"], n, tol)
 
 
 def _elementary_product(x, y, z):
