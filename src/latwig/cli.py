@@ -9,8 +9,17 @@ WIGNER_MAX_N, MARGINAL_MAX_N, TOMO_MAX_N), an --out that is a directory
 or lies in one that does not exist, or a CSV companion that is a
 directory or whose name exceeds NAME_MAX; rejected before any work is
 done; or an artifact that cannot be written, reported as
-``error: cannot write PATH: REASON``), 3 internal error (an invariant of
-the package failed; a bug, not a mistake in the invocation).
+``error: cannot write PATH: REASON``; or standard output that cannot be
+written, such as a pipe whose reader has gone or a full disk, reported as
+``error: cannot write standard output: REASON`` with the artifact kept),
+3 internal error (an invariant of the package failed; a bug, not a mistake
+in the invocation).
+
+``python -m latwig.cli`` and the ``latwig`` script run :func:`run`, which
+ends the process with ``os._exit`` once :func:`main` has returned and
+stdout and stderr are flushed: the interpreter's teardown, 30-45 ms of a
+run with numpy loaded, would produce nothing. In-process callers use
+:func:`main`, which returns the exit code.
 
 A run imports only the layers its subcommand executes: ``fano`` and
 ``check`` load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
@@ -60,8 +69,8 @@ TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
 # Largest N `check` accepts. The route audit holds O(N^2) state (peak RSS
-# 42 MiB at N = 200), so the wall time of even N, with about three times the
-# primitive rows, binds: 1.2-1.8 s at N = 200, 0.6-0.7 s at N = 201. The int64
+# 43 MiB at N = 200), so the wall time of even N, with about three times the
+# primitive rows, binds: 1.4 s at N = 200, 0.6 s at N = 201 on a 2-CPU VM. The int64
 # products of `fano._route_phi` fit up to N = 55,000, `fano._two_phi`'s to 30,000.
 CHECK_MAX_N = 201
 
@@ -386,10 +395,42 @@ def main(argv=None):
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     except OSError as exc:
+        if exc.filename is None:  # not the artifact: a print to stdout (see run)
+            raise
         # Raised by serialize, naming the artifact; its temp file is gone.
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
 
 
+def run(argv=None):
+    """The process entry point of ``python -m latwig.cli`` and the ``latwig`` script.
+
+    Runs :func:`main`, flushes stdout and stderr and ends the process with
+    ``os._exit``, skipping module teardown, its GC passes and ``atexit``
+    handlers: every artifact is closed and renamed before ``main``
+    returns. An exception ``main`` does not handle (a bug,
+    ``KeyboardInterrupt``) propagates, with the usual traceback and
+    teardown. ``main`` reports an artifact it cannot write itself, so an
+    OSError here is a failed print to stdout: in ``main`` when stdout is
+    unbuffered, in the flush when it is buffered. It is reported on stderr,
+    fd 1 is pointed at ``os.devnull`` as Python's docs on SIGPIPE do, so
+    that no later write fails again, and the run exits 2.
+    """
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+        if sys.stdout is not None:  # None when the run started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = USAGE_ERROR
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -399,16 +399,15 @@ def _route_consistency(n, tol):
     a, b = rows.T
     codes, unset = np.arange(len(rows)) * n, len(rows) * n
     lead, rival = np.full(n * n, unset - 1), np.full(n * n, unset)  # [s*N + t]; unreached (0, 0) stays decodable
-    for r in range(1, n):
-        np.minimum.at(lead, r * b % n * n + r * a % n, codes + r)
+    for r, point in _route_points(rows, n):
+        np.minimum.at(lead, point, codes + r)
     lead_row, lead_r = np.divmod(lead, n)
     lead_phi = _route_phi(a[lead_row], b[lead_row], lead_r, n)
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
     spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])  # [lead exponent, exponent]
     worst = 0.0
-    for r in range(1, n):
-        point = r * b % n * n + r * a % n
+    for r, point in _route_points(rows, n):
         d = spread[lead_phi[point], _route_phi(a, b, r, n)]
         worst = max(worst, float(d.max()))
         conflicts = (d > tol) & (codes + r != lead[point])
@@ -419,6 +418,20 @@ def _route_consistency(n, tol):
     pair = rows[[lead[point] // n, rival[point] // n]]
     lifts = np.column_stack([pair, first_completions(pair, m)])  # [lead | rival, entry]
     return CheckResult("route_consistency", False, worst, divmod(point, n) + tuple(lifts.ravel().tolist()))
+
+
+def _route_points(rows, n):
+    """Yield (r, point) for r = 1..N-1, point = (r*b mod N)*N + r*a mod N for each row (a, b).
+
+    Each row is reduced once to its index b*N + a mod N into the N^2 points
+    at r, which come from the N residues r*k mod N, so no division runs per
+    route.
+    """
+    pair = rows[:, 1] % n * n + rows[:, 0] % n
+    k = np.arange(n)
+    for r in range(1, n):
+        rk = r * k % n
+        yield r, ((rk * n)[:, np.newaxis] + rk).ravel()[pair]
 
 
 def uniqueness_audit(n, tol=DEFAULT_TOL):

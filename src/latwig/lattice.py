@@ -108,6 +108,12 @@ def line_sites(g, n):
     kappa*p - lam*q = p0 (mod N), in the order of r.
     """
     kappa, lam, mu, nu = g.residues(n)
-    p0, r = np.indices((n, n))
-    return (kappa * r + mu * p0) % n, (lam * r + nu * p0) % n
+    r = np.arange(n)
+
+    def residue(x, y):  # (x*r + y*p0) mod N from the reduced 1-D terms, with no N x N division
+        sites = x * r % n + (y * r % n)[:, np.newaxis]
+        sites -= n * (sites >= n)
+        return sites
+
+    return residue(kappa, mu), residue(lam, nu)
 

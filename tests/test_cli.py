@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -486,3 +488,17 @@ def test_an_artifact_that_cannot_be_written_exits_two_and_leaves_no_temp_file(tm
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_print_propagates_and_is_not_reported_as_the_artifact(tmp_path, monkeypatch):
+    """main reports only the artifact's OSError, which names its file; a
+    failed print to stdout is left to the entry point, `cli.run`."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    out = tmp_path / "c.json"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["check", "--n", "3", "--out", str(out)])
+    assert json.loads(out.read_text())["n"] == 3

@@ -1,11 +1,14 @@
-"""Start-up: the lazy package, the CLI's one-thread BLAS default, the
-modules each subcommand loads, and the record classes that replace
-dataclasses.
+"""Start-up and exit: the lazy package, the CLI's one-thread BLAS default,
+the modules each subcommand loads, the entry point's exit without
+interpreter teardown, and the record classes that replace dataclasses.
 
 Each check of what an import does runs in a fresh interpreter, since this
 one has numpy and the package loaded already.
 """
 
+import ast
+import errno
+import importlib
 import json
 import os
 import subprocess
@@ -121,14 +124,21 @@ SUBCOMMAND_MODULES = [
     (["tomo", "--n", "5"], {"latwig.wigner", "latwig.tomography"}),
 ]
 
+# The entry point ends the process with os._exit, which would end this child
+# before its report: the harness makes os._exit raise SystemExit instead.
 RUN_CLI = """
-import json, runpy, sys
+import json, os, runpy, sys
+exits = []
+def record_exit(code):
+    exits.append(code)
+    raise SystemExit(code)
+os._exit = record_exit
 sys.argv = ["latwig", *sys.argv[1:]]
 try:
     runpy.run_module("latwig.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+except SystemExit:
+    pass
+print(json.dumps({"exits": exits, "dataclasses": "dataclasses" in sys.modules,
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "latwig")}))
 """
 
@@ -145,9 +155,113 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, numpy_loads_dataclasses
                           env=child_env(), capture_output=True, text=True, timeout=120, check=False)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["code"] == 0
+    assert report["exits"] == [0]
     assert set(report["modules"]) == COMMON_MODULES | layers
     assert report["dataclasses"] == numpy_loads_dataclasses
+
+
+def run_cli_child(argv, unbuffered, code=None, stdout=subprocess.PIPE):
+    """``python -m latwig.cli ARGV``, or ``python -c CODE ARGV``, with stdout buffered or not."""
+    env = child_env(COLUMNS="80")  # argparse wraps its help to the terminal's width
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = ["-m", "latwig.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120, check=False)
+
+
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` in this process."""
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+EXIT_CASES = [
+    (["check", "--n", "9", "--out", "OUT"], 0),
+    (["check", "--n", "10", "--tolerance", "0.1", "--out", "OUT"], 1),  # CONTRADICTS
+    (["check", "--n", "0", "--out", "OUT"], 2),
+    (["check", "--n", "3", "--frobnicate", "--out", "OUT"], 2),
+    (["check", "--n", "3", "--out", "LONG"], 2),  # a 300-character name cannot be written
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=["pass", "contradicts", "n0", "unknown_flag", "unwritable",
+                                                         "help"])
+def test_a_process_exits_and_prints_as_main_returns_and_prints(tmp_path, monkeypatch, capsys, argv, code, unbuffered):
+    paths = {"OUT": str(tmp_path / "a.json"), "LONG": str(tmp_path / ("c" * 295 + ".json"))}
+    argv = [paths.get(arg, arg) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run_main(argv, capsys)
+    assert expected[0] == code
+    done = run_cli_child(argv, unbuffered)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stdout_whose_reader_is_gone_exits_two_and_keeps_the_artifact(tmp_path, capsys, unbuffered):
+    """Unbuffered, the print in main fails; buffered, the flush in the entry point does."""
+    out, expected = tmp_path / "a.json", tmp_path / "expected.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_cli_child(["check", "--n", "9", "--out", str(out)], unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+    assert run_main(["check", "--n", "9", "--out", str(expected)], capsys)[0] == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
+# Registers an atexit handler that writes to fd 1, then runs `python -m
+# latwig.cli check --n 3 --out ARGV[1]`, with fano.full_report raising if
+# ARGV[2] is "raise".
+RUN_WITH_ATEXIT = """
+import atexit, os, runpy, sys
+import latwig.fano
+def boom(*args, **kwargs):
+    raise RuntimeError("boom")
+if sys.argv[2] == "raise":
+    latwig.fano.full_report = boom
+atexit.register(os.write, 1, b"teardown ran\\n")
+sys.argv = ["latwig", "check", "--n", "3", "--out", sys.argv[1]]
+runpy.run_module("latwig.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_entry_point_skips_the_interpreter_teardown(tmp_path):
+    done = run_cli_child([str(tmp_path / "a.json"), "ok"], False, code=RUN_WITH_ATEXIT)
+    assert done.returncode == 0, done.stderr
+    assert "outcome matches the odd/even dichotomy" in done.stdout
+    assert "teardown ran" not in done.stdout
+
+
+def test_an_exception_main_does_not_handle_prints_its_traceback_and_exits_one(tmp_path):
+    done = run_cli_child([str(tmp_path / "a.json"), "raise"], False, code=RUN_WITH_ATEXIT)
+    assert done.returncode == 1
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert done.stderr.endswith("RuntimeError: boom\n")
+    assert done.stdout == "teardown ran\n"
+
+
+def test_the_console_script_runs_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["latwig"].partition(":")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [guard] = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = guard.body
+    assert ast.unparse(call) == f"{name}()"
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_wigner_does_not_import_fano():
