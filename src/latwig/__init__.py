@@ -4,7 +4,7 @@ Library layout:
 
 - ``lattice``: exact modular arithmetic, primitive rows mod M and their
   first completions, lines as index arrays
-- ``operators``: clock/shift pair, momentum basis, exact phase arithmetic,
+- ``operators``: momentum basis, states, exact phase tables,
   and ``CheckResult``/``_result``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
@@ -25,8 +25,8 @@ lift class, SL(2, Z_M) as residue arrays and the determinant filter,
 integer lifts found by search and their exact product, lines as tuples of
 sites, the invariant label of the line through a site, the per-(s,t)
 route list, the incidence check, the dense einsum transforms, the
-split-parity table, the clock and shift matrices) live in
-``tests/oracles.py``, not in the package.
+split-parity table, the clock and shift matrices and their monomials)
+live in ``tests/oracles.py``, not in the package.
 
 The names in ``__all__`` are re-exported lazily (PEP 562): ``latwig.X``
 imports the submodule that defines X on first access, so ``import

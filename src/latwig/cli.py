@@ -11,7 +11,8 @@ directory or whose name exceeds NAME_MAX; rejected before any work is
 done; or an artifact that cannot be written, reported as
 ``error: cannot write PATH: REASON``; or standard output that cannot be
 written, such as a pipe whose reader has gone or a full disk, reported as
-``error: cannot write standard output: REASON`` with the artifact kept),
+``error: cannot write standard output: REASON`` with the artifact kept,
+or closed, reported the same way before any work),
 3 internal error (an invariant of the package failed; a bug, not a mistake
 in the invocation).
 
@@ -28,6 +29,7 @@ A run imports only the layers its subcommand executes: ``fano`` and
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -74,10 +76,12 @@ CONTRADICTION = 1
 # products of `fano._route_phi` fit up to N = 55,000, `fano._two_phi`'s to 30,000.
 CHECK_MAX_N = 201
 
-# Largest N `marginal` accepts. Its projector check holds the direction's N
-# line sums, an N^3 complex stack, next to one residual: peak RSS is about
-# 51*N^3 bytes, 414 MiB at N = 201 and 768 MiB at N = 251.
-MARGINAL_MAX_N = 201
+# Largest N `marginal` accepts. Its projector check builds and checks the
+# direction's line sums a block of lines at a time, O(N^2) memory, so its
+# O(N^3) time binds: `--kappa 1 --lambda 2` took 0.6 s / 36 MiB at N = 201,
+# 5.0 s / 53 MiB at 401 and 15.0 s / 81 MiB at 601 (15.2 s for (0, 1)) on a
+# 2-CPU VM, where `tomo --n 601` took 22 s; N = 1001 took 69 s / 169 MiB.
+MARGINAL_MAX_N = 601
 
 # Largest N `fano` accepts. It holds the 16*N^4-byte operator tensor, which
 # `assemble` builds one N^3 slab at a time and the writer renders directly,
@@ -271,7 +275,7 @@ def cmd_marginal(args):
 
     n = args.n
     _require_odd(n)
-    _require_at_most(n, MARGINAL_MAX_N, "whose N^3 stack of line sums `marginal` builds for its projector check")
+    _require_at_most(n, MARGINAL_MAX_N, "whose N^3 line-sum entries `marginal` checks")
     try:
         g = sl2_complete(args.kappa, args.lam)
     except ValueError as exc:
@@ -414,15 +418,19 @@ def run(argv=None):
     OSError here is a failed print to stdout: in ``main`` when stdout is
     unbuffered, in the flush when it is buffered. It is reported on stderr,
     fd 1 is pointed at ``os.devnull`` as Python's docs on SIGPIPE do, so
-    that no later write fails again, and the run exits 2.
+    that no later write fails again, and the run exits 2. A run started
+    with fd 1 closed, where Python sets ``sys.stdout`` to None and a print
+    would vanish, is refused the same way before ``main`` runs, so that no
+    file the run opens lands on fd 1.
     """
     try:
+        if sys.stdout is None:  # the run started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: --help and usage errors
             code = exc.code
-        if sys.stdout is not None:  # None when the run started with fd 1 closed
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)

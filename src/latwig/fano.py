@@ -405,10 +405,13 @@ def _route_consistency(n, tol):
     lead_phi = _route_phi(a[lead_row], b[lead_row], lead_r, n)
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
-    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis])  # [lead exponent, exponent]
+    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis]).ravel()  # [lead exponent * 2N + exponent]
+    lead_at = lead_phi * (2 * n)
+    # a*b*r*(N-r) mod 2N from a*b mod 2N, taken once per row, and a table of 2N values per r
+    ab, doubled = a * b % (2 * n), np.arange(2 * n)
     worst = 0.0
     for r, point in _route_points(rows, n):
-        d = spread[lead_phi[point], _route_phi(a, b, r, n)]
+        d = spread.take(lead_at.take(point) + _route_phi(doubled, 1, r, n).take(ab))
         worst = max(worst, float(d.max()))
         conflicts = (d > tol) & (codes + r != lead[point])
         np.minimum.at(rival, point[conflicts], codes[conflicts] + r)

@@ -1,4 +1,4 @@
-"""Clock/shift monomials, the discrete momentum basis, exact phase arithmetic, check results.
+"""Exact phase tables, the discrete momentum basis, states, check results.
 
 All phases are unit-modulus numbers omega^x with omega = exp(2*pi*i/N).
 Exponents are kept as exact integers or half-integers and reduced mod N
@@ -76,11 +76,6 @@ def omega(n):
     return complex(_omega_table(n)[1 % n])
 
 
-def omega_int(k, n):
-    """omega^k for an exact integer exponent k."""
-    return complex(_omega_table(n)[k % n])
-
-
 def momentum_vector(p, n):
     """Momentum eigenstate with components omega^(-q*p)/sqrt(N)."""
     check_dim(n)
@@ -88,21 +83,6 @@ def momentum_vector(p, n):
         raise ValueError(f"momentum index {p} not in [0, {n})")
     table = _omega_table(n)
     return np.array([table[(-q * p) % n] for q in range(n)]) / np.sqrt(n)
-
-
-def monomial(n_exp, m_exp, n):
-    """The operator-basis element S^n_exp * P^m_exp.
-
-    Built entrywise from exact phase classes: row i has its single nonzero
-    at column j = i + n_exp mod N with value omega^(m_exp * j).
-    """
-    check_dim(n)
-    table = _omega_table(n)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        j = (i + n_exp) % n
-        out[i, j] = table[(m_exp * j) % n]
-    return out
 
 
 def square_dim(rho):

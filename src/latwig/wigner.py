@@ -12,7 +12,9 @@ i = q - k and j = q + k the transform pair is
 so either direction is one N x N gather or scatter of rho, one batch of N
 length-N FFTs and the column permutation p -> 2p mod N: O(N^2 log N) time
 and O(N^2) memory. The line sums of a direction are an O(N^3) scatter of
-the operators' N nonzeros per row, added in the order of the lines' sites.
+the operators' N nonzeros per row, added in the order of the lines' sites;
+the projector check builds and checks them a block of lines at a time, in
+O(N^2) memory and with no dense product or eigendecomposition.
 
 The grid is stored complex even though it is real for hermitian operator
 sets: a grid read from elsewhere need not be, and its imaginary part must
@@ -20,11 +22,13 @@ remain representable so that violations can be reported instead of
 silently truncated.
 """
 
+import math
+
 import numpy as np
 
 from ._record import record
 from .lattice import SL2Element, check_dim, line_sites
-from .operators import DEFAULT_TOL, CheckResult, _omega_table, _result, monomial, omega_int, square_dim
+from .operators import DEFAULT_TOL, CheckResult, _omega_table, _result, square_dim
 
 
 @record
@@ -126,35 +130,80 @@ def marginal_along_line(w, g):
 
 
 def line_sum_operators(n, g):
-    """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j].
-
-    Each sum adds the line's operators in r order, one site of every line
-    at a time: site r adds the N nonzeros of its operator, row i's at
-    column (2q - i) mod N with value omega^(p*(j - i)) / N read from the
-    exact integer-exponent table. An entry that several sites share
-    collects them in r order, as adding the dense operators would.
-    """
+    """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j]."""
     check_dim(n)
-    q, p = line_sites(g, n)
-    m = np.zeros((n, n, n), dtype=complex)
-    lines, rows, om = np.arange(n)[:, np.newaxis], np.arange(n), _omega_table(n)
-    for r in range(n):
-        cols = (2 * q[:, r, np.newaxis] - rows) % n
-        m[lines, rows, cols] += om[(p[:, r, np.newaxis] * (cols - rows)) % n] / n
+    [(_, m)] = _line_blocks(g, n, n)
     return m
 
 
-def direction_unitary(g, n):
-    """V = omega^((N-1)*kappa*lam/2) S^kappa P^lam, for odd N.
+def _line_blocks(g, n, step):
+    """Yield (first label, m[line, i, j]): the direction's line sums, `step` lines at a time in label order.
+
+    Site r of a line adds the N nonzeros of its operator D(q, p), row i's at
+    column (2q - i) mod N with value omega^(p*(2q - 2i)) / N read from the
+    exact integer-exponent table. The sites r0 + k*L, L = N / gcd(kappa, N),
+    of a line share q and so put their nonzeros on the same entries; no
+    other sites do. Each entry adds its d = N / L values in k order, which
+    is r order, as adding the dense operators would, with
+    ``np.add.accumulate``, whose k-th output is by definition the (k-1)-th
+    plus the k-th input. The first value is never -0.0, so starting from it
+    instead of from 0 keeps every bit.
+    """
+    q, p = line_sites(g, n)
+    period = n // math.gcd(g.kappa % n, n)
+    rows = np.arange(n)[:, np.newaxis]
+    # Tables indexed by residues, so that no N^2 array is reduced mod N per
+    # block: omega^x / N at x and x + N, then, flat at i*N + x, i*x mod N and
+    # the index of row i's nonzero on the antidiagonal i + j = x. The values
+    # are laid out [i, r0], so that each row's reads and writes stay in its row.
+    value = np.tile(_omega_table(n) / n, 2)
+    product = (rows * np.arange(n) % n).ravel()
+    place = (rows * n + (np.arange(n) - rows) % n).ravel()
+    for start in range(0, n, step):
+        two_q = 2 * q[start:start + step, np.newaxis, :period] % n  # [line, 1, r0]
+        lines = len(two_q)
+        p_sites = p[start:start + step].reshape(lines, -1, 1, period)  # [line, k, 1, r0]
+        # The exponent p*(2q - 2i) is p*2q - i*(2p) mod N.
+        exponents = p_sites * two_q[:, np.newaxis] % n + n - product.take(rows * n + 2 * p_sites % n)
+        values = value.take(exponents)  # [line, k, i, r0]
+        m = np.zeros((lines, n * n), dtype=complex)
+        m[np.arange(lines)[:, np.newaxis, np.newaxis], place.take(rows * n + two_q)] = (
+            values[:, 0] if period == n else np.add.accumulate(values, axis=1)[:, -1]
+        )
+        yield start, m.reshape(lines, n, n)
+
+
+def _direction_monomial(g, n):
+    """The direction unitary V = omega^((N-1)*kappa*lam/2) S^kappa P^lam, for odd N,
+    by its nonzeros: row i holds omega^e[i] at column c[i] = i + kappa mod N.
 
     The scalar makes V^N = 1 with the eigenvalue labels aligned so that the
-    line sum at label p0 projects onto the omega^(-p0) eigenspace.
+    line sum at label p0 projects onto the omega^(-p0) eigenspace; its
+    exponent is added to the monomial's, so each nonzero is one entry of
+    the exact omega table. Returns (c, e), exponents in [0, N).
     """
     check_dim(n)
     if n % 2 == 0:
         raise ValueError("direction unitary phase is defined here for odd N only")
-    scale = omega_int(((n - 1) * g.kappa * g.lam // 2), n)
-    return scale * monomial(g.kappa % n, g.lam % n, n)
+    kappa, lam = g.kappa % n, g.lam % n
+    cols = (np.arange(n) + kappa) % n
+    return cols, ((n - 1) // 2 * kappa * lam + lam * cols) % n
+
+
+def _eigenvalue_multiplicities(g, n):
+    """The multiplicity of omega^(-p0) in spec(V) for every label p0, counted exactly.
+
+    V is a monomial: i -> i + kappa mod N splits the rows into d = gcd(kappa, N)
+    cycles i = c mod d of length L = N / d. On a cycle whose exponents sum to
+    E, V^L is omega^E, and V has the L distinct L-th roots of omega^E as
+    eigenvalues, one each. So omega^(-p0) is an eigenvalue once per cycle
+    with -p0*L = E mod N.
+    """
+    _, exponents = _direction_monomial(g, n)
+    d = math.gcd(g.kappa % n, n)
+    cycle_sums = exponents.reshape(n // d, d).sum(axis=0)  # row a*d + c lies on cycle c
+    labels = np.arange(n)[:, np.newaxis]
+    return ((-labels * (n // d) - cycle_sums) % n == 0).sum(axis=1)
 
 
 @record
@@ -198,33 +247,78 @@ class LineProjectorReport:
         }
 
 
+# Bytes of line sums `line_projector_check` holds at once: a block of whole
+# lines, at least one. Each line sum takes 16*N^2 bytes, 8.5 kB at N = 23,
+# so 7 lines a block there, and one line from N = 47 on. The block's
+# temporaries take several times as much: a block of all 23 lines raised
+# the peak RSS of `marginal --n 23` by 1 MiB.
+BLOCK_BYTES = 1 << 16
+
+
 def line_projector_check(n, g, tol=DEFAULT_TOL):
     """Verify each line sum of the direction is a spectral projector of its unitary.
 
     Checks, for every label p0 and without ever constructing the
-    conjugating unitary: M = M^dag, M^2 = M, Tr M = 1, and
-    V M = omega^(-p0) M for M the line sum and V = direction_unitary(g).
-    The multiplicity of omega^(-p0) in spec(V) is counted rather than
-    assumed to be one. As V^N = 1, its N eigenvalues are N-th roots of
-    unity, so every label's multiplicity is 1 exactly when the largest is.
+    conjugating unitary: M = M^dag, M = u u^dag, Tr M = 1, and
+    V M = omega^(-p0) M, for M the line sum and V the direction unitary of
+    :func:`_direction_monomial`. Here u is M's column j of largest real
+    M[j, j], over sqrt(M[j, j]). With the other two, M = u u^dag holds
+    exactly when M^2 = M: then M^2 = (u^dag u) M = Tr(M) M = M, and a
+    hermitian M with M^2 = M and Tr M = 1 is w w^dag for a unit w, whose
+    column j over sqrt(M[j, j]) is w times a phase. V is a monomial, so
+    row i of V M is V[i, i + kappa] times row i + kappa of M. The
+    multiplicity of omega^(-p0) in spec(V) is counted from V's cycles
+    rather than assumed to be one. As V^N = 1, its N eigenvalues are N-th
+    roots of unity, so every label's multiplicity is 1 exactly when the
+    largest is.
+
+    The lines are built and checked in label order, a block of whole lines
+    of at most BLOCK_BYTES at a time, so the check holds O(N^2) memory and
+    calls no BLAS or LAPACK routine.
     """
     if n % 2 == 0:
         raise ValueError("no valid operator set exists for even N")
-    return _projector_report(line_sum_operators(n, g), g, tol)
+    return _projector_report(n, g, tol, _line_blocks(g, n, max(1, BLOCK_BYTES // (16 * n * n))))
 
 
-def _projector_report(m, g, tol):
-    """The checks of :func:`line_projector_check` on a stack m[p0, i, j] of N line sums."""
-    n = m.shape[0]
-    v = direction_unitary(g, n)
-    target = np.array([omega_int(-p0, n) for p0 in range(n)])
-    multiplicity = (np.abs(np.linalg.eigvals(v) - target[:, None]) < 1e-6).sum(axis=1).max()
-    # Each residual is reduced to its result before the next is formed, so
-    # at most one N^3 residual is alive next to m.
+def _projector_report(n, g, tol, blocks):
+    """The checks of :func:`line_projector_check` on line sums given as
+    (first label, m[line, i, j]) blocks of consecutive labels, in label order.
+
+    Each check keeps the largest violation over the blocks and the first
+    failing block's witness, whose label is offset by the block's start.
+    """
+    om, (cols, exponents) = _omega_table(n), _direction_monomial(g, n)
+    v = om[exponents][:, np.newaxis]  # V's nonzero in row i, at column cols[i]
+    results = {"hermitian": [], "idempotent": [], "trace": [], "eigen_relation": []}
+    for start, m in blocks:
+        lines = np.arange(len(m))
+        target = om[-(start + lines) % n][:, np.newaxis, np.newaxis]
+        diagonal = m.real[:, np.arange(n), np.arange(n)]
+        pivot = diagonal.argmax(axis=1)
+        top = diagonal[lines, pivot]
+        # u = 0 where no diagonal entry is positive. A complex array times a
+        # real one rounds alike in every numpy loop, where a complex quotient
+        # or modulus need not.
+        root = np.sqrt(np.maximum(top, 0.0))
+        inverse = np.divide(1.0, root, out=np.zeros(len(m)), where=root > 0)
+        u = m[lines, :, pivot] * inverse[:, np.newaxis]
+        # Each residual is reduced to its result before the next is formed.
+        for name, residual in (
+            ("hermitian", lambda: np.abs(m - m.conj().transpose(0, 2, 1))),
+            ("idempotent", lambda: np.abs(u[:, :, np.newaxis] * u[:, np.newaxis, :].conj() - m)),
+            ("trace", lambda: np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)),
+            ("eigen_relation", lambda: np.abs(v * m[:, cols] - target * m)),
+        ):
+            results[name].append(_result(f"projector_{name}", residual(), tol, lambda b, *i: (start + b, *i)))
     return LineProjectorReport(
-        hermitian=_result("projector_hermitian", np.abs(m - m.conj().transpose(0, 2, 1)), tol),
-        idempotent=_result("projector_idempotent", np.abs(m @ m - m), tol),
-        trace=_result("projector_trace", np.abs(np.trace(m, axis1=1, axis2=2) - 1.0), tol),
-        eigen_relation=_result("projector_eigen_relation", np.abs(v @ m - target[:, None, None] * m), tol),
-        eigenvalue_multiplicity=int(multiplicity),
+        **{name: _merged(found) for name, found in results.items()},
+        eigenvalue_multiplicity=int(_eigenvalue_multiplicities(g, n).max()),
     )
+
+
+def _merged(results):
+    """One check's result over blocks in label order: the largest violation
+    and the first failure."""
+    first = next((r for r in results if not r.passed), results[0])
+    return CheckResult(first.name, first.passed, max(r.max_violation for r in results), first.witness)

@@ -18,8 +18,9 @@ transform, lattice lines as tuples of sites, the
 invariant label of the line through a site, the brute-force incidence
 check of the line families, the dense N^4 expansion of the closed-form
 operator set with the einsum transforms on it, the split-parity solution
-table, the clock and shift matrices, the half-integer phase ``omega_pow``
-and random pure states.
+table, the clock and shift matrices and their monomials S^n P^m, the
+dense direction unitary of a line family, the integer and half-integer
+phases ``omega_int`` and ``omega_pow`` and random pure states.
 """
 
 import math
@@ -34,6 +35,7 @@ from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _two_ph
 from latwig.lattice import SL2Element, check_dim, first_completions, line_sites, primitive_rows, sl2_complete
 from latwig.operators import _half_omega_table, _omega_table, momentum_vector
 from latwig.tomography import mub_line_families
+from latwig.wigner import _direction_monomial
 
 
 IDENTITY = SL2Element(1, 0, 0, 1)
@@ -482,6 +484,26 @@ def omega_pow(x, n):
     return complex(_half_omega_table(n)[int(2 * frac) % (2 * n)])
 
 
+def omega_int(k, n):
+    """omega^k for an exact integer exponent k."""
+    return complex(_omega_table(n)[k % n])
+
+
+def monomial(n_exp, m_exp, n):
+    """The operator-basis element S^n_exp * P^m_exp.
+
+    Built entrywise from exact phase classes: row i has its single nonzero
+    at column j = i + n_exp mod N with value omega^(m_exp * j).
+    """
+    check_dim(n)
+    table = _omega_table(n)
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        j = (i + n_exp) % n
+        out[i, j] = table[(m_exp * j) % n]
+    return out
+
+
 def clock_matrix(n):
     """Diagonal matrix diag(1, omega, ..., omega^(N-1)); P|q> = omega^q |q>."""
     check_dim(n)
@@ -495,6 +517,15 @@ def shift_matrix(n):
     for i in range(n):
         s[i, (i + 1) % n] = 1.0
     return s
+
+
+def direction_unitary(g, n):
+    """The dense direction unitary V = omega^((N-1)*kappa*lam/2) S^kappa P^lam,
+    for odd N, from the nonzeros that `wigner._direction_monomial` gives."""
+    cols, exponents = _direction_monomial(g, n)
+    v = np.zeros((n, n), dtype=complex)
+    v[np.arange(n), cols] = _omega_table(n)[exponents]
+    return v
 
 
 def random_pure_density(n, rng):

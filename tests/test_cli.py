@@ -198,6 +198,18 @@ def test_marginal_tilted_direction_of_mixed_state(tmp_path):
     assert (doc["kappa"], doc["lambda"]) == (1, 2)
 
 
+def test_marginal_where_sites_of_a_line_share_entries(tmp_path):
+    """gcd(5, 15) = 5 sites of each line share every nonzero entry they touch."""
+    out = tmp_path / "m15.json"
+    assert main(["marginal", "--n", "15", "--kappa", "5", "--lambda", "2",
+                 "--state", "random", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["projector_check"]["pass"] is True
+    assert doc["projector_check"]["eigenvalue_multiplicity"] == 1
+    assert doc["projector_check"]["max_violation"] < 1e-12
+    assert sum(doc["weights"]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_marginal_csv_format(tmp_path):
     out = tmp_path / "m.csv"
     assert main(["marginal", "--n", "3", "--kappa", "1", "--lambda", "1",
@@ -357,7 +369,7 @@ def test_marginal_above_its_limit_is_a_usage_error_before_any_work(tmp_path, mon
         raise AssertionError("work started above the marginal limit")
 
     monkeypatch.setattr(cli, "parse_state", no_work)
-    monkeypatch.setattr(wigner, "line_sum_operators", no_work)
+    monkeypatch.setattr(wigner, "_line_blocks", no_work)
     out = tmp_path / "m.json"
     n = cli.MARGINAL_MAX_N + 2
     assert main(["marginal", "--n", str(n), "--kappa", "1", "--lambda", "1", "--out", str(out)]) == 2

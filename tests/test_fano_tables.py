@@ -6,8 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig import fano
-from latwig.operators import _half_omega_table, _omega_table, monomial
-from oracles import assemble_dense, coefficients_cohendet, coefficients_to_position, dense_table, position_to_coefficients
+from latwig.operators import _half_omega_table, _omega_table
+from oracles import (
+    assemble_dense,
+    coefficients_cohendet,
+    coefficients_to_position,
+    dense_table,
+    monomial,
+    position_to_coefficients,
+)
 
 
 def _w(n, k):

@@ -160,7 +160,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, numpy_loads_dataclasses
     assert report["dataclasses"] == numpy_loads_dataclasses
 
 
-def run_cli_child(argv, unbuffered, code=None, stdout=subprocess.PIPE):
+def run_cli_child(argv, unbuffered, code=None, stdout=subprocess.PIPE, preexec_fn=None):
     """``python -m latwig.cli ARGV``, or ``python -c CODE ARGV``, with stdout buffered or not."""
     env = child_env(COLUMNS="80")  # argparse wraps its help to the terminal's width
     env.pop("PYTHONUNBUFFERED", None)
@@ -168,7 +168,7 @@ def run_cli_child(argv, unbuffered, code=None, stdout=subprocess.PIPE):
         env["PYTHONUNBUFFERED"] = "1"
     command = ["-m", "latwig.cli"] if code is None else ["-c", code]
     return subprocess.run([sys.executable, *command, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=120, check=False)
+                          text=True, timeout=120, check=False, preexec_fn=preexec_fn)
 
 
 def run_main(argv, capsys):
@@ -219,6 +219,17 @@ def test_a_stdout_whose_reader_is_gone_exits_two_and_keeps_the_artifact(tmp_path
     assert done.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
     assert run_main(["check", "--n", "9", "--out", str(expected)], capsys)[0] == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_run_started_with_stdout_closed_exits_two_before_any_work(tmp_path, unbuffered):
+    """With fd 1 closed Python sets sys.stdout to None, where a print would vanish."""
+    out = tmp_path / "a.json"
+    done = run_cli_child(["check", "--n", "9", "--out", str(out)], unbuffered, stdout=None,
+                         preexec_fn=lambda: os.close(1))
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+    assert os.listdir(tmp_path) == []
 
 
 # Registers an atexit handler that writes to fd 1, then runs `python -m

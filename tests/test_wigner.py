@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,23 +9,33 @@ from latwig import fano, wigner
 from latwig.fano import _result
 from latwig.lattice import SL2Element, sl2_complete
 from latwig.operators import (
+    _half_omega_table,
+    _omega_table,
     basis_state_density,
     maximally_mixed,
     momentum_state_density,
     momentum_vector,
-    omega_int,
     random_density_matrix,
 )
 from oracles import (
     IDENTITY,
+    clock_matrix,
     compose,
     density_einsum,
+    direction_unitary,
     expand_operators,
     line_points,
+    omega_int,
     site_gram_residuals,
+    shift_matrix,
     sl2_second_lift_search,
     wigner_einsum,
 )
+
+# Bound on the tracemalloc peak of `line_projector_check` at N = 101, where
+# the stack of line sums alone takes 16 MiB: 1.28 MiB measured with numpy
+# 2.4, one line of 163 kB a block and its temporaries.
+PROJECTOR_CHECK_PEAK_BYTES = 2 << 20
 
 
 def marginal_oracle(w, g):
@@ -44,9 +55,10 @@ def line_sum_oracle(ops, g, p0):
 
 
 def projector_check_oracle(stack, g, tol):
-    """The per-label loop: each line's residuals formed on its own, then stacked."""
+    """The dense per-label loop: each line's residuals formed on its own with
+    dense products, then stacked."""
     n = len(stack)
-    v = wigner.direction_unitary(g, n)
+    v = direction_unitary(g, n)
     res = {"hermitian": [], "idempotent": [], "trace": [], "eigen_relation": []}
     for p0, m in enumerate(stack):
         res["hermitian"].append(np.abs(m - m.conj().T))
@@ -54,6 +66,40 @@ def projector_check_oracle(stack, g, tol):
         res["trace"].append(np.abs(m.trace() - 1.0))
         res["eigen_relation"].append(np.abs(v @ m - omega_int(-p0, n) * m))
     return {k: _result(f"projector_{k}", np.array(r), tol) for k, r in res.items()}
+
+
+def projector_formula_oracle(stack, g, tol):
+    """The per-label loop of the check's own formulas: M - u u^dag with u
+    M's column j of largest real M[j, j] over sqrt(M[j, j]), and V M row by
+    row from V's one nonzero per row."""
+    n = len(stack)
+    v = direction_unitary(g, n)
+    res = {"idempotent": [], "eigen_relation": []}
+    for p0, m in enumerate(stack):
+        j = int(np.argmax(np.diag(m).real))
+        u = m[:, j] * (1 / np.sqrt(m[j, j].real)) if m[j, j].real > 0 else np.zeros(n, dtype=complex)
+        res["idempotent"].append(np.abs(np.outer(u, u.conj()) - m))
+        cols = [int(np.flatnonzero(row)[0]) for row in v]
+        vm = np.array([v[i, c] * m[c] for i, c in enumerate(cols)])
+        res["eigen_relation"].append(np.abs(vm - omega_int(-p0, n) * m))
+    return {k: _result(f"projector_{k}", np.array(r), tol) for k, r in res.items()}
+
+
+def dense_direction_unitary(g, n):
+    """omega^((N-1)*kappa*lam/2) S^kappa P^lam from matrix powers of the shift and clock."""
+    power = np.linalg.matrix_power
+    scalar = _half_omega_table(n)[(n - 1) * g.kappa * g.lam % (2 * n)]
+    return scalar * power(shift_matrix(n), g.kappa % n) @ power(clock_matrix(n), g.lam % n)
+
+
+def assert_same_verdicts(got, want):
+    """Same verdicts, and witnesses on the same line, as the dense loop."""
+    for k, w in want.items():
+        c = getattr(got, k)
+        assert c.passed == w.passed, k
+        assert (c.witness is None) == (w.witness is None), k
+        if w.witness is not None:
+            assert c.witness[0] == w.witness[0], (k, c.witness, w.witness)
 
 
 def assert_bitwise_equal(got, want):
@@ -272,23 +318,97 @@ def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9, 11])
 def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
-    """Same max violations to the bit and same witnesses as checking each
-    label on its own, on the solution set (passing) and on random line-sum
-    stacks (failing)."""
+    """Hermiticity and trace are the dense per-label loop's results to the
+    bit, idempotence and the eigen relation the per-label loop of their own
+    formulas'; verdicts and witness lines are the dense loop's (M^2 - M and
+    V @ M), on the solution set (passing) and on random line-sum stacks
+    (failing), whole or cut into blocks of lines. The dense V @ M rounds
+    apart from the row gather: the BLAS product may fuse its multiply-add."""
     rng = np.random.default_rng(400 + n)
     ops = expand_operators(n)
     for g in oracle_directions(n):
         stack = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))  # fails
-        reports = [
-            (wigner.line_projector_check(n, g), [line_sum_oracle(ops, g, p0) for p0 in range(n)]),
-            (wigner._projector_report(stack, g, 1e-10), list(stack)),
-        ]
-        for rep, sums in reports:
-            want = projector_check_oracle(sums, g, 1e-10)
-            got = {k: getattr(rep, k) for k in want}
-            assert got == want
-            assert rep.eigenvalue_multiplicity == 1
-        assert reports[0][0].passed and not reports[1][0].passed
+        sums = np.array([line_sum_oracle(ops, g, p0) for p0 in range(n)])
+        for sample, passes in ((sums, True), (stack, False)):
+            dense = projector_check_oracle(sample, g, 1e-10)
+            formula = projector_formula_oracle(sample, g, 1e-10)
+            for step in (1, 2, n):
+                blocks = [(start, sample[start:start + step]) for start in range(0, n, step)]
+                rep = wigner._projector_report(n, g, 1e-10, blocks)
+                assert (rep.hermitian, rep.trace) == (dense["hermitian"], dense["trace"])
+                assert (rep.idempotent, rep.eigen_relation) == (formula["idempotent"], formula["eigen_relation"])
+                assert_same_verdicts(rep, dense)
+                assert rep.eigen_relation.max_violation == pytest.approx(dense["eigen_relation"].max_violation,
+                                                                         rel=1e-14, abs=1e-15)
+                assert rep.eigenvalue_multiplicity == 1
+                assert rep.passed == passes
+            if passes:
+                assert wigner.line_projector_check(n, g) == rep
+
+
+@pytest.mark.parametrize("n, step", [(5, 1), (9, 2), (23, 5), (45, None)])
+def test_line_projector_check_is_the_same_in_blocks_of_any_size(n, step, monkeypatch):
+    """N = 45 runs in blocks of two lines, the last of one, at the default BLOCK_BYTES."""
+    for g in oracle_directions(n)[:6]:
+        whole = wigner._projector_report(n, g, 1e-10, [(0, wigner.line_sum_operators(n, g))])
+        if step is not None:
+            monkeypatch.setattr(wigner, "BLOCK_BYTES", 16 * n * n * step)
+        assert wigner.line_projector_check(n, g) == whole
+        assert whole.passed
+
+
+@pytest.mark.parametrize("n, kappa, lam", [(15, 5, 2), (21, 7, 3), (45, 9, 4), (9, 3, 1), (15, 0, 1)])
+def test_line_projector_check_where_sites_of_a_line_share_entries(n, kappa, lam):
+    """kappa is not a unit mod N, so gcd(kappa, N) sites of each line put
+    their nonzeros on the same entries."""
+    g = sl2_complete(kappa, lam)
+    stack = wigner.line_sum_operators(n, g)
+    rep = wigner.line_projector_check(n, g)
+    assert rep.passed and rep.max_violation < 1e-12, rep
+    assert rep.eigenvalue_multiplicity == 1
+    assert_same_verdicts(rep, projector_check_oracle(stack, g, 1e-10))
+    for p0 in (0, n // 2, n - 1):
+        assert np.abs(stack[p0] @ stack[p0] - stack[p0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 46, 2))
+def test_eigenvalue_multiplicities_are_the_counts_of_the_eigenvalues(n, monkeypatch):
+    """The cycle count equals the eigenvalues that np.linalg.eigvals finds
+    within 1e-6 of omega^(-p0), label by label, and the direction unitary
+    the matrix powers of the shift and clock. Random exponents on V's
+    nonzeros repeat some eigenvalues and miss others."""
+    target = np.array([omega_int(-p0, n) for p0 in range(n)])
+
+    def counts(v):
+        return (np.abs(np.linalg.eigvals(v) - target[:, np.newaxis]) < 1e-6).sum(axis=1)
+
+    for g in oracle_directions(n):
+        v = direction_unitary(g, n)
+        assert np.abs(v - dense_direction_unitary(g, n)).max() < 1e-12
+        assert np.array_equal(wigner._eigenvalue_multiplicities(g, n), counts(v)), g
+    rng = np.random.default_rng(700 + n)
+    for g in oracle_directions(n)[:6]:
+        cols, _ = wigner._direction_monomial(g, n)
+        exponents = rng.integers(0, n, n)
+        v = np.zeros((n, n), dtype=complex)
+        v[np.arange(n), cols] = _omega_table(n)[exponents]
+        with monkeypatch.context() as patch:
+            patch.setattr(wigner, "_direction_monomial", lambda *_: (cols, exponents))
+            assert np.array_equal(wigner._eigenvalue_multiplicities(g, n), counts(v)), g
+
+
+def test_line_projector_check_holds_no_stack_of_line_sums():
+    """At N = 101 the stack of line sums alone takes 16 MiB."""
+    n, g = 101, sl2_complete(2, 3)
+    wigner.line_projector_check(n, g)  # tables and caches
+    tracemalloc.start()
+    try:
+        rep = wigner.line_projector_check(n, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < PROJECTOR_CHECK_PEAK_BYTES, peak
 
 
 def test_direction_totals_equal_grid_total():
@@ -333,18 +453,22 @@ def test_line_projector_nondegenerate_for_composite_odd_direction():
 
 def test_line_projector_check_names_the_line_of_a_planted_defect():
     """Line p0 = 2 of (2, 3) at N = 5 is perturbed in row 0, on and off the
-    diagonal: every residual fails, and each witness starts with 2."""
+    diagonal: every residual fails, and each witness starts with 2, as the
+    dense loop's do, whether line 2 is checked alone or with others."""
     n = 5
     g = sl2_complete(2, 3)
     stack = wigner.line_sum_operators(n, g)
     stack[2, 0, :2] += 1e-6  # as if one operator on line 2 were perturbed there
-    rep = wigner._projector_report(stack, g, 1e-10)
-    assert not rep.passed
-    for check in (rep.hermitian, rep.idempotent, rep.trace, rep.eigen_relation):
-        assert not check.passed
-        assert check.witness[0] == 2, (check.name, check.witness)
-    assert rep.trace.witness == (2,)
-    assert rep.eigenvalue_multiplicity == 1
+    dense = projector_check_oracle(stack, g, 1e-10)
+    for blocks in ([(0, stack)], [(0, stack[:2]), (2, stack[2:3]), (3, stack[3:])]):
+        rep = wigner._projector_report(n, g, 1e-10, blocks)
+        assert not rep.passed
+        for check in (rep.hermitian, rep.idempotent, rep.trace, rep.eigen_relation):
+            assert not check.passed
+            assert check.witness[0] == 2, (check.name, check.witness)
+        assert rep.trace.witness == (2,)
+        assert rep.eigenvalue_multiplicity == 1
+        assert_same_verdicts(rep, dense)
 
 
 def test_line_projector_rejects_even_dimensions():
