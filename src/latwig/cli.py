@@ -76,11 +76,11 @@ CONTRADICTION = 1
 # products of `fano._route_phi` fit up to N = 55,000, `fano._two_phi`'s to 30,000.
 CHECK_MAX_N = 201
 
-# Largest N `marginal` accepts. Its projector check builds and checks the
-# direction's line sums a block of lines at a time, O(N^2) memory, so its
-# O(N^3) time binds: `--kappa 1 --lambda 2` took 0.6 s / 36 MiB at N = 201,
-# 5.0 s / 53 MiB at 401 and 15.0 s / 81 MiB at 601 (15.2 s for (0, 1)) on a
-# 2-CPU VM, where `tomo --n 601` took 22 s; N = 1001 took 69 s / 169 MiB.
+# Largest N `marginal` accepts. Its projector check builds the direction's
+# line sums a block of lines at a time and compares each with its spectral
+# projector, O(N^2) memory, so its O(N^3) time binds: `--kappa 1 --lambda 2`
+# took 0.57 s / 36 MiB at N = 201, 4.1 s / 54 MiB at 401 and 11.5 s / 83 MiB
+# at 601 (medians of 5 runs, peak RSS from wait4, on a 2-CPU VM).
 MARGINAL_MAX_N = 601
 
 # Largest N `fano` accepts. It holds the 16*N^4-byte operator tensor, which

@@ -70,12 +70,6 @@ def _half_omega_table(n):
     return table
 
 
-def omega(n):
-    """Primitive N-th root of unity exp(2*pi*i/N)."""
-    check_dim(n)
-    return complex(_omega_table(n)[1 % n])
-
-
 def momentum_vector(p, n):
     """Momentum eigenstate with components omega^(-q*p)/sqrt(N)."""
     check_dim(n)

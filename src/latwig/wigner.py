@@ -12,9 +12,11 @@ i = q - k and j = q + k the transform pair is
 so either direction is one N x N gather or scatter of rho, one batch of N
 length-N FFTs and the column permutation p -> 2p mod N: O(N^2 log N) time
 and O(N^2) memory. The line sums of a direction are an O(N^3) scatter of
-the operators' N nonzeros per row, added in the order of the lines' sites;
-the projector check builds and checks them a block of lines at a time, in
-O(N^2) memory and with no dense product or eigendecomposition.
+the operators' N nonzeros per row, added in the order of the lines' sites.
+The projector check builds them a block of lines at a time and compares
+each with the spectral projector (1/N) sum_k omega^(k*p0) V^k of the
+direction unitary V, built from V's exact monomial powers: O(N^2) memory,
+and no dense product or eigendecomposition.
 
 The grid is stored complex even though it is real for hermitian operator
 sets: a grid read from elsewhere need not be, and its imaginary part must
@@ -170,24 +172,37 @@ def _line_blocks(g, n, step):
         m[np.arange(lines)[:, np.newaxis, np.newaxis], place.take(rows * n + two_q)] = (
             values[:, 0] if period == n else np.add.accumulate(values, axis=1)[:, -1]
         )
+        del exponents, values  # freed before the caller checks the block, which then reuses their pages
         yield start, m.reshape(lines, n, n)
 
 
 def _direction_monomial(g, n):
     """The direction unitary V = omega^((N-1)*kappa*lam/2) S^kappa P^lam, for odd N,
-    by its nonzeros: row i holds omega^e[i] at column c[i] = i + kappa mod N.
+    by its exponents: row i holds omega^e[i] at column i + kappa mod N.
 
     The scalar makes V^N = 1 with the eigenvalue labels aligned so that the
     line sum at label p0 projects onto the omega^(-p0) eigenspace; its
     exponent is added to the monomial's, so each nonzero is one entry of
-    the exact omega table. Returns (c, e), exponents in [0, N).
+    the exact omega table. Returns e, in [0, N).
     """
     check_dim(n)
     if n % 2 == 0:
         raise ValueError("direction unitary phase is defined here for odd N only")
     kappa, lam = g.kappa % n, g.lam % n
-    cols = (np.arange(n) + kappa) % n
-    return cols, ((n - 1) // 2 * kappa * lam + lam * cols) % n
+    return ((n - 1) // 2 * kappa * lam + lam * (np.arange(n) + kappa)) % n
+
+
+def _direction_powers(g, n):
+    """V^0, ..., V^(N-1) by their nonzeros, as [i, k] arrays: row i of V^k holds
+    omega^E[i, k] at column (i + k*kappa) mod N, whose flat index is F[i, k].
+
+    E[i, k] is the sum of V's exponents on rows i, i + kappa, ..., i + (k-1)*kappa,
+    exact in int64 (it is below N^2). Returns (F, E mod N).
+    """
+    rows = np.arange(n)[:, np.newaxis]
+    columns = (rows + g.kappa % n * np.arange(n)) % n
+    steps = _direction_monomial(g, n)[columns]
+    return rows * n + columns, (np.cumsum(steps, axis=1) - steps) % n
 
 
 def _eigenvalue_multiplicities(g, n):
@@ -199,7 +214,7 @@ def _eigenvalue_multiplicities(g, n):
     eigenvalues, one each. So omega^(-p0) is an eigenvalue once per cycle
     with -p0*L = E mod N.
     """
-    _, exponents = _direction_monomial(g, n)
+    exponents = _direction_monomial(g, n)
     d = math.gcd(g.kappa % n, n)
     cycle_sums = exponents.reshape(n // d, d).sum(axis=0)  # row a*d + c lies on cycle c
     labels = np.arange(n)[:, np.newaxis]
@@ -208,36 +223,22 @@ def _eigenvalue_multiplicities(g, n):
 
 @record
 class LineProjectorReport:
-    """Spectral verification that a direction's N line sums are its rank-1 projectors.
+    """Whether a direction's N line sums are the rank-1 spectral projectors of its unitary.
 
-    The residuals are indexed by the line label first ([p0] for the trace,
-    [p0, i, j] for the others), so a witness names the failing line.
+    The residual |M - Pi| is indexed [p0, i, j], so a witness names the
+    failing line.
     """
 
-    hermitian: CheckResult
-    idempotent: CheckResult
-    trace: CheckResult
-    eigen_relation: CheckResult
+    projector: CheckResult
     eigenvalue_multiplicity: int  # the largest over the line labels
 
     @property
     def passed(self):
-        return (
-            self.hermitian.passed
-            and self.idempotent.passed
-            and self.trace.passed
-            and self.eigen_relation.passed
-            and self.eigenvalue_multiplicity == 1
-        )
+        return self.projector.passed and self.eigenvalue_multiplicity == 1
 
     @property
     def max_violation(self):
-        return max(
-            self.hermitian.max_violation,
-            self.idempotent.max_violation,
-            self.trace.max_violation,
-            self.eigen_relation.max_violation,
-        )
+        return self.projector.max_violation
 
     def to_json_dict(self):
         return {
@@ -256,21 +257,24 @@ BLOCK_BYTES = 1 << 16
 
 
 def line_projector_check(n, g, tol=DEFAULT_TOL):
-    """Verify each line sum of the direction is a spectral projector of its unitary.
+    """Verify that each line sum of the direction is the rank-1 spectral projector of its unitary.
 
-    Checks, for every label p0 and without ever constructing the
-    conjugating unitary: M = M^dag, M = u u^dag, Tr M = 1, and
-    V M = omega^(-p0) M, for M the line sum and V the direction unitary of
-    :func:`_direction_monomial`. Here u is M's column j of largest real
-    M[j, j], over sqrt(M[j, j]). With the other two, M = u u^dag holds
-    exactly when M^2 = M: then M^2 = (u^dag u) M = Tr(M) M = M, and a
-    hermitian M with M^2 = M and Tr M = 1 is w w^dag for a unit w, whose
-    column j over sqrt(M[j, j]) is w times a phase. V is a monomial, so
-    row i of V M is V[i, i + kappa] times row i + kappa of M. The
-    multiplicity of omega^(-p0) in spec(V) is counted from V's cycles
-    rather than assumed to be one. As V^N = 1, its N eigenvalues are N-th
-    roots of unity, so every label's multiplicity is 1 exactly when the
-    largest is.
+    The line sum M at label p0 is compared entry by entry with
+    Pi = (1/N) sum_{k<N} omega^(k*p0) V^k, for V the direction unitary of
+    :func:`_direction_monomial` (Wootters, Ann. Phys. 176, 1 (1987)). As
+    V^N = 1, V is a unitary whose eigenvalues mu are N-th roots of unity,
+    and (1/N) sum_k (omega^p0 mu)^k is 1 at mu = omega^(-p0) and 0 at every
+    other: Pi is the orthogonal projector onto V's omega^(-p0) eigenspace.
+    So M = Pi holds with a multiplicity of 1 exactly when M is the rank-1
+    projector onto that eigenvector. The multiplicity is counted from V's
+    cycles rather than assumed to be one. V has N eigenvalues, each an N-th
+    root, so every label's multiplicity is 1 exactly when the largest is.
+
+    V^k is a monomial (:func:`_direction_powers`), so Pi's entry at
+    row i and column i + k*kappa is omega^(k*p0 + E) / N read from the exact
+    omega table, summed over the d = gcd(kappa, N) powers k + t*N/d that
+    share the column. Where kappa is a unit mod N, d = 1: each entry is one
+    table read, as each of M's is, and a correct M matches Pi to the bit.
 
     The lines are built and checked in label order, a block of whole lines
     of at most BLOCK_BYTES at a time, so the check holds O(N^2) memory and
@@ -282,43 +286,30 @@ def line_projector_check(n, g, tol=DEFAULT_TOL):
 
 
 def _projector_report(n, g, tol, blocks):
-    """The checks of :func:`line_projector_check` on line sums given as
+    """The check of :func:`line_projector_check` on line sums given as
     (first label, m[line, i, j]) blocks of consecutive labels, in label order.
 
-    Each check keeps the largest violation over the blocks and the first
-    failing block's witness, whose label is offset by the block's start.
+    It keeps the largest residual over the blocks and the first failing
+    block's witness, whose label is offset by the block's start.
     """
-    om, (cols, exponents) = _omega_table(n), _direction_monomial(g, n)
-    v = om[exponents][:, np.newaxis]  # V's nonzero in row i, at column cols[i]
-    results = {"hermitian": [], "idempotent": [], "trace": [], "eigen_relation": []}
-    for start, m in blocks:
-        lines = np.arange(len(m))
-        target = om[-(start + lines) % n][:, np.newaxis, np.newaxis]
-        diagonal = m.real[:, np.arange(n), np.arange(n)]
-        pivot = diagonal.argmax(axis=1)
-        top = diagonal[lines, pivot]
-        # u = 0 where no diagonal entry is positive. A complex array times a
-        # real one rounds alike in every numpy loop, where a complex quotient
-        # or modulus need not.
-        root = np.sqrt(np.maximum(top, 0.0))
-        inverse = np.divide(1.0, root, out=np.zeros(len(m)), where=root > 0)
-        u = m[lines, :, pivot] * inverse[:, np.newaxis]
-        # Each residual is reduced to its result before the next is formed.
-        for name, residual in (
-            ("hermitian", lambda: np.abs(m - m.conj().transpose(0, 2, 1))),
-            ("idempotent", lambda: np.abs(u[:, :, np.newaxis] * u[:, np.newaxis, :].conj() - m)),
-            ("trace", lambda: np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)),
-            ("eigen_relation", lambda: np.abs(v * m[:, cols] - target * m)),
-        ):
-            results[name].append(_result(f"projector_{name}", residual(), tol, lambda b, *i: (start + b, *i)))
+    place, exponents = _direction_powers(g, n)
+    period = n // math.gcd(g.kappa % n, n)
+    place = place[:, :period]  # the powers k + t*period put row i's nonzero at the same place
+    value = np.tile(_omega_table(n) / n, 2)  # omega^x / N at x and x + N
+
+    def check(start, m):
+        lines = len(m)
+        labels = start + np.arange(lines)
+        # [line, i, k]: omega^(k*p0 + E[i, k]) / N, each exponent below 2N.
+        terms = value.take((labels[:, np.newaxis] * np.arange(n) % n)[:, np.newaxis] + exponents)
+        projector = np.zeros((lines, n * n), dtype=complex)
+        projector[:, place] = terms if period == n else terms.reshape(lines, n, -1, period).sum(axis=2)
+        residual = np.abs(np.subtract(m.reshape(lines, n * n), projector, out=projector))
+        return _result("projector", residual.reshape(lines, n, n), tol, lambda b, *i: (start + b, *i))
+
+    found = [check(start, m) for start, m in blocks]
+    first = next((r for r in found if not r.passed), found[0])
     return LineProjectorReport(
-        **{name: _merged(found) for name, found in results.items()},
+        CheckResult(first.name, first.passed, max(r.max_violation for r in found), first.witness),
         eigenvalue_multiplicity=int(_eigenvalue_multiplicities(g, n).max()),
     )
-
-
-def _merged(results):
-    """One check's result over blocks in label order: the largest violation
-    and the first failure."""
-    first = next((r for r in results if not r.passed), results[0])
-    return CheckResult(first.name, first.passed, max(r.max_violation for r in results), first.witness)

@@ -484,6 +484,12 @@ def omega_pow(x, n):
     return complex(_half_omega_table(n)[int(2 * frac) % (2 * n)])
 
 
+def omega(n):
+    """Primitive N-th root of unity exp(2*pi*i/N)."""
+    check_dim(n)
+    return complex(_omega_table(n)[1 % n])
+
+
 def omega_int(k, n):
     """omega^k for an exact integer exponent k."""
     return complex(_omega_table(n)[k % n])
@@ -521,10 +527,10 @@ def shift_matrix(n):
 
 def direction_unitary(g, n):
     """The dense direction unitary V = omega^((N-1)*kappa*lam/2) S^kappa P^lam,
-    for odd N, from the nonzeros that `wigner._direction_monomial` gives."""
-    cols, exponents = _direction_monomial(g, n)
+    for odd N, from the exponents that `wigner._direction_monomial` gives:
+    row i's nonzero is at column i + kappa mod N."""
     v = np.zeros((n, n), dtype=complex)
-    v[np.arange(n), cols] = _omega_table(n)[exponents]
+    v[np.arange(n), (np.arange(n) + g.kappa % n) % n] = _omega_table(n)[_direction_monomial(g, n)]
     return v
 
 

@@ -9,11 +9,10 @@ from latwig.operators import (
     maximally_mixed,
     momentum_state_density,
     momentum_vector,
-    omega,
     random_density_matrix,
     validate_density_matrix,
 )
-from oracles import clock_matrix, monomial, omega_pow, shift_matrix
+from oracles import clock_matrix, monomial, omega, omega_pow, shift_matrix
 
 DIMS = list(range(1, 10))
 

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
 from latwig.fano import _result
-from latwig.lattice import SL2Element, sl2_complete
+from latwig.lattice import SL2Element, first_completions, primitive_rows, sl2_complete
 from latwig.operators import (
     _half_omega_table,
     _omega_table,
@@ -23,6 +24,7 @@ from oracles import (
     compose,
     density_einsum,
     direction_unitary,
+    exact_lift,
     expand_operators,
     line_points,
     omega_int,
@@ -68,23 +70,6 @@ def projector_check_oracle(stack, g, tol):
     return {k: _result(f"projector_{k}", np.array(r), tol) for k, r in res.items()}
 
 
-def projector_formula_oracle(stack, g, tol):
-    """The per-label loop of the check's own formulas: M - u u^dag with u
-    M's column j of largest real M[j, j] over sqrt(M[j, j]), and V M row by
-    row from V's one nonzero per row."""
-    n = len(stack)
-    v = direction_unitary(g, n)
-    res = {"idempotent": [], "eigen_relation": []}
-    for p0, m in enumerate(stack):
-        j = int(np.argmax(np.diag(m).real))
-        u = m[:, j] * (1 / np.sqrt(m[j, j].real)) if m[j, j].real > 0 else np.zeros(n, dtype=complex)
-        res["idempotent"].append(np.abs(np.outer(u, u.conj()) - m))
-        cols = [int(np.flatnonzero(row)[0]) for row in v]
-        vm = np.array([v[i, c] * m[c] for i, c in enumerate(cols)])
-        res["eigen_relation"].append(np.abs(vm - omega_int(-p0, n) * m))
-    return {k: _result(f"projector_{k}", np.array(r), tol) for k, r in res.items()}
-
-
 def dense_direction_unitary(g, n):
     """omega^((N-1)*kappa*lam/2) S^kappa P^lam from matrix powers of the shift and clock."""
     power = np.linalg.matrix_power
@@ -92,14 +77,26 @@ def dense_direction_unitary(g, n):
     return scalar * power(shift_matrix(n), g.kappa % n) @ power(clock_matrix(n), g.lam % n)
 
 
-def assert_same_verdicts(got, want):
-    """Same verdicts, and witnesses on the same line, as the dense loop."""
-    for k, w in want.items():
-        c = getattr(got, k)
-        assert c.passed == w.passed, k
-        assert (c.witness is None) == (w.witness is None), k
-        if w.witness is not None:
-            assert c.witness[0] == w.witness[0], (k, c.witness, w.witness)
+def projector_oracle(g, n):
+    """Pi[p0] = (1/N) sum_k omega^(k*p0) V^k for every label p0, from matrix
+    powers of the dense direction unitary; any N."""
+    v = dense_direction_unitary(g, n)
+    powers = [np.linalg.matrix_power(v, k) for k in range(n)]
+    return np.array([sum(omega_int(k * p0, n) * powers[k] for k in range(n)) / n for p0 in range(n)])
+
+
+def projector_residual_oracle(stack, g, tol):
+    """The dense per-label loop: |M - Pi[p0]| formed for each line on its own, then stacked."""
+    pi = projector_oracle(g, len(stack))
+    return _result("projector", np.array([np.abs(m - pi[p0]) for p0, m in enumerate(stack)]), tol)
+
+
+def assert_same_verdicts(rep, dense):
+    """The verdict of the four dense residuals, and the first line any of them fails on."""
+    failing = [w.witness[0] for w in dense.values() if not w.passed]
+    assert rep.projector.passed == (not failing)
+    if failing:
+        assert rep.projector.witness[0] == min(failing), (rep.projector.witness, failing)
 
 
 def assert_bitwise_equal(got, want):
@@ -318,32 +315,71 @@ def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9, 11])
 def test_line_projector_check_matches_the_per_label_loop_bit_for_bit(n):
-    """Hermiticity and trace are the dense per-label loop's results to the
-    bit, idempotence and the eigen relation the per-label loop of their own
-    formulas'; verdicts and witness lines are the dense loop's (M^2 - M and
-    V @ M), on the solution set (passing) and on random line-sum stacks
-    (failing), whole or cut into blocks of lines. The dense V @ M rounds
-    apart from the row gather: the BLAS product may fuse its multiply-add."""
+    """The check run one line a block, a per-label loop, is the same report
+    to the bit as in blocks of two lines or of all N. Its residual is the
+    dense per-label loop's |M - Pi| in verdict and witness, and in its
+    largest value to 1e-14 relative on random line-sum stacks (failing).
+    On the solution set (passing) both are round-off and agree to 1e-13,
+    above the dense matrix powers' own 2e-14 at N = 11 (direction (0, 10)).
+    The four dense residuals M = M^dag, M^2 = M, Tr M = 1 and
+    V M = omega^(-p0) M give the same verdict and fail first on the same line."""
     rng = np.random.default_rng(400 + n)
     ops = expand_operators(n)
     for g in oracle_directions(n):
         stack = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))  # fails
         sums = np.array([line_sum_oracle(ops, g, p0) for p0 in range(n)])
         for sample, passes in ((sums, True), (stack, False)):
-            dense = projector_check_oracle(sample, g, 1e-10)
-            formula = projector_formula_oracle(sample, g, 1e-10)
-            for step in (1, 2, n):
+            rep = wigner._projector_report(n, g, 1e-10, [(p0, sample[p0:p0 + 1]) for p0 in range(n)])
+            for step in (2, n):
                 blocks = [(start, sample[start:start + step]) for start in range(0, n, step)]
-                rep = wigner._projector_report(n, g, 1e-10, blocks)
-                assert (rep.hermitian, rep.trace) == (dense["hermitian"], dense["trace"])
-                assert (rep.idempotent, rep.eigen_relation) == (formula["idempotent"], formula["eigen_relation"])
-                assert_same_verdicts(rep, dense)
-                assert rep.eigen_relation.max_violation == pytest.approx(dense["eigen_relation"].max_violation,
-                                                                         rel=1e-14, abs=1e-15)
-                assert rep.eigenvalue_multiplicity == 1
-                assert rep.passed == passes
+                assert wigner._projector_report(n, g, 1e-10, blocks) == rep
+            want = projector_residual_oracle(sample, g, 1e-10)
+            assert (rep.projector.passed, rep.projector.witness) == (want.passed, want.witness)
+            assert rep.max_violation == pytest.approx(want.max_violation, rel=1e-14, abs=1e-13)
+            assert_same_verdicts(rep, projector_check_oracle(sample, g, 1e-10))
+            assert rep.eigenvalue_multiplicity == 1
+            assert rep.passed == passes
             if passes:
                 assert wigner.line_projector_check(n, g) == rep
+
+
+@pytest.mark.parametrize("n", [3, 5, 11, 23, 101])
+def test_line_projector_check_is_exact_where_kappa_is_a_unit(n):
+    """Where kappa is a unit mod N, each entry of M and of Pi is one read of
+    the same omega table at congruent exponents, so the residual is 0.0."""
+    units = [g for g in oracle_directions(n) if math.gcd(g.kappa, n) == 1]
+    assert len(units) >= 10
+    for g in units:
+        assert wigner.line_projector_check(n, g).max_violation == 0.0, g
+
+
+# (failing, all) primitive rows mod M whose candidate line sums miss the dense
+# projectors: none fail at odd N. At even N the row (1, 0) of S passes and the
+# row (1, N) of -S fails: the route audit's witness rows.
+CANDIDATE_ROW_FAILURES = {1: (0, 1), 2: (6, 12), 3: (0, 8), 4: (32, 48), 5: (0, 24), 6: (80, 96), 7: (0, 48),
+                          8: (160, 192), 9: (0, 72)}
+
+
+@pytest.mark.parametrize("n", sorted(CANDIDATE_ROW_FAILURES))
+def test_candidate_line_sums_are_the_direction_projectors_exactly_for_odd_n(n):
+    """For every primitive row mod M (M = N for odd N, 2N for even), the
+    candidate table's assembled operators summed along each line of one
+    integer lift, against Pi = (1/N) sum_k omega^(k*p0) V^k from matrix
+    powers of the shift and clock. No phase here comes from `fano._two_phi`
+    or `fano._route_phi`."""
+    m = n if n % 2 else 2 * n
+    ops = fano.assemble(fano.coefficients_candidate(n))
+    rows = primitive_rows(m)
+    failing = set()
+    for row in np.column_stack([rows, first_completions(rows, m)]):
+        g = exact_lift(row, m)
+        pi = projector_oracle(g, n)
+        sums = np.array([sum(ops[q, p] for q, p in line_points(g, p0, n)) for p0 in range(n)])
+        if np.abs(sums - pi).max() > 1e-10:
+            failing.add((int(row[0]), int(row[1])))
+    assert (len(failing), len(rows)) == CANDIDATE_ROW_FAILURES[n]
+    if n % 2 == 0:
+        assert (1, 0) not in failing and (1, n) in failing
 
 
 @pytest.mark.parametrize("n, step", [(5, 1), (9, 2), (23, 5), (45, None)])
@@ -367,6 +403,7 @@ def test_line_projector_check_where_sites_of_a_line_share_entries(n, kappa, lam)
     assert rep.passed and rep.max_violation < 1e-12, rep
     assert rep.eigenvalue_multiplicity == 1
     assert_same_verdicts(rep, projector_check_oracle(stack, g, 1e-10))
+    assert np.abs(stack - projector_oracle(g, n)).max() < 1e-12
     for p0 in (0, n // 2, n - 1):
         assert np.abs(stack[p0] @ stack[p0] - stack[p0]).max() < 1e-12
 
@@ -388,12 +425,11 @@ def test_eigenvalue_multiplicities_are_the_counts_of_the_eigenvalues(n, monkeypa
         assert np.array_equal(wigner._eigenvalue_multiplicities(g, n), counts(v)), g
     rng = np.random.default_rng(700 + n)
     for g in oracle_directions(n)[:6]:
-        cols, _ = wigner._direction_monomial(g, n)
         exponents = rng.integers(0, n, n)
         v = np.zeros((n, n), dtype=complex)
-        v[np.arange(n), cols] = _omega_table(n)[exponents]
+        v[np.arange(n), (np.arange(n) + g.kappa % n) % n] = _omega_table(n)[exponents]
         with monkeypatch.context() as patch:
-            patch.setattr(wigner, "_direction_monomial", lambda *_: (cols, exponents))
+            patch.setattr(wigner, "_direction_monomial", lambda *_: exponents)
             assert np.array_equal(wigner._eigenvalue_multiplicities(g, n), counts(v)), g
 
 
@@ -453,20 +489,21 @@ def test_line_projector_nondegenerate_for_composite_odd_direction():
 
 def test_line_projector_check_names_the_line_of_a_planted_defect():
     """Line p0 = 2 of (2, 3) at N = 5 is perturbed in row 0, on and off the
-    diagonal: every residual fails, and each witness starts with 2, as the
-    dense loop's do, whether line 2 is checked alone or with others."""
+    diagonal: the residual fails at (2, 0, 0), as the dense loop's does, and
+    every one of the four dense residuals fails on line 2, whether line 2 is
+    checked alone or with others."""
     n = 5
     g = sl2_complete(2, 3)
     stack = wigner.line_sum_operators(n, g)
     stack[2, 0, :2] += 1e-6  # as if one operator on line 2 were perturbed there
     dense = projector_check_oracle(stack, g, 1e-10)
+    assert all(not r.passed and r.witness[0] == 2 for r in dense.values()), dense
+    want = projector_residual_oracle(stack, g, 1e-10)
     for blocks in ([(0, stack)], [(0, stack[:2]), (2, stack[2:3]), (3, stack[3:])]):
         rep = wigner._projector_report(n, g, 1e-10, blocks)
         assert not rep.passed
-        for check in (rep.hermitian, rep.idempotent, rep.trace, rep.eigen_relation):
-            assert not check.passed
-            assert check.witness[0] == 2, (check.name, check.witness)
-        assert rep.trace.witness == (2,)
+        assert rep.projector.witness == want.witness == (2, 0, 0)
+        assert rep.max_violation == pytest.approx(want.max_violation, rel=1e-14, abs=1e-14)
         assert rep.eigenvalue_multiplicity == 1
         assert_same_verdicts(rep, dense)
 
