@@ -42,10 +42,10 @@ def _result(name, residuals, tol, witness_at=lambda *i: i):
     """Build a CheckResult from a residual-magnitude array.
 
     The witness is the lexicographically first index whose violation
-    exceeds tolerance, so parallel audit workers merging reports in index
-    order agree on it. ``witness_at`` maps it to the index of the dense
-    array that ``residuals`` stands for, which a scan of that array would
-    name first.
+    exceeds tolerance, the one a scan in index order meets first, however
+    the residuals were computed. ``witness_at`` maps it to the index of the
+    dense array that ``residuals`` stands for, which a scan of that array
+    would name first.
     """
     res = np.asarray(residuals)
     max_violation = float(res.max()) if res.size else 0.0

@@ -28,7 +28,8 @@ def is_prime(n):
 
 
 def family_rng(seed, family_index):
-    """Per-family generator; parallel and serial runs draw identical streams."""
+    """The generator of one family: its own substream of the seed, so each
+    family draws the same counts whatever order the families are simulated in."""
     return np.random.default_rng([int(seed), int(family_index)])
 
 

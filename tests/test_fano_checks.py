@@ -18,7 +18,9 @@ from oracles import (
     compose,
     covariance_every_class,
     derivation_routes,
+    expand_operators,
     lift_classes,
+    monomial,
     omega_pow,
     phase_phi,
     route_consistency_loop,
@@ -358,6 +360,56 @@ def test_covariance_action_law_holds_exactly_on_integer_exponents(n):
         for got, want in zip(src + dst, [x[src1] for x in src2] + [x[dst1] for x in dst2]):
             assert np.array_equal(got, want)
         assert np.array_equal(two, (two1 + two2[dst1]) % (2 * n))
+
+
+def _dft_and_chirp(n):
+    """The DFT omega^(ij)/sqrt(N) and the chirp diag(omega^((N+1) q^2 / 2)), for odd N."""
+    om, i = np.exp(2j * np.pi * np.arange(n) / n), np.arange(n)
+    return om[np.outer(i, i) % n] / np.sqrt(n), np.diag(om[(n + 1) // 2 * i * i % n])
+
+
+def _table_action(g, u, values):
+    """The image of support ``values`` under the table map T_g of ``_covariance_scan``, phases from matrices.
+
+    The scan compares support value [s, t] with [b, a], (a, b) = (mu*s + kappa*t, nu*s + lam*t), under
+    the phase omega^phi'(a, b). Here that phase is c in u^dag S^t P^s u = c S^a P^b, read off the
+    monomials' matrices and the unitary u of g.
+    """
+    n = values.shape[0]
+    kappa, lam, mu, nu = g.as_tuple()
+    image = np.empty_like(values)
+    for s, t in product(range(n), repeat=2):
+        a, b = (mu * s + kappa * t) % n, (nu * s + lam * t) % n
+        conjugated, target = u.conj().T @ monomial(t, s, n) @ u, monomial(a, b, n)
+        phase = conjugated[0, a] / target[0, a]
+        assert np.abs(conjugated - phase * target).max() < 1e-12
+        image[b, a] = phase * values[s, t]
+    return image
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15])
+def test_dft_and_chirp_conjugate_operators_as_the_generators_act_on_tables(n):
+    """Odd-N covariance from the operators' matrices, with no ``_two_phi`` or ``phase_phi``.
+
+    The DFT and the chirp are unitaries of S and T, in the order of GENERATORS:
+    each moves the closed-form operator at (q, p) to B(q, p) = (nu*q - mu*p, -lam*q + kappa*p),
+    the index bijection of ``_covariance_scan``. On a random table, the
+    operator that T_g puts at each site is the conjugated one,
+    u^dag D(B(q, p)) u, and the solution table is a fixed point of T_g.
+    """
+    closed_form = expand_operators(n).operators
+    rng = np.random.default_rng(n)
+    table = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n**2
+    operators = fano.assemble(FanoCoefficients(n, table))
+    solution = fano.coefficients_odd(n).values
+    q, p = np.indices((n, n))
+    for g, u in zip(GENERATORS, _dft_and_chirp(n)):
+        kappa, lam, mu, nu = g.as_tuple()
+        site = (nu * q - mu * p) % n, (-lam * q + kappa * p) % n
+        assert np.abs(u @ closed_form @ u.conj().T - closed_form[site]).max() < 1e-12
+        image = fano.assemble(FanoCoefficients(n, _table_action(g, u, table)))
+        assert np.abs(u.conj().T @ operators[site] @ u - image).max() < 1e-12
+        assert np.abs(_table_action(g, u, solution) - solution).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 14))

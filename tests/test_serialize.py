@@ -126,6 +126,33 @@ def test_cli_artifacts_match_the_reference_emitter(tmp_path, monkeypatch, argv):
     assert out.read_text() == reference_dumps_json(_plain(docs[0]))
 
 
+def _quoting_cases():
+    """Strings that exercise every branch of JSON string escaping, and random mixes of them."""
+    fixed = ["", '"', "\\", '\\"', 'a"b\\c/d', "Wigner ω^(2pk) – Σ 日本語 ñ", "\U0001F600", "\U0010FFFF",
+             "\ud800", "\udfff", "\udc00\ud800", "\ud83d\ude00", "a\ud800b"]
+    singles = [chr(c) for c in range(0x100)]  # every control character, DEL and Latin-1
+    # Code point ranges: ASCII, control characters, 2- and 3-byte UTF-8, surrogates, the rest of the BMP, astral.
+    ranges = np.array([(0, 0x80), (0, 0x20), (0x80, 0x800), (0x800, 0xD800), (0xD800, 0xE000), (0xE000, 0x10000),
+                       (0x10000, 0x110000)])
+    rng = np.random.default_rng(20011)
+    lengths = rng.integers(1, 9, size=20_000)
+    picked = rng.integers(len(ranges), size=lengths.sum())
+    points = rng.integers(ranges[picked, 0], ranges[picked, 1]).tolist()
+    ends = np.cumsum(lengths).tolist()
+    mixed = ["".join(map(chr, points[start:end])) for start, end in zip([0, *ends[:-1]], ends)]
+    return fixed + singles + mixed + [np.str_("numpy str")]
+
+
+def test_strings_and_keys_are_quoted_as_json_dumps_quotes_them():
+    """The writer quotes with the C function behind ``json.dumps``, without loading ``json``."""
+    cases = _quoting_cases()
+    assert len(cases) == 20_270
+    for text in cases:
+        assert serialize._quote(text) == json.dumps(text), repr(text)
+    doc = {text: text for text in cases[:300]}
+    assert dumps_json(doc) == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 EDGE_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 2 / 3, 1e16, 123456.789]
 
 

@@ -1,6 +1,7 @@
 """Start-up and exit: the lazy package, the CLI's one-thread BLAS default,
-the modules each subcommand loads, the entry point's exit without
-interpreter teardown, and the record classes that replace dataclasses.
+the modules each subcommand loads, the collector the entry point pauses,
+its exit without interpreter teardown, and the record classes that replace
+dataclasses.
 
 Each check of what an import does runs in a fresh interpreter, since this
 one has numpy and the package loaded already.
@@ -8,6 +9,7 @@ one has numpy and the package loaded already.
 
 import ast
 import errno
+import gc
 import importlib
 import json
 import os
@@ -73,6 +75,14 @@ def test_unknown_name_raises_attribute_error():
     assert getattr(latwig, "kernel_backend", None) is None
 
 
+def test_import_cli_loads_no_numpy_and_no_layer():
+    run_python(
+        "import sys, latwig.cli\n"
+        "loaded = {m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'latwig.'))}\n"
+        "assert loaded == {'latwig.cli'}, sorted(loaded)\n"
+    )
+
+
 def test_cli_defaults_every_blas_variable_to_one_thread():
     out = run_python("import os, latwig.cli as c; print(*(os.environ.get(v) for v in c.BLAS_THREAD_VARS))")
     assert out.split() == ["1"] * len(cli.BLAS_THREAD_VARS)
@@ -94,7 +104,8 @@ def test_cli_imported_after_numpy_leaves_the_environment():
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
 def test_cli_starts_no_blas_worker_thread():
-    out = run_python("import os, latwig.cli; print(len(os.listdir('/proc/self/task')))")
+    """numpy loads after `latwig.cli`, as in a run, and starts no BLAS thread."""
+    out = run_python("import os, latwig.cli, numpy; print(len(os.listdir('/proc/self/task')))")
     assert out.split() == ["1"]
 
 
@@ -112,7 +123,7 @@ def test_artifact_does_not_depend_on_the_default_thread_count(tmp_path):
 
 
 # The latwig modules every subcommand loads: the package, the record
-# helper, lattice and operators (imported at the top of cli) and the writer.
+# helper, lattice and operators (which every layer imports) and the writer.
 # `python -m latwig.cli` runs cli as __main__, so latwig.cli is not among them.
 COMMON_MODULES = {"latwig", "latwig._record", "latwig.lattice", "latwig.operators", "latwig.serialize"}
 
@@ -126,8 +137,17 @@ SUBCOMMAND_MODULES = [
 
 # The entry point ends the process with os._exit, which would end this child
 # before its report: the harness makes os._exit raise SystemExit instead.
+# Its first lines count the collections of the cyclic garbage collector
+# from an empty young generation on, so that the ~460 allocations of
+# compiling cli.py without bytecode cannot tip one, while an import of numpy
+# before the entry point pauses the collector, about 30 collections, shows.
+# It imports json only after reading what the run loaded.
 RUN_CLI = """
-import json, os, runpy, sys
+import gc
+gc.collect()
+collected = []  # the generation of each collection
+gc.callbacks.append(lambda phase, info: phase == "start" and collected.append(info["generation"]))
+import os, runpy, sys
 exits = []
 def record_exit(code):
     exits.append(code)
@@ -138,8 +158,11 @@ try:
     runpy.run_module("latwig.cli", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-print(json.dumps({"exits": exits, "dataclasses": "dataclasses" in sys.modules,
-                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "latwig")}))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps({"exits": exits, "collections": collected, "json": "json" in loaded,
+                  "dataclasses": "dataclasses" in loaded,
+                  "modules": [m for m in loaded if m.split(".")[0] == "latwig"]}))
 """
 
 
@@ -158,6 +181,20 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, numpy_loads_dataclasses
     assert report["exits"] == [0]
     assert set(report["modules"]) == COMMON_MODULES | layers
     assert report["dataclasses"] == numpy_loads_dataclasses
+    assert report["collections"] == []
+    assert not report["json"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    """`run` pauses the collector for its process; an in-process caller of `main` keeps its own setting."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(["check", "--n", "3", "--out", str(tmp_path / "a.json")]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def run_cli_child(argv, unbuffered, code=None, stdout=subprocess.PIPE, preexec_fn=None):
