@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``lattice``: exact modular arithmetic, primitive rows mod M and their
-  first completions, lines as index arrays
+- ``lattice``: exact modular arithmetic, first completions of rows mod M,
+  lines as index arrays
 - ``operators``: momentum basis, states, exact phase tables,
   and ``CheckResult``/``_result``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
@@ -21,12 +21,12 @@ The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
 the whole of it, the dense operator checks, the Fraction-valued
 covariance phase, the group action on tables, the route scan of every
-lift class, SL(2, Z_M) as residue arrays and the determinant filter,
-integer lifts found by search and their exact product, lines as tuples of
-sites, the invariant label of the line through a site, the per-(s,t)
-route list, the incidence check, the dense einsum transforms, the
-split-parity table, the clock and shift matrices and their monomials)
-live in ``tests/oracles.py``, not in the package.
+lift class, primitive rows and SL(2, Z_M) as residue arrays and the
+determinant filter, integer lifts found by search and their exact
+product, lines as tuples of sites, the invariant label of the line
+through a site, the per-(s,t) route list, the incidence check, the dense
+einsum transforms, the split-parity table, the clock and shift matrices
+and their monomials) live in ``tests/oracles.py``, not in the package.
 
 The names in ``__all__`` are re-exported lazily (PEP 562): ``latwig.X``
 imports the submodule that defines X on first access, so ``import

@@ -63,11 +63,11 @@ INTERNAL_ERROR = 3
 TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
-# Largest N `check` accepts. The route audit holds O(N^2) state (peak RSS
-# 43 MiB at N = 200), so the wall time of even N, with about three times the
-# primitive rows, binds: 1.4 s at N = 200, 0.6 s at N = 201 on a 2-CPU VM. The int64
-# products of `fano._route_phi` fit up to N = 55,000, `fano._two_phi`'s to 30,000.
-CHECK_MAX_N = 201
+# Largest N `check` accepts. Every audit holds O(N^2) arrays, so memory binds,
+# mostly the covariance scan's [2, N^2] temporaries: peak RSS 79 MiB at N = 500,
+# 74 MiB at 501 and 100 MiB at 600 (0.33 s at 500; medians of 3, wait4, 2-CPU VM).
+# `fano._route_phi`'s int64 products fit up to N = 55,000, `_two_phi`'s to 30,000.
+CHECK_MAX_N = 501
 
 # Largest N `marginal` accepts. Its projector check builds the direction's
 # line sums a block of lines at a time and compares each with its spectral
@@ -184,13 +184,12 @@ def _fano_document(n):
 def cmd_check(args):
     """Audit every condition family on the candidate table and write the report.
 
-    The route audit covers every integer lift of SL(2, Z_N) with one route
-    per primitive row mod M (N or 2N) and r, and the derived table takes
-    one of those routes per point. ``group_order`` is |SL(2, Z_N)|, and
-    ``lifts_per_element`` the classes of lifts mod M above each element
-    that a route value tells apart, those the reference scan of every
-    class in ``tests/oracles.py`` runs: 1 for odd N, 8 for even N. N is
-    limited to :data:`CHECK_MAX_N` before any work.
+    The route audit covers every integer lift of SL(2, Z_N), one route per
+    primitive row mod M (N or 2N) and r, decided per point in closed form.
+    ``group_order`` is |SL(2, Z_N)|. ``lifts_per_element`` describes the
+    reference scan of every lift class in ``tests/oracles.py``: the lift
+    classes mod M above each element that a route value tells apart, 1 for
+    odd N, 8 for even N. N is limited to :data:`CHECK_MAX_N` before any work.
 
     An even N's structural residuals are 1/N for operator hermiticity and
     2/N^2 for covariance and the route spreads. A --tolerance above all of
@@ -202,7 +201,7 @@ def cmd_check(args):
     from .lattice import sl2_order
 
     n = args.n
-    _require_at_most(n, CHECK_MAX_N, "whose O(N^3) tilted-line routes `check` audits")
+    _require_at_most(n, CHECK_MAX_N, "whose O(N^2) audit tables `check` holds")
     report = fano.full_report(n, tol=args.tolerance)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)

@@ -31,15 +31,15 @@ at any tolerance between their residuals: round-off below 1e-16 for odd N,
 where the table is covariant, and 2/N^2 for even N. A route value depends
 on a lift only through the row it runs along, mod M (N for odd N, 2N for
 even N), and r, by one closed form (:func:`_route_phi`), so the route
-audit, exhaustive over every integer lift, takes one route per primitive
-row mod M and r: O(N^3) routes in two passes that hold O(N^2) state. The
+audit, exhaustive over every integer lift, is decided per point in O(N^2):
+two exponent classes meet exactly where s or t is odd, for even N. The
 derived table takes one canonical route per point by the same formula.
 """
 
 import numpy as np
 
 from ._record import record
-from .lattice import GENERATORS, check_dim, first_completions, primitive_rows
+from .lattice import GENERATORS, check_dim, first_completions
 from .operators import (
     DEFAULT_TOL,
     CheckResult,
@@ -382,59 +382,62 @@ def derived_table(n):
 
 
 def _route_consistency(n, tol):
-    """Route consistency: all routes agree at every (s,t) != (0,0).
+    """Route consistency: all routes agree at every (s,t) != (0,0), decided per point in closed form.
 
-    A lift with first row (a, b) maps the multiples (s,t) = (rb, ra),
-    r = 1..N-1, onto the s-slice, and its route value depends only on
-    (a, b) mod M and r (:func:`_route_phi`); a lift with second row (a, b)
-    maps the same points onto the t-slice with the same values. So each
-    primitive row mod M runs one route per r, coded row index * N + r.
-    Pass one takes each point's least code, its lead; pass two each route's
-    spread from the lead's exponent and the least other code beyond
-    ``tol``, its rival. The witness is the first point with a rival, then
-    the lead's and the rival's rows, each with its first completion.
+    A lift with first row (a, b) mod M maps (s,t) = (rb, ra), r = 1..N-1,
+    onto the s-slice with the exponent x = a*b*r*(N-r) mod 2N of
+    :func:`_route_phi` (its second row maps them onto the t-slice alike).
+    As ra = t and rb = s (mod N), x = -st (mod N): (s,t) sees at most the
+    classes c = -st mod N and c + N. No route reaches (0, 0), as
+    gcd(a, b, N) = 1. Any other point is reached at r = g = gcd(s, t, N)
+    by a row (t/g + jN/g, s/g + kN/g), primitive for some j, k, and by
+    (-a, -b) at N - r, another route (r = N/2 needs a, b in {0, N}), so at
+    a negative ``tol`` every point but (0, 0) fails.
+
+    Odd N: r(N-r) is even, and so is x. Even N: with ra = t + N*alpha and
+    rb = s + N*beta, x = -st + N(abr + t*beta + s*alpha) mod 2N. For s, t
+    even that is fixed by abr, which is even: an odd r would make a and b
+    even. If s or t is odd, so is g, and a + N (s odd) or b + N (t odd)
+    moves the route at r = g to the other class: the row stays primitive,
+    the point stays, alpha or beta moves by the odd r. So two classes meet
+    exactly where s or t is odd, with the spread
+    |omega^(c/2) - omega^((c+N)/2)| / N^2.
+
+    ``max_violation`` is the largest spread; a point fails where its spread
+    is above ``tol``. The witness is the first failing point, its lead, the
+    first route in code order (rows in lexicographic order, then r), and
+    its rival, the first later route whose spread from the lead is above
+    ``tol``, each row with its first completion.
     """
-    m = n if n % 2 else 2 * n
-    rows = primitive_rows(m)
-    a, b = rows.T
-    codes, unset = np.arange(len(rows)) * n, len(rows) * n
-    lead, rival = np.full(n * n, unset - 1), np.full(n * n, unset)  # [s*N + t]; unreached (0, 0) stays decodable
-    for r, point in _route_points(rows, n):
-        np.minimum.at(lead, point, codes + r)
-    lead_row, lead_r = np.divmod(lead, n)
-    lead_phi = _route_phi(a[lead_row], b[lead_row], lead_r, n)
     half = _half_omega_table(n)
     re, im = half.real / n**2, half.imag / n**2
-    spread = np.hypot(re - re[:, np.newaxis], im - im[:, np.newaxis]).ravel()  # [lead exponent * 2N + exponent]
-    lead_at = lead_phi * (2 * n)
-    # a*b*r*(N-r) mod 2N from a*b mod 2N, taken once per row, and a table of 2N values per r
-    ab, doubled = a * b % (2 * n), np.arange(2 * n)
-    worst = 0.0
-    for r, point in _route_points(rows, n):
-        d = spread.take(lead_at.take(point) + _route_phi(doubled, 1, r, n).take(ab))
-        worst = max(worst, float(d.max()))
-        conflicts = (d > tol) & (codes + r != lead[point])
-        np.minimum.at(rival, point[conflicts], codes[conflicts] + r)
-    point = int((rival < unset).argmax())
-    if rival[point] == unset:
+    s, t = np.indices((n, n))
+    spread = np.zeros((n, n))
+    if n % 2 == 0:
+        conflict = np.hypot(re[:n] - re[n:], im[:n] - im[n:])  # [c]
+        spread = np.where((s | t) % 2 == 1, conflict[-s * t % n], 0.0)
+    failing = spread > tol
+    failing[0, 0] = False  # no route reaches (0, 0)
+    worst = float(spread.max())
+    if not failing.any():
         return CheckResult("route_consistency", True, worst)
-    pair = rows[[lead[point] // n, rival[point] // n]]
+    point = divmod(int(failing.argmax()), n)
+    m = n if n % 2 else 2 * n
+    rk = np.arange(n)[:, np.newaxis] * np.arange(m) % n
+    on_t, on_s = rk == point[1], rk == point[0]  # [r, a]: r*a = t, r*a = s (mod N); r = 0 reaches only (0, 0)
+    routes = []  # [a | b | r] of the routes onto the point, rows primitive mod M
+    for r in np.flatnonzero(on_t.any(axis=1) & on_s.any(axis=1)):
+        a, b = np.flatnonzero(on_t[r]), np.flatnonzero(on_s[r])
+        a, b = np.repeat(a, len(b)), np.tile(b, len(a))
+        keep = np.gcd(np.gcd(a, b), m) == 1
+        routes.append(np.stack([a[keep], b[keep], np.full(keep.sum(), r)]))
+    routes = np.concatenate(routes, axis=1)
+    a, b, r = routes[:, np.lexsort(routes[::-1])]  # code order: rows, then r
+    x = _route_phi(a, b, r, n)
+    rival = int((np.hypot(re[x[1:]] - re[x[0]], im[x[1:]] - im[x[0]]) > tol).argmax()) + 1
+    pair = np.array([[a[0], b[0]], [a[rival], b[rival]]])
     lifts = np.column_stack([pair, first_completions(pair, m)])  # [lead | rival, entry]
-    return CheckResult("route_consistency", False, worst, divmod(point, n) + tuple(lifts.ravel().tolist()))
-
-
-def _route_points(rows, n):
-    """Yield (r, point) for r = 1..N-1, point = (r*b mod N)*N + r*a mod N for each row (a, b).
-
-    Each row is reduced once to its index b*N + a mod N into the N^2 points
-    at r, which come from the N residues r*k mod N, so no division runs per
-    route.
-    """
-    pair = rows[:, 1] % n * n + rows[:, 0] % n
-    k = np.arange(n)
-    for r in range(1, n):
-        rk = r * k % n
-        yield r, ((rk * n)[:, np.newaxis] + rk).ravel()[pair]
+    return CheckResult("route_consistency", False, worst, point + tuple(lifts.ravel().tolist()))
 
 
 def uniqueness_audit(n, tol=DEFAULT_TOL):
@@ -442,10 +445,11 @@ def uniqueness_audit(n, tol=DEFAULT_TOL):
 
     For every nonzero (s,t), the forced value is derived through every
     integer lift with determinant 1 that maps (s,t) onto an axis slice, as
-    one route per primitive row mod M and r; all routes must agree for the
-    table to exist. The table derived through one canonical route per point
-    is then checked against the closed form and against hermiticity and
-    orthogonality, which were never imposed on it.
+    one route per primitive row mod M and r, decided per point in closed
+    form; all routes must agree for the table to exist. The table derived
+    through one canonical route per point is then checked against the
+    closed form and against hermiticity and orthogonality, which were never
+    imposed on it.
     """
     check_dim(n)
     route_check = _route_consistency(n, tol)

@@ -2,12 +2,11 @@
 
 Integer lifts and determinants use plain Python integers, so they are
 exact; reduction mod N happens only where a residue is wanted. The lines
-of a direction are numpy index arrays (:func:`line_sites`). The route
-audit runs one route per primitive row mod M (:func:`primitive_rows`), and
-the order of SL(2, Z_M) (:func:`sl2_order`) is M times the number of
-rows. :func:`first_completions` completes rows to group elements by a
-closed form; the route audit completes only the two rows of its witness.
-The covariance audit needs only :data:`GENERATORS`: S and T generate
+of a direction are numpy index arrays (:func:`line_sites`). The order of
+SL(2, Z_N) (:func:`sl2_order`) is a closed form in the primes of N.
+:func:`first_completions` completes rows to group elements by a closed
+form; the route audit completes only the two rows of its witness. The
+covariance audit needs only :data:`GENERATORS`: S and T generate
 SL(2, Z), which maps onto every SL(2, Z_M).
 """
 
@@ -72,16 +71,13 @@ def sl2_complete(kappa, lam):
 
 
 def sl2_order(n):
-    """|SL(2, Z_N)|: each primitive row mod N has N completions."""
-    return n * len(primitive_rows(n))
-
-
-def primitive_rows(m):
-    """The rows (a, b) mod m with gcd(a, b, m) = 1, in lexicographic order, as an int64 array [row, (a, b)]."""
-    check_dim(m)
-    a, b = np.indices((m, m)).reshape(2, -1)
-    keep = np.gcd(np.gcd(a, b), m) == 1
-    return np.column_stack([a[keep], b[keep]])
+    """|SL(2, Z_N)| = N^3 prod_p (1 - 1/p^2) over the primes p | N, exactly: N completions of each primitive row."""
+    check_dim(n)
+    order = n**3
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            order = order // p**2 * (p**2 - 1)
+    return order
 
 
 def first_completions(rows, m):

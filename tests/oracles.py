@@ -4,23 +4,24 @@ The library has one production path per computation; these are the
 independent forms it is checked against: the dense N^4 coefficient table
 of the support values with the position transform and operator assembly
 run on the whole of it, the dense operator tensor and the operator-level
-checks on it (marginal sums, hermiticity scan and site Gram product), the
-joined text of a JSON document, the Fraction-valued covariance phase, the
-dense int64 exponent table and the group action on dense tables, the
-covariance scan over every lift class of SL(2, Z_2N), the lift classes
-and the route audit as a scan of every route of every class, the route
-audit as a plain loop over the first lift of every primitive row, the
-per-(s,t) route list, the identity and the exact product of integer
-lifts, SL(2, Z_m) as residues written down from its rows and the
-determinant-filter enumeration it is checked against, integer lifts
-with determinant exactly 1 found by search, the inverse coefficient
-transform, lattice lines as tuples of sites, the
-invariant label of the line through a site, the brute-force incidence
-check of the line families, the dense N^4 expansion of the closed-form
-operator set with the einsum transforms on it, the split-parity solution
-table, the clock and shift matrices and their monomials S^n P^m, the
-dense direction unitary of a line family, the integer and half-integer
-phases ``omega_int`` and ``omega_pow`` and random pure states.
+checks on it (marginal sums, hermiticity scan and site Gram product),
+the joined text of a JSON document, the Fraction-valued covariance
+phase, the dense int64 exponent table and the group action on dense
+tables, the covariance scan over every lift class of SL(2, Z_2N), the
+lift classes and the route audit as a scan of every route of every
+class, the route audit as a plain loop over the first lift of every
+primitive row, the per-(s,t) route list, the identity and the exact
+product of integer lifts, the primitive rows mod m, SL(2, Z_m) as
+residues written down from its rows and the determinant-filter
+enumeration it is checked against, integer lifts with determinant
+exactly 1 found by search, the inverse coefficient transform, lattice
+lines as tuples of sites, the invariant label of the line through a
+site, the brute-force incidence check of the line families, the dense
+N^4 expansion of the closed-form operator set with the einsum transforms
+on it, the split-parity solution table, the clock and shift matrices and
+their monomials S^n P^m, the dense direction unitary of a line family,
+the integer and half-integer phases ``omega_int`` and ``omega_pow`` and
+random pure states.
 """
 
 import math
@@ -32,7 +33,7 @@ import numpy as np
 
 from latwig import serialize
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _two_phi
-from latwig.lattice import SL2Element, check_dim, first_completions, line_sites, primitive_rows, sl2_complete
+from latwig.lattice import SL2Element, check_dim, first_completions, line_sites, sl2_complete
 from latwig.operators import _half_omega_table, _omega_table, momentum_vector
 from latwig.tomography import mub_line_families
 from latwig.wigner import _direction_monomial
@@ -279,6 +280,14 @@ def land_completion_search(kappa, lam, mu_res, nu_res, n):
     )
 
 
+def primitive_rows(m):
+    """The rows (a, b) mod m with gcd(a, b, m) = 1, in lexicographic order, as an int64 array [row, (a, b)]."""
+    check_dim(m)
+    a, b = np.indices((m, m)).reshape(2, -1)
+    keep = np.gcd(np.gcd(a, b), m) == 1
+    return np.column_stack([a[keep], b[keep]])
+
+
 def sl2_enumerate(m):
     """Every element of SL(2, Z_m) as an int64 array [element, (kappa, lam, mu, nu)] of residues in [0, m).
 
@@ -390,9 +399,8 @@ def route_consistency_scan(n, elements, tol):
     (nu, mu); a stable sort groups these routes by (s,t), lifts in order.
     The witness is the first (s,t) in lexicographic order with a conflict,
     then its first route's lift and the first lift that disagrees. Spreads
-    are tabulated once for every pair of exponents, as in
-    ``fano._route_consistency``. Every route is held at once: 8 |SL(2, Z_N)|
-    2(N - 1) of them at even N.
+    are tabulated once for every pair of exponents. Every route is held at
+    once: 8 |SL(2, Z_N)| 2(N - 1) of them at even N.
     """
     k, l, m, v = elements.T[:, :, np.newaxis]
     r = np.arange(1, n)

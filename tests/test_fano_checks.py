@@ -9,7 +9,7 @@ import pytest
 
 from latwig import fano
 from latwig.fano import FanoCoefficients, _covariance_scan
-from latwig.lattice import GENERATORS, SL2Element, first_completions, primitive_rows
+from latwig.lattice import GENERATORS, SL2Element, first_completions
 from latwig.operators import DEFAULT_TOL, _half_omega_table
 from oracles import (
     IDENTITY,
@@ -23,6 +23,7 @@ from oracles import (
     monomial,
     omega_pow,
     phase_phi,
+    primitive_rows,
     route_consistency_loop,
     route_consistency_scan,
     shift_matrix,
@@ -217,16 +218,25 @@ def _verdict(c):
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_route_audit_on_primitive_rows_equals_the_scan_of_every_lift_class(n):
-    """One route per primitive row and r gives the verdict, the worst
-    spread to the bit and the witness point of the scan of every route of
-    every lift class, at the tolerances 0, the default, 2/N^2 (the even-N
-    spread) and 1, and at -1, where every second route conflicts; the whole
-    report is that of the plain loop over the rows' first lifts."""
-    for tol in (0.0, DEFAULT_TOL, 2 / n**2, 1.0, -1.0):
-        got = fano._route_consistency(n, tol)
-        want = route_consistency_scan(n, lift_classes(n), tol)
-        assert _verdict(got) == _verdict(want)
-        assert got == route_consistency_loop(n, tol)
+    """The closed form gives the verdict, the worst spread to the bit and
+    the witness point of the scan of every route of every lift class, at
+    the tolerances 0, the default, 2/N^2 (the even-N spread) and 1, and at
+    -1, where every second route conflicts. The whole report is that of the
+    plain loop over the rows' first lifts there, and at 2/N^2 +- 1..4 ulp,
+    where the spreads of the classes c = -st mod N differ in their last
+    bits, so that the first failing point and its rival move."""
+    x, classes = 2 / n**2, lift_classes(n)
+    for tol in (0.0, DEFAULT_TOL, x, 1.0, -1.0):
+        assert _verdict(fano._route_consistency(n, tol)) == _verdict(route_consistency_scan(n, classes, tol))
+    for tol in (0.0, DEFAULT_TOL, x, 1.0, -1.0, *(x + k * np.spacing(x) for k in (-4, -3, -2, -1, 1, 2, 3, 4))):
+        assert fano._route_consistency(n, tol) == route_consistency_loop(n, tol)
+
+
+@pytest.mark.parametrize("n", [40, 41, 64])
+def test_route_audit_equals_the_plain_loop_at_larger_n(n):
+    """The whole report, at the default tolerance, of the plain loop over
+    every primitive row mod M and r: 774,144 routes at N = 64."""
+    assert fano._route_consistency(n, DEFAULT_TOL) == route_consistency_loop(n, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 100])
@@ -252,9 +262,9 @@ def test_negative_tolerance_witness_is_the_two_least_lifts_onto_zero_one(n):
 
 
 def test_route_audit_holds_no_table_per_point_and_exponent():
-    """The route audit at N = 100, its primitive rows included, traces under
-    4 MiB (2.5 MiB measured): O(N^2) state, no N^2 x 2N table per point and
-    exponent and no completion of every row."""
+    """The route audit at N = 100 traces under 4 MiB (0.4 MiB measured):
+    O(N^2) state, no N^2 x 2N table per point and exponent, no primitive
+    rows and no completion of every row."""
     tracemalloc.start()
     try:
         fano._route_consistency(100, DEFAULT_TOL)

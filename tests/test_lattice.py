@@ -10,7 +10,6 @@ from latwig.lattice import (
     SL2Element,
     first_completions,
     line_sites,
-    primitive_rows,
     sl2_complete,
     sl2_order,
 )
@@ -22,6 +21,7 @@ from oracles import (
     lift_classes,
     line_label,
     line_points,
+    primitive_rows,
     sl2_enumerate,
     sl2_enumerate_filter,
     sl2_lifts_search,
@@ -107,6 +107,16 @@ def test_sl2_order_is_the_size_of_the_enumeration(n):
     assert sl2_order(n) == len(sl2_enumerate(n))
     if n <= 30:
         assert len(lift_classes(n)) == (1 if n % 2 else 8) * sl2_order(n)
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (2, 6), (4, 48), (12, 1152), (36, 31104), (97, 912576),
+                                      (500, 90_000_000)])
+def test_sl2_order_is_the_product_over_the_primes_of_n(n, order):
+    """N^3 prod_p (1 - 1/p^2) as an exact int, and N completions of each
+    primitive row mod N, counted by the oracle where the enumeration does
+    not reach."""
+    assert sl2_order(n) == order and type(sl2_order(n)) is int
+    assert order == n * len(primitive_rows(n))
 
 
 @pytest.mark.parametrize("m", range(1, 25))

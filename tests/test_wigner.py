@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from latwig import fano, wigner
 from latwig.fano import _result
-from latwig.lattice import SL2Element, first_completions, primitive_rows, sl2_complete
+from latwig.lattice import SL2Element, first_completions, sl2_complete
 from latwig.operators import (
     _half_omega_table,
     _omega_table,
@@ -28,6 +28,7 @@ from oracles import (
     expand_operators,
     line_points,
     omega_int,
+    primitive_rows,
     site_gram_residuals,
     shift_matrix,
     sl2_second_lift_search,
