@@ -8,7 +8,7 @@ Library layout:
   and ``CheckResult``/``_result``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
-  table, the dense tensor), condition audits
+  table, the candidate's dense tensor in closed form), condition audits
 - ``wigner``: density matrix <-> grid transforms and tilted-line marginals
   on the odd-N closed-form operators
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
@@ -19,14 +19,15 @@ Library layout:
 
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
-the whole of it, the dense operator checks, the Fraction-valued
-covariance phase, the group action on tables, the route scan of every
-lift class, primitive rows and SL(2, Z_M) as residue arrays and the
-determinant filter, integer lifts found by search and their exact
-product, lines as tuples of sites, the invariant label of the line
-through a site, the per-(s,t) route list, the incidence check, the dense
-einsum transforms, the split-parity table, the clock and shift matrices
-and their monomials) live in ``tests/oracles.py``, not in the package.
+the whole of it, the operator tensor of any table by slab FFTs, the
+dense operator checks, the Fraction-valued covariance phase, the group
+action on tables, the route scan of every lift class, primitive rows and
+SL(2, Z_M) as residue arrays and the determinant filter, integer lifts
+found by search and their exact product, lines as tuples of sites, the
+invariant label of the line through a site, the per-(s,t) route list,
+the incidence check, the dense einsum transforms, the split-parity
+table, the clock and shift matrices and their monomials) live in
+``tests/oracles.py``, not in the package.
 
 The names in ``__all__`` are re-exported lazily (PEP 562): ``latwig.X``
 imports the submodule that defines X on first access, so ``import
@@ -40,7 +41,7 @@ import importlib
 _EXPORTS = {
     "ConditionReport": "fano",
     "FanoCoefficients": "fano",
-    "assemble": "fano",
+    "candidate_operators": "fano",
     "check_covariance_group": "fano",
     "check_hermiticity": "fano",
     "check_marginals": "fano",

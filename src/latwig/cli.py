@@ -64,8 +64,8 @@ TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
 # Largest N `check` accepts. Every audit holds O(N^2) arrays, so memory binds,
-# mostly the covariance scan's [2, N^2] temporaries: peak RSS 79 MiB at N = 500,
-# 74 MiB at 501 and 100 MiB at 600 (0.33 s at 500; medians of 3, wait4, 2-CPU VM).
+# mostly the covariance scan's [2, N^2] temporaries: peak RSS 73 MiB at N = 500,
+# 74 MiB at 501 and 92 MiB at 600 (0.47 s at 500; medians of 3, wait4, 2-CPU VM).
 # `fano._route_phi`'s int64 products fit up to N = 55,000, `_two_phi`'s to 30,000.
 CHECK_MAX_N = 501
 
@@ -77,12 +77,12 @@ CHECK_MAX_N = 501
 MARGINAL_MAX_N = 601
 
 # Largest N `fano` accepts. It holds the 16*N^4-byte operator tensor, which
-# `assemble` builds one N^3 slab at a time and the writer renders directly,
-# next to the interpreter and a bounded text cache: peak RSS 51 MiB at
-# N = 31, 80 MiB at N = 39, 85 MiB at N = 41 and 156 MiB at N = 51. Wall
-# time binds, not memory: the artifact grows as 85*N^4 bytes (582 MB at
-# N = 51), and at composite N most operator floats are distinct round-off
-# to format, so N = 39 takes 7 s and N = 51 about 17 s (N = 41: 1.9 s).
+# `candidate_operators` writes in closed form and the writer renders
+# directly, next to the interpreter and a bounded text cache. Memory, not
+# time, now binds: peak RSS 75 MiB at N = 39, 81 MiB at 41, 129 MiB at 49
+# and 144 MiB at 51, in 0.84, 1.13, 2.0 and 2.5 s (medians of 3, wait4,
+# 2-CPU VM; 6.2, 2.3, 18.2 and 16.9 s when the operators were FFT output,
+# whose round-off made most composite-N floats distinct).
 FANO_MAX_N = 51
 
 # Largest N `wigner` accepts. It holds a few N x N complex matrices and the
@@ -154,8 +154,11 @@ def cmd_fano(args):
     The coefficients are rendered from the table's N^2 support values
     (:class:`serialize.SupportRecords`), which is all a
     :class:`fano.FanoCoefficients` holds, and the operators straight from
-    the N^4 complex tensor that ``assemble`` builds one N^3 slab at a time
-    (:class:`serialize.OperatorRecords`), with no record array.
+    the N^4 complex tensor that :func:`fano.candidate_operators` writes in
+    closed form, one diagonal at a time and with no FFT
+    (:class:`serialize.OperatorRecords`), with no record array. Its
+    structural zeros are exact, so the operators hold few distinct floats
+    (75 at N = 39) and the writer formats each once.
     """
     from . import serialize
 
@@ -177,7 +180,7 @@ def _fano_document(n):
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
         "coefficients": serialize.SupportRecords(coeffs.values.real, coeffs.values.imag),
-        "operators": serialize.OperatorRecords(fano.assemble(coeffs)),
+        "operators": serialize.OperatorRecords(fano.candidate_operators(n)),
     }
 
 

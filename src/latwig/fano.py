@@ -16,12 +16,15 @@ index that a scan of the dense N^4 residuals would name first. The support
 fixes the operators through the N x N :func:`twist_table` F:
 D(q,p)[i,j] = omega^(p*(j-i)) F[j-i, j-q]. The operator-level audits are
 O(N^2 log N) formulas on F with the dense witnesses too, so no audit builds
-an N^4 array; ``assemble`` builds the operator tensor for the ``fano``
-artifact only, one N^3 slab of the table at a time. For odd N, F has N
-nonzeros, F[k,x] = delta(2x = k mod N) / N: each operator is the phased
-permutation D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)),
-the closed form on which :mod:`latwig.wigner` and :mod:`latwig.tomography`
-run.
+an N^4 array. :func:`twist_table` takes F of any table by one inverse FFT;
+the candidate's F is a geometric sum in closed form, and
+:func:`candidate_operators` writes the operator tensor of the ``fano``
+artifact from it, one diagonal j - i at a time, with no FFT and with its
+structural zeros exact. For odd N, F has N nonzeros,
+F[k,x] = delta(2x = k mod N) / N: each operator is the phased permutation
+D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)), the closed
+form on which :mod:`latwig.wigner` and :mod:`latwig.tomography` run. For
+even N, each even row k of F has one nonzero and an odd row has no zero.
 
 Neither group audit bounds N. Covariance is an action of SL(2, Z) on
 tables, so it is decided on the two generators S and T. Each lift with
@@ -122,28 +125,54 @@ def coefficients_odd(n):
     return coefficients_candidate(n)
 
 
-def assemble(c):
-    """The tensor [q, p, i, j] of the operators D(q,p) = sum_stnm omega^(pt-qs) a~(s,t;n,m) S^n P^m.
+def candidate_operators(n):
+    """The tensor [q, p, i, j] of the candidate table's operators D(q,p), in closed form.
 
-    (S^n P^m)[i,j] = delta(j, i+n) omega^(m*j), so D(q,p)[i,j] = b(q,p; j-i, j)
-    with b(q,p;n,j) = sum_stm omega^(pt-qs+mj) a~(s,t;n,m): a forward FFT
-    over s and unnormalised inverse FFTs over t and m of the table. None of
-    them runs along n, so the operators are built one n-slab [s, t, m] of
-    the table at a time, whose only nonzeros are a~(s,n;n,s) at t = n,
-    m = s, and each slab's b(.,.;n,.) is scattered onto the diagonal
-    j - i = n of every operator. Each line of an FFT is transformed on its
-    own, so the operators are those of the dense N^4 table to the bit.
+    D(q,p)[i,j] = omega^(p*k) F[k, x] at k = j - i, x = j - q, where F is
+    the candidate's :func:`twist_table`. With
+    e = (2x - k(N+1)) mod 2N, F[k,x] = (1/N^2) sum_s z^s, z = exp(i*pi*e/N),
+    since the support value a~(s,k;k,s) has the doubled exponent
+    -s*k*(N+1) and omega^(s*x) the doubled exponent 2*s*x. The geometric
+    sum gives three cases:
+
+    - e = 0: z = 1, every term is 1, and F = N/N^2 = 1/N.
+    - e even, e != 0: z != 1 and z^N = exp(i*pi*e) = 1, so the sum
+      (1 - z^N)/(1 - z) is 0.
+    - e odd: z^N = -1, so F = 2/(N^2 (1 - z)), and as
+      1/(1 - exp(i*theta)) = (1 + i*cot(theta/2))/2,
+      F = (1 + i*cot(pi*e/(2N)))/N^2.
+
+    e has the parity of k(N+1), so it is odd only for odd k at even N.
+    Every other row k has e = 0 at exactly one x in [0, N), x = k(N+1)/2
+    mod N, and zeros elsewhere: for odd N, D(q,p) is the displaced parity
+    (1/N) delta(i + j = 2q mod N) omega^(p*(j-i)) (Wootters, Ann. Phys.
+    176, 1 (1987)). An odd row has no zero.
+
+    The tensor starts as ``np.zeros`` and only the nonzeros are scattered,
+    one diagonal j - i = k at a time, so every structural zero is +0.0. A
+    1/N entry is ``omega^(p*k) / N`` from the omega table, the value of
+    ``tests/oracles.expand_operators`` to the bit at odd N. An odd row's
+    products are written in real arithmetic, as in :func:`_covariance_scan`,
+    with cot taken at an angle in (-pi/2, pi/2), where it is accurate. No
+    FFT runs.
     """
-    n = c.n
-    ops = np.empty((n, n, n, n), dtype=complex)
-    k = np.arange(n)
-    slab = np.zeros((n, n, n), dtype=complex)
-    for diagonal in range(n):
-        slab[k, diagonal, k] = c.values[:, diagonal]
-        b = np.fft.fft(slab, axis=0)
-        b = np.fft.ifft(b, axis=1, norm="forward")
-        ops[:, :, (k - diagonal) % n, k] = np.fft.ifft(b, axis=2, norm="forward")
-        slab[k, diagonal, k] = 0
+    check_dim(n)
+    om = _omega_table(n)
+    ops = np.zeros((n, n, n, n), dtype=complex)
+    r = np.arange(n)  # a row i, a label q or p, or an x
+    for k in range(n):
+        e = (2 * r - k * (n + 1)) % (2 * n)  # [x]
+        j = (r + k) % n  # the column of row i on the diagonal
+        phase = om[r * k % n]  # [p]: omega^(p*k)
+        if e[0] % 2 == 0:
+            x = int(np.flatnonzero(e == 0)[0])
+            ops[(j - x) % n, :, r, j] = phase / n  # [i, p] at q = j - x
+            continue
+        turns = np.where(e > n, e - 2 * n, e)  # the same cot, at an angle in (-pi/2, pi/2)
+        cot = (1 / np.tan(np.pi * turns / (2 * n)))[(j - r[:, np.newaxis]) % n]  # [q, i] at x = j - q
+        w, cot = phase[:, np.newaxis], cot[:, np.newaxis]  # [p, 1] and [q, 1, i]
+        ops.real[:, :, r, j] = (w.real - w.imag * cot) / n**2
+        ops.imag[:, :, r, j] = (w.imag + w.real * cot) / n**2
     return ops
 
 
@@ -322,10 +351,11 @@ def _covariance_scan(values, lifts, tol):
     im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
     res = np.hypot(re, im)
     worst = float(res.max())
-    failing = np.argwhere(res > tol)
-    if not failing.size:
+    failing = (res > tol).ravel()
+    first = int(failing.argmax())  # the first True in C order, as a scan meets it
+    if not failing[first]:
         return CheckResult("covariance", True, worst)
-    r, i = failing[0]
+    r, i = divmod(first, n * n)
     return CheckResult("covariance", False, worst,
                        (int(s[i]), int(t[i]), int(a[r, i]), int(b[r, i])) + lifts[r].as_tuple())
 

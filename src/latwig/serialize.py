@@ -30,17 +30,17 @@ Every float of an array, CSV grids and marginals included, is written by
 :func:`_texts`, the one place ``%.17g`` is applied to array data; ``"%.17g"
 % x`` writes exactly what ``format_float(x)`` writes for every double
 (``-0``, ``nan``, ``inf``, subnormals). A document often repeats few distinct
-floats (the ``fano`` operators at N = 17 hold 167,042 floats but only
-4,742 distinct bit patterns), so each document keeps a private cache from a
-float's 64-bit pattern to its text and formats each pattern once. The key
-is the bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
-value-keyed cache would write ``0`` where ``-0`` belongs, and NaNs, never
-equal to themselves, would each miss. The cache is bounded: it is cleared
-when the new patterns of one call would take it past ``BLOCK`` entries,
-since a document can also hold millions of distinct floats (FFT round-off
-makes about half of the ``fano`` operator floats distinct at composite N,
-2,564,960 of 4,626,882 at N = 39). The cache dies with the document; no
-formatted text is kept between dumps.
+floats (the ``fano`` operators at N = 17 hold 167,042 floats but only 32
+distinct bit patterns, and 75 of 4,626,882 at N = 39), so each document
+keeps a private cache from a float's 64-bit pattern to its text and formats
+each pattern once. The key is the bit pattern, not the value:
+``0.0 == -0.0`` as a dict key, so a value-keyed cache would write ``0``
+where ``-0`` belongs, and NaNs, never equal to themselves, would each miss.
+The cache is bounded: it is cleared when the new patterns of one call would
+take it past ``BLOCK`` entries, since a document can also hold millions of
+distinct floats (the grid of ``wigner --n 1001 --state random``: 2,003,903
+of its 2,004,002). The cache dies with the document; no formatted text is
+kept between dumps.
 
 Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
 row), operator records in blocks of about ``OPERATOR_BLOCK`` pieces,

@@ -3,7 +3,8 @@
 The library has one production path per computation; these are the
 independent forms it is checked against: the dense N^4 coefficient table
 of the support values with the position transform and operator assembly
-run on the whole of it, the dense operator tensor and the operator-level
+run on the whole of it, the operator tensor of any table by slab FFTs
+(:func:`assemble`), the dense operator tensor and the operator-level
 checks on it (marginal sums, hermiticity scan and site Gram product),
 the joined text of a JSON document, the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on dense
@@ -142,7 +143,7 @@ def coefficients_to_position(c):
     """Position-space coefficients a(q,p;n,m) = sum_st omega^(pt-qs) a~(s,t;n,m) of the dense table.
 
     A forward FFT over s and an unnormalised inverse FFT over t of the
-    whole N^4 table, the calls that ``fano.assemble`` makes on each n-slab.
+    whole N^4 table, the calls that :func:`assemble` makes on each n-slab.
     """
     a = np.fft.fft(dense_table(c), axis=0)
     return np.fft.ifft(a, axis=1, norm="forward")
@@ -157,7 +158,7 @@ class FanoOperatorSet:
 
 
 def assemble_dense(c):
-    """The operators D(q,p) of the dense N^4 table, the path ``fano.assemble`` slices into n-slabs.
+    """The operators D(q,p) of the dense N^4 table, the path :func:`assemble` slices into n-slabs.
 
     An unnormalised inverse FFT over m of the position-space coefficients
     gives b(q,p;n,j), and D(q,p)[i,j] = b(q,p; j-i mod N, j) is a gather.
@@ -167,6 +168,33 @@ def assemble_dense(c):
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     return FanoOperatorSet(n, np.take(b.reshape(n, n, n * n), ((j - i) % n) * n + j, axis=2))
+
+
+def assemble(c):
+    """The tensor [q, p, i, j] of the operators D(q,p) = sum_stnm omega^(pt-qs) a~(s,t;n,m) S^n P^m, by FFT.
+
+    (S^n P^m)[i,j] = delta(j, i+n) omega^(m*j), so D(q,p)[i,j] = b(q,p; j-i, j)
+    with b(q,p;n,j) = sum_stm omega^(pt-qs+mj) a~(s,t;n,m): a forward FFT
+    over s and unnormalised inverse FFTs over t and m of the table. None of
+    them runs along n, so the operators are built one n-slab [s, t, m] of
+    the table at a time, whose only nonzeros are a~(s,n;n,s) at t = n,
+    m = s, and each slab's b(.,.;n,.) is scattered onto the diagonal
+    j - i = n of every operator. Each line of an FFT is transformed on its
+    own, so the operators are those of :func:`assemble_dense` to the bit.
+    It takes any table, where ``fano.candidate_operators`` writes the
+    candidate's in closed form.
+    """
+    n = c.n
+    ops = np.empty((n, n, n, n), dtype=complex)
+    k = np.arange(n)
+    slab = np.zeros((n, n, n), dtype=complex)
+    for diagonal in range(n):
+        slab[k, diagonal, k] = c.values[:, diagonal]
+        b = np.fft.fft(slab, axis=0)
+        b = np.fft.ifft(b, axis=1, norm="forward")
+        ops[:, :, (k - diagonal) % n, k] = np.fft.ifft(b, axis=2, norm="forward")
+        slab[k, diagonal, k] = 0
+    return ops
 
 
 def operator_residuals_dense(f):

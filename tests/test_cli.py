@@ -9,7 +9,7 @@ import pytest
 from latwig import cli, fano, tomography, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
-from oracles import sl2_enumerate
+from oracles import assemble_dense, sl2_enumerate
 
 
 def run(tmp_path, *argv):
@@ -39,6 +39,17 @@ def test_fano_trivial_dimension(tmp_path):
     assert len(doc["operators"]) == 1
     assert doc["operators"][0]["re"] == [[1.0]]
     assert doc["operators"][0]["im"] == [[0.0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 17, 21])
+def test_fano_operators_expand_to_the_dense_table_operators(tmp_path, n):
+    """The artifact's operators, written from the closed form, against the FFTs of the dense N^4 table."""
+    out = tmp_path / f"fano{n}.json"
+    assert main(["fano", "--n", str(n), "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["operators"]
+    ops = np.array([np.array(r["re"]) + 1j * np.array(r["im"]) for r in records]).reshape(n, n, n, n)
+    assert [(r["q"], r["p"]) for r in records] == [(q, p) for q in range(n) for p in range(n)]
+    assert np.abs(ops - assemble_dense(fano.coefficients_candidate(n)).operators).max() < 1e-15
 
 
 def test_check_odd_passes_with_exit_zero(tmp_path):
@@ -276,7 +287,7 @@ def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    monkeypatch.setattr(fano, "assemble", no_work)
+    monkeypatch.setattr(fano, "candidate_operators", no_work)
     monkeypatch.setattr(fano, "full_report", no_work)
     monkeypatch.setattr(wigner, "wigner_from_density", no_work)
     for out in (tmp_path / "missing" / "x.json", tmp_path, ""):

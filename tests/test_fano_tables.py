@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,12 @@ from numpy.testing import assert_allclose
 from latwig import fano
 from latwig.operators import _half_omega_table, _omega_table
 from oracles import (
+    assemble,
     assemble_dense,
     coefficients_cohendet,
     coefficients_to_position,
     dense_table,
+    expand_operators,
     monomial,
     position_to_coefficients,
 )
@@ -161,13 +164,13 @@ def test_fourier_round_trip_on_random_tables(n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_assembled_operators_have_trace_one_over_n(n):
-    traces = np.trace(fano.assemble(fano.coefficients_odd(n)), axis1=2, axis2=3)
+    traces = np.trace(fano.candidate_operators(n), axis1=2, axis2=3)
     assert_allclose(traces, np.full((n, n), 1 / n), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_assembled_operators_sum_to_identity(n):
-    assert_allclose(fano.assemble(fano.coefficients_odd(n)).sum(axis=(0, 1)), np.eye(n), atol=1e-12)
+    assert_allclose(fano.candidate_operators(n).sum(axis=(0, 1)), np.eye(n), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
@@ -188,31 +191,84 @@ ASSEMBLE_CASES = {
 def test_assemble_matches_monomial_expansion_directly(build, n):
     c = build(n)
     values = c.values.copy()
-    assert np.abs(fano.assemble(c) - _assemble_reference(c)).max() < 1e-12
+    assert np.abs(assemble(c) - _assemble_reference(c)).max() < 1e-12
     assert np.array_equal(c.values, values)  # the input table is left untouched
 
 
 def test_dimension_one_is_the_trivial_operator():
-    assert_allclose(fano.assemble(fano.coefficients_candidate(1))[0, 0], [[1.0]], atol=1e-15)
+    assert fano.candidate_operators(1).tolist() == [[[[1.0]]]]
+    assert_allclose(assemble(fano.coefficients_candidate(1))[0, 0], [[1.0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [*range(1, 26), 31])
 def test_slab_assemble_is_bit_identical_to_the_dense_path(n):
     """Each slab runs the dense path's FFTs on the same lines, so every bit agrees, signed zeros included."""
     for c in (fano.coefficients_candidate(n), _random_coefficients(n)):
-        slab, dense = fano.assemble(c), assemble_dense(c).operators
+        slab, dense = assemble(c), assemble_dense(c).operators
         assert np.array_equal(slab.view(np.uint64), dense.view(np.uint64))
+
+
+def _traced_peak(build, *args):
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_assemble_holds_little_more_than_the_operator_tensor():
     """The traced peak of the slab path stays within 1.25 times the 16 N^4 bytes of the operator
     tensor; the dense path held the table and its work arrays, about three times as much."""
     n = 21
-    c = fano.coefficients_candidate(n)
-    tracemalloc.start()
-    try:
-        fano.assemble(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 16 * n**4
+    assert _traced_peak(assemble, fano.coefficients_candidate(n)) <= 1.25 * 16 * n**4
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_candidate_operators_hold_little_more_than_the_operator_tensor(n):
+    """The closed form's work arrays are one diagonal's, O(N^3), beside the 16 N^4-byte tensor."""
+    assert _traced_peak(fano.candidate_operators, n) <= 1.25 * 16 * n**4
+
+
+def _doubled_exponent_reference(n):
+    """e[k, x] = 2x - k(N+1) mod 2N, the doubled exponent of the ratio of the twist table's geometric sum."""
+    return np.array([[(2 * x - k * (n + 1)) % (2 * n) for x in range(n)] for k in range(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 32, 2))
+def test_candidate_operators_are_the_displaced_parity_to_the_bit(n):
+    """At odd N every nonzero is omega^(p*(j-i)) / N, the closed form the transforms run on."""
+    got = fano.candidate_operators(n)
+    assert np.array_equal(got.view(np.uint64), expand_operators(n).operators.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_candidate_operators_match_the_fft_oracle(n):
+    """The closed form against the slab FFTs of the candidate's support values, both parities."""
+    assert np.abs(fano.candidate_operators(n) - assemble(fano.coefficients_candidate(n))).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 24, 31, 32])
+def test_candidate_operators_are_exactly_positive_zero_where_the_twist_table_vanishes(n):
+    """F[k, x] is 0 where e is even and nonzero; there D(q,p)[i,j] is +0.0 in both parts, and
+    nowhere else is an entry zero. Read at k = j - i and x = j - q for every (q, p)."""
+    e = _doubled_exponent_reference(n)
+    i, j = np.indices((n, n))
+    q = np.arange(n)[:, np.newaxis, np.newaxis]
+    vanishes = np.broadcast_to(((e % 2 == 0) & (e != 0))[(j - i) % n, (j - q) % n][:, np.newaxis], (n,) * 4)
+    parts = fano.candidate_operators(n).view(float).reshape(n, n, n, n, 2)
+    assert np.array_equal(parts[vanishes].view(np.uint64), np.zeros((vanishes.sum(), 2), dtype=np.uint64))
+    assert np.all(np.abs(parts[~vanishes]).max(axis=-1) > 0)
+    assert vanishes.sum() == (n**4 - n**3 if n % 2 else n**4 // 2 - n**3 // 2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 32])
+def test_candidate_twist_is_one_plus_i_cot_over_n_squared_on_odd_rows(n):
+    """At even N an odd row k of F is (1 + i cot(pi e / 2N)) / N^2, read off D(0, 0)[i, i + k] at x = i + k."""
+    e = _doubled_exponent_reference(n)
+    d = fano.candidate_operators(n)[0, 0]
+    for k in range(1, n, 2):
+        for x in range(n):
+            got = d[(x - k) % n, x]
+            want = (1 + 1j * math.cos(math.pi * e[k, x] / (2 * n)) / math.sin(math.pi * e[k, x] / (2 * n))) / n**2
+            assert abs(got - want) < 1e-15, (k, x)

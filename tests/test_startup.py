@@ -185,6 +185,16 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, numpy_loads_dataclasses
     assert not report["json"]
 
 
+def test_fano_loads_no_fft(tmp_path):
+    """`fano` writes its operators in closed form: numpy.fft is loaded only where a bare
+    `import numpy` loads it (numpy 1.x), never by the run."""
+    bare = run_python("import sys, numpy; print('numpy.fft' in sys.modules)").split()
+    run = run_python("import sys\nfrom latwig import cli\n"
+                     f"assert cli.main(['fano', '--n', '5', '--out', {str(tmp_path / 'f.json')!r}]) == 0\n"
+                     "print('numpy.fft' in sys.modules)").split()
+    assert run[-1] == bare[-1]
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     """`run` pauses the collector for its process; an in-process caller of `main` keeps its own setting."""

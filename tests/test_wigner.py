@@ -20,6 +20,7 @@ from latwig.operators import (
 )
 from oracles import (
     IDENTITY,
+    assemble,
     clock_matrix,
     compose,
     density_einsum,
@@ -229,7 +230,7 @@ def test_structural_orthogonality_guard_matches_the_dense_site_gram(n):
 @pytest.mark.parametrize("n", range(1, 32, 2))
 def test_closed_form_expands_to_the_assembled_solution(n):
     closed = expand_operators(n).operators
-    assembled = fano.assemble(fano.coefficients_odd(n))
+    assembled = assemble(fano.coefficients_odd(n))
     assert np.abs(closed - assembled).max() < 1e-15
 
 
@@ -369,7 +370,7 @@ def test_candidate_line_sums_are_the_direction_projectors_exactly_for_odd_n(n):
     powers of the shift and clock. No phase here comes from `fano._two_phi`
     or `fano._route_phi`."""
     m = n if n % 2 else 2 * n
-    ops = fano.assemble(fano.coefficients_candidate(n))
+    ops = fano.candidate_operators(n)
     rows = primitive_rows(m)
     failing = set()
     for row in np.column_stack([rows, first_completions(rows, m)]):
