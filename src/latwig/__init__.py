@@ -8,7 +8,8 @@ Library layout:
   and ``CheckResult``/``_result``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
-  table, the candidate's dense tensor in closed form), condition audits
+  table, the candidate's operators as closed-form values and codes),
+  condition audits
 - ``wigner``: density matrix <-> grid transforms and tilted-line marginals
   on the odd-N closed-form operators
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
@@ -20,6 +21,7 @@ Library layout:
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
 the whole of it, the operator tensor of any table by slab FFTs, the
+candidate's operator tensor and the records rendered from it, the
 dense operator checks, the Fraction-valued covariance phase, the group
 action on tables, the route scan of every lift class, primitive rows and
 SL(2, Z_M) as residue arrays and the determinant filter, integer lifts
@@ -41,7 +43,7 @@ import importlib
 _EXPORTS = {
     "ConditionReport": "fano",
     "FanoCoefficients": "fano",
-    "candidate_operators": "fano",
+    "candidate_operator_codes": "fano",
     "check_covariance_group": "fano",
     "check_hermiticity": "fano",
     "check_marginals": "fano",

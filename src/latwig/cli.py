@@ -76,13 +76,12 @@ CHECK_MAX_N = 501
 # at 601 (medians of 5 runs, peak RSS from wait4, on a 2-CPU VM).
 MARGINAL_MAX_N = 601
 
-# Largest N `fano` accepts. It holds the 16*N^4-byte operator tensor, which
-# `candidate_operators` writes in closed form and the writer renders
-# directly, next to the interpreter and a bounded text cache. Memory, not
-# time, now binds: peak RSS 75 MiB at N = 39, 81 MiB at 41, 129 MiB at 49
-# and 144 MiB at 51, in 0.84, 1.13, 2.0 and 2.5 s (medians of 3, wait4,
-# 2-CPU VM; 6.2, 2.3, 18.2 and 16.9 s when the operators were FFT output,
-# whose round-off made most composite-N floats distinct).
+# Largest N `fano` accepts. It renders the operators from a few closed-form
+# values and a block of codes at a time, so memory no longer binds: peak RSS
+# 40 MiB at N = 39, 38 MiB at 41, 41 MiB at 49, 48 MiB at 50 and 41 MiB at
+# 51, in 0.32, 0.48, 0.69, 1.24 and 0.93 s (medians of 3, wait4, 2-CPU VM).
+# The artifact's size binds: about 48*N^4 bytes at odd N and 66*N^4 at
+# even N, 325 MB at N = 51 and 430 MB at 50.
 FANO_MAX_N = 51
 
 # Largest N `wigner` accepts. It holds a few N x N complex matrices and the
@@ -153,17 +152,16 @@ def cmd_fano(args):
 
     The coefficients are rendered from the table's N^2 support values
     (:class:`serialize.SupportRecords`), which is all a
-    :class:`fano.FanoCoefficients` holds, and the operators straight from
-    the N^4 complex tensor that :func:`fano.candidate_operators` writes in
-    closed form, one diagonal at a time and with no FFT
-    (:class:`serialize.OperatorRecords`), with no record array. Its
-    structural zeros are exact, so the operators hold few distinct floats
-    (75 at N = 39) and the writer formats each once.
+    :class:`fano.FanoCoefficients` holds, and the operators from the few
+    values and the codes of :func:`fano.candidate_operator_codes`
+    (:class:`serialize.OperatorRecords`): each value is formatted once and
+    the records are taken from the texts a block at a time, with no N^4
+    array.
     """
     from . import serialize
 
     n = args.n
-    _require_at_most(n, FANO_MAX_N, "whose N^4 operator tensor `fano` builds and writes")
+    _require_at_most(n, FANO_MAX_N, "whose N^4-entry artifact `fano` writes")
     serialize.write_json(args.out, _fano_document(n))
     tag = "candidate (even N)" if n % 2 == 0 else "solution"
     print(f"wrote {n**4} coefficients and {n * n} operators ({tag}) to {args.out}")
@@ -180,7 +178,7 @@ def _fano_document(n):
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
         "coefficients": serialize.SupportRecords(coeffs.values.real, coeffs.values.imag),
-        "operators": serialize.OperatorRecords(fano.candidate_operators(n)),
+        "operators": serialize.OperatorRecords(n, *fano.candidate_operator_codes(n)),
     }
 
 

@@ -18,9 +18,8 @@ D(q,p)[i,j] = omega^(p*(j-i)) F[j-i, j-q]. The operator-level audits are
 O(N^2 log N) formulas on F with the dense witnesses too, so no audit builds
 an N^4 array. :func:`twist_table` takes F of any table by one inverse FFT;
 the candidate's F is a geometric sum in closed form, and
-:func:`candidate_operators` writes the operator tensor of the ``fano``
-artifact from it, one diagonal j - i at a time, with no FFT and with its
-structural zeros exact. For odd N, F has N nonzeros,
+:func:`candidate_operator_codes` gives the ``fano`` artifact's operators
+from it as a few values and a code per entry. For odd N, F has N nonzeros,
 F[k,x] = delta(2x = k mod N) / N: each operator is the phased permutation
 D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)), the closed
 form on which :mod:`latwig.wigner` and :mod:`latwig.tomography` run. For
@@ -125,8 +124,8 @@ def coefficients_odd(n):
     return coefficients_candidate(n)
 
 
-def candidate_operators(n):
-    """The tensor [q, p, i, j] of the candidate table's operators D(q,p), in closed form.
+def candidate_operator_codes(n):
+    """The candidate table's operators D(q,p) as a few values and a code per entry.
 
     D(q,p)[i,j] = omega^(p*k) F[k, x] at k = j - i, x = j - q, where F is
     the candidate's :func:`twist_table`. With
@@ -148,32 +147,35 @@ def candidate_operators(n):
     (1/N) delta(i + j = 2q mod N) omega^(p*(j-i)) (Wootters, Ann. Phys.
     176, 1 (1987)). An odd row has no zero.
 
-    The tensor starts as ``np.zeros`` and only the nonzeros are scattered,
-    one diagonal j - i = k at a time, so every structural zero is +0.0. A
-    1/N entry is ``omega^(p*k) / N`` from the omega table, the value of
-    ``tests/oracles.expand_operators`` to the bit at odd N. An odd row's
-    products are written in real arithmetic, as in :func:`_covariance_scan`,
-    with cot taken at an angle in (-pi/2, pi/2), where it is accurate. No
-    FFT runs.
+    So with m = p*k mod N entries take few values: code 0 is +0, code
+    1 + m is ``omega^m / N`` and, at even N, code
+    1 + N + (k // 2) N^2 + m N + x is omega^m F[k, x] on the odd row k, in
+    real arithmetic as in :func:`_covariance_scan`, with cot at an angle in
+    (-pi/2, pi/2), where it is accurate. Returns the values and a function
+    from a slice of [0, N^2) to the codes [r, i, j] of D(q,p)[i,j] at
+    r = q*N + p. No FFT runs and no N^4 array is built.
     """
     check_dim(n)
+    r = np.arange(n)
+    e = (2 * r - r[:, np.newaxis] * (n + 1)) % (2 * n)  # [k, x]
+    odd = e % 2 == 1
+    turns = np.where(e > n, e - 2 * n, e)[odd.any(axis=1), np.newaxis]  # [k, 1, x], odd rows
+    cot = 1 / np.tan(np.pi * turns / (2 * n))
     om = _omega_table(n)
-    ops = np.zeros((n, n, n, n), dtype=complex)
-    r = np.arange(n)  # a row i, a label q or p, or an x
-    for k in range(n):
-        e = (2 * r - k * (n + 1)) % (2 * n)  # [x]
-        j = (r + k) % n  # the column of row i on the diagonal
-        phase = om[r * k % n]  # [p]: omega^(p*k)
-        if e[0] % 2 == 0:
-            x = int(np.flatnonzero(e == 0)[0])
-            ops[(j - x) % n, :, r, j] = phase / n  # [i, p] at q = j - x
-            continue
-        turns = np.where(e > n, e - 2 * n, e)  # the same cot, at an angle in (-pi/2, pi/2)
-        cot = (1 / np.tan(np.pi * turns / (2 * n)))[(j - r[:, np.newaxis]) % n]  # [q, i] at x = j - q
-        w, cot = phase[:, np.newaxis], cot[:, np.newaxis]  # [p, 1] and [q, 1, i]
-        ops.real[:, :, r, j] = (w.real - w.imag * cot) / n**2
-        ops.imag[:, :, r, j] = (w.imag + w.real * cot) / n**2
-    return ops
+    w = om[:, np.newaxis]  # [m, 1]
+    rows = np.empty((len(turns), n, n), dtype=complex)  # [k, m, x]
+    rows.real = (w.real - w.imag * cot) / n**2
+    rows.imag = (w.imag + w.real * cot) / n**2
+    a = np.where(odd, 1 + n + r[:, np.newaxis] // 2 * n * n + r, e == 0).ravel()
+    b = np.where(odd, n, e == 0).ravel()
+    k = (r - r[:, np.newaxis]) % n  # [i, j] = j - i
+
+    def codes(records):
+        q, p = np.divmod(np.arange(n * n)[records, np.newaxis, np.newaxis], n)
+        at = k * n + (r - q) % n  # [r, i, j]: (k, x) at x = j - q
+        return a.take(at) + b.take(at) * (p * k % n)
+
+    return np.concatenate([[0j], om / n, rows.ravel()]), codes
 
 
 def twist_table(c):

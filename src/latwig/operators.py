@@ -51,7 +51,8 @@ def _result(name, residuals, tol, witness_at=lambda *i: i):
     max_violation = float(res.max()) if res.size else 0.0
     if max_violation <= tol:
         return CheckResult(name, True, max_violation)
-    return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.argwhere(res > tol)[0])))
+    first = int((res > tol).argmax())  # the first True in C order, as a scan meets it
+    return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.unravel_index(first, res.shape))))
 
 
 @lru_cache(maxsize=None)

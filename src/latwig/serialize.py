@@ -12,35 +12,32 @@ become nested JSON lists, and as the two record kinds of the ``fano``
 artifact. Its N^4 coefficients, of which only N^2 can be nonzero, arrive
 as those N^2 values, a :class:`SupportRecords`, and each record's text is
 one of N^2 precomputed zero tails or a support record's, joined after an
-(s, t) head. Its N^2 operators arrive as their complex N^4 tensor, an
-:class:`OperatorRecords`, and are rendered as the records
-``{"q","p","re","im"}`` with the real and imaginary N x N parts taken from
-the tensor a block at a time. An array and the operator records are lists
-of rows along the first axis, rendered as a numpy object array of text
-pieces with one row of pieces per row: the value texts at the odd columns
-of a row template of precomputed brackets and separators (and an operator
-record's head and keys), joined once per block with
-``"".join(pieces.ravel().tolist())``, with no Python loop per value, row
-or record. The separator after an element of a nested list depends only
-on the shape: ``"]" * t + "," + "[" * t``, t the number of trailing axes
-at their last index. Any other array, complex, integer, boolean, object or
-structured, raises :class:`TypeError`.
+(s, t) head. Its N^2 operators arrive as their few distinct values and a
+code per entry, an :class:`OperatorRecords`, and their records
+``{"q","p","re","im"}`` are taken a block at a time from the values'
+texts, each formatted once. An array and the operator records are lists of
+rows along the first axis, rendered as a numpy object array of text pieces
+with one row of pieces per row (an array's value texts between the
+precomputed brackets and separators of a row template), joined once per
+block with ``"".join(pieces.ravel().tolist())``, with no Python loop per
+value, row or record. The separator after an element of a nested list
+depends only on the shape: ``"]" * t + "," + "[" * t``, t the number of
+trailing axes at their last index. Any other array, complex, integer,
+boolean, object or structured, raises :class:`TypeError`.
 
 Every float of an array, CSV grids and marginals included, is written by
-:func:`_texts`, the one place ``%.17g`` is applied to array data; ``"%.17g"
-% x`` writes exactly what ``format_float(x)`` writes for every double
-(``-0``, ``nan``, ``inf``, subnormals). A document often repeats few distinct
-floats (the ``fano`` operators at N = 17 hold 167,042 floats but only 32
-distinct bit patterns, and 75 of 4,626,882 at N = 39), so each document
-keeps a private cache from a float's 64-bit pattern to its text and formats
-each pattern once. The key is the bit pattern, not the value:
-``0.0 == -0.0`` as a dict key, so a value-keyed cache would write ``0``
-where ``-0`` belongs, and NaNs, never equal to themselves, would each miss.
-The cache is bounded: it is cleared when the new patterns of one call would
-take it past ``BLOCK`` entries, since a document can also hold millions of
-distinct floats (the grid of ``wigner --n 1001 --state random``: 2,003,903
-of its 2,004,002). The cache dies with the document; no formatted text is
-kept between dumps.
+:func:`_texts`, the one place ``%.17g`` is applied to array data;
+``"%.17g" % x`` writes exactly what ``format_float(x)`` writes for every
+double (``-0``, ``nan``, ``inf``, subnormals). A document often repeats
+few distinct floats, so each document keeps a private cache from a float's
+64-bit pattern to its text and formats each pattern once. The key is the
+bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
+value-keyed cache would write ``0`` where ``-0`` belongs, and NaNs, never
+equal to themselves, would each miss. The cache is bounded: it is cleared
+when the new patterns of one call would take it past ``BLOCK`` entries,
+since a document can also hold millions of distinct floats (the grid of
+``wigner --n 1001 --state random``: 2,003,903 of its 2,004,002). The cache
+dies with the document; no formatted text is kept between dumps.
 
 Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
 row), operator records in blocks of about ``OPERATOR_BLOCK`` pieces,
@@ -81,11 +78,10 @@ _TEMP_NAME_ROOM = 255 - 2 - 8 - 4
 # Text pieces joined into one block of an array's text.
 BLOCK = 1 << 16
 
-# Text pieces in one block of operator records. A block's float patterns,
-# texts, pieces and joined text are the writer's transient, which sets most
-# of `fano`'s peak RSS above the operator tensor at small N: at N = 17,
-# 33.1 MiB with this block, 34.0 MiB with 1 << 15 and 35.8 MiB with BLOCK,
-# 28.9 MiB of it the imported package. Smaller blocks cost time per block.
+# Text pieces in one block of operator records: the size that minimises
+# the time of the `fano --n 17` operator text, 4.3 ms against 4.4 ms with
+# 1 << 13, 4.9 ms with 1 << 12 and 5.4 ms with 1 << 15 or BLOCK, which
+# also hold more pieces at once (traced 0.65 MiB, 2.5 MiB with BLOCK).
 OPERATOR_BLOCK = 1 << 14
 
 # Largest array whose float texts _texts looks up element by element.
@@ -178,68 +174,74 @@ def _array_chunks(a, cache):
         return
     row = _row(a.shape[1:])
 
-    def fill(pieces, rows):
-        pieces[:, 1::2] = _texts(a[rows], cache).reshape(len(pieces), -1)
+    def pieces(rows):
+        out = np.tile(row, (rows.stop - rows.start, 1))
+        out[:, 1::2] = _texts(a[rows], cache).reshape(len(out), -1)
+        return out
 
-    yield from _row_chunks(row, len(a), max(1, BLOCK // len(row)), fill)
+    yield from _row_chunks(len(a), max(1, BLOCK // len(row)), pieces)
 
 
-def _row_chunks(row, count, step, fill):
-    """A list of ``count`` rows of the template ``row``, rendered ``step`` rows per block.
+def _row_chunks(count, step, pieces):
+    """A list of ``count`` rows, rendered ``step`` rows per block.
 
-    ``fill(pieces, rows)`` writes the texts of the slice ``rows`` of rows
-    into ``pieces``, a copy of the template per row. The last row has no ``,``.
+    ``pieces(rows)`` gives the text pieces of the slice ``rows`` of rows,
+    one row of pieces per row, each ending in ``,``; the last row has none.
     """
     if count == 0:
         yield "[]"
         return
     yield "["
     for start in range(0, count, step):
-        rows = slice(start, min(start + step, count))
-        pieces = np.empty((rows.stop - start, len(row)), dtype=object)
-        pieces[:] = row
-        fill(pieces, rows)
-        if rows.stop == count:
-            pieces[-1, -1] = pieces[-1, -1][:-1]
-        yield "".join(pieces.ravel().tolist())
+        block = pieces(slice(start, min(start + step, count)))
+        if start + len(block) == count:
+            block[-1, -1] = block[-1, -1][:-1]
+        yield "".join(block.ravel().tolist())
     yield "]"
 
 
 @record
 class OperatorRecords:
-    """The N^2 records ``{"q","p","re","im"}`` of N^2 complex N x N matrices.
+    """The N^2 records ``{"q","p","re","im"}`` of N^2 complex N x N matrices, given by codes.
 
-    Records run over (q, p) in C order, and ``re`` and ``im`` are the real
-    and imaginary parts of ops[q, p] as nested lists: the layout of the
-    ``fano`` operators, rendered from their tensor with no record array.
+    Records run over (q, p) in C order, and ``codes(rows)[r, i, j]`` indexes
+    ``values`` at entry [i, j] of record r of the slice ``rows``:
+    the layout of the ``fano`` operators.
     """
 
-    ops: np.ndarray  # complex, shape (N, N, N, N), indexed [q, p, i, j]
+    n: int
+    values: np.ndarray  # float or complex, shape (V,)
+    codes: object  # a slice of [0, N^2) -> int array [r, i, j]
 
 
 def _operator_chunks(records, cache):
     """The records of an :class:`OperatorRecords`, about ``OPERATOR_BLOCK`` pieces per block.
 
-    A record is the row of nested lists of shape (2, N, N) holding its real
-    and then its imaginary part, opened by one of N^2 heads
-    ``{"q":Q,"p":P,"re":[[`` built once, with ``]],"im":[[`` between the
-    parts and ``}`` after them. A block's parts share one :func:`_texts` call.
+    A record is its head ``{"q":Q,"p":P,"re":[[`` and 2 N^2 pieces, its
+    real and then imaginary parts, each a value's text and then ``,``,
+    taken by one index array from the texts formatted once; a row's last
+    piece ends in ``],[`` instead, ``]],"im":[[`` or ``]]},``.
     """
-    n = len(records.ops)
-    if np.shape(records.ops) != (n,) * 4:
-        raise TypeError(f"operators must be an N x N x N x N array, got shape {np.shape(records.ops)}")
-    parts = np.ascontiguousarray(records.ops, dtype=complex).reshape(n * n, n * n).view(float)
-    heads = np.array([f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)], dtype=object)
-    row = _row((2, n, n)).copy()
-    row[2 * n * n] = ']],"im":[['
-    row[-1] = "]]},"
+    n, values = records.n, records.values
+    if np.ndim(values) != 1 or values.dtype.kind not in "fc":
+        raise TypeError(f"cannot serialize operator values of dtype {values.dtype} and shape {values.shape}")
+    texts = _texts(np.concatenate([values.real, np.imag(values)]), cache)
+    heads = [f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)]
+    table = np.concatenate([texts + ",", np.array(heads, dtype=object)])
+    count = n * n
+    ends = np.arange(1, 2 * n + 1) * n  # each row's last piece
+    seps = np.array((["],["] * (n - 1) + [']],"im":[[']) * 2, dtype=object)
+    seps[-1] = "]]},"
 
-    def fill(pieces, rows):
-        pieces[:, 0] = heads[rows]
-        real_then_imag = parts[rows].reshape(len(pieces), n * n, 2).transpose(0, 2, 1)
-        pieces[:, 1::2] = _texts(real_then_imag, cache).reshape(len(pieces), -1)
+    def pieces(rows):
+        codes = np.reshape(records.codes(rows), (-1, count))
+        index = np.concatenate([np.arange(rows.start, rows.stop)[:, np.newaxis] + len(texts), codes,
+                                codes + len(values)], axis=1)
+        out = table.take(index)
+        out[:, ends] = texts.take(index[:, ends]) + seps
+        return out
 
-    yield from _row_chunks(row, n * n, max(1, OPERATOR_BLOCK // len(row)), fill)
+    yield from _row_chunks(count, max(1, OPERATOR_BLOCK // (2 * count + 1)), pieces)
 
 
 @record

@@ -4,9 +4,11 @@ The library has one production path per computation; these are the
 independent forms it is checked against: the dense N^4 coefficient table
 of the support values with the position transform and operator assembly
 run on the whole of it, the operator tensor of any table by slab FFTs
-(:func:`assemble`), the dense operator tensor and the operator-level
-checks on it (marginal sums, hermiticity scan and site Gram product),
-the joined text of a JSON document, the Fraction-valued covariance
+(:func:`assemble`), the candidate's operator tensor scattered in closed
+form, the JSON records of an operator tensor rendered from the tensor,
+the dense operator tensor and the operator-level checks on it (marginal
+sums, hermiticity scan and site Gram product), the joined text of a
+JSON document, the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on dense
 tables, the covariance scan over every lift class of SL(2, Z_2N), the
 lift classes and the route audit as a scan of every route of every
@@ -181,7 +183,7 @@ def assemble(c):
     m = s, and each slab's b(.,.;n,.) is scattered onto the diagonal
     j - i = n of every operator. Each line of an FFT is transformed on its
     own, so the operators are those of :func:`assemble_dense` to the bit.
-    It takes any table, where ``fano.candidate_operators`` writes the
+    It takes any table, where :func:`candidate_operators` writes the
     candidate's in closed form.
     """
     n = c.n
@@ -196,6 +198,40 @@ def assemble(c):
         slab[k, diagonal, k] = 0
     return ops
 
+
+def candidate_operators(n):
+    """The tensor [q, p, i, j] of the candidate table's operators D(q,p), scattered from the twist table.
+
+    D(q,p)[i,j] = omega^(p*k) F[k, x] at k = j - i, x = j - q, with F the
+    candidate's twist table in the closed form that
+    ``fano.candidate_operator_codes`` proves: 1/N where
+    e = (2x - k(N+1)) mod 2N is 0, 0 at any other even e, and
+    (1 + i*cot(pi*e/(2N)))/N^2 at odd e. The tensor starts as ``np.zeros``
+    and only the nonzeros are scattered, one diagonal j - i = k at a time,
+    so every structural zero is +0.0. A 1/N entry is ``omega^(p*k) / N``
+    from the omega table; an odd row's products are written in real
+    arithmetic, with cot taken at an angle in (-pi/2, pi/2): the float
+    expressions of the code table's values, so each entry is its value to
+    the bit. No FFT runs.
+    """
+    check_dim(n)
+    om = _omega_table(n)
+    ops = np.zeros((n, n, n, n), dtype=complex)
+    r = np.arange(n)  # a row i, a label q or p, or an x
+    for k in range(n):
+        e = (2 * r - k * (n + 1)) % (2 * n)  # [x]
+        j = (r + k) % n  # the column of row i on the diagonal
+        phase = om[r * k % n]  # [p]: omega^(p*k)
+        if e[0] % 2 == 0:
+            x = int(np.flatnonzero(e == 0)[0])
+            ops[(j - x) % n, :, r, j] = phase / n  # [i, p] at q = j - x
+            continue
+        turns = np.where(e > n, e - 2 * n, e)  # the same cot, at an angle in (-pi/2, pi/2)
+        cot = (1 / np.tan(np.pi * turns / (2 * n)))[(j - r[:, np.newaxis]) % n]  # [q, i] at x = j - q
+        w, cot = phase[:, np.newaxis], cot[:, np.newaxis]  # [p, 1] and [q, 1, i]
+        ops.real[:, :, r, j] = (w.real - w.imag * cot) / n**2
+        ops.imag[:, :, r, j] = (w.imag + w.real * cot) / n**2
+    return ops
 
 def operator_residuals_dense(f):
     """The residuals of each operator-level check of ``fano`` on a dense FanoOperatorSet, entry by entry.
@@ -232,6 +268,44 @@ def dumps_json(obj):
     """The whole JSON text that ``serialize.write_json`` writes for obj, joined."""
     return "".join(serialize._json_chunks(obj))
 
+
+def tensor_records(ops):
+    """The ``serialize.OperatorRecords`` of any N^4 operator tensor [q, p, i, j], real or complex.
+
+    Each entry is its own value, its code its index in the flattened tensor.
+    """
+    n = len(ops)
+    if np.shape(ops) != (n,) * 4:
+        raise TypeError(f"operators must be an N x N x N x N array, got shape {np.shape(ops)}")
+    codes = np.arange(n**4).reshape(n * n, n, n)
+    return serialize.OperatorRecords(n, np.ravel(ops), codes.__getitem__)
+
+
+def operator_text(ops):
+    """The JSON text of the records {"q","p","re","im"} of an N^4 operator tensor, rendered from the tensor.
+
+    The writer's renderer before it took codes: a record is the row of
+    nested lists of shape (2, N, N) holding its real and then its
+    imaginary part, opened by its head ``{"q":Q,"p":P,"re":[[``, with
+    ``]],"im":[[`` between the parts and ``}`` after them, and each block of
+    records formats its floats in one ``serialize._texts`` call.
+    """
+    n, cache = len(ops), {}
+    parts = np.ascontiguousarray(ops, dtype=complex).reshape(n * n, n * n).view(float)
+    heads = np.array([f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)], dtype=object)
+    row = serialize._row((2, n, n)).copy()
+    row[2 * n * n] = ']],"im":[['
+    row[-1] = "]]},"
+
+    def pieces(rows):
+        out = np.empty((rows.stop - rows.start, len(row)), dtype=object)
+        out[:] = row
+        out[:, 0] = heads[rows]
+        real_then_imag = parts[rows].reshape(len(out), n * n, 2).transpose(0, 2, 1)
+        out[:, 1::2] = serialize._texts(real_then_imag, cache).reshape(len(out), -1)
+        return out
+
+    return "".join(serialize._row_chunks(n * n, max(1, serialize.OPERATOR_BLOCK // len(row)), pieces))
 
 def support_values(table):
     """The support values table[s, t, t, s] of a dense table that is zero everywhere else."""

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from latwig import cli, fano, tomography, wigner
+from latwig import cli, fano, operators, serialize, tomography, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
 from oracles import assemble_dense, sl2_enumerate
@@ -51,6 +51,41 @@ def test_fano_operators_expand_to_the_dense_table_operators(tmp_path, n):
     assert [(r["q"], r["p"]) for r in records] == [(q, p) for q in range(n) for p in range(n)]
     assert np.abs(ops - assemble_dense(fano.coefficients_candidate(n)).operators).max() < 1e-15
 
+
+
+class _ArraySizes:
+    """numpy as a module sees it, recording the size of every array a numpy function takes or returns."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            result = attr(*args, **kwargs)
+            for a in (*args, *kwargs.values(), *(result if isinstance(result, tuple) else (result,))):
+                if isinstance(a, np.ndarray):
+                    self.sizes.append(a.size)
+            return result
+
+        return call
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_a_fano_run_builds_no_n4_array(tmp_path, monkeypatch, n):
+    """No numpy call of `fano`, `serialize` or `operators` in a `fano` run takes or returns an
+    array of N^4 elements: the operators reach the writer as a few values and a block of codes
+    at a time, never as their tensor."""
+    numpy = _ArraySizes()
+    for module in (fano, serialize, operators):
+        monkeypatch.setattr(module, "np", numpy)
+    out = tmp_path / "fano.json"
+    assert main(["fano", "--n", str(n), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["operators"]) == n * n
+    assert numpy.sizes and max(numpy.sizes) < n**4
 
 def test_check_odd_passes_with_exit_zero(tmp_path):
     out = tmp_path / "check5.json"
@@ -287,7 +322,7 @@ def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    monkeypatch.setattr(fano, "candidate_operators", no_work)
+    monkeypatch.setattr(fano, "candidate_operator_codes", no_work)
     monkeypatch.setattr(fano, "full_report", no_work)
     monkeypatch.setattr(wigner, "wigner_from_density", no_work)
     for out in (tmp_path / "missing" / "x.json", tmp_path, ""):

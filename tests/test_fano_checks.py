@@ -507,9 +507,9 @@ def test_full_report_has_no_size_bound():
 def test_full_report_builds_no_operator_tensor(n, monkeypatch):
     """The audit reads the operators from the twist table alone."""
     def no_tensor(*args, **kwargs):
-        raise AssertionError("full_report assembled the N^4 operator tensor")
+        raise AssertionError("full_report built the candidate's operators")
 
-    monkeypatch.setattr(fano, "candidate_operators", no_tensor)
+    monkeypatch.setattr(fano, "candidate_operator_codes", no_tensor)
     assert fano.matches_parity_prediction(fano.full_report(n))
 
 

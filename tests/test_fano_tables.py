@@ -11,6 +11,7 @@ from latwig.operators import _half_omega_table, _omega_table
 from oracles import (
     assemble,
     assemble_dense,
+    candidate_operators,
     coefficients_cohendet,
     coefficients_to_position,
     dense_table,
@@ -164,13 +165,13 @@ def test_fourier_round_trip_on_random_tables(n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_assembled_operators_have_trace_one_over_n(n):
-    traces = np.trace(fano.candidate_operators(n), axis1=2, axis2=3)
+    traces = np.trace(candidate_operators(n), axis1=2, axis2=3)
     assert_allclose(traces, np.full((n, n), 1 / n), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_assembled_operators_sum_to_identity(n):
-    assert_allclose(fano.candidate_operators(n).sum(axis=(0, 1)), np.eye(n), atol=1e-12)
+    assert_allclose(candidate_operators(n).sum(axis=(0, 1)), np.eye(n), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
@@ -196,7 +197,7 @@ def test_assemble_matches_monomial_expansion_directly(build, n):
 
 
 def test_dimension_one_is_the_trivial_operator():
-    assert fano.candidate_operators(1).tolist() == [[[[1.0]]]]
+    assert candidate_operators(1).tolist() == [[[[1.0]]]]
     assert_allclose(assemble(fano.coefficients_candidate(1))[0, 0], [[1.0]], atol=1e-15)
 
 
@@ -226,8 +227,8 @@ def test_assemble_holds_little_more_than_the_operator_tensor():
 
 @pytest.mark.parametrize("n", [20, 21])
 def test_candidate_operators_hold_little_more_than_the_operator_tensor(n):
-    """The closed form's work arrays are one diagonal's, O(N^3), beside the 16 N^4-byte tensor."""
-    assert _traced_peak(fano.candidate_operators, n) <= 1.25 * 16 * n**4
+    """The oracle's work arrays are one diagonal's, O(N^3), beside the 16 N^4-byte tensor."""
+    assert _traced_peak(candidate_operators, n) <= 1.25 * 16 * n**4
 
 
 def _doubled_exponent_reference(n):
@@ -238,14 +239,14 @@ def _doubled_exponent_reference(n):
 @pytest.mark.parametrize("n", range(1, 32, 2))
 def test_candidate_operators_are_the_displaced_parity_to_the_bit(n):
     """At odd N every nonzero is omega^(p*(j-i)) / N, the closed form the transforms run on."""
-    got = fano.candidate_operators(n)
+    got = candidate_operators(n)
     assert np.array_equal(got.view(np.uint64), expand_operators(n).operators.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_candidate_operators_match_the_fft_oracle(n):
     """The closed form against the slab FFTs of the candidate's support values, both parities."""
-    assert np.abs(fano.candidate_operators(n) - assemble(fano.coefficients_candidate(n))).max() < 1e-15
+    assert np.abs(candidate_operators(n) - assemble(fano.coefficients_candidate(n))).max() < 1e-15
 
 
 @pytest.mark.parametrize("n", [*range(1, 17), 24, 31, 32])
@@ -256,7 +257,7 @@ def test_candidate_operators_are_exactly_positive_zero_where_the_twist_table_van
     i, j = np.indices((n, n))
     q = np.arange(n)[:, np.newaxis, np.newaxis]
     vanishes = np.broadcast_to(((e % 2 == 0) & (e != 0))[(j - i) % n, (j - q) % n][:, np.newaxis], (n,) * 4)
-    parts = fano.candidate_operators(n).view(float).reshape(n, n, n, n, 2)
+    parts = candidate_operators(n).view(float).reshape(n, n, n, n, 2)
     assert np.array_equal(parts[vanishes].view(np.uint64), np.zeros((vanishes.sum(), 2), dtype=np.uint64))
     assert np.all(np.abs(parts[~vanishes]).max(axis=-1) > 0)
     assert vanishes.sum() == (n**4 - n**3 if n % 2 else n**4 // 2 - n**3 // 2)
@@ -266,9 +267,36 @@ def test_candidate_operators_are_exactly_positive_zero_where_the_twist_table_van
 def test_candidate_twist_is_one_plus_i_cot_over_n_squared_on_odd_rows(n):
     """At even N an odd row k of F is (1 + i cot(pi e / 2N)) / N^2, read off D(0, 0)[i, i + k] at x = i + k."""
     e = _doubled_exponent_reference(n)
-    d = fano.candidate_operators(n)[0, 0]
+    d = candidate_operators(n)[0, 0]
     for k in range(1, n, 2):
         for x in range(n):
             got = d[(x - k) % n, x]
             want = (1 + 1j * math.cos(math.pi * e[k, x] / (2 * n)) / math.sin(math.pi * e[k, x] / (2 * n))) / n**2
             assert abs(got - want) < 1e-15, (k, x)
+
+
+def _expand_codes(n):
+    """The tensor [q, p, i, j] of ``fano.candidate_operator_codes``: each entry's value by its code."""
+    values, codes = fano.candidate_operator_codes(n)
+    return values[codes(slice(0, n * n))].reshape((n,) * 4)
+
+
+@pytest.mark.parametrize("n", [*range(1, 25), 31, 32, 40, 41])
+def test_operator_codes_expand_to_the_scattered_tensor_to_the_bit(n):
+    """The code table and the oracle's scatter write the same floats, signed zeros included, so
+    the artifact's operator texts are the oracle's."""
+    assert np.array_equal(_expand_codes(n).view(np.uint64), candidate_operators(n).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 39, 50, 51])
+def test_operator_value_table_size_and_code_slices(n):
+    """1 + N values at odd N, each the value of some entry past N = 1, and 1 + N + N^3 / 2 at even
+    N; the codes of any slice of records are those of the whole."""
+    values, codes = fano.candidate_operator_codes(n)
+    assert len(values) == (1 + n if n % 2 else 1 + n + n**3 // 2)
+    rows = slice(n * n // 3, n * n // 3 + 5)
+    whole = np.concatenate([codes(slice(k, k + n)) for k in range(0, n * n, n)])
+    assert np.array_equal(codes(rows), whole[rows])
+    assert 0 <= whole.min() and whole.max() < len(values)
+    if n % 2 and n > 1:
+        assert np.array_equal(np.unique(whole), np.arange(len(values)))

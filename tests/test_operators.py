@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latwig.operators import (
+    _result,
     basis_state_density,
     maximally_mixed,
     momentum_state_density,
@@ -127,3 +128,19 @@ def test_validate_density_rejects_bad_inputs():
         validate_density_matrix(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (4, 1, 6), (2, 3, 4, 5), (6, 6, 6, 6)])
+def test_result_witness_is_the_first_index_above_tolerance(shape):
+    """The witness taken from the flattened mask's argmax is the first row of np.argwhere,
+    the index a scan in C order meets first, at tolerances failing few or most entries."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for _ in range(20):
+        res = rng.random(shape) ** rng.integers(1, 8)
+        for tol in (0.0, 0.5, float(np.quantile(res, 0.9)), float(res.max()) * (1 - 1e-12)):
+            check = _result("r", res, tol)
+            failing = np.argwhere(res > tol)
+            if len(failing):
+                assert check.witness == tuple(failing[0].tolist()), (shape, tol)
+            else:
+                assert check.passed and check.witness is None

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from latwig import cli, fano, serialize, wigner
-from oracles import dense_table, dumps_json
+from oracles import candidate_operators, dense_table, dumps_json, operator_text, tensor_records
 
 # ---------------------------------------------------------------------------
 # Reference emitter: the element-by-element serializer the template path
@@ -77,13 +77,15 @@ def _plain(obj):
 
     The ``fano`` coefficients become the records of every entry of the dense
     candidate table, as the command line built them before it rendered
-    them from the table's support, and the operators the records of their
-    record array, as it built them before it rendered them from the tensor.
+    them from the table's support, and the operators the records of the
+    record array of their tensor, each entry the value of its code, as it
+    built them before it rendered them from codes.
     """
     if isinstance(obj, serialize.SupportRecords):
         return _plain(_dense_records(dense_table(fano.coefficients_candidate(len(obj.re)))))
     if isinstance(obj, serialize.OperatorRecords):
-        return _plain(_operator_record_array(obj.ops))
+        n = obj.n
+        return _plain(_operator_record_array(obj.values[obj.codes(slice(0, n * n))].reshape((n,) * 4)))
     if isinstance(obj, np.ndarray):
         if obj.dtype.names is not None:
             # A subarray field's value comes back from tolist() as an ndarray.
@@ -205,7 +207,7 @@ def test_rows_of_special_floats_match_the_reference_emitter(dtype, shape):
 
 def _block_document():
     rng = np.random.default_rng(2)
-    return {"ops": serialize.OperatorRecords(_operator_tensor(3, seed=3)),
+    return {"ops": tensor_records(_operator_tensor(3, seed=3)),
             "rows": rng.choice([-0.0, 0.25, np.nan], (11, 2)), "f32": rng.standard_normal(11).astype(np.float32),
             "vec": rng.standard_normal(9), "grid": rng.standard_normal((4, 3)),
             "cube": rng.choice([1.0, -0.0], (3, 2, 4)), "one": np.ones((1, 1)), "empty": np.zeros((2, 0)),
@@ -333,8 +335,9 @@ def test_support_records_hold_a_bounded_block():
 
 
 # ---------------------------------------------------------------------------
-# Operator records: the fano operators rendered from their complex tensor,
-# checked against the record array the command line built before.
+# Operator records: the fano operators rendered from a value table and a code
+# per entry, checked against the record array the command line built before
+# and against the renderer that took the complex tensor.
 
 
 def _operator_tensor(n, seed):
@@ -353,33 +356,37 @@ def test_operator_records_match_the_record_array(monkeypatch, n):
     expected = reference_dumps_json({"o": _plain(records), "after": 0.25})
     for block in (1, 4 * n * n + 1, 100, serialize.OPERATOR_BLOCK):
         monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
-        assert dumps_json({"o": serialize.OperatorRecords(ops), "after": 0.25}) == expected
+        assert dumps_json({"o": tensor_records(ops), "after": 0.25}) == expected
     real = ops.real.copy()
     expected = reference_dumps_json(_plain(_operator_record_array(real.astype(complex))))
-    assert dumps_json(serialize.OperatorRecords(real)) == expected
+    assert dumps_json(tensor_records(real)) == expected
 
 
 def test_operator_records_stream_blocks_of_operator_block_pieces(monkeypatch):
-    """A record is 4 N^2 + 1 pieces: its head, then the 2 N^2 floats, each a text and
-    the separator after it. A block holds as many whole records as fit in
+    """A record is 2 N^2 + 1 pieces: its head, then the 2 N^2 floats, each a text fused
+    with the separator after it. A block holds as many whole records as fit in
     OPERATOR_BLOCK pieces, at least one."""
     n = 5
     ops = np.random.default_rng(1).standard_normal((n, n, n, n, 2)) @ [1, 1j]
-    for block, per_block in ((1, 1), (4 * n * n + 1, 1), (3 * (4 * n * n + 1) + 2, 3)):
+    for block, per_block in ((1, 1), (2 * n * n + 1, 1), (3 * (2 * n * n + 1) + 2, 3)):
         monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
-        chunks = list(serialize._operator_chunks(serialize.OperatorRecords(ops), {}))
+        chunks = list(serialize._operator_chunks(tensor_records(ops), {}))
         assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == math.ceil(n * n / per_block) + 2
         records = [r for chunk in chunks[1:-1] for r in json.loads("[" + chunk.rstrip(",") + "]")]
         assert [(r["q"], r["p"]) for r in records] == [divmod(k, n) for k in range(n * n)]
-    assert dumps_json(serialize.OperatorRecords(np.zeros((0, 0, 0, 0), dtype=complex))) == "[]\n"
+    assert dumps_json(tensor_records(np.zeros((0, 0, 0, 0), dtype=complex))) == "[]\n"
     with pytest.raises(TypeError):
-        dumps_json(serialize.OperatorRecords(np.zeros((2, 2, 2, 3), dtype=complex)))
+        tensor_records(np.zeros((2, 2, 2, 3), dtype=complex))
+    codes = np.zeros((4, 2, 2), dtype=np.intp).__getitem__
+    for values in (np.zeros((2, 2)), np.zeros(3, dtype=np.intp), np.zeros(3, dtype=object)):
+        with pytest.raises(TypeError):
+            dumps_json(serialize.OperatorRecords(2, values, codes))
 
 
 def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
     """The traced peak of writing the N = 21 artifact does not grow with N^4. It is the text
     cache, at most BLOCK texts (about 10 MiB, which N = 21 fills), and one block of records;
-    the operator tensor alone is 3 MiB, and the document holds no copy of it."""
+    the operators are held as their 22 distinct values and codes, not as a 3 MiB tensor."""
     doc = cli._fano_document(21)
     tracemalloc.start()
     try:
@@ -388,6 +395,33 @@ def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_operator_text_is_the_tensor_renderers_text(n):
+    """The records rendered from the closed form's codes are, byte for byte, those the former
+    renderer wrote from the candidate's operator tensor."""
+    records = serialize.OperatorRecords(n, *fano.candidate_operator_codes(n))
+    got, want = "".join(serialize._operator_chunks(records, {})), operator_text(candidate_operators(n))
+    # Compared as bytes, so that a failure names the first differing byte instead of diffing megabytes.
+    got, want = np.frombuffer(got.encode(), np.uint8), np.frombuffer(want.encode(), np.uint8)
+    size = min(len(got), len(want))
+    first = int(np.argmax(got[:size] != want[:size])) if (got[:size] != want[:size]).any() else size
+    assert first == len(got) == len(want), (first, len(got), len(want), got[first:first + 60].tobytes())
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_rendering_the_operators_traces_under_a_quarter_of_the_tensor(n):
+    """Building the codes and rendering every block traces under 4 N^4 bytes: a quarter of the
+    16 N^4-byte tensor the operators were rendered from, which alone took 39 MiB at N = 40."""
+    tracemalloc.start()
+    try:
+        for _ in serialize._operator_chunks(serialize.OperatorRecords(n, *fano.candidate_operator_codes(n)), {}):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n**4
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +443,7 @@ def test_text_cache_is_cleared_past_block_entries_and_keeps_the_text(monkeypatch
     ops.real = planted(256).reshape(ops.shape)
     ops.imag = planted(256).reshape(ops.shape)
     values, table = _support_values(6, seed=9)
-    doc = {"a": planted(400), "ops": serialize.OperatorRecords(ops), "grid": planted(300).reshape(20, 15),
+    doc = {"a": planted(400), "ops": tensor_records(ops), "grid": planted(300).reshape(20, 15),
            "support": serialize.SupportRecords(values.real, values.imag),
            "again": ops.real.ravel()[::-1].copy(), "small": specials[::-1].copy()}
     expected = reference_dumps_json(_plain({**doc, "support": _dense_records(table)}))
@@ -489,7 +523,7 @@ def test_a_record_field_shares_texts_with_a_plain_array():
     ops = np.empty((2,) * 4, dtype=complex)
     ops.real = np.resize(values[::-1], ops.shape)
     ops.imag = np.resize([0.0, 0.5, -np.inf, 2 / 3], ops.shape)
-    records = serialize.OperatorRecords(ops)
+    records = tensor_records(ops)
     assert _matches_reference({"plain": values, "ops": records, "again": values.reshape(2, 2)})
     assert _matches_reference({"ops": records, "plain": values})
 

@@ -21,6 +21,7 @@ from latwig.operators import (
 from oracles import (
     IDENTITY,
     assemble,
+    candidate_operators,
     clock_matrix,
     compose,
     density_einsum,
@@ -370,7 +371,7 @@ def test_candidate_line_sums_are_the_direction_projectors_exactly_for_odd_n(n):
     powers of the shift and clock. No phase here comes from `fano._two_phi`
     or `fano._route_phi`."""
     m = n if n % 2 else 2 * n
-    ops = fano.candidate_operators(n)
+    ops = candidate_operators(n)
     rows = primitive_rows(m)
     failing = set()
     for row in np.column_stack([rows, first_completions(rows, m)]):
