@@ -66,6 +66,11 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
+# The tolerance of every check unless a caller gives one. It is defined here,
+# not in operators, so that the command line's option table reads it
+# without loading numpy.
+DEFAULT_TOL = 1e-10
+
 __all__ = sorted(_EXPORTS)
 
 

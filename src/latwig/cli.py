@@ -24,9 +24,11 @@ nothing. In-process callers use :func:`main`, which returns the exit code
 and leaves the collector as it found it.
 
 Importing this module loads no numpy and no layer, only the standard
-library modules below: ``argparse``, numpy, :mod:`~latwig.lattice` and
+library modules below: numpy, :mod:`~latwig.lattice` and
 :mod:`~latwig.operators` are imported by the functions that use them, so
-that in a run they load after :func:`run` has paused the collector. A run
+that in a run they load after :func:`run` has paused the collector, and
+``--help`` or a usage error loads none of them. :func:`parse_args` reads
+the command line from the table :data:`COMMANDS`, not with argparse. A run
 imports only the layers its subcommand executes: ``fano`` and ``check``
 load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
 :mod:`~latwig.wigner`, ``tomo`` loads :mod:`~latwig.tomography` and
@@ -38,6 +40,9 @@ import gc
 import math
 import os
 import sys
+import types
+
+from . import DEFAULT_TOL
 
 # Thread-count variables of the BLAS libraries numpy may be built on. A
 # pthreads OpenBLAS starts its worker threads when numpy loads, about 70 ms
@@ -78,8 +83,8 @@ MARGINAL_MAX_N = 601
 
 # Largest N `fano` accepts. It renders the operators from a few closed-form
 # values and a block of codes at a time, so memory no longer binds: peak RSS
-# 40 MiB at N = 39, 38 MiB at 41, 41 MiB at 49, 48 MiB at 50 and 41 MiB at
-# 51, in 0.32, 0.48, 0.69, 1.24 and 0.93 s (medians of 3, wait4, 2-CPU VM).
+# 39 MiB at N = 39, 37 MiB at 41, 40 MiB at 49, 42 MiB at 50 and 40 MiB at
+# 51, in 0.42, 0.58, 0.90, 1.05 and 1.18 s (medians of 3, wait4, 2-CPU VM).
 # The artifact's size binds: about 48*N^4 bytes at odd N and 66*N^4 at
 # even N, 325 MB at N = 51 and 430 MB at 50.
 FANO_MAX_N = 51
@@ -89,9 +94,10 @@ FANO_MAX_N = 51
 # N = 997.
 WIGNER_MAX_N = 1001
 
-# Largest N `tomo` accepts. It holds the N + 1 line families' N x N site
-# arrays next to the state and grids: peak RSS 70 MiB at N = 401 and
-# 83 MiB at N = 601 (both prime; `tomo` refuses composite N).
+# Largest N `tomo` accepts. It holds the N + 1 line families' weights and
+# one N x N label grid next to the state and grids: peak RSS 69 MiB at
+# N = 401 and 80 MiB at N = 601, in 3.2 and 13 s (one run each, wait4,
+# 2-CPU VM; both prime, `tomo` refuses composite N).
 TOMO_MAX_N = 601
 
 
@@ -117,21 +123,16 @@ def parse_state(spec, n, seed):
         if seed < 0:
             raise CliError(f"--seed must be non-negative, got {seed}")
         return random_density_matrix(n, np.random.default_rng([int(seed), STATE_STREAM_KEY]))
-    if spec.startswith("basis:"):
-        return basis_state_density(_state_index(spec, n), n)
-    if spec.startswith("momentum:"):
-        return momentum_state_density(_state_index(spec, n), n)
-    raise CliError(f"unknown state spec {spec!r}; use mixed, random, basis:q or momentum:p")
-
-
-def _state_index(spec, n):
+    kind, colon, index = spec.partition(":")
+    if not colon or kind not in ("basis", "momentum"):
+        raise CliError(f"unknown state spec {spec!r}; use mixed, random, basis:q or momentum:p")
     try:
-        idx = int(spec.split(":", 1)[1])
+        idx = int(index)
     except ValueError:
         raise CliError(f"state spec {spec!r} needs an integer index") from None
     if not 0 <= idx < n:
         raise CliError(f"state index {idx} out of range [0, {n})")
-    return idx
+    return (basis_state_density if kind == "basis" else momentum_state_density)(idx, n)
 
 
 def _require_odd(n):
@@ -206,15 +207,10 @@ def cmd_check(args):
     report = fano.full_report(n, tol=args.tolerance)
     matches = fano.matches_parity_prediction(report)
     witness = fano.infeasibility_witness(report)
-    doc = report.to_json_dict()
-    doc["parity"] = "odd" if n % 2 else "even"
-    doc["expected"] = "all_pass" if n % 2 else "infeasible"
-    doc["matches_prediction"] = matches
-    doc["group_order"] = sl2_order(n)
-    doc["lifts_per_element"] = 1 if n % 2 else 8
-    doc["infeasibility_witness"] = (
-        None if witness is None else {"check": witness.name, **witness.to_json_dict()}
-    )
+    doc = {**report.to_json_dict(), "parity": "odd" if n % 2 else "even",
+           "expected": "all_pass" if n % 2 else "infeasible", "matches_prediction": matches,
+           "group_order": sl2_order(n), "lifts_per_element": 1 if n % 2 else 8,
+           "infeasibility_witness": None if witness is None else {"check": witness.name, **witness.to_json_dict()}}
     serialize.write_json(args.out, doc)
     for name, c in report.checks.items():
         print(f"{'PASS' if c.passed else 'FAIL'} {name:30s} max_violation={c.max_violation:.3e}")
@@ -237,11 +233,8 @@ def cmd_wigner(args):
     marg_q = grid.values.real.sum(axis=1)  # position marginal, sums over p
     marg_p = grid.values.real.sum(axis=0)  # momentum marginal, sums over q
     if args.format == "json":
-        doc = grid.to_json_dict(tol=args.tolerance)
-        doc["state"] = args.state
-        doc["seed"] = args.seed
-        doc["position_marginal"] = marg_q
-        doc["momentum_marginal"] = marg_p
+        doc = {**grid.to_json_dict(tol=args.tolerance), "state": args.state, "seed": args.seed,
+               "position_marginal": marg_q, "momentum_marginal": marg_p}
         serialize.write_json(args.out, doc)
     else:
         imag, path_q, path_p = _companions(args)
@@ -281,8 +274,9 @@ def cmd_marginal(args):
     n = args.n
     _require_odd(n)
     _require_at_most(n, MARGINAL_MAX_N, "whose N^3 line-sum entries `marginal` checks")
+    lam = getattr(args, "lambda")  # a Python keyword
     try:
-        g = sl2_complete(args.kappa, args.lam)
+        g = sl2_complete(args.kappa, lam)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     rho = parse_state(args.state, n, args.seed)
@@ -290,14 +284,13 @@ def cmd_marginal(args):
     marg = wigner.marginal_along_line(grid, g)
     rep = wigner.line_projector_check(n, g, tol=args.tolerance)
     if args.format == "json":
-        doc = marg.to_json_dict()
-        doc = {"n": n, **doc, "state": args.state, "seed": args.seed,
+        doc = {"n": n, **marg.to_json_dict(), "state": args.state, "seed": args.seed,
                "projector_check": rep.to_json_dict()}
         serialize.write_json(args.out, doc)
     else:
         serialize.write_atomic(args.out, serialize.marginal_csv(marg.weights))
     status = "ok" if rep.passed else "FAILED"
-    print(f"marginal along ({args.kappa},{args.lam}): projector check {status}, "
+    print(f"marginal along ({args.kappa},{lam}): projector check {status}, "
           f"weights sum {marg.weights.sum():.12f} -> {args.out}")
     return 0 if rep.passed else TOLERANCE_FAILURE
 
@@ -337,72 +330,117 @@ def cmd_tomo(args):
     return 0
 
 
-def build_parser():
-    import argparse
+# The command line: each subcommand's help line and its options, each flag's
+# (type or choices, default) in the order of its usage line. An option with
+# no default is required; its value is the attribute its flag names. `main`
+# runs ``cmd_<subcommand>``, looked up when it runs.
+_COMMON = {"--n": (int, None), "--tolerance": (float, DEFAULT_TOL)}
+_STATE = {"--format": (("json", "csv"), "json"), "--state": (str, "mixed"), "--seed": (int, 0)}
+COMMANDS = {
+    "fano": ("write the coefficient table and operators", {**_COMMON, "--out": (str, "fano.json")}),
+    "check": ("audit all condition families", {**_COMMON, "--out": (str, "check.json")}),
+    "wigner": ("Wigner grid of a state (odd N)", {**_COMMON, "--out": (str, "wigner.json"), **_STATE}),
+    "marginal": ("tilted-line marginal of a state (odd N)", {
+        **_COMMON, "--out": (str, "marginal.json"), "--kappa": (int, None), "--lambda": (int, None), **_STATE}),
+    "tomo": ("simulate and invert line marginals (odd prime N)", {
+        **_COMMON, "--out": (str, "tomo.json"), "--shots": (int, 0), "--seed": (int, 0)}),
+}
 
-    from .operators import DEFAULT_TOL
 
-    parser = argparse.ArgumentParser(
-        prog="latwig",
-        description="Discrete Wigner functions on the N x N lattice: "
-                    "construction, condition audits, transforms, and tomography.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv=None):
+    """The subcommand and option values of a command line, read from :data:`COMMANDS`.
 
-    def common(p, out_default, with_format=False):
-        p.add_argument("--n", type=int, required=True, help="lattice dimension N")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-        p.add_argument("--out", default=out_default, help="output artifact path")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+    Reads ``--opt value``, ``--opt=value``, a unique prefix of an option
+    (``--tol``), an option given again (the last value wins) and negative
+    numbers as values (``--kappa -1``). ``-h`` or ``--help`` prints help
+    and exits 0; the first bad token from the left, or else a missing
+    option, is a usage error (:func:`_exit`).
+    """
+    command, options, tokens = None, {}, iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        flag, value = _option(token, options, command)
+        if flag == "" and command is None:
+            if token not in COMMANDS:
+                _exit(None, f"argument command: invalid choice: {token!r}")
+            command, options = token, COMMANDS[token][1]
+            args = types.SimpleNamespace(command=token, **{key[2:]: default for key, (_, default) in options.items()})
+        elif flag in ("-h", "--help"):
+            _exit(command)
+        elif not flag:
+            _exit(command, f"unrecognized arguments: {token}")
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _option(value, options, command)[0] != "":
+                    _exit(command, f"argument {flag}: expected one argument")
+            kind = options[flag][0]
+            if type(kind) is tuple and value not in kind:
+                _exit(command, f"argument {flag}: invalid choice: {value!r}")
+            try:
+                setattr(args, flag[2:], value if type(kind) is tuple else kind(value))
+            except ValueError:
+                _exit(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+    missing = [flag for flag in options if getattr(args, flag[2:]) is None]
+    if command is None or missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing) or 'command'}")
+    return args
 
-    p = sub.add_parser("fano", help="write the coefficient table and operators")
-    common(p, "fano.json")
-    p.set_defaults(func=cmd_fano)
 
-    p = sub.add_parser("check", help="audit all condition families")
-    common(p, "check.json")
-    p.set_defaults(func=cmd_check)
+def _option(token, options, command):
+    """``(flag, value after "=" or None)`` if ``token`` names an option, itself or
+    by a unique prefix; ``("", token)`` if it is a value; ``(None, None)`` if not known."""
+    name, eq, value = token.partition("=")
+    flags = ("-h", "--help", *options)
+    matches = [name] if name in flags else [flag for flag in flags if len(name) > 2 and flag.startswith(name)]
+    if len(matches) > 1:
+        _exit(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    if token[:1] != "-" or token[1:2] in ".0123456789" or " " in token:
+        return "", token  # not an option: a value, a negative number or a text with a space
+    return None, None
 
-    p = sub.add_parser("wigner", help="Wigner grid of a state (odd N)")
-    common(p, "wigner.json", with_format=True)
-    p.add_argument("--state", default="mixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_wigner)
 
-    p = sub.add_parser("marginal", help="tilted-line marginal of a state (odd N)")
-    common(p, "marginal.json", with_format=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--state", default="mixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_marginal)
-
-    p = sub.add_parser("tomo", help="simulate and invert line marginals (odd prime N)")
-    common(p, "tomo.json")
-    p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_tomo)
-    return parser
+def _exit(command, error=None):
+    """Print the help of the command line (command None) or of a subcommand and
+    exit 0, or, given an ``error``, its usage and ``PROG: error: ERROR`` to
+    stderr and exit 2."""
+    if command is None:
+        prog, usage = "latwig", f"[-h] {{{','.join(COMMANDS)}}} ..."
+        lines = ["Discrete Wigner functions on the N x N lattice: construction,",
+                 "condition audits, transforms, and tomography.", ""]
+        for name, (line, _) in COMMANDS.items():
+            lines.append(f"  {name:22}  {line}")
+    else:
+        prog, usage, (line, options) = f"latwig {command}", "[-h]", COMMANDS[command]
+        lines = [line, ""]
+        for flag, (kind, default) in options.items():
+            arg = f"{flag} {{{','.join(kind)}}}" if type(kind) is tuple else f"{flag} {flag[2:].upper()}"
+            usage += f" {arg}" if default is None else f" [{arg}]"
+            lines.append(f"  {arg:22}  {'required' if default is None else f'default: {default}'}")
+    if error is None:
+        print(f"usage: {prog} {usage}", "", *lines, sep="\n")
+        raise SystemExit(0)
+    print(f"usage: {prog} {usage}\n{prog}: error: {error}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     if args.n < 1:
-        parser.exit(USAGE_ERROR, "error: --n must be a positive integer\n")
+        _exit(args.command, "--n must be a positive integer")
     if not 0 <= args.tolerance < math.inf:
-        parser.exit(USAGE_ERROR, f"error: --tolerance must be finite and >= 0, got {args.tolerance}\n")
+        _exit(args.command, f"--tolerance must be finite and >= 0, got {args.tolerance}")
     out = os.path.abspath(args.out)
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
-        parser.exit(USAGE_ERROR, f"error: --out {args.out} must name a file in an existing directory\n")
+        _exit(args.command, f"--out {args.out} must name a file in an existing directory")
     for path in _companions(args):
         if os.path.isdir(path):
-            parser.exit(USAGE_ERROR, f"error: {path}, written next to --out, is a directory\n")
+            _exit(args.command, f"{path}, written next to --out, is a directory")
         if len(os.fsencode(os.path.basename(path))) > _name_max(os.path.dirname(out)):
-            parser.exit(USAGE_ERROR, f"error: {path}, written next to --out, has too long a name\n")
+            _exit(args.command, f"{path}, written next to --out, has too long a name")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -446,7 +484,7 @@ def run(argv=None):
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse: --help and usage errors
+        except SystemExit as exc:  # --help and usage errors
             code = exc.code
         sys.stdout.flush()
     except OSError as exc:

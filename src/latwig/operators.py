@@ -14,10 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from ._record import record
 from .lattice import check_dim
-
-DEFAULT_TOL = 1e-10
 
 
 @record

@@ -30,7 +30,8 @@ Every float of an array, CSV grids and marginals included, is written by
 ``"%.17g" % x`` writes exactly what ``format_float(x)`` writes for every
 double (``-0``, ``nan``, ``inf``, subnormals). A document often repeats
 few distinct floats, so each document keeps a private cache from a float's
-64-bit pattern to its text and formats each pattern once. The key is the
+64-bit pattern to its text and formats each pattern once (the operator
+values are formatted with one of their own). The key is the
 bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
 value-keyed cache would write ``0`` where ``-0`` belongs, and NaNs, never
 equal to themselves, would each miss. The cache is bounded: it is cleared
@@ -214,32 +215,39 @@ class OperatorRecords:
     codes: object  # a slice of [0, N^2) -> int array [r, i, j]
 
 
-def _operator_chunks(records, cache):
+def _operator_chunks(records):
     """The records of an :class:`OperatorRecords`, about ``OPERATOR_BLOCK`` pieces per block.
 
     A record is its head ``{"q":Q,"p":P,"re":[[`` and 2 N^2 pieces, its
-    real and then imaginary parts, each a value's text and then ``,``,
-    taken by one index array from the texts formatted once; a row's last
-    piece ends in ``],[`` instead, ``]],"im":[[`` or ``]]},``.
+    real and then imaginary parts, each a value's text and then ``,``; a
+    row's last piece ends in ``],[`` instead, ``]],"im":[[`` or ``]]},``.
+    Each distinct float pattern of the values is formatted once, with a
+    cache of its own, not the document's, and held once with each of the
+    four endings, in one table that a block's pieces are taken from by one
+    index array.
     """
     n, values = records.n, records.values
     if np.ndim(values) != 1 or values.dtype.kind not in "fc":
         raise TypeError(f"cannot serialize operator values of dtype {values.dtype} and shape {values.shape}")
-    texts = _texts(np.concatenate([values.real, np.imag(values)]), cache)
+    with np.errstate(invalid="ignore"):  # a signalling float32 NaN warns when cast
+        parts = np.concatenate([values.real, np.imag(values)]).astype(np.float64)
+    keys, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+    endings = np.array([",", "],[", ']],"im":[[', "]]},"], dtype=object)
     heads = [f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)]
-    table = np.concatenate([texts + ",", np.array(heads, dtype=object)])
+    table = np.concatenate([(_texts(keys.view(np.float64), {})[:, np.newaxis] + endings).ravel(),
+                            np.array(heads, dtype=object)])
+    first = 4 * inverse  # the position of each part's text and "," in the table
     count = n * n
     ends = np.arange(1, 2 * n + 1) * n  # each row's last piece
-    seps = np.array((["],["] * (n - 1) + [']],"im":[[']) * 2, dtype=object)
-    seps[-1] = "]]},"
+    kinds = np.array(([1] * (n - 1) + [2]) * 2)  # the index in endings of each one's ending
+    kinds[-1] = 3
 
     def pieces(rows):
         codes = np.reshape(records.codes(rows), (-1, count))
-        index = np.concatenate([np.arange(rows.start, rows.stop)[:, np.newaxis] + len(texts), codes,
-                                codes + len(values)], axis=1)
-        out = table.take(index)
-        out[:, ends] = texts.take(index[:, ends]) + seps
-        return out
+        index = np.concatenate([np.arange(rows.start, rows.stop)[:, np.newaxis] + 4 * len(keys), first[codes],
+                                first[codes + len(values)]], axis=1)
+        index[:, ends] += kinds
+        return table.take(index)
 
     yield from _row_chunks(count, max(1, OPERATOR_BLOCK // (2 * count + 1)), pieces)
 
@@ -313,7 +321,7 @@ def _emit(obj, out, cache):
     elif isinstance(obj, SupportRecords):
         out.append(_support_chunks(obj, cache))
     elif isinstance(obj, OperatorRecords):
-        out.append(_operator_chunks(obj, cache))
+        out.append(_operator_chunks(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):

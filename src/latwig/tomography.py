@@ -11,7 +11,7 @@ and N is read from the state or the dataset.
 import numpy as np
 
 from ._record import record
-from .lattice import SL2Element, check_dim, line_sites
+from .lattice import SL2Element, check_dim
 from .operators import STATE_STREAM_KEY, square_dim, validate_density_matrix  # noqa: F401 (the key is re-exported)
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
 
@@ -112,19 +112,24 @@ def _validate_complete(d):
 
 
 def reconstruct_wigner(d):
-    """Invert the line marginals: W(q,p) = (sum of marginals through (q,p) - 1)/N."""
+    """Invert the line marginals: W(q,p) = (sum of marginals through (q,p) - 1)/N.
+
+    Site (q, p) lies on line (kappa*p - lam*q) mod N of the direction
+    (kappa, lam), so each family's weights are gathered through one label
+    grid, refilled in place from the reduced 1-D terms with no N x N
+    division, and the families are summed in their order.
+    """
     _validate_complete(d)
     n = d.n
-    acc = sum(_on_grid(fam, n) for fam in d.families)
+    sites = np.arange(n)
+    labels = np.empty((n, n), dtype=np.intp)  # [q, p]
+    acc = 0
+    for fam in d.families:
+        kappa, lam, _, _ = fam.element.residues(n)
+        np.subtract(kappa * sites % n, (lam * sites % n)[:, np.newaxis], out=labels)
+        np.add(labels, n, out=labels, where=labels < 0)
+        acc = acc + fam.weights.take(labels)
     return WignerGrid(n, ((acc - 1.0) / n).astype(complex))
-
-
-def _on_grid(fam, n):
-    """The family's weight of line p0 written onto each site of that line."""
-    grid = np.empty_like(fam.weights, shape=(n, n))
-    q, p = line_sites(fam.element, n)
-    grid[q, p] = fam.weights[:, None]
-    return grid
 
 
 def reconstruct_density(d, rho_true=None):

@@ -23,10 +23,12 @@ site, the brute-force incidence check of the line families, the dense
 N^4 expansion of the closed-form operator set with the einsum transforms
 on it, the split-parity solution table, the clock and shift matrices and
 their monomials S^n P^m, the dense direction unitary of a line family,
-the integer and half-integer phases ``omega_int`` and ``omega_pow`` and
-random pure states.
+the integer and half-integer phases ``omega_int`` and ``omega_pow``,
+random pure states, and the argparse parser the command line was read
+with before its option table.
 """
 
+import argparse
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +39,7 @@ import numpy as np
 from latwig import serialize
 from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _two_phi
 from latwig.lattice import SL2Element, check_dim, first_completions, line_sites, sl2_complete
-from latwig.operators import _half_omega_table, _omega_table, momentum_vector
+from latwig.operators import DEFAULT_TOL, _half_omega_table, _omega_table, momentum_vector
 from latwig.tomography import mub_line_families
 from latwig.wigner import _direction_monomial
 
@@ -697,3 +699,41 @@ def wigner_einsum(rho, ops):
 def density_einsum(values, ops):
     """rho = N * sum_qp D(q,p)^dag W(q,p) contracted densely over a FanoOperatorSet."""
     return ops.n * np.einsum("qp,qpji->ij", values, ops.operators.conj())
+
+
+def reference_parser():
+    """The argparse parser of the command line before ``cli.COMMANDS``; a
+    subcommand's options land in the namespace under their dest."""
+    parser = argparse.ArgumentParser(
+        prog="latwig",
+        description="Discrete Wigner functions on the N x N lattice: "
+                    "construction, condition audits, transforms, and tomography.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, out_default, with_format=False):
+        p.add_argument("--n", type=int, required=True, help="lattice dimension N")
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+        p.add_argument("--out", default=out_default, help="output artifact path")
+        if with_format:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    p = sub.add_parser("fano", help="write the coefficient table and operators")
+    common(p, "fano.json")
+    p = sub.add_parser("check", help="audit all condition families")
+    common(p, "check.json")
+    p = sub.add_parser("wigner", help="Wigner grid of a state (odd N)")
+    common(p, "wigner.json", with_format=True)
+    p.add_argument("--state", default="mixed")
+    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("marginal", help="tilted-line marginal of a state (odd N)")
+    common(p, "marginal.json", with_format=True)
+    p.add_argument("--kappa", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--state", default="mixed")
+    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("tomo", help="simulate and invert line marginals (odd prime N)")
+    common(p, "tomo.json")
+    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    return parser

@@ -9,7 +9,7 @@ import pytest
 from latwig import cli, fano, operators, serialize, tomography, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
-from oracles import assemble_dense, sl2_enumerate
+from oracles import assemble_dense, reference_parser, sl2_enumerate
 
 
 def run(tmp_path, *argv):
@@ -298,6 +298,138 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+
+
+# Command lines read by the option table and by the argparse parser it
+# replaced: every subcommand, --opt=value, prefixes, repeated options,
+# negative values, and usage errors and help at both levels.
+PARSE_CORPUS = [
+    ["fano", "--n", "3"],
+    ["check", "--n", "7", "--tolerance", "1e-8", "--out", "c.json"],
+    ["wigner", "--n", "5", "--format", "csv", "--state", "random", "--seed", "4"],
+    ["marginal", "--n", "5", "--kappa", "1", "--lambda", "2", "--state", "basis:1"],
+    ["tomo", "--n", "5", "--shots", "100", "--seed", "3"],
+    ["check", "--n=9", "--out=x=y.json", "--tolerance=0.5"],
+    ["marginal", "--n=5", "--kappa=-2", "--lambda=3", "--format=csv"],
+    ["check", "--tolerance", "inf", "--n", "3"],
+    ["fano", "--out", "-", "--n", "3"],
+    ["check", "--n", "3", "--out", "a file.json"],
+    ["fano", "--n", "3", "--out", "-a b.json"],
+    ["check", "--n", "3", "--tol", "1e-3"],
+    ["wigner", "--n", "3", "--form", "csv", "--st", "basis:1", "--se", "2"],
+    ["marginal", "--n", "3", "--k", "1", "--la", "2", "--tol=0"],
+    ["tomo", "--n", "3", "--sh", "5", "--o", "t.json"],
+    ["check", "--n", "3", "--n", "5"],
+    ["wigner", "--n", "3", "--format", "csv", "--format", "json", "--seed", "1", "--seed=2"],
+    ["marginal", "--n", "5", "--kappa", "-1", "--lambda", "-3"],
+    ["check", "--n", "-3"],
+    ["tomo", "--n", "5", "--seed", "-1", "--shots", "-5"],
+    ["check", "--n", "3", "--tolerance", "-.5"],
+    ["check", "--n", "3", "--tolerance", "-0.5"],
+    ["check"],
+    ["check", "--out", "c.json"],
+    ["marginal", "--n", "3", "--kappa", "1"],
+    ["check", "--n", "x"],
+    ["check", "--n", "3.0"],
+    ["check", "--n="],
+    ["tomo", "--n", "3", "--shots", "1e3"],
+    ["check", "--n", "3", "--tolerance", "abc"],
+    ["wigner", "--n", "3", "--format", "xml"],
+    ["wigner", "--n", "3", "--format=JSON"],
+    ["check", "--n", "3", "--frobnicate"],
+    ["check", "--n", "3", "--frobnicate", "4"],
+    ["check", "--n", "3", "extra"],
+    ["check", "--n", "3", "--format", "csv"],
+    ["wigner", "--n", "3", "--s", "1"],
+    ["check", "--n"],
+    ["check", "--out", "--n", "3"],
+    ["fano", "--n", "3", "--out", "--tol"],
+    ["marginal", "--n", "3", "--lambda", "1", "--kappa", "-x"],
+    ["unknown-command"],
+    ["--n", "3", "check"],
+    ["--frobnicate", "check", "--n", "3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["check", "-h"],
+    ["marginal", "--help"],
+    ["tomo", "--n", "3", "--h"],
+    ["wigner", "--help", "--n", "x"],
+]
+
+
+def _reference_parse(argv):
+    try:
+        values = vars(reference_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, None
+    return 0, {"lambda" if key == "lam" else key: value for key, value in values.items()}
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_option_table_reads_what_the_argparse_parser_read(argv, capsys):
+    """Same option values and the same exit code; usage errors print a usage and an error line."""
+    want = _reference_parse(argv)
+    capsys.readouterr()
+    try:
+        got = 0, vars(cli.parse_args(argv))
+    except SystemExit as exc:
+        got = exc.code, None
+    assert got == want
+    out, err = capsys.readouterr()
+    if got[0] == 2:
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: latwig")
+        assert error.startswith(("latwig: error: ", f"latwig {argv[0] if argv else ''}: error: "))
+        assert out == ""
+    elif got[1] is None:
+        assert out.startswith("usage: latwig") and err == ""
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_the_table(command, capsys):
+    """The help of the command line names every subcommand and its help line; a
+    subcommand's names every option, its default or that it is required."""
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--help"] if command is None else [command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if command is None:
+        assert all(f"  {name} " in out and line in out for name, (line, _) in cli.COMMANDS.items())
+        return
+    line, options = cli.COMMANDS[command]
+    assert line in out
+    for flag, (_, default) in options.items():
+        assert f"{flag} " in out.splitlines()[0]
+        assert any(f"  {flag} " in row and ("required" if default is None else f"default: {default}") in row
+                   for row in out.splitlines())
+
+
+def test_negative_numbers_in_exponent_form_are_values(capsys):
+    """argparse took only -1, -1.5 and -.5 as negative numbers; the table takes any
+    token of a minus and a digit or point, so that main refuses the value itself."""
+    assert cli.parse_args(["check", "--n", "3", "--tolerance", "-1e-3"]).tolerance == -1e-3
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--n", "3", "--tolerance", "-1e-3", "--out", "unused.json"])
+    assert exc.value.code == 2
+    assert "--tolerance must be finite and >= 0, got -0.001" in capsys.readouterr().err
+
+
+def test_main_runs_the_cmd_function_bound_when_it_runs(tmp_path, monkeypatch):
+    """The table names no function: main looks up cmd_<subcommand> in the module when it
+    runs, so a wrapper bound in its place (the benchmark's tracer) is what runs."""
+    seen = []
+
+    def patched(args):
+        seen.append((args.command, args.n))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_check", patched)
+    out = tmp_path / "c.json"
+    assert main(["check", "--n", "3", "--out", str(out)]) == 0
+    assert seen == [("check", 3)]
+    assert not out.exists()
 
 
 def test_nonpositive_dimension_exits_two():

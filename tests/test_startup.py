@@ -138,10 +138,11 @@ SUBCOMMAND_MODULES = [
 # The entry point ends the process with os._exit, which would end this child
 # before its report: the harness makes os._exit raise SystemExit instead.
 # Its first lines count the collections of the cyclic garbage collector
-# from an empty young generation on, so that the ~460 allocations of
+# from an empty young generation on, so that the ~490 allocations of
 # compiling cli.py without bytecode cannot tip one, while an import of numpy
 # before the entry point pauses the collector, about 30 collections, shows.
-# It imports json only after reading what the run loaded.
+# It imports json only after reading what the run loaded, and reports
+# which of the standard library modules a run must not load it found.
 RUN_CLI = """
 import gc
 gc.collect()
@@ -160,7 +161,9 @@ except SystemExit:
     pass
 loaded = sorted(sys.modules)
 import json
-print(json.dumps({"exits": exits, "collections": collected, "json": "json" in loaded,
+print(json.dumps({"exits": exits, "collections": collected,
+                  "unwanted": [m for m in ("json", "argparse", "gettext", "locale") if m in loaded],
+                  "numpy": "numpy" in loaded,
                   "dataclasses": "dataclasses" in loaded,
                   "modules": [m for m in loaded if m.split(".")[0] == "latwig"]}))
 """
@@ -182,7 +185,19 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, numpy_loads_dataclasses
     assert set(report["modules"]) == COMMON_MODULES | layers
     assert report["dataclasses"] == numpy_loads_dataclasses
     assert report["collections"] == []
-    assert not report["json"]
+    assert report["unwanted"] == []
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["tomo", "-h"], 0), (["check", "--n", "x"], 2),
+                                        (["wigner", "--n", "0"], 2)], ids=["help", "tomo_help", "bad_int", "n0"])
+def test_help_and_usage_errors_load_no_layer_and_no_numpy(argv, code):
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], env=child_env(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["exits"] == [code]
+    assert report["modules"] == ["latwig"]
+    assert not report["numpy"]
+    assert report["unwanted"] == []
 
 
 def test_fano_loads_no_fft(tmp_path):
@@ -209,7 +224,7 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
 
 def run_cli_child(argv, unbuffered, code=None, stdout=subprocess.PIPE, preexec_fn=None):
     """``python -m latwig.cli ARGV``, or ``python -c CODE ARGV``, with stdout buffered or not."""
-    env = child_env(COLUMNS="80")  # argparse wraps its help to the terminal's width
+    env = child_env(COLUMNS="20")  # a narrow terminal, to which the help is not wrapped
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -242,10 +257,9 @@ EXIT_CASES = [
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, code", EXIT_CASES, ids=["pass", "contradicts", "n0", "unknown_flag", "unwritable",
                                                          "help"])
-def test_a_process_exits_and_prints_as_main_returns_and_prints(tmp_path, monkeypatch, capsys, argv, code, unbuffered):
+def test_a_process_exits_and_prints_as_main_returns_and_prints(tmp_path, capsys, argv, code, unbuffered):
     paths = {"OUT": str(tmp_path / "a.json"), "LONG": str(tmp_path / ("c" * 295 + ".json"))}
     argv = [paths.get(arg, arg) for arg in argv]
-    monkeypatch.setenv("COLUMNS", "80")
     expected = run_main(argv, capsys)
     assert expected[0] == code
     done = run_cli_child(argv, unbuffered)
