@@ -68,9 +68,10 @@ INTERNAL_ERROR = 3
 TOLERANCE_FAILURE = 1
 CONTRADICTION = 1
 
-# Largest N `check` accepts. Every audit holds O(N^2) arrays, so memory binds,
-# mostly the covariance scan's [2, N^2] temporaries: peak RSS 73 MiB at N = 500,
-# 74 MiB at 501 and 92 MiB at 600 (0.47 s at 500; medians of 3, wait4, 2-CPU VM).
+# Largest N `check` accepts. Every audit holds O(N^2) arrays, so memory binds;
+# the covariance scan holds one generator's N^2 temporaries at a time: peak RSS
+# 57 MiB at N = 500 and 501 (0.29 and 0.31 s; medians of 3, wait4, 2-CPU VM)
+# and 68 MiB at 600 with the limit lifted.
 # `fano._route_phi`'s int64 products fit up to N = 55,000, `_two_phi`'s to 30,000.
 CHECK_MAX_N = 501
 
@@ -83,21 +84,21 @@ MARGINAL_MAX_N = 601
 
 # Largest N `fano` accepts. It renders the operators from a few closed-form
 # values and a block of codes at a time, so memory no longer binds: peak RSS
-# 39 MiB at N = 39, 37 MiB at 41, 40 MiB at 49, 42 MiB at 50 and 40 MiB at
-# 51, in 0.42, 0.58, 0.90, 1.05 and 1.18 s (medians of 3, wait4, 2-CPU VM).
+# 31 MiB at N = 39, 32 MiB at 41, 32 MiB at 49, 39 MiB at 50 and 33 MiB at
+# 51, in 0.40, 0.62, 0.99, 1.25 and 1.27 s (medians of 3, wait4, 2-CPU VM).
 # The artifact's size binds: about 48*N^4 bytes at odd N and 66*N^4 at
 # even N, 325 MB at N = 51 and 430 MB at 50.
 FANO_MAX_N = 51
 
-# Largest N `wigner` accepts. It holds a few N x N complex matrices and the
-# grid's texts: peak RSS 134 MiB at N = 1001 and 133 MiB at the prime
-# N = 997.
+# Largest N `wigner` accepts. It holds a few N x N complex matrices and one
+# block of the grid's texts: peak RSS 126 MiB and 1.4 s at N = 1001 and
+# 125 MiB at the prime N = 997 (medians of 7 and 3, wait4, 2-CPU VM).
 WIGNER_MAX_N = 1001
 
 # Largest N `tomo` accepts. It holds the N + 1 line families' weights and
-# one N x N label grid next to the state and grids: peak RSS 69 MiB at
-# N = 401 and 80 MiB at N = 601, in 3.2 and 13 s (one run each, wait4,
-# 2-CPU VM; both prime, `tomo` refuses composite N).
+# one N x N label grid next to the state and grids: peak RSS 56 MiB at
+# N = 401 and 78 MiB at N = 601, in 2.4 and 6.7 s (medians of 3 and 5,
+# wait4, 2-CPU VM; both prime, `tomo` refuses composite N).
 TOMO_MAX_N = 601
 
 

@@ -339,27 +339,32 @@ def _covariance_scan(values, lifts, tol):
     (s,t,a,b), where it is |v[b,a] - omega^(phi'(a,b)) v[s,t]|, and the
     witness is (s,t,a,b) at the first failing (s,t) of the first failing
     lift, as a dense scan would name it, followed by that lift's entries
-    (kappa, lam, mu, nu) as passed in. The product is written in real
-    arithmetic: numpy's complex multiply rounds differently by array
-    layout, and this way the residuals are those of a scalar loop.
+    (kappa, lam, mu, nu) as passed in. The lifts are scanned one at a
+    time, so only one lift's index, exponent and phase arrays are held. The
+    product is written in real arithmetic: numpy's complex multiply rounds
+    differently by array layout, and this way the residuals are those of a
+    scalar loop.
     """
     n = values.shape[0]
-    k, l, m, v = _lift_entries(lifts, n)[:, :, np.newaxis]
     s, t = np.indices((n, n)).reshape(2, -1)
-    a, b = (m * s + k * t) % n, (v * s + l * t) % n
-    phase = _half_omega_table(n)[_two_phi((k, l, m, v), a, b, n)]
-    lhs, rhs = values[b, a], values.ravel()
-    re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
-    im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
-    res = np.hypot(re, im)
-    worst = float(res.max())
-    failing = (res > tol).ravel()
-    first = int(failing.argmax())  # the first True in C order, as a scan meets it
-    if not failing[first]:
-        return CheckResult("covariance", True, worst)
-    r, i = divmod(first, n * n)
-    return CheckResult("covariance", False, worst,
-                       (int(s[i]), int(t[i]), int(a[r, i]), int(b[r, i])) + lifts[r].as_tuple())
+    half = _half_omega_table(n)
+    rhs = values.ravel()
+    worst, witness = 0.0, None
+    for lift, (k, l, m, v) in zip(lifts, _lift_entries(lifts, n).T):
+        a, b = (m * s + k * t) % n, (v * s + l * t) % n
+        phase = half[_two_phi((k, l, m, v), a, b, n)]
+        lhs = values[b, a]
+        re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
+        im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
+        res = np.hypot(re, im)
+        worst = np.maximum(worst, res.max())  # NaN-propagating, as one max over every lift
+        if witness is None:
+            failing = res > tol
+            first = int(failing.argmax())  # the first True in C order, as a scan meets it
+            if failing[first]:
+                witness = (int(s[first]), int(t[first]), int(a[first]), int(b[first])) + lift.as_tuple()
+        del a, b, phase, lhs, re, im, res  # freed before the next lift's are built
+    return CheckResult("covariance", witness is None, float(worst), witness)
 
 
 def check_covariance_group(c, tol=DEFAULT_TOL):

@@ -7,50 +7,38 @@ filled with the UTF-8 bytes of the text one chunk at a time, is renamed
 onto the target, so concurrent writers never share a temp file and readers
 see either the old or a complete new artifact.
 
-Numeric data reaches the emitter as real float arrays of any shape, which
-become nested JSON lists, and as the two record kinds of the ``fano``
-artifact. Its N^4 coefficients, of which only N^2 can be nonzero, arrive
-as those N^2 values, a :class:`SupportRecords`, and each record's text is
-one of N^2 precomputed zero tails or a support record's, joined after an
-(s, t) head. Its N^2 operators arrive as their few distinct values and a
-code per entry, an :class:`OperatorRecords`, and their records
-``{"q","p","re","im"}`` are taken a block at a time from the values'
-texts, each formatted once. An array and the operator records are lists of
-rows along the first axis, rendered as a numpy object array of text pieces
-with one row of pieces per row (an array's value texts between the
-precomputed brackets and separators of a row template), joined once per
-block with ``"".join(pieces.ravel().tolist())``, with no Python loop per
-value, row or record. The separator after an element of a nested list
-depends only on the shape: ``"]" * t + "," + "[" * t``, t the number of
-trailing axes at their last index. Any other array, complex, integer,
-boolean, object or structured, raises :class:`TypeError`.
+Numeric data reaches the emitter as 1-D and 2-D float64 arrays, which
+become JSON lists and lists of rows, and as the two record kinds of the
+``fano`` artifact; any other array, of another shape or dtype, raises
+:class:`TypeError`. A 1-D array is one ``",".join`` of its value texts. A
+2-D array is rendered a block of about ``BLOCK`` values (at least one row)
+at a time, each row ``"[" + ",".join(row) + "]"``.
+
+The ``fano`` artifact's N^4 coefficients, of which only N^2 can be
+nonzero, arrive as those N^2 values, a :class:`SupportRecords`. Each
+record's text is one of N^2 precomputed zero tails or a support record's,
+joined after an (s, t) head, about ``BLOCK`` records of one s per block.
+Its N^2 operators arrive as their few distinct values and a code per
+entry, an :class:`OperatorRecords`, and their records
+``{"q","p","re","im"}`` are taken a block of about ``OPERATOR_BLOCK``
+pieces at a time from the values' texts, with no Python loop per value or
+record.
 
 Every float of an array, CSV grids and marginals included, is written by
 :func:`_texts`, the one place ``%.17g`` is applied to array data;
 ``"%.17g" % x`` writes exactly what ``format_float(x)`` writes for every
-double (``-0``, ``nan``, ``inf``, subnormals). A document often repeats
-few distinct floats, so each document keeps a private cache from a float's
-64-bit pattern to its text and formats each pattern once (the operator
-values are formatted with one of their own). The key is the
-bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
-value-keyed cache would write ``0`` where ``-0`` belongs, and NaNs, never
-equal to themselves, would each miss. The cache is bounded: it is cleared
-when the new patterns of one call would take it past ``BLOCK`` entries,
-since a document can also hold millions of distinct floats (the grid of
-``wigner --n 1001 --state random``: 2,003,903 of its 2,004,002). The cache
-dies with the document; no formatted text is kept between dumps.
+double (``-0``, ``nan``, ``inf``, subnormals). It formats each distinct
+64-bit pattern of one call once and keeps nothing between calls. The key
+is the bit pattern, not the value: ``0.0 == -0.0`` as a dict key, so a
+value-keyed table would write ``0`` where ``-0`` belongs, and NaNs, never
+equal to themselves, would each miss.
 
-Arrays are rendered in blocks of about ``BLOCK`` pieces (at least one
-row), operator records in blocks of about ``OPERATOR_BLOCK`` pieces,
-support records in blocks of about ``BLOCK`` records of one s, and one
-emitter yields the text block by block: every JSON artifact of the
-command line is written by :func:`write_json`, which streams the blocks
-to the file, so the whole text never exists at once.
+Every JSON artifact of the command line is written by :func:`write_json`,
+which streams the text block by block to the file, so the whole text
+never exists at once.
 """
 
-import functools
 import itertools
-import math
 import os
 import tempfile
 
@@ -76,13 +64,18 @@ WRITE_CHUNK = 1 << 20
 # random characters.
 _TEMP_NAME_ROOM = 255 - 2 - 8 - 4
 
-# Text pieces joined into one block of an array's text.
-BLOCK = 1 << 16
+# Values in one block of a 2-D array's text, and records in one block of
+# support records. Against 1 << 16, it lowers the peak RSS of
+# `wigner --n 1001 --state random` from 134.8 to 126.0 MiB, `tomo --n 601`
+# from 81.1 to 77.6 MiB and `fano --n 51` from 40.2 to 32.6 MiB, in no more
+# time (medians of 3 to 8 runs, wait4, 2-CPU VM); 1 << 13 saves 2 MiB more
+# on `wigner` alone.
+BLOCK = 1 << 14
 
 # Text pieces in one block of operator records: the size that minimises
 # the time of the `fano --n 17` operator text, 4.3 ms against 4.4 ms with
-# 1 << 13, 4.9 ms with 1 << 12 and 5.4 ms with 1 << 15 or BLOCK, which
-# also hold more pieces at once (traced 0.65 MiB, 2.5 MiB with BLOCK).
+# 1 << 13, 4.9 ms with 1 << 12 and 5.4 ms with 1 << 15 or 1 << 16, which
+# also hold more pieces at once (traced 0.65 MiB, 2.5 MiB with 1 << 16).
 OPERATOR_BLOCK = 1 << 14
 
 # Largest array whose float texts _texts looks up element by element.
@@ -93,111 +86,45 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
-def _texts(a, cache):
-    """The ``%.17g`` texts of a real array's elements, in C order, as a 1-D object array.
+def _texts(a):
+    """The ``%.17g`` texts of a real array's elements, in C order, as a list.
 
-    ``cache`` maps a float64 bit pattern to its text; only the patterns it
-    does not hold yet are formatted, and are added to it. If that would
-    take it past ``BLOCK`` entries it is cleared first, so it never holds
-    more than ``BLOCK`` patterns or those of one call. A small array
-    looks each element up in the cache; a large one looks up its distinct
-    patterns and indexes them, since a dict lookup per element costs more
-    than ``np.unique``'s sort there and less on a few elements.
+    Each distinct float64 bit pattern is formatted once. A small array
+    collects its patterns in a dict; a large one takes them from
+    ``np.unique`` and indexes their texts, since a dict lookup per element
+    costs more than the sort there and less on a few elements.
     """
-    # A signalling float32 NaN warns when cast; its text is ``nan`` like any NaN's.
-    with np.errstate(invalid="ignore"):
-        bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel()
-    large = bits.size > _SMALL
-    if large:
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel()
+    if bits.size > _SMALL:
         keys, inverse = np.unique(bits, return_inverse=True)
-        keys = keys.tolist()
-    else:
-        keys = bits.tolist()
-    new = list(set(itertools.filterfalse(cache.__contains__, keys)))
-    if cache and len(cache) + len(new) > BLOCK:
-        cache.clear()
-        new = list(set(keys))
-    if new:
-        values = np.array(new, dtype=np.uint64).view(np.float64).tolist()
-        cache.update(zip(new, ["%.17g" % x for x in values]))
-    texts = np.fromiter(map(cache.__getitem__, keys), dtype=object, count=len(keys))
-    return texts[inverse] if large else texts
+        texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+        return texts[inverse].tolist()
+    keys = bits.tolist()
+    texts = {k: "%.17g" % x for k, x in dict(zip(keys, bits.view(np.float64).tolist())).items()}
+    return list(map(texts.__getitem__, keys))
 
 
-def _separators(shape):
-    """The text after each element, in C order, of nested lists of a shape.
+def _array_chunks(a):
+    """The nested lists of a 1-D or 2-D float64 array.
 
-    It is ``"]" * t + "," + "[" * t``, t the number of trailing axes at
-    their last index, and ``"]" * len(shape)`` after the last element.
+    A 1-D array is one join of its texts. A 2-D array is a list of rows,
+    each ``"[" + ",".join(row) + "]"``, rendered a block of about ``BLOCK``
+    values (at least one row) at a time.
     """
-    seps = np.full(shape, ",", dtype=object)
-    for t in range(1, len(shape) + 1):
-        seps[(...,) + (-1,) * t] = "]" * t + "," + "[" * t
-    seps[(-1,) * len(shape)] = "]" * len(shape)
-    return seps.ravel().tolist()
-
-
-def _empty(shape):
-    """Nested lists of a shape with no elements."""
-    if shape[0] == 0:
-        return "[]"
-    return "[" + ",".join([_empty(shape[1:])] * shape[0]) + "]"
-
-
-@functools.lru_cache(maxsize=16)
-def _row(shape):
-    """The pieces of one row of nested lists of a shape, None at each value slot.
-
-    The value slots are the odd columns, each followed by its separator as
-    an element of the shape; the opening brackets are the first piece, and
-    a ``,`` ends the last. A shape of no elements gives the one piece of
-    its empty lists. The array is shared between callers and read-only.
-    """
-    if math.prod(shape) == 0:
-        row = [_empty(shape)]
-    else:
-        row = ["[" * len(shape)]
-        for sep in _separators(shape):
-            row.extend((None, sep))
-    row[-1] += ","
-    row = np.array(row, dtype=object)
-    row.flags.writeable = False
-    return row
-
-
-def _array_chunks(a, cache):
-    """Nested lists of a real float array, a list of rows along the first axis
-    (see :func:`_row`), rendered a block of about ``BLOCK`` pieces at a time."""
-    if a.dtype.kind != "f":
-        raise TypeError(f"cannot serialize an array of dtype {a.dtype}")
-    if a.ndim == 0:
-        yield _texts(a, cache)[0]
+    if a.dtype != np.float64 or a.ndim not in (1, 2):
+        raise TypeError(f"cannot serialize an array of dtype {a.dtype} and shape {a.shape}")
+    if a.ndim == 1:
+        yield "[" + ",".join(_texts(a)) + "]"
         return
-    row = _row(a.shape[1:])
-
-    def pieces(rows):
-        out = np.tile(row, (rows.stop - rows.start, 1))
-        out[:, 1::2] = _texts(a[rows], cache).reshape(len(out), -1)
-        return out
-
-    yield from _row_chunks(len(a), max(1, BLOCK // len(row)), pieces)
-
-
-def _row_chunks(count, step, pieces):
-    """A list of ``count`` rows, rendered ``step`` rows per block.
-
-    ``pieces(rows)`` gives the text pieces of the slice ``rows`` of rows,
-    one row of pieces per row, each ending in ``,``; the last row has none.
-    """
-    if count == 0:
-        yield "[]"
-        return
+    count, width = a.shape
+    step = max(1, BLOCK // max(width, 1))
     yield "["
     for start in range(0, count, step):
-        block = pieces(slice(start, min(start + step, count)))
-        if start + len(block) == count:
-            block[-1, -1] = block[-1, -1][:-1]
-        yield "".join(block.ravel().tolist())
+        texts = _texts(a[start:start + step])
+        rows = ["[" + ",".join(texts[k * width:(k + 1) * width]) + "]" for k in range(min(step, count - start))]
+        if start:
+            rows[0] = "," + rows[0]
+        yield ",".join(rows)
     yield "]"
 
 
@@ -221,10 +148,10 @@ def _operator_chunks(records):
     A record is its head ``{"q":Q,"p":P,"re":[[`` and 2 N^2 pieces, its
     real and then imaginary parts, each a value's text and then ``,``; a
     row's last piece ends in ``],[`` instead, ``]],"im":[[`` or ``]]},``.
-    Each distinct float pattern of the values is formatted once, with a
-    cache of its own, not the document's, and held once with each of the
-    four endings, in one table that a block's pieces are taken from by one
-    index array.
+    Each distinct float pattern of the values is formatted once and held
+    once with each of the four endings, in one table that a block's pieces
+    are taken from by one index array; a block holds as many whole records
+    as fit in ``OPERATOR_BLOCK`` pieces, at least one.
     """
     n, values = records.n, records.values
     if np.ndim(values) != 1 or values.dtype.kind not in "fc":
@@ -234,22 +161,30 @@ def _operator_chunks(records):
     keys, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
     endings = np.array([",", "],[", ']],"im":[[', "]]},"], dtype=object)
     heads = [f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)]
-    table = np.concatenate([(_texts(keys.view(np.float64), {})[:, np.newaxis] + endings).ravel(),
+    texts = np.array(_texts(keys.view(np.float64)), dtype=object)
+    table = np.concatenate([(texts[:, np.newaxis] + endings).ravel(),
                             np.array(heads, dtype=object)])
     first = 4 * inverse  # the position of each part's text and "," in the table
     count = n * n
     ends = np.arange(1, 2 * n + 1) * n  # each row's last piece
     kinds = np.array(([1] * (n - 1) + [2]) * 2)  # the index in endings of each one's ending
     kinds[-1] = 3
-
-    def pieces(rows):
+    if count == 0:
+        yield "[]"
+        return
+    step = max(1, OPERATOR_BLOCK // (2 * count + 1))
+    yield "["
+    for start in range(0, count, step):
+        rows = slice(start, min(start + step, count))
         codes = np.reshape(records.codes(rows), (-1, count))
         index = np.concatenate([np.arange(rows.start, rows.stop)[:, np.newaxis] + 4 * len(keys), first[codes],
                                 first[codes + len(values)]], axis=1)
         index[:, ends] += kinds
-        return table.take(index)
-
-    yield from _row_chunks(count, max(1, OPERATOR_BLOCK // (2 * count + 1)), pieces)
+        block = table.take(index)
+        if rows.stop == count:
+            block[-1, -1] = block[-1, -1][:-1]  # no "," after the last record
+        yield "".join(block.ravel().tolist())
+    yield "]"
 
 
 @record
@@ -265,7 +200,7 @@ class SupportRecords:
     im: np.ndarray  # float, shape (N, N), indexed [s, t]
 
 
-def _support_chunks(grid, cache):
+def _support_chunks(grid):
     """The records of a :class:`SupportRecords`, max(1, ``BLOCK`` // N^2) (s, t) slabs of one s per block.
 
     The N^2 zero tails ``"n":a,"m":b,"re":0,"im":0}`` are built once; an
@@ -276,9 +211,8 @@ def _support_chunks(grid, cache):
     if np.shape(grid.re) != (n, n) or np.shape(grid.im) != (n, n):
         raise TypeError(f"support values must be two N x N arrays, got {np.shape(grid.re)}, {np.shape(grid.im)}")
     ints = [str(k) for k in range(n)]
-    zero = _texts(np.zeros(1), cache)[0]
-    re = _texts(grid.re, cache).reshape(n, n).tolist()
-    im = _texts(grid.im, cache).reshape(n, n).tolist()
+    zero = format_float(0.0)
+    re, im = _texts(grid.re), _texts(grid.im)
     tails = [f'"n":{a},"m":{b},"re":{zero},"im":{zero}}}' for a in ints for b in ints]
     step = max(1, BLOCK // max(n * n, 1))
     yield "["
@@ -288,14 +222,14 @@ def _support_chunks(grid, cache):
             head = f'{{"s":{ints[s]},"t":{ints[t]},'
             k = t * n + s
             zero_tail = tails[k]
-            tails[k] = f'"n":{ints[t]},"m":{ints[s]},"re":{re[s][t]},"im":{im[s][t]}}}'
+            tails[k] = f'"n":{ints[t]},"m":{ints[s]},"re":{re[s * n + t]},"im":{im[s * n + t]}}}'
             slabs.append(head + ("," + head).join(tails))
             tails[k] = zero_tail
         yield ",".join(slabs)
     yield "]"
 
 
-def _emit(obj, out, cache):
+def _emit(obj, out):
     """Append the JSON text of obj to out: strings, and for each array the
     generator of its blocks, which the consumer runs in document order."""
     if obj is None:
@@ -314,12 +248,12 @@ def _emit(obj, out, cache):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             out.append(("," if i else "") + _quote(str(k)) + ":")
-            _emit(v, out, cache)
+            _emit(v, out)
         out.append("}")
     elif isinstance(obj, np.ndarray):
-        out.append(_array_chunks(obj, cache))
+        out.append(_array_chunks(obj))
     elif isinstance(obj, SupportRecords):
-        out.append(_support_chunks(obj, cache))
+        out.append(_support_chunks(obj))
     elif isinstance(obj, OperatorRecords):
         out.append(_operator_chunks(obj))
     elif isinstance(obj, (list, tuple)):
@@ -327,17 +261,17 @@ def _emit(obj, out, cache):
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(v, out, cache)
+            _emit(v, out)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _json_chunks(obj):
-    """The JSON text of obj and a newline, in chunks, with a text cache of its own:
-    each run of scalars, keys and brackets joined, then each block of an array."""
+    """The JSON text of obj and a newline, in chunks: each run of scalars,
+    keys and brackets joined, then each block of an array."""
     out = []
-    _emit(obj, out, {})
+    _emit(obj, out)
     out.append("\n")
     start = 0
     for i, piece in enumerate(out):
@@ -355,23 +289,14 @@ def write_json(path, obj):
 
 def grid_csv(values):
     """Row-major comma-separated grid, no header."""
-    texts = _texts(values, {}).reshape(np.shape(values))
-    pieces = np.empty(texts.shape + (2,), dtype=object)
-    pieces[..., 0] = texts
-    pieces[..., 1] = ","
-    pieces[:, -1, 1] = "\n"
-    return "".join(pieces.ravel().tolist())
+    count, width = np.shape(values)
+    texts = _texts(values)
+    return "".join([",".join(texts[k * width:(k + 1) * width]) + "\n" for k in range(count)])
 
 
 def marginal_csv(weights):
     """Two-column table with a `p0,weight` header."""
-    texts = _texts(weights, {})
-    pieces = np.empty((len(texts), 4), dtype=object)
-    pieces[:, 0] = [str(k) for k in range(len(texts))]
-    pieces[:, 1] = ","
-    pieces[:, 2] = texts
-    pieces[:, 3] = "\n"
-    return "p0,weight\n" + "".join(pieces.ravel().tolist())
+    return "p0,weight\n" + "".join([f"{k},{text}\n" for k, text in enumerate(_texts(weights))])
 
 
 def complex_matrix_dict(m):

@@ -131,13 +131,6 @@ def marginal_along_line(w, g):
     return MarginalDistribution(element=g, weights=sum(w.values.real[q, p].T))
 
 
-def line_sum_operators(n, g):
-    """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j]."""
-    check_dim(n)
-    [(_, m)] = _line_blocks(g, n, n)
-    return m
-
-
 def _line_blocks(g, n, step):
     """Yield (first label, m[line, i, j]): the direction's line sums, `step` lines at a time in label order.
 

@@ -23,6 +23,7 @@ site, the brute-force incidence check of the line families, the dense
 N^4 expansion of the closed-form operator set with the einsum transforms
 on it, the split-parity solution table, the clock and shift matrices and
 their monomials S^n P^m, the dense direction unitary of a line family,
+a direction's N line sums as one block of the projector check's scatter,
 the integer and half-integer phases ``omega_int`` and ``omega_pow``,
 random pure states, and the argparse parser the command line was read
 with before its option table.
@@ -41,7 +42,7 @@ from latwig.fano import CheckResult, FanoCoefficients, _covariance_scan, _two_ph
 from latwig.lattice import SL2Element, check_dim, first_completions, line_sites, sl2_complete
 from latwig.operators import DEFAULT_TOL, _half_omega_table, _omega_table, momentum_vector
 from latwig.tomography import mub_line_families
-from latwig.wigner import _direction_monomial
+from latwig.wigner import _direction_monomial, _line_blocks
 
 
 IDENTITY = SL2Element(1, 0, 0, 1)
@@ -266,6 +267,14 @@ def site_gram_residuals(f):
     return np.abs(flat @ flat.conj().T - np.eye(n * n) / n)
 
 
+def line_sum_operators(n, g):
+    """The N line sums M[p0] = sum over line p0's sites of D(q,p), indexed [p0, i, j]:
+    the projector check's scatter, run on all N lines in one block."""
+    check_dim(n)
+    [(_, m)] = _line_blocks(g, n, n)
+    return m
+
+
 def dumps_json(obj):
     """The whole JSON text that ``serialize.write_json`` writes for obj, joined."""
     return "".join(serialize._json_chunks(obj))
@@ -286,28 +295,22 @@ def tensor_records(ops):
 def operator_text(ops):
     """The JSON text of the records {"q","p","re","im"} of an N^4 operator tensor, rendered from the tensor.
 
-    The writer's renderer before it took codes: a record is the row of
-    nested lists of shape (2, N, N) holding its real and then its
-    imaginary part, opened by its head ``{"q":Q,"p":P,"re":[[``, with
-    ``]],"im":[[`` between the parts and ``}`` after them, and each block of
-    records formats its floats in one ``serialize._texts`` call.
+    Record (q, p) is ``{"q":Q,"p":P,"re":R,"im":I}``, R and I the nested
+    lists of the real and imaginary parts of ops[q, p], each float written
+    ``%.17g``, formatted once per distinct bit pattern.
     """
-    n, cache = len(ops), {}
-    parts = np.ascontiguousarray(ops, dtype=complex).reshape(n * n, n * n).view(float)
-    heads = np.array([f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)], dtype=object)
-    row = serialize._row((2, n, n)).copy()
-    row[2 * n * n] = ']],"im":[['
-    row[-1] = "]]},"
+    n = len(ops)
+    parts = np.stack([np.real(ops), np.imag(ops)]).astype(np.float64).reshape(2, n * n, n, n)
+    keys, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+    texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    re, im = texts[inverse.reshape(parts.shape)].tolist()
 
-    def pieces(rows):
-        out = np.empty((rows.stop - rows.start, len(row)), dtype=object)
-        out[:] = row
-        out[:, 0] = heads[rows]
-        real_then_imag = parts[rows].reshape(len(out), n * n, 2).transpose(0, 2, 1)
-        out[:, 1::2] = serialize._texts(real_then_imag, cache).reshape(len(out), -1)
-        return out
+    def nested(rows):
+        return "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
 
-    return "".join(serialize._row_chunks(n * n, max(1, serialize.OPERATOR_BLOCK // len(row)), pieces))
+    return "[" + ",".join(f'{{"q":{k // n},"p":{k % n},"re":{nested(re[k])},"im":{nested(im[k])}}}'
+                          for k in range(n * n)) + "]"
+
 
 def support_values(table):
     """The support values table[s, t, t, s] of a dense table that is zero everywhere else."""

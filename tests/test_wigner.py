@@ -29,6 +29,7 @@ from oracles import (
     exact_lift,
     expand_operators,
     line_points,
+    line_sum_operators,
     omega_int,
     primitive_rows,
     site_gram_residuals,
@@ -286,7 +287,7 @@ def test_tilted_marginals_are_probabilities_and_match_projectors(n):
         marg = wigner.marginal_along_line(grid, g)
         assert marg.weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert marg.weights.min() > -1e-10
-        for p0, m in enumerate(wigner.line_sum_operators(n, g)):
+        for p0, m in enumerate(line_sum_operators(n, g)):
             assert marg.weights[p0] == pytest.approx((m @ rho).trace().real, abs=1e-10)
 
 
@@ -310,7 +311,7 @@ def test_line_sum_operator_matches_the_per_site_loop_bit_for_bit(n):
     """The oracle directions include (0, 1), whose lines' sites all share one support."""
     ops = expand_operators(n)
     for g in oracle_directions(n):
-        got = wigner.line_sum_operators(n, g)
+        got = line_sum_operators(n, g)
         assert got.shape == (n, n, n)
         for p0 in range(n):
             assert_bitwise_equal(got[p0], line_sum_oracle(ops, g, p0))
@@ -389,7 +390,7 @@ def test_candidate_line_sums_are_the_direction_projectors_exactly_for_odd_n(n):
 def test_line_projector_check_is_the_same_in_blocks_of_any_size(n, step, monkeypatch):
     """N = 45 runs in blocks of two lines, the last of one, at the default BLOCK_BYTES."""
     for g in oracle_directions(n)[:6]:
-        whole = wigner._projector_report(n, g, 1e-10, [(0, wigner.line_sum_operators(n, g))])
+        whole = wigner._projector_report(n, g, 1e-10, [(0, line_sum_operators(n, g))])
         if step is not None:
             monkeypatch.setattr(wigner, "BLOCK_BYTES", 16 * n * n * step)
         assert wigner.line_projector_check(n, g) == whole
@@ -401,7 +402,7 @@ def test_line_projector_check_where_sites_of_a_line_share_entries(n, kappa, lam)
     """kappa is not a unit mod N, so gcd(kappa, N) sites of each line put
     their nonzeros on the same entries."""
     g = sl2_complete(kappa, lam)
-    stack = wigner.line_sum_operators(n, g)
+    stack = line_sum_operators(n, g)
     rep = wigner.line_projector_check(n, g)
     assert rep.passed and rep.max_violation < 1e-12, rep
     assert rep.eigenvalue_multiplicity == 1
@@ -461,7 +462,7 @@ def test_direction_totals_equal_grid_total():
 
 def test_line_projector_identity_for_axis_direction():
     n = 3
-    for p0, m in enumerate(wigner.line_sum_operators(n, IDENTITY)):
+    for p0, m in enumerate(line_sum_operators(n, IDENTITY)):
         assert_allclose(m, momentum_state_density(p0, n), atol=1e-12)
     rep = wigner.line_projector_check(n, IDENTITY)
     assert rep.passed
@@ -497,7 +498,7 @@ def test_line_projector_check_names_the_line_of_a_planted_defect():
     checked alone or with others."""
     n = 5
     g = sl2_complete(2, 3)
-    stack = wigner.line_sum_operators(n, g)
+    stack = line_sum_operators(n, g)
     stack[2, 0, :2] += 1e-6  # as if one operator on line 2 were perturbed there
     dense = projector_check_oracle(stack, g, 1e-10)
     assert all(not r.passed and r.witness[0] == 2 for r in dense.values()), dense
