@@ -153,10 +153,10 @@ def cmd_fano(args):
     """Write the candidate table's N^4 coefficients and its N^2 dense operators.
 
     The coefficients are rendered from the table's N^2 support values
-    (:class:`serialize.SupportRecords`), which is all a
+    (:func:`serialize.support_records`), which is all a
     :class:`fano.FanoCoefficients` holds, and the operators from the few
     values and the codes of :func:`fano.candidate_operator_codes`
-    (:class:`serialize.OperatorRecords`): each value is formatted once and
+    (:func:`serialize.operator_records`): each value is formatted once and
     the records are taken from the texts a block at a time, with no N^4
     array.
     """
@@ -179,8 +179,8 @@ def _fano_document(n):
         "n": n,
         "candidate": n % 2 == 0,
         "phase_convention": fano.PHASE_CONVENTION,
-        "coefficients": serialize.SupportRecords(coeffs.values.real, coeffs.values.imag),
-        "operators": serialize.OperatorRecords(n, *fano.candidate_operator_codes(n)),
+        "coefficients": serialize.support_records(coeffs.values.real, coeffs.values.imag),
+        "operators": serialize.operator_records(n, *fano.candidate_operator_codes(n)),
     }
 
 
@@ -239,11 +239,11 @@ def cmd_wigner(args):
         serialize.write_json(args.out, doc)
     else:
         imag, path_q, path_p = _companions(args)
-        serialize.write_atomic(args.out, serialize.grid_csv(grid.values.real))
+        serialize.write_grid_csv(args.out, grid.values.real)
         if grid.max_imag() > args.tolerance:
-            serialize.write_atomic(imag, serialize.grid_csv(grid.values.imag))
-        serialize.write_atomic(path_q, serialize.marginal_csv(marg_q))
-        serialize.write_atomic(path_p, serialize.marginal_csv(marg_p))
+            serialize.write_grid_csv(imag, grid.values.imag)
+        serialize.write_marginal_csv(path_q, marg_q)
+        serialize.write_marginal_csv(path_p, marg_p)
     print(f"wigner grid for state {args.state}: sum={grid.total().real:.12f} -> {args.out}")
     if abs(grid.total().real - 1.0) > args.tolerance or grid.max_imag() > args.tolerance:
         print("tolerance violation: grid not normalized/real", file=sys.stderr)
@@ -289,7 +289,7 @@ def cmd_marginal(args):
                "projector_check": rep.to_json_dict()}
         serialize.write_json(args.out, doc)
     else:
-        serialize.write_atomic(args.out, serialize.marginal_csv(marg.weights))
+        serialize.write_marginal_csv(args.out, marg.weights)
     status = "ok" if rep.passed else "FAILED"
     print(f"marginal along ({args.kappa},{lam}): projector check {status}, "
           f"weights sum {marg.weights.sum():.12f} -> {args.out}")

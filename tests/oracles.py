@@ -281,15 +281,16 @@ def dumps_json(obj):
 
 
 def tensor_records(ops):
-    """The ``serialize.OperatorRecords`` of any N^4 operator tensor [q, p, i, j], real or complex.
+    """The ``serialize.operator_records`` of any N^4 operator tensor [q, p, i, j], real or complex.
 
-    Each entry is its own value, its code its index in the flattened tensor.
+    Each entry is its own value, as a complex128, and its code its index in
+    the flattened tensor.
     """
     n = len(ops)
     if np.shape(ops) != (n,) * 4:
         raise TypeError(f"operators must be an N x N x N x N array, got shape {np.shape(ops)}")
     codes = np.arange(n**4).reshape(n * n, n, n)
-    return serialize.OperatorRecords(n, np.ravel(ops), codes.__getitem__)
+    return serialize.operator_records(n, np.ravel(ops).astype(np.complex128), codes.__getitem__)
 
 
 def operator_text(ops):

@@ -73,19 +73,7 @@ def _operator_record_array(ops):
 
 
 def _plain(obj):
-    """The document as built before arrays were passed: lists, dicts and scalars.
-
-    The ``fano`` coefficients become the records of every entry of the dense
-    candidate table, as the command line built them before it rendered
-    them from the table's support, and the operators the records of the
-    record array of their tensor, each entry the value of its code, as it
-    built them before it rendered them from codes.
-    """
-    if isinstance(obj, serialize.SupportRecords):
-        return _plain(_dense_records(dense_table(fano.coefficients_candidate(len(obj.re)))))
-    if isinstance(obj, serialize.OperatorRecords):
-        n = obj.n
-        return _plain(_operator_record_array(obj.values[obj.codes(slice(0, n * n))].reshape((n,) * 4)))
+    """The document as built before arrays were passed: lists, dicts and scalars."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.names is not None:
             # A subarray field's value comes back from tolist() as an ndarray.
@@ -96,6 +84,21 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     return obj
+
+
+def _dense_fano_document(doc):
+    """A ``fano`` document with its record generators replaced by record arrays.
+
+    The coefficients become the records of every entry of the dense
+    candidate table, as the command line built them before it rendered them
+    from the table's support, and the operators the records of the record
+    array of their tensor, each entry the value of its code, as it built
+    them before it rendered them from codes.
+    """
+    n = doc["n"]
+    values, codes = fano.candidate_operator_codes(n)
+    return {**doc, "coefficients": _dense_records(dense_table(fano.coefficients_candidate(n))),
+            "operators": _operator_record_array(values[codes(slice(0, n * n))].reshape((n,) * 4))}
 
 
 CLI_DOCUMENTS = [
@@ -125,7 +128,8 @@ def test_cli_artifacts_match_the_reference_emitter(tmp_path, monkeypatch, argv):
     out = tmp_path / "artifact.json"
     assert cli.main([*argv, "--out", str(out)]) in (0, 1)
     assert len(docs) == 1
-    assert out.read_text() == reference_dumps_json(_plain(docs[0]))
+    doc = _dense_fano_document(docs[0]) if argv[0] == "fano" else docs[0]
+    assert out.read_text() == reference_dumps_json(_plain(doc))
 
 
 def _quoting_cases():
@@ -174,9 +178,9 @@ def test_empty_arrays_match_the_reference_emitter(shape):
 
 
 # ---------------------------------------------------------------------------
-# 1-D and 2-D float64 arrays, blocks and streaming: every block size, both
-# sides of the small-array switch and every write chunk give the reference
-# emitter's text.
+# 1-D and 2-D float64 arrays, blocks and streaming: every block size and
+# array size gives the reference emitter's text, and the writer gets one
+# block at a time.
 
 # -0, quiet and signalling NaNs of both signs with payloads, both
 # infinities, the smallest and largest subnormals.
@@ -184,33 +188,61 @@ SPECIAL_BITS = np.array([0x8000000000000000, 0x7FF8DEADBEEF0001, 0xFFF8000000000
                          0xFFF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
                          0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF], dtype=np.uint64)
 
+# Array sizes: one and two values, fewer than the special floats; a prime,
+# which reshapes only to one row or one column; and 1025, many blocks at the
+# small BLOCK values the tests set.
+SIZES = [1, 2, 23, 1025]
+
+# Rows of each size's 2-D shape.
+ROWS = {1: 1, 2: 2, 23: 23, 1025: 5}
+
 
 def _special_values(size, seed=0):
-    """size floats, repeats and distinct values, special floats planted at the front."""
+    """size floats, repeats and distinct values, special floats planted at the front.
+
+    An array shorter than the special floats gets those from index seed on,
+    so that the seeds 0 to 9 plant each of them.
+    """
     rng = np.random.default_rng(seed)
     a = np.where(rng.random(size) < 0.5, rng.choice([0.0, 1 / 3, -2.5, 1e-300], size), rng.standard_normal(size))
-    special = SPECIAL_BITS.view(np.float64)
+    special = np.roll(SPECIAL_BITS, -seed).view(np.float64)
     a[:len(special)] = special[:size]
     return a
 
 
+def _special_arrays(size):
+    """The arrays of size values that plant every special float."""
+    return [_special_values(size, seed) for seed in range(len(SPECIAL_BITS) if size < len(SPECIAL_BITS) else 1)]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_texts_are_the_per_float_texts(size):
+    arrays = _special_arrays(size)
+    planted = np.concatenate(arrays).view(np.uint64)
+    assert set(SPECIAL_BITS.tolist()) <= set(planted.tolist())
+    for a in arrays:
+        grid = a.reshape(ROWS[size], -1)
+        for shaped in (a, grid, grid.T):
+            assert serialize._texts(shaped) == [serialize.format_float(x) for x in shaped.ravel()]
+
+
 @pytest.mark.parametrize("block", [1, 2, 7, serialize.BLOCK])
-@pytest.mark.parametrize("size", [serialize._SMALL - 1, serialize._SMALL, serialize._SMALL + 1])
+@pytest.mark.parametrize("size", SIZES)
 def test_special_floats_match_the_reference_emitter(monkeypatch, block, size):
-    """1-D and 2-D arrays, C-ordered and transposed, of sizes on both sides of ``_SMALL``."""
+    """1-D and 2-D arrays, C-ordered and transposed, of one value to several blocks."""
     monkeypatch.setattr(serialize, "BLOCK", block)
-    a = _special_values(size)
-    assert np.isnan(a).any() and (np.signbit(a) & (a == 0)).any() and np.isinf(a).any()
-    rows = {serialize._SMALL - 1: 3, serialize._SMALL: 32, serialize._SMALL + 1: 5}[size]
-    grid = a.reshape(rows, -1)
-    for shaped in (a, grid, grid.T, a[::-1], a[:1], grid[:1], grid[:, :1]):
-        assert dumps_json(shaped) == reference_dumps_json(shaped.tolist())
-    assert _matches_reference({"rows": grid, "again": grid[1], "none": grid[:0]})
+    for a in _special_arrays(size):
+        grid = a.reshape(ROWS[size], -1)
+        for shaped in (a, grid, grid.T, a[::-1], a[:1], grid[:1], grid[:, :1]):
+            assert dumps_json(shaped) == reference_dumps_json(shaped.tolist())
+        assert _matches_reference({"rows": grid, "again": grid[-1], "none": grid[:0]})
 
 
-def _block_document():
+def _block_document(plain=False):
+    """A document of every kind of array; with plain, its operator records are a record array."""
     rng = np.random.default_rng(2)
-    return {"ops": tensor_records(_operator_tensor(3, seed=3)),
+    ops = _operator_tensor(3, seed=3)
+    return {"ops": _operator_record_array(ops) if plain else tensor_records(ops),
             "rows": rng.choice([-0.0, 0.25, np.nan], (11, 2)), "vec": rng.standard_normal(9),
             "grid": rng.standard_normal((4, 3)), "one": np.ones((1, 1)), "empty": np.zeros((2, 0)),
             "list": [np.arange(3.0), {"x": np.zeros((2, 2))}]}
@@ -218,12 +250,10 @@ def _block_document():
 
 @pytest.mark.parametrize("block", [1, 2, 7])
 def test_any_block_size_gives_the_reference_text(tmp_path, monkeypatch, block):
-    doc = _block_document()
-    expected = reference_dumps_json(_plain(doc))
+    expected = reference_dumps_json(_plain(_block_document(plain=True)))
     monkeypatch.setattr(serialize, "BLOCK", block)
-    monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
-    assert dumps_json(doc) == expected
-    serialize.write_json(str(tmp_path / "doc.json"), doc)
+    assert dumps_json(_block_document()) == expected
+    serialize.write_json(str(tmp_path / "doc.json"), _block_document())
     assert (tmp_path / "doc.json").read_text() == expected
     out = tmp_path / "fano.json"
     assert cli.main(["fano", "--n", "4", "--out", str(out)]) == 0
@@ -231,16 +261,8 @@ def test_any_block_size_gives_the_reference_text(tmp_path, monkeypatch, block):
     assert (len(doc["coefficients"]), len(doc["operators"])) == (4**4, 4**2)
 
 
-def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monkeypatch):
-    """The file equals dumps_json; no write holds more than WRITE_CHUNK
-    characters, the writer is handed one block, or one record, at a time,
-    and the file is written while the text is still being produced."""
-    doc = _block_document()
-    doc["rows"] = np.zeros((3000, 2))
-    monkeypatch.setattr(serialize, "BLOCK", 7)
-    monkeypatch.setattr(serialize, "OPERATOR_BLOCK", 7)
-    monkeypatch.setattr(serialize, "WRITE_CHUNK", 5)
-    events = _spy_on_writes(monkeypatch)  # the size of each write, and each chunk produced
+def _spy_on_chunks(monkeypatch, events):
+    """The chunks that _write gets, in order; each is also logged to events as "chunk"."""
     chunks = []
 
     def produced(texts):
@@ -251,16 +273,44 @@ def test_write_json_streams_blocks_in_chunks_smaller_than_a_block(tmp_path, monk
 
     write = serialize._write
     monkeypatch.setattr(serialize, "_write", lambda path, texts: write(path, produced(texts)))
-    target = tmp_path / "doc.json"
-    serialize.write_json(str(target), doc)
-    text = dumps_json(doc)
-    assert target.read_bytes() == text.encode("utf-8")
-    sizes = [e for e in events if e != "chunk"]
-    assert max(sizes) <= 5 and sum(sizes) == len(text)
-    assert events.index(sizes[0]) < len(events) - 1 - events[::-1].index("chunk")
-    assert "".join(chunks) == text
-    # The longest is one record of "ops", its two 3 x 3 parts of 17-digit floats.
-    assert max(map(len, chunks)) < 500 and len(chunks) > 3000 // 3
+    return chunks
+
+
+# Each float of these arrays is written "0.10000000000000001", so a chunk's
+# count of that text is its count of values.
+TENTH = serialize.format_float(0.1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, serialize.BLOCK])
+def test_write_gets_at_most_one_block_per_chunk(tmp_path, monkeypatch, block):
+    """Every chunk that _write gets from write_json or write_grid_csv holds at most one block:
+    at most BLOCK values, or one row or record where that is more. The widest row holds 20
+    values and an operator record 18, so a chunk of two records exceeds the bound. _write
+    writes each chunk's bytes with one call, and starts before the last chunk exists."""
+    monkeypatch.setattr(serialize, "BLOCK", block)
+    events = _spy_on_writes(monkeypatch)  # the size of each write, and each chunk produced
+    chunks = _spy_on_chunks(monkeypatch, events)
+    rows, wide = np.full((300, 3), 0.1), np.full((2, 20), 0.1)
+
+    def document():
+        return {"n": 3, "rows": rows, "wide": wide, "vec": np.full(5, 0.1),
+                "ops": tensor_records(np.full((3,) * 4, 0.1 + 0.1j)), "after": "x"}
+
+    target = tmp_path / "out"
+    for write, obj, text in ((serialize.write_json, document(), dumps_json(document())),
+                             (serialize.write_grid_csv, rows, _reference_grid_csv(rows)),
+                             (serialize.write_grid_csv, wide, _reference_grid_csv(wide))):
+        events.clear()
+        chunks.clear()
+        write(str(target), obj)
+        assert target.read_bytes() == text.encode("utf-8") and "".join(chunks) == text
+        assert max(chunk.count(TENTH) for chunk in chunks) <= max(block, 20)
+        sizes = [e for e in events if e != "chunk"]
+        assert sizes == [len(chunk.encode("utf-8")) for chunk in chunks]
+        if len(chunks) > 1:
+            assert events.index(sizes[0]) < len(events) - 1 - events[::-1].index("chunk")
+        if obj is rows:
+            assert len(chunks) == math.ceil(len(rows) / max(1, block // 3))
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +333,24 @@ def _support_values(n, seed):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_support_records_match_the_dense_records(monkeypatch, n):
     values, table = _support_values(n, seed=n)
-    grid = serialize.SupportRecords(values.real, values.imag)
     records = _dense_records(table)
     expected = reference_dumps_json({"c": _plain(records), "after": 0.25})
     for block in (1, 5, 64, serialize.BLOCK):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        assert dumps_json({"c": grid, "after": 0.25}) == expected
+        assert dumps_json({"c": serialize.support_records(values.real, values.imag), "after": 0.25}) == expected
 
 
 def test_support_records_stream_one_s_slab_per_block():
     n = 5
     values = np.random.default_rng(1).standard_normal((n, n, 2)) @ [1, 1j]
-    chunks = list(serialize._support_chunks(serialize.SupportRecords(values.real, values.imag)))
+    chunks = list(serialize.support_records(values.real, values.imag))
     assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == n + 2
     for s, chunk in enumerate(chunks[1:-1]):
         records = json.loads("[" + chunk.removeprefix(",") + "]")
         assert len(records) == n**3 and {r["s"] for r in records} == {s}
-    assert dumps_json(serialize.SupportRecords(np.zeros((0, 0)), np.zeros((0, 0)))) == "[]\n"
+    assert dumps_json(serialize.support_records(np.zeros((0, 0)), np.zeros((0, 0)))) == "[]\n"
     with pytest.raises(TypeError):
-        dumps_json(serialize.SupportRecords(np.zeros((2, 2)), np.zeros((2, 3))))
+        dumps_json(serialize.support_records(np.zeros((2, 2)), np.zeros((2, 3))))
 
 
 def test_support_records_stream_at_most_block_records_per_block(monkeypatch):
@@ -310,7 +359,7 @@ def test_support_records_stream_at_most_block_records_per_block(monkeypatch):
     values = np.random.default_rng(1).standard_normal((n, n, 2)) @ [1, 1j]
     for block, per_block in ((1, 1), (2 * n * n + 1, 2)):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        chunks = list(serialize._support_chunks(serialize.SupportRecords(values.real, values.imag)))
+        chunks = list(serialize.support_records(values.real, values.imag))
         assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == n * math.ceil(n / per_block) + 2
         heads = [(s, t) for s in range(n) for t in range(0, n, per_block)]
         for (s, t), chunk in zip(heads, chunks[1:-1]):
@@ -325,10 +374,10 @@ def test_support_records_hold_a_bounded_block():
     records, 8.4 MiB; one s-slab of N^3 records per block traced 16.8 MiB."""
     n = 51
     values = np.random.default_rng(2).standard_normal((n, n, 2)) @ [1, 1j]
-    grid = serialize.SupportRecords(values.real, values.imag)
+    re, im = values.real, values.imag
     tracemalloc.start()
     try:
-        for _ in serialize._support_chunks(grid):
+        for _ in serialize.support_records(re, im):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -356,23 +405,23 @@ def test_operator_records_match_the_record_array(monkeypatch, n):
     ops = _operator_tensor(n, seed=n)
     records = _operator_record_array(ops)
     expected = reference_dumps_json({"o": _plain(records), "after": 0.25})
-    for block in (1, 4 * n * n + 1, 100, serialize.OPERATOR_BLOCK):
-        monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
+    for block in (1, 4 * n * n + 1, 100, serialize.BLOCK):
+        monkeypatch.setattr(serialize, "BLOCK", block)
         assert dumps_json({"o": tensor_records(ops), "after": 0.25}) == expected
     real = ops.real.copy()
     expected = reference_dumps_json(_plain(_operator_record_array(real.astype(complex))))
     assert dumps_json(tensor_records(real)) == expected
 
 
-def test_operator_records_stream_blocks_of_operator_block_pieces(monkeypatch):
+def test_operator_records_stream_blocks_of_block_pieces(monkeypatch):
     """A record is 2 N^2 + 1 pieces: its head, then the 2 N^2 floats, each a text fused
     with the separator after it. A block holds as many whole records as fit in
-    OPERATOR_BLOCK pieces, at least one."""
+    BLOCK pieces, at least one."""
     n = 5
     ops = np.random.default_rng(1).standard_normal((n, n, n, n, 2)) @ [1, 1j]
     for block, per_block in ((1, 1), (2 * n * n + 1, 1), (3 * (2 * n * n + 1) + 2, 3)):
-        monkeypatch.setattr(serialize, "OPERATOR_BLOCK", block)
-        chunks = list(serialize._operator_chunks(tensor_records(ops)))
+        monkeypatch.setattr(serialize, "BLOCK", block)
+        chunks = list(tensor_records(ops))
         assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == math.ceil(n * n / per_block) + 2
         records = [r for chunk in chunks[1:-1] for r in json.loads("[" + chunk.rstrip(",") + "]")]
         assert [(r["q"], r["p"]) for r in records] == [divmod(k, n) for k in range(n * n)]
@@ -380,9 +429,10 @@ def test_operator_records_stream_blocks_of_operator_block_pieces(monkeypatch):
     with pytest.raises(TypeError):
         tensor_records(np.zeros((2, 2, 2, 3), dtype=complex))
     codes = np.zeros((4, 2, 2), dtype=np.intp).__getitem__
-    for values in (np.zeros((2, 2)), np.zeros(3, dtype=np.intp), np.zeros(3, dtype=object)):
+    for values in (np.zeros((2, 2), dtype=complex), np.zeros(3), np.zeros(3, dtype=np.complex64),
+                   np.zeros(3, dtype=np.intp), np.zeros(3, dtype=object)):
         with pytest.raises(TypeError):
-            dumps_json(serialize.OperatorRecords(2, values, codes))
+            dumps_json(serialize.operator_records(2, values, codes))
 
 
 def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
@@ -403,8 +453,8 @@ def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
 def test_operator_text_is_the_tensor_renderers_text(n):
     """The records rendered from the closed form's codes are, byte for byte, those the former
     renderer wrote from the candidate's operator tensor."""
-    records = serialize.OperatorRecords(n, *fano.candidate_operator_codes(n))
-    got, want = "".join(serialize._operator_chunks(records)), operator_text(candidate_operators(n))
+    records = serialize.operator_records(n, *fano.candidate_operator_codes(n))
+    got, want = "".join(records), operator_text(candidate_operators(n))
     # Compared as bytes, so that a failure names the first differing byte instead of diffing megabytes.
     got, want = np.frombuffer(got.encode(), np.uint8), np.frombuffer(want.encode(), np.uint8)
     size = min(len(got), len(want))
@@ -418,7 +468,7 @@ def test_rendering_the_operators_traces_under_a_quarter_of_the_tensor(n):
     16 N^4-byte tensor the operators were rendered from, which alone took 39 MiB at N = 40."""
     tracemalloc.start()
     try:
-        for _ in serialize._operator_chunks(serialize.OperatorRecords(n, *fano.candidate_operator_codes(n))):
+        for _ in serialize.operator_records(n, *fano.candidate_operator_codes(n)):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -430,15 +480,15 @@ def test_operator_value_texts_are_held_once():
     """Each distinct float of the operator values is formatted once and held once with each of its
     endings: rendering the 32,041 values at N = 40 traces 111 bytes a value, under 150, where a text
     with its "," for every value next to a document-wide text cache took 214."""
-    records = serialize.OperatorRecords(40, *fano.candidate_operator_codes(40))
+    values, codes = fano.candidate_operator_codes(40)
     tracemalloc.start()
     try:
-        for _ in serialize._operator_chunks(records):
+        for _ in serialize.operator_records(40, values, codes):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150 * len(records.values)
+    assert peak < 150 * len(values)
 
 
 @pytest.mark.parametrize("a", [
@@ -519,16 +569,44 @@ def _reference_marginal_csv(weights):
     return "\n".join(lines) + "\n"
 
 
-def test_csv_writers_match_the_per_float_join():
-    a = np.array(EDGE_VALUES)
-    rng = np.random.default_rng(5)
-    large = _special_values(serialize._SMALL + 1).reshape(5, -1)
-    for values in (a.reshape(2, 5), a.reshape(5, 2), rng.standard_normal((7, 7)), a.reshape(10, 1), large, large.T):
-        assert serialize.grid_csv(values) == _reference_grid_csv(values)
-    for weights in (a, rng.random(11), list(a), large.ravel()):
-        assert serialize.marginal_csv(weights) == _reference_marginal_csv(weights)
-    assert serialize.grid_csv(a.reshape(2, 5)).startswith("-0,0,nan,inf,-inf\n")
-    assert serialize.marginal_csv(a).splitlines()[1] == "0,-0"
+@pytest.mark.parametrize("block", [1, 2, 7, serialize.BLOCK])
+@pytest.mark.parametrize("size", SIZES)
+def test_csv_writers_match_the_per_float_join(tmp_path, monkeypatch, block, size):
+    """The streamed grid and marginal writers write the whole-text references, at widths 1 and 3,
+    wider than a block, and empty."""
+    monkeypatch.setattr(serialize, "BLOCK", block)
+    path = tmp_path / "out.csv"
+    for a in _special_arrays(size):
+        grids = [a.reshape(-1, 1), np.resize(a, 3 * size).reshape(-1, 3), np.resize(a, (2, block + 1)),
+                 a.reshape(ROWS[size], -1), a.reshape(ROWS[size], -1).T, np.zeros((2, 0))]
+        for values in grids:
+            serialize.write_grid_csv(str(path), values)
+            assert path.read_text() == _reference_grid_csv(values)
+        for weights in (a, list(a), a[::-1]):
+            serialize.write_marginal_csv(str(path), weights)
+            assert path.read_text() == _reference_marginal_csv(weights)
+    # A grid of no rows is an empty file, where the reference's join writes one newline.
+    serialize.write_grid_csv(str(path), np.zeros((0, 3)))
+    assert path.read_text() == ""
+    edge = np.array(EDGE_VALUES)
+    serialize.write_grid_csv(str(path), edge.reshape(2, 5))
+    assert path.read_text().startswith("-0,0,nan,inf,-inf\n")
+    serialize.write_marginal_csv(str(path), edge)
+    assert path.read_text().splitlines()[1] == "0,-0"
+
+
+def test_writing_a_csv_grid_holds_a_bounded_transient(tmp_path):
+    """The traced peak of writing the N = 1001 grid of random floats is about one block of
+    BLOCK values, 3.7 MiB; the whole text, built before it was written, traced 119 MiB."""
+    values = np.random.default_rng(4).standard_normal((1001, 1001))
+    tracemalloc.start()
+    try:
+        serialize.write_grid_csv(str(tmp_path / "grid.csv"), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert (tmp_path / "grid.csv").stat().st_size > 1001 * 1001 * 18
 
 
 def test_wigner_csv_companions_match_the_per_float_join(tmp_path):
@@ -543,7 +621,7 @@ def test_wigner_csv_companions_match_the_per_float_join(tmp_path):
     assert not (tmp_path / "w_imag.csv").exists()
 
 
-def test_write_atomic_failed_replace_leaves_target_and_no_temp(tmp_path, monkeypatch):
+def test_write_failed_replace_leaves_target_and_no_temp(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
     target.write_text("old\n")
 
@@ -552,16 +630,16 @@ def test_write_atomic_failed_replace_leaves_target_and_no_temp(tmp_path, monkeyp
 
     monkeypatch.setattr(serialize.os, "replace", fail)
     with pytest.raises(OSError, match="simulated"):
-        serialize.write_atomic(str(target), "new\n")
+        serialize._write(str(target), ["new\n"])
     assert target.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
 
 
-def test_write_atomic_bounds_the_temp_name_in_bytes(tmp_path):
+def test_write_bounds_the_temp_name_in_bytes(tmp_path):
     """A 252-byte name of 2-byte characters: the temp name is cut by bytes,
     not characters, so it fits in NAME_MAX (255) like the target."""
     name = "\u00e9" * 125 + ".j"
-    serialize.write_atomic(str(tmp_path / name), "new\n")
+    serialize._write(str(tmp_path / name), ["new\n"])
     assert os.listdir(tmp_path) == [name]
     assert (tmp_path / name).read_text() == "new\n"
 
@@ -604,17 +682,16 @@ def _spy_on_writes(monkeypatch):
     return sizes
 
 
-def test_write_atomic_writes_the_utf8_bytes_one_chunk_at_a_time(tmp_path, monkeypatch):
-    """Each write call gets the bytes of at most WRITE_CHUNK characters, and
-    the file holds exactly the UTF-8 encoding of the text."""
-    monkeypatch.setattr(serialize, "WRITE_CHUNK", 3)
+def test_write_writes_the_utf8_bytes_one_chunk_at_a_time(tmp_path, monkeypatch):
+    """Each write call gets the bytes of one chunk, and the file holds
+    exactly the UTF-8 encoding of the chunks' text."""
     sizes = _spy_on_writes(monkeypatch)
     target = tmp_path / "a.json"
-    for text in ("", "ab", "abc", "x\u20acy\U0001f600z\n" * 5):
+    for chunks in ([], [""], ["ab"], ["a", "", "bc"], ["x\u20acy", "\U0001f600z\n"] * 5):
         sizes.clear()
-        serialize.write_atomic(str(target), text)
-        assert target.read_bytes() == text.encode("utf-8")
-        assert len(sizes) == -(-len(text) // 3) and max(sizes, default=0) <= 3 * 4
+        serialize._write(str(target), iter(chunks))
+        assert target.read_bytes() == "".join(chunks).encode("utf-8")
+        assert sizes == [len(chunk.encode("utf-8")) for chunk in chunks]
 
 
 def _umask():
@@ -631,18 +708,18 @@ def _open_mode(directory):
     return mode
 
 
-def test_write_atomic_gives_the_mode_open_would(tmp_path):
-    serialize.write_atomic(str(tmp_path / "a.json"), "x\n")
+def test_write_gives_the_mode_open_would(tmp_path):
+    serialize._write(str(tmp_path / "a.json"), ["x\n"])
     assert (tmp_path / "a.json").stat().st_mode == _open_mode(tmp_path)
 
 
-def test_write_atomic_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+def test_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
     # The umask is process-wide: setting it per write races between threads.
     def forbidden(mask):
-        raise AssertionError("write_atomic changed the process umask")
+        raise AssertionError("_write changed the process umask")
 
     monkeypatch.setattr(serialize.os, "umask", forbidden)
-    serialize.write_atomic(str(tmp_path / "a.json"), "x\n")
+    serialize._write(str(tmp_path / "a.json"), ["x\n"])
     assert (tmp_path / "a.json").read_text() == "x\n"
 
 
@@ -655,7 +732,7 @@ def test_concurrent_writers_leave_one_complete_payload(tmp_path):
     def writer(text):
         try:
             for _ in range(5):
-                serialize.write_atomic(str(target), text)
+                serialize._write(str(target), [text])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import latwig
-from latwig import cli, fano, lattice, operators, serialize, tomography, wigner
+from latwig import cli, fano, lattice, operators, tomography, wigner
 from latwig._record import FrozenInstanceError, record
 
 SRC = Path(latwig.__file__).resolve().parents[1]
@@ -349,7 +349,6 @@ def test_moved_names_stay_importable_from_their_old_modules():
 PACKAGE_RECORDS = [
     lattice.SL2Element,
     fano.FanoCoefficients, fano.CheckResult, fano.ConditionReport,
-    serialize.OperatorRecords, serialize.SupportRecords,
     wigner.WignerGrid, wigner.MarginalDistribution, wigner.LineProjectorReport,
     tomography.MarginalDataset, tomography.ReconstructionResult,
 ]
