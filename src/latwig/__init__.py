@@ -41,7 +41,6 @@ import importlib
 
 # Each re-exported name -> the submodule that defines it.
 _EXPORTS = {
-    "ConditionReport": "fano",
     "FanoCoefficients": "fano",
     "candidate_operator_codes": "fano",
     "check_covariance_group": "fano",

@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 a tolerance violation or an audit outcome that
 contradicts the expected parity dichotomy, 2 usage error (bad arguments,
 an --n above the subcommand's limit (FANO_MAX_N, CHECK_MAX_N,
 WIGNER_MAX_N, MARGINAL_MAX_N, TOMO_MAX_N), an --out that is a directory
-or lies in one that does not exist, or a CSV companion that is a
-directory or whose name exceeds NAME_MAX; rejected before any work is
-done; or an artifact that cannot be written, reported as
+or lies in one that does not exist, a CSV companion that is a directory
+or whose name exceeds NAME_MAX, or an --out or companion that exists and
+is not a regular file (a symlink, a FIFO, a device), which the artifact's
+rename would replace; rejected before any work is done; or an artifact
+that cannot be written, reported as
 ``error: cannot write PATH: REASON``; or standard output that cannot be
 written, such as a pipe whose reader has gone or a full disk, reported as
 ``error: cannot write standard output: REASON`` with the artifact kept,
@@ -33,12 +35,18 @@ imports only the layers its subcommand executes: ``fano`` and ``check``
 load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
 :mod:`~latwig.wigner`, ``tomo`` loads :mod:`~latwig.tomography` and
 ``wigner``, and each loads :mod:`~latwig.serialize` to write its artifact.
+
+This module alone decides each artifact's keys, their order and how the
+layers' results become JSON values (:func:`_check_dict`,
+:func:`_grid_dict`, :func:`_marginal_dict`); the layers return data and
+hold no JSON.
 """
 
 import errno
 import gc
 import math
 import os
+import stat
 import sys
 import types
 
@@ -100,6 +108,10 @@ WIGNER_MAX_N = 1001
 # N = 401 and 78 MiB at N = 601, in 2.4 and 6.7 s (medians of 3 and 5,
 # wait4, 2-CPU VM; both prime, `tomo` refuses composite N).
 TOMO_MAX_N = 601
+
+
+# The convention of every phase the artifacts' complex numbers hold.
+PHASE_CONVENTION = "exp(2*pi*i*x/N)"
 
 
 class CliError(Exception):
@@ -178,7 +190,7 @@ def _fano_document(n):
     return {
         "n": n,
         "candidate": n % 2 == 0,
-        "phase_convention": fano.PHASE_CONVENTION,
+        "phase_convention": PHASE_CONVENTION,
         "coefficients": serialize.support_records(coeffs.values.real, coeffs.values.imag),
         "operators": serialize.operator_records(n, *fano.candidate_operator_codes(n)),
     }
@@ -205,15 +217,16 @@ def cmd_check(args):
 
     n = args.n
     _require_at_most(n, CHECK_MAX_N, "whose O(N^2) audit tables `check` holds")
-    report = fano.full_report(n, tol=args.tolerance)
-    matches = fano.matches_parity_prediction(report)
-    witness = fano.infeasibility_witness(report)
-    doc = {**report.to_json_dict(), "parity": "odd" if n % 2 else "even",
-           "expected": "all_pass" if n % 2 else "infeasible", "matches_prediction": matches,
-           "group_order": sl2_order(n), "lifts_per_element": 1 if n % 2 else 8,
-           "infeasibility_witness": None if witness is None else {"check": witness.name, **witness.to_json_dict()}}
+    checks = fano.full_report(n, tol=args.tolerance)
+    matches = fano.matches_parity_prediction(n, checks)
+    witness = fano.infeasibility_witness(checks)
+    doc = {"n": n, "tolerance": args.tolerance, "phase_convention": PHASE_CONVENTION,
+           "checks": {name: _check_dict(c) for name, c in checks.items()},
+           "parity": "odd" if n % 2 else "even", "expected": "all_pass" if n % 2 else "infeasible",
+           "matches_prediction": matches, "group_order": sl2_order(n), "lifts_per_element": 1 if n % 2 else 8,
+           "infeasibility_witness": None if witness is None else {"check": witness.name, **_check_dict(witness)}}
     serialize.write_json(args.out, doc)
-    for name, c in report.checks.items():
+    for name, c in checks.items():
         print(f"{'PASS' if c.passed else 'FAIL'} {name:30s} max_violation={c.max_violation:.3e}")
     if matches:
         verdict = "all conditions hold" if n % 2 else f"infeasibility witnessed by {witness.name}"
@@ -221,6 +234,22 @@ def cmd_check(args):
         return 0
     print("outcome CONTRADICTS the expected odd/even dichotomy")
     return CONTRADICTION
+
+
+def _check_dict(c):
+    """A check result's object: its verdict, its largest violation and its witness, null on a pass."""
+    return {"pass": c.passed, "max_violation": c.max_violation, "witness": c.witness}
+
+
+def _grid_dict(grid, tol):
+    """A Wigner grid's object, with its imaginary part only where that exceeds tol and else null."""
+    return {"n": grid.n, "re": grid.values.real, "im": grid.values.imag if grid.max_imag() > tol else None}
+
+
+def _marginal_dict(marginal):
+    """A line family's object: the integer lift of its direction, then its line weights."""
+    g = marginal.element
+    return {"kappa": g.kappa, "lambda": g.lam, "mu": g.mu, "nu": g.nu, "weights": marginal.weights}
 
 
 def cmd_wigner(args):
@@ -234,7 +263,7 @@ def cmd_wigner(args):
     marg_q = grid.values.real.sum(axis=1)  # position marginal, sums over p
     marg_p = grid.values.real.sum(axis=0)  # momentum marginal, sums over q
     if args.format == "json":
-        doc = {**grid.to_json_dict(tol=args.tolerance), "state": args.state, "seed": args.seed,
+        doc = {**_grid_dict(grid, args.tolerance), "state": args.state, "seed": args.seed,
                "position_marginal": marg_q, "momentum_marginal": marg_p}
         serialize.write_json(args.out, doc)
     else:
@@ -258,6 +287,15 @@ def _companions(args):
         return []
     stem, ext = os.path.splitext(args.out)
     return [f"{stem}_{tag}{ext}" for tag in ("imag", "marginal_q", "marginal_p")]
+
+
+def _replaced_by_rename(path):
+    """Whether path exists and is not a regular file: a symlink, a FIFO or a
+    device, which renaming the artifact's temp file onto it would replace."""
+    try:
+        return not stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # no such file, or a name the writer reports
+        return False
 
 
 def _name_max(directory):
@@ -285,8 +323,9 @@ def cmd_marginal(args):
     marg = wigner.marginal_along_line(grid, g)
     rep = wigner.line_projector_check(n, g, tol=args.tolerance)
     if args.format == "json":
-        doc = {"n": n, **marg.to_json_dict(), "state": args.state, "seed": args.seed,
-               "projector_check": rep.to_json_dict()}
+        doc = {"n": n, **_marginal_dict(marg), "state": args.state, "seed": args.seed,
+               "projector_check": {"pass": rep.passed, "max_violation": rep.max_violation,
+                                   "eigenvalue_multiplicity": rep.eigenvalue_multiplicity}}
         serialize.write_json(args.out, doc)
     else:
         serialize.write_marginal_csv(args.out, marg.weights)
@@ -300,11 +339,12 @@ def cmd_tomo(args):
     import numpy as np
 
     from . import serialize, tomography
+    from .lattice import is_prime
 
     n = args.n
     # Before the primality test, whose trial division grows as sqrt(N).
     _require_at_most(n, TOMO_MAX_N, "whose N + 1 line families `tomo` simulates and inverts")
-    if n % 2 == 0 or not tomography.is_prime(n):
+    if n % 2 == 0 or not is_prime(n):
         raise CliError(f"tomography requires an odd prime N, got {n}")
     if args.shots < 0:
         raise CliError(f"--shots must be non-negative, got {args.shots}")
@@ -312,20 +352,22 @@ def cmd_tomo(args):
         raise CliError(f"--shots must be at most 2^63 - 1, got {args.shots}")
     rho_true = parse_state("random", n, args.seed)
     dataset = tomography.simulate_marginals(rho_true, shots=args.shots, seed=args.seed)
-    result = tomography.reconstruct_density(dataset, rho_true=rho_true)
+    result = tomography.reconstruct_density(dataset)
+    error = float(np.abs(result.rho - rho_true).max())
     doc = {
         "n": n,
         "shots": args.shots,
         "seed": args.seed,
-        "fidelity_error": result.fidelity_error,
-        "dataset": dataset.to_json_dict(),
-        "wigner": result.wigner.to_json_dict(tol=args.tolerance),
-        "rho_true": serialize.complex_matrix_dict(rho_true),
-        "rho_reconstructed": serialize.complex_matrix_dict(result.rho),
+        "fidelity_error": error,
+        "dataset": {"n": n, "shots": args.shots, "seed": args.seed,
+                    "families": [_marginal_dict(f) for f in dataset.families]},
+        "wigner": _grid_dict(result.wigner, args.tolerance),
+        "rho_true": {"re": rho_true.real, "im": rho_true.imag},
+        "rho_reconstructed": {"re": result.rho.real, "im": result.rho.imag},
     }
     serialize.write_json(args.out, doc)
-    print(f"tomography n={n} shots={args.shots}: fidelity_error={result.fidelity_error:.3e} -> {args.out}")
-    if args.shots == 0 and result.fidelity_error > args.tolerance:
+    print(f"tomography n={n} shots={args.shots}: fidelity_error={error:.3e} -> {args.out}")
+    if args.shots == 0 and error > args.tolerance:
         print("tolerance violation: exact reconstruction did not recover the state", file=sys.stderr)
         return TOLERANCE_FAILURE
     return 0
@@ -440,6 +482,9 @@ def main(argv=None):
             _exit(args.command, f"{path}, written next to --out, is a directory")
         if len(os.fsencode(os.path.basename(path))) > _name_max(os.path.dirname(out)):
             _exit(args.command, f"{path}, written next to --out, has too long a name")
+    for path in (args.out, *_companions(args)):
+        if _replaced_by_rename(path):
+            _exit(args.command, f"{path} exists and is not a regular file")
     try:
         return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:

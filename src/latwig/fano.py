@@ -6,7 +6,7 @@ module builds the closed-form tables, assembles the operators, and audits
 the defining condition families (axis marginals, hermiticity, orthogonality,
 symplectic covariance) plus the line-by-line derivation that forces the
 table uniquely. Audits never raise on mathematical failure; they return
-reports, because failure is the expected outcome for even N.
+check results, because failure is the expected outcome for even N.
 
 Every table the construction admits is zero off the support (n,m) = (t,s),
 so :class:`FanoCoefficients` holds only the N^2 support values a~(s,t;t,s),
@@ -50,9 +50,6 @@ from .operators import (
     _result,
 )
 
-PHASE_CONVENTION = "exp(2*pi*i*x/N)"
-
-
 @record
 class FanoCoefficients:
     """Coefficient table a~(s,t;n,m) on canonical residues [0,N)^4, held as its support.
@@ -68,30 +65,6 @@ class FanoCoefficients:
         if self.values.shape != (self.n, self.n):
             raise ValueError(f"support values of an N = {self.n} table must have shape "
                              f"({self.n}, {self.n}), got {self.values.shape}")
-
-
-@record
-class ConditionReport:
-    """Named check results for one dimension, with the verdict left to callers."""
-
-    n: int
-    tolerance: float
-    checks: dict
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks.values())
-
-    def failed_names(self):
-        return [name for name, c in self.checks.items() if not c.passed]
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "tolerance": self.tolerance,
-            "phase_convention": PHASE_CONVENTION,
-            "checks": {name: c.to_json_dict() for name, c in self.checks.items()},
-        }
 
 
 def _on_support(s, t):
@@ -517,8 +490,9 @@ def full_report(n, tol=DEFAULT_TOL):
 
     For odd N the candidate is the solution and everything is expected to
     pass; for even N at least one of hermiticity, covariance or route
-    consistency is expected to fail. The report records outcomes only;
-    verdicts against that expectation belong to the caller.
+    consistency is expected to fail. Returns the checks by name, in audit
+    order: outcomes only, the verdict against that expectation is
+    :func:`matches_parity_prediction`'s.
     """
     coeffs = coefficients_candidate(n)
     checks = {}
@@ -529,20 +503,20 @@ def full_report(n, tol=DEFAULT_TOL):
     checks["covariance"] = check_covariance_group(coeffs, tol)
     unique_checks, _ = uniqueness_audit(n, tol)
     checks.update(unique_checks)
-    return ConditionReport(n=n, tolerance=tol, checks=checks)
+    return checks
 
 
-def infeasibility_witness(report):
-    """First failed check among the ones that can witness non-existence."""
+def infeasibility_witness(checks):
+    """First failed check, of a dict of checks by name, among the ones that can witness non-existence."""
     for name in INFEASIBILITY_CHECKS:
-        c = report.checks.get(name)
+        c = checks.get(name)
         if c is not None and not c.passed:
             return c
     return None
 
 
-def matches_parity_prediction(report):
-    """True when the audit reproduces the odd/even dichotomy."""
-    if report.n % 2 == 1:
-        return report.passed
-    return infeasibility_witness(report) is not None
+def matches_parity_prediction(n, checks):
+    """True when the audit of dimension n, a dict of checks by name, reproduces the odd/even dichotomy."""
+    if n % 2 == 1:
+        return all(c.passed for c in checks.values())
+    return infeasibility_witness(checks) is not None

@@ -3,7 +3,8 @@
 Integer lifts and determinants use plain Python integers, so they are
 exact; reduction mod N happens only where a residue is wanted. The lines
 of a direction are numpy index arrays (:func:`line_sites`). The order of
-SL(2, Z_N) (:func:`sl2_order`) is a closed form in the primes of N.
+SL(2, Z_N) (:func:`sl2_order`) is a closed form in the primes of N,
+which :func:`is_prime` tells by trial division.
 :func:`first_completions` completes rows to group elements by a closed
 form; the route audit completes only the two rows of its witness. The
 covariance audit needs only :data:`GENERATORS`: S and T generate
@@ -70,12 +71,17 @@ def sl2_complete(kappa, lam):
     return SL2Element(kappa, lam, mu, (1 + mu * lam) // kappa)
 
 
+def is_prime(n):
+    """Whether the integer n is a prime, by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
 def sl2_order(n):
     """|SL(2, Z_N)| = N^3 prod_p (1 - 1/p^2) over the primes p | N, exactly: N completions of each primitive row."""
     check_dim(n)
     order = n**3
     for p in range(2, n + 1):
-        if n % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+        if n % p == 0 and is_prime(p):
             order = order // p**2 * (p**2 - 1)
     return order
 

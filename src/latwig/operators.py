@@ -32,10 +32,6 @@ class CheckResult:
     max_violation: float
     witness: tuple | None = None
 
-    def to_json_dict(self):
-        witness = None if self.witness is None else [int(x) for x in self.witness]
-        return {"pass": self.passed, "max_violation": float(self.max_violation), "witness": witness}
-
 
 def _result(name, residuals, tol, witness_at=lambda *i: i):
     """Build a CheckResult from a residual-magnitude array.

@@ -254,11 +254,6 @@ def write_marginal_csv(path, weights):
     _write(path, ["p0,weight\n" + "".join([f"{k},{text}\n" for k, text in enumerate(_texts(weights))])])
 
 
-def complex_matrix_dict(m):
-    m = np.asarray(m, dtype=complex)
-    return {"re": m.real, "im": m.imag}
-
-
 def _write(path, chunks):
     """Write the texts of chunks to path atomically, in order.
 

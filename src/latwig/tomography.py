@@ -11,20 +11,9 @@ and N is read from the state or the dataset.
 import numpy as np
 
 from ._record import record
-from .lattice import SL2Element, check_dim
+from .lattice import SL2Element, check_dim, is_prime
 from .operators import STATE_STREAM_KEY, square_dim, validate_density_matrix  # noqa: F401 (the key is re-exported)
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def family_rng(seed, family_index):
@@ -48,24 +37,13 @@ class MarginalDataset:
     """Measured (or exact) marginals of every direction family."""
 
     n: int
-    shots: int
-    seed: int
     families: list  # of MarginalDistribution
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "shots": self.shots,
-            "seed": self.seed,
-            "families": [f.to_json_dict() for f in self.families],
-        }
 
 
 @record
 class ReconstructionResult:
     wigner: WignerGrid
     rho: np.ndarray
-    fidelity_error: float | None
 
 
 def simulate_marginals(rho, shots=0, seed=0):
@@ -92,7 +70,7 @@ def simulate_marginals(rho, shots=0, seed=0):
         probs = probs / probs.sum()
         counts = family_rng(seed, k).multinomial(shots, probs)
         families.append(MarginalDistribution(element=g, weights=counts / shots))
-    return MarginalDataset(n=n, shots=shots, seed=seed, families=families)
+    return MarginalDataset(n=n, families=families)
 
 
 def _validate_complete(d):
@@ -132,7 +110,7 @@ def reconstruct_wigner(d):
     return WignerGrid(n, ((acc - 1.0) / n).astype(complex))
 
 
-def reconstruct_density(d, rho_true=None):
+def reconstruct_density(d):
     """Recover the density matrix from a marginal dataset.
 
     The linear inverse is hermitized and trace-renormalized; it is NOT
@@ -142,9 +120,5 @@ def reconstruct_density(d, rho_true=None):
     grid = reconstruct_wigner(d)
     rho = density_from_wigner(grid)
     rho = (rho + rho.conj().T) / 2
-    rho = rho / rho.trace().real
-    err = None
-    if rho_true is not None:
-        err = float(np.abs(rho - np.asarray(rho_true)).max())
-    return ReconstructionResult(wigner=grid, rho=rho, fidelity_error=err)
+    return ReconstructionResult(wigner=grid, rho=rho / rho.trace().real)
 

@@ -50,10 +50,6 @@ class WignerGrid:
     def max_imag(self):
         return float(np.abs(self.values.imag).max())
 
-    def to_json_dict(self, tol=DEFAULT_TOL):
-        im = self.values.imag if self.max_imag() > tol else None
-        return {"n": self.n, "re": self.values.real, "im": im}
-
 
 @record
 class MarginalDistribution:
@@ -61,15 +57,6 @@ class MarginalDistribution:
 
     element: SL2Element
     weights: np.ndarray
-
-    def to_json_dict(self):
-        return {
-            "kappa": self.element.kappa,
-            "lambda": self.element.lam,
-            "mu": self.element.mu,
-            "nu": self.element.nu,
-            "weights": self.weights,
-        }
 
 
 def wigner_from_density(rho):
@@ -232,13 +219,6 @@ class LineProjectorReport:
     @property
     def max_violation(self):
         return self.projector.max_violation
-
-    def to_json_dict(self):
-        return {
-            "pass": self.passed,
-            "max_violation": float(self.max_violation),
-            "eigenvalue_multiplicity": self.eigenvalue_multiplicity,
-        }
 
 
 # Bytes of line sums `line_projector_check` holds at once: a block of whole

@@ -95,7 +95,7 @@ def test_criterion_05_even_dimension_nonexistence():
         assert witness is not None, f"N={n}: no failing check recorded"
         assert witness.name in {"hermiticity", "coeff_hermiticity", "covariance", "route_consistency"}
         assert witness.witness is not None
-        assert (witness.name, witness.to_json_dict()["witness"]) == expected, n
+        assert (witness.name, list(witness.witness)) == expected, n
         witnesses[n] = f"{witness.name}@{witness.witness}"
     _passline(5, f"even N infeasible with named witnesses: {witnesses}")
 
@@ -133,15 +133,15 @@ def test_criterion_08_tomography():
     for n in (3, 5, 7):
         rho = random_density_matrix(n, np.random.default_rng(2000 + n))
         exact = tomography.simulate_marginals(rho, shots=0, seed=11)
-        res = tomography.reconstruct_density(exact, rho_true=rho)
-        assert res.fidelity_error < TOL, (n, res.fidelity_error)
+        error = np.abs(tomography.reconstruct_density(exact).rho - rho).max()
+        assert error < TOL, (n, error)
 
     n = 3
     rho = random_density_matrix(n, np.random.default_rng(42))
     errors = {}
     for shots in (10**4, 10**6):
         ds = tomography.simulate_marginals(rho, shots=shots, seed=11)
-        errors[shots] = tomography.reconstruct_density(ds, rho_true=rho).fidelity_error
+        errors[shots] = np.abs(tomography.reconstruct_density(ds).rho - rho).max()
     assert errors[10**6] < 5e-2
     assert errors[10**6] < errors[10**4]
     _passline(8, f"exact reconstruction exact to {TOL:g}; sampled errors "

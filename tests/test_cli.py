@@ -1,12 +1,13 @@
 import errno
 import json
 import os
+import stat
 import sys
 
 import numpy as np
 import pytest
 
-from latwig import cli, fano, operators, serialize, tomography, wigner
+from latwig import cli, fano, lattice, operators, serialize, wigner
 from latwig.cli import main
 from latwig.serialize import format_float
 from oracles import assemble_dense, reference_parser, sl2_enumerate
@@ -291,6 +292,62 @@ def test_tomo_rejects_even_and_composite(tmp_path):
     assert main(["tomo", "--n", "9", "--out", str(tmp_path / "y.json")]) == 2
 
 
+def _key_paths(obj, path=""):
+    """The key paths of a JSON document in order: ``a.b`` for a key of a nested
+    object, ``a[].b`` for one of a list's first object, ``=null`` after a null."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _key_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        yield from _key_paths(obj[0], path + "[]")
+    else:
+        yield path + "=null" if obj is None else path
+
+
+AUDIT_CHECKS = ("marginal_q", "marginal_p", "coeff_axis_s", "coeff_axis_t", "hermiticity", "coeff_hermiticity",
+                "orthogonality_site", "orthogonality_index", "covariance", "route_consistency",
+                "derived_matches_construction", "derived_hermiticity", "derived_orthogonality")
+FAMILY_KEYS = ("kappa", "lambda", "mu", "nu", "weights")
+
+
+def _check_layout(witnessed):
+    """The key paths of a `check` report whose checks in `witnessed` name a witness."""
+    checks = [f"checks.{name}.{key}" for name in AUDIT_CHECKS
+              for key in ("pass", "max_violation", "witness" if name in witnessed else "witness=null")]
+    head = ["n", "tolerance", "phase_convention", *checks, "parity", "expected", "matches_prediction",
+            "group_order", "lifts_per_element"]
+    if not witnessed:
+        return [*head, "infeasibility_witness=null"]
+    return [*head, *(f"infeasibility_witness.{key}" for key in ("check", "pass", "max_violation", "witness"))]
+
+
+ARTIFACT_LAYOUTS = [
+    (["fano", "--n", "2"], 0, ["n", "candidate", "phase_convention",
+                               *(f"coefficients[].{key}" for key in ("s", "t", "n", "m", "re", "im")),
+                               *(f"operators[].{key}" for key in ("q", "p", "re", "im"))]),
+    (["check", "--n", "2"], 0, _check_layout({"covariance", "route_consistency"})),
+    (["check", "--n", "3"], 0, _check_layout(set())),
+    (["wigner", "--n", "5"], 0, ["n", "re", "im=null", "state", "seed", "position_marginal", "momentum_marginal"]),
+    (["wigner", "--n", "5", "--state", "random", "--tolerance", "0"], 1,
+     ["n", "re", "im", "state", "seed", "position_marginal", "momentum_marginal"]),
+    (["marginal", "--n", "5", "--kappa", "1", "--lambda", "2"], 0,
+     ["n", *FAMILY_KEYS, "state", "seed",
+      *(f"projector_check.{key}" for key in ("pass", "max_violation", "eigenvalue_multiplicity"))]),
+    (["tomo", "--n", "5"], 0,
+     ["n", "shots", "seed", "fidelity_error", "dataset.n", "dataset.shots", "dataset.seed",
+      *(f"dataset.families[].{key}" for key in FAMILY_KEYS), "wigner.n", "wigner.re", "wigner.im=null",
+      "rho_true.re", "rho_true.im", "rho_reconstructed.re", "rho_reconstructed.im"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, paths", ARTIFACT_LAYOUTS,
+                         ids=["fano", "check2", "check3", "wigner", "wigner_im", "marginal", "tomo"])
+def test_each_artifact_keeps_its_key_layout(tmp_path, argv, code, paths):
+    out = tmp_path / "a.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert list(_key_paths(json.loads(out.read_text()))) == paths
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check"])  # missing --n
@@ -465,6 +522,39 @@ def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("kind", ["symlink", "fifo"])
+@pytest.mark.parametrize("argv, name", [
+    (["fano", "--n", "3"], "a.json"),
+    (["check", "--n", "3"], "a.json"),
+    (["wigner", "--n", "3"], "a.json"),
+    (["marginal", "--n", "3", "--kappa", "1", "--lambda", "1"], "a.json"),
+    (["tomo", "--n", "3"], "a.json"),
+    *((["wigner", "--n", "3", "--format", "csv"], f"a_{tag}.json") for tag in ("imag", "marginal_q", "marginal_p")),
+], ids=["fano", "check", "wigner", "marginal", "tomo", "imag", "marginal_q", "marginal_p"])
+def test_an_out_that_is_not_a_regular_file_is_refused_and_left_in_place(tmp_path, monkeypatch, capsys, argv, name,
+                                                                        kind):
+    """Renaming the artifact onto a symlink or a FIFO, --out or a CSV companion,
+    would replace it, as it would replace the symlink /dev/stdout for a run as root."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for module, attr in ((fano, "coefficients_candidate"), (fano, "full_report"), (cli, "parse_state")):
+        monkeypatch.setattr(module, attr, no_work)
+    target, path = tmp_path / "target", tmp_path / name
+    target.write_text("kept\n")
+    if kind == "symlink":
+        path.symlink_to(target)
+    else:
+        os.mkfifo(path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "a.json")])
+    assert exc.value.code == 2
+    assert f"{path} exists and is not a regular file" in capsys.readouterr().err
+    assert path.is_symlink() if kind == "symlink" else stat.S_ISFIFO(os.lstat(path).st_mode)
+    assert target.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "target"])
+
+
 def test_float_serialization_is_17_digit_round_trip_exact(tmp_path):
     out = tmp_path / "f.json"
     main(["fano", "--n", "3", "--out", str(out)])
@@ -571,7 +661,7 @@ def test_size_limits_admit_their_n_and_refuse_larger_before_any_work(tmp_path, m
     def work(*args, **kwargs):
         raise _WorkStarted
 
-    for module, name in ((fano, "coefficients_candidate"), (cli, "parse_state"), (tomography, "is_prime")):
+    for module, name in ((fano, "coefficients_candidate"), (cli, "parse_state"), (lattice, "is_prime")):
         monkeypatch.setattr(module, name, work)
     out = tmp_path / "a.json"
     n = getattr(cli, limit)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from latwig.lattice import (
     SL2Element,
     first_completions,
+    is_prime,
     line_sites,
     sl2_complete,
     sl2_order,
@@ -117,6 +118,17 @@ def test_sl2_order_is_the_product_over_the_primes_of_n(n, order):
     not reach."""
     assert sl2_order(n) == order and type(sl2_order(n)) is int
     assert order == n * len(primitive_rows(n))
+
+
+def test_is_prime_agrees_with_a_sieve():
+    """Up to 10^4, and 0 and 1, which are not primes."""
+    limit = 10**4
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = False
+    assert [n for n in range(limit + 1) if is_prime(n)] == np.flatnonzero(sieve).tolist()
 
 
 @pytest.mark.parametrize("m", range(1, 25))

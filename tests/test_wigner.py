@@ -516,13 +516,3 @@ def test_line_projector_rejects_even_dimensions():
     for n in (2, 4):
         with pytest.raises(ValueError):
             wigner.line_projector_check(n, IDENTITY)
-
-
-def test_grid_json_dict_tracks_imaginary_part():
-    real_grid = wigner.WignerGrid(2, np.array([[0.5, 0.0], [0.25, 0.25]], dtype=complex))
-    doc = real_grid.to_json_dict()
-    assert doc["im"] is None
-    assert doc["re"][0][0] == 0.5
-    complex_grid = wigner.WignerGrid(2, np.array([[0.5, 0.1j], [0.25, 0.15]], dtype=complex))
-    doc = complex_grid.to_json_dict()
-    assert doc["im"][0][1] == pytest.approx(0.1)
