@@ -5,7 +5,7 @@ Library layout:
 - ``lattice``: exact modular arithmetic, first completions of rows mod M,
   lines as index arrays
 - ``operators``: momentum basis, states, exact phase tables,
-  and ``CheckResult``/``_result``, the outcome of an audit, which both
+  and ``CheckResult``/``_scan``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
   table, the candidate's operators as closed-form values and codes),

@@ -380,7 +380,7 @@ def cmd_tomo(args):
 _COMMON = {"--n": (int, None), "--tolerance": (float, DEFAULT_TOL)}
 _STATE = {"--format": (("json", "csv"), "json"), "--state": (str, "mixed"), "--seed": (int, 0)}
 COMMANDS = {
-    "fano": ("write the coefficient table and operators", {**_COMMON, "--out": (str, "fano.json")}),
+    "fano": ("write the coefficient table and operators", {"--n": (int, None), "--out": (str, "fano.json")}),
     "check": ("audit all condition families", {**_COMMON, "--out": (str, "check.json")}),
     "wigner": ("Wigner grid of a state (odd N)", {**_COMMON, "--out": (str, "wigner.json"), **_STATE}),
     "marginal": ("tilted-line marginal of a state (odd N)", {
@@ -472,7 +472,7 @@ def main(argv=None):
     args = parse_args(argv)
     if args.n < 1:
         _exit(args.command, "--n must be a positive integer")
-    if not 0 <= args.tolerance < math.inf:
+    if hasattr(args, "tolerance") and not 0 <= args.tolerance < math.inf:
         _exit(args.command, f"--tolerance must be finite and >= 0, got {args.tolerance}")
     out = os.path.abspath(args.out)
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):

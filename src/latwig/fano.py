@@ -48,6 +48,7 @@ from .operators import (
     _half_omega_table,
     _omega_table,
     _result,
+    _scan,
 )
 
 @record
@@ -309,35 +310,31 @@ def _covariance_scan(values, lifts, tol):
     support only at (n,m) = (a,b) = (mu*s+kappa*t, nu*s+lam*t), the swap of
     A(s,t), and since the determinant is 1, B(a,b) = (t,s): the second
     entry lies on it there too. So the residual is zero except at
-    (s,t,a,b), where it is |v[b,a] - omega^(phi'(a,b)) v[s,t]|, and the
-    witness is (s,t,a,b) at the first failing (s,t) of the first failing
-    lift, as a dense scan would name it, followed by that lift's entries
-    (kappa, lam, mu, nu) as passed in. The lifts are scanned one at a
-    time, so only one lift's index, exponent and phase arrays are held. The
-    product is written in real arithmetic: numpy's complex multiply rounds
-    differently by array layout, and this way the residuals are those of a
-    scalar loop.
+    (s,t,a,b), where it is |v[b,a] - omega^(phi'(a,b)) v[s,t]|. Each lift's
+    residuals over (s,t) are one block of :func:`_scan`, so the witness is
+    (s,t,a,b) at the first failing (s,t) of the first failing lift, as a
+    dense scan would name it, followed by that lift's entries (kappa, lam,
+    mu, nu) as passed in, and only one lift's arrays are held at a time.
+    The product is written in real arithmetic: numpy's complex multiply
+    rounds differently by array layout, and this way the residuals are
+    those of a scalar loop.
     """
     n = values.shape[0]
     s, t = np.indices((n, n)).reshape(2, -1)
     half = _half_omega_table(n)
     rhs = values.ravel()
-    worst, witness = 0.0, None
-    for lift, (k, l, m, v) in zip(lifts, _lift_entries(lifts, n).T):
-        a, b = (m * s + k * t) % n, (v * s + l * t) % n
-        phase = half[_two_phi((k, l, m, v), a, b, n)]
-        lhs = values[b, a]
-        re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
-        im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
-        res = np.hypot(re, im)
-        worst = np.maximum(worst, res.max())  # NaN-propagating, as one max over every lift
-        if witness is None:
-            failing = res > tol
-            first = int(failing.argmax())  # the first True in C order, as a scan meets it
-            if failing[first]:
-                witness = (int(s[first]), int(t[first]), int(a[first]), int(b[first])) + lift.as_tuple()
-        del a, b, phase, lhs, re, im, res  # freed before the next lift's are built
-    return CheckResult("covariance", witness is None, float(worst), witness)
+
+    def blocks():
+        for lift, (k, l, m, v) in zip(lifts, _lift_entries(lifts, n).T):
+            a, b = (m * s + k * t) % n, (v * s + l * t) % n
+            phase = half[_two_phi((k, l, m, v), a, b, n)]
+            lhs = values[b, a]
+            re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
+            im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
+            yield np.hypot(re, im), lambda i: (int(s[i]), int(t[i]), int(a[i]), int(b[i])) + lift.as_tuple()
+            del a, b, phase, lhs, re, im  # freed before the next lift's are built
+
+    return _scan("covariance", blocks(), tol)
 
 
 def check_covariance_group(c, tol=DEFAULT_TOL):
@@ -413,8 +410,8 @@ def _route_consistency(n, tol):
     exactly where s or t is odd, with the spread
     |omega^(c/2) - omega^((c+N)/2)| / N^2.
 
-    ``max_violation`` is the largest spread; a point fails where its spread
-    is above ``tol``. The witness is the first failing point, its lead, the
+    ``max_violation`` is the largest spread; a point fails unless its spread
+    is at most ``tol``. The witness is the first failing point, its lead, the
     first route in code order (rows in lexicographic order, then r), and
     its rival, the first later route whose spread from the lead is above
     ``tol``, each row with its first completion.
@@ -426,12 +423,10 @@ def _route_consistency(n, tol):
     if n % 2 == 0:
         conflict = np.hypot(re[:n] - re[n:], im[:n] - im[n:])  # [c]
         spread = np.where((s | t) % 2 == 1, conflict[-s * t % n], 0.0)
-    failing = spread > tol
-    failing[0, 0] = False  # no route reaches (0, 0)
-    worst = float(spread.max())
-    if not failing.any():
-        return CheckResult("route_consistency", True, worst)
-    point = divmod(int(failing.argmax()), n)
+    check = _result("route_consistency", spread.ravel()[1:], tol, lambda k: divmod(k + 1, n))  # no route reaches (0, 0)
+    if check.passed:
+        return check
+    point = check.witness
     m = n if n % 2 else 2 * n
     rk = np.arange(n)[:, np.newaxis] * np.arange(m) % n
     on_t, on_s = rk == point[1], rk == point[0]  # [r, a]: r*a = t, r*a = s (mod N); r = 0 reaches only (0, 0)
@@ -447,7 +442,7 @@ def _route_consistency(n, tol):
     rival = int((np.hypot(re[x[1:]] - re[x[0]], im[x[1:]] - im[x[0]]) > tol).argmax()) + 1
     pair = np.array([[a[0], b[0]], [a[rival], b[rival]]])
     lifts = np.column_stack([pair, first_completions(pair, m)])  # [lead | rival, entry]
-    return CheckResult("route_consistency", False, worst, point + tuple(lifts.ravel().tolist()))
+    return CheckResult("route_consistency", False, check.max_violation, point + tuple(lifts.ravel().tolist()))
 
 
 def uniqueness_audit(n, tol=DEFAULT_TOL):

@@ -5,9 +5,9 @@ Exponents are kept as exact integers or half-integers and reduced mod N
 (mod 2N in doubled units) before a single complex exponential is taken;
 phases are never accumulated by repeated floating multiplication.
 
-:class:`CheckResult` and :func:`_result` are the outcome of an audit,
-shared by the table audits of :mod:`latwig.fano` and the line checks of
-:mod:`latwig.wigner`, so that neither module imports the other.
+:class:`CheckResult` and :func:`_scan`, the one verdict rule of an audit,
+are shared by the table audits of :mod:`latwig.fano` and the line checks
+of :mod:`latwig.wigner`, so that neither module imports the other.
 """
 
 from functools import lru_cache
@@ -33,21 +33,30 @@ class CheckResult:
     witness: tuple | None = None
 
 
-def _result(name, residuals, tol, witness_at=lambda *i: i):
-    """Build a CheckResult from a residual-magnitude array.
+def _scan(name, blocks, tol):
+    """Fold ``(residuals, witness_at)`` blocks, given in scan order, into a CheckResult.
 
-    The witness is the lexicographically first index whose violation
-    exceeds tolerance, the one a scan in index order meets first, however
-    the residuals were computed. ``witness_at`` maps it to the index of the
-    dense array that ``residuals`` stands for, which a scan of that array
-    would name first.
+    A residual fails unless it is ``<= tol``, so a NaN fails; the max
+    violation is the NaN-propagating max over every block. The witness is
+    ``witness_at`` of the first failing C-order index of the first block
+    that has one, the index a scan of the array the blocks stand for meets
+    first. The fold lets go of each block before it asks for the next.
     """
-    res = np.asarray(residuals)
-    max_violation = float(res.max()) if res.size else 0.0
-    if max_violation <= tol:
-        return CheckResult(name, True, max_violation)
-    first = int((res > tol).argmax())  # the first True in C order, as a scan meets it
-    return CheckResult(name, False, max_violation, witness_at(*(int(i) for i in np.unravel_index(first, res.shape))))
+    maxima, witness = [], None
+    for block, witness_at in blocks:
+        res = np.asarray(block)
+        if res.size:
+            maxima.append(res.max())
+            if witness is None and not maxima[-1] <= tol:
+                first = int((res <= tol).argmin())  # the first False in C order, as a scan meets it
+                witness = witness_at(*(int(i) for i in np.unravel_index(first, res.shape)))
+        del block, res
+    return CheckResult(name, witness is None, float(np.max(maxima)) if maxima else 0.0, witness)
+
+
+def _result(name, residuals, tol, witness_at=lambda *i: i):
+    """:func:`_scan` of the one block ``residuals``."""
+    return _scan(name, [(residuals, witness_at)], tol)
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +92,11 @@ def square_dim(rho):
 
 
 def validate_density_matrix(rho, tol=DEFAULT_TOL):
-    """Raise unless rho is hermitian, unit-trace and PSD to tolerance."""
+    """Raise unless rho is finite, hermitian, unit-trace and PSD to tolerance."""
     rho = np.asarray(rho, dtype=complex)
     square_dim(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has a non-finite entry")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > tol:
         raise ValueError(f"density matrix not hermitian: max deviation {herm:.3e}")

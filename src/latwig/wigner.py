@@ -30,7 +30,7 @@ import numpy as np
 
 from ._record import record
 from .lattice import SL2Element, check_dim, line_sites
-from .operators import DEFAULT_TOL, CheckResult, _omega_table, _result, square_dim
+from .operators import DEFAULT_TOL, CheckResult, _omega_table, _scan, square_dim
 
 
 @record
@@ -259,30 +259,28 @@ def line_projector_check(n, g, tol=DEFAULT_TOL):
 
 
 def _projector_report(n, g, tol, blocks):
-    """The check of :func:`line_projector_check` on line sums given as
-    (first label, m[line, i, j]) blocks of consecutive labels, in label order.
-
-    It keeps the largest residual over the blocks and the first failing
-    block's witness, whose label is offset by the block's start.
+    """The check of :func:`line_projector_check` on line sums given as (first
+    label, m[line, i, j]) blocks of consecutive labels, in label order: each
+    is one block of :func:`_scan`, its witness label offset by its start.
     """
     place, exponents = _direction_powers(g, n)
     period = n // math.gcd(g.kappa % n, n)
     place = place[:, :period]  # the powers k + t*period put row i's nonzero at the same place
     value = np.tile(_omega_table(n) / n, 2)  # omega^x / N at x and x + N
 
-    def check(start, m):
-        lines = len(m)
-        labels = start + np.arange(lines)
-        # [line, i, k]: omega^(k*p0 + E[i, k]) / N, each exponent below 2N.
-        terms = value.take((labels[:, np.newaxis] * np.arange(n) % n)[:, np.newaxis] + exponents)
-        projector = np.zeros((lines, n * n), dtype=complex)
-        projector[:, place] = terms if period == n else terms.reshape(lines, n, -1, period).sum(axis=2)
-        residual = np.abs(np.subtract(m.reshape(lines, n * n), projector, out=projector))
-        return _result("projector", residual.reshape(lines, n, n), tol, lambda b, *i: (start + b, *i))
+    def residuals():
+        for start, m in blocks:
+            lines = len(m)
+            labels = start + np.arange(lines)
+            # [line, i, k]: omega^(k*p0 + E[i, k]) / N, each exponent below 2N.
+            terms = value.take((labels[:, np.newaxis] * np.arange(n) % n)[:, np.newaxis] + exponents)
+            projector = np.zeros((lines, n * n), dtype=complex)
+            projector[:, place] = terms if period == n else terms.reshape(lines, n, -1, period).sum(axis=2)
+            residual = np.abs(np.subtract(m.reshape(lines, n * n), projector, out=projector))
+            yield residual.reshape(lines, n, n), lambda b, *i: (start + b, *i)
+            del terms, projector, residual  # freed before the next block is built
 
-    found = [check(start, m) for start, m in blocks]
-    first = next((r for r in found if not r.passed), found[0])
     return LineProjectorReport(
-        CheckResult(first.name, first.passed, max(r.max_violation for r in found), first.witness),
+        _scan("projector", residuals(), tol),
         eigenvalue_multiplicity=int(_eigenvalue_multiplicities(g, n).max()),
     )

@@ -715,15 +715,16 @@ def reference_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default, with_format=False):
+    def common(p, out_default, with_format=False, with_tolerance=True):
         p.add_argument("--n", type=int, required=True, help="lattice dimension N")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+        if with_tolerance:
+            p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
         p.add_argument("--out", default=out_default, help="output artifact path")
         if with_format:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("fano", help="write the coefficient table and operators")
-    common(p, "fano.json")
+    common(p, "fano.json", with_tolerance=False)
     p = sub.add_parser("check", help="audit all condition families")
     common(p, "check.json")
     p = sub.add_parser("wigner", help="Wigner grid of a state (odd N)")

@@ -401,6 +401,7 @@ PARSE_CORPUS = [
     ["check", "--n"],
     ["check", "--out", "--n", "3"],
     ["fano", "--n", "3", "--out", "--tol"],
+    ["fano", "--n", "3", "--tolerance", "7"],
     ["marginal", "--n", "3", "--lambda", "1", "--kappa", "-x"],
     ["unknown-command"],
     ["--n", "3", "check"],
@@ -724,7 +725,7 @@ def test_shots_beyond_int64_are_a_usage_error(tmp_path, capsys):
         ["wigner", "--n", "3", "--tolerance", "nan"],
         ["tomo", "--n", "3", "--tolerance", "inf"],
         ["marginal", "--n", "3", "--kappa", "1", "--lambda", "1", "--tolerance", "-1"],
-        ["fano", "--n", "2", "--tolerance=-inf"],
+        ["check", "--n", "2", "--tolerance=-inf"],
     ],
 )
 def test_non_finite_or_negative_tolerance_is_a_usage_error(tmp_path, capsys, argv):
@@ -737,7 +738,8 @@ def test_non_finite_or_negative_tolerance_is_a_usage_error(tmp_path, capsys, arg
 
 
 def test_zero_tolerance_is_accepted(tmp_path):
-    assert main(["fano", "--n", "2", "--tolerance", "0", "--out", str(tmp_path / "f.json")]) == 0
+    argv = ["marginal", "--n", "23", "--kappa", "2", "--lambda", "3", "--tolerance", "0"]
+    assert main(argv + ["--out", str(tmp_path / "m.json")]) == 0
 
 
 def test_internal_value_error_exits_three(tmp_path, monkeypatch, capsys):

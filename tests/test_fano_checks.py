@@ -531,3 +531,22 @@ def test_operator_checks_hold_no_n4_array():
         tracemalloc.stop()
     assert peak < 2 * 2**20
 
+
+
+def _with_nan_at(n, s, t):
+    values = fano.coefficients_odd(n).values.copy()
+    values[s, t] = np.nan
+    return FanoCoefficients(n, values)
+
+
+def test_covariance_fails_on_a_nan_support_value():
+    """A NaN residual fails: the max is NaN and the witness is its first (s,t) under S."""
+    check = fano.check_covariance_group(_with_nan_at(5, 2, 3))
+    assert not check.passed and np.isnan(check.max_violation)
+    assert check.witness == (2, 2, 3, 2, 0, 1, -1, 0)
+
+
+def test_coefficient_hermiticity_names_a_nan_support_value():
+    check = fano.check_hermiticity(_with_nan_at(5, 2, 3))["coeff_hermiticity"]
+    assert not check.passed and np.isnan(check.max_violation)
+    assert check.witness == (2, 3, 3, 2)

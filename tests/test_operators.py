@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from latwig.operators import (
     _result,
+    _scan,
     basis_state_density,
     maximally_mixed,
     momentum_state_density,
@@ -130,6 +132,14 @@ def test_validate_density_rejects_bad_inputs():
         validate_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_density_refuses_non_finite_entries(bad):
+    rho = maximally_mixed(3)
+    rho[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density_matrix(rho)
+
+
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (4, 1, 6), (2, 3, 4, 5), (6, 6, 6, 6)])
 def test_result_witness_is_the_first_index_above_tolerance(shape):
     """The witness taken from the flattened mask's argmax is the first row of np.argwhere,
@@ -144,3 +154,32 @@ def test_result_witness_is_the_first_index_above_tolerance(shape):
                 assert check.witness == tuple(failing[0].tolist()), (shape, tol)
             else:
                 assert check.passed and check.witness is None
+
+
+def test_result_names_a_nan_residual_as_the_witness():
+    check = _result("r", np.array([0.0, np.nan, 0.0]), 1e-10)
+    assert not check.passed and np.isnan(check.max_violation) and check.witness == (1,)
+
+
+TOL = 0.25
+RESIDUALS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, TOL, np.nextafter(TOL, 1.0), np.nan, np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.lists(RESIDUALS, max_size=24), st.data())
+def test_scan_over_consecutive_blocks_equals_result_on_the_whole(width, values, data):
+    """Any split of the rows into consecutive blocks, each witness offset by its first row, gives the
+    verdict, max_violation bits and witness of the whole array, and these follow the rule: a residual
+    fails unless it is <= tol, the max propagates NaN, the witness is the first failing index."""
+    res = np.array(values[:len(values) // width * width]).reshape(-1, width)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(res)), max_size=5)))
+    bounds = [0, *cuts, len(res)]
+    blocks = ((res[lo:hi], lambda r, c, lo=lo: (lo + r, c)) for lo, hi in zip(bounds, bounds[1:]))
+    got, whole = _scan("r", blocks, TOL), _result("r", res, TOL)
+    assert (got.passed, got.witness) == (whole.passed, whole.witness)
+    assert np.float64(got.max_violation).tobytes() == np.float64(whole.max_violation).tobytes()
+    failing = np.argwhere(~(res <= TOL))
+    assert whole.witness == (tuple(failing[0].tolist()) if len(failing) else None)
+    assert whole.passed == (whole.witness is None)
+    want = np.nan if np.isnan(res).any() else (res.max() if res.size else 0.0)
+    assert np.float64(whole.max_violation).tobytes() == np.float64(want).tobytes()

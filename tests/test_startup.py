@@ -359,7 +359,8 @@ def test_wigner_does_not_import_fano():
 
 def test_moved_names_stay_importable_from_their_old_modules():
     assert fano.CheckResult is wigner.CheckResult is operators.CheckResult
-    assert fano._result is wigner._result is operators._result
+    assert fano._result is operators._result
+    assert fano._scan is wigner._scan is operators._scan
     assert tomography.STATE_STREAM_KEY is operators.STATE_STREAM_KEY
 
 

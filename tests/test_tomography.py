@@ -52,6 +52,14 @@ def test_exact_position_family_of_basis_state():
     assert_allclose(vertical.weights, [1.0, 0.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulation_refuses_a_non_finite_state(bad):
+    rho = maximally_mixed(3)
+    rho[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        tomography.simulate_marginals(rho)
+
+
 def test_simulation_rejects_even_or_composite_dimensions():
     with pytest.raises(ValueError):
         tomography.simulate_marginals(maximally_mixed(2))

@@ -512,6 +512,16 @@ def test_line_projector_check_names_the_line_of_a_planted_defect():
         assert_same_verdicts(rep, dense)
 
 
+def test_line_projector_report_keeps_a_nan_in_a_later_block():
+    """A NaN in block 3 of 7 fails the check at its line with max_violation NaN, not the other blocks' 0.0."""
+    n, g = 7, sl2_complete(2, 3)
+    stack = line_sum_operators(n, g)
+    stack[3, 0, 0] = np.nan
+    rep = wigner._projector_report(n, g, 1e-10, [(p0, stack[p0:p0 + 1]) for p0 in range(n)])
+    assert not rep.passed and np.isnan(rep.max_violation)
+    assert rep.projector.witness == (3, 0, 0)
+
+
 def test_line_projector_rejects_even_dimensions():
     for n in (2, 4):
         with pytest.raises(ValueError):
