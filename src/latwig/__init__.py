@@ -4,12 +4,14 @@ Library layout:
 
 - ``lattice``: exact modular arithmetic, first completions of rows mod M,
   lines as index arrays
-- ``operators``: momentum basis, states, exact phase tables,
+- ``phases``: the omega^(k/2) table as plain Python floats, the
+  candidate's doubled exponents and its operators' closed-form values,
+  with no numpy: the ``fano`` artifact is rendered from them alone
+- ``operators``: momentum basis, states, the phase tables as numpy arrays,
   and ``CheckResult``/``_scan``, the outcome of an audit, which both
   ``fano`` and ``wigner`` return (``fano`` re-exports them)
 - ``fano``: coefficient tables, phase-point operators (the N x N twist
-  table, the candidate's operators as closed-form values and codes),
-  condition audits
+  table), condition audits
 - ``wigner``: density matrix <-> grid transforms and tilted-line marginals
   on the odd-N closed-form operators
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
@@ -21,15 +23,16 @@ Library layout:
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on
 the whole of it, the operator tensor of any table by slab FFTs, the
-candidate's operator tensor and the records rendered from it, the
-dense operator checks, the Fraction-valued covariance phase, the group
-action on tables, the route scan of every lift class, primitive rows and
-SL(2, Z_M) as residue arrays and the determinant filter, integer lifts
-found by search and their exact product, lines as tuples of sites, the
-invariant label of the line through a site, the per-(s,t) route list,
-the incidence check, the dense einsum transforms, the split-parity
-table, the clock and shift matrices and their monomials) live in
-``tests/oracles.py``, not in the package.
+candidate's operator tensor, its operators as values and codes in numpy,
+the records rendered from them and the whole ``fano`` text, the numpy
+formulas of the phase tables, the dense operator checks, the
+Fraction-valued covariance phase, the group action on tables, the route
+scan of every lift class, primitive rows and SL(2, Z_M) as residue arrays
+and the determinant filter, integer lifts found by search and their
+exact product, lines as tuples of sites, the invariant label of the line
+through a site, the per-(s,t) route list, the incidence check, the dense
+einsum transforms, the split-parity table, the clock and shift matrices
+and their monomials) live in ``tests/oracles.py``, not in the package.
 
 The names in ``__all__`` are re-exported lazily (PEP 562): ``latwig.X``
 imports the submodule that defines X on first access, so ``import
@@ -42,7 +45,6 @@ import importlib
 # Each re-exported name -> the submodule that defines it.
 _EXPORTS = {
     "FanoCoefficients": "fano",
-    "candidate_operator_codes": "fano",
     "check_covariance_group": "fano",
     "check_hermiticity": "fano",
     "check_marginals": "fano",

@@ -31,10 +31,12 @@ library modules below: numpy, :mod:`~latwig.lattice` and
 that in a run they load after :func:`run` has paused the collector, and
 ``--help`` or a usage error loads none of them. :func:`parse_args` reads
 the command line from the table :data:`COMMANDS`, not with argparse. A run
-imports only the layers its subcommand executes: ``fano`` and ``check``
-load :mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
+imports only the layers its subcommand executes: ``check`` loads
+:mod:`~latwig.fano`, ``wigner`` and ``marginal`` load
 :mod:`~latwig.wigner`, ``tomo`` loads :mod:`~latwig.tomography` and
 ``wigner``, and each loads :mod:`~latwig.serialize` to write its artifact.
+``fano`` loads :mod:`~latwig.serialize` and :mod:`~latwig.phases` alone,
+and no numpy: its artifact is rendered from plain-Python phases.
 
 This module alone decides each artifact's keys, their order and how the
 layers' results become JSON values (:func:`_check_dict`,
@@ -90,10 +92,11 @@ CHECK_MAX_N = 501
 # at 601 (medians of 5 runs, peak RSS from wait4, on a 2-CPU VM).
 MARGINAL_MAX_N = 601
 
-# Largest N `fano` accepts. It renders the operators from a few closed-form
-# values and a block of codes at a time, so memory no longer binds: peak RSS
-# 31 MiB at N = 39, 32 MiB at 41, 32 MiB at 49, 39 MiB at 50 and 33 MiB at
-# 51, in 0.40, 0.62, 0.99, 1.25 and 1.27 s (medians of 3, wait4, 2-CPU VM).
+# Largest N `fano` accepts. It renders its artifact from plain-Python phases,
+# with no numpy, and the operators from O(N^3) text strips a block of records
+# at a time, so memory does not bind: peak RSS 16.8 MiB at N = 39, 17.2 MiB
+# at 41, 17.7 MiB at 49, 23.7 MiB at 50 and 18.9 MiB at 51, in 0.29, 0.32,
+# 0.48, 0.67 and 0.58 s (medians of 3, wait4, 2-CPU VM).
 # The artifact's size binds: about 48*N^4 bytes at odd N and 66*N^4 at
 # even N, 325 MB at N = 51 and 430 MB at 50.
 FANO_MAX_N = 51
@@ -166,11 +169,11 @@ def cmd_fano(args):
 
     The coefficients are rendered from the table's N^2 support values
     (:func:`serialize.support_records`), which is all a
-    :class:`fano.FanoCoefficients` holds, and the operators from the few
-    values and the codes of :func:`fano.candidate_operator_codes`
-    (:func:`serialize.operator_records`): each value is formatted once and
-    the records are taken from the texts a block at a time, with no N^4
-    array.
+    :class:`fano.FanoCoefficients` holds, and the operators from one text
+    strip per (i - q, p) (:func:`serialize.operator_records`), both from the
+    plain-Python phases of :mod:`latwig.phases`: each value is formatted
+    once, the records are taken from the texts a block at a time, and no
+    numpy loads.
     """
     from . import serialize
 
@@ -183,16 +186,15 @@ def cmd_fano(args):
 
 
 def _fano_document(n):
-    """The ``fano`` artifact's document: the candidate table and its operators."""
-    from . import fano, serialize
+    """The ``fano`` artifact's document: the candidate table and its operators, rendered with no numpy."""
+    from . import serialize
 
-    coeffs = fano.coefficients_candidate(n)
     return {
         "n": n,
         "candidate": n % 2 == 0,
         "phase_convention": PHASE_CONVENTION,
-        "coefficients": serialize.support_records(coeffs.values.real, coeffs.values.imag),
-        "operators": serialize.operator_records(n, *fano.candidate_operator_codes(n)),
+        "coefficients": serialize.support_records(n),
+        "operators": serialize.operator_records(n),
     }
 
 

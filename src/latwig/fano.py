@@ -17,9 +17,9 @@ fixes the operators through the N x N :func:`twist_table` F:
 D(q,p)[i,j] = omega^(p*(j-i)) F[j-i, j-q]. The operator-level audits are
 O(N^2 log N) formulas on F with the dense witnesses too, so no audit builds
 an N^4 array. :func:`twist_table` takes F of any table by one inverse FFT;
-the candidate's F is a geometric sum in closed form, and
-:func:`candidate_operator_codes` gives the ``fano`` artifact's operators
-from it as a few values and a code per entry. For odd N, F has N nonzeros,
+the candidate's F is a geometric sum in closed form
+(:func:`latwig.phases.operator_values`), from which the ``fano`` artifact's
+operators are rendered with no numpy. For odd N, F has N nonzeros,
 F[k,x] = delta(2x = k mod N) / N: each operator is the phased permutation
 D(q,p)[i,j] = (1/N) delta(i + j = 2q mod N) omega^(p*(j - i)), the closed
 form on which :mod:`latwig.wigner` and :mod:`latwig.tomography` run. For
@@ -50,6 +50,7 @@ from .operators import (
     _result,
     _scan,
 )
+from .phases import candidate_exponent
 
 @record
 class FanoCoefficients:
@@ -82,12 +83,11 @@ def coefficients_candidate(n):
 
     a~(s,t;n,m) = (1/N^2) * omega^(-s*t*(N+1)/2) * delta(m,s) * delta(t,n)
     on canonical s,t. For even N the exponent can be half-integer; it is
-    resolved as omega^x = exp(2*pi*i*x/N) with the doubled exponent reduced
-    mod 2N.
+    resolved as omega^x = exp(2*pi*i*x/N) with the doubled exponent of
+    :func:`~latwig.phases.candidate_exponent`, reduced mod 2N.
     """
     check_dim(n)
-    s, t = np.indices((n, n))
-    return FanoCoefficients(n, _half_omega_table(n)[(-s * t * (n + 1)) % (2 * n)] / n**2)
+    return FanoCoefficients(n, _half_omega_table(n)[candidate_exponent(*np.indices((n, n)), n)] / n**2)
 
 
 def coefficients_odd(n):
@@ -96,60 +96,6 @@ def coefficients_odd(n):
     if n % 2 == 0:
         raise ValueError(f"no solution table exists for even N = {n}; use coefficients_candidate")
     return coefficients_candidate(n)
-
-
-def candidate_operator_codes(n):
-    """The candidate table's operators D(q,p) as a few values and a code per entry.
-
-    D(q,p)[i,j] = omega^(p*k) F[k, x] at k = j - i, x = j - q, where F is
-    the candidate's :func:`twist_table`. With
-    e = (2x - k(N+1)) mod 2N, F[k,x] = (1/N^2) sum_s z^s, z = exp(i*pi*e/N),
-    since the support value a~(s,k;k,s) has the doubled exponent
-    -s*k*(N+1) and omega^(s*x) the doubled exponent 2*s*x. The geometric
-    sum gives three cases:
-
-    - e = 0: z = 1, every term is 1, and F = N/N^2 = 1/N.
-    - e even, e != 0: z != 1 and z^N = exp(i*pi*e) = 1, so the sum
-      (1 - z^N)/(1 - z) is 0.
-    - e odd: z^N = -1, so F = 2/(N^2 (1 - z)), and as
-      1/(1 - exp(i*theta)) = (1 + i*cot(theta/2))/2,
-      F = (1 + i*cot(pi*e/(2N)))/N^2.
-
-    e has the parity of k(N+1), so it is odd only for odd k at even N.
-    Every other row k has e = 0 at exactly one x in [0, N), x = k(N+1)/2
-    mod N, and zeros elsewhere: for odd N, D(q,p) is the displaced parity
-    (1/N) delta(i + j = 2q mod N) omega^(p*(j-i)) (Wootters, Ann. Phys.
-    176, 1 (1987)). An odd row has no zero.
-
-    So with m = p*k mod N entries take few values: code 0 is +0, code
-    1 + m is ``omega^m / N`` and, at even N, code
-    1 + N + (k // 2) N^2 + m N + x is omega^m F[k, x] on the odd row k, in
-    real arithmetic as in :func:`_covariance_scan`, with cot at an angle in
-    (-pi/2, pi/2), where it is accurate. Returns the values and a function
-    from a slice of [0, N^2) to the codes [r, i, j] of D(q,p)[i,j] at
-    r = q*N + p. No FFT runs and no N^4 array is built.
-    """
-    check_dim(n)
-    r = np.arange(n)
-    e = (2 * r - r[:, np.newaxis] * (n + 1)) % (2 * n)  # [k, x]
-    odd = e % 2 == 1
-    turns = np.where(e > n, e - 2 * n, e)[odd.any(axis=1), np.newaxis]  # [k, 1, x], odd rows
-    cot = 1 / np.tan(np.pi * turns / (2 * n))
-    om = _omega_table(n)
-    w = om[:, np.newaxis]  # [m, 1]
-    rows = np.empty((len(turns), n, n), dtype=complex)  # [k, m, x]
-    rows.real = (w.real - w.imag * cot) / n**2
-    rows.imag = (w.imag + w.real * cot) / n**2
-    a = np.where(odd, 1 + n + r[:, np.newaxis] // 2 * n * n + r, e == 0).ravel()
-    b = np.where(odd, n, e == 0).ravel()
-    k = (r - r[:, np.newaxis]) % n  # [i, j] = j - i
-
-    def codes(records):
-        q, p = np.divmod(np.arange(n * n)[records, np.newaxis, np.newaxis], n)
-        at = k * n + (r - q) % n  # [r, i, j]: (k, x) at x = j - q
-        return a.take(at) + b.take(at) * (p * k % n)
-
-    return np.concatenate([[0j], om / n, rows.ravel()]), codes
 
 
 def twist_table(c):

@@ -17,6 +17,7 @@ import numpy as np
 from . import DEFAULT_TOL
 from ._record import record
 from .lattice import check_dim
+from .phases import half_omega
 
 
 @record
@@ -60,19 +61,17 @@ def _result(name, residuals, tol, witness_at=lambda *i: i):
 
 
 @lru_cache(maxsize=None)
-def _omega_table(n):
-    """omega^k for k = 0..N-1, read-only."""
-    table = np.exp(2j * np.pi * np.arange(n) / n)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
 def _half_omega_table(n):
-    """omega^(k/2) for k = 0..2N-1 (doubled-exponent units), read-only."""
-    table = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    """omega^(k/2) for k = 0..2N-1 (doubled-exponent units), read-only: :func:`~latwig.phases.half_omega`."""
+    table = np.empty(2 * n, dtype=complex)
+    table.real, table.imag = half_omega(n)
     table.setflags(write=False)
     return table
+
+
+def _omega_table(n):
+    """omega^k for k = 0..N-1, read-only: every second entry of :func:`_half_omega_table`, a view."""
+    return _half_omega_table(n)[::2]
 
 
 def momentum_vector(p, n):

@@ -16,14 +16,15 @@ the ``fano`` artifact; any other array, of another shape or dtype, raises
 of about ``BLOCK`` values (at least one row) at a time, each row one join
 between its brackets or before its newline.
 
-The ``fano`` artifact's N^4 coefficients, of which only N^2 can be
-nonzero, arrive as those N^2 values, rendered by :func:`support_records`.
-Each record's text is one of N^2 precomputed zero tails or a support
-record's, joined after an (s, t) head, about ``BLOCK`` records of one s per
-block. Its N^2 operators arrive as their few distinct values and a code
-per entry, and :func:`operator_records` takes their records
-``{"q","p","re","im"}`` a block of about ``BLOCK`` pieces at a time from
-the values' texts, with no Python loop per value or record.
+The ``fano`` artifact is rendered from the plain-Python phases of
+:mod:`latwig.phases`, and numpy is imported only where an array is
+rendered, so a ``fano`` run loads none. Its N^4 coefficients, of which
+only N^2 are nonzero, are rendered by :func:`support_records`: each
+record's text is one of N^2 precomputed zero tails or a support record's,
+joined after an (s, t) head, about ``BLOCK`` records of one s per block.
+Its N^2 operators are rendered by :func:`operator_records`, each row a
+slice of one pre-joined text strip per (i - q, p), a block of about
+``BLOCK`` values at a time, with no Python loop per value.
 
 Every float of an array, CSV grids and marginals included, is written by
 :func:`_texts`, the one place ``%.17g`` is applied to array data;
@@ -37,6 +38,7 @@ equal to themselves, would each miss.
 
 import itertools
 import os
+import sys
 import tempfile
 import types
 
@@ -45,7 +47,7 @@ import types
 # package, about 1.8 ms of a run.
 from _json import encode_basestring_ascii as _quote
 
-import numpy as np
+from .phases import candidate_exponent, half_omega, operator_values, twist_exponent
 
 # The umask can only be read by setting it, and it is process-wide; read it
 # once at import, before any writer thread exists, rather than per write.
@@ -58,14 +60,13 @@ os.umask(_UMASK)
 _TEMP_NAME_ROOM = 255 - 2 - 8 - 4
 
 # Values in one block of a 2-D array's text, records in one block of
-# support records and text pieces in one block of operator records. Against
+# support records and values in one block of operator records. Against
 # 1 << 16, it lowers the peak RSS of `wigner --n 1001 --state random` from
-# 134.8 to 126.0 MiB, `tomo --n 601` from 81.1 to 77.6 MiB and `fano --n 51`
-# from 40.2 to 32.6 MiB, in no more time (medians of 3 to 8 runs, wait4,
-# 2-CPU VM); 1 << 13 saves 2 MiB more on `wigner` alone. The `fano --n 17`
-# operator text takes 4.3 ms with it, 4.4 ms with 1 << 13, 4.9 ms with
-# 1 << 12 and 5.4 ms with 1 << 15 or 1 << 16, which also hold more pieces
-# at once (traced 0.65 MiB, 2.5 MiB with 1 << 16).
+# 134.8 to 126.0 MiB and `tomo --n 601` from 81.1 to 77.6 MiB, in no more
+# time (medians of 3 to 8 runs, wait4, 2-CPU VM); 1 << 13 saves 2 MiB more
+# on `wigner` alone. The `fano --n 17` operator text takes the same time
+# with 1 << 13 to 1 << 16 (1 << 12 is slower), and rendering the N = 50
+# operators traces 9.5 MiB with it, 11.9 MiB with 1 << 16.
 BLOCK = 1 << 14
 
 
@@ -79,6 +80,8 @@ def _texts(a):
     Each distinct float64 bit pattern, taken from ``np.unique``, is
     formatted once, and the texts are indexed by the inverse.
     """
+    import numpy as np
+
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).ravel()
     keys, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
@@ -99,6 +102,8 @@ def _rows(a, left, right, sep):
 def _array_chunks(a):
     """The nested lists of a 1-D or 2-D float64 array: a 1-D array is one
     join of its texts, a 2-D array its :func:`_rows` in brackets."""
+    import numpy as np
+
     if a.dtype != np.float64 or a.ndim not in (1, 2):
         raise TypeError(f"cannot serialize an array of dtype {a.dtype} and shape {a.shape}")
     if a.ndim == 1:
@@ -109,96 +114,113 @@ def _array_chunks(a):
     yield "]"
 
 
-def operator_records(n, values, codes):
-    """The N^2 records ``{"q","p","re","im"}`` of N^2 complex N x N matrices, given by codes.
-
-    Records run over (q, p) in C order, and ``codes(rows)[r, i, j]`` indexes
-    the complex128 ``values`` at entry [i, j] of record r of the slice
-    ``rows`` of [0, N^2): the layout of the ``fano`` operators.
-
-    A record is its head ``{"q":Q,"p":P,"re":[[`` and 2 N^2 pieces, its
-    real and then imaginary parts, each a value's text and then ``,``; a
-    row's last piece ends in ``],[`` instead, ``]],"im":[[`` or ``]]},``.
-    Each distinct float pattern of the values is formatted once and held
-    once with each of the four endings, in one table that a block's pieces
-    are taken from by one index array; a block holds as many whole records
-    as fit in ``BLOCK`` pieces, at least one.
-    """
-    if values.dtype != np.complex128 or values.ndim != 1:
-        raise TypeError(f"cannot serialize operator values of dtype {values.dtype} and shape {values.shape}")
-    keys, inverse = np.unique(np.concatenate([values.real, values.imag]).view(np.uint64), return_inverse=True)
-    endings = np.array([",", "],[", ']],"im":[[', "]]},"], dtype=object)
-    heads = [f'{{"q":{q},"p":{p},"re":[[' for q in range(n) for p in range(n)]
-    texts = np.array(_texts(keys.view(np.float64)), dtype=object)
-    table = np.concatenate([(texts[:, np.newaxis] + endings).ravel(),
-                            np.array(heads, dtype=object)])
-    first = 4 * inverse  # the position of each part's text and "," in the table
-    count = n * n
-    ends = np.arange(1, 2 * n + 1) * n  # each row's last piece
-    kinds = np.array(([1] * (n - 1) + [2]) * 2)  # the index in endings of each one's ending
-    kinds[-1] = 3
-    step = max(1, BLOCK // (2 * count + 1))
-    yield "["
-    for start in range(0, count, step):
-        rows = slice(start, min(start + step, count))
-        block_codes = np.reshape(codes(rows), (-1, count))
-        index = np.concatenate([np.arange(rows.start, rows.stop)[:, np.newaxis] + 4 * len(keys),
-                                first[block_codes], first[block_codes + len(values)]], axis=1)
-        index[:, ends] += kinds
-        block = table.take(index)
-        if rows.stop == count:
-            block[-1, -1] = block[-1, -1][:-1]  # no "," after the last record
-        yield "".join(block.ravel().tolist())
-    yield "]"
-
-
-def support_records(re, im):
-    """The N^4 records ``{"s","t","n","m","re","im"}`` of a table over [0, N)^4, given by its support.
+def support_records(n):
+    """The N^4 records ``{"s","t","n","m","re","im"}`` of the candidate table, given by its support.
 
     Records run over (s, t, n, m) in C order, and every one is zero except
-    at (n, m) = (t, s), where it is ``re[s, t]``, ``im[s, t]``: the layout
-    of the ``fano`` coefficients, given by their N^2 support values.
+    at (n, m) = (t, s), where the value is omega^(k/2)/N^2 at the
+    :func:`~latwig.phases.candidate_exponent` k of (s, t), each part of
+    omega^(k/2) times 1/N^2, as numpy divides a complex128 by N^2. Each part
+    of the 2N values is formatted once.
 
     The N^2 zero tails ``"n":a,"m":b,"re":0,"im":0}`` are built once; an
     (s, t) slab joins them after the head ``{"s":S,"t":T,``, with the tail
     at (a, b) = (t, s) swapped for the support record's. A block holds
     max(1, ``BLOCK`` // N^2) slabs of one s.
     """
-    n = len(re)
-    if np.shape(re) != (n, n) or np.shape(im) != (n, n):
-        raise TypeError(f"support values must be two N x N arrays, got {np.shape(re)}, {np.shape(im)}")
+    cos, sin = half_omega(n)
+    scale = 1 / n**2
+    re, im = ["%.17g" % (x * scale) for x in cos], ["%.17g" % (x * scale) for x in sin]
     ints = [str(k) for k in range(n)]
     zero = format_float(0.0)
-    re, im = _texts(re), _texts(im)
     tails = [f'"n":{a},"m":{b},"re":{zero},"im":{zero}}}' for a in ints for b in ints]
-    step = max(1, BLOCK // max(n * n, 1))
+    step = max(1, BLOCK // (n * n))
     yield "["
     for s, start in itertools.product(range(n), range(0, n, step)):
         slabs = [""] if s or start else []  # the "," after the previous block
         for t in range(start, min(start + step, n)):
             head = f'{{"s":{ints[s]},"t":{ints[t]},'
-            k = t * n + s
+            k, e = t * n + s, candidate_exponent(s, t, n)
             zero_tail = tails[k]
-            tails[k] = f'"n":{ints[t]},"m":{ints[s]},"re":{re[s * n + t]},"im":{im[s * n + t]}}}'
+            tails[k] = f'"n":{ints[t]},"m":{ints[s]},"re":{re[e]},"im":{im[e]}}}'
             slabs.append(head + ("," + head).join(tails))
             tails[k] = zero_tail
         yield ",".join(slabs)
     yield "]"
 
 
+def operator_records(n):
+    """The N^2 records ``{"q","p","re","im"}`` of the candidate's operators D(q,p), q and p in C order.
+
+    Entry [i, j] of D(q,p) is the :func:`~latwig.phases.operator_values`
+    value at m = p*k mod N and the :func:`~latwig.phases.twist_exponent` e
+    of F[k, x], k = j - i and x = j - q, or 0 where F vanishes. Row i then
+    depends on (q, p) only through d = i - q and p: with x = k + d, it is the
+    sequence g(k) = omega^(p*k) F[k, k + d], k = 0..N-1, read from k = -i
+    on, cyclically. So each (d, p) has one strip of texts, g's N value
+    texts joined with "," twice over, the real and the imaginary parts
+    apart, and each row of each record is a slice of its strip: N values
+    from the text of g(-i) on, which the strip's offsets locate. Each value
+    is formatted once.
+
+    A record is ``{"q":Q,"p":P,"re":[[R],...],"im":[[I],...]}``, records
+    joined by ","; a block holds as many whole records as fit in ``BLOCK``
+    pieces, each record 2 N^2 values and its head, at least one.
+    """
+    width, zero = 2 * n, format_float(0.0)
+    texts = ([zero] * (n * width), [zero] * (n * width))  # re and im at m * 2N + e
+    for (m, e), value in operator_values(n).items():
+        for part, x in zip(texts, value):
+            part[m * width + e] = "%.17g" % x
+    exponents = [[twist_exponent(k, (k + d) % n, n) for k in range(n)] for d in range(n)]  # [d][k]
+    strips = ([], [])  # re and im: [p][d] the strip of g, its offsets and the length of a row's text
+    for p in range(n):
+        bases = [p * k % n * width for k in range(n)]  # m * 2N at m = p*k mod N
+        for part, part_strips in zip(texts, strips):
+            part_strips.append([_strip([part[base + e] for base, e in zip(bases, row)]) for row in exponents])
+    starts = [-i % n for i in range(n)]  # the k of each row's first entry, at j = 0
+    step = max(1, BLOCK // (2 * n * n + 1))
+    yield "["
+    for start in range(0, n * n, step):
+        records = []
+        for q, p in map(divmod, range(start, min(start + step, n * n)), itertools.repeat(n)):
+            ds = [(i - q) % n for i in range(n)]  # the strip of each row i
+            re, im = [_cut_rows([part_strips[p][d] for d in ds], starts) for part_strips in strips]
+            records.append(f'{{"q":{q},"p":{p},"re":[[{re}]],"im":[[{im}]]}}')
+        yield ("," if start else "") + ",".join(records)
+    yield "]"
+
+
+def _cut_rows(row_strips, starts):
+    """``R0],[R1],[...``: row i cut from its strip from the offset of its text starts[i] on."""
+    return "],[".join([text[at[a]:at[a] + size] for (text, at, size), a in zip(row_strips, starts)])
+
+
+def _strip(period):
+    """The texts of period joined with "," twice over, the offset of each text and the length of
+    N texts joined: a slice of that length from the offset of any of the first N is one cyclic
+    row. The offsets are a 4-byte array, not a list of int objects; ``array`` is imported here,
+    since only ``fano`` renders strips."""
+    import array
+
+    offsets = array.array("I", itertools.accumulate([len(t) + 1 for t in period], initial=0))
+    return ",".join(period + period), offsets, offsets[-1] - 1
+
+
 def _emit(obj, out):
     """Append the JSON text of obj to out: strings, and for each array or
     record generator the generator of its blocks, which the consumer runs
-    in document order."""
+    in document order. A numpy scalar or array is one only if numpy is
+    loaded, so the writer imports no numpy to tell."""
     if obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):  # np.float64 too
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(_quote(obj))
@@ -208,8 +230,6 @@ def _emit(obj, out):
             out.append(("," if i else "") + _quote(str(k)) + ":")
             _emit(v, out)
         out.append("}")
-    elif isinstance(obj, np.ndarray):
-        out.append(_array_chunks(obj))
     elif isinstance(obj, types.GeneratorType):  # JSON text, such as support_records or operator_records
         out.append(obj)
     elif isinstance(obj, (list, tuple)):
@@ -220,7 +240,15 @@ def _emit(obj, out):
             _emit(v, out)
         out.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(obj, np.integer):
+            out.append(str(int(obj)))
+        elif np is not None and isinstance(obj, np.floating):
+            out.append(format_float(obj))
+        elif np is not None and isinstance(obj, np.ndarray):
+            out.append(_array_chunks(obj))
+        else:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _json_chunks(obj):

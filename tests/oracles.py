@@ -5,9 +5,12 @@ independent forms it is checked against: the dense N^4 coefficient table
 of the support values with the position transform and operator assembly
 run on the whole of it, the operator tensor of any table by slab FFTs
 (:func:`assemble`), the candidate's operator tensor scattered in closed
-form, the JSON records of an operator tensor rendered from the tensor,
-the dense operator tensor and the operator-level checks on it (marginal
-sums, hermiticity scan and site Gram product), the joined text of a
+form and its operators as a few values and a code per entry in numpy,
+the JSON records of a dense table and of an operator tensor rendered
+from them and the whole ``fano`` artifact made of the two, the numpy
+formulas of the omega tables, the dense operator tensor and the
+operator-level checks on it (marginal sums, hermiticity scan and site
+Gram product), the joined text of a
 JSON document, the Fraction-valued covariance
 phase, the dense int64 exponent table and the group action on dense
 tables, the covariance scan over every lift class of SL(2, Z_2N), the
@@ -202,20 +205,65 @@ def assemble(c):
     return ops
 
 
+def libm_cot(turns, n):
+    """cot(pi*turns/(2N)) of an int array of turns, by libm's tan, as the ``fano`` artifact takes it.
+
+    numpy's float64 tan may run SIMD code that rounds an angle 1 ulp apart
+    from libm's, depending on the CPU (at N = 46 and 50 on AVX-512), so the
+    references take each tan from ``math.tan``.
+    """
+    angles = np.pi * np.asarray(turns) / (2 * n)
+    return 1 / np.array([math.tan(x) for x in angles.ravel().tolist()]).reshape(angles.shape)
+
+
+def candidate_operator_codes(n):
+    """The candidate table's operators D(q,p) as a few values and a code per entry, in numpy.
+
+    D(q,p)[i,j] = omega^(p*k) F[k, x] at k = j - i, x = j - q, with F in
+    the closed form of ``phases.operator_values``. With m = p*k mod N, code
+    0 is +0, code 1 + m is ``omega^m / N`` and, at even N, code
+    1 + N + (k // 2) N^2 + m N + x is omega^m F[k, x] on the odd row k, in
+    real arithmetic. Returns the values and a function from a slice of
+    [0, N^2) to the codes [r, i, j] of D(q,p)[i,j] at r = q*N + p: the form
+    the ``fano`` operators were rendered from before their text strips.
+    """
+    check_dim(n)
+    r = np.arange(n)
+    e = (2 * r - r[:, np.newaxis] * (n + 1)) % (2 * n)  # [k, x]
+    odd = e % 2 == 1
+    turns = np.where(e > n, e - 2 * n, e)[odd.any(axis=1), np.newaxis]  # [k, 1, x], odd rows
+    cot = libm_cot(turns, n)
+    om = _omega_table(n)
+    w = om[:, np.newaxis]  # [m, 1]
+    rows = np.empty((len(turns), n, n), dtype=complex)  # [k, m, x]
+    rows.real = (w.real - w.imag * cot) / n**2
+    rows.imag = (w.imag + w.real * cot) / n**2
+    a = np.where(odd, 1 + n + r[:, np.newaxis] // 2 * n * n + r, e == 0).ravel()
+    b = np.where(odd, n, e == 0).ravel()
+    k = (r - r[:, np.newaxis]) % n  # [i, j] = j - i
+
+    def codes(records):
+        q, p = np.divmod(np.arange(n * n)[records, np.newaxis, np.newaxis], n)
+        at = k * n + (r - q) % n  # [r, i, j]: (k, x) at x = j - q
+        return a.take(at) + b.take(at) * (p * k % n)
+
+    return np.concatenate([[0j], om / n, rows.ravel()]), codes
+
+
 def candidate_operators(n):
     """The tensor [q, p, i, j] of the candidate table's operators D(q,p), scattered from the twist table.
 
     D(q,p)[i,j] = omega^(p*k) F[k, x] at k = j - i, x = j - q, with F the
     candidate's twist table in the closed form that
-    ``fano.candidate_operator_codes`` proves: 1/N where
+    ``phases.operator_values`` proves: 1/N where
     e = (2x - k(N+1)) mod 2N is 0, 0 at any other even e, and
     (1 + i*cot(pi*e/(2N)))/N^2 at odd e. The tensor starts as ``np.zeros``
     and only the nonzeros are scattered, one diagonal j - i = k at a time,
     so every structural zero is +0.0. A 1/N entry is ``omega^(p*k) / N``
     from the omega table; an odd row's products are written in real
-    arithmetic, with cot taken at an angle in (-pi/2, pi/2): the float
-    expressions of the code table's values, so each entry is its value to
-    the bit. No FFT runs.
+    arithmetic, with cot taken at an angle in (-pi/2, pi/2) from libm's tan
+    (:func:`libm_cot`): the float expressions of the artifact's values, so
+    each entry is its value to the bit. No FFT runs.
     """
     check_dim(n)
     om = _omega_table(n)
@@ -230,7 +278,7 @@ def candidate_operators(n):
             ops[(j - x) % n, :, r, j] = phase / n  # [i, p] at q = j - x
             continue
         turns = np.where(e > n, e - 2 * n, e)  # the same cot, at an angle in (-pi/2, pi/2)
-        cot = (1 / np.tan(np.pi * turns / (2 * n)))[(j - r[:, np.newaxis]) % n]  # [q, i] at x = j - q
+        cot = libm_cot(turns, n)[(j - r[:, np.newaxis]) % n]  # [q, i] at x = j - q
         w, cot = phase[:, np.newaxis], cot[:, np.newaxis]  # [p, 1] and [q, 1, i]
         ops.real[:, :, r, j] = (w.real - w.imag * cot) / n**2
         ops.imag[:, :, r, j] = (w.imag + w.real * cot) / n**2
@@ -280,19 +328,6 @@ def dumps_json(obj):
     return "".join(serialize._json_chunks(obj))
 
 
-def tensor_records(ops):
-    """The ``serialize.operator_records`` of any N^4 operator tensor [q, p, i, j], real or complex.
-
-    Each entry is its own value, as a complex128, and its code its index in
-    the flattened tensor.
-    """
-    n = len(ops)
-    if np.shape(ops) != (n,) * 4:
-        raise TypeError(f"operators must be an N x N x N x N array, got shape {np.shape(ops)}")
-    codes = np.arange(n**4).reshape(n * n, n, n)
-    return serialize.operator_records(n, np.ravel(ops).astype(np.complex128), codes.__getitem__)
-
-
 def operator_text(ops):
     """The JSON text of the records {"q","p","re","im"} of an N^4 operator tensor, rendered from the tensor.
 
@@ -311,6 +346,43 @@ def operator_text(ops):
 
     return "[" + ",".join(f'{{"q":{k // n},"p":{k % n},"re":{nested(re[k])},"im":{nested(im[k])}}}'
                           for k in range(n * n)) + "]"
+
+
+def coefficient_text(table):
+    """The JSON text of the records {"s","t","n","m","re","im"} of every entry of a dense N^4 table, in C order.
+
+    Each float is written ``%.17g``, formatted once per distinct bit pattern.
+    """
+    n = len(table)
+    parts = np.stack([table.real, table.imag]).astype(np.float64).reshape(2, -1)
+    keys, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+    texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    re, im = texts[inverse.reshape(parts.shape)].tolist()
+    heads = [f'{{"s":{s},"t":{t},"n":{a},"m":{b},"re":' for s, t, a, b in product(range(n), repeat=4)]
+    return "[" + ",".join(f'{head}{x},"im":{y}}}' for head, x, y in zip(heads, re, im)) + "]"
+
+
+def candidate_values(n):
+    """The candidate's support values omega^(-st(N+1)/2)/N^2, [s, t], from numpy's exp and the exponent written out."""
+    s, t = np.indices((n, n))
+    return FanoCoefficients(n, half_omega_reference(n)[(-s * t * (n + 1)) % (2 * n)] / n**2)
+
+
+def fano_text(n):
+    """The whole ``fano --n N`` artifact, rendered from the candidate's dense table and operator tensor."""
+    return (f'{{"n":{n},"candidate":{"true" if n % 2 == 0 else "false"},"phase_convention":"exp(2*pi*i*x/N)",'
+            f'"coefficients":{coefficient_text(dense_table(candidate_values(n)))},'
+            f'"operators":{operator_text(candidate_operators(n))}}}\n')
+
+
+def half_omega_reference(n):
+    """omega^(k/2), k = 0..2N-1, by numpy's complex exp, the formula the phase table had in numpy."""
+    return np.exp(1j * np.pi * np.arange(2 * n) / n)
+
+
+def omega_reference(n):
+    """omega^k, k = 0..N-1, by numpy's complex exp, the formula the omega table had in numpy."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def support_values(table):

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from latwig import fano
+from latwig import fano, phases, serialize
 from latwig.fano import FanoCoefficients, _covariance_scan
 from latwig.lattice import GENERATORS, SL2Element, first_completions
 from latwig.operators import DEFAULT_TOL, _half_omega_table
@@ -509,11 +509,12 @@ def test_full_report_has_no_size_bound():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_full_report_builds_no_operator_tensor(n, monkeypatch):
-    """The audit reads the operators from the twist table alone."""
+    """The audit reads the operators from the twist table alone, not from the artifact's closed form."""
     def no_tensor(*args, **kwargs):
         raise AssertionError("full_report built the candidate's operators")
 
-    monkeypatch.setattr(fano, "candidate_operator_codes", no_tensor)
+    monkeypatch.setattr(phases, "operator_values", no_tensor)
+    monkeypatch.setattr(serialize, "operator_records", no_tensor)
     assert fano.matches_parity_prediction(n, fano.full_report(n))
 
 

@@ -11,6 +11,7 @@ from latwig.operators import _half_omega_table, _omega_table
 from oracles import (
     assemble,
     assemble_dense,
+    candidate_operator_codes,
     candidate_operators,
     coefficients_cohendet,
     coefficients_to_position,
@@ -276,8 +277,8 @@ def test_candidate_twist_is_one_plus_i_cot_over_n_squared_on_odd_rows(n):
 
 
 def _expand_codes(n):
-    """The tensor [q, p, i, j] of ``fano.candidate_operator_codes``: each entry's value by its code."""
-    values, codes = fano.candidate_operator_codes(n)
+    """The tensor [q, p, i, j] of ``candidate_operator_codes``: each entry's value by its code."""
+    values, codes = candidate_operator_codes(n)
     return values[codes(slice(0, n * n))].reshape((n,) * 4)
 
 
@@ -292,7 +293,7 @@ def test_operator_codes_expand_to_the_scattered_tensor_to_the_bit(n):
 def test_operator_value_table_size_and_code_slices(n):
     """1 + N values at odd N, each the value of some entry past N = 1, and 1 + N + N^3 / 2 at even
     N; the codes of any slice of records are those of the whole."""
-    values, codes = fano.candidate_operator_codes(n)
+    values, codes = candidate_operator_codes(n)
     assert len(values) == (1 + n if n % 2 else 1 + n + n**3 // 2)
     rows = slice(n * n // 3, n * n // 3 + 5)
     whole = np.concatenate([codes(slice(k, k + n)) for k in range(0, n * n, n)])

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latwig import cli, fano, serialize, wigner
-from oracles import candidate_operators, dense_table, dumps_json, operator_text, tensor_records
+from latwig import cli, serialize, wigner
+from oracles import candidate_operators, candidate_values, dense_table, dumps_json, fano_text, operator_text
 
 # ---------------------------------------------------------------------------
 # Reference emitter: the element-by-element serializer the template path
@@ -92,13 +92,12 @@ def _dense_fano_document(doc):
     The coefficients become the records of every entry of the dense
     candidate table, as the command line built them before it rendered them
     from the table's support, and the operators the records of the record
-    array of their tensor, each entry the value of its code, as it built
-    them before it rendered them from codes.
+    array of the candidate's operator tensor, as it built them before it
+    rendered them from codes and then from text strips.
     """
     n = doc["n"]
-    values, codes = fano.candidate_operator_codes(n)
-    return {**doc, "coefficients": _dense_records(dense_table(fano.coefficients_candidate(n))),
-            "operators": _operator_record_array(values[codes(slice(0, n * n))].reshape((n,) * 4))}
+    return {**doc, "coefficients": _dense_records(dense_table(candidate_values(n))),
+            "operators": _operator_record_array(candidate_operators(n))}
 
 
 CLI_DOCUMENTS = [
@@ -239,10 +238,9 @@ def test_special_floats_match_the_reference_emitter(monkeypatch, block, size):
 
 
 def _block_document(plain=False):
-    """A document of every kind of array; with plain, its operator records are a record array."""
+    """A document of every kind of array and the N = 3 operator records; with plain, those are a record array."""
     rng = np.random.default_rng(2)
-    ops = _operator_tensor(3, seed=3)
-    return {"ops": _operator_record_array(ops) if plain else tensor_records(ops),
+    return {"ops": _operator_record_array(candidate_operators(3)) if plain else serialize.operator_records(3),
             "rows": rng.choice([-0.0, 0.25, np.nan], (11, 2)), "vec": rng.standard_normal(9),
             "grid": rng.standard_normal((4, 3)), "one": np.ones((1, 1)), "empty": np.zeros((2, 0)),
             "list": [np.arange(3.0), {"x": np.zeros((2, 2))}]}
@@ -284,9 +282,10 @@ TENTH = serialize.format_float(0.1)
 @pytest.mark.parametrize("block", [1, 2, 7, serialize.BLOCK])
 def test_write_gets_at_most_one_block_per_chunk(tmp_path, monkeypatch, block):
     """Every chunk that _write gets from write_json or write_grid_csv holds at most one block:
-    at most BLOCK values, or one row or record where that is more. The widest row holds 20
-    values and an operator record 18, so a chunk of two records exceeds the bound. _write
-    writes each chunk's bytes with one call, and starts before the last chunk exists."""
+    at most BLOCK values, or one row where that is more. The widest row holds 20 values. The
+    operator records pass through the same chunks (their blocks are counted by
+    test_operator_records_stream_blocks_of_block_pieces). _write writes each chunk's bytes with
+    one call, and starts before the last chunk exists."""
     monkeypatch.setattr(serialize, "BLOCK", block)
     events = _spy_on_writes(monkeypatch)  # the size of each write, and each chunk produced
     chunks = _spy_on_chunks(monkeypatch, events)
@@ -294,7 +293,7 @@ def test_write_gets_at_most_one_block_per_chunk(tmp_path, monkeypatch, block):
 
     def document():
         return {"n": 3, "rows": rows, "wide": wide, "vec": np.full(5, 0.1),
-                "ops": tensor_records(np.full((3,) * 4, 0.1 + 0.1j)), "after": "x"}
+                "ops": serialize.operator_records(3), "after": "x"}
 
     target = tmp_path / "out"
     for write, obj, text in ((serialize.write_json, document(), dumps_json(document())),
@@ -318,48 +317,30 @@ def test_write_gets_at_most_one_block_per_chunk(tmp_path, monkeypatch, block):
 # table that is zero off (n, m) = (t, s), checked against its dense records.
 
 
-def _support_values(n, seed):
-    """Random N x N support values with -0, NaNs and repeats planted, and the dense table they fill."""
-    rng = np.random.default_rng(seed)
-    values = rng.choice([0.25, -0.0, 0.0, 1 / 3], (n, n)) + 1j * rng.standard_normal((n, n))
-    flat = values.reshape(-1)
-    flat[:3] = [complex(-0.0, np.nan), complex(np.nan, -0.0), complex(5e-324, -np.inf)][:flat.size]
-    s, t = np.indices((n, n))
-    table = np.zeros((n, n, n, n), dtype=complex)
-    table[s, t, t, s] = values
-    return values, table
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_support_records_match_the_dense_records(monkeypatch, n):
-    values, table = _support_values(n, seed=n)
-    records = _dense_records(table)
+    records = _dense_records(dense_table(candidate_values(n)))
     expected = reference_dumps_json({"c": _plain(records), "after": 0.25})
     for block in (1, 5, 64, serialize.BLOCK):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        assert dumps_json({"c": serialize.support_records(values.real, values.imag), "after": 0.25}) == expected
+        assert dumps_json({"c": serialize.support_records(n), "after": 0.25}) == expected
 
 
 def test_support_records_stream_one_s_slab_per_block():
     n = 5
-    values = np.random.default_rng(1).standard_normal((n, n, 2)) @ [1, 1j]
-    chunks = list(serialize.support_records(values.real, values.imag))
+    chunks = list(serialize.support_records(n))
     assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == n + 2
     for s, chunk in enumerate(chunks[1:-1]):
         records = json.loads("[" + chunk.removeprefix(",") + "]")
         assert len(records) == n**3 and {r["s"] for r in records} == {s}
-    assert dumps_json(serialize.support_records(np.zeros((0, 0)), np.zeros((0, 0)))) == "[]\n"
-    with pytest.raises(TypeError):
-        dumps_json(serialize.support_records(np.zeros((2, 2)), np.zeros((2, 3))))
 
 
 def test_support_records_stream_at_most_block_records_per_block(monkeypatch):
     """Below N^3 records in BLOCK, a block holds BLOCK // N^2 (s, t) slabs of one s, at least one."""
     n = 5
-    values = np.random.default_rng(1).standard_normal((n, n, 2)) @ [1, 1j]
     for block, per_block in ((1, 1), (2 * n * n + 1, 2)):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        chunks = list(serialize.support_records(values.real, values.imag))
+        chunks = list(serialize.support_records(n))
         assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == n * math.ceil(n / per_block) + 2
         heads = [(s, t) for s in range(n) for t in range(0, n, per_block)]
         for (s, t), chunk in zip(heads, chunks[1:-1]):
@@ -371,74 +352,50 @@ def test_support_records_stream_at_most_block_records_per_block(monkeypatch):
 
 def test_support_records_hold_a_bounded_block():
     """The traced peak of streaming the N = 51 coefficients is one block of about BLOCK
-    records, 8.4 MiB; one s-slab of N^3 records per block traced 16.8 MiB."""
-    n = 51
-    values = np.random.default_rng(2).standard_normal((n, n, 2)) @ [1, 1j]
-    re, im = values.real, values.imag
+    records, 2.2 MiB; one s-slab of N^3 records per block traced 16.8 MiB."""
     tracemalloc.start()
     try:
-        for _ in serialize.support_records(re, im):
+        for _ in serialize.support_records(51):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
-# Operator records: the fano operators rendered from a value table and a code
-# per entry, checked against the record array the command line built before
+# Operator records: the fano operators rendered from one text strip per
+# (i - q, p), checked against the record array the command line built before
 # and against the renderer that took the complex tensor.
-
-
-def _operator_tensor(n, seed):
-    """A random complex N^4 tensor with -0, NaNs, an infinity and repeats planted."""
-    rng = np.random.default_rng(seed)
-    ops = rng.choice([0.25, -0.0, 0.0, 1 / 3], (n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-    flat = ops.reshape(-1)
-    flat[:3] = [complex(-0.0, np.nan), complex(np.nan, -0.0), complex(5e-324, -np.inf)][:flat.size]
-    return ops
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_operator_records_match_the_record_array(monkeypatch, n):
-    ops = _operator_tensor(n, seed=n)
-    records = _operator_record_array(ops)
+    records = _operator_record_array(candidate_operators(n))
     expected = reference_dumps_json({"o": _plain(records), "after": 0.25})
     for block in (1, 4 * n * n + 1, 100, serialize.BLOCK):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        assert dumps_json({"o": tensor_records(ops), "after": 0.25}) == expected
-    real = ops.real.copy()
-    expected = reference_dumps_json(_plain(_operator_record_array(real.astype(complex))))
-    assert dumps_json(tensor_records(real)) == expected
+        assert dumps_json({"o": serialize.operator_records(n), "after": 0.25}) == expected
 
 
 def test_operator_records_stream_blocks_of_block_pieces(monkeypatch):
-    """A record is 2 N^2 + 1 pieces: its head, then the 2 N^2 floats, each a text fused
-    with the separator after it. A block holds as many whole records as fit in
-    BLOCK pieces, at least one."""
+    """A record is 2 N^2 + 1 pieces: its head and its 2 N^2 floats. A block holds as many
+    whole records as fit in BLOCK pieces, at least one."""
     n = 5
-    ops = np.random.default_rng(1).standard_normal((n, n, n, n, 2)) @ [1, 1j]
     for block, per_block in ((1, 1), (2 * n * n + 1, 1), (3 * (2 * n * n + 1) + 2, 3)):
         monkeypatch.setattr(serialize, "BLOCK", block)
-        chunks = list(tensor_records(ops))
+        chunks = list(serialize.operator_records(n))
         assert chunks[0] == "[" and chunks[-1] == "]" and len(chunks) == math.ceil(n * n / per_block) + 2
-        records = [r for chunk in chunks[1:-1] for r in json.loads("[" + chunk.rstrip(",") + "]")]
+        blocks = [json.loads("[" + chunk.removeprefix(",") + "]") for chunk in chunks[1:-1]]
+        assert [len(records) for records in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        records = [r for records in blocks for r in records]
         assert [(r["q"], r["p"]) for r in records] == [divmod(k, n) for k in range(n * n)]
-    assert dumps_json(tensor_records(np.zeros((0, 0, 0, 0), dtype=complex))) == "[]\n"
-    with pytest.raises(TypeError):
-        tensor_records(np.zeros((2, 2, 2, 3), dtype=complex))
-    codes = np.zeros((4, 2, 2), dtype=np.intp).__getitem__
-    for values in (np.zeros((2, 2), dtype=complex), np.zeros(3), np.zeros(3, dtype=np.complex64),
-                   np.zeros(3, dtype=np.intp), np.zeros(3, dtype=object)):
-        with pytest.raises(TypeError):
-            dumps_json(serialize.operator_records(2, values, codes))
 
 
 def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
-    """The traced peak of writing the N = 21 artifact does not grow with N^4. It is one block
-    of records, 1.2 MiB; the operators are held as their 22 distinct values and codes, not
-    as a 3 MiB tensor, and no text outlives the array or block it was formatted for."""
+    """The traced peak of writing the N = 21 artifact does not grow with N^4: it is the
+    operators' O(N^3) text strips and one block of records, 1.2 MiB in all, and no text
+    outlives the array or block it was formatted for."""
     doc = cli._fano_document(21)
     tracemalloc.start()
     try:
@@ -449,46 +406,44 @@ def test_writing_the_fano_document_holds_a_bounded_transient(tmp_path):
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("n", range(1, 41))
-def test_operator_text_is_the_tensor_renderers_text(n):
-    """The records rendered from the closed form's codes are, byte for byte, those the former
-    renderer wrote from the candidate's operator tensor."""
-    records = serialize.operator_records(n, *fano.candidate_operator_codes(n))
-    got, want = "".join(records), operator_text(candidate_operators(n))
-    # Compared as bytes, so that a failure names the first differing byte instead of diffing megabytes.
+def _assert_same_text(got, want):
+    """Compared as bytes, so that a failure names the first differing byte instead of diffing megabytes."""
     got, want = np.frombuffer(got.encode(), np.uint8), np.frombuffer(want.encode(), np.uint8)
     size = min(len(got), len(want))
     first = int(np.argmax(got[:size] != want[:size])) if (got[:size] != want[:size]).any() else size
     assert first == len(got) == len(want), (first, len(got), len(want), got[first:first + 60].tobytes())
 
 
-@pytest.mark.parametrize("n", [40, 41])
-def test_rendering_the_operators_traces_under_a_quarter_of_the_tensor(n):
-    """Building the codes and rendering every block traces under 4 N^4 bytes: a quarter of the
-    16 N^4-byte tensor the operators were rendered from, which alone took 39 MiB at N = 40."""
+@pytest.mark.parametrize("n", range(1, 41))
+def test_operator_text_is_the_tensor_renderers_text(n):
+    """The records rendered from the text strips are, byte for byte, those the former
+    renderer wrote from the candidate's operator tensor."""
+    _assert_same_text("".join(serialize.operator_records(n)), operator_text(candidate_operators(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 24))
+def test_fano_artifact_is_the_dense_oracles_text(tmp_path, n):
+    """The whole `fano` artifact, written from plain-Python phases, is the text rendered from the
+    candidate's dense N^4 table and its scattered operator tensor."""
+    out = tmp_path / "fano.json"
+    assert cli.main(["fano", "--n", str(n), "--out", str(out)]) == 0
+    _assert_same_text(out.read_text(), fano_text(n))
+
+
+@pytest.mark.parametrize("n", [40, 41, 50, 51])
+def test_rendering_the_operators_traces_o_n3_text(n):
+    """Building the strips and rendering every block traces under 96 N^3 bytes, under a quarter
+    of the 16 N^4-byte tensor the operators were once rendered from (39 MiB at N = 40). The
+    strips hold 2 N^2 doubled rows of texts: about 80 N^3 bytes at even N, where half the
+    texts are floats, and 26 at odd N, where a row holds one."""
     tracemalloc.start()
     try:
-        for _ in serialize.operator_records(n, *fano.candidate_operator_codes(n)):
+        for _ in serialize.operator_records(n):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * n**4
-
-
-def test_operator_value_texts_are_held_once():
-    """Each distinct float of the operator values is formatted once and held once with each of its
-    endings: rendering the 32,041 values at N = 40 traces 111 bytes a value, under 150, where a text
-    with its "," for every value next to a document-wide text cache took 214."""
-    values, codes = fano.candidate_operator_codes(40)
-    tracemalloc.start()
-    try:
-        for _ in serialize.operator_records(40, values, codes):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 150 * len(values)
+    assert peak < 96 * n**3 < 4 * n**4
 
 
 @pytest.mark.parametrize("a", [

@@ -124,17 +124,23 @@ def test_artifact_does_not_depend_on_the_default_thread_count(tmp_path):
     assert texts[0] == texts[1]
 
 
-# The latwig modules every subcommand loads: the package, the record
-# helper, lattice and operators (which every layer imports) and the writer.
-# `python -m latwig.cli` runs cli as __main__, so latwig.cli is not among them.
-COMMON_MODULES = {"latwig", "latwig._record", "latwig.lattice", "latwig.operators", "latwig.serialize"}
+# The latwig modules a run writes its artifact with: the package, the
+# writer and the plain-Python phases it renders `fano` from. `python -m
+# latwig.cli` runs cli as __main__, so latwig.cli is not among them.
+WRITER_MODULES = {"latwig", "latwig.phases", "latwig.serialize"}
 
+# The modules every subcommand that computes in numpy loads besides: the
+# record helper, lattice and operators, which every numpy layer imports.
+NUMPY_MODULES = WRITER_MODULES | {"latwig._record", "latwig.lattice", "latwig.operators"}
+
+# Each subcommand's exact module set, and whether it loads numpy. `fano`
+# renders its artifact from the phases alone.
 SUBCOMMAND_MODULES = [
-    (["fano", "--n", "3"], {"latwig.fano"}),
-    (["check", "--n", "3"], {"latwig.fano"}),
-    (["wigner", "--n", "5"], {"latwig.wigner"}),
-    (["marginal", "--n", "5", "--kappa", "1", "--lambda", "2"], {"latwig.wigner"}),
-    (["tomo", "--n", "5"], {"latwig.wigner", "latwig.tomography"}),
+    (["fano", "--n", "3"], WRITER_MODULES, False),
+    (["check", "--n", "3"], NUMPY_MODULES | {"latwig.fano"}, True),
+    (["wigner", "--n", "5"], NUMPY_MODULES | {"latwig.wigner"}, True),
+    (["marginal", "--n", "5", "--kappa", "1", "--lambda", "2"], NUMPY_MODULES | {"latwig.wigner"}, True),
+    (["tomo", "--n", "5"], NUMPY_MODULES | {"latwig.wigner", "latwig.tomography"}, True),
 ]
 
 # The entry point ends the process with os._exit, which would end this child
@@ -191,16 +197,17 @@ def numpy_loads_dataclasses():
     return run_python("import sys, numpy; print('dataclasses' in sys.modules)").split() == ["True"]
 
 
-@pytest.mark.parametrize("argv, layers", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
-def test_each_subcommand_loads_only_its_layers(tmp_path, bytecode, numpy_loads_dataclasses, argv, layers):
+@pytest.mark.parametrize("argv, modules, numpy", SUBCOMMAND_MODULES, ids=[argv[0] for argv, *_ in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_its_layers(tmp_path, bytecode, numpy_loads_dataclasses, argv, modules, numpy):
     done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--out", str(tmp_path / "a.json")],
                           env=child_env(PYTHONPYCACHEPREFIX=bytecode), capture_output=True, text=True, timeout=120,
                           check=False)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["exits"] == [0]
-    assert set(report["modules"]) == COMMON_MODULES | layers
-    assert report["dataclasses"] == numpy_loads_dataclasses
+    assert set(report["modules"]) == modules
+    assert report["numpy"] is numpy
+    assert report["dataclasses"] == (numpy and numpy_loads_dataclasses)
     assert report["collections"] == []
     assert report["unwanted"] == []
 
@@ -215,16 +222,6 @@ def test_help_and_usage_errors_load_no_layer_and_no_numpy(argv, code):
     assert report["modules"] == ["latwig"]
     assert not report["numpy"]
     assert report["unwanted"] == []
-
-
-def test_fano_loads_no_fft(tmp_path):
-    """`fano` writes its operators in closed form: numpy.fft is loaded only where a bare
-    `import numpy` loads it (numpy 1.x), never by the run."""
-    bare = run_python("import sys, numpy; print('numpy.fft' in sys.modules)").split()
-    run = run_python("import sys\nfrom latwig import cli\n"
-                     f"assert cli.main(['fano', '--n', '5', '--out', {str(tmp_path / 'f.json')!r}]) == 0\n"
-                     "print('numpy.fft' in sys.modules)").split()
-    assert run[-1] == bare[-1]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
