@@ -17,8 +17,12 @@ Library layout:
 - ``tomography``: prime-N marginal simulation and Radon-style inversion
 - ``cli``: the ``latwig`` command, which imports only the layers its
   subcommand runs
-- ``_record``: the ``record`` decorator that gives the package's record
-  classes their constructor, equality, repr and hash without generated code
+
+The records the layers pass between them (``SL2Element``, ``CheckResult``,
+``FanoCoefficients``, the ``wigner`` grid, marginal and projector report,
+and the ``tomography`` dataset and result) are ``collections.namedtuple``
+subclasses: immutable tuples of their fields, which compare, hash and
+unpack as those tuples.
 
 The exact and plain-loop references the tests check these against (the
 dense N^4 table with the position transform and operator assembly run on

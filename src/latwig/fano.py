@@ -38,9 +38,10 @@ two exponent classes meet exactly where s or t is odd, for even N. The
 derived table takes one canonical route per point by the same formula.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
-from ._record import record
 from .lattice import GENERATORS, check_dim, first_completions
 from .operators import (
     DEFAULT_TOL,
@@ -52,21 +53,23 @@ from .operators import (
 )
 from .phases import candidate_exponent
 
-@record
-class FanoCoefficients:
+
+class FanoCoefficients(namedtuple("FanoCoefficients", "n values")):
     """Coefficient table a~(s,t;n,m) on canonical residues [0,N)^4, held as its support.
 
-    values[s, t] = a~(s,t;t,s); every entry with (n,m) != (t,s) is zero.
+    values[s, t] = a~(s,t;t,s), complex, of shape (n, n); every entry with
+    (n,m) != (t,s) is zero.
     """
 
-    n: int
-    values: np.ndarray  # complex, shape (n, n), indexed [s, t]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_dim(self.n)
-        if self.values.shape != (self.n, self.n):
-            raise ValueError(f"support values of an N = {self.n} table must have shape "
-                             f"({self.n}, {self.n}), got {self.values.shape}")
+    def __new__(cls, n, values):
+        check_dim(n)
+        if values.shape != (n, n):
+            raise ValueError(f"support values of an N = {n} table must have shape ({n}, {n}), got {values.shape}")
+        return super().__new__(cls, n, values)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the shape too
 
 
 def _on_support(s, t):
@@ -243,7 +246,7 @@ def _lift_entries(lifts, n):
     The reduction keeps every index map mod N and every :func:`_two_phi`
     exponent, and bounds every product of the covariance scan.
     """
-    return np.array([x % (2 * n) for g in lifts for x in g.as_tuple()], dtype=np.int64).reshape(-1, 4).T
+    return np.array([x % (2 * n) for g in lifts for x in g], dtype=np.int64).reshape(-1, 4).T
 
 
 def _covariance_scan(values, lifts, tol):
@@ -277,7 +280,7 @@ def _covariance_scan(values, lifts, tol):
             lhs = values[b, a]
             re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
             im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
-            yield np.hypot(re, im), lambda i: (int(s[i]), int(t[i]), int(a[i]), int(b[i])) + lift.as_tuple()
+            yield np.hypot(re, im), lambda i: (int(s[i]), int(t[i]), int(a[i]), int(b[i])) + lift
             del a, b, phase, lhs, re, im  # freed before the next lift's are built
 
     return _scan("covariance", blocks(), tol)

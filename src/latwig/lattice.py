@@ -12,10 +12,9 @@ SL(2, Z), which maps onto every SL(2, Z_M).
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
-
-from ._record import record
 
 
 def check_dim(n):
@@ -25,31 +24,28 @@ def check_dim(n):
     return n
 
 
-@record
-class SL2Element:
+class SL2Element(namedtuple("SL2Element", "kappa lam mu nu")):
     """Integer lift of an SL(2, Z_N) element, with exact determinant 1.
 
     The entries are plain integers, not residues: kappa*nu - mu*lam == 1
     holds over Z, not merely mod N. Residue classes are recovered with
-    :meth:`residues`.
+    :meth:`residues`. The element is the tuple (kappa, lam, mu, nu).
     """
 
-    kappa: int
-    lam: int
-    mu: int
-    nu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        det = self.kappa * self.nu - self.mu * self.lam
+    def __new__(cls, kappa, lam, mu, nu):
+        self = super().__new__(cls, kappa, lam, mu, nu)
+        det = kappa * nu - mu * lam
         if det != 1:
             raise ValueError(f"determinant must be exactly 1, got {det} for {self}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the determinant too
 
     def residues(self, n):
         check_dim(n)
         return (self.kappa % n, self.lam % n, self.mu % n, self.nu % n)
-
-    def as_tuple(self):
-        return (self.kappa, self.lam, self.mu, self.nu)
 
 
 # S and T, which generate SL(2, Z); their residues generate SL(2, Z_M) for every M.

@@ -10,28 +10,25 @@ are shared by the table audits of :mod:`latwig.fano` and the line checks
 of :mod:`latwig.wigner`, so that neither module imports the other.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from . import DEFAULT_TOL
-from ._record import record
 from .lattice import check_dim
 from .phases import half_omega
 
 
-@record
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name passed max_violation witness", defaults=(None,))):
     """Outcome of one audited condition; max violation kept even on pass.
 
-    The witness is the failing index, followed by the entries of the lift
-    or lifts it failed under where the check runs over group elements.
+    The witness, None on a pass, is the failing index, followed by the
+    entries of the lift or lifts it failed under where the check runs over
+    group elements.
     """
 
-    name: str
-    passed: bool
-    max_violation: float
-    witness: tuple | None = None
+    __slots__ = ()
 
 
 def _scan(name, blocks, tol):

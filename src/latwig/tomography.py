@@ -8,9 +8,10 @@ The grids are those of the closed-form operators of :mod:`latwig.wigner`,
 and N is read from the state or the dataset.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
-from ._record import record
 from .lattice import SL2Element, check_dim, is_prime
 from .operators import STATE_STREAM_KEY, square_dim, validate_density_matrix  # noqa: F401 (the key is re-exported)
 from .wigner import MarginalDistribution, WignerGrid, density_from_wigner, marginal_along_line, wigner_from_density
@@ -32,18 +33,16 @@ def mub_line_families(n):
     return families
 
 
-@record
-class MarginalDataset:
-    """Measured (or exact) marginals of every direction family."""
+class MarginalDataset(namedtuple("MarginalDataset", "n families")):
+    """Measured (or exact) marginals of every direction family, a list of MarginalDistribution."""
 
-    n: int
-    families: list  # of MarginalDistribution
+    __slots__ = ()
 
 
-@record
-class ReconstructionResult:
-    wigner: WignerGrid
-    rho: np.ndarray
+class ReconstructionResult(namedtuple("ReconstructionResult", "wigner rho")):
+    """A reconstructed WignerGrid and the density matrix rho it inverts to."""
+
+    __slots__ = ()
 
 
 def simulate_marginals(rho, shots=0, seed=0):
@@ -53,8 +52,11 @@ def simulate_marginals(rho, shots=0, seed=0):
     dataset is reproducible regardless of evaluation order. rho must be a
     density matrix (hermitian, unit trace, PSD): the marginals of anything
     else are not probability distributions, and sampling them would clip
-    and renormalise silently.
+    and renormalise silently. shots must be a non-negative integer: a
+    fractional count would be truncated by the draw but not by the division.
     """
+    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 0:
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
     n = square_dim(np.asarray(rho))
     if n % 2 == 0 or not is_prime(n):
         raise ValueError(f"tomography requires an odd prime N, got {n}")
@@ -74,10 +76,11 @@ def simulate_marginals(rho, shots=0, seed=0):
 
 
 def _validate_complete(d):
-    """Each of the N + 1 direction families exactly once, each with N weights.
+    """Each of the N + 1 direction families exactly once, each with N finite weights.
 
     A repeated family would be counted twice in every line sum through its
-    lines, and weights beyond the N line labels would be ignored silently.
+    lines, weights beyond the N line labels would be ignored silently, and
+    one non-finite weight would turn all of rho into NaN.
     """
     directions = [(f.element.kappa % d.n, f.element.lam % d.n) for f in d.families]
     expected = {(1, lam) for lam in range(d.n)} | {(0, 1)}
@@ -85,8 +88,10 @@ def _validate_complete(d):
         raise ValueError("dataset must hold each of the N + 1 direction families exactly once")
     for f in d.families:
         if np.shape(f.weights) != (d.n,):
-            raise ValueError(f"family {f.element.as_tuple()} has weights of shape "
+            raise ValueError(f"family {tuple(f.element)} has weights of shape "
                              f"{np.shape(f.weights)}, expected ({d.n},)")
+        if not np.isfinite(f.weights).all():
+            raise ValueError(f"family {tuple(f.element)} has a non-finite weight")
 
 
 def reconstruct_wigner(d):

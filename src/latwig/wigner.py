@@ -25,24 +25,25 @@ silently truncated.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from ._record import record
-from .lattice import SL2Element, check_dim, line_sites
-from .operators import DEFAULT_TOL, CheckResult, _omega_table, _scan, square_dim
+from .lattice import check_dim, line_sites
+from .operators import DEFAULT_TOL, CheckResult, _omega_table, _scan, square_dim  # noqa: F401 (re-exported)
 
 
-@record
-class WignerGrid:
+class WignerGrid(namedtuple("WignerGrid", "n values")):
     """Quasi-probability values on the N x N lattice, indexed [q, p]."""
 
-    n: int
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if np.shape(self.values) != (self.n, self.n):
-            raise ValueError(f"WignerGrid values must have shape {(self.n, self.n)}, got {np.shape(self.values)}")
+    def __new__(cls, n, values):
+        if np.shape(values) != (n, n):
+            raise ValueError(f"WignerGrid values must have shape {(n, n)}, got {np.shape(values)}")
+        return super().__new__(cls, n, values)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the shape too
 
     def total(self):
         return complex(self.values.sum())
@@ -51,12 +52,10 @@ class WignerGrid:
         return float(np.abs(self.values.imag).max())
 
 
-@record
-class MarginalDistribution:
-    """Line-sum weights of one direction, indexed by the line label p0."""
+class MarginalDistribution(namedtuple("MarginalDistribution", "element weights")):
+    """Line-sum weights of the direction ``element``, an SL2Element, indexed by the line label p0."""
 
-    element: SL2Element
-    weights: np.ndarray
+    __slots__ = ()
 
 
 def wigner_from_density(rho):
@@ -201,16 +200,15 @@ def _eigenvalue_multiplicities(g, n):
     return ((-labels * (n // d) - cycle_sums) % n == 0).sum(axis=1)
 
 
-@record
-class LineProjectorReport:
+class LineProjectorReport(namedtuple("LineProjectorReport", "projector eigenvalue_multiplicity")):
     """Whether a direction's N line sums are the rank-1 spectral projectors of its unitary.
 
-    The residual |M - Pi| is indexed [p0, i, j], so a witness names the
-    failing line.
+    The projector's residual |M - Pi| is indexed [p0, i, j], so a witness
+    names the failing line. The eigenvalue multiplicity is the largest over
+    the line labels.
     """
 
-    projector: CheckResult
-    eigenvalue_multiplicity: int  # the largest over the line labels
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -253,7 +251,7 @@ def line_projector_check(n, g, tol=DEFAULT_TOL):
     of at most BLOCK_BYTES at a time, so the check holds O(N^2) memory and
     calls no BLAS or LAPACK routine.
     """
-    if n % 2 == 0:
+    if check_dim(n) % 2 == 0:
         raise ValueError("no valid operator set exists for even N")
     return _projector_report(n, g, tol, _line_blocks(g, n, max(1, BLOCK_BYTES // (16 * n * n))))
 

@@ -60,7 +60,7 @@ def test_criterion_03_covariance_over_full_group():
         for g, second in sl2_lifts_search(n):
             for lift in (g, second):
                 res = fano._covariance_scan(c.values, [lift], TOL)
-                assert res.passed, (n, lift.as_tuple(), res.max_violation)
+                assert res.passed, (n, tuple(lift), res.max_violation)
                 worst = max(worst, res.max_violation)
     assert worst < TOL
     _passline(3, f"covariance holds for every group element and two lifts, worst {worst:.2e}")
@@ -106,7 +106,7 @@ def test_criterion_06_tilted_line_projector_identity():
         directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
         for g in directions:
             rep = wigner.line_projector_check(n, g, tol=TOL)
-            assert rep.passed, (n, g.as_tuple(), rep.max_violation)
+            assert rep.passed, (n, tuple(g), rep.max_violation)
             assert rep.eigenvalue_multiplicity == 1
             worst = max(worst, rep.max_violation)
     assert worst < TOL

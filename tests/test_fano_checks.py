@@ -196,7 +196,7 @@ def test_route_values_conflict_between_lifts_for_even_n():
     lift_b = SL2Element(3, 1, 2, 1)
     assert lift_a.residues(2) == lift_b.residues(2)
     half = _half_omega_table(2)
-    va, vb = (complex(half[fano._two_phi(g.as_tuple(), 1, 1, 2)]) / 4 for g in (lift_a, lift_b))
+    va, vb = (complex(half[fano._two_phi(g, 1, 1, 2)]) / 4 for g in (lift_a, lift_b))
     assert va == pytest.approx(0.25j)
     assert vb == pytest.approx(-0.25j)
 
@@ -349,7 +349,7 @@ def _action(g, n):
     s, t = np.indices((n, n))
     src = ((g.kappa * s - g.lam * t) % n, (g.nu * t - g.mu * s) % n)
     dst = ((g.nu * s - g.mu * t) % n, (g.kappa * t - g.lam * s) % n)
-    return src, dst, fano._two_phi(g.as_tuple(), s, t, n)
+    return src, dst, fano._two_phi(g, s, t, n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -387,7 +387,7 @@ def _table_action(g, u, values):
     monomials' matrices and the unitary u of g.
     """
     n = values.shape[0]
-    kappa, lam, mu, nu = g.as_tuple()
+    kappa, lam, mu, nu = g
     image = np.empty_like(values)
     for s, t in product(range(n), repeat=2):
         a, b = (mu * s + kappa * t) % n, (nu * s + lam * t) % n
@@ -415,7 +415,7 @@ def test_dft_and_chirp_conjugate_operators_as_the_generators_act_on_tables(n):
     solution = fano.coefficients_odd(n).values
     q, p = np.indices((n, n))
     for g, u in zip(GENERATORS, _dft_and_chirp(n)):
-        kappa, lam, mu, nu = g.as_tuple()
+        kappa, lam, mu, nu = g
         site = (nu * q - mu * p) % n, (-lam * q + kappa * p) % n
         assert np.abs(u @ closed_form @ u.conj().T - closed_form[site]).max() < 1e-12
         image = assemble(FanoCoefficients(n, _table_action(g, u, table)))
@@ -432,7 +432,7 @@ def test_generators_decide_covariance_as_every_lift_class_does(n):
     assert got.passed == want.passed == (n % 2 == 1)
     assert got.witness == want.witness
     if n % 2 == 0:
-        assert got.witness[4:] == GENERATORS[0].as_tuple()
+        assert got.witness[4:] == tuple(GENERATORS[0])
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -451,7 +451,7 @@ def test_covariance_under_s_alone_is_not_enough(n):
     sym = FanoCoefficients(n, sum(x.values for x in orbit))
     assert _covariance_scan(sym.values, [s], DEFAULT_TOL).passed
     got = fano.check_covariance_group(sym)
-    assert not got.passed and got.witness[4:] == t.as_tuple()
+    assert not got.passed and got.witness[4:] == tuple(t)
     assert not covariance_every_class(sym.values, DEFAULT_TOL).passed
 
 

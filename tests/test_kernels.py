@@ -140,7 +140,7 @@ def covariance_group_oracle(table, lifts, tol):
         res = covariance_residuals_dense(table, lift)
         worst = max(worst, float(res.max()))
         if first_fail is None and res.max() > tol:
-            first_fail = tuple(int(i) for i in np.argwhere(res > tol)[0]) + lift.as_tuple()
+            first_fail = tuple(int(i) for i in np.argwhere(res > tol)[0]) + lift
     if first_fail is None:
         return CheckResult("covariance", True, worst)
     return CheckResult("covariance", False, worst, first_fail)
@@ -305,7 +305,7 @@ def test_planted_violation_seen_only_by_a_second_lift():
     lifts = [IDENTITY, second]
     got = _covariance_scan(values, lifts, 1e-10)
     assert not got.passed
-    assert got.witness == (0, 1, 1, 0) + second.as_tuple()
+    assert got.witness == (0, 1, 1, 0) + second
     assert got.max_violation == pytest.approx(0.5)
     assert_same_check(got, covariance_group_oracle(dense_table(FanoCoefficients(n, values)), lifts, 1e-10))
 
@@ -350,7 +350,7 @@ def test_two_phi_matches_the_exact_phase_for_lifts_of_any_size(x, y, z, n, a, b)
     g = _elementary_product(x, y, z)
     a, b = a % n, b % n
     want = (2 * phase_phi(g, a, b, n)) % (2 * n)
-    assert fano._two_phi(g.as_tuple(), a, b, n) == want
+    assert fano._two_phi(g, a, b, n) == want
     entries = fano._lift_entries([g, IDENTITY], n)
     assert entries.dtype == np.int64
     assert fano._two_phi(entries, a, b, n)[0] == want
@@ -376,10 +376,10 @@ def test_odd_audits_pass_with_huge_second_lifts(k):
     n = 5
     shift = SL2Element(1, n * k, n * k, 1 + n * n * k * k)
     elements = [(g, compose(g, shift)) for g in (exact_lift(row, n) for row in sl2_enumerate(n))]
-    assert max(abs(x) for _, h in elements for x in h.as_tuple()) > 2**20
+    assert max(abs(x) for _, h in elements for x in h) > 2**20
     cov = _covariance_scan(fano.coefficients_odd(n).values, _flat(elements), 1e-10)
     assert cov.passed, cov
-    classes = np.array([[x % (2 * n) for x in g.as_tuple()] for g in _flat(elements)], dtype=np.int64)
+    classes = np.array([[x % (2 * n) for x in g] for g in _flat(elements)], dtype=np.int64)
     scan = route_consistency_scan(n, classes, 1e-10)
     assert scan.passed, scan
     assert scan.max_violation == 0.0
@@ -395,18 +395,18 @@ def test_even_audits_see_a_huge_lift_as_its_small_lift_mod_2n(n):
     shift = SL2Element(1 + 4 * n * n * k * k, 2 * n * k, 2 * n * k, 1)  # identity mod 2N
     small = sl2_lifts_search(n)
     huge = {g: compose(g, shift) for group in small for g in group}
-    assert all(max(abs(x) for x in h.as_tuple()) > 2**70 for h in huge.values())
+    assert all(max(abs(x) for x in h) > 2**70 for h in huge.values())
     assert all(x % (2 * n) == y % (2 * n) for g, h in huge.items()
-               for x, y in zip(g.as_tuple(), h.as_tuple()))
+               for x, y in zip(g, h))
     big = [tuple(huge[g] for g in group) for group in small]
     for values in (fano.coefficients_candidate(n).values, _random_sparse_values(n, 500 + n)):
         want = _covariance_scan(values, _flat(small), 1e-10)
         got = _covariance_scan(values, _flat(big), 1e-10)
         assert not want.passed
         assert (got.passed, got.max_violation, got.witness[:4]) == (want.passed, want.max_violation, want.witness[:4])
-        assert got.witness[4:] == huge[SL2Element(*want.witness[4:])].as_tuple()
+        assert got.witness[4:] == tuple(huge[SL2Element(*want.witness[4:])])
     classes = {tuple(row) for row in lift_classes(n).tolist()}
-    assert all(tuple(x % (2 * n) for x in h.as_tuple()) in classes for h in huge.values())
+    assert all(tuple(x % (2 * n) for x in h) in classes for h in huge.values())
 
 
 def _support_cases(n):
@@ -433,7 +433,7 @@ def _scan_oracle(residuals, lifts, tol):
     for res, lift in zip(residuals, lifts):
         if res.max() > tol:
             return CheckResult("covariance", False, worst,
-                               tuple(int(i) for i in np.argwhere(res > tol)[0]) + lift.as_tuple())
+                               tuple(int(i) for i in np.argwhere(res > tol)[0]) + lift)
     return CheckResult("covariance", True, worst)
 
 

@@ -177,7 +177,7 @@ def test_sl2_second_lift_same_class_different_integers(n):
         assert h != g
         assert h.residues(n) == g.residues(n)
         assert h.kappa * h.nu - h.mu * h.lam == 1
-        assert _classes_mod([g.as_tuple(), h.as_tuple()], m) <= classes
+        assert _classes_mod([g, h], m) <= classes
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 25])
@@ -228,7 +228,7 @@ def test_compose_is_exact_matrix_product():
     g = SL2Element(2, 1, 1, 1)
     h = SL2Element(0, 1, -1, 0)
     gh = compose(g, h)
-    assert gh.as_tuple() == (2 * 0 + 1 * (-1), 2 * 1 + 1 * 0, 1 * 0 + 1 * (-1), 1 * 1 + 1 * 0)
+    assert tuple(gh) == (2 * 0 + 1 * (-1), 2 * 1 + 1 * 0, 1 * 0 + 1 * (-1), 1 * 1 + 1 * 0)
     assert gh.kappa * gh.nu - gh.mu * gh.lam == 1
 
 
@@ -286,7 +286,7 @@ def test_line_sites_depend_on_the_residue_class_only(n):
     -p0 of g backwards (r -> -r), whatever the size or sign of the entries."""
     g = sl2_complete(2, 3)
     h = sl2_second_lift_search(sl2_second_lift_search(g, n), n)
-    neg = SL2Element(*(-x for x in h.as_tuple()))
+    neg = SL2Element(*(-x for x in h))
     q, p = line_sites(g, n)
     assert np.array_equal(np.stack(line_sites(h, n)), np.stack((q, p)))
     rows, cols = np.ogrid[:n, :n]
@@ -314,4 +314,4 @@ def test_lift_searches_succeed_beyond_the_default_bound(n):
         assert h != g
         assert h.residues(n) == g.residues(n) == tuple(row)
         assert h.kappa * h.nu - h.mu * h.lam == 1
-        assert _classes_mod([g.as_tuple(), h.as_tuple()], m) <= classes
+        assert _classes_mod([g, h], m) <= classes

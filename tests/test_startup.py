@@ -1,7 +1,7 @@
 """Start-up and exit: the lazy package, the CLI's one-thread BLAS default,
 the modules each subcommand loads, the collector the entry point pauses,
-its exit without interpreter teardown, and the record classes that replace
-dataclasses.
+its exit without interpreter teardown, and the package's records, which are
+namedtuples rather than dataclasses.
 
 Each check of what an import does runs in a fresh interpreter, since this
 one has numpy and the package loaded already.
@@ -23,7 +23,6 @@ import pytest
 
 import latwig
 from latwig import cli, fano, lattice, operators, tomography, wigner
-from latwig._record import FrozenInstanceError, record
 
 SRC = Path(latwig.__file__).resolve().parents[1]
 
@@ -129,9 +128,9 @@ def test_artifact_does_not_depend_on_the_default_thread_count(tmp_path):
 # latwig.cli` runs cli as __main__, so latwig.cli is not among them.
 WRITER_MODULES = {"latwig", "latwig.phases", "latwig.serialize"}
 
-# The modules every subcommand that computes in numpy loads besides: the
-# record helper, lattice and operators, which every numpy layer imports.
-NUMPY_MODULES = WRITER_MODULES | {"latwig._record", "latwig.lattice", "latwig.operators"}
+# The modules every subcommand that computes in numpy loads besides:
+# lattice and operators, which every numpy layer imports.
+NUMPY_MODULES = WRITER_MODULES | {"latwig.lattice", "latwig.operators"}
 
 # Each subcommand's exact module set, and whether it loads numpy. `fano`
 # renders its artifact from the phases alone.
@@ -361,83 +360,96 @@ def test_moved_names_stay_importable_from_their_old_modules():
     assert tomography.STATE_STREAM_KEY is operators.STATE_STREAM_KEY
 
 
+CHECK = operators.CheckResult("projector", False, 0.5, (1, 0, 2))
+GRID = wigner.WignerGrid(2, operators.maximally_mixed(2))
+LINE = wigner.MarginalDistribution(lattice.SL2Element(1, 0, 0, 1), operators.maximally_mixed(2)[0].real)
+
+# Each package record with the fields of one instance. A record holds its
+# fields themselves, so two records built from the same array objects are
+# equal, and a record hashes only where every field does.
 PACKAGE_RECORDS = [
-    lattice.SL2Element,
-    fano.FanoCoefficients, fano.CheckResult,
-    wigner.WignerGrid, wigner.MarginalDistribution, wigner.LineProjectorReport,
-    tomography.MarginalDataset, tomography.ReconstructionResult,
+    (lattice.SL2Element, (1, 2, 0, 1)),
+    (fano.CheckResult, CHECK),
+    (fano.FanoCoefficients, (2, GRID.values)),
+    (wigner.WignerGrid, GRID),
+    (wigner.MarginalDistribution, LINE),
+    (wigner.LineProjectorReport, (CHECK, 1)),
+    (tomography.MarginalDataset, (2, [LINE])),
+    (tomography.ReconstructionResult, (GRID, GRID.values)),
 ]
+RECORD_IDS = [cls.__name__ for cls, _ in PACKAGE_RECORDS]
 
 
-@pytest.mark.parametrize("cls", PACKAGE_RECORDS, ids=lambda cls: cls.__name__)
-def test_package_records_are_frozen_and_hashable(cls):
+@pytest.mark.parametrize("cls, fields", PACKAGE_RECORDS, ids=RECORD_IDS)
+def test_package_records_are_namedtuples(cls, fields):
+    [base] = cls.__bases__
+    assert base.__bases__ == (tuple,) and base._fields == cls._fields and len(cls._fields) == len(fields)
+    assert cls.__slots__ == ()
+    assert not hasattr(cls(*fields), "__dict__")
     assert not hasattr(cls, "__dataclass_fields__")
-    assert cls.__hash__ is not object.__hash__
-    assert cls.__setattr__ is not object.__setattr__
 
 
-def test_package_records_keep_their_validation_and_defaults():
-    with pytest.raises(ValueError, match="determinant must be exactly 1"):
-        lattice.SL2Element(1, 1, 1, 1)
-    with pytest.raises(ValueError, match="must have shape"):
-        wigner.WignerGrid(3, operators.maximally_mixed(2))
-    with pytest.raises(ValueError, match="must have shape"):
-        fano.FanoCoefficients(2, operators.maximally_mixed(3))
-    assert fano.CheckResult("c", True, 0.0) == fano.CheckResult(name="c", passed=True, max_violation=0.0, witness=None)
-    g = lattice.SL2Element(1, 2, 0, 1)
-    assert repr(g) == "SL2Element(kappa=1, lam=2, mu=0, nu=1)"
-    with pytest.raises(FrozenInstanceError):
-        g.kappa = 3
+@pytest.mark.parametrize("cls, fields", PACKAGE_RECORDS, ids=RECORD_IDS)
+def test_package_records_take_fields_by_position_and_keyword(cls, fields):
+    by_keyword = cls(**dict(zip(cls._fields, fields)))
+    for record in (cls(*fields), by_keyword, cls(fields[0], **dict(zip(cls._fields[1:], fields[1:])))):
+        assert type(record) is cls
+        assert all(getattr(record, name) is value for name, value in zip(cls._fields, fields))
+        assert all(x is y for x, y in zip(record, fields))
 
 
-@record
-class Point:
-    x: int
-    y: int = 0
-
-    def __post_init__(self):
-        if self.x < 0:
-            raise ValueError("x must be non-negative")
+def test_check_result_witness_defaults_to_none():
+    passed = fano.CheckResult("c", True, 0.0)
+    assert passed.witness is None
+    assert passed == fano.CheckResult(name="c", passed=True, max_violation=0.0, witness=None)
 
 
-def test_record_constructor_takes_positions_keywords_and_defaults():
-    assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
-    assert Point(1) == Point(x=1) == Point(1, 0)
-    assert (Point(1).x, Point(1).y) == (1, 0)
+@pytest.mark.parametrize("cls, fields", PACKAGE_RECORDS, ids=RECORD_IDS)
+def test_package_records_compare_hash_and_print_as_their_fields(cls, fields):
+    record = cls(*fields)
+    assert record == cls(*fields) == tuple(fields)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in zip(cls._fields, fields))})"
+    try:
+        want = hash(tuple(fields))
+    except TypeError:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == want
 
 
-@pytest.mark.parametrize("args, kwargs, message", [
-    ((), {}, "missing required argument 'x'"),
-    ((1, 2, 3), {}, "takes 2 arguments but 3 were given"),
-    ((1,), {"z": 2}, "unexpected keyword argument 'z'"),
-    ((1,), {"x": 2}, "multiple values for argument 'x'"),
-])
-def test_record_constructor_refuses_missing_or_extra_arguments(args, kwargs, message):
-    with pytest.raises(TypeError, match=message):
-        Point(*args, **kwargs)
-
-
-def test_record_runs_post_init():
-    with pytest.raises(ValueError, match="non-negative"):
-        Point(-1)
-    with pytest.raises(ValueError, match="non-negative"):
-        Point(x=-1, y=2)
-
-
-def test_frozen_record_refuses_assignment_and_deletion():
-    p = Point(1, 2)
-    for mutate in (lambda: setattr(p, "x", 3), lambda: setattr(p, "z", 3), lambda: delattr(p, "y")):
-        with pytest.raises(FrozenInstanceError) as exc:
+@pytest.mark.parametrize("cls, fields", PACKAGE_RECORDS, ids=RECORD_IDS)
+def test_package_records_refuse_assignment_deletion_and_new_attributes(cls, fields):
+    record = cls(*fields)
+    name = cls._fields[0]
+    for mutate in (lambda: setattr(record, name, 3), lambda: delattr(record, name), lambda: setattr(record, "z", 3)):
+        with pytest.raises(AttributeError):
             mutate()
-        assert isinstance(exc.value, AttributeError)
-    assert p == Point(1, 2)
+    assert getattr(record, name) is fields[0]
 
 
-def test_record_equality_hash_and_repr_are_field_wise():
-    assert Point(1, 2) != Point(2, 1)
-    assert Point(1, 2) != (1, 2)
-    assert Point(1, 2).__eq__((1, 2)) is NotImplemented
-    assert hash(Point(1, 2)) == hash(Point(1, 2)) == hash((1, 2))
-    assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
-    assert repr(Point(1, "a")) == "Point(x=1, y='a')"
-    assert Point.__init__.__qualname__ == "Point.__init__"
+@pytest.mark.parametrize("cls, fields", PACKAGE_RECORDS, ids=RECORD_IDS)
+def test_package_records_replace_and_make_build_records(cls, fields):
+    record = cls(*fields)
+    for rebuilt in (record._replace(), cls._make(fields), cls._make(iter(fields))):
+        assert type(rebuilt) is cls and rebuilt == record
+
+
+# The three validating records, each with valid fields and a bad value of one of them.
+BAD_FIELDS = {
+    "SL2Element-determinant": (lattice.SL2Element, (1, -1, 0, 1), {"mu": 5}, "determinant must be exactly 1, got 6"),
+    "FanoCoefficients-dimension": (fano.FanoCoefficients, (2, GRID.values), {"n": 2.0}, "lattice dimension"),
+    "FanoCoefficients-shape": (fano.FanoCoefficients, (2, GRID.values), {"values": operators.maximally_mixed(3)},
+                               "must have shape"),
+    "WignerGrid-shape": (wigner.WignerGrid, GRID, {"values": operators.maximally_mixed(3)}, "must have shape"),
+}
+
+
+@pytest.mark.parametrize("cls, fields, bad, message", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_validating_records_refuse_bad_fields_on_every_path(cls, fields, bad, message):
+    record = cls(*fields)
+    bad_fields = tuple(bad.get(name, value) for name, value in zip(cls._fields, fields))
+    for build in (lambda: cls(*bad_fields), lambda: cls(**dict(zip(cls._fields, bad_fields))),
+                  lambda: record._replace(**bad), lambda: cls._make(bad_fields)):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -48,7 +48,7 @@ def test_exact_position_family_of_basis_state():
     n = 3
     ds = tomography.simulate_marginals(basis_state_density(0, n), shots=0)
     vertical = ds.families[-1]  # direction (0, 1): lines q = -p0
-    assert vertical.element.as_tuple() == (0, 1, -1, 0)
+    assert tuple(vertical.element) == (0, 1, -1, 0)
     assert_allclose(vertical.weights, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -200,6 +200,32 @@ def test_family_with_other_than_n_weights_rejected(size):
         tomography.reconstruct_wigner(bad)
     with pytest.raises(ValueError, match="expected"):
         tomography.reconstruct_density(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_family_with_a_non_finite_weight_rejected(bad):
+    n = 5
+    ds = tomography.simulate_marginals(maximally_mixed(n), shots=0)
+    ds.families[2].weights[3] = bad
+    with pytest.raises(ValueError, match=r"family \(1, 2, 0, 1\) has a non-finite weight"):
+        tomography.reconstruct_wigner(ds)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        tomography.reconstruct_density(ds)
+
+
+@pytest.mark.parametrize("shots", [2.5, True, -1, np.bool_(True), "10"])
+def test_simulation_refuses_shots_that_are_not_a_count(shots):
+    with pytest.raises(ValueError, match="shots must be a non-negative integer"):
+        tomography.simulate_marginals(maximally_mixed(3), shots=shots)
+
+
+def test_simulation_takes_a_numpy_integer_count():
+    rho = random_density_matrix(3, np.random.default_rng(7))
+    a = tomography.simulate_marginals(rho, shots=np.int64(1000), seed=2)
+    b = tomography.simulate_marginals(rho, shots=1000, seed=2)
+    for fa, fb in zip(a.families, b.families):
+        assert np.array_equal(fa.weights, fb.weights)
+        assert fa.weights.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -118,7 +118,7 @@ def oracle_directions(n):
     for kappa, lam in [(1, 0), (0, 1), (1, 1), (2, 3), (1, 4), (3, -2)]:
         g = sl2_complete(kappa, lam)
         h = sl2_second_lift_search(g, n)
-        out += [g, h, SL2Element(*(-x for x in h.as_tuple()))]
+        out += [g, h, SL2Element(*(-x for x in h))]
     return out + [compose(g, SL2Element(1, 0, n * 2**70, 1))]
 
 
@@ -480,8 +480,15 @@ def test_line_projector_identity_full_direction_sweep(n):
     directions = [sl2_complete(1, lam) for lam in range(n)] + [sl2_complete(0, 1)]
     for g in directions:
         rep = wigner.line_projector_check(n, g)
-        assert rep.passed, (g.as_tuple(), rep.max_violation)
+        assert rep.passed, (tuple(g), rep.max_violation)
         assert rep.max_violation < 1e-10
+
+
+@pytest.mark.parametrize("n, message", [(0, "lattice dimension"), (2.0, "lattice dimension"),
+                                        (True, "lattice dimension"), (4, "even N")])
+def test_line_projector_check_refuses_a_bad_or_even_dimension(n, message):
+    with pytest.raises(ValueError, match=message):
+        wigner.line_projector_check(n, IDENTITY)
 
 
 def test_line_projector_nondegenerate_for_composite_odd_direction():
